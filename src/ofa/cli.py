@@ -59,8 +59,11 @@ def _emit(args, command, params, report, ok):
     text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     out = getattr(args, "out", None)
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise StructureError("cannot write %s: %s" % (out, exc.strerror or exc))
     else:
         sys.stdout.write(text)
     return 0 if ok else 1
@@ -192,8 +195,14 @@ def cmd_hdet(args):
 
 
 def _load_nil2(path):
-    with open(path) as fh:
-        return n2.nil2_from_json(json.load(fh))
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise StructureError("cannot read %s: %s" % (path, exc.strerror or exc))
+    except ValueError as exc:
+        raise StructureError("%s is not JSON: %s" % (path, exc))
+    return n2.nil2_from_json(data)
 
 
 def _ext_hom(M, ext):

@@ -399,15 +399,10 @@ class TensorTower:
     """
 
     def __init__(self, E):
-        assert isinstance(E, PolyQuotient)
         self.K = E.base
         self.E = E
-        lift1 = [E.const(c) for c in E.mcoeffs]
-        self.EE = EE = PolyQuotient(E, lift1)
-        self.i1 = const_hom(EE)
-        self.i1.name = "i1"
-        k_to_ee = hom_compose(self.i1, const_hom(E))
-        self.i2 = hom_from_gen(E, EE, k_to_ee, EE.gen(), name="i2")
+        self.EE, self.i1, self.i2 = tensor_square(E)
+        EE = self.EE
         lift2 = [EE.const(E.const(c)) for c in E.mcoeffs]
         self.EEE = EEE = PolyQuotient(EE, lift2)
         self.i12 = const_hom(EEE)
@@ -426,7 +421,7 @@ class TensorTower:
 
 
 def tensor_square(E):
-    # only the square level, cheaper than the full tower
+    """E (x) E with its inclusions i1, i2: the square level of TensorTower."""
     assert isinstance(E, PolyQuotient)
     lift1 = [E.const(c) for c in E.mcoeffs]
     EE = PolyQuotient(E, lift1)

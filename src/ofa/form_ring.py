@@ -6,7 +6,9 @@ and even orthogonal presets are full matrix types over signed indices;
 the odd orthogonal preset keeps a middle index 0 whose through-products
 are doubled, e_i0 e_0l = 2 e_il, which makes the ring non-unital
 whenever 2 is not invertible.  Elements are sparse dicts over basis
-pairs (i, j).
+pairs (i, j).  The same class, with its contraction and involution tables
+read off a Gram table, serves the tensor square of a quadratic module
+(quad_module.canon_algebra).
 """
 
 import itertools
@@ -62,17 +64,25 @@ class El:
 
 
 class SplitAlgebra:
-    """One of the split presets; see the module docstring."""
+    """A sparse matrix-type algebra with involution over basis pairs.
 
-    def __init__(self, kind, n, indices, pairs, K):
+    Two tables fix the structure.  contract[j] lists (k, f) with
+    e(i, j) e(k, l) = f e(i, l); invol[(i, j)] is ((i', j'), negate) with
+    conj e(i, j) = +-e(i', j').  The presets are built by ofalin, ofasymp
+    and ofaorth; quad_module builds the tensor square of a module.
+    """
+
+    def __init__(self, kind, indices, pairs, K, contract, invol, tag):
         self.kind = kind
-        self.n = n
         self.indices = tuple(indices)
+        self.n = sum(1 for i in self.indices if i > 0)
         self.pairs = tuple(pairs)
-        self.pairset = frozenset(pairs)
+        self.pairset = frozenset(self.pairs)
         self.K = K
         self.rank = len(self.pairs)
-        self.tag = "%s:%d:%s" % (kind, len(indices), K.name)
+        self.contract = contract
+        self.invol = invol
+        self.tag = tag
 
     def eps(self, i):
         if self.kind == "symp":
@@ -85,6 +95,7 @@ class SplitAlgebra:
         for key, v in coeffs.items():
             if key not in self.pairset:
                 raise StructureError("pair %r not in %s" % (key, self.tag))
+            v = K.check_element(v)
             if not K.is_zero(v):
                 c[key] = v
         return El(self, c)
@@ -127,35 +138,36 @@ class SplitAlgebra:
 
     def mul(self, a, b):
         K = self.K
+        one = K.one()
         rows = {}
         for (k, l), v in b.c.items():
             rows.setdefault(k, []).append((l, v))
         c = {}
         for (i, j), u in a.c.items():
-            hits = rows.get(j)
-            if not hits:
-                continue
-            for l, v in hits:
-                w = K.mul(u, v)
-                if j == 0:
-                    w = K.smul(2, w)
-                if K.is_zero(w):
+            for k, f in self.contract[j]:
+                hits = rows.get(k)
+                if not hits:
                     continue
-                key = (i, l)
-                t = K.add(c.get(key, K.zero()), w)
-                if K.is_zero(t):
-                    c.pop(key, None)
-                else:
-                    c[key] = t
+                uf = u if f == one else K.mul(u, f)
+                for l, v in hits:
+                    w = K.mul(uf, v)
+                    if K.is_zero(w):
+                        continue
+                    key = (i, l)
+                    t = K.add(c.get(key, K.zero()), w)
+                    if K.is_zero(t):
+                        c.pop(key, None)
+                    else:
+                        c[key] = t
         return El(self, c)
 
     def conj(self, a):
         K = self.K
+        invol = self.invol
         c = {}
-        for (i, j), v in a.c.items():
-            if self.eps(i) * self.eps(j) < 0:
-                v = K.neg(v)
-            c[(-j, -i)] = v
+        for key, v in a.c.items():
+            key2, negate = invol[key]
+            c[key2] = K.neg(v) if negate else v
         return El(self, c)
 
     def unit(self):
@@ -184,6 +196,10 @@ class SplitAlgebra:
             yield self.from_coords(vec)
 
     def sample(self, rng):
+        if self.kind == "canon":
+            # the tensor square draws one element index per pair
+            kel = list(self.K.elements())
+            return self.from_coords([kel[rng.randrange(len(kel))] for _ in self.pairs])
         vec = [tuple(rng.randrange(m) for m in self.K.moduli) for _ in range(self.rank)]
         return self.from_coords(vec)
 
@@ -197,6 +213,17 @@ class SplitAlgebra:
         return "<alg %s>" % self.tag
 
 
+def _preset(kind, idx, pairs, K):
+    """Contract through each index (doubling through 0) and conjugate
+    e(i, j) to eps(i) eps(j) e(-j, -i)."""
+    one, two = K.one(), K.from_int(2)
+    contract = {j: ((j, two if j == 0 else one),) for j in idx}
+    flip = kind == "symp"
+    invol = {(i, j): ((-j, -i), flip and i * j < 0) for (i, j) in pairs}
+    return SplitAlgebra(kind, idx, pairs, K, contract, invol,
+                        "%s:%d:%s" % (kind, len(idx), K.name))
+
+
 def ofalin(n, K):
     """Linear preset of block size n: two opposite blocks, swapped by conj."""
     if n < 0:
@@ -205,7 +232,7 @@ def ofalin(n, K):
         raise CapacityError("ofalin size %d over cap %d" % (n, _N_CAP))
     idx = list(range(-n, 0)) + list(range(1, n + 1))
     pairs = [(i, j) for i in idx for j in idx if i * j > 0]
-    return SplitAlgebra("lin", n, idx, pairs, K)
+    return _preset("lin", idx, pairs, K)
 
 
 def ofasymp(r, K):
@@ -217,7 +244,7 @@ def ofasymp(r, K):
         raise CapacityError("ofasymp size %d over cap %d" % (r, 2 * _N_CAP))
     idx = list(range(-n, 0)) + list(range(1, n + 1))
     pairs = [(i, j) for i in idx for j in idx]
-    return SplitAlgebra("symp", n, idx, pairs, K)
+    return _preset("symp", idx, pairs, K)
 
 
 def ofaorth(r, K):
@@ -234,53 +261,46 @@ def ofaorth(r, K):
             raise CapacityError("ofaorth size %d over cap %d" % (r, 2 * _N_CAP))
         idx = list(range(-n, 0)) + list(range(1, n + 1))
     pairs = [(i, j) for i in idx for j in idx]
-    return SplitAlgebra("orth", n, idx, pairs, K)
+    return _preset("orth", idx, pairs, K)
+
+
+def _map_rows(alg, f):
+    """Coordinate matrix of the K-linear map f, columns over the basis."""
+    K = alg.K
+    rows = [[K.zero()] * alg.rank for _ in range(alg.rank)]
+    for t, (i, j) in enumerate(alg.pairs):
+        for s, v in enumerate(alg.coords(f(alg.e(i, j)))):
+            rows[s][t] = v
+    return rows
+
+
+def _commutator_rows(alg):
+    """Stacked matrices of p -> pb - bp, one block per basis element b."""
+    M = []
+    for (i, j) in alg.pairs:
+        b = alg.e(i, j)
+        M.extend(_map_rows(alg, lambda p: alg.sub(alg.mul(p, b), alg.mul(b, p))))
+    return M
+
+
+def _kernel_span(alg, M):
+    out = []
+    for vec in k_nullspace(alg.K, M, alg.rank):
+        x = alg.from_coords(vec)
+        if x:
+            out.append(x)
+    return out
 
 
 def center(alg):
     """Spanning set of {x : xb = bx for all b}, by exact linear solve."""
-    K = alg.K
-    basis = [alg.e(i, j) for (i, j) in alg.pairs]
-    M = []
-    for b in basis:
-        rows = [[K.zero()] * alg.rank for _ in range(alg.rank)]
-        for t, p in enumerate(basis):
-            d = alg.sub(alg.mul(p, b), alg.mul(b, p))
-            for s, v in enumerate(alg.coords(d)):
-                rows[s][t] = v
-        M.extend(rows)
-    out = []
-    for vec in k_nullspace(K, M, alg.rank):
-        x = alg.from_coords(vec)
-        if x:
-            out.append(x)
-    return out
+    return _kernel_span(alg, _commutator_rows(alg))
 
 
 def hermitian_center(alg):
     """Spanning set of the involution-fixed part of the center."""
-    K = alg.K
-    basis = [alg.e(i, j) for (i, j) in alg.pairs]
-    M = []
-    for b in basis:
-        rows = [[K.zero()] * alg.rank for _ in range(alg.rank)]
-        for t, p in enumerate(basis):
-            d = alg.sub(alg.mul(p, b), alg.mul(b, p))
-            for s, v in enumerate(alg.coords(d)):
-                rows[s][t] = v
-        M.extend(rows)
-    rows = [[K.zero()] * alg.rank for _ in range(alg.rank)]
-    for t, p in enumerate(basis):
-        d = alg.sub(p, alg.conj(p))
-        for s, v in enumerate(alg.coords(d)):
-            rows[s][t] = v
-    M.extend(rows)
-    out = []
-    for vec in k_nullspace(K, M, alg.rank):
-        x = alg.from_coords(vec)
-        if x:
-            out.append(x)
-    return out
+    M = _commutator_rows(alg) + _map_rows(alg, lambda p: alg.sub(p, alg.conj(p)))
+    return _kernel_span(alg, M)
 
 
 class UnitalEl:
@@ -375,11 +395,8 @@ def alg_el_to_json(a):
 
 
 def alg_el_from_json(alg, data):
-    c = {}
-    for d in data:
-        v = alg.K.check_element(tuple(int(x) for x in d["c"]))
-        c[(int(d["i"]), int(d["j"]))] = v
-    return alg.el(c)
+    return alg.el({(int(d["i"]), int(d["j"])): tuple(int(x) for x in d["c"])
+                   for d in data})
 
 
 class DsEl:

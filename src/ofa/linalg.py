@@ -300,6 +300,26 @@ def k_mat_vec(spec, A, v):
     return tuple(out)
 
 
+def vzero(K, n):
+    return (K.zero(),) * n
+
+
+def vadd(K, u, v):
+    return tuple(K.add(a, b) for a, b in zip(u, v))
+
+
+def vsub(K, u, v):
+    return tuple(K.sub(a, b) for a, b in zip(u, v))
+
+
+def vneg(K, u):
+    return tuple(K.neg(a) for a in u)
+
+
+def vscale(K, c, u):
+    return tuple(K.mul(c, a) for a in u)
+
+
 def k_dot(spec, u, v):
     acc = spec.zero()
     for a, b in zip(u, v):

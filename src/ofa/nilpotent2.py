@@ -29,7 +29,7 @@ from .coeff_ring import (
     ring_from_json,
     ring_to_json,
 )
-from .linalg import k_mat_inv, k_mat_vec
+from .linalg import k_mat_inv, k_mat_vec, vadd, vneg, vscale, vsub, vzero
 from . import odd_form_param as ofp
 from .form_ring import UnitalEl
 
@@ -38,26 +38,6 @@ _CLOSURE_CAP = 1 << 12
 _MOR_EXH_CAP = 1 << 7
 _MOR_SAMPLES = 300
 _MOR_SEED = 1721
-
-
-def _vzero(K, n):
-    return (K.zero(),) * n
-
-
-def _vadd(K, u, v):
-    return tuple(K.add(a, b) for a, b in zip(u, v))
-
-
-def _vsub(K, u, v):
-    return tuple(K.sub(a, b) for a, b in zip(u, v))
-
-
-def _vneg(K, u):
-    return tuple(K.neg(a) for a in u)
-
-
-def _vscale(K, c, u):
-    return tuple(K.mul(c, a) for a in u)
 
 
 class Nil2Elem(tuple):
@@ -98,7 +78,7 @@ class Nil2Module:
         self.r1 = r1
         self.r0 = r0
         if b is None:
-            b = [[_vzero(K, r0)] * r1 for _ in range(r1)]
+            b = [[vzero(K, r0)] * r1 for _ in range(r1)]
         if len(b) != r1 or any(len(row) != r1 for row in b):
             raise StructureError("cocycle table must be %d x %d" % (r1, r1))
         bt = []
@@ -138,49 +118,49 @@ class Nil2Module:
 
     def _bval(self, u, v):
         K = self.K
-        out = _vzero(K, self.r0)
+        out = vzero(K, self.r0)
         for i in range(self.r1):
             if not any(u[i]):
                 continue
             for j in range(self.r1):
                 if not any(v[j]):
                     continue
-                out = _vadd(K, out, _vscale(K, K.mul(u[i], v[j]), self.b[i][j]))
+                out = vadd(K, out, vscale(K, K.mul(u[i], v[j]), self.b[i][j]))
         return out
 
     def _rzero(self):
-        return Nil2Elem(_vzero(self.K, self.r1), _vzero(self.K, self.r0))
+        return Nil2Elem(vzero(self.K, self.r1), vzero(self.K, self.r0))
 
     def _radd(self, x, y):
         K = self.K
-        m0 = _vadd(K, _vadd(K, x.m0, self._bval(x.m1, y.m1)), y.m0)
-        return Nil2Elem(_vadd(K, x.m1, y.m1), m0)
+        m0 = vadd(K, vadd(K, x.m0, self._bval(x.m1, y.m1)), y.m0)
+        return Nil2Elem(vadd(K, x.m1, y.m1), m0)
 
     def _rneg(self, x):
         K = self.K
-        return Nil2Elem(_vneg(K, x.m1), _vsub(K, self._bval(x.m1, x.m1), x.m0))
+        return Nil2Elem(vneg(K, x.m1), vsub(K, self._bval(x.m1, x.m1), x.m0))
 
     def _ract(self, x, k):
         K = self.K
-        return Nil2Elem(_vscale(K, k, x.m1), _vscale(K, K.mul(k, k), x.m0))
+        return Nil2Elem(vscale(K, k, x.m1), vscale(K, K.mul(k, k), x.m0))
 
     def _rtau(self, x):
         K = self.K
-        m0 = _vsub(K, _vadd(K, x.m0, x.m0), self._bval(x.m1, x.m1))
-        return Nil2Elem(_vzero(K, self.r1), m0)
+        m0 = vsub(K, vadd(K, x.m0, x.m0), self._bval(x.m1, x.m1))
+        return Nil2Elem(vzero(K, self.r1), m0)
 
     def _check_quotient(self):
         K = self.K
-        zero1 = _vzero(K, self.r1)
+        zero1 = vzero(K, self.r1)
         for a in self.X:
             for i in range(self.r1):
                 e = tuple(K.one() if t == i else K.zero() for t in range(self.r1))
-                comm = _vsub(K, self._bval(e, a.m1), self._bval(a.m1, e))
+                comm = vsub(K, self._bval(e, a.m1), self._bval(a.m1, e))
                 if Nil2Elem(zero1, comm) not in self.X:
                     raise StructureError("quotient subgroup is not normal")
             if not any(any(c) for c in a.m1):
                 for k in self.K.elements():
-                    if Nil2Elem(zero1, _vscale(K, k, a.m0)) not in self.X:
+                    if Nil2Elem(zero1, vscale(K, k, a.m0)) not in self.X:
                         raise StructureError(
                             "quotient meets M0 in a non-submodule")
 
@@ -220,7 +200,7 @@ class Nil2Module:
     def m0_scale(self, k, x):
         if not self.in_m0(x):
             raise StructureError("left scaling is only defined on M0")
-        return self.reduce(Nil2Elem(x.m1, _vscale(self.K, k, x.m0)))
+        return self.reduce(Nil2Elem(x.m1, vscale(self.K, k, x.m0)))
 
     def elements(self):
         if self._elems is None:
@@ -243,7 +223,7 @@ class Nil2Module:
             kel = list(self.K.elements())
             seen = set()
             for coords in itertools.product(kel, repeat=self.r0):
-                seen.add(self.reduce(Nil2Elem(_vzero(self.K, self.r1), coords)))
+                seen.add(self.reduce(Nil2Elem(vzero(self.K, self.r1), coords)))
             self._m0_elems = sorted(seen)
         return self._m0_elems
 
@@ -251,12 +231,12 @@ class Nil2Module:
         """The M1 basis vector e_i with zero M0 part, reduced."""
         e = tuple(self.K.one() if t == i else self.K.zero()
                   for t in range(self.r1))
-        return self.reduce(Nil2Elem(e, _vzero(self.K, self.r0)))
+        return self.reduce(Nil2Elem(e, vzero(self.K, self.r0)))
 
     def m0_basis(self, j):
         v = tuple(self.K.one() if t == j else self.K.zero()
                   for t in range(self.r0))
-        return self.reduce(Nil2Elem(_vzero(self.K, self.r1), v))
+        return self.reduce(Nil2Elem(vzero(self.K, self.r1), v))
 
     def lift_m1(self, m1):
         """|+ of e_i . m1_i in order; m0 part is the cocycle correction."""
@@ -265,7 +245,7 @@ class Nil2Module:
             e = tuple(self.K.one() if t == i else self.K.zero()
                       for t in range(self.r1))
             acc = self._radd(acc, self._ract(Nil2Elem(
-                e, _vzero(self.K, self.r0)), m1[i]))
+                e, vzero(self.K, self.r0)), m1[i]))
         return acc
 
     def corr(self, m1):
@@ -442,7 +422,7 @@ def universality_probe(M, f):
     E = f.cod
     if E.card ** M.r0 > _AMBIENT_CAP:
         raise CapacityError("M0 extension too large to scan")
-    zero1 = _vzero(E, M.r1)
+    zero1 = vzero(E, M.r1)
     kernel = []
     for v in itertools.product(list(E.elements()), repeat=M.r0):
         if N.reduce(Nil2Elem(zero1, v)) == N.zero():
@@ -476,7 +456,7 @@ def counterexample_sqrt2(m):
     to_f2 = hom_from_gen(K, F2, RingHom(base, F2, [F2.one()], name="red2"),
                          F2.zero(), name="sqrt2->0")
     N, _ = boxtimes(M, to_f2)
-    zero1 = _vzero(F2, 1)
+    zero1 = vzero(F2, 1)
     image = sorted({N.reduce(Nil2Elem(zero1, (v,)))
                     for v in F2.elements()})
     probe = universality_probe(M, to_f2)
@@ -531,11 +511,11 @@ class Nil2Morphism:
         acc = cod._rzero()
         for i in range(dom.r1):
             acc = cod._radd(acc, cod._ract(self.gen_images[i], x.m1[i]))
-        resid = _vsub(K, x.m0, dom.corr(x.m1))
+        resid = vsub(K, x.m0, dom.corr(x.m1))
         if cod.r0:
             v = k_mat_vec(K, self.m0_matrix, list(resid)) if dom.r0 else \
-                _vzero(K, cod.r0)
-            acc = cod._radd(acc, Nil2Elem(_vzero(K, cod.r1), tuple(v)))
+                vzero(K, cod.r0)
+            acc = cod._radd(acc, Nil2Elem(vzero(K, cod.r1), tuple(v)))
         return cod.reduce(acc)
 
     def _validate(self, require_iso):

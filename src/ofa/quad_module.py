@@ -29,11 +29,9 @@ endomorphisms must respect that split.
 
 import itertools
 
-import sympy
-
 from .coeff_ring import CapacityError, Product, StructureError, parse_ring
-from .form_ring import ofalin, ofaorth, ofasymp, unital
-from .linalg import KSolver, k_identity, k_matmul
+from .form_ring import SplitAlgebra, ofalin, ofaorth, ofasymp, unital
+from .linalg import KSolver, k_identity, k_matmul, vadd
 from .odd_form_param import DeltaShape, act_unital
 from .odd_form_param import member as delta_member
 
@@ -596,31 +594,35 @@ _HDET_RANK_CAP = 5
 
 
 def _hdet_poly(n):
-    """Halved symbolic determinant of an n x n even-diagonal Gram table."""
+    """Halved determinant of the n x n Gram table with diagonal 2 q_i and
+    off-diagonal b_ij, as [(exponents, coefficient)] in descending lex
+    order.  Variables: q per index, then b_ij for i < j in order."""
     hit = _HDET_CACHE.get(n)
     if hit is not None:
         return hit
-    qs = sympy.symbols("q0:%d" % n)
-    bs = {}
+    var = {(i, i): i for i in range(n)}
     for i in range(n):
         for j in range(i + 1, n):
-            bs[(i, j)] = sympy.Symbol("b_%d_%d" % (i, j))
-
-    def entry(i, j):
-        if i == j:
-            return 2 * qs[i]
-        return bs[(min(i, j), max(i, j))]
-
-    det = sympy.expand(sympy.Matrix(n, n, entry).det(method="berkowitz"))
-    gens = list(qs) + [bs[k] for k in sorted(bs)]
-    poly = sympy.Poly(det, *gens, domain="ZZ")
+            var[(i, j)] = len(var)
+    poly = {}
+    for perm in itertools.permutations(range(n)):
+        monom = [0] * len(var)
+        c = 1
+        for i, j in enumerate(perm):
+            monom[var[(min(i, j), max(i, j))]] += 1
+            if i == j:
+                c *= 2
+        inversions = sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
+        key = tuple(monom)
+        poly[key] = poly.get(key, 0) + (-c if inversions % 2 else c)
     terms = []
-    for monom, coeff in poly.terms():
-        c = int(coeff)
-        assert c % 2 == 0
-        terms.append((monom, c // 2))
-    _HDET_CACHE[n] = (gens, terms)
-    return _HDET_CACHE[n]
+    for monom in sorted(poly, reverse=True):
+        c = poly[monom]
+        if c:
+            assert c % 2 == 0
+            terms.append((monom, c // 2))
+    _HDET_CACHE[n] = terms
+    return terms
 
 
 def hdet(M):
@@ -633,7 +635,7 @@ def hdet(M):
     if n > _HDET_RANK_CAP:
         raise CapacityError("half determinant at rank %d" % n)
     K = M.K
-    _, terms = _hdet_poly(n)
+    terms = _hdet_poly(n)
     # variable order: q per label, then off-diagonal entries by index pairs
     vals = [M.qvals[a] for a in M.labels]
     for i in range(n):
@@ -730,10 +732,6 @@ def enumerate_module_unitary(M, cap=_SCAN_CAP):
 # -- adjoint-pair construction ----------------------------------------------
 
 
-def _vec_add(K, u, v):
-    return tuple(K.add(a, b) for a, b in zip(u, v))
-
-
 def _span_closure(K, gens, cap):
     zero = tuple(K.zero() for _ in range(len(gens[0]))) if gens else ()
     seen = {zero}
@@ -741,7 +739,7 @@ def _span_closure(K, gens, cap):
     while queue:
         v = queue.pop()
         for g in gens:
-            w = _vec_add(K, v, g)
+            w = vadd(K, v, g)
             if w not in seen:
                 if len(seen) >= cap:
                     raise CapacityError("span closure past %d" % cap)
@@ -915,7 +913,7 @@ class NaiveConstruction:
         xy = k_matmul(K, x, y)
         n = len(self.M.labels)
         for dw in self._wnull_vecs():
-            w = self.mat_of(_vec_add(K, tuple(w0), dw))
+            w = self.mat_of(vadd(K, tuple(w0), dw))
             z = tuple(
                 tuple(K.neg(K.add(xy[i][j], w[i][j])) for j in range(n))
                 for i in range(n)
@@ -989,149 +987,32 @@ def naive_construction(M, cap=_SCAN_CAP):
 # -- tensor-square construction ---------------------------------------------
 
 
-class CanonAlgebra:
+def canon_algebra(M):
     """Tensor square of the module: basis (i, j) = e_i (x) e_j, products
     contract through the pairing.  For the linear kind only mixed-side
     pairs survive the tensor relations."""
-
-    def __init__(self, M):
-        self.M = M
-        self.K = M.K
-        self.kind = M.qtype.kind
-        if self.kind == "linear":
-            self.pairs = tuple(
-                (i, j) for i in M.labels for j in M.labels if i * j < 0
-            )
-        else:
-            self.pairs = tuple((i, j) for i in M.labels for j in M.labels)
-        self.pairset = frozenset(self.pairs)
-        self.tag = "canon:%s" % M.tag
-        qt = M.qtype
-        self.scal = {}
-        for j in M.labels:
-            for k in M.labels:
-                g = M.gram.get((j, k))
-                if g is not None:
-                    blocks = qt.l_blocks(g)
-                    acc = self.K.zero()
-                    for b in blocks:
-                        acc = self.K.add(acc, b)
-                    if not self.K.is_zero(acc):
-                        self.scal[(j, k)] = acc
-        self.s_inv = -1 if self.kind == "symplectic" else 1
-
-    def el(self, coeffs):
-        K = self.K
-        c = {}
-        for key, v in coeffs.items():
-            if key not in self.pairset:
-                raise StructureError("pair %r not in %s" % (key, self.tag))
-            v = K.check_element(v)
-            if not K.is_zero(v):
-                c[key] = v
-        return _SEl(self, c)
-
-    def e(self, i, j, v=None):
-        return self.el({(i, j): self.K.one() if v is None else v})
-
-    def zero(self):
-        return _SEl(self, {})
-
-    def add(self, a, b):
-        K = self.K
-        c = dict(a.c)
-        for key, v in b.c.items():
-            s = K.add(c.get(key, K.zero()), v)
-            if K.is_zero(s):
-                c.pop(key, None)
-            else:
-                c[key] = s
-        return _SEl(self, c)
-
-    def neg(self, a):
-        return _SEl(self, {k: self.K.neg(v) for k, v in a.c.items()})
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
-    def kmul(self, k, a):
-        K = self.K
-        c = {}
-        for key, v in a.c.items():
-            w = K.mul(k, v)
-            if not K.is_zero(w):
-                c[key] = w
-        return _SEl(self, c)
-
-    def mul(self, a, b):
-        K = self.K
-        c = {}
-        for (i, j), v in a.c.items():
-            for (k, l), w in b.c.items():
-                f = self.scal.get((j, k))
-                if f is None:
-                    continue
-                key = (i, l)
-                s = K.add(c.get(key, K.zero()), K.mul(K.mul(v, w), f))
-                if K.is_zero(s):
-                    c.pop(key, None)
-                else:
-                    c[key] = s
-        return _SEl(self, c)
-
-    def conj(self, a):
-        K = self.K
-        c = {}
-        for (i, j), v in a.c.items():
-            c[(j, i)] = v if self.s_inv == 1 else K.neg(v)
-        return _SEl(self, c)
-
-    def card(self):
-        return self.K.card ** len(self.pairs)
-
-    def elements(self, cap=_SCAN_CAP):
-        if self.card() > cap:
-            raise CapacityError("scan over %d ring elements" % self.card())
-        out = []
-        for combo in itertools.product(self.K.elements(), repeat=len(self.pairs)):
-            out.append(self.el({p: v for p, v in zip(self.pairs, combo)}))
-        return out
-
-    def sample(self, rng):
-        kel = list(self.K.elements())
-        return self.el({p: kel[rng.randrange(len(kel))] for p in self.pairs})
-
-
-class _SEl:
-    """Sparse element of a CanonAlgebra."""
-
-    __slots__ = ("alg", "c", "key")
-
-    def __init__(self, alg, c):
-        self.alg = alg
-        self.c = c
-        self.key = tuple(sorted(c.items()))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, _SEl)
-            and self.alg.tag == other.alg.tag
-            and self.key == other.key
-        )
-
-    def __hash__(self):
-        return hash((self.alg.tag, self.key))
-
-    def __bool__(self):
-        return bool(self.c)
-
-    def coeff(self, i, j):
-        return self.c.get((i, j), self.alg.K.zero())
-
-    def __repr__(self):
-        if not self.c:
-            return "0"
-        return " + ".join("%s*(%d,%d)" % (v, i, j) for (i, j), v in self.key)
+    K = M.K
+    qt = M.qtype
+    if qt.kind == "linear":
+        pairs = [(i, j) for i in M.labels for j in M.labels if i * j < 0]
+    else:
+        pairs = [(i, j) for i in M.labels for j in M.labels]
+    contract = {}
+    for j in M.labels:
+        row = []
+        for k in M.labels:
+            g = M.gram.get((j, k))
+            if g is not None:
+                acc = K.zero()
+                for blk in qt.l_blocks(g):
+                    acc = K.add(acc, blk)
+                if not K.is_zero(acc):
+                    row.append((k, acc))
+        contract[j] = tuple(row)
+    negate = qt.kind == "symplectic"
+    invol = {(i, j): ((j, i), negate) for (i, j) in pairs}
+    return SplitAlgebra("canon", M.labels, pairs, K, contract, invol,
+                        "canon:%s" % M.tag)
 
 
 class ThetaElem:
@@ -1170,7 +1051,7 @@ class CanonConstruction:
         self.M = M
         self.K = M.K
         self.qtype = M.qtype
-        self.S = CanonAlgebra(M)
+        self.S = canon_algebra(M)
         self.tag = self.S.tag
         if self.qtype.kind == "linear":
             self.n_labels = tuple(a for a in M.labels if a > 0)
@@ -1677,17 +1558,15 @@ class CanonMorphism:
         K = M.K
         n = len(M.labels)
         sgn = -1 if M.qtype.kind == "symplectic" else 1
+        contract = self.C.S.contract
         self.images = {}
         for (i, j) in self.C.S.pairs:
             y = [[K.zero()] * n for _ in range(n)]
             x = [[K.zero()] * n for _ in range(n)]
-            for b in M.labels:
-                f = self.C.S.scal.get((j, b))
-                if f is not None:
-                    y[M.pos[i]][M.pos[b]] = f
-                g = self.C.S.scal.get((i, b))
-                if g is not None:
-                    x[M.pos[j]][M.pos[b]] = g if sgn == 1 else K.neg(g)
+            for b, f in contract[j]:
+                y[M.pos[i]][M.pos[b]] = f
+            for b, g in contract[i]:
+                x[M.pos[j]][M.pos[b]] = g if sgn == 1 else K.neg(g)
             self.images[(i, j)] = (
                 tuple(tuple(r) for r in x),
                 tuple(tuple(r) for r in y),
@@ -1733,7 +1612,7 @@ class CanonMorphism:
             return []
         out = []
         for dv in self.kernel_vectors():
-            coords = _vec_add(self.M.K, tuple(v0), dv)
+            coords = vadd(self.M.K, tuple(v0), dv)
             out.append(self.C.S.el(dict(zip(self.C.S.pairs, coords))))
         return out
 
@@ -1789,7 +1668,7 @@ def naive_canon_check(M, seed=0, samples=100, cap=_SCAN_CAP):
     if s_card > cap:
         raise CapacityError("image scan over %d" % s_card)
     image = set()
-    for s in S.elements(cap):
+    for s in S.elements():
         image.add(F.f_s(s))
     report["injective"] = len(image) == s_card
     report["surjective"] = len(image) == report["t_card"]

@@ -938,9 +938,6 @@ def _enum_plain(shape):
 def enumerate_unitary(shape, strategy="auto", jobs=1, verify=True):
     """Every group element, sorted by the canonical beta encoding."""
     alg = shape.alg
-    cache_key = (shape.tag, strategy)
-    if cache_key in _GROUP_CACHE:
-        return list(_GROUP_CACHE[cache_key])
     if strategy == "auto":
         if alg.K.uniform_modulus() is not None and alg.card() <= _ENUM_CAP:
             strategy = "batch"
@@ -950,6 +947,11 @@ def enumerate_unitary(shape, strategy="auto", jobs=1, verify=True):
             strategy = "lin"
         else:
             strategy = "scan"
+    # entries are (elements, verified); an unverified one serves only
+    # calls that skip the check
+    hit = _GROUP_CACHE.get((shape.tag, strategy))
+    if hit is not None and (hit[1] or not verify):
+        return list(hit[0])
     if strategy == "batch":
         out = _enum_batch(shape, jobs)
     elif strategy == "dfs":
@@ -969,7 +971,7 @@ def enumerate_unitary(shape, strategy="auto", jobs=1, verify=True):
         for g in out[:12]:
             for h in out[:12]:
                 assert u_mul(g, h).key in keys
-    _GROUP_CACHE[(shape.tag, strategy)] = out
+    _GROUP_CACHE[(shape.tag, strategy)] = (out, verify)
     return list(out)
 
 

@@ -1,6 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+
+import ofa
 
 from ofa import unitary
 from ofa.cli import main
@@ -163,3 +168,42 @@ def test_usage_errors():
     assert main(["hdet", "--n", "1", "--ring", "zmod:banana"]) == 2
     with pytest.raises(SystemExit):
         main(["bogus"])
+
+
+def _one_line_error(capsys):
+    err = capsys.readouterr().err
+    return err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_malformed_module_json_exits2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    assert main(["nil2", "extend", "--module", str(bad),
+                 "--ext", "gf:2:1,1,1"]) == 2
+    assert _one_line_error(capsys)
+
+
+def test_missing_module_file_exits2(tmp_path, capsys):
+    assert main(["nil2", "extend", "--module", str(tmp_path / "missing.json"),
+                 "--ext", "gf:2:1,1,1"]) == 2
+    assert _one_line_error(capsys)
+
+
+def test_unwritable_out_exits2(tmp_path, capsys):
+    out = tmp_path / "no-such-dir" / "r.json"
+    code = main(["--out", str(out), "algebra", "build", "--family", "lin",
+                 "--n", "1", "--ring", "zmod:3"])
+    assert code == 2
+    assert _one_line_error(capsys)
+
+
+def test_cli_import_needs_only_numpy():
+    # a fresh interpreter, so modules other tests imported do not count
+    src = os.path.dirname(os.path.dirname(ofa.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys; before = set(sys.modules); import ofa.cli; "
+            "new = {m.split('.')[0] for m in set(sys.modules) - before}; "
+            "print(' '.join(sorted(new - set(sys.stdlib_module_names))))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["numpy", "ofa"]

@@ -1,6 +1,7 @@
 """Quadratic modules, their form parameters, and the two ring constructions."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -16,9 +17,9 @@ from ofa.form_ring import ofaorth, ofasymp
 from ofa.linalg import k_det, k_identity, k_matmul
 from ofa.odd_form_param import DeltaShape, gen_q, gen_u, gen_v
 from ofa.quad_module import (
-    CanonAlgebra,
     QuadModule,
     QuadType,
+    canon_algebra,
     canon_preset_check,
     canon_relations_check,
     canonical_construction,
@@ -26,6 +27,7 @@ from ofa.quad_module import (
     classical_type,
     enumerate_module_unitary,
     extend_scalars_qm,
+    _hdet_poly,
     hdet,
     heis_add,
     heis_act,
@@ -209,6 +211,45 @@ def test_hdet_double_is_det():
             assert K.smul(2, hdet(M)) == k_det(K, G)
 
 
+def _int_det(A):
+    """Exact determinant of an integer matrix by Gaussian elimination."""
+    A = [[Fraction(x) for x in row] for row in A]
+    n = len(A)
+    det = Fraction(1)
+    for c in range(n):
+        p = next((r for r in range(c, n) if A[r][c]), None)
+        if p is None:
+            return 0
+        if p != c:
+            A[c], A[p] = A[p], A[c]
+            det = -det
+        det *= A[c][c]
+        for r in range(c + 1, n):
+            f = A[r][c] / A[c][c]
+            A[r] = [x - f * y for x, y in zip(A[r], A[c])]
+    assert det.denominator == 1
+    return int(det)
+
+
+def test_hdet_poly_is_half_the_integer_det():
+    assert [len(_hdet_poly(n)) for n in (1, 3, 5)] == [1, 5, 73]
+    rng = random.Random(11)
+    for n in (1, 3, 5):
+        for _ in range(20):
+            q = [rng.randrange(-9, 10) for _ in range(n)]
+            b = {(i, j): rng.randrange(-9, 10) for i in range(n) for j in range(i + 1, n)}
+            G = [[2 * q[i] if i == j else b[(min(i, j), max(i, j))] for j in range(n)]
+                 for i in range(n)]
+            point = q + [b[k] for k in sorted(b)]
+            value = 0
+            for monom, c in _hdet_poly(n):
+                term = c
+                for x, e in zip(point, monom):
+                    term *= x ** e
+                value += term
+            assert 2 * value == _int_det(G)
+
+
 def test_hdet_guards():
     with pytest.raises(StructureError):
         hdet(split_module("orthogonal", 4, F3))
@@ -303,7 +344,7 @@ def test_naive_unitary_matches_module_scan():
 
 def test_tensor_square_ring():
     M = split_module("orthogonal", 3, F3)
-    S = CanonAlgebra(M)
+    S = canon_algebra(M)
     rng = random.Random(2)
     for _ in range(40):
         a, b, c = S.sample(rng), S.sample(rng), S.sample(rng)
@@ -312,7 +353,7 @@ def test_tensor_square_ring():
         assert S.conj(S.conj(a)) == a
     # contracting through the middle label doubles
     assert S.mul(S.e(1, 0), S.e(0, -1)) == S.el({(1, -1): F3.from_int(2)})
-    S2 = CanonAlgebra(split_module("orthogonal", 3, F2))
+    S2 = canon_algebra(split_module("orthogonal", 3, F2))
     assert S2.mul(S2.e(1, 0), S2.e(0, -1)) == S2.zero()
 
 

@@ -120,6 +120,25 @@ def test_enumeration_jobs_invariance():
     assert a == b
 
 
+def test_group_cache_serves_default_calls(monkeypatch):
+    import ofa.unitary as un
+
+    s = sh(ofasymp, 4, F2)
+    un._GROUP_CACHE.pop((s.tag, "batch"), None)
+    runs = []
+    real = un._enum_batch
+    monkeypatch.setattr(un, "_enum_batch", lambda *a: runs.append(1) or real(*a))
+    assert group_order(s) == group_order(s) == 720
+    assert len(runs) == 1
+    # an unverified entry does not serve a verifying call
+    un._GROUP_CACHE.pop((s.tag, "batch"), None)
+    enumerate_unitary(s, verify=False)
+    enumerate_unitary(s, verify=True)
+    enumerate_unitary(s, verify=True)
+    enumerate_unitary(s, verify=False)
+    assert len(runs) == 3
+
+
 def test_transvection_short():
     s = sh(ofaorth, 4, F3)
     alg = s.alg
