@@ -1,11 +1,14 @@
-"""Vectorized (pi, rho) arithmetic for axiom sweeps.
+"""Vectorized (pi, rho) arithmetic: the one engine for Delta checks.
 
-Requires a coefficient ring whose basis slots share one additive
-modulus m; ring multiplication is the contraction of a structure
-tensor.  A batch of N algebra elements is an int64 array (N, d, d, rk);
-a Delta batch is the pair of its pi and rho arrays.  Element equality
-in Delta is pair equality, which is what the coordinate read makes
-faithful, so every axiom in the shared table becomes an array identity.
+Ring multiplication is the contraction of a structure tensor, and every
+result is reduced by the additive modulus of its basis slot: one scalar
+m when the slots share it, else the per-slot moduli vector on the last
+axis (valid because the tensor only maps slots into slots of the same
+component).  A batch of N algebra elements is an int64 array
+(N, d, d, rk); a Delta batch is the pair of its pi and rho arrays.
+Element equality in Delta is pair equality, which is what the
+coordinate read makes faithful, so every axiom in the shared table
+becomes an array identity, and specialness becomes a batch read-back.
 """
 
 import numpy as np
@@ -15,18 +18,15 @@ from .odd_form_param import herm_slots, _torsion_list, slot_sizes
 
 
 class BatchOps:
-    vectorized = True
-
     def __init__(self, shape):
         alg = shape.alg
         K = alg.K
         m = K.uniform_modulus()
-        if m is None:
-            raise StructureError("batch engine needs a uniform additive modulus")
         self.shape = shape
         self.alg = alg
         self.K = K
-        self.m = m
+        # one scalar when the slots share a modulus: no broadcast needed
+        self.m = m if m is not None else np.array(K.moduli, dtype=np.int64)
         self.rk = K.rank
         idx = list(alg.indices)
         self.d = len(idx)
@@ -38,17 +38,27 @@ class BatchOps:
             for b in range(self.rk):
                 eb = tuple(1 if t == b else 0 for t in range(self.rk))
                 S[a, b] = K.mul(ea, eb)
-        self.S = S % m
+        self.S = S % self.m
         E = np.ones((self.d, self.d), dtype=np.int64)
         if alg.kind == "symp":
             for i in idx:
                 for j in idx:
                     if alg.eps(i) * alg.eps(j) < 0:
-                        E[self.pos[i], self.pos[j]] = m - 1
+                        E[self.pos[i], self.pos[j]] = -1
         self.E = E
         self.ktab = np.array(list(K.elements()), dtype=np.int64).reshape(K.card, self.rk)
         self.ttab = np.array(_torsion_list(K), dtype=np.int64).reshape(-1, self.rk)
         self.maskpos = np.array([1 if i > 0 else 0 for i in idx], dtype=np.int64)
+        # (row, col) of each coordinate: q/u slots of pi, then the
+        # augmentation basis slots of rho, with a flag for phi(e(i,j))
+        ppos = [(self.pos[i], self.pos[j]) for (i, j) in shape.q_pairs]
+        ppos += [(self.pos0, self.pos[i]) for i in shape.u_idx]
+        self.ppos = np.array(ppos, dtype=np.int64).reshape(-1, 2)
+        self.dpos = np.array(
+            [(self.pos[k[1]], self.pos[k[2]]) if k[0] == "f"
+             else (self.pos[-k[1]], self.pos[k[1]]) for k in shape.d_keys],
+            dtype=np.int64).reshape(-1, 2)
+        self.dfree = np.array([k[0] == "f" for k in shape.d_keys], dtype=bool)
         self.uw = np.triu(np.full((self.d, self.d), 2, dtype=np.int64), 1) + np.eye(
             self.d, dtype=np.int64)
         self.hslots = herm_slots(alg)
@@ -106,7 +116,7 @@ class BatchOps:
             if self.rk == 1:
                 M = (kv[:, :, None] * kv[:, None, :]) % self.m
             else:
-                M = np.zeros((P.shape[0], self.d, self.d, self.rk), dtype=np.int64)
+                M = self._zeros(P.shape[0])
                 for a in range(self.rk):
                     for b in range(self.rk):
                         w = kv[:, :, None, a] * kv[:, None, :, b]
@@ -117,45 +127,41 @@ class BatchOps:
             R0 = (R0 - corr[:, ::-1]) % self.m
         return R0
 
+    def _zeros(self, n):
+        return np.zeros((n, self.d, self.d, self.rk), dtype=np.int64)
+
+    def _span(self, vals):
+        """Augmentation element with basis coefficients vals (N, nd, rk)."""
+        X, V = self._zeros(vals.shape[0]), self._zeros(vals.shape[0])
+        f, v = self.dfree, ~self.dfree
+        X[:, self.dpos[f, 0], self.dpos[f, 1]] = vals[:, f]
+        V[:, self.dpos[v, 0], self.dpos[v, 1]] = vals[:, v]
+        return (X - self.conj(X) + V) % self.m
+
     def read_aug_ok(self, S):
         """True where S lies in the span of the augmentation basis."""
-        X = np.zeros_like(S)
-        V = np.zeros_like(S)
-        for key in self.shape.d_keys:
-            if key[0] == "f":
-                a, b = self.pos[key[1]], self.pos[key[2]]
-                X[:, a, b] = S[:, a, b]
-            else:
-                a, b = self.pos[-key[1]], self.pos[key[1]]
-                V[:, a, b] = S[:, a, b]
-        rec = (X - self.conj(X) + V) % self.m
-        return (rec == S).all(axis=(1, 2, 3))
+        vals = S[:, self.dpos[:, 0], self.dpos[:, 1]]
+        return (self._span(vals) == S).all(axis=(1, 2, 3))
+
+    def read_back_ok(self, idx, P, R):
+        """Rows of a delta batch whose (P, R) reads back to the coordinates
+        idx it was materialized from: the batch form of member."""
+        S = (R - self.fold_residue(P)) % self.m
+        got = np.concatenate([P[:, self.ppos[:, 0], self.ppos[:, 1]],
+                              S[:, self.dpos[:, 0], self.dpos[:, 1]]], axis=1)
+        return self.read_aug_ok(S) & (got == self.ktab[idx]).all(axis=(1, 2))
 
     # factor materializers; idx is (N, nslots)
     def materialize(self, kind, idx):
         N = idx.shape[0]
-        zeros = lambda: np.zeros((N, self.d, self.d, self.rk), dtype=np.int64)
         if kind == "delta":
-            P = zeros()
-            col = 0
-            for (i, j) in self.shape.q_pairs:
-                P[:, self.pos[i], self.pos[j]] = self.ktab[idx[:, col]]
-                col += 1
-            for i in self.shape.u_idx:
-                P[:, self.pos0, self.pos[i]] = self.ktab[idx[:, col]]
-                col += 1
-            X, V = zeros(), zeros()
-            for key in self.shape.d_keys:
-                val = self.ktab[idx[:, col]]
-                col += 1
-                if key[0] == "f":
-                    X[:, self.pos[key[1]], self.pos[key[2]]] = val
-                else:
-                    V[:, self.pos[-key[1]], self.pos[key[1]]] = val
-            Sd = (X - self.conj(X) + V) % self.m
-            return (P, (self.fold_residue(P) + Sd) % self.m)
+            vals = self.ktab[idx]
+            nq = self.ppos.shape[0]
+            P = self._zeros(N)
+            P[:, self.ppos[:, 0], self.ppos[:, 1]] = vals[:, :nq]
+            return (P, (self.fold_residue(P) + self._span(vals[:, nq:])) % self.m)
         if kind == "alg":
-            A = zeros()
+            A = self._zeros(N)
             for col, (i, j) in enumerate(self.alg.pairs):
                 A[:, self.pos[i], self.pos[j]] = self.ktab[idx[:, col]]
             return A
@@ -164,22 +170,15 @@ class BatchOps:
         if kind == "scalar":
             return self.ktab[idx[:, 0]]
         if kind == "aug":
-            X, V = zeros(), zeros()
-            for col, key in enumerate(self.shape.d_keys):
-                val = self.ktab[idx[:, col]]
-                if key[0] == "f":
-                    X[:, self.pos[key[1]], self.pos[key[2]]] = val
-                else:
-                    V[:, self.pos[-key[1]], self.pos[key[1]]] = val
-            return (zeros(), (X - self.conj(X) + V) % self.m)
+            return (self._zeros(N), self._span(self.ktab[idx]))
         if kind == "herm":
-            A = zeros()
+            A = self._zeros(N)
             for col, (stype, i, j, _) in enumerate(self.hslots):
                 val = (self.ttab if stype == "tors" else self.ktab)[idx[:, col]]
                 A[:, self.pos[i], self.pos[j]] = (
                     A[:, self.pos[i], self.pos[j]] + val) % self.m
                 if stype == "rep":
-                    sgn = 1 if self.alg.eps(i) * self.alg.eps(j) > 0 else self.m - 1
+                    sgn = 1 if self.alg.eps(i) * self.alg.eps(j) > 0 else -1
                     a, b = self.pos[-j], self.pos[-i]
                     A[:, a, b] = (A[:, a, b] + sgn * val) % self.m
             return A
@@ -266,13 +265,12 @@ class BatchOps:
         return (body, self.kmul(al[1], be[1]))
 
     def scalar_ual(self, k):
-        return (np.zeros((k.shape[0], self.d, self.d, self.rk), dtype=np.int64), k)
+        return (self._zeros(k.shape[0]), k)
 
     def _const_scalar(self, u, vec):
         n = u[0].shape[0]
         k = np.broadcast_to(np.asarray(vec, dtype=np.int64) % self.m, (n, self.rk))
-        return (np.zeros((n, self.d, self.d, self.rk), dtype=np.int64),
-                np.ascontiguousarray(k))
+        return (self._zeros(n), np.ascontiguousarray(k))
 
     def ual_one_like(self, u):
         return self._const_scalar(u, self.onevec)

@@ -471,8 +471,9 @@ def parse_ring(s):
     """Parse a ring description.
 
     Grammar: zmod:m | gf:p | gf:q (q in a small prime-power table) |
-    gf:p:c0,c1,...,cd | polyquot:<ring>:c0,...,cd | prod:(r1;r2;...).
-    Coefficients are listed low to high and must end in 1.
+    gf:p:c0,c1,...,cd (p prime) | polyquot:<ring>:c0,...,cd |
+    prod:(r1;r2;...).  Coefficients are listed low to high and must end
+    in 1.
     """
     spec, rest = _parse_prefix(s.strip())
     if rest:
@@ -505,10 +506,12 @@ def _parse_prefix(s):
         return ZMod(m), rest
     if s.startswith("gf:"):
         q, rest = _take_int(s[3:])
-        if rest.startswith(":"):
-            coeffs, rest2 = _take_int_list(rest[1:])
-            return GaloisField(q, coeffs), rest2
+        # a ":c0,..." list follows a prime only; after gf:4 it belongs to
+        # an enclosing polyquot
         if _is_prime(q):
+            if rest.startswith(":"):
+                coeffs, rest2 = _take_int_list(rest[1:])
+                return GaloisField(q, coeffs), rest2
             return ZMod(q), rest
         if q in _GF_DEFAULT:
             p, coeffs = _GF_DEFAULT[q]

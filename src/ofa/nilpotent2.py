@@ -791,8 +791,33 @@ def nil2_to_json(M):
     }
 
 
+def _int_lists(x, depth):
+    """True if x is lists nested ``depth`` deep with ints at the bottom."""
+    if depth == 0:
+        return isinstance(x, int) and not isinstance(x, bool)
+    return isinstance(x, list) and all(_int_lists(y, depth - 1) for y in x)
+
+
 def nil2_from_json(data):
-    K = ring_from_json(data["ring"])
+    """Module from its JSON form; a payload of the wrong shape raises
+    StructureError."""
+    keys = ("ring", "r1", "r0", "b", "quotient_generators")
+    if not isinstance(data, dict) or any(k not in data for k in keys):
+        raise StructureError("module JSON must be an object with keys %s"
+                             % ", ".join(keys))
+    gens = data["quotient_generators"]
+    if not (isinstance(data["ring"], dict) and _int_lists(data["r1"], 0)
+            and _int_lists(data["r0"], 0) and _int_lists(data["b"], 4)
+            and isinstance(gens, list)
+            and all(isinstance(g, dict) and _int_lists(g.get("m1"), 2)
+                    and _int_lists(g.get("m0"), 2) for g in gens)):
+        raise StructureError(
+            "module JSON needs a ring object, integer r1 and r0, a b table "
+            "of integer lists and generators with m1/m0 integer lists")
+    try:
+        K = ring_from_json(data["ring"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise StructureError("bad ring in module JSON: %r" % (exc,))
     b = [[tuple(tuple(c) for c in val) for val in row] for row in data["b"]]
-    gens = [nil2_elem_from_json(g) for g in data["quotient_generators"]]
+    gens = [nil2_elem_from_json(g) for g in gens]
     return Nil2Module(K, int(data["r1"]), int(data["r0"]), b, quotient=gens)

@@ -9,23 +9,24 @@ read back by subtracting the fold residue of the q/u monomials and
 expanding what remains over the augmentation basis.  A pair that fails
 the read is not a member.
 
-Axiom sweeps share one table of identities, evaluated either by the
-exact per-element engine here or by the vectorized engine in
-batch_delta when the coefficient ring has a uniform additive modulus.
+Axiom sweeps (one table of identities) and the specialness check run
+on the numpy batch engine in batch_delta, for every coefficient ring;
+the exact per-element functions here serve single elements and render
+failure witnesses.
 """
 
 import itertools
 import math
+import random
 
 import numpy as np
 
 from .coeff_ring import CapacityError, StructureError
-from .form_ring import UnitalEl, unital, unital_mul
+from .form_ring import UnitalEl, unital
 
 _ENUM_CAP = 1 << 20
 EXH_DELTA_CAP = 1 << 16
 _EXH_TUPLE_CAP = 1 << 16
-_DICT_TUPLE_CAP = 1 << 12
 
 
 class DeltaShape:
@@ -376,28 +377,48 @@ def delta_from_json(shape, data):
 
 
 def special_check(shape, cap=EXH_DELTA_CAP, count=10000, seed=0):
-    """Verify that (pi, rho) determines the coordinates."""
-    card = shape.card()
-    if card <= cap:
-        seen = set()
-        ok = True
-        for x in elements(shape):
-            p, r = to_pair(x)
-            seen.add((p.key, r.key))
-            if member(shape, p, r) != x:
-                ok = False
-                break
-        return {"pass": ok and len(seen) == card, "mode": "exhaustive",
-                "checked": card, "distinct": len(seen)}
-    import random
+    """Verify that (pi, rho) determines the coordinates.
 
-    rng = random.Random(seed)
-    for _ in range(count):
-        x = sample_elem(shape, rng)
-        p, r = to_pair(x)
-        if member(shape, p, r) != x:
-            return {"pass": False, "mode": "sampled", "checked": count,
-                    "witness": repr(x)}
+    Every element (up to ``cap``) or ``count`` samples drawn as
+    sample_elem draws them is mapped to its pair in one batch and read
+    back; the report is the one an element-by-element loop of
+    ``member(shape, *to_pair(x)) == x`` gives, stopping at the first
+    failure.
+    """
+    from .batch_delta import BatchOps
+
+    ops = BatchOps(shape)
+    card = shape.card()
+    exhaustive = card <= cap
+    if exhaustive:
+        if card > _ENUM_CAP:
+            raise CapacityError("delta enumeration over %d elements" % card)
+        idx = _mixed_radix([ops.K.card] * shape.dim, card)
+    else:
+        # one randrange per basis slot, in sample_elem's order, then the
+        # element's index in K.elements()
+        rng = random.Random(seed)
+        mods = ops.K.moduli
+        digits = np.array([rng.randrange(m) for _ in range(count * shape.dim)
+                           for m in mods], dtype=np.int64)
+        strides = np.array([math.prod(mods[a + 1:]) for a in range(len(mods))],
+                           dtype=np.int64)
+        idx = digits.reshape(count, shape.dim, len(mods)) @ strides
+    P, R = ops.materialize("delta", idx)
+    ok = ops.read_back_ok(idx, P, R)
+    fail = None if ok.all() else int(np.argmin(ok))
+    if exhaustive:
+        # distinct pairs among the rows checked, up to the first failure
+        n = card if fail is None else fail + 1
+        rows = np.concatenate([P[:n].reshape(n, -1), R[:n].reshape(n, -1)], axis=1)
+        distinct = len(np.unique(rows, axis=0))
+        return {"pass": fail is None and distinct == card, "mode": "exhaustive",
+                "checked": card, "distinct": distinct}
+    if fail is not None:
+        witness = from_coords(shape, [tuple(int(c) for c in ops.ktab[t])
+                                      for t in idx[fail]])
+        return {"pass": False, "mode": "sampled", "checked": count,
+                "witness": repr(witness)}
     return {"pass": True, "mode": "sampled", "checked": count, "flagged": True}
 
 
@@ -416,8 +437,7 @@ def herm_slots(alg):
             slots.append(("rep", i, j, K.card))
         elif (i, j) == mir:
             if alg.kind == "symp":
-                tors = [k for k in K.elements() if K.is_zero(K.smul(2, k))]
-                slots.append(("tors", i, j, len(tors)))
+                slots.append(("tors", i, j, len(_torsion_list(K))))
             else:
                 slots.append(("free", i, j, K.card))
     return slots
@@ -513,163 +533,36 @@ def slot_sizes(shape, kind):
     raise StructureError("unknown factor kind %r" % kind)
 
 
-class DictOps:
-    """Exact per-element evaluation of the axiom table."""
-
-    vectorized = False
-
-    def __init__(self, shape):
-        self.shape = shape
-        self.alg = shape.alg
-        self.K = shape.alg.K
-        self.klist = list(self.K.elements())
-        self.tors = _torsion_list(self.K)
-        self.hslots = herm_slots(self.alg)
-
-    # factor materializers (one tuple row of slot indices)
-    def materialize(self, kind, row):
-        K, alg = self.K, self.alg
-        if kind == "delta":
-            return from_coords(self.shape, [self.klist[t] for t in row])
-        if kind == "alg":
-            return alg.from_coords([self.klist[t] for t in row])
-        if kind == "ualg":
-            return UnitalEl(alg.from_coords([self.klist[t] for t in row[:-1]]),
-                            self.klist[row[-1]])
-        if kind == "scalar":
-            return self.klist[row[0]]
-        if kind == "aug":
-            return self.shape.el(d=dict(zip(self.shape.d_keys,
-                                            (self.klist[t] for t in row))))
-        if kind == "herm":
-            coeffs = {}
-            for (stype, i, j, _), t in zip(self.hslots, row):
-                v = self.tors[t] if stype == "tors" else self.klist[t]
-                if K.is_zero(v):
-                    continue
-                coeffs[(i, j)] = K.add(coeffs.get((i, j), K.zero()), v)
-                if stype == "rep":
-                    w = v if alg.eps(i) * alg.eps(j) > 0 else K.neg(v)
-                    slot = (-j, -i)
-                    coeffs[slot] = K.add(coeffs.get(slot, K.zero()), w)
-            return alg.el(coeffs)
-        raise StructureError("unknown factor kind %r" % kind)
-
-    # delta ops
-    def dadd(self, u, v):
-        return delta_add(u, v)
-
-    def dneg(self, u):
-        return delta_neg(u)
-
-    def dzero_like(self, u):
-        return self.shape.zero()
-
-    def deq(self, u, v):
-        return u == v
-
-    def dis0(self, u):
-        return not u
-
-    def daug(self, u):
-        return aug_member(u)
-
-    def phi(self, a):
-        return phi(self.shape, a)
-
-    def pi(self, u):
-        return pi(u)
-
-    def rho(self, u):
-        return rho(u)
-
-    def act(self, u, al):
-        return act_unital(u, al)
-
-    def kact(self, k, v):
-        return act_scalar(k, v)
-
-    def both(self, a, b):
-        return a and b
-
-    # algebra ops
-    def aadd(self, a, b):
-        return self.alg.add(a, b)
-
-    def asub(self, a, b):
-        return self.alg.sub(a, b)
-
-    def aneg(self, a):
-        return self.alg.neg(a)
-
-    def abar(self, a):
-        return self.alg.conj(a)
-
-    def amul(self, a, b):
-        return self.alg.mul(a, b)
-
-    def akmul(self, k, a):
-        return self.alg.kmul(k, a)
-
-    def aeq(self, a, b):
-        return a == b
-
-    def ais0(self, a):
-        return not a
-
-    # unitalized ops
-    def ual_add(self, al, be):
-        return UnitalEl(self.alg.add(al.body, be.body), self.K.add(al.scalar, be.scalar))
-
-    def ualmul(self, al, be):
-        return unital_mul(al, be)
-
-    def scalar_ual(self, k):
-        return UnitalEl(self.alg.zero(), k)
-
-    def ual_one_like(self, u):
-        return UnitalEl(self.alg.zero(), self.K.one())
-
-    def ual_zero_like(self, u):
-        return UnitalEl(self.alg.zero(), self.K.zero())
-
-    def ual_neg_one_like(self, u):
-        return UnitalEl(self.alg.zero(), self.K.neg(self.K.one()))
-
-    def mul_right_ual(self, x, al):
-        return self.alg.add(self.alg.mul(x, al.body), self.alg.kmul(al.scalar, x))
-
-    def sandwich(self, al, x):
-        left = self.alg.mul(self.alg.conj(al.body), x)
-        k = al.scalar
-        return self.alg.add(
-            self.alg.add(self.alg.mul(left, al.body), self.alg.kmul(k, left)),
-            self.alg.add(self.alg.kmul(k, self.alg.mul(x, al.body)),
-                         self.alg.kmul(self.K.mul(k, k), x)))
-
-    def twosided(self, be, al, x):
-        bb, l = self.alg.conj(be.body), be.scalar
-        a, k = al.body, al.scalar
-        left = self.alg.add(self.alg.mul(bb, x), self.alg.kmul(l, x))
-        return self.alg.add(self.alg.mul(left, a), self.alg.kmul(k, left))
-
-    def kmul(self, k, kp):
-        return self.K.mul(k, kp)
-
-    def evaluate(self, kinds, fn, idxmat):
-        cols = []
-        off = 0
-        for kind in kinds:
-            w = len(slot_sizes(self.shape, kind))
-            cols.append((kind, off, off + w))
-            off += w
-        for rownum in range(idxmat.shape[0]):
-            row = idxmat[rownum]
-            facs = [self.materialize(kind, [int(t) for t in row[a:b]])
-                    for kind, a, b in cols]
-            if not fn(self, *facs):
-                return False, rownum
-        return True, None
+def decode_factor(shape, kind, row):
+    """The exact element behind one factor's row of slot indices, as the
+    batch materializer builds it; renders failure witnesses."""
+    alg = shape.alg
+    K = alg.K
+    klist = list(K.elements())
+    if kind == "delta":
+        return from_coords(shape, [klist[t] for t in row])
+    if kind == "alg":
+        return alg.from_coords([klist[t] for t in row])
+    if kind == "ualg":
+        return UnitalEl(alg.from_coords([klist[t] for t in row[:-1]]), klist[row[-1]])
+    if kind == "scalar":
+        return klist[row[0]]
+    if kind == "aug":
+        return shape.el(d=dict(zip(shape.d_keys, (klist[t] for t in row))))
+    if kind == "herm":
+        tors = _torsion_list(K)
+        coeffs = {}
+        for (stype, i, j, _), t in zip(herm_slots(alg), row):
+            v = tors[t] if stype == "tors" else klist[t]
+            if K.is_zero(v):
+                continue
+            coeffs[(i, j)] = K.add(coeffs.get((i, j), K.zero()), v)
+            if stype == "rep":
+                w = v if alg.eps(i) * alg.eps(j) > 0 else K.neg(v)
+                slot = (-j, -i)
+                coeffs[slot] = K.add(coeffs.get(slot, K.zero()), w)
+        return alg.el(coeffs)
+    raise StructureError("unknown factor kind %r" % kind)
 
 
 def _mixed_radix(sizes, total):
@@ -690,16 +583,9 @@ def axioms_check(shape, strategy="exhaustive", count=10000, seed=None):
         raise CapacityError(
             "exhaustive strategy needs |Delta| <= %d, got %d"
             % (EXH_DELTA_CAP, shape.card()))
-    uniform = shape.alg.K.uniform_modulus() is not None
-    if uniform:
-        from .batch_delta import BatchOps
+    from .batch_delta import BatchOps
 
-        ops = BatchOps(shape)
-        tuple_cap = _EXH_TUPLE_CAP
-    else:
-        ops = DictOps(shape)
-        tuple_cap = _DICT_TUPLE_CAP
-    decoder = DictOps(shape)
+    ops = BatchOps(shape)
     rows = []
     allpass = True
     for axnum, (name, kinds, fn) in enumerate(AXIOMS):
@@ -707,7 +593,7 @@ def axioms_check(shape, strategy="exhaustive", count=10000, seed=None):
         for kind in kinds:
             sizes.extend(slot_sizes(shape, kind))
         total = math.prod(sizes) if sizes else 1
-        exhaust = strategy == "exhaustive" and total <= tuple_cap
+        exhaust = strategy == "exhaustive" and total <= _EXH_TUPLE_CAP
         if exhaust:
             idxmat = _mixed_radix(sizes, total)
             mode, n = "exhaustive", total
@@ -730,8 +616,8 @@ def axioms_check(shape, strategy="exhaustive", count=10000, seed=None):
             witness = []
             for kind in kinds:
                 w = len(slot_sizes(shape, kind))
-                witness.append(repr(decoder.materialize(
-                    kind, [int(t) for t in row[off:off + w]])))
+                witness.append(repr(decode_factor(
+                    shape, kind, [int(t) for t in row[off:off + w]])))
                 off += w
             entry["witness"] = witness
         rows.append(entry)

@@ -69,12 +69,16 @@ def test_criterion_01_axiom_suites():
 
 
 def test_criterion_02_specialness():
+    t0 = time.time()
     for K in RINGS:
         for n in (1, 2):
             for tag, alg in _family_algebras(n, K):
                 rep = special_check(DeltaShape(alg), count=10000, seed=11)
                 assert rep["pass"], (tag, K.name, n, rep)
-    _verdict(2, "pi x rho injective for all four families at n = 1, 2")
+    elapsed = time.time() - t0
+    assert elapsed < 30.0, elapsed
+    _verdict(2, "pi x rho injective for all four families at n = 1, 2 in %.1fs"
+             % elapsed)
 
 
 def test_criterion_03_group_orders():

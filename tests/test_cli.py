@@ -183,6 +183,20 @@ def test_malformed_module_json_exits2(tmp_path, capsys):
     assert _one_line_error(capsys)
 
 
+@pytest.mark.parametrize("payload", [
+    {}, [1],
+    {"ring": {"zmod": 3}, "r1": 1, "r0": 1, "quotient_generators": []},
+    {"ring": {"zmod": "x"}, "r1": 1, "r0": 1, "b": [[[[1]]]],
+     "quotient_generators": []},
+])
+def test_module_of_wrong_shape_exits2(tmp_path, capsys, payload):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    assert main(["nil2", "extend", "--module", str(bad),
+                 "--ext", "polyquot:zmod:3:1,0,1"]) == 2
+    assert _one_line_error(capsys)
+
+
 def test_missing_module_file_exits2(tmp_path, capsys):
     assert main(["nil2", "extend", "--module", str(tmp_path / "missing.json"),
                  "--ext", "gf:2:1,1,1"]) == 2

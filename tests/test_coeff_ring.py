@@ -152,6 +152,14 @@ def test_parse_ring():
             parse_ring(bad)
 
 
+def test_parse_polyquot_over_prime_power_field():
+    # a coefficient list after gf:q belongs to gf only when q is prime
+    R = parse_ring("polyquot:gf:4:1,0,1")
+    assert R.card == 16 and R.base.card == 4
+    with pytest.raises(StructureError):
+        parse_ring("gf:4:1,1,1")
+
+
 def test_capacity_guard():
     big = ZMod(2 ** 20)
     with pytest.raises(CapacityError):

@@ -1,3 +1,4 @@
+import json
 import random
 
 import numpy as np
@@ -18,6 +19,7 @@ from ofa.odd_form_param import (
     delta_neg,
     delta_to_json,
     delta_zero,
+    elements,
     gen_q,
     gen_u,
     gen_v,
@@ -165,6 +167,72 @@ def test_special_check():
     assert big["pass"] and big["mode"] == "sampled"
 
 
+def _special_reference(shape, cap=1 << 16, count=10000, seed=0):
+    """special_check as an element-by-element loop of member(to_pair(x))."""
+    card = shape.card()
+    if card <= cap:
+        seen = set()
+        ok = True
+        for x in elements(shape):
+            p, r = to_pair(x)
+            seen.add((p.key, r.key))
+            if member(shape, p, r) != x:
+                ok = False
+                break
+        return {"pass": ok and len(seen) == card, "mode": "exhaustive",
+                "checked": card, "distinct": len(seen)}
+    rng = random.Random(seed)
+    for _ in range(count):
+        x = sample_elem(shape, rng)
+        p, r = to_pair(x)
+        if member(shape, p, r) != x:
+            return {"pass": False, "mode": "sampled", "checked": count,
+                    "witness": repr(x)}
+    return {"pass": True, "mode": "sampled", "checked": count, "flagged": True}
+
+
+def _n1_algebras(K):
+    return [ofalin(1, K), ofasymp(2, K), ofaorth(2, K), ofaorth(3, K)]
+
+
+def test_special_check_matches_reference_loop():
+    cases = [(alg, {}) for alg in _n1_algebras(ZMod(2))]
+    cases += [(alg, {"count": 200, "seed": 5})
+              for alg in _n1_algebras(GaloisField(2, [1, 1, 1]))]
+    cases.append((ofaorth(3, Product([ZMod(2), ZMod(3)])), {"count": 200, "seed": 3}))
+    modes = set()
+    for alg, kw in cases:
+        sh = DeltaShape(alg)
+        got = json.dumps(special_check(sh, **kw), sort_keys=True)
+        assert got == json.dumps(_special_reference(sh, **kw), sort_keys=True), alg.tag
+        modes.add(json.loads(got)["mode"])
+    assert modes == {"exhaustive", "sampled"}
+
+
+@pytest.mark.parametrize("read", ["read_back_ok", "read_aug_ok"])
+def test_special_check_reports_first_failure(monkeypatch, read):
+    from ofa.batch_delta import BatchOps
+
+    k = 5
+    real = getattr(BatchOps, read)
+
+    def fail_from_row_k(self, *args):
+        ok = real(self, *args)
+        ok[k:k + 3] = False
+        return ok
+
+    monkeypatch.setattr(BatchOps, read, fail_from_row_k)
+    rep = special_check(DeltaShape(ofaorth(3, ZMod(2))))
+    assert rep == {"pass": False, "mode": "exhaustive", "checked": 4096,
+                   "distinct": k + 1}
+    sh = DeltaShape(ofaorth(3, ZMod(4)))
+    rng = random.Random(4)
+    samples = [sample_elem(sh, rng) for _ in range(k + 1)]
+    rep = special_check(sh, count=50, seed=4)
+    assert rep == {"pass": False, "mode": "sampled", "checked": 50,
+                   "witness": repr(samples[k])}
+
+
 def test_axioms_exhaustive_small():
     rep = axioms_check(DeltaShape(ofaorth(2, ZMod(2))), seed=11)
     assert rep["pass"]
@@ -189,6 +257,19 @@ def test_axioms_gf4():
     assert rep["pass"]
 
 
+def test_axioms_witness_decodes_failing_row(monkeypatch):
+    from ofa.batch_delta import BatchOps
+
+    monkeypatch.setattr(BatchOps, "evaluate",
+                        lambda self, kinds, fn, idx: (False, min(3, len(idx) - 1)))
+    sh = DeltaShape(ofaorth(2, ZMod(3)))
+    rep = axioms_check(sh, seed=1)
+    rows = {r["axiom"]: r for r in rep["axioms"]}
+    assert not rep["pass"]
+    assert rows["add-zero"]["witness"] == [repr(list(elements(sh))[3])]
+    assert rows["rho-phi"]["witness"] == [repr(list(sh.alg.elements())[3])]
+
+
 def test_axioms_capacity_and_seed_errors():
     sh = DeltaShape(ofaorth(3, ZMod(3)))
     with pytest.raises(CapacityError):
@@ -197,11 +278,15 @@ def test_axioms_capacity_and_seed_errors():
         axioms_check(DeltaShape(ofasymp(2, ZMod(3))), strategy="exhaustive")
 
 
-def test_axioms_dict_engine_nonuniform():
+def test_axioms_batch_engine_nonuniform():
     K = Product([ZMod(2), ZMod(3)])
     sh = DeltaShape(ofasymp(2, K))
     rep = axioms_check(sh, strategy="sampled", count=40, seed=7)
     assert rep["pass"]
+    # 216^2 tuples, within the one tuple cap on a mixed-moduli ring
+    rep = axioms_check(DeltaShape(ofalin(1, K)), seed=7)
+    row = {r["axiom"]: r for r in rep["axioms"]}["pi-additive"]
+    assert rep["pass"] and row["mode"] == "exhaustive" and row["tuples"] == 216 ** 2
 
 
 def _np_els(ops, els):
@@ -216,7 +301,9 @@ def test_batch_matches_exact():
     from ofa.batch_delta import BatchOps
 
     for alg in [ofasymp(2, ZMod(3)), ofaorth(3, ZMod(4)),
-                ofalin(2, ZMod(2)), ofaorth(4, GaloisField(2, [1, 1, 1]))]:
+                ofalin(2, ZMod(2)), ofaorth(4, GaloisField(2, [1, 1, 1])),
+                ofasymp(2, Product([ZMod(2), ZMod(3)])),
+                ofaorth(3, Product([ZMod(4), ZMod(3)]))]:
         sh = DeltaShape(alg)
         ops = BatchOps(sh)
         rng = random.Random(17)
