@@ -473,7 +473,8 @@ def parse_ring(s):
     Grammar: zmod:m | gf:p | gf:q (q in a small prime-power table) |
     gf:p:c0,c1,...,cd (p prime) | polyquot:<ring>:c0,...,cd |
     prod:(r1;r2;...).  Coefficients are listed low to high and must end
-    in 1.
+    in 1; a polyquot coefficient is an int (that multiple of one) or the
+    base coordinates "(a.b...)", so every ring name parses back.
     """
     spec, rest = _parse_prefix(s.strip())
     if rest:
@@ -500,6 +501,30 @@ def _take_int_list(s):
     return out, s
 
 
+def _take_coeff_list(s, base):
+    """Modulus coefficients over base: an int n is n times one, and
+    "(c0.c1...)" gives base coordinates, as PolyQuotient.name writes them
+    over a base of rank > 1."""
+    out = []
+    while True:
+        if s.startswith("("):
+            coords, s = _take_int(s[1:])
+            coords = [coords]
+            while s.startswith("."):
+                n, s = _take_int(s[1:])
+                coords.append(n)
+            if not s.startswith(")"):
+                raise StructureError("expected ')' at %r" % s)
+            out.append(base.check_element(tuple(coords)))
+            s = s[1:]
+        else:
+            n, s = _take_int(s)
+            out.append(base.from_int(n))
+        if not s.startswith(","):
+            return out, s
+        s = s[1:]
+
+
 def _parse_prefix(s):
     if s.startswith("zmod:"):
         m, rest = _take_int(s[5:])
@@ -521,8 +546,8 @@ def _parse_prefix(s):
         base, rest = _parse_prefix(s[9:])
         if not rest.startswith(":"):
             raise StructureError("polyquot needs a coefficient list")
-        ints, rest2 = _take_int_list(rest[1:])
-        return PolyQuotient(base, [base.from_int(c) for c in ints]), rest2
+        coeffs, rest2 = _take_coeff_list(rest[1:], base)
+        return PolyQuotient(base, coeffs), rest2
     if s.startswith("prod:("):
         depth = 1
         i = 6

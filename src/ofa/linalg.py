@@ -9,6 +9,8 @@ componentwise systems.
 
 import math
 
+import numpy as np
+
 from .coeff_ring import Product, StructureError, _basis
 
 
@@ -143,6 +145,16 @@ class ModSolver:
     def count(self, b):
         return self.null_count if self._consistent(self._transform(b)) else 0
 
+    def consistent_rows(self, B):
+        """Row mask of an (N, rows) int array of right-hand sides: which
+        ones the system can meet, the batch form of _consistent."""
+        m = self.m
+        U = np.array(self.U, dtype=np.int64).reshape(self.rows, self.rows)
+        C = np.asarray(B, dtype=np.int64) @ U.T % m
+        k = min(self.rows, self.cols)
+        g = np.array([math.gcd(d, m) for d in self.diag[:k]], dtype=np.int64)
+        return (C[:, :k] % g == 0).all(axis=1) & (C[:, self.cols:] == 0).all(axis=1)
+
     def nullspace(self):
         """Vectors generating the solution set of A x = 0 additively."""
         m = self.m
@@ -197,6 +209,7 @@ class KSolver:
             for idx, sub in enumerate(spec.specs):
                 Mi = [[sub.check_element(spec.split(e)[idx]) for e in row] for row in M]
                 self.parts.append(KSolver(sub, Mi, ncols=self.ncols))
+            self.null_count = math.prod(ks.null_count for ks in self.parts)
         else:
             self.parts = None
             m = spec.uniform_modulus()
@@ -215,9 +228,7 @@ class KSolver:
                         for b in range(r):
                             out[j * r + b] = blk[a][b]
             self.ms = ModSolver(big, m, ncols=self.ncols * r)
-
-    def _flat(self, v):
-        return [x for e in v for x in e]
+            self.null_count = self.ms.null_count
 
     def _unflat(self, flat):
         r = self.spec.rank
@@ -233,7 +244,7 @@ class KSolver:
                     return None
                 per.append(xi)
             return [self.spec.join([p[j] for p in per]) for j in range(self.ncols)]
-        return None if (s := self.ms.solve(self._flat(b))) is None else self._unflat(s)
+        return None if (s := self.ms.solve(vflat(b))) is None else self._unflat(s)
 
     def count(self, b):
         if self.parts is not None:
@@ -241,7 +252,22 @@ class KSolver:
             for idx, ks in enumerate(self.parts):
                 total *= ks.count([self.spec.split(e)[idx] for e in b])
             return total
-        return self.ms.count(self._flat(b))
+        return self.ms.count(vflat(b))
+
+    def consistent(self, B):
+        """Row mask of the right-hand sides the system can meet, for B an
+        (N, nrows * rank) int array of flat coordinates; a right-hand side
+        that passes has null_count solutions.  Product specs test each
+        part on its slice of every entry."""
+        B = np.asarray(B, dtype=np.int64).reshape(len(B), self.nrows, self.spec.rank)
+        if self.parts is None:
+            return self.ms.consistent_rows(B.reshape(len(B), -1))
+        ok = np.ones(len(B), dtype=bool)
+        off = 0
+        for sub, ks in zip(self.spec.specs, self.parts):
+            ok &= ks.consistent(B[:, :, off:off + sub.rank].reshape(len(B), -1))
+            off += sub.rank
+        return ok
 
     def nullspace(self):
         if self.parts is not None:
@@ -298,6 +324,11 @@ def k_mat_vec(spec, A, v):
                 acc = spec.add(acc, spec.mul(a, x))
         out.append(acc)
     return tuple(out)
+
+
+def vflat(v):
+    """Int coordinates of a vector of ring elements, concatenated."""
+    return [x for e in v for x in e]
 
 
 def vzero(K, n):

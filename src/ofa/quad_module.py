@@ -19,6 +19,17 @@ linked by a comparison morphism that is bijective exactly when the
 pairing is regular enough.  Over split tables both reproduce the preset
 algebras of form_ring/odd_form_param coordinate for coordinate.
 
+The naive construction counts in batches over flat int coordinates (each
+K element spread over its basis slots, reduced by the per-slot moduli).
+T is the span of the nullspace generators of its adjoint system, built
+with numpy as sorted unique rows.  The Xi count, the unit filter on T and
+the image of the comparison map are read off the scalar definitions
+(_w_rhs, k_matmul, f_s) at basis vectors only: the Xi right-hand side and
+t -> (xy, yx) are quadratic over Z in the coordinates of t, so their values
+at e_i, e_i + e_j and 2 e_i give them on every row at once, and f_s is
+K-linear, so its integer matrix maps every S coordinate row in one
+product.  A right-hand side is then tested for all of T at once.
+
 Elements of L and R share one concrete carrier (tuples over K, two of
 them glued for the linear kind); A-values are plain K elements with the
 symplectic kind pinned to zero.  Module elements are sparse dicts
@@ -29,9 +40,11 @@ endomorphisms must respect that split.
 
 import itertools
 
-from .coeff_ring import CapacityError, Product, StructureError, parse_ring
+import numpy as np
+
+from .coeff_ring import CapacityError, Product, StructureError, _basis, parse_ring
 from .form_ring import SplitAlgebra, ofalin, ofaorth, ofasymp, unital
-from .linalg import KSolver, k_identity, k_matmul, vadd
+from .linalg import KSolver, k_identity, k_matmul, vadd, vflat
 from .odd_form_param import DeltaShape, act_unital
 from .odd_form_param import member as delta_member
 
@@ -732,20 +745,70 @@ def enumerate_module_unitary(M, cap=_SCAN_CAP):
 # -- adjoint-pair construction ----------------------------------------------
 
 
-def _span_closure(K, gens, cap):
-    zero = tuple(K.zero() for _ in range(len(gens[0]))) if gens else ()
-    seen = {zero}
-    queue = [zero]
-    while queue:
-        v = queue.pop()
-        for g in gens:
-            w = vadd(K, v, g)
-            if w not in seen:
-                if len(seen) >= cap:
-                    raise CapacityError("span closure past %d" % cap)
-                seen.add(w)
-                queue.append(w)
-    return sorted(seen)
+def _vecs(rows, r):
+    """Int rows back to tuples of rank-r ring elements."""
+    return [tuple(tuple(row[i:i + r]) for i in range(0, len(row), r))
+            for row in rows.tolist()]
+
+
+def _span_rows(mvec, gens, cap):
+    """The additive span of int rows mod the slot moduli mvec, as sorted
+    unique rows (the order of sorted() on the tuples).
+
+    The span so far is a subgroup, so its translates by the multiples of
+    the next generator agree from the first multiple inside it on, and
+    the span grows by exactly that index.  Raises CapacityError when the
+    span has more than cap elements.
+    """
+    mvec = np.asarray(mvec, dtype=np.int64)
+    rows = np.zeros((1, len(mvec)), dtype=np.int64)
+    for g in gens:
+        g = np.asarray(g, dtype=np.int64) % mvec
+        k, kg = 1, g
+        while not (rows == kg).all(axis=1).any():
+            k, kg = k + 1, (kg + g) % mvec
+        if k > 1 and len(rows) * k > cap:
+            raise CapacityError("span closure past %d" % cap)
+        shifted = (rows[None] + np.arange(k)[:, None, None] * g) % mvec
+        rows = np.unique(shifted.reshape(-1, len(mvec)), axis=0)
+    return rows
+
+
+class _QuadraticMap:
+    """A map fn from int coordinate rows (mod dmod) to int rows (mod omod)
+    that is quadratic over Z: fn(0) = 0 and fn(u + v) - fn(u) - fn(v) is
+    biadditive.  It is read off fn at e_i, e_i + e_j and 2 e_i and then
+    evaluated on a whole stack of rows at once:
+
+        fn(t) = sum t_i f_i + sum_{i<j} t_i t_j b_ij + sum C(t_i, 2) b_ii
+    """
+
+    def __init__(self, fn, dmod, omod):
+        dmod = np.asarray(dmod, dtype=np.int64)
+        self.omod = np.asarray(omod, dtype=np.int64)
+        n = len(dmod)
+        eye = np.eye(n, dtype=np.int64)
+
+        def at(row):
+            return np.asarray(fn(tuple((row % dmod).tolist())), dtype=np.int64)
+
+        width = len(self.omod)
+        f = self.f = np.array([at(e) for e in eye], dtype=np.int64).reshape(n, width)
+        self.bii = np.array(
+            [at(2 * eye[i]) - 2 * f[i] for i in range(n)], dtype=np.int64
+        ).reshape(n, width) % self.omod
+        # b_ij for j > i, one block per i < n - 1
+        self.bij = [
+            np.array([at(eye[i] + eye[j]) - f[i] - f[j] for j in range(i + 1, n)],
+                     dtype=np.int64) % self.omod
+            for i in range(n - 1)
+        ]
+
+    def __call__(self, rows):
+        acc = rows @ self.f + (rows * (rows - 1) // 2) @ self.bii
+        for i, b in enumerate(self.bij):
+            acc += rows[:, i:i + 1] * (rows[:, i + 1:] @ b)
+        return acc % self.omod
 
 
 class NaiveConstruction:
@@ -791,6 +854,7 @@ class NaiveConstruction:
                     rows.append(row)
                     self._pair_rows.append((a, b, blk))
         self.tsolver = KSolver(K, rows, ncols=2 * d)
+        self._t_rows = None
         self._t_list = None
 
         # fixed system for the second slot of a Xi pair, unknown w
@@ -854,31 +918,48 @@ class NaiveConstruction:
         return True
 
     def t_card(self):
-        nrows = self.tsolver.nrows
-        return self.tsolver.count([self.M.K.zero()] * nrows)
+        return self.tsolver.null_count
+
+    def _tmod(self):
+        return np.tile(self.M.K.moduli, 2 * len(self.entries))
+
+    def t_rows(self):
+        """T as sorted rows of flat int coordinates (x entries, then y)."""
+        if self._t_rows is None:
+            gens = [vflat(g) for g in self.tsolver.nullspace()]
+            self._t_rows = _span_rows(self._tmod(), gens, self.cap)
+        return self._t_rows
+
+    def _pair_of(self, v):
+        d = len(self.entries)
+        return self.mat_of(v[:d]), self.mat_of(v[d:])
+
+    def t_pair(self, row):
+        """The adjoint pair (x, y) of one flat int row."""
+        return self._pair_of(_vecs(np.reshape(row, (1, -1)), self.M.K.rank)[0])
 
     def t_elements(self):
         if self._t_list is None:
-            d = len(self.entries)
-            gens = self.tsolver.nullspace()
-            if not gens:
-                vecs = [tuple(self.M.K.zero() for _ in range(2 * d))]
-            else:
-                vecs = _span_closure(self.M.K, gens, self.cap)
-            self._t_list = [
-                (self.mat_of(v[:d]), self.mat_of(v[d:])) for v in vecs
-            ]
+            vecs = _vecs(self.t_rows(), self.M.K.rank)
+            self._t_list = [self._pair_of(v) for v in vecs]
         return self._t_list
+
+    def _batch(self, fn, width):
+        """fn, a quadratic map of (x, y) to width ring elements, on every
+        row of T at once."""
+        def flat_fn(row):
+            return vflat(fn(*self.t_pair(row)))
+
+        omod = np.tile(self.M.K.moduli, width)
+        return _QuadraticMap(flat_fn, self._tmod(), omod)(self.t_rows())
 
     # -- the relation set --------------------------------------------------
     def _wnull_vecs(self):
         if self._wnull is None:
-            d = len(self.entries)
-            gens = self.wsolver.nullspace()
-            if not gens:
-                self._wnull = [tuple(self.M.K.zero() for _ in range(d))]
-            else:
-                self._wnull = _span_closure(self.M.K, gens, self.cap)
+            K = self.M.K
+            gens = [vflat(g) for g in self.wsolver.nullspace()]
+            rows = _span_rows(np.tile(K.moduli, len(self.entries)), gens, self.cap)
+            self._wnull = _vecs(rows, K.rank)
         return self._wnull
 
     def _w_rhs(self, x, y):
@@ -899,26 +980,39 @@ class NaiveConstruction:
         return rhs
 
     def xi_card(self):
-        total = 0
-        for x, y in self.t_elements():
-            total += self.wsolver.count(self._w_rhs(x, y))
-        return total
+        """Sum of the fiber sizes over T: every right-hand side of the w
+        system in one batch, each consistent one adding null_count."""
+        rhs = self._batch(self._w_rhs, self.wsolver.nrows)
+        return int(self.wsolver.consistent(rhs).sum()) * self.wsolver.null_count
+
+    def _xi_completion(self, xy, w0, dw):
+        K = self.M.K
+        n = len(self.M.labels)
+        w = self.mat_of(vadd(K, tuple(w0), dw))
+        z = tuple(
+            tuple(K.neg(K.add(xy[i][j], w[i][j])) for j in range(n))
+            for i in range(n)
+        )
+        return (z, w)
 
     def xi_fiber(self, x, y):
         """All completions (z, w) of an adjoint pair to a Xi element."""
-        K = self.M.K
         w0 = self.wsolver.solve(self._w_rhs(x, y))
         if w0 is None:
             return
-        xy = k_matmul(K, x, y)
-        n = len(self.M.labels)
+        xy = k_matmul(self.M.K, x, y)
         for dw in self._wnull_vecs():
-            w = self.mat_of(vadd(K, tuple(w0), dw))
-            z = tuple(
-                tuple(K.neg(K.add(xy[i][j], w[i][j])) for j in range(n))
-                for i in range(n)
-            )
-            yield (z, w)
+            yield self._xi_completion(xy, w0, dw)
+
+    def xi_draw(self, x, y, rng):
+        """The completion that list(xi_fiber(x, y))[rng.randrange(size)]
+        picks, built alone; None, with no draw, for an empty fiber."""
+        w0 = self.wsolver.solve(self._w_rhs(x, y))
+        if w0 is None:
+            return None
+        wnull = self._wnull_vecs()
+        dw = wnull[rng.randrange(len(wnull))]
+        return self._xi_completion(k_matmul(self.M.K, x, y), w0, dw)
 
     def xi_elements(self):
         for x, y in self.t_elements():
@@ -965,10 +1059,15 @@ class NaiveConstruction:
         K = self.M.K
         n = len(self.M.labels)
         ident = k_identity(K, n)
+
+        def products(x, y):
+            return [e for row in k_matmul(K, x, y) + k_matmul(K, y, x) for e in row]
+
+        both = self._batch(products, 2 * n * n)
+        units = (both == vflat(products(ident, ident))).all(axis=1)
         out = []
-        for x, y in self.t_elements():
-            if k_matmul(K, x, y) != ident or k_matmul(K, y, x) != ident:
-                continue
+        for row in self.t_rows()[units]:
+            x, y = self.t_pair(row)
             ym1 = tuple(
                 tuple(K.sub(y[i][j], ident[i][j]) for j in range(n)) for i in range(n)
             )
@@ -1598,12 +1697,28 @@ class CanonMorphism:
 
     def kernel_vectors(self):
         if self._ker is None:
-            gens = self._pre.nullspace()
-            if not gens:
-                self._ker = [tuple(self.M.K.zero() for _ in self.C.S.pairs)]
-            else:
-                self._ker = _span_closure(self.M.K, gens, self.N.cap)
+            K = self.M.K
+            gens = [vflat(g) for g in self._pre.nullspace()]
+            rows = _span_rows(np.tile(K.moduli, len(self.C.S.pairs)), gens, self.N.cap)
+            self._ker = _vecs(rows, K.rank)
         return self._ker
+
+    def image_count(self):
+        """Number of distinct f_s images over all of S.  f_s is K-linear,
+        so its int matrix is f_s on the basis of S coordinates, and one
+        matmul maps every S coordinate row (mixed radix over the slot
+        moduli)."""
+        K, S = self.M.K, self.C.S
+        n = len(self.M.labels)
+        fmat = np.array([
+            vflat(e for mat in self.f_s(S.el({p: u})) for row in mat for e in row)
+            for p in S.pairs for u in _basis(K)
+        ], dtype=np.int64).reshape(len(S.pairs) * K.rank, 2 * n * n * K.rank)
+        smod = np.tile(K.moduli, len(S.pairs))
+        stride = np.cumprod(np.concatenate(([1], smod[::-1][:-1])))[::-1]
+        coords = np.arange(S.card(), dtype=np.int64)[:, None] // stride % smod
+        image = coords @ fmat % np.tile(K.moduli, 2 * n * n)
+        return len(np.unique(image, axis=0))
 
     def preimages(self, t):
         """All S elements mapping to the adjoint pair t, as a list."""
@@ -1667,11 +1782,9 @@ def naive_canon_check(M, seed=0, samples=100, cap=_SCAN_CAP):
 
     if s_card > cap:
         raise CapacityError("image scan over %d" % s_card)
-    image = set()
-    for s in S.elements():
-        image.add(F.f_s(s))
-    report["injective"] = len(image) == s_card
-    report["surjective"] = len(image) == report["t_card"]
+    image_count = F.image_count()
+    report["injective"] = image_count == s_card
+    report["surjective"] = image_count == report["t_card"]
 
     counts_match = report["theta_card"] == report["xi_card"]
     report["theta_injective"] = report["injective"]
@@ -1696,14 +1809,14 @@ def naive_canon_check(M, seed=0, samples=100, cap=_SCAN_CAP):
         report["theta_surjective"] = hit
         report["theta_mode"] = mode
     else:
-        ts = N.t_elements()
+        ts = N.t_rows()
         hit = True
         for _ in range(samples):
-            x, y = ts[rng.randrange(len(ts))]
-            fiber = list(N.xi_fiber(x, y))
-            if not fiber:
+            x, y = N.t_pair(ts[rng.randrange(len(ts))])
+            drawn = N.xi_draw(x, y, rng)
+            if drawn is None:
                 continue
-            z, w = fiber[rng.randrange(len(fiber))]
+            z, w = drawn
             found = False
             for p in F.preimages((x, y)):
                 for r in F.preimages((z, w)):

@@ -110,6 +110,7 @@ def test_criterion_04_odd_orthogonal_decomposition():
 
 
 def test_criterion_05_construction_comparison():
+    t0 = time.time()
     for K in (F2, F3):
         for kind, rank in (("linear", 1), ("linear", 2),
                            ("symplectic", 2), ("orthogonal", 2)):
@@ -123,7 +124,10 @@ def test_criterion_05_construction_comparison():
     assert rep["surjective"] is False
     assert rep["unitary_match"] and rep["naive_unitary_order"] == 6
     assert group_order(DeltaShape(ofaorth(3, F2))) == 12
-    _verdict(5, "8 isomorphisms verified; rank-3/F2 defect is 6 vs 12")
+    elapsed = time.time() - t0
+    assert elapsed < 30.0, elapsed
+    _verdict(5, "8 isomorphisms verified; rank-3/F2 defect is 6 vs 12 in %.1fs"
+             % elapsed)
 
 
 def _short_pairs(alg):

@@ -1,8 +1,11 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ofa.coeff_ring import (
     CapacityError, GaloisField, PolyQuotient, Product, RingHom, StructureError,
-    TensorTower, ZMod, hom_compose, identity_hom, parse_ring, tensor_square,
+    TensorTower, ZMod, hom_compose, identity_hom, parse_ring, ring_to_json,
+    tensor_square,
 )
 
 
@@ -158,6 +161,58 @@ def test_parse_polyquot_over_prime_power_field():
     assert R.card == 16 and R.base.card == 4
     with pytest.raises(StructureError):
         parse_ring("gf:4:1,1,1")
+
+
+def test_names_over_a_base_of_rank_above_one_parse_back():
+    # the name writes base coordinates "(c0.c1)" for each coefficient
+    for desc, name in (
+        ("polyquot:gf:4:1,0,1", "polyquot:gf:2:1,1,1:(1.0),(0.0),(1.0)"),
+        ("polyquot:prod:(zmod:2;zmod:3):1,1", "polyquot:prod:(zmod:2;zmod:3):(1.1),(1.1)"),
+    ):
+        R = parse_ring(desc)
+        assert R.name == name
+        back = parse_ring(name)
+        assert back == R and ring_to_json(back) == ring_to_json(R)
+    x = parse_ring("polyquot:gf:4:(0.1),1")  # x + w over GF(4), w the generator
+    assert x.mcoeffs == ((0, 1), (1, 0)) and x.card == 4
+    for bad in ("polyquot:gf:4:(1.0.1),1", "polyquot:gf:4:(2.0),1",
+                "polyquot:gf:4:(1.0,1", "polyquot:gf:4:(),1"):
+        with pytest.raises(StructureError):
+            parse_ring(bad)
+
+
+_LEAVES = st.sampled_from(
+    [ZMod(2), ZMod(3), ZMod(4), ZMod(6), GaloisField(2, [1, 1, 1]),
+     GaloisField(3, [1, 0, 1]), GaloisField(2, [1, 1, 0, 1])]
+)
+
+
+@st.composite
+def _polyquot(draw, bases):
+    base = draw(bases)
+    deg = draw(st.integers(1, 2))
+    coord = st.tuples(*[st.integers(0, m - 1) for m in base.moduli])
+    low = draw(st.lists(coord, min_size=deg, max_size=deg))
+    return PolyQuotient(base, low + [base.one()])
+
+
+def _extend(children):
+    return st.one_of(
+        _polyquot(children),
+        st.lists(children, min_size=1, max_size=3).map(Product),
+    )
+
+
+_RINGS = st.recursive(_LEAVES, _extend, max_leaves=3).filter(lambda K: K.card <= 1 << 16)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_RINGS)
+def test_ring_names_parse_back(K):
+    back = parse_ring(K.name)
+    assert back == K and back.name == K.name
+    assert ring_to_json(back) == ring_to_json(K)
+    assert back.moduli == K.moduli and back.one() == K.one()
 
 
 def test_capacity_guard():

@@ -128,3 +128,26 @@ def test_empty_system():
     assert ks.count([]) == 9  # no equations, both unknowns free
     gens = ks.nullspace()
     assert len(gens) == 2
+
+
+def test_batched_consistency_matches_count():
+    import random
+
+    import numpy as np
+
+    rng = random.Random(5)
+    P = Product([ZMod(4), ZMod(3)])
+    F4 = GaloisField(2, [1, 1, 1])
+    for K, rows, cols in ((ZMod(4), 3, 2), (ZMod(6), 2, 3), (P, 3, 2), (F4, 2, 2)):
+        kel = list(K.elements())
+        M = [[kel[rng.randrange(len(kel))] for _ in range(cols)] for _ in range(rows)]
+        M[0][0] = K.smul(2, M[0][0])  # keep some systems singular
+        ks = KSolver(K, M)
+        bs = [[kel[rng.randrange(len(kel))] for _ in range(rows)] for _ in range(60)]
+        bs.append([K.zero()] * rows)
+        mask = ks.consistent(np.array([[x for e in b for x in e] for b in bs]))
+        counts = [ks.count(b) for b in bs]
+        assert mask.tolist() == [c != 0 for c in counts]
+        assert set(counts) <= {0, ks.null_count}
+    empty = KSolver(ZMod(3), [], ncols=2)
+    assert empty.consistent(np.zeros((4, 0), dtype=np.int64)).tolist() == [True] * 4

@@ -1,5 +1,7 @@
 """Quadratic modules, their form parameters, and the two ring constructions."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -8,13 +10,14 @@ import pytest
 from ofa.coeff_ring import (
     CapacityError,
     GaloisField,
+    Product,
     StructureError,
     ZMod,
     const_hom,
     identity_hom,
 )
 from ofa.form_ring import ofaorth, ofasymp
-from ofa.linalg import k_det, k_identity, k_matmul
+from ofa.linalg import k_det, k_identity, k_matmul, vadd
 from ofa.odd_form_param import DeltaShape, gen_q, gen_u, gen_v
 from ofa.quad_module import (
     QuadModule,
@@ -485,3 +488,131 @@ def test_capacity_guards():
         enumerate_module_unitary(split_module("orthogonal", 4, F3), cap=10)
     with pytest.raises(CapacityError):
         split_module("orthogonal", 4, F3).elements(cap=10)
+
+
+# -- per-element reference loops for the batch construction -------------------
+
+
+def _bfs_span(K, gens, cap):
+    """Additive closure by breadth-first search, one element at a time."""
+    zero = tuple(K.zero() for _ in range(len(gens[0]))) if gens else ()
+    seen = {zero}
+    queue = [zero]
+    while queue:
+        v = queue.pop()
+        for g in gens:
+            w = vadd(K, v, g)
+            if w not in seen:
+                if len(seen) >= cap:
+                    raise CapacityError("span closure past %d" % cap)
+                seen.add(w)
+                queue.append(w)
+    return sorted(seen)
+
+
+def _ref_t_elements(N):
+    d = len(N.entries)
+    K = N.M.K
+    gens = [tuple(g) for g in N.tsolver.nullspace()]
+    vecs = _bfs_span(K, gens, N.cap) if gens else [tuple(K.zero() for _ in range(2 * d))]
+    return [(N.mat_of(v[:d]), N.mat_of(v[d:])) for v in vecs]
+
+
+def _ref_unitary(N):
+    K = N.M.K
+    n = len(N.M.labels)
+    ident = k_identity(K, n)
+    out = []
+    for x, y in _ref_t_elements(N):
+        if k_matmul(K, x, y) != ident or k_matmul(K, y, x) != ident:
+            continue
+        ym1 = tuple(tuple(K.sub(y[i][j], ident[i][j]) for j in range(n)) for i in range(n))
+        xm1 = tuple(tuple(K.sub(x[i][j], ident[i][j]) for j in range(n)) for i in range(n))
+        if N._q_rows_hold(ym1, xm1):
+            out.append(y)
+    return sorted(out)
+
+
+P23 = Product([F2, F3])
+BATCH_CASES = (
+    ("symplectic", 2, Z4),
+    ("symplectic", 2, F4),
+    ("symplectic", 2, P23),
+    ("orthogonal", 3, F2),
+    ("orthogonal", 2, F4),
+    ("linear", 1, P23),
+)
+
+
+def test_batch_construction_matches_reference_loops():
+    for kind, rank, K in BATCH_CASES:
+        M = split_module(kind, rank, K)
+        N = naive_construction(M)
+        ref_ts = _ref_t_elements(N)
+        assert N.t_elements() == ref_ts, (kind, K.name)
+        assert len(ref_ts) == N.t_card()
+        ref_xi = sum(N.wsolver.count(N._w_rhs(x, y)) for x, y in ref_ts)
+        assert N.xi_card() == ref_xi, (kind, K.name)
+        assert N.unitary_elements() == _ref_unitary(N), (kind, K.name)
+        gens = [tuple(g) for g in N.wsolver.nullspace()]
+        if gens:
+            assert N._wnull_vecs() == _bfs_span(K, gens, N.cap)
+        F = canonical_morphism(M)
+        image = {F.f_s(s) for s in F.C.S.elements()}
+        assert F.image_count() == len(image), (kind, K.name)
+        # a cap below the Xi count keeps the theta check on its sampled path
+        rep = naive_canon_check(M, seed=0, samples=10, cap=4096)
+        assert rep["injective"] == (len(image) == F.C.S.card())
+        assert rep["surjective"] == (len(image) == len(ref_ts))
+        gens = [tuple(g) for g in F._pre.nullspace()]
+        if gens:
+            assert F.kernel_vectors() == _bfs_span(K, gens, N.cap)
+
+
+def test_span_capacity_message_matches_reference():
+    M = split_module("symplectic", 2, Z4)  # T has 256 elements
+    for cap in (0, 1, 2, 15, 16, 17, 255, 256):
+        N = naive_construction(M, cap=cap)
+        try:
+            want = len(_ref_t_elements(N))
+        except CapacityError as exc:
+            want = str(exc)
+        try:
+            got = len(N.t_elements())
+        except CapacityError as exc:
+            got = str(exc)
+        assert got == want, cap
+    with pytest.raises(CapacityError, match="span closure past 100"):
+        naive_construction(M, cap=100).xi_card()
+
+
+def test_xi_draw_is_the_fiber_element_the_rng_picks():
+    for kind, rank, K in (("linear", 2, F3), ("orthogonal", 3, F2)):
+        N = naive_construction(split_module(kind, rank, K))
+        rows = N.t_rows()
+        pick = random.Random(9)
+        empty = 0
+        for s in range(12):
+            x, y = N.t_pair(rows[pick.randrange(len(rows))])
+            fiber = list(N.xi_fiber(x, y))
+            rng, ref = random.Random(s), random.Random(s)
+            got = N.xi_draw(x, y, rng)
+            if not fiber:
+                empty += 1
+                assert got is None
+            else:
+                assert got == fiber[ref.randrange(len(fiber))]
+                assert N.xi_member((x, y), got)
+            assert rng.getstate() == ref.getstate()
+        assert kind == "linear" or empty  # the defect module has empty fibers
+
+
+def test_compare_report_bytes_pinned():
+    # sha256 of the sorted-key JSON report, as the per-element scan gave it
+    M = split_module("linear", 2, F3)
+    for seed in range(4):
+        rep = naive_canon_check(M, seed=seed)
+        text = json.dumps(rep, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "252dac13aba770d161ae0f09a4b0ad55ac42dc200d9ebd004f4c3a033d952be2"
+        ), seed
