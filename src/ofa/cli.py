@@ -112,18 +112,18 @@ def cmd_axioms(args):
 def cmd_group(args):
     K = parse_ring(args.ring)
     shape = DeltaShape(family_algebra(args.family, args.n, K))
-    # jobs deliberately left out of the echo: the report must be
-    # byte-identical for any worker count
+    # --jobs is accepted for old command lines and left out of the
+    # echo: it changes neither the work nor the report
     params = _params(args, ("family", "n", "ring"))
     if args.gcmd == "order":
-        order = ug.group_order(shape, jobs=args.jobs)
+        order = ug.group_order(shape)
         return _emit(args, "group order", params, {"order": order}, True)
     if args.gcmd == "enumerate":
-        group = ug.enumerate_unitary(shape, jobs=args.jobs)
+        group = ug.enumerate_unitary(shape)
         report = {"order": len(group),
                   "elements": [ug.unitary_to_json(g) for g in group]}
         return _emit(args, "group enumerate", params, report, True)
-    group = ug.enumerate_unitary(shape, jobs=args.jobs)
+    group = ug.enumerate_unitary(shape)
     report = {"order": len(group)}
     if args.family == "lin":
         dets = {}
@@ -295,7 +295,9 @@ def build_parser():
     for name in ("enumerate", "order", "invariants"):
         p = grp.add_parser(name)
         _add_family(p)
-        p.add_argument("--jobs", type=int, default=1)
+        p.add_argument("--jobs", type=int, default=1,
+                       help="accepted and ignored: the enumeration is "
+                            "single-process, the report does not change")
         p.set_defaults(func=cmd_group)
 
     p = sub.add_parser("so-odd-split")

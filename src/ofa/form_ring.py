@@ -398,83 +398,3 @@ def alg_el_from_json(alg, data):
     return alg.el({(int(d["i"]), int(d["j"])): tuple(int(x) for x in d["c"])
                    for d in data})
 
-
-class DsEl:
-    """Element of a direct sum: one component element per summand."""
-
-    __slots__ = ("alg", "parts", "key")
-
-    def __init__(self, alg, parts):
-        self.alg = alg
-        self.parts = tuple(parts)
-        self.key = tuple(p.key for p in self.parts)
-
-    def __eq__(self, other):
-        return isinstance(other, DsEl) and self.alg.tag == other.alg.tag and self.key == other.key
-
-    def __hash__(self):
-        return hash((self.alg.tag, self.key))
-
-    def __bool__(self):
-        return any(self.parts)
-
-    def __add__(self, other):
-        return self.alg.add(self, other)
-
-    def __sub__(self, other):
-        return self.alg.sub(self, other)
-
-    def __neg__(self):
-        return self.alg.neg(self)
-
-    def __mul__(self, other):
-        return self.alg.mul(self, other)
-
-    def bar(self):
-        return self.alg.conj(self)
-
-
-class DirectSumAlgebra:
-    """Direct sum of split algebras, all operations componentwise."""
-
-    def __init__(self, comps):
-        self.comps = tuple(comps)
-        if not self.comps:
-            raise StructureError("empty direct sum")
-        ks = {c.K.name for c in self.comps}
-        if len(ks) != 1:
-            raise StructureError("direct sum needs one coefficient ring")
-        self.K = self.comps[0].K
-        self.tag = "ds(%s)" % ",".join(c.tag for c in self.comps)
-
-    def wrap(self, parts):
-        return DsEl(self, parts)
-
-    def zero(self):
-        return DsEl(self, [c.zero() for c in self.comps])
-
-    def inject(self, t, a):
-        parts = [c.zero() for c in self.comps]
-        parts[t] = a
-        return DsEl(self, parts)
-
-    def add(self, a, b):
-        return DsEl(self, [c.add(x, y) for c, x, y in zip(self.comps, a.parts, b.parts)])
-
-    def neg(self, a):
-        return DsEl(self, [c.neg(x) for c, x in zip(self.comps, a.parts)])
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
-    def mul(self, a, b):
-        return DsEl(self, [c.mul(x, y) for c, x, y in zip(self.comps, a.parts, b.parts)])
-
-    def kmul(self, k, a):
-        return DsEl(self, [c.kmul(k, x) for c, x in zip(self.comps, a.parts)])
-
-    def conj(self, a):
-        return DsEl(self, [c.conj(x) for c, x in zip(self.comps, a.parts)])
-
-    def __repr__(self):
-        return "<alg %s>" % self.tag

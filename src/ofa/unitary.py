@@ -13,9 +13,21 @@ embedding of the odd orthogonal group into the even one, the outer
 automorphism of the linear preset, hyperbolic pairs and families with
 their parabolic subgroups, the three classical sub-algebra pairs with
 their stabilizer groups, and exhaustive enumeration.
+
+Enumeration has one candidate generator per family and one membership
+pass.  The odd orthogonal preset scans every beta of the algebra.  The
+other presets search the isometries M of the split form on K^d (b, and q
+for the orthogonal preset), column by column and breadth-first on numpy,
+and take beta = M - 1: the group acts on K^d by such isometries, so no
+member is missed.  Every candidate batch passes one mask, unitality plus
+the Delta read of (beta, bar beta), and each survivor is built by
+u_make.  The result is sorted by key, cached per shape and, unless asked
+not to, verified: distinct keys, bar beta listed for every beta, and 144
+seeded products.
 """
 
 import itertools
+import random
 
 import numpy as np
 
@@ -46,8 +58,8 @@ from .clifford import center_split_idempotent, clif0_center
 
 _ENUM_CAP = 1 << 20
 _CHUNK = 1 << 16
-_DFS_COL_CAP = 1 << 12
-_SCAN_CAP = 1 << 16
+_POOL_CAP = 1 << 12
+_FRONTIER_CAP = 1 << 20
 _CLOSURE_CAP = 1 << 20
 _DELTA0_CAP = 1 << 12
 
@@ -406,47 +418,6 @@ def rep_matrix(g):
     return tuple(tuple(row) for row in M)
 
 
-def _so_direct_3(K):
-    """All 3x3 matrices preserving the split odd quadratic form, det 1."""
-    vecs = list(itertools.product(K.elements(), repeat=3))
-
-    def qval(v):
-        return K.add(K.mul(v[1], v[1]), K.mul(v[0], v[2]))
-
-    def bval(v, w):
-        out = K.smul(2, K.mul(v[1], w[1]))
-        return K.add(out, K.add(K.mul(v[0], w[2]), K.mul(v[2], w[0])))
-
-    targets_q = {t: qval(tuple(K.one() if s == t else K.zero() for s in range(3)))
-                 for t in range(3)}
-    gram = [[K.zero()] * 3 for _ in range(3)]
-    for s in range(3):
-        es = tuple(K.one() if a == s else K.zero() for a in range(3))
-        for t in range(3):
-            et = tuple(K.one() if a == t else K.zero() for a in range(3))
-            gram[s][t] = bval(es, et)
-    out = []
-    cols = [None, None, None]
-
-    def rec(t):
-        if t == 3:
-            M = [[cols[b][a] for b in range(3)] for a in range(3)]
-            if k_mat_inv(K, M) is None or k_det(K, M) != K.one():
-                return
-            out.append(tuple(tuple(row) for row in M))
-            return
-        for v in vecs:
-            if qval(v) != targets_q[t]:
-                continue
-            if any(bval(cols[s], v) != gram[s][t] for s in range(t)):
-                continue
-            cols[t] = v
-            rec(t + 1)
-
-    rec(0)
-    return out
-
-
 def so_odd_split(shape):
     """Decomposition report for the odd orthogonal group of rank 3."""
     alg = shape.alg
@@ -457,7 +428,10 @@ def so_odd_split(shape):
     dicks = {g.key: dickson_odd(g) for g in group}
     kernel = [g for g in group if K.is_zero(dicks[g.key])]
     images = {rep_matrix(g) for g in kernel}
-    so = set(_so_direct_3(K))
+    # SO(3): the form isometries of determinant 1, which are invertible
+    vecs, F = _isometries(BatchOps(shape))
+    so = {M for M in (_k_matrix(vecs, f) for f in F)
+          if k_det(K, [list(r) for r in M]) == K.one()}
     idems = K.idempotents()
 
     det_ok = True
@@ -791,187 +765,190 @@ def gu_group(pair, **kw):
 _GROUP_CACHE = {}
 
 
-def _chunk_ranges(total, jobs):
-    parts = max(1, int(jobs))
-    while (total + parts - 1) // parts > _CHUNK:
-        parts += 1
-    step = (total + parts - 1) // parts
-    return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
+def _eye(bo):
+    """The identity matrix as a (d, d, rk) array; row t is e_t."""
+    return (np.eye(bo.d, dtype=np.int64)[:, :, None] * bo.onevec) % bo.m
 
 
-def _enum_batch(shape, jobs):
-    alg = shape.alg
-    K = alg.K
-    bo = BatchOps(shape)
-    q = K.card
-    total = q ** alg.rank
+def _split_form(bo):
+    """The preset's split form on K^d, on batches of (..., d, rk) vectors.
+
+    b(v, w) = sum_i eps(i) c_i v[i] w[-i], with c_0 = 2 at the middle
+    index and c_i = 1 elsewhere, and, for the orthogonal presets,
+    q(v) = sum_{i>0} v[-i] v[i] + v[0]^2.  Returns b, q and the Gram
+    matrix G[s, t] = b(e_s, e_t) as a (d, d, rk) array.
+    """
+    alg = bo.alg
+    idx = alg.indices
+    wt = np.array([alg.eps(i) * (2 if i == 0 else 1) for i in idx],
+                  dtype=np.int64)
+    flip = [bo.pos[-i] for i in idx]
+    qa = [bo.pos[-i] for i in idx if i >= 0]
+    qb = [bo.pos[i] for i in idx if i >= 0]
+
+    def dot(X, Y):
+        X, Y = np.broadcast_arrays(X, Y)
+        prod = bo.kmul(X.reshape(-1, bo.rk), Y.reshape(-1, bo.rk))
+        return prod.reshape(X.shape).sum(axis=-2) % bo.m
+
+    def b(X, Y):
+        return dot(X, (wt[:, None] * Y[..., flip, :]) % bo.m)
+
+    def q(X):
+        return dot(X[..., qa, :], X[..., qb, :])
+
+    E = _eye(bo)
+    return b, q, b(E[:, None], E[None, :])
+
+
+def _pool(bo):
+    """Candidate columns, (Np, d, rk): all of K^d, or for the linear preset
+    the vectors supported on one sign of indices."""
+    q, d = bo.K.card, bo.d
+    lin = bo.alg.kind == "lin"
+    k = d // 2 if lin else d
+    size = 2 * q ** k - 1 if lin else q ** k
+    if size > _POOL_CAP:
+        raise CapacityError("column pool of %d vectors" % size)
+    codes = np.array(list(itertools.product(range(q), repeat=k)),
+                     dtype=np.int64).reshape(q ** k, k)
+    if lin:
+        # negative indices come first; row 0 of codes is the zero vector
+        z = np.zeros_like(codes)
+        codes = np.concatenate([np.hstack([codes, z]), np.hstack([z, codes])[1:]])
+    return bo.ktab[codes]
+
+
+def _form_hits(b, X, Y, target):
+    """(len(X), len(Y)) mask of b(x, y) == target, in bounded slices."""
+    out = np.empty((len(X), len(Y)), dtype=bool)
+    step = max(1, _CHUNK // max(1, len(Y) * X.shape[1]))
+    for lo in range(0, len(X), step):
+        val = b(X[lo:lo + step, None], Y[None])
+        out[lo:lo + step] = (val == target).all(axis=-1)
+    return out
+
+
+def _k_matrix(vecs, f):
+    """The matrix with column t = vecs[f[t]], as rows of K elements."""
+    cols = vecs[f].tolist()
+    return tuple(tuple(tuple(cols[t][s]) for t in range(len(f)))
+                 for s in range(len(f)))
+
+
+def _isometries(bo):
+    """Every M over K with b(M e_s, M e_t) = G[s, t] and, for the
+    orthogonal presets, q(M e_t) = q(e_t): a breadth-first column search.
+
+    Returns (vecs, F): column t of leaf r is vecs[F[r, t]].  At depth t
+    the admissible pool rows against each distinct earlier column are
+    read off one batched product, and every frontier row is filtered by
+    gathering those masks.
+    """
+    alg = bo.alg
+    b, q, G = _split_form(bo)
+    vecs = _pool(bo)
+    qv, qe = q(vecs), q(_eye(bo))
+    F = np.zeros((1, 0), dtype=np.int64)
+    for t, j in enumerate(alg.indices):
+        ok = np.ones(len(vecs), dtype=bool)
+        if alg.kind == "lin":
+            other = [bo.pos[i] for i in alg.indices if i * j < 0]
+            ok &= (vecs[:, other] == 0).all(axis=(1, 2))
+        if alg.kind == "orth":
+            ok &= (qv == qe[t]).all(axis=-1)
+        cand = np.nonzero(ok)[0]
+        hits = []
+        for s in range(t):
+            U, inv = np.unique(F[:, s], return_inverse=True)
+            hits.append((_form_hits(b, vecs[U], vecs[cand], G[s, t]), inv))
+        parts = [np.zeros((0, t + 1), dtype=np.int64)]
+        total = 0
+        step = max(1, (_CHUNK << 4) // max(1, len(cand)))
+        for lo in range(0, len(F), step):
+            keep = np.ones((min(step, len(F) - lo), len(cand)), dtype=bool)
+            for mask, inv in hits:
+                keep &= mask[inv[lo:lo + step]]
+            r, c = np.nonzero(keep)
+            total += len(r)
+            if total > _FRONTIER_CAP:
+                raise CapacityError("column search frontier past %d rows"
+                                    % _FRONTIER_CAP)
+            parts.append(np.column_stack([F[lo + r], cand[c]]))
+        F = np.concatenate(parts)
+    gram = [[tuple(v) for v in row] for row in G.tolist()]
+    if k_mat_inv(bo.K, gram) is not None:
+        # M^T G M = G with G invertible forces det(M)^2 = 1
+        for f in F[:12]:
+            assert k_mat_inv(bo.K, [list(r) for r in _k_matrix(vecs, f)]) is not None
+    return vecs, F
+
+
+def _column_betas(bo):
+    """beta = M - 1 for every form isometry M, in _CHUNK slices."""
+    vecs, F = _isometries(bo)
+    eye = _eye(bo)
+    for lo in range(0, len(F), _CHUNK):
+        M = np.swapaxes(vecs[F[lo:lo + _CHUNK]], 1, 2)
+        yield (M - eye) % bo.m
+
+
+def _scan_betas(bo):
+    """Every beta of the algebra, in _CHUNK slices of the mixed-radix index."""
+    q, rank = bo.K.card, bo.alg.rank
+    total = q ** rank
     if total > _ENUM_CAP:
         raise CapacityError("beta scan over %d candidates" % total)
+    radix = q ** np.arange(rank, dtype=np.int64)
+    for lo in range(0, total, _CHUNK):
+        sel = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64)
+        yield bo.materialize("alg", (sel[:, None] // radix) % q)
+
+
+def _unitary_mask(bo, P):
+    """Rows of the beta batch P with alpha bar(alpha) = bar(alpha) alpha = 1
+    whose pair (beta, bar beta) reads back into Delta."""
+    Pb = bo.conj(P)
+    z1 = (P + Pb + bo.dmul(Pb, P)) % bo.m
+    z2 = (P + Pb + bo.dmul(P, Pb)) % bo.m
+    ok = (z1 == 0).all(axis=(1, 2, 3)) & (z2 == 0).all(axis=(1, 2, 3))
+    return ok & bo.read_aug_ok((Pb - bo.fold_residue(P)) % bo.m)
+
+
+def _members(bo, chunks):
+    """u_make on every candidate beta that passes the batch mask."""
+    alg = bo.alg
+    slots = [(key, bo.pos[key[0]], bo.pos[key[1]]) for key in alg.pairs]
     out = []
-    for lo, hi in _chunk_ranges(total, jobs):
-        sel = np.arange(lo, hi)
-        P = np.zeros((hi - lo, bo.d, bo.d, bo.rk), dtype=np.int64)
-        for t, (i, j) in enumerate(alg.pairs):
-            digit = (sel // (q ** t)) % q
-            P[:, bo.pos[i], bo.pos[j], :] = bo.ktab[digit]
-        Pb = bo.conj(P)
-        z1 = (P + Pb + bo.dmul(Pb, P)) % bo.m
-        z2 = (P + Pb + bo.dmul(P, Pb)) % bo.m
-        ok = (z1 == 0).all(axis=(1, 2, 3)) & (z2 == 0).all(axis=(1, 2, 3))
-        S = (Pb - bo.fold_residue(P)) % bo.m
-        ok &= bo.read_aug_ok(S)
-        for t in np.nonzero(ok)[0]:
-            coeffs = {}
-            for (i, j) in alg.pairs:
-                v = tuple(int(c) for c in P[t, bo.pos[i], bo.pos[j]])
-                if not K.is_zero(v):
-                    coeffs[(i, j)] = v
-            out.append(u_make(shape, alg.el(coeffs)))
+    for P in chunks:
+        for row in P[_unitary_mask(bo, P)].tolist():
+            coeffs = {key: tuple(row[a][b]) for key, a, b in slots if any(row[a][b])}
+            out.append(u_make(bo.shape, alg.el(coeffs)))
     return out
 
 
-def _enum_isometry_dfs(shape):
-    """Column search over matrices preserving the split form, then decode."""
-    alg = shape.alg
-    K = alg.K
-    idx = sorted(alg.indices)
-    d = len(idx)
-    if K.card ** d > _DFS_COL_CAP:
-        raise CapacityError("column pool of %d vectors" % K.card ** d)
-    vecs = list(itertools.product(K.elements(), repeat=d))
-    pos = {i: t for t, i in enumerate(idx)}
-
-    def bval(v, w):
-        out = K.zero()
-        for i in idx:
-            out = K.add(out, K.smul(alg.eps(i), K.mul(v[pos[i]], w[pos[-i]])))
-        return out
-
-    def qval(v):
-        out = K.zero()
-        for i in idx:
-            if i > 0:
-                out = K.add(out, K.mul(v[pos[-i]], v[pos[i]]))
-        return out
-
-    orth = alg.kind == "orth"
-    gram = {}
-    for s in idx:
-        es = tuple(K.one() if i == s else K.zero() for i in idx)
-        for t in idx:
-            et = tuple(K.one() if i == t else K.zero() for i in idx)
-            gram[(s, t)] = bval(es, et)
-    out = []
-    cols = {}
-
-    def rec(t):
-        if t == d:
-            M = [[cols[j][pos[i]] for j in idx] for i in idx]
-            if k_mat_inv(K, M) is None:
-                return
-            coeffs = {}
-            for i in idx:
-                for j in idx:
-                    v = K.sub(M[pos[i]][pos[j]], K.one() if i == j else K.zero())
-                    if not K.is_zero(v):
-                        coeffs[(i, j)] = v
-            g = u_try(shape, alg.el(coeffs))
-            if g is not None:
-                out.append(g)
-            return
-        j = idx[t]
-        for v in vecs:
-            if orth and qval(v) != K.zero():
-                continue
-            bad = False
-            for s in idx[:t]:
-                if bval(cols[s], v) != gram[(s, j)]:
-                    bad = True
-                    break
-            if not bad:
-                cols[j] = v
-                rec(t + 1)
-        cols.pop(j, None)
-
-    rec(0)
-    return out
-
-
-def _enum_lin_scan(shape):
-    alg = shape.alg
-    K = alg.K
-    n = alg.n
-    if K.card ** (n * n) > _ENUM_CAP:
-        raise CapacityError("GL scan over %d matrices" % K.card ** (n * n))
-    posidx = list(range(1, n + 1))
-    out = []
-    for flat in itertools.product(K.elements(), repeat=n * n):
-        A = [list(flat[s * n:(s + 1) * n]) for s in range(n)]
-        Ainv = k_mat_inv(K, A)
-        if Ainv is None:
-            continue
-        coeffs = {}
-        for s in range(n):
-            for t in range(n):
-                v = K.sub(A[s][t], K.one() if s == t else K.zero())
-                if not K.is_zero(v):
-                    coeffs[(posidx[s], posidx[t])] = v
-                w = K.sub(Ainv[s][t], K.one() if s == t else K.zero())
-                if not K.is_zero(w):
-                    coeffs[(-posidx[t], -posidx[s])] = w
-        out.append(u_make(shape, alg.el(coeffs)))
-    return out
-
-
-def _enum_plain(shape):
-    alg = shape.alg
-    if alg.card() > _SCAN_CAP:
-        raise CapacityError("plain scan over %d elements" % alg.card())
-    out = []
-    for beta in alg.elements():
-        g = u_try(shape, beta)
-        if g is not None:
-            out.append(g)
-    return out
-
-
-def enumerate_unitary(shape, strategy="auto", jobs=1, verify=True):
+def enumerate_unitary(shape, verify=True):
     """Every group element, sorted by the canonical beta encoding."""
-    alg = shape.alg
-    if strategy == "auto":
-        if alg.K.uniform_modulus() is not None and alg.card() <= _ENUM_CAP:
-            strategy = "batch"
-        elif alg.kind in ("symp", "orth") and 0 not in alg.indices:
-            strategy = "dfs"
-        elif alg.kind == "lin":
-            strategy = "lin"
-        else:
-            strategy = "scan"
     # entries are (elements, verified); an unverified one serves only
     # calls that skip the check
-    hit = _GROUP_CACHE.get((shape.tag, strategy))
+    hit = _GROUP_CACHE.get(shape.tag)
     if hit is not None and (hit[1] or not verify):
         return list(hit[0])
-    if strategy == "batch":
-        out = _enum_batch(shape, jobs)
-    elif strategy == "dfs":
-        out = _enum_isometry_dfs(shape)
-    elif strategy == "lin":
-        out = _enum_lin_scan(shape)
-    elif strategy == "scan":
-        out = _enum_plain(shape)
-    else:
-        raise StructureError("unknown strategy %r" % strategy)
+    bo = BatchOps(shape)
+    chunks = _scan_betas(bo) if bo.pos0 is not None else _column_betas(bo)
+    out = _members(bo, chunks)
     out.sort(key=lambda g: g.key)
     if verify:
+        alg = shape.alg
         keys = {g.key for g in out}
-        assert len(keys) == len(out)
+        assert len(keys) == len(out), "repeated beta"
         for g in out:
-            assert u_inv(g).key in keys
-        for g in out[:12]:
-            for h in out[:12]:
-                assert u_mul(g, h).key in keys
-    _GROUP_CACHE[(shape.tag, strategy)] = (out, verify)
+            assert alg.conj(g.beta).key in keys, "no inverse of %r" % g
+        rng = random.Random(0)
+        for _ in range(144):
+            g, h = rng.choice(out), rng.choice(out)
+            assert u_mul(g, h).key in keys, "no product %r * %r" % (g, h)
+    _GROUP_CACHE[shape.tag] = (out, verify)
     return list(out)
 
 

@@ -3,7 +3,6 @@ import random
 import pytest
 
 from ofa.form_ring import (
-    DirectSumAlgebra,
     alg_el_from_json,
     alg_el_to_json,
     center,
@@ -206,13 +205,3 @@ def test_alg_el_json_roundtrip():
     a = A.e(1, -1, K.gen()) + A.e(-1, 1)
     assert alg_el_from_json(A, alg_el_to_json(a)) == a
 
-
-def test_direct_sum():
-    K = ZMod(3)
-    D = DirectSumAlgebra([ofasymp(2, K), ofasymp(2, K)])
-    a = D.inject(0, D.comps[0].e(1, 1))
-    b = D.inject(1, D.comps[1].e(1, -1))
-    assert not a * b
-    assert (a + b).bar() == a.bar() + b.bar()
-    with pytest.raises(StructureError):
-        DirectSumAlgebra([ofasymp(2, K), ofasymp(2, ZMod(5))])

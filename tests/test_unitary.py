@@ -1,10 +1,14 @@
+import hashlib
+import itertools
 import json
 import random
 
 import pytest
 
-from ofa.coeff_ring import Product, StructureError, ZMod
+from ofa.cli import main as cli_main
+from ofa.coeff_ring import CapacityError, Product, StructureError, ZMod, parse_ring
 from ofa.form_ring import ofalin, ofaorth, ofasymp
+from ofa.linalg import k_det, k_mat_inv
 from ofa.odd_form_param import (
     DeltaShape,
     act,
@@ -102,41 +106,182 @@ def test_group_orders():
     assert group_order(sh(ofaorth, 4, F3)) == 1152
 
 
-def test_enumeration_strategies_agree():
-    keys = {}
-    for strat in ("batch", "dfs", "scan"):
-        s = sh(ofasymp, 2, F3)
-        keys[strat] = [g.key for g in enumerate_unitary(s, strategy=strat)]
-    assert keys["batch"] == keys["dfs"] == keys["scan"]
+def _loop_keys(shape):
+    """Reference: u_try on every element of the algebra."""
+    out = []
+    for beta in shape.alg.elements():
+        g = u_try(shape, beta)
+        if g is not None:
+            out.append(g)
+    return sorted(g.key for g in out)
 
 
-def test_enumeration_jobs_invariance():
+def _keys(shape, betas):
     import ofa.unitary as un
 
-    un._GROUP_CACHE.pop(("delta:symp:2:zmod:3", "batch"), None)
-    a = [g.key for g in enumerate_unitary(sh(ofasymp, 2, F3), strategy="batch", jobs=1)]
-    un._GROUP_CACHE.pop(("delta:symp:2:zmod:3", "batch"), None)
-    b = [g.key for g in enumerate_unitary(sh(ofasymp, 2, F3), strategy="batch", jobs=3)]
-    assert a == b
+    bo = un.BatchOps(shape)
+    return sorted(g.key for g in un._members(bo, betas(bo)))
+
+
+REF_RINGS = ("zmod:2", "zmod:3", "zmod:4", "zmod:6", "zmod:8", "zmod:9",
+             "gf:4", "prod:(zmod:2;zmod:3)")
+
+
+def test_enumeration_strategies_agree():
+    """The column search, the full beta scan and a per-element u_try loop
+    list the same betas."""
+    import ofa.unitary as un
+
+    cases = [(mk, r, parse_ring(name)) for name in REF_RINGS
+             for mk, r in ((ofalin, 1), (ofasymp, 2), (ofaorth, 2))]
+    cases += [(mk, r, K) for K in (F2, F3)
+              for mk, r in ((ofalin, 2), (ofasymp, 4), (ofaorth, 4))]
+    cases += [(mk, 0, F3) for mk in (ofalin, ofasymp, ofaorth)]
+    checked = 0
+    for mk, r, K in cases:
+        s = sh(mk, r, K)
+        if s.alg.card() > un._ENUM_CAP:
+            continue
+        col = _keys(s, un._column_betas)
+        assert col == _keys(s, un._scan_betas), s.tag
+        if s.alg.card() <= 1 << 13:
+            assert col == _loop_keys(s), s.tag
+        assert col == [g.key for g in enumerate_unitary(s, verify=False)]
+        checked += 1
+    # symp 4 and orth 4 over F3 are past the scan cap
+    assert checked == len(cases) - 2
+    # the odd orthogonal preset keeps the beta scan
+    odd = [sh(ofaorth, 1, parse_ring(name)) for name in REF_RINGS]
+    for s in odd + [sh(ofaorth, 3, F2)]:
+        assert [g.key for g in enumerate_unitary(s)] == _loop_keys(s), s.tag
+
+
+def _so_direct_3(K):
+    """Reference: 3x3 matrices preserving the split odd quadratic form,
+    det 1, by a scalar column search."""
+    vecs = list(itertools.product(K.elements(), repeat=3))
+
+    def qval(v):
+        return K.add(K.mul(v[1], v[1]), K.mul(v[0], v[2]))
+
+    def bval(v, w):
+        out = K.smul(2, K.mul(v[1], w[1]))
+        return K.add(out, K.add(K.mul(v[0], w[2]), K.mul(v[2], w[0])))
+
+    targets_q = {t: qval(tuple(K.one() if s == t else K.zero() for s in range(3)))
+                 for t in range(3)}
+    gram = [[K.zero()] * 3 for _ in range(3)]
+    for s in range(3):
+        es = tuple(K.one() if a == s else K.zero() for a in range(3))
+        for t in range(3):
+            et = tuple(K.one() if a == t else K.zero() for a in range(3))
+            gram[s][t] = bval(es, et)
+    out = []
+    cols = [None, None, None]
+
+    def rec(t):
+        if t == 3:
+            M = [[cols[b][a] for b in range(3)] for a in range(3)]
+            if k_mat_inv(K, M) is None or k_det(K, M) != K.one():
+                return
+            out.append(tuple(tuple(row) for row in M))
+            return
+        for v in vecs:
+            if qval(v) != targets_q[t]:
+                continue
+            if any(bval(cols[s], v) != gram[s][t] for s in range(t)):
+                continue
+            cols[t] = v
+            rec(t + 1)
+
+    rec(0)
+    return out
+
+
+def test_so3_matches_scalar_search():
+    import ofa.unitary as un
+
+    for K in (F2, F3, Z4, parse_ring("gf:4")):
+        vecs, F = un._isometries(un.BatchOps(sh(ofaorth, 3, K)))
+        so = {M for M in (un._k_matrix(vecs, f) for f in F)
+              if k_det(K, [list(r) for r in M]) == K.one()}
+        ref = _so_direct_3(K)
+        assert len(set(ref)) == len(ref)
+        assert so == set(ref), K.name
+
+
+def test_column_search_capacity():
+    import ofa.unitary as un
+
+    # Sp(4, Z/8) has about 7.5e8 elements: the frontier guard trips
+    with pytest.raises(CapacityError, match="frontier"):
+        un._isometries(un.BatchOps(sh(ofasymp, 4, ZMod(8))))
+    with pytest.raises(CapacityError, match="column pool"):
+        un._isometries(un.BatchOps(sh(ofasymp, 4, ZMod(9))))
+
+
+PINNED = (
+    ("group enumerate --family lin --n 2 --ring zmod:3",
+     "b5956f20105d6d058db0ac32a947d4534514555b3d019e04551ac4050aea213a"),
+    ("group enumerate --family symp --n 1 --ring gf:4",
+     "527a56861b35aa949f45a2900bd91d33f363845b4d5d622ee5fe681c9518c6c3"),
+    ("group enumerate --family orth-even --n 1 --ring zmod:4",
+     "bce1276cf82052532f6a624abd5b5d6e4f4ba160adb770b8ed355700e0310525"),
+    ("group invariants --family orth-even --n 2 --ring gf:2",
+     "48fb2c2e5a2b2a43d97edec99f108cee224f2010208c22842875329e6fa230ad"),
+    ("group order --family symp --n 0 --ring gf:2",
+     "b5d1a97d5462e2c2047ebe09dd527dba0f30928872e63be6e5372f3fde20a74d"),
+    ("so-odd-split --n 1 --ring gf:4",
+     "a9294e536296c6d54ecda85b0d2b608f49e09b388392c93e3e892ca563dd5494"),
+)
+
+
+@pytest.mark.parametrize("argv,digest", PINNED)
+def test_report_bytes_pinned(argv, digest, capsys):
+    import ofa.unitary as un
+
+    un._GROUP_CACHE.clear()
+    assert cli_main(argv.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_group_cache_serves_default_calls(monkeypatch):
     import ofa.unitary as un
 
     s = sh(ofasymp, 4, F2)
-    un._GROUP_CACHE.pop((s.tag, "batch"), None)
+    un._GROUP_CACHE.pop(s.tag, None)
     runs = []
-    real = un._enum_batch
-    monkeypatch.setattr(un, "_enum_batch", lambda *a: runs.append(1) or real(*a))
+    real = un._members
+    monkeypatch.setattr(un, "_members", lambda *a: runs.append(1) or real(*a))
     assert group_order(s) == group_order(s) == 720
     assert len(runs) == 1
     # an unverified entry does not serve a verifying call
-    un._GROUP_CACHE.pop((s.tag, "batch"), None)
+    un._GROUP_CACHE.pop(s.tag, None)
     enumerate_unitary(s, verify=False)
     enumerate_unitary(s, verify=True)
     enumerate_unitary(s, verify=True)
     enumerate_unitary(s, verify=False)
     assert len(runs) == 3
+
+
+def test_verify_catches_a_missing_inverse(monkeypatch):
+    import ofa.unitary as un
+
+    s = sh(ofasymp, 2, F3)
+    un._GROUP_CACHE.pop(s.tag, None)
+    G = enumerate_unitary(s, verify=False)
+    e = u_identity(s)
+    victim = next(g for g in G if u_mul(g, g).key != e.key)
+    real = un._members
+    monkeypatch.setattr(un, "_members", lambda *a: [
+        g for g in real(*a) if g.key != victim.key])
+    un._GROUP_CACHE.pop(s.tag, None)
+    assert len(enumerate_unitary(s, verify=False)) == 23
+    un._GROUP_CACHE.pop(s.tag, None)
+    with pytest.raises(AssertionError, match="no inverse"):
+        enumerate_unitary(s, verify=True)
+    un._GROUP_CACHE.pop(s.tag, None)
 
 
 def test_transvection_short():
