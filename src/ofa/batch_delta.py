@@ -1,10 +1,8 @@
 """Vectorized (pi, rho) arithmetic: the one engine for Delta checks.
 
-Ring multiplication is the contraction of a structure tensor, and every
-result is reduced by the additive modulus of its basis slot: one scalar
-m when the slots share it, else the per-slot moduli vector on the last
-axis (valid because the tensor only maps slots into slots of the same
-component).  A batch of N algebra elements is an int64 array
+Ring multiplication is SlotRing.contract, the contraction of K's
+structure tensor reduced by the additive modulus of each basis slot,
+which the Clifford spin scan shares.  A batch of N algebra elements is an int64 array
 (N, d, d, rk); a Delta batch is the pair of its pi and rho arrays.
 Element equality in Delta is pair equality, which is what the
 coordinate read makes faithful, so every axiom in the shared table
@@ -13,7 +11,7 @@ becomes an array identity, and specialness becomes a batch read-back.
 
 import numpy as np
 
-from .coeff_ring import StructureError
+from .coeff_ring import SlotRing, StructureError
 from .odd_form_param import herm_slots, _torsion_list, slot_sizes
 
 
@@ -21,24 +19,17 @@ class BatchOps:
     def __init__(self, shape):
         alg = shape.alg
         K = alg.K
-        m = K.uniform_modulus()
+        ring = SlotRing(K)
         self.shape = shape
         self.alg = alg
         self.K = K
-        # one scalar when the slots share a modulus: no broadcast needed
-        self.m = m if m is not None else np.array(K.moduli, dtype=np.int64)
-        self.rk = K.rank
+        self.ring = ring
+        self.m = ring.m
+        self.rk = ring.rk
         idx = list(alg.indices)
         self.d = len(idx)
         self.pos = {i: t for t, i in enumerate(idx)}
         self.pos0 = self.pos.get(0)
-        S = np.zeros((self.rk, self.rk, self.rk), dtype=np.int64)
-        for a in range(self.rk):
-            ea = tuple(1 if t == a else 0 for t in range(self.rk))
-            for b in range(self.rk):
-                eb = tuple(1 if t == b else 0 for t in range(self.rk))
-                S[a, b] = K.mul(ea, eb)
-        self.S = S % self.m
         E = np.ones((self.d, self.d), dtype=np.int64)
         if alg.kind == "symp":
             for i in idx:
@@ -46,7 +37,7 @@ class BatchOps:
                     if alg.eps(i) * alg.eps(j) < 0:
                         E[self.pos[i], self.pos[j]] = -1
         self.E = E
-        self.ktab = np.array(list(K.elements()), dtype=np.int64).reshape(K.card, self.rk)
+        self.ktab = ring.ktab
         self.ttab = np.array(_torsion_list(K), dtype=np.int64).reshape(-1, self.rk)
         self.maskpos = np.array([1 if i > 0 else 0 for i in idx], dtype=np.int64)
         # (row, col) of each coordinate: q/u slots of pi, then the
@@ -64,45 +55,18 @@ class BatchOps:
         self.hslots = herm_slots(alg)
         self.onevec = np.array(K.one(), dtype=np.int64)
 
-    # ring and matrix primitives; the structure tensor is unrolled into
-    # stacked integer matmuls, which are far faster than int einsum
+    # ring and matrix primitives, each one contraction of K's structure tensor
     def kmul(self, x, y):
-        if self.rk == 1:
-            return (x * y) % self.m
-        out = np.zeros_like(x)
-        for a in range(self.rk):
-            for b in range(self.rk):
-                w = x[:, a] * y[:, b]
-                for c in np.nonzero(self.S[a, b])[0]:
-                    out[:, c] += self.S[a, b, c] * w
-        return out % self.m
+        return self.ring.contract(lambda a, b: x[:, a] * y[:, b])
 
     def kscale(self, k, X):
-        if self.rk == 1:
-            return (k[:, 0, None, None, None] * X) % self.m
-        out = np.zeros_like(X)
-        for a in range(self.rk):
-            ka = k[:, a, None, None]
-            for b in range(self.rk):
-                w = ka * X[..., b]
-                for c in np.nonzero(self.S[a, b])[0]:
-                    out[..., c] += self.S[a, b, c] * w
-        return out % self.m
+        return self.ring.contract(lambda a, b: k[:, a, None, None] * X[..., b])
 
     def dmul(self, X, Y):
         if self.pos0 is not None:
             Y = Y.copy()
             Y[:, self.pos0] = (2 * Y[:, self.pos0]) % self.m
-        if self.rk == 1:
-            return np.matmul(X[..., 0], Y[..., 0])[..., None] % self.m
-        out = np.zeros_like(X)
-        for a in range(self.rk):
-            Xa = X[..., a]
-            for b in range(self.rk):
-                w = np.matmul(Xa, Y[..., b])
-                for c in np.nonzero(self.S[a, b])[0]:
-                    out[..., c] += self.S[a, b, c] * w
-        return out % self.m
+        return self.ring.contract(lambda a, b: np.matmul(X[..., a], Y[..., b]))
 
     def conj(self, X):
         Z = (X * self.E[None, :, :, None]) % self.m
@@ -113,16 +77,7 @@ class BatchOps:
         R0 = (-self.dmul(self.conj(P), DP)) % self.m
         if self.pos0 is not None:
             kv = P[:, self.pos0]
-            if self.rk == 1:
-                M = (kv[:, :, None] * kv[:, None, :]) % self.m
-            else:
-                M = self._zeros(P.shape[0])
-                for a in range(self.rk):
-                    for b in range(self.rk):
-                        w = kv[:, :, None, a] * kv[:, None, :, b]
-                        for c in np.nonzero(self.S[a, b])[0]:
-                            M[..., c] += self.S[a, b, c] * w
-                M %= self.m
+            M = self.ring.contract(lambda a, b: kv[:, :, None, a] * kv[:, None, :, b])
             corr = (M * self.uw[None, :, :, None]) % self.m
             R0 = (R0 - corr[:, ::-1]) % self.m
         return R0

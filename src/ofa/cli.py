@@ -242,7 +242,7 @@ def cmd_clifford(args):
         group = cf.spin_group(args.n, K)
         from .linalg import k_identity
         eye = k_identity(K, args.n)
-        kernel = sum(1 for u in group if cf.vector_rep(u) == eye)
+        kernel = sum(1 for m in group.vectors if m == eye)
         report = {"order": len(group), "vector_kernel": kernel}
         return _emit(args, "clifford spin", params, report, True)
     if args.kcmd == "relations":

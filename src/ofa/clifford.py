@@ -3,22 +3,43 @@
 The rank r lattice uses labels -l..l (0 only when r is odd) with
 q(e_i) = [i == 0], B(e_i, e_-i) = 1 for i != 0, B(e_0, e_0) = 2, and
 B zero elsewhere.  Elements are coefficient maps on ordered monomials
-e_S = prod(e_i, i in S ascending); products rewrite adjacent letters by
-e_a e_b = B(a, b) - e_b e_a and e_a e_a = q(e_a), so the monomial basis
-has 2^r members.  The even part, its center, the reversal involution,
-spin membership and its vector representation live here, along with the
+e_S = prod(e_i, i in S ascending), so the monomial basis has 2^r
+members.  The even part, its center, the reversal involution, spin
+membership and its vector representation live here, along with the
 half-trace functional and the degree-two presentation checks used by
 the orthogonal presets.
+
+Products read one table.  Rewriting adjacent letters by
+e_a e_b = B(a, b) - e_b e_a and e_a e_a = q(e_a) only uses the integers
+-1, 0, 1 and 2, so e_S e_T = sum n_U e_U with integers n_U that hold
+over every K.  Each algebra rewrites a pair (S, T) once, on first use,
+and mul, word, reversal and the degree-two realization combine table
+entries with coefficients in K.
+
+spin_group scans the even part on numpy: candidate rows come in chunks
+of itertools.product order, ubar is a linear map read off the reversal
+table, and the masks u ubar = 1, ubar u = 1 and the degree-one test on
+u e_i ubar are contractions of dense table blocks (even x even and
+odd x even), with the coefficient products of K through SlotRing.
+The survivors' degree-one parts are their vector matrices.  The scan
+refuses more than 2^20 candidates before it builds any array, and a
+chunk holds at most 2^18 / dim(even)^2 rows, which bounds its memory.
 """
 
 import itertools
 
-from .coeff_ring import StructureError, CapacityError
+import numpy as np
+
+from .coeff_ring import CapacityError, SlotRing, StructureError
 from .form_ring import ofaorth
 from .linalg import k_nullspace, k_solve
+from .odd_form_param import _mixed_radix
 
 _RANK_CAP = 10
 _SPIN_CAP = 1 << 20
+# rows of a scan chunk times the even dimension squared: bounds the
+# largest intermediate, the pairwise coefficient products of u and ubar
+_SPIN_CELLS = 1 << 18
 
 
 def split_labels(r):
@@ -87,16 +108,25 @@ class CliffordAlg:
             )
         )
         self.dim = len(self.basis)
+        self._table = {}
+
+    @staticmethod
+    def _b(a, b):
+        """B(e_a, e_b) as an integer."""
+        if a == b:
+            return 2 if a == 0 else 0
+        return 1 if a == -b else 0
+
+    @staticmethod
+    def _q(a):
+        """q(e_a) as an integer."""
+        return 1 if a == 0 else 0
 
     def bform(self, a, b):
-        if a == -b and a != 0:
-            return self.K.one()
-        if a == 0 and b == 0:
-            return self.K.from_int(2)
-        return self.K.zero()
+        return self.K.from_int(self._b(a, b))
 
     def qval(self, a):
-        return self.K.one() if a == 0 else self.K.zero()
+        return self.K.from_int(self._q(a))
 
     def el(self, coeffs):
         K = self.K
@@ -153,47 +183,67 @@ class CliffordAlg:
         return self.kmul(self.K.from_int(nint), x)
 
     def _reduce_into(self, word, coeff, out):
-        """Rewrite one generator word to the ordered basis, accumulating."""
-        K = self.K
+        """Rewrite one generator word to the ordered basis over the
+        integers, accumulating into out: e_a e_a = q(e_a), and for a > b,
+        e_a e_b = B(a, b) - e_b e_a."""
         stack = [(tuple(word), coeff)]
         while stack:
             w, c = stack.pop()
-            if K.is_zero(c):
+            if not c:
                 continue
-            spot = None
-            for t in range(len(w) - 1):
-                if w[t] >= w[t + 1]:
-                    spot = t
-                    break
+            spot = next((t for t in range(len(w) - 1) if w[t] >= w[t + 1]), None)
             if spot is None:
-                acc = K.add(out.get(w, K.zero()), c)
-                if K.is_zero(acc):
-                    out.pop(w, None)
-                else:
-                    out[w] = acc
+                out[w] = out.get(w, 0) + c
                 continue
             a, b = w[spot], w[spot + 1]
             rest = w[:spot] + w[spot + 2:]
             if a == b:
-                stack.append((rest, K.mul(c, self.qval(a))))
+                stack.append((rest, c * self._q(a)))
             else:
-                stack.append((w[:spot] + (b, a) + w[spot + 2:], K.neg(c)))
-                bt = self.bform(a, b)
-                if not K.is_zero(bt):
-                    stack.append((rest, K.mul(c, bt)))
+                stack.append((w[:spot] + (b, a) + w[spot + 2:], -c))
+                stack.append((rest, c * self._b(a, b)))
+
+    def _prod(self, s, t):
+        """The table entry e_s e_t = sum n_u e_u as ((u, n), ...), n != 0,
+        rewritten on first use."""
+        hit = self._table.get((s, t))
+        if hit is None:
+            out = {}
+            self._reduce_into(s + t, 1, out)
+            hit = self._table[(s, t)] = tuple((u, n) for u, n in out.items() if n)
+        return hit
+
+    def _word_ints(self, letters):
+        """Integer coefficients of a generator word, one letter at a time."""
+        cur = {(): 1}
+        for a in letters:
+            nxt = {}
+            for s, n in cur.items():
+                for u, k in self._prod(s, (a,)):
+                    nxt[u] = nxt.get(u, 0) + n * k
+            cur = nxt
+        return cur
+
+    def _combine(self, terms):
+        """sum n * c over (u, n, c) terms: a CliffEl with zeros dropped."""
+        K = self.K
+        acc = {}
+        for u, n, c in terms:
+            v = K.smul(n, c)
+            acc[u] = K.add(acc[u], v) if u in acc else v
+        return CliffEl(self, {u: v for u, v in acc.items() if not K.is_zero(v)})
 
     def word(self, letters, coeff=None):
-        out = {}
-        self._reduce_into(tuple(letters), self.K.one() if coeff is None else coeff, out)
-        return CliffEl(self, out)
+        c = self.K.one() if coeff is None else coeff
+        return self._combine((u, n, c) for u, n in self._word_ints(letters).items())
 
     def mul(self, x, y):
-        K = self.K
-        out = {}
+        terms = []
         for sx, cx in x.c.items():
             for sy, cy in y.c.items():
-                self._reduce_into(sx + sy, K.mul(cx, cy), out)
-        return CliffEl(self, out)
+                c = self.K.mul(cx, cy)
+                terms.extend((u, n, c) for u, n in self._prod(sx, sy))
+        return self._combine(terms)
 
     def coords(self, x):
         return tuple(x.c.get(s, self.K.zero()) for s in self.basis)
@@ -211,10 +261,8 @@ class CliffordAlg:
 def reversal(x):
     """Anti-automorphism reversing generator words."""
     alg = x.alg
-    out = {}
-    for s, c in x.c.items():
-        alg._reduce_into(tuple(reversed(s)), c, out)
-    return CliffEl(alg, out)
+    return alg._combine((u, n, c) for s, c in x.c.items()
+                        for u, n in alg._word_ints(reversed(s)).items())
 
 
 def is_even(x):
@@ -272,21 +320,99 @@ def vector_rep(u):
     return tuple(tuple(cols[j][i] for j in range(d)) for i in range(d))
 
 
+class SpinGroup(list):
+    """Spin elements in scan order; vectors[k] is vector_rep(self[k])."""
+
+    def __init__(self, elems, vectors):
+        super().__init__(elems)
+        self.vectors = vectors
+
+
+def _table_block(alg, left, right, out):
+    """The product table on left x right, read off on out, as an int64
+    (len(left) * len(right), len(out)) matrix; out must hold every
+    monomial of those products (a parity class)."""
+    pos = {u: k for k, u in enumerate(out)}
+    T = np.zeros((len(left) * len(right), len(out)), dtype=np.int64)
+    for a, s in enumerate(left):
+        for b, t in enumerate(right):
+            for u, n in alg._prod(s, t):
+                T[a * len(right) + b, pos[u]] = n
+    return T
+
+
+def _bilinear(ring, X, Y, T):
+    """Row-wise products of X (N, p, rk) and Y (N, q, rk) through the
+    table block T (p * q, r): the coefficients (N, r, rk)."""
+    rows = (X.shape[0], X.shape[1] * Y.shape[1])
+    return ring.contract(
+        lambda a, b: (X[:, :, None, a] * Y[:, None, :, b]).reshape(rows) @ T)
+
+
+class _SpinScan:
+    """Dense product-table blocks of one algebra, and the spin masks on
+    chunks of even coefficient rows (N, dim(even), rk)."""
+
+    def __init__(self, alg, ring):
+        self.ring = ring
+        ebasis = alg.even_basis()
+        obasis = tuple(s for s in alg.basis if len(s) % 2)
+        ne, no, self.nl = len(ebasis), len(obasis), len(alg.labels)
+        self.rev = np.array([[alg._word_ints(reversed(s)).get(u, 0) for u in ebasis]
+                             for s in ebasis], dtype=np.int64).reshape(ne, ne)
+        self.tee = _table_block(alg, ebasis, ebasis, ebasis)
+        self.toe = _table_block(alg, obasis, ebasis, obasis)
+        # left[i] maps even coefficients to those of u e_i
+        self.left = np.array([_table_block(alg, ebasis, [(i,)], obasis)
+                              for i in alg.labels], dtype=np.int64).reshape(self.nl, ne, no)
+        self.one = np.zeros((ne, ring.rk), dtype=np.int64)
+        self.one[0] = alg.K.one()
+        self.high = [k for k, s in enumerate(obasis) if len(s) > 1]
+        self.deg1 = [obasis.index((i,)) for i in alg.labels]
+
+    def survivors(self, U):
+        """The spin rows of U in order, and their vector matrices
+        (N, d, d, rk): u ubar = 1, then ubar u = 1, then u e_i ubar of
+        degree one for every label i."""
+        ring, nl = self.ring, self.nl
+        Ub = np.matmul(self.rev.T, U) % ring.m
+        keep = (_bilinear(ring, U, Ub, self.tee) == self.one).all(axis=(1, 2))
+        U, Ub = U[keep], Ub[keep]
+        keep = (_bilinear(ring, Ub, U, self.tee) == self.one).all(axis=(1, 2))
+        U, Ub = U[keep], Ub[keep]
+        n, no = U.shape[0], self.left.shape[2]
+        V = np.matmul(np.swapaxes(self.left, 1, 2), U[:, None]) % ring.m
+        W = _bilinear(ring, V.reshape(n * nl, no, ring.rk), np.repeat(Ub, nl, axis=0),
+                      self.toe).reshape(n, nl, no, ring.rk)
+        keep = (W[:, :, self.high] == 0).all(axis=(1, 2, 3))
+        return U[keep], np.swapaxes(W[keep][:, :, self.deg1], 1, 2)
+
+
 def spin_group(r, K):
-    """All spin elements, by scan of the even part."""
+    """All spin elements, by a batched scan of the even part.
+
+    The candidates are the even coefficient rows in itertools.product
+    order over K.elements(), taken in chunks through _SpinScan.  The
+    result lists them in that order, with their vector matrices.
+    """
     alg = CliffordAlg(r, K)
     ebasis = alg.even_basis()
     total = K.card ** len(ebasis)
     if total > _SPIN_CAP:
         raise CapacityError("even part scan over %d candidates" % total)
-    out = []
-    for vec in itertools.product(K.elements(), repeat=len(ebasis)):
-        u = CliffEl(alg, {s: v for s, v in zip(ebasis, vec) if not K.is_zero(v)})
-        if alg.mul(u, reversal(u)) != alg.one():
-            continue
-        if spin_member(u):
-            out.append(u)
-    return out
+    ring = SlotRing(K)
+    scan = _SpinScan(alg, ring)
+    step = max(1, _SPIN_CELLS // len(ebasis) ** 2)
+    rows, mats = [], []
+    for lo in range(0, total, step):
+        U, M = scan.survivors(
+            ring.ktab[_mixed_radix([K.card] * len(ebasis), min(lo + step, total), lo)])
+        rows.extend(U.tolist())
+        mats.extend(M.tolist())
+    elems = [CliffEl(alg, {s: tuple(v) for s, v in zip(ebasis, row) if any(v)})
+             for row in rows]
+    vectors = [tuple(tuple(tuple(c) for c in line) for line in mat) for mat in mats]
+    return SpinGroup(elems, vectors)
 
 
 def htr(x):
@@ -306,10 +432,8 @@ def htr(x):
 
 def clif0_image(clif, x):
     """The degree-two realization e(i,j) -> e_i e_-j."""
-    out = {}
-    for (i, j), c in x.c.items():
-        clif._reduce_into((i, -j), c, out)
-    return CliffEl(clif, out)
+    return clif._combine((u, n, c) for (i, j), c in x.c.items()
+                         for u, n in clif._prod((i,), (-j,)))
 
 
 def hermitian_basis(alg):

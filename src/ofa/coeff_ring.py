@@ -10,6 +10,8 @@ product coordinates concatenated.  All operations are exact.
 import itertools
 import math
 
+import numpy as np
+
 
 class StructureError(Exception):
     """An input violates a structural precondition."""
@@ -297,6 +299,51 @@ class Product(RingSpec):
                 return None
             parts.append(inv)
         return self.join(parts)
+
+
+class SlotRing:
+    """A ring spec on int64 arrays with a trailing axis of basis slots.
+
+    ``ktab`` lists K.elements() as rows, ``S[a, b]`` is the product of
+    the basis slots a and b, and ``m`` is the additive modulus: one int
+    when the slots share it, else the per-slot moduli for the last axis
+    (valid because a product only maps slots into slots of the same
+    component).  ``contract`` is the one coefficient-product kernel of
+    the numpy engines.
+    """
+
+    def __init__(self, K):
+        self.rk = K.rank
+        m = K.uniform_modulus()
+        self.m = m if m is not None else np.array(K.moduli, dtype=np.int64)
+        unit = np.eye(self.rk, dtype=np.int64).tolist()
+        S = np.array([[K.mul(tuple(ea), tuple(eb)) for eb in unit] for ea in unit],
+                     dtype=np.int64).reshape(self.rk, self.rk, self.rk)
+        self.S = S % self.m
+        self.ktab = np.array(list(K.elements()), dtype=np.int64).reshape(K.card, self.rk)
+        # the nonzero (a, b) -> c terms of S; the structure tensor is
+        # unrolled into stacked integer products, far faster than int einsum
+        self._terms = [(a, b, [(int(c), int(self.S[a, b, c]))
+                               for c in np.nonzero(self.S[a, b])[0]])
+                       for a in range(self.rk) for b in range(self.rk)
+                       if self.S[a, b].any()]
+
+    def contract(self, pair):
+        """sum over (a, b) of S[a, b, c] * pair(a, b) on slot c, reduced.
+
+        pair(a, b) is the array of products of slot a of one factor with
+        slot b of the other; the result adds the trailing slot axis.
+        """
+        if self.rk == 1:
+            return pair(0, 0)[..., None] % self.m
+        out = None
+        for a, b, terms in self._terms:
+            w = pair(a, b)
+            if out is None:
+                out = np.zeros(w.shape + (self.rk,), dtype=np.int64)
+            for c, s in terms:
+                out[..., c] += s * w
+        return out % self.m
 
 
 def _fmt_coeffs(base, mcoeffs):

@@ -351,21 +351,6 @@ def vscale(K, c, u):
     return tuple(K.mul(c, a) for a in u)
 
 
-def k_dot(spec, u, v):
-    acc = spec.zero()
-    for a, b in zip(u, v):
-        acc = spec.add(acc, spec.mul(a, b))
-    return acc
-
-
-def k_transpose(M):
-    return tuple(tuple(r) for r in zip(*M))
-
-
-def freeze_mat(M):
-    return tuple(tuple(row) for row in M)
-
-
 def k_det(spec, M):
     """Determinant by column expansion with a row-mask memo."""
     n = len(M)

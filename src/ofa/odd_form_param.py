@@ -565,10 +565,12 @@ def decode_factor(shape, kind, row):
     raise StructureError("unknown factor kind %r" % kind)
 
 
-def _mixed_radix(sizes, total):
-    idx = np.empty((total, len(sizes)), dtype=np.int64)
-    stride = total
-    base = np.arange(total, dtype=np.int64)
+def _mixed_radix(sizes, stop, start=0):
+    """Digit rows of the indices start..stop-1 over the radices sizes, the
+    first digit most significant: rows of itertools.product order."""
+    idx = np.empty((stop - start, len(sizes)), dtype=np.int64)
+    stride = math.prod(sizes)
+    base = np.arange(start, stop, dtype=np.int64)
     for t, s in enumerate(sizes):
         stride //= s
         idx[:, t] = (base // stride) % s

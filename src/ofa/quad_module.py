@@ -311,9 +311,6 @@ class QuadModule:
     def mneg(self, m):
         return {a: self.K.neg(c) for a, c in m.items()}
 
-    def msub(self, m, m2):
-        return self.madd(m, self.mneg(m2))
-
     def mscale(self, m, k):
         K = self.K
         out = {}
@@ -392,12 +389,6 @@ class QuadModule:
         j = self.pos[b]
         K = self.K
         return {a: g[i][j] for i, a in enumerate(self.labels) if not K.is_zero(g[i][j])}
-
-    def mat_apply(self, g, m):
-        out = {}
-        for b, c in m.items():
-            out = self.madd(out, self.mscale(self.mat_col(g, b), c))
-        return out
 
     def mat_entries_ok(self, g):
         K = self.K
@@ -1343,9 +1334,6 @@ class CanonConstruction:
         assert out is not None
         return out
 
-    def box_basis(self, h, t):
-        return self.box(h, {t: self.qtype.R.one()})
-
     def card(self):
         return self.K.card ** self.dim
 
@@ -1690,10 +1678,6 @@ class CanonMorphism:
                     x[i][j] = K.add(x[i][j], K.mul(v, xi[i][j]))
                     y[i][j] = K.add(y[i][j], K.mul(v, yi[i][j]))
         return tuple(tuple(r) for r in x), tuple(tuple(r) for r in y)
-
-    def f_theta(self, th):
-        p, r = self.C.to_pair(th)
-        return self.f_s(p), self.f_s(r)
 
     def kernel_vectors(self):
         if self._ker is None:

@@ -755,10 +755,6 @@ def gu_member(g, pair):
     return True
 
 
-def gu_group(pair, **kw):
-    return [g for g in enumerate_unitary(pair.big_shape, **kw) if gu_member(g, pair)]
-
-
 # enumeration
 
 
