@@ -5,13 +5,21 @@ operations, entries reduced after every step so coefficients never grow.
 Systems over a ring spec are expanded to integer systems through the
 multiplication matrices of their entries; product rings split into
 componentwise systems.
+
+isometry_search is the one column search for the isometries of a form,
+written as a Z-bilinear tensor on flat integer coordinates; unitary and
+quad_module both call it.
 """
 
+import itertools
 import math
 
 import numpy as np
 
-from .coeff_ring import Product, StructureError, _basis
+from .coeff_ring import CapacityError, Product, StructureError, _basis
+
+_CHUNK = 1 << 16
+_FRONTIER_CAP = 1 << 20
 
 
 def _identity_int(n):
@@ -395,3 +403,88 @@ def k_mat_inv(spec, M):
     if k_matmul(spec, M, X) != ident or k_matmul(spec, X, M) != ident:
         return None
     return X
+
+
+def support_pool(ktab, n, rows):
+    """Every vector of K^n supported on rows, as flat (N, n * rk) rows in
+    itertools.product order over the elements listed in ktab."""
+    codes = np.array(list(itertools.product(range(len(ktab)), repeat=len(rows))),
+                     dtype=np.int64).reshape(len(ktab) ** len(rows), len(rows))
+    out = np.zeros((len(codes), n, ktab.shape[1]), dtype=np.int64)
+    out[:, list(rows)] = ktab[codes]
+    return out.reshape(len(codes), n * ktab.shape[1])
+
+
+def form_rows(X, B, Y, mod):
+    """x.B.y mod the output moduli for each pair of rows (x, y) of X and Y,
+    B a (D, D, W) Z-bilinear tensor on flat coordinates: (N, W)."""
+    D, W = len(B), B.shape[-1]
+    XB = (X @ B.reshape(D, D * W)).reshape(len(X), D, W)
+    return (XB * Y[:, :, None]).sum(axis=1) % mod
+
+
+def k_columns(V, f, rk):
+    """The matrix over K with column t the flat row V[f[t]]."""
+    cols = V[f].reshape(len(f), len(f), rk).tolist()
+    return tuple(tuple(tuple(cols[t][s]) for t in range(len(f)))
+                 for s in range(len(f)))
+
+
+def isometry_search(K, V, B, G, pools):
+    """Every matrix with columns v_t = V[f[t]], f[t] in pools[t], such that
+    b(v_s, v_t) = G[s, t] for all s, t, where b(x, y) = x.B.y mod the
+    output moduli; returns F (L, n) with leaf r given by f = F[r].
+
+    V is (Np, D) flat K-coordinates, D = n * rank(K); B is (D, D, W) and
+    G (n, n, W), W a multiple of rank(K).  Breadth-first: at depth t the
+    pool rows admissible against each distinct earlier column, for
+    b(v_s, v_t) and b(v_t, v_s) at once, come from one integer product,
+    and every frontier row gathers those masks.  If the K-Gram (G's K
+    blocks summed) is invertible, M^T G M = G forces det(M)^2 = 1 and the
+    first 12 leaves are checked; otherwise non-invertible leaves are
+    dropped.
+    """
+    n, W = len(G), G.shape[-1]
+    rk, D = K.rank, V.shape[1]
+    kmod = np.array(K.moduli, dtype=np.int64)
+    mod = np.tile(kmod, 2 * W // rk)
+    # x.B and x.B^T side by side on the output axis, for every pool row
+    VB = (V @ np.concatenate([B, B.transpose(1, 0, 2)], axis=2)
+          .reshape(D, 2 * D * W)).reshape(len(V), D, 2 * W)
+    F = np.zeros((1, 0), dtype=np.int64)
+    for t in range(n):
+        cand = np.asarray(pools[t], dtype=np.int64)
+        cand = cand[(form_rows(V[cand], B, V[cand], mod[:W]) == G[t, t]).all(axis=-1)]
+        Yt = V[cand].T
+        hits = []
+        for s in range(t):
+            U, inv = np.unique(F[:, s], return_inverse=True)
+            want = np.concatenate([G[s, t], G[t, s]])[None, :, None]
+            mask = np.empty((len(U), len(cand)), dtype=bool)
+            step = max(1, (_CHUNK << 4) // max(1, 2 * W * len(cand)))
+            for lo in range(0, len(U), step):
+                XB = VB[U[lo:lo + step]].transpose(0, 2, 1).reshape(-1, D)
+                val = (XB @ Yt).reshape(-1, 2 * W, len(cand)) % mod[:, None]
+                mask[lo:lo + step] = (val == want).all(axis=1)
+            hits.append((mask, inv))
+        parts = [np.zeros((0, t + 1), dtype=np.int64)]
+        total = 0
+        step = max(1, (_CHUNK << 4) // max(1, len(cand)))
+        for lo in range(0, len(F), step):
+            keep = np.ones((min(step, len(F) - lo), len(cand)), dtype=bool)
+            for mask, inv in hits:
+                keep &= mask[inv[lo:lo + step]]
+            r, c = np.nonzero(keep)
+            total += len(r)
+            if total > _FRONTIER_CAP:
+                raise CapacityError("column search frontier past %d rows"
+                                    % _FRONTIER_CAP)
+            parts.append(np.column_stack([F[lo + r], cand[c]]))
+        F = np.concatenate(parts)
+    kgram = G.reshape(n, n, W // rk, rk).sum(axis=2) % kmod
+    if k_mat_inv(K, [[tuple(e) for e in row] for row in kgram.tolist()]) is not None:
+        for f in F[:12]:
+            assert k_mat_inv(K, k_columns(V, f, rk)) is not None
+        return F
+    return F[np.array([k_mat_inv(K, k_columns(V, f, rk)) is not None for f in F],
+                      dtype=bool)]

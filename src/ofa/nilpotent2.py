@@ -286,33 +286,27 @@ def nil2_tau(M, x):
 def invariant_closure(M, generators):
     """Least subset containing the generators that is closed under |+,
     the group inverse, and the scalar action, as a frozenset of ambient
-    elements.  Fixed-point iteration; everything here is small."""
-    kel = list(M.K.elements())
+    elements: the subgroup generated by S = {g . k : g a generator, k in
+    K}, grown breadth-first from zero by |+ s for s in S.  That subgroup
+    is scalar-stable because the action is additive and (x . k) . l =
+    x . (kl), and a finite set closed under |+ is a subgroup."""
+    steps = {M._ract(Nil2Elem(g[0], g[1]), k)
+             for g in generators for k in M.K.elements()}
     X = {M._rzero()}
-    for g in generators:
-        X.add(Nil2Elem(g[0], g[1]))
-    while True:
-        new = set()
-        cur = list(X)
-        for x in cur:
-            y = M._rneg(x)
-            if y not in X:
-                new.add(y)
-            for k in kel:
-                y = M._ract(x, k)
-                if y not in X:
-                    new.add(y)
-        for x in cur:
-            for y in cur:
-                z = M._radd(x, y)
+    frontier = list(X)
+    while frontier:
+        fresh = []
+        for x in frontier:
+            for s in steps:
+                z = M._radd(x, s)
                 if z not in X:
-                    new.add(z)
-        if not new:
-            return frozenset(X)
-        X |= new
-        if len(X) > _CLOSURE_CAP:
-            raise CapacityError("invariant closure beyond %d elements"
-                                % _CLOSURE_CAP)
+                    X.add(z)
+                    fresh.append(z)
+                    if len(X) > _CLOSURE_CAP:
+                        raise CapacityError("invariant closure beyond %d elements"
+                                            % _CLOSURE_CAP)
+        frontier = fresh
+    return frozenset(X)
 
 
 # ---- axioms ----------------------------------------------------------

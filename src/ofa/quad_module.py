@@ -30,6 +30,10 @@ at e_i, e_i + e_j and 2 e_i give them on every row at once, and f_s is
 K-linear, so its integer matrix maps every S coordinate row in one
 product.  A right-hand side is then tested for all of T at once.
 
+The automorphisms of a module, which the comparison holds both unitary
+groups against, come from linalg.isometry_search, the one column search
+that the presets of unitary share.
+
 Elements of L and R share one concrete carrier (tuples over K, two of
 them glued for the linear kind); A-values are plain K elements with the
 symplectic kind pinned to zero.  Module elements are sparse dicts
@@ -44,7 +48,8 @@ import numpy as np
 
 from .coeff_ring import CapacityError, Product, StructureError, _basis, parse_ring
 from .form_ring import SplitAlgebra, ofalin, ofaorth, ofasymp, unital
-from .linalg import KSolver, k_identity, k_matmul, vadd, vflat
+from .linalg import (KSolver, isometry_search, k_columns, k_identity, k_mat_inv,
+                     k_matmul, support_pool, vadd, vflat)
 from .odd_form_param import DeltaShape, act_unital
 from .odd_form_param import member as delta_member
 
@@ -379,12 +384,6 @@ class QuadModule:
         return self.el({a: kel[rng.randrange(len(kel))] for a in self.labels})
 
     # -- matrices over the labels ------------------------------------------
-    def mat_from_cols(self, cols):
-        K = self.K
-        return tuple(
-            tuple(cols[b].get(a, K.zero()) for b in self.labels) for a in self.labels
-        )
-
     def mat_col(self, g, b):
         j = self.pos[b]
         K = self.K
@@ -671,8 +670,6 @@ def unitary_of_module(M, g):
         raise StructureError("matrix shape mismatch")
     if not M.mat_entries_ok(g):
         raise StructureError("matrix breaks the side split")
-    from .linalg import k_mat_inv
-
     if k_mat_inv(K, g) is None:
         raise StructureError("matrix is not invertible")
     for a in M.labels:
@@ -686,51 +683,38 @@ def unitary_of_module(M, g):
 
 
 def enumerate_module_unitary(M, cap=_SCAN_CAP):
-    """All pairing- and q-preserving automorphisms, by column search."""
-    from .linalg import k_mat_inv
+    """All pairing- and q-preserving automorphisms, sorted: the column
+    search linalg.isometry_search on flat Z-coordinates, label-major.  B
+    is b_form at pairs of Z-basis vectors; q is quadratic over Z, so
+    _QuadraticMap reads it off q_form.  Column b draws from the vectors
+    supported on the rows entry_ok allows there, with q(v) = q(e_b)."""
+    K, qt = M.K, M.qtype
+    n, rk, W = len(M.labels), K.rank, qt.R.rank
+    kmod = np.array(K.moduli, dtype=np.int64)
+    units = [M.el({a: e}) for a in M.labels for e in _basis(K)]
+    B = np.array([[M.b_form(x, y) for y in units] for x in units],
+                 dtype=np.int64).reshape(n * rk, n * rk, W)
+    G = np.array([[M.gram.get((a, b), qt.l_zero()) for b in M.labels]
+                  for a in M.labels], dtype=np.int64).reshape(n, n, W)
 
-    K = M.K
-    qt = M.qtype
-    pools = {}
+    def q_at(row):
+        return M.q_form(dict(zip(M.labels, _vecs(np.array([row]), rk)[0])))
+
+    q = _QuadraticMap(q_at, np.tile(kmod, n), kmod)
+    ktab = np.array(list(K.elements()), dtype=np.int64).reshape(K.card, rk)
+    blocks, V, pools = {}, [], []
     for b in M.labels:
-        rows = [a for a in M.labels if M.entry_ok(a, b)]
+        rows = tuple(i for i, a in enumerate(M.labels) if M.entry_ok(a, b))
         if K.card ** len(rows) > cap:
             raise CapacityError("column pool over %d" % (K.card ** len(rows)))
-        pool = []
-        for combo in itertools.product(K.elements(), repeat=len(rows)):
-            cand = {a: c for a, c in zip(rows, combo) if not K.is_zero(c)}
-            if M.q_form(cand) != M.qvals[b]:
-                continue
-            if M.b_form(cand, cand) != M.gram.get((b, b), qt.l_zero()):
-                continue
-            pool.append(cand)
-        pools[b] = pool
-    out = []
-    cols = {}
-
-    def place(idx):
-        if idx == len(M.labels):
-            g = M.mat_from_cols(cols)
-            if k_mat_inv(K, g) is not None:
-                out.append(g)
-            return
-        b = M.labels[idx]
-        for cand in pools[b]:
-            ok = True
-            for a in M.labels[:idx]:
-                if M.b_form(cols[a], cand) != M.gram.get((a, b), qt.l_zero()):
-                    ok = False
-                    break
-                if M.b_form(cand, cols[a]) != M.gram.get((b, a), qt.l_zero()):
-                    ok = False
-                    break
-            if ok:
-                cols[b] = cand
-                place(idx + 1)
-                del cols[b]
-
-    place(0)
-    return sorted(out)
+        if rows not in blocks:
+            blk = support_pool(ktab, n, rows)
+            blocks[rows] = (sum(map(len, V)), q(blk))
+            V.append(blk)
+        off, qv = blocks[rows]
+        pools.append(off + np.nonzero((qv == M.qvals[b]).all(axis=-1))[0])
+    V = np.concatenate(V)
+    return sorted(k_columns(V, f, rk) for f in isometry_search(K, V, B, G, pools))
 
 
 # -- adjoint-pair construction ----------------------------------------------
@@ -1720,6 +1704,13 @@ def canonical_morphism(M, cap=_SCAN_CAP):
     return CanonMorphism(M, cap)
 
 
+def _theta_hit(F, C, t, s):
+    """Whether some preimage pair (p, r) of (t, s) under F is in Theta."""
+    ps = F.preimages(t)
+    rs = F.preimages(s) if ps else []
+    return any(C.theta_member(p, r) is not None for p in ps for r in rs)
+
+
 def naive_canon_check(M, seed=0, samples=100, cap=_SCAN_CAP):
     """Compare the two constructions over one module.
 
@@ -1745,7 +1736,6 @@ def naive_canon_check(M, seed=0, samples=100, cap=_SCAN_CAP):
 
     ok_hom = True
     ok_inv = True
-    tset = set()
     for p1 in S.pairs:
         a = S.e(*p1)
         xa, ya = F.f_s(a)
@@ -1774,46 +1764,20 @@ def naive_canon_check(M, seed=0, samples=100, cap=_SCAN_CAP):
     report["theta_injective"] = report["injective"]
     missing = None
     if report["xi_card"] <= cap:
-        mode = "exhaustive"
-        hit = True
-        for t, s in N.xi_elements():
-            found = False
-            for p in F.preimages(t):
-                for r in F.preimages(s):
-                    if C.theta_member(p, r) is not None:
-                        found = True
-                        break
-                if found:
-                    break
-            if not found:
-                hit = False
-                if missing is None:
-                    missing = (t, s)
-                break
-        report["theta_surjective"] = hit
-        report["theta_mode"] = mode
+        missing = next(((t, s) for t, s in N.xi_elements()
+                        if not _theta_hit(F, C, t, s)), None)
+        report["theta_surjective"] = missing is None
+        report["theta_mode"] = "exhaustive"
     else:
         ts = N.t_rows()
-        hit = True
         for _ in range(samples):
-            x, y = N.t_pair(ts[rng.randrange(len(ts))])
-            drawn = N.xi_draw(x, y, rng)
-            if drawn is None:
-                continue
-            z, w = drawn
-            found = False
-            for p in F.preimages((x, y)):
-                for r in F.preimages((z, w)):
-                    if C.theta_member(p, r) is not None:
-                        found = True
-                        break
-                if found:
-                    break
-            if not found:
-                hit = False
-                missing = ((x, y), (z, w))
+            t = N.t_pair(ts[rng.randrange(len(ts))])
+            s = N.xi_draw(*t, rng)
+            if s is not None and not _theta_hit(F, C, t, s):
+                missing = (t, s)
                 break
-        report["theta_surjective"] = hit and counts_match and report["injective"]
+        report["theta_surjective"] = (missing is None and counts_match
+                                      and report["injective"])
         report["theta_mode"] = "sampled+count"
     if missing is not None:
         report["missing_witness"] = True

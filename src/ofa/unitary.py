@@ -16,10 +16,11 @@ their stabilizer groups, and exhaustive enumeration.
 
 Enumeration has one candidate generator per family and one membership
 pass.  The odd orthogonal preset scans every beta of the algebra.  The
-other presets search the isometries M of the split form on K^d (b, and q
-for the orthogonal preset), column by column and breadth-first on numpy,
-and take beta = M - 1: the group acts on K^d by such isometries, so no
-member is missed.  Every candidate batch passes one mask, unitality plus
+other presets write the split form on K^d (b, and q for the orthogonal
+preset) as integer tensors, find its isometries M with the one column
+search of linalg (isometry_search, which quad_module shares), and take
+beta = M - 1: the group acts on K^d by such isometries, so no member is
+missed.  Every candidate batch passes one mask, unitality plus
 the Delta read of (beta, bar beta), and each survivor is built by
 u_make.  The result is sorted by key, cached per shape and, unless asked
 not to, verified: distinct keys, bar beta listed for every beta, and 144
@@ -34,7 +35,7 @@ import numpy as np
 from .coeff_ring import CapacityError, Product, StructureError
 from .form_ring import UnitalEl, ofalin, ofaorth, rep_odd, x_central
 from .form_ring import alg_el_from_json, alg_el_to_json
-from .linalg import k_det, k_mat_inv, k_solve
+from .linalg import form_rows, isometry_search, k_columns, k_det, k_solve, support_pool
 from .odd_form_param import (
     DeltaShape,
     _torsion_list,
@@ -59,7 +60,6 @@ from .clifford import center_split_idempotent, clif0_center
 _ENUM_CAP = 1 << 20
 _CHUNK = 1 << 16
 _POOL_CAP = 1 << 12
-_FRONTIER_CAP = 1 << 20
 _CLOSURE_CAP = 1 << 20
 _DELTA0_CAP = 1 << 12
 
@@ -430,7 +430,8 @@ def so_odd_split(shape):
     images = {rep_matrix(g) for g in kernel}
     # SO(3): the form isometries of determinant 1, which are invertible
     vecs, F = _isometries(BatchOps(shape))
-    so = {M for M in (_k_matrix(vecs, f) for f in F)
+    flat = vecs.reshape(len(vecs), -1)
+    so = {M for M in (k_columns(flat, f, K.rank) for f in F)
           if k_det(K, [list(r) for r in M]) == K.one()}
     idems = K.idempotents()
 
@@ -767,85 +768,52 @@ def _eye(bo):
 
 
 def _split_form(bo):
-    """The preset's split form on K^d, on batches of (..., d, rk) vectors.
-
-    b(v, w) = sum_i eps(i) c_i v[i] w[-i], with c_0 = 2 at the middle
-    index and c_i = 1 elsewhere, and, for the orthogonal presets,
-    q(v) = sum_{i>0} v[-i] v[i] + v[0]^2.  Returns b, q and the Gram
-    matrix G[s, t] = b(e_s, e_t) as a (d, d, rk) array.
-    """
-    alg = bo.alg
-    idx = alg.indices
-    wt = np.array([alg.eps(i) * (2 if i == 0 else 1) for i in idx],
-                  dtype=np.int64)
-    flip = [bo.pos[-i] for i in idx]
-    qa = [bo.pos[-i] for i in idx if i >= 0]
-    qb = [bo.pos[i] for i in idx if i >= 0]
-
-    def dot(X, Y):
-        X, Y = np.broadcast_arrays(X, Y)
-        prod = bo.kmul(X.reshape(-1, bo.rk), Y.reshape(-1, bo.rk))
-        return prod.reshape(X.shape).sum(axis=-2) % bo.m
-
-    def b(X, Y):
-        return dot(X, (wt[:, None] * Y[..., flip, :]) % bo.m)
-
-    def q(X):
-        return dot(X[..., qa, :], X[..., qb, :])
-
-    E = _eye(bo)
-    return b, q, b(E[:, None], E[None, :])
+    """The preset's split form on K^d as Z-tensors on flat (d * rk)
+    coordinates: b(v, w) = sum_i eps(i) c_i v[i] w[-i], with c_0 = 2 at
+    the middle index and c_i = 1 elsewhere, and the upper-triangular
+    q(v) = sum_{i>=0} v[-i] v[i], which the orthogonal presets keep.
+    Returns B and Q, each (d * rk, d * rk, rk)."""
+    alg, S, rk = bo.alg, bo.ring.S, bo.rk
+    B = np.zeros((bo.d, rk, bo.d, rk, rk), dtype=np.int64)
+    Q = np.zeros_like(B)
+    for i in alg.indices:
+        B[bo.pos[i], :, bo.pos[-i]] = alg.eps(i) * (2 if i == 0 else 1) * S
+        if i >= 0:
+            Q[bo.pos[-i], :, bo.pos[i]] = S
+    D = bo.d * rk
+    return B.reshape(D, D, rk) % bo.m, Q.reshape(D, D, rk)
 
 
 def _pool(bo):
-    """Candidate columns, (Np, d, rk): all of K^d, or for the linear preset
-    the vectors supported on one sign of indices."""
+    """Candidate columns, (Np, d * rk) flat: all of K^d, or for the linear
+    preset the vectors supported on one sign of indices."""
     q, d = bo.K.card, bo.d
     lin = bo.alg.kind == "lin"
     k = d // 2 if lin else d
     size = 2 * q ** k - 1 if lin else q ** k
     if size > _POOL_CAP:
         raise CapacityError("column pool of %d vectors" % size)
-    codes = np.array(list(itertools.product(range(q), repeat=k)),
-                     dtype=np.int64).reshape(q ** k, k)
-    if lin:
-        # negative indices come first; row 0 of codes is the zero vector
-        z = np.zeros_like(codes)
-        codes = np.concatenate([np.hstack([codes, z]), np.hstack([z, codes])[1:]])
-    return bo.ktab[codes]
-
-
-def _form_hits(b, X, Y, target):
-    """(len(X), len(Y)) mask of b(x, y) == target, in bounded slices."""
-    out = np.empty((len(X), len(Y)), dtype=bool)
-    step = max(1, _CHUNK // max(1, len(Y) * X.shape[1]))
-    for lo in range(0, len(X), step):
-        val = b(X[lo:lo + step, None], Y[None])
-        out[lo:lo + step] = (val == target).all(axis=-1)
-    return out
-
-
-def _k_matrix(vecs, f):
-    """The matrix with column t = vecs[f[t]], as rows of K elements."""
-    cols = vecs[f].tolist()
-    return tuple(tuple(tuple(cols[t][s]) for t in range(len(f)))
-                 for s in range(len(f)))
+    if not lin:
+        return support_pool(bo.ktab, d, range(d))
+    # negative indices come first; both halves start with the zero vector
+    return np.concatenate([support_pool(bo.ktab, d, range(k)),
+                           support_pool(bo.ktab, d, range(k, d))[1:]])
 
 
 def _isometries(bo):
     """Every M over K with b(M e_s, M e_t) = G[s, t] and, for the
-    orthogonal presets, q(M e_t) = q(e_t): a breadth-first column search.
+    orthogonal presets, q(M e_t) = q(e_t), by linalg.isometry_search.
 
-    Returns (vecs, F): column t of leaf r is vecs[F[r, t]].  At depth t
-    the admissible pool rows against each distinct earlier column are
-    read off one batched product, and every frontier row is filtered by
-    gathering those masks.
+    Returns (vecs, F): column t of leaf r is vecs[F[r, t]].
     """
     alg = bo.alg
-    b, q, G = _split_form(bo)
-    vecs = _pool(bo)
-    qv, qe = q(vecs), q(_eye(bo))
-    F = np.zeros((1, 0), dtype=np.int64)
+    B, Q = _split_form(bo)
+    V, E = _pool(bo), _eye(bo).reshape(bo.d, bo.d * bo.rk)
+    vecs = V.reshape(len(V), bo.d, bo.rk)
+    Es, Et = np.repeat(E, bo.d, axis=0), np.tile(E, (bo.d, 1))
+    G = form_rows(Es, B, Et, bo.m).reshape(bo.d, bo.d, bo.rk)
+    qv, qe = form_rows(V, Q, V, bo.m), form_rows(E, Q, E, bo.m)
+    pools = []
     for t, j in enumerate(alg.indices):
         ok = np.ones(len(vecs), dtype=bool)
         if alg.kind == "lin":
@@ -853,31 +821,8 @@ def _isometries(bo):
             ok &= (vecs[:, other] == 0).all(axis=(1, 2))
         if alg.kind == "orth":
             ok &= (qv == qe[t]).all(axis=-1)
-        cand = np.nonzero(ok)[0]
-        hits = []
-        for s in range(t):
-            U, inv = np.unique(F[:, s], return_inverse=True)
-            hits.append((_form_hits(b, vecs[U], vecs[cand], G[s, t]), inv))
-        parts = [np.zeros((0, t + 1), dtype=np.int64)]
-        total = 0
-        step = max(1, (_CHUNK << 4) // max(1, len(cand)))
-        for lo in range(0, len(F), step):
-            keep = np.ones((min(step, len(F) - lo), len(cand)), dtype=bool)
-            for mask, inv in hits:
-                keep &= mask[inv[lo:lo + step]]
-            r, c = np.nonzero(keep)
-            total += len(r)
-            if total > _FRONTIER_CAP:
-                raise CapacityError("column search frontier past %d rows"
-                                    % _FRONTIER_CAP)
-            parts.append(np.column_stack([F[lo + r], cand[c]]))
-        F = np.concatenate(parts)
-    gram = [[tuple(v) for v in row] for row in G.tolist()]
-    if k_mat_inv(bo.K, gram) is not None:
-        # M^T G M = G with G invertible forces det(M)^2 = 1
-        for f in F[:12]:
-            assert k_mat_inv(bo.K, [list(r) for r in _k_matrix(vecs, f)]) is not None
-    return vecs, F
+        pools.append(np.nonzero(ok)[0])
+    return vecs, isometry_search(bo.K, V, B, G, pools)
 
 
 def _column_betas(bo):

@@ -1,7 +1,12 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ofa.coeff_ring import (CapacityError, GaloisField, PolyQuotient, Product,
-                            StructureError, ZMod, hom_compose, identity_hom)
+                            StructureError, ZMod, hom_compose, identity_hom,
+                            parse_ring)
 from ofa.form_ring import ofalin, ofaorth, ofasymp
 from ofa.odd_form_param import DeltaShape
 from ofa.nilpotent2 import (DescentDatum, Nil2Elem, Nil2Module, Nil2Morphism,
@@ -11,7 +16,7 @@ from ofa.nilpotent2 import (DescentDatum, Nil2Elem, Nil2Module, Nil2Morphism,
                             nil2_axioms_check, nil2_elem_from_json,
                             nil2_elem_to_json, nil2_from_json, nil2_tau,
                             nil2_to_json, registered_tower, universality_probe)
-from ofa.nilpotent2 import _map_coords
+from ofa.nilpotent2 import _CLOSURE_CAP, _map_coords
 
 F2 = ZMod(2)
 F3 = ZMod(3)
@@ -236,3 +241,65 @@ def test_enumeration_cap():
     big = Nil2Module(ZMod(7), 4, 3)
     with pytest.raises(CapacityError):
         big.elements()
+
+
+def _ref_closure(M, generators):
+    """All-pairs fixed point over |+, the group inverse and every scalar
+    action, one round at a time."""
+    kel = list(M.K.elements())
+    X = {M._rzero()}
+    for g in generators:
+        X.add(Nil2Elem(g[0], g[1]))
+    while True:
+        new = set()
+        cur = list(X)
+        for x in cur:
+            y = M._rneg(x)
+            if y not in X:
+                new.add(y)
+            for k in kel:
+                y = M._ract(x, k)
+                if y not in X:
+                    new.add(y)
+        for x in cur:
+            for y in cur:
+                z = M._radd(x, y)
+                if z not in X:
+                    new.add(z)
+        if not new:
+            return frozenset(X)
+        X |= new
+        if len(X) > _CLOSURE_CAP:
+            raise CapacityError("invariant closure beyond %d elements"
+                                % _CLOSURE_CAP)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(("zmod:2", "zmod:3", "zmod:4", "gf:4")),
+       st.integers(0, 3), st.integers(0, 2), st.integers(1, 2),
+       st.integers(0, 2 ** 32 - 1))
+def test_closure_by_generators_matches_fixed_point(name, r1, r0, ngens, seed):
+    K = parse_ring(name)
+    rng = random.Random(seed)
+    kel = list(K.elements())
+
+    def vec(r):
+        return tuple(rng.choice(kel) for _ in range(r))
+
+    M = Nil2Module(K, r1, r0, [[vec(r0) for _ in range(r1)] for _ in range(r1)])
+    gens = [Nil2Elem(vec(r1), vec(r0)) for _ in range(ngens)]
+    assert invariant_closure(M, gens) == _ref_closure(M, gens)
+
+
+def test_closure_cap_trips_just_below_the_closure_size(monkeypatch):
+    import ofa.nilpotent2 as n2
+
+    M = Nil2Module(F3, 3, 2, [[(F3.one(), F3.zero())] * 3] * 3)
+    gens = [Nil2Elem((F3.one(), F3.zero(), F3.zero()), (F3.zero(), F3.zero())),
+            Nil2Elem((F3.zero(), F3.one(), F3.one()), (F3.zero(), F3.one()))]
+    size = len(invariant_closure(M, gens))
+    monkeypatch.setattr(n2, "_CLOSURE_CAP", size - 1)
+    with pytest.raises(CapacityError, match="invariant closure beyond %d" % (size - 1)):
+        invariant_closure(M, gens)
+    monkeypatch.setattr(n2, "_CLOSURE_CAP", size)
+    assert len(invariant_closure(M, gens)) == size

@@ -1,12 +1,16 @@
 """Quadratic modules, their form parameters, and the two ring constructions."""
 
 import hashlib
+import itertools
 import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ofa.cli import main as cli_main
 from ofa.coeff_ring import (
     CapacityError,
     GaloisField,
@@ -15,9 +19,10 @@ from ofa.coeff_ring import (
     ZMod,
     const_hom,
     identity_hom,
+    parse_ring,
 )
 from ofa.form_ring import ofaorth, ofasymp
-from ofa.linalg import k_det, k_identity, k_matmul, vadd
+from ofa.linalg import k_det, k_identity, k_mat_inv, k_matmul, vadd
 from ofa.odd_form_param import DeltaShape, gen_q, gen_u, gen_v
 from ofa.quad_module import (
     QuadModule,
@@ -616,3 +621,146 @@ def test_compare_report_bytes_pinned():
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "252dac13aba770d161ae0f09a4b0ad55ac42dc200d9ebd004f4c3a033d952be2"
         ), seed
+
+
+COMPARE_PINNED = (
+    # exhaustive theta search
+    ("--family symp --n 1 --ring zmod:3", 0,
+     "8aaa912bd8b132e1fd33c5c31b6b24840e9de86bc1c29a7ad62da952b0bc0c9e"),
+    # exhaustive, fails, and the singular Gram needs the leaf filter
+    ("--family orth-odd --n 1 --ring zmod:2", 1,
+     "91ca0e3c8294ca8a05a61ed315496c38f222049c777ba76f4521364b88dfc82b"),
+    # sampled theta search with the count check
+    ("--family lin --n 2 --ring gf:3 --seed 0", 0,
+     "2d370ed4f79e04f52ca34c77bf6e0522bb2c4492a6d9da2f28c9f58bc7641143"),
+)
+
+
+@pytest.mark.parametrize("argv,code,digest", COMPARE_PINNED)
+def test_construct_compare_stdout_pinned(argv, code, digest, capsys):
+    assert cli_main(["construct", "compare", *argv.split()]) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# -- the module isometry search against the recursive column scan -------------
+
+
+def _ref_module_unitary(M, cap=1 << 16):
+    """Depth-first column search over dict columns, one k_mat_inv per leaf."""
+    K = M.K
+    qt = M.qtype
+    pools = {}
+    for b in M.labels:
+        rows = [a for a in M.labels if M.entry_ok(a, b)]
+        if K.card ** len(rows) > cap:
+            raise CapacityError("column pool over %d" % (K.card ** len(rows)))
+        pool = []
+        for combo in itertools.product(K.elements(), repeat=len(rows)):
+            cand = {a: c for a, c in zip(rows, combo) if not K.is_zero(c)}
+            if M.q_form(cand) != M.qvals[b]:
+                continue
+            if M.b_form(cand, cand) != M.gram.get((b, b), qt.l_zero()):
+                continue
+            pool.append(cand)
+        pools[b] = pool
+    out = []
+    cols = {}
+
+    def place(idx):
+        if idx == len(M.labels):
+            g = tuple(tuple(cols[b].get(a, K.zero()) for b in M.labels)
+                      for a in M.labels)
+            if k_mat_inv(K, g) is not None:
+                out.append(g)
+            return
+        b = M.labels[idx]
+        for cand in pools[b]:
+            ok = True
+            for a in M.labels[:idx]:
+                if M.b_form(cols[a], cand) != M.gram.get((a, b), qt.l_zero()):
+                    ok = False
+                    break
+                if M.b_form(cand, cols[a]) != M.gram.get((b, a), qt.l_zero()):
+                    ok = False
+                    break
+            if ok:
+                cols[b] = cand
+                place(idx + 1)
+                del cols[b]
+
+    place(0)
+    return sorted(out)
+
+
+MODULE_RINGS = ("zmod:2", "zmod:3", "zmod:4", "zmod:6", "zmod:8", "zmod:9",
+                "gf:4", "prod:(zmod:2;zmod:3)")
+MODULE_SHAPES = (("linear", 1), ("linear", 2), ("symplectic", 2),
+                 ("symplectic", 4), ("orthogonal", 1), ("orthogonal", 2),
+                 ("orthogonal", 3), ("orthogonal", 4))
+
+
+def test_module_unitary_matches_reference_scan():
+    compared = 0
+    for name in MODULE_RINGS:
+        K = parse_ring(name)
+        mods = [split_module(kind, rank, K) for kind, rank in MODULE_SHAPES]
+        mods += [hyperbolic_space(kind, K, 1) for kind in KINDS]
+        for M in mods:
+            n = len(M.labels)
+            # rank-4 symplectic and orthogonal groups past F2 have 10^3 to
+            # 10^6 elements
+            if K.card ** n > 4096 or (n == 4 and K.card > 2 and M.qtype.kind != "linear"):
+                continue
+            got = enumerate_module_unitary(M)
+            if len(got) > 800:  # the reference scan takes seconds here
+                continue
+            assert got == _ref_module_unitary(M), (M.tag, name)
+            compared += 1
+    assert compared == 68
+
+
+def _random_module(K, kind, rank, rng):
+    """Arbitrary Gram and q tables: neither hermitian nor regular."""
+    qt = QuadType(kind, K)
+    kel = list(K.elements())
+    labels = split_module(kind, rank, K).labels
+    gram = {}
+    for a in labels:
+        for b in labels:
+            if kind != "linear":
+                gram[(a, b)] = rng.choice(kel)
+            elif a * b < 0:
+                z, l = K.zero(), rng.choice(kel)
+                gram[(a, b)] = qt.R.join((l, z) if a > 0 else (z, l))
+    qvals = {} if kind == "symplectic" else {a: rng.choice(kel) for a in labels}
+    return QuadModule(qt, rank, gram, qvals)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(("zmod:2", "zmod:3", "zmod:4", "gf:4")),
+       st.sampled_from((("linear", 1), ("symplectic", 2), ("orthogonal", 1),
+                        ("orthogonal", 2), ("orthogonal", 3))),
+       st.integers(0, 2 ** 32 - 1))
+def test_module_unitary_matches_reference_on_random_tables(name, shape, seed):
+    K = parse_ring(name)
+    kind, rank = shape
+    if rank == 3 and K.card > 2:  # K^9 matrices for a zero table
+        rank = 2
+    M = _random_module(K, kind, rank, random.Random(seed))
+    assert enumerate_module_unitary(M) == _ref_module_unitary(M)
+
+
+def test_module_unitary_singular_gram_keeps_invertible_leaves():
+    # B(e0, e0) = 2 = 0 over Z/2: the K-Gram is singular, so leaves that
+    # k_mat_inv cannot invert are filtered rather than asserted away
+    M = split_module("orthogonal", 3, F2)
+    got = enumerate_module_unitary(M)
+    assert len(got) == 6 and got == _ref_module_unitary(M)
+    assert all(k_mat_inv(F2, g) is not None for g in got)
+
+
+def test_module_unitary_frontier_capacity():
+    # Sp(4, Z/8) fits the 8^4 pool but not the frontier
+    with pytest.raises(CapacityError, match="frontier"):
+        enumerate_module_unitary(split_module("symplectic", 4, ZMod(8)))

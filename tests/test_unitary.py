@@ -8,7 +8,7 @@ import pytest
 from ofa.cli import main as cli_main
 from ofa.coeff_ring import CapacityError, Product, StructureError, ZMod, parse_ring
 from ofa.form_ring import ofalin, ofaorth, ofasymp
-from ofa.linalg import k_det, k_mat_inv
+from ofa.linalg import k_columns, k_det, k_mat_inv
 from ofa.odd_form_param import (
     DeltaShape,
     act,
@@ -203,7 +203,8 @@ def test_so3_matches_scalar_search():
 
     for K in (F2, F3, Z4, parse_ring("gf:4")):
         vecs, F = un._isometries(un.BatchOps(sh(ofaorth, 3, K)))
-        so = {M for M in (un._k_matrix(vecs, f) for f in F)
+        flat = vecs.reshape(len(vecs), -1)
+        so = {M for M in (k_columns(flat, f, K.rank) for f in F)
               if k_det(K, [list(r) for r in M]) == K.one()}
         ref = _so_direct_3(K)
         assert len(set(ref)) == len(ref)
