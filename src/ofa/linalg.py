@@ -423,11 +423,22 @@ def form_rows(X, B, Y, mod):
     return (XB * Y[:, :, None]).sum(axis=1) % mod
 
 
-def k_columns(V, f, rk):
-    """The matrix over K with column t the flat row V[f[t]]."""
-    cols = V[f].reshape(len(f), len(f), rk).tolist()
-    return tuple(tuple(tuple(cols[t][s]) for t in range(len(f)))
-                 for s in range(len(f)))
+def k_matrices(V, F, rk):
+    """Matrices over K, one per leaf f of F, column t the flat row V[f[t]].
+    Equal rows share one tuple, so a leaf costs one tuple, not one per
+    entry: a lexsort on the narrowest dtype (a radix sort) numbers the
+    distinct rows, and one tolist reads the leaves."""
+    L, n = F.shape
+    A = V[F].reshape(L, n, n, rk).transpose(0, 2, 1, 3).reshape(L * n, n * rk)
+    A = A.astype(np.min_scalar_type(A.max(initial=0)))
+    order = np.lexsort(A.T[::-1]) if n else np.arange(0)
+    S = A[order]
+    new = np.ones(len(S), dtype=bool)
+    new[1:] = (S[1:] != S[:-1]).any(axis=1)
+    idx = np.empty(len(S), dtype=np.int64)
+    idx[order] = np.cumsum(new) - 1
+    rows = [tuple(zip(*[iter(r)] * rk)) for r in S[new].tolist()]
+    return [tuple(map(rows.__getitem__, m)) for m in idx.reshape(L, n).tolist()]
 
 
 def isometry_search(K, V, B, G, pools):
@@ -483,8 +494,8 @@ def isometry_search(K, V, B, G, pools):
         F = np.concatenate(parts)
     kgram = G.reshape(n, n, W // rk, rk).sum(axis=2) % kmod
     if k_mat_inv(K, [[tuple(e) for e in row] for row in kgram.tolist()]) is not None:
-        for f in F[:12]:
-            assert k_mat_inv(K, k_columns(V, f, rk)) is not None
+        for M in k_matrices(V, F[:12], rk):
+            assert k_mat_inv(K, M) is not None
         return F
-    return F[np.array([k_mat_inv(K, k_columns(V, f, rk)) is not None for f in F],
+    return F[np.array([k_mat_inv(K, M) is not None for M in k_matrices(V, F, rk)],
                       dtype=bool)]

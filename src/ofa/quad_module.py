@@ -48,7 +48,7 @@ import numpy as np
 
 from .coeff_ring import CapacityError, Product, StructureError, _basis, parse_ring
 from .form_ring import SplitAlgebra, ofalin, ofaorth, ofasymp, unital
-from .linalg import (KSolver, isometry_search, k_columns, k_identity, k_mat_inv,
+from .linalg import (KSolver, isometry_search, k_identity, k_mat_inv, k_matrices,
                      k_matmul, support_pool, vadd, vflat)
 from .odd_form_param import DeltaShape, act_unital
 from .odd_form_param import member as delta_member
@@ -714,7 +714,7 @@ def enumerate_module_unitary(M, cap=_SCAN_CAP):
         off, qv = blocks[rows]
         pools.append(off + np.nonzero((qv == M.qvals[b]).all(axis=-1))[0])
     V = np.concatenate(V)
-    return sorted(k_columns(V, f, rk) for f in isometry_search(K, V, B, G, pools))
+    return sorted(k_matrices(V, isometry_search(K, V, B, G, pools), rk))
 
 
 # -- adjoint-pair construction ----------------------------------------------

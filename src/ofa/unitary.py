@@ -20,11 +20,11 @@ other presets write the split form on K^d (b, and q for the orthogonal
 preset) as integer tensors, find its isometries M with the one column
 search of linalg (isometry_search, which quad_module shares), and take
 beta = M - 1: the group acts on K^d by such isometries, so no member is
-missed.  Every candidate batch passes one mask, unitality plus
-the Delta read of (beta, bar beta), and each survivor is built by
-u_make.  The result is sorted by key, cached per shape and, unless asked
-not to, verified: distinct keys, bar beta listed for every beta, and 144
-seeded products.
+missed.  Every candidate batch passes one mask, unitality plus the
+Delta read of (beta, bar beta) (the batch form of u_try), and a survivor
+is kept as its beta alone.  The result is sorted by key, cached per shape
+and, unless asked not to, verified: distinct keys, bar beta listed for
+every beta, and 144 seeded products.
 """
 
 import itertools
@@ -35,7 +35,7 @@ import numpy as np
 from .coeff_ring import CapacityError, Product, StructureError
 from .form_ring import UnitalEl, ofalin, ofaorth, rep_odd, x_central
 from .form_ring import alg_el_from_json, alg_el_to_json
-from .linalg import form_rows, isometry_search, k_columns, k_det, k_solve, support_pool
+from .linalg import form_rows, isometry_search, k_det, k_matrices, k_solve, support_pool
 from .odd_form_param import (
     DeltaShape,
     _torsion_list,
@@ -46,7 +46,6 @@ from .odd_form_param import (
     delta_from_json,
     delta_neg,
     delta_to_json,
-    delta_zero,
     gen_q,
     member,
     phi,
@@ -65,15 +64,19 @@ _DELTA0_CAP = 1 << 12
 
 
 class UnitaryElem:
-    """Group element; equality and hashing go through beta."""
+    """Group element stored as beta alone; equality and hashing go through it."""
 
-    __slots__ = ("shape", "beta", "gamma", "key")
+    __slots__ = ("shape", "beta", "key")
 
-    def __init__(self, shape, beta, gamma):
+    def __init__(self, shape, beta):
         self.shape = shape
         self.beta = beta
-        self.gamma = gamma
         self.key = beta.key
+
+    @property
+    def gamma(self):
+        """Read off (beta, bar beta) on demand."""
+        return member(self.shape, self.beta, self.shape.alg.conj(self.beta))
 
     def alpha(self):
         return UnitalEl(self.beta, self.shape.alg.K.one())
@@ -120,12 +123,9 @@ def u_is_member(beta, gamma):
 def u_try(shape, beta):
     """Member with the given beta, or None."""
     alg = shape.alg
-    if not _unitality(alg, beta):
+    if not _unitality(alg, beta) or member(shape, beta, alg.conj(beta)) is None:
         return None
-    gamma = member(shape, beta, alg.conj(beta))
-    if gamma is None:
-        return None
-    return UnitaryElem(shape, beta, gamma)
+    return UnitaryElem(shape, beta)
 
 
 def u_make(shape, beta):
@@ -136,24 +136,18 @@ def u_make(shape, beta):
 
 
 def u_identity(shape):
-    return UnitaryElem(shape, shape.alg.zero(), delta_zero(shape))
+    return UnitaryElem(shape, shape.alg.zero())
 
 
 def u_mul(g, h):
     if g.shape.tag != h.shape.tag:
         raise StructureError("shape mismatch %s / %s" % (g.shape.tag, h.shape.tag))
     alg = g.shape.alg
-    beta = alg.add(alg.mul(g.beta, h.beta), alg.add(g.beta, h.beta))
-    gamma = delta_add(act_unital(g.gamma, h.alpha()), h.gamma)
-    return UnitaryElem(g.shape, beta, gamma)
+    return UnitaryElem(g.shape, alg.add(alg.mul(g.beta, h.beta), alg.add(g.beta, h.beta)))
 
 
 def u_inv(g):
-    alg = g.shape.alg
-    beta = alg.conj(g.beta)
-    gamma = member(g.shape, beta, g.beta)
-    assert gamma is not None
-    return UnitaryElem(g.shape, beta, gamma)
+    return UnitaryElem(g.shape, g.shape.alg.conj(g.beta))
 
 
 def unitary_to_json(g):
@@ -165,7 +159,7 @@ def unitary_from_json(shape, data):
     gamma = delta_from_json(shape, data["gamma"])
     if not u_is_member(beta, gamma):
         raise StructureError("decoded element is not unitary")
-    return UnitaryElem(shape, beta, gamma)
+    return UnitaryElem(shape, beta)
 
 
 # conjugation action on the whole odd form algebra
@@ -205,7 +199,7 @@ def transvection_short(shape, i, j, x):
     )
     if not u_is_member(beta, gamma):
         raise StructureError("transvection parameter fails membership")
-    return UnitaryElem(shape, beta, gamma)
+    return UnitaryElem(shape, beta)
 
 
 def delta0_member(u):
@@ -230,7 +224,7 @@ def transvection_ultrashort(shape, i, u):
     )
     if not u_is_member(beta, gamma):
         raise StructureError("ultrashort parameter fails membership")
-    return UnitaryElem(shape, beta, gamma)
+    return UnitaryElem(shape, beta)
 
 
 def dilation(shape, i, a):
@@ -256,7 +250,7 @@ def dilation(shape, i, a):
     )
     if not u_is_member(beta, gamma):
         raise StructureError("dilation fails membership")
-    return UnitaryElem(shape, beta, gamma)
+    return UnitaryElem(shape, beta)
 
 
 def dilation0(shape, c):
@@ -431,7 +425,7 @@ def so_odd_split(shape):
     # SO(3): the form isometries of determinant 1, which are invertible
     vecs, F = _isometries(BatchOps(shape))
     flat = vecs.reshape(len(vecs), -1)
-    so = {M for M in (k_columns(flat, f, K.rank) for f in F)
+    so = {M for M in k_matrices(flat, F, K.rank)
           if k_det(K, [list(r) for r in M]) == K.one()}
     idems = K.idempotents()
 
@@ -456,18 +450,12 @@ def so_odd_split(shape):
             bx, ux = x_central(alg, k), central_u(shape, k)
             assert u_is_member(bx, ux)
             expected[K.neg(k)] = (bx, ux)
-    central_ok = len(central) == len(expected)
-    for g in central:
-        want = expected.get(dicks[g.key])
-        if want is None or g.beta != want[0] or g.gamma != want[1]:
-            central_ok = False
-            break
+    central_ok = len(central) == len(expected) and all(
+        expected.get(dicks[g.key]) == (g.beta, g.gamma) for g in central)
 
     keyset = {g.key for g in group}
-    product_keys = set()
-    for g in kernel:
-        for bx, ux in expected.values():
-            product_keys.add(u_mul(g, UnitaryElem(shape, bx, ux)).key)
+    product_keys = {u_mul(g, UnitaryElem(shape, bx)).key
+                    for g in kernel for bx, _ in expected.values()}
     decomposition_ok = product_keys == keyset and len(kernel) * len(expected) == len(group)
 
     report = {
@@ -857,14 +845,14 @@ def _unitary_mask(bo, P):
 
 
 def _members(bo, chunks):
-    """u_make on every candidate beta that passes the batch mask."""
+    """The element of every candidate beta that passes the batch mask."""
     alg = bo.alg
     slots = [(key, bo.pos[key[0]], bo.pos[key[1]]) for key in alg.pairs]
     out = []
     for P in chunks:
         for row in P[_unitary_mask(bo, P)].tolist():
             coeffs = {key: tuple(row[a][b]) for key, a, b in slots if any(row[a][b])}
-            out.append(u_make(bo.shape, alg.el(coeffs)))
+            out.append(UnitaryElem(bo.shape, alg.el(coeffs)))
     return out
 
 

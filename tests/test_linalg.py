@@ -1,8 +1,10 @@
+import numpy as np
 import pytest
 
 from ofa.linalg import (
     KSolver, ModSolver, count_solutions_mod, k_det, k_mat_inv, k_matmul,
-    k_identity, k_nullspace, k_solve, mulmat, nullspace_mod, snf_mod, solve_mod,
+    k_matrices, k_identity, k_nullspace, k_solve, mulmat, nullspace_mod, snf_mod,
+    solve_mod,
 )
 from ofa.coeff_ring import GaloisField, Product, StructureError, ZMod
 
@@ -151,3 +153,21 @@ def test_batched_consistency_matches_count():
         assert set(counts) <= {0, ks.null_count}
     empty = KSolver(ZMod(3), [], ncols=2)
     assert empty.consistent(np.zeros((4, 0), dtype=np.int64)).tolist() == [True] * 4
+
+
+def test_k_matrices_match_per_leaf_columns():
+    """Column t of leaf r is the flat pool row V[F[r, t]], entries as
+    rank-length tuples of Python ints, for every coordinate width."""
+    rng = np.random.default_rng(3)
+    for top, rk, n in ((4, 1, 4), (3, 2, 3), (300, 2, 2), (70000, 1, 3), (2 ** 40, 3, 2)):
+        V = rng.integers(0, top, size=(50, n * rk))
+        F = rng.integers(0, 50, size=(400, n))
+        got = k_matrices(V, F, rk)
+        assert len(got) == len(F)
+        for M, f in zip(got, F):
+            cols = V[f].reshape(n, n, rk).tolist()
+            assert M == tuple(tuple(tuple(cols[t][s]) for t in range(n))
+                              for s in range(n))
+        assert type(got[0][0][0][0]) is int
+    assert k_matrices(V, np.zeros((2, 0), dtype=np.int64), 1) == [(), ()]
+    assert k_matrices(V, np.zeros((0, 2), dtype=np.int64), 3) == []

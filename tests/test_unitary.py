@@ -4,20 +4,26 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ofa.cli import main as cli_main
 from ofa.coeff_ring import CapacityError, Product, StructureError, ZMod, parse_ring
 from ofa.form_ring import ofalin, ofaorth, ofasymp
-from ofa.linalg import k_columns, k_det, k_mat_inv
+from ofa.linalg import k_det, k_mat_inv, k_matrices
 from ofa.odd_form_param import (
     DeltaShape,
     act,
     act_scalar,
+    act_unital,
     aug_member,
     delta_add,
+    delta_neg,
+    delta_zero,
     gen_q,
     gen_u,
     gen_v,
+    member,
     sample_elem,
 )
 from ofa.unitary import (
@@ -204,7 +210,7 @@ def test_so3_matches_scalar_search():
     for K in (F2, F3, Z4, parse_ring("gf:4")):
         vecs, F = un._isometries(un.BatchOps(sh(ofaorth, 3, K)))
         flat = vecs.reshape(len(vecs), -1)
-        so = {M for M in (k_columns(flat, f, K.rank) for f in F)
+        so = {M for M in k_matrices(flat, F, K.rank)
               if k_det(K, [list(r) for r in M]) == K.one()}
         ref = _so_direct_3(K)
         assert len(set(ref)) == len(ref)
@@ -234,6 +240,13 @@ PINNED = (
      "b5d1a97d5462e2c2047ebe09dd527dba0f30928872e63be6e5372f3fde20a74d"),
     ("so-odd-split --n 1 --ring gf:4",
      "a9294e536296c6d54ecda85b0d2b608f49e09b388392c93e3e892ca563dd5494"),
+    # gamma has u-coordinates here, so the report reads them back on demand
+    ("group enumerate --family orth-odd --n 1 --ring zmod:2",
+     "7103e4f619b08aab68f14ea3689efc3c6b1d04f04aa3763d56bb2b7ff45719b2"),
+    ("parabolic --family symp --n 1 --ring gf:3",
+     "dff9b1a4ff98229bf909582f391e7e47c01e6b94057647ca9a52a6826dc273ab"),
+    ("group invariants --family orth-odd --n 1 --ring zmod:3",
+     "735253a3a623c2a70adca2e79558a4a2f56b0153ec20897f902fe1f074c01e13"),
 )
 
 
@@ -264,6 +277,41 @@ def test_group_cache_serves_default_calls(monkeypatch):
     enumerate_unitary(s, verify=True)
     enumerate_unitary(s, verify=False)
     assert len(runs) == 3
+
+
+def test_enumeration_reads_no_delta_per_element(monkeypatch):
+    """The batch mask is the only membership check: no survivor goes
+    through member or u_try again."""
+    import ofa.unitary as un
+
+    def refuse(*a):
+        raise AssertionError("Delta read on one element")
+
+    monkeypatch.setattr(un, "member", refuse)
+    monkeypatch.setattr(un, "u_try", refuse)
+    un._GROUP_CACHE.clear()
+    assert group_order(sh(ofasymp, 4, F2)) == 720
+    assert group_order(sh(ofaorth, 3, Z4)) == 96
+
+
+LAW_SHAPES = (sh(ofalin, 2, F3), sh(ofasymp, 2, parse_ring("gf:4")), sh(ofaorth, 2, Z4),
+              sh(ofaorth, 3, Z4), sh(ofasymp, 4, F2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(LAW_SHAPES), st.lists(st.integers(0, 1 << 20), min_size=3, max_size=3))
+def test_group_law_on_pairs(s, picks):
+    """Elements store beta only; the gamma read on demand obeys the pair law
+    (g h).gamma = g.gamma . h.alpha + h.gamma, inverts as
+    g^-1.gamma = -(g.gamma . g^-1.alpha), and the identity has gamma 0."""
+    G = enumerate_unitary(s)
+    g, h, k = (G[i % len(G)] for i in picks)
+    assert (g * h).gamma == delta_add(act_unital(g.gamma, h.alpha()), h.gamma)
+    gi = g.inv()
+    assert gi.gamma == member(s, s.alg.conj(g.beta), g.beta)
+    assert gi.gamma == delta_neg(act_unital(g.gamma, gi.alpha()))
+    assert ((g * h) * k).key == (g * (h * k)).key
+    assert u_identity(s).gamma == delta_zero(s)
 
 
 def test_verify_catches_a_missing_inverse(monkeypatch):
