@@ -223,7 +223,7 @@ def cmd_nil2(args):
     if args.ncmd == "extend":
         f = _ext_hom(M, args.ext)
         N, _ = n2.boxtimes(M, f)
-        report = {"ext_card": N.card, "ext_x_card": len(N.X),
+        report = {"ext_card": N.card, "ext_x_card": N.x_card,
                   "module": n2.nil2_to_json(N)}
         return _emit(args, "nil2 extend", params, report, True)
     if args.ncmd == "probe":

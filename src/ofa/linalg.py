@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .coeff_ring import CapacityError, Product, StructureError, _basis
+from .coeff_ring import CapacityError, Product, SlotRing, StructureError, _basis
 
 _CHUNK = 1 << 16
 _FRONTIER_CAP = 1 << 20
@@ -174,6 +174,119 @@ class ModSolver:
             s = m // g
             gens.append([row[j] * s % m for row in self.V])
         return gens
+
+
+def _xgcd(a, b):
+    """(g, s, t) with s a + t b = g = gcd(a, b)."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q = a // b
+        a, b = b, a - q * b
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return a, s0, t0
+
+
+def _unit_to(a, g, m):
+    """A unit u mod m with u a = g mod m, for g = gcd(a, m) < m."""
+    u = pow(a // g, -1, m // g)
+    while math.gcd(u, m) != 1:
+        u += m // g
+    return u
+
+
+def howell_form(rows, mods):
+    """Howell form of the subgroup of Z/mods[0] x ... x Z/mods[-1] that the
+    int rows span (Howell, LAMA 19, 1986; Storjohann-Mulders, ESA 1998).
+
+    Returns [(c, h)]: rows h in increasing pivot column c, h zero before c,
+    the pivot h[c] a divisor of mods[c], and every entry above a later
+    pivot below it.  The Howell property holds: the members of the span
+    that vanish before column c are spanned by the rows pivoting at or
+    after c.  So the form is canonical, howell_reduce finds lex-least
+    coset members, and each member is sum q_j h_j, 0 <= q_j < mods[c_j] /
+    h_j[c_j], in exactly one way.
+
+    Works over Z/L, L = lcm(mods), through the embedding x_c -> (L /
+    mods[c]) x_c, which keeps the order on every coordinate.
+    """
+    n = len(mods)
+    L = math.lcm(*mods) if n else 1
+    w = [L // m for m in mods]
+    pool = [[x * s % L for x, s in zip(r, w)] for r in rows]
+    pool = [r for r in pool if any(r)]
+    H = []
+    for c in range(n):
+        piv, rest = None, []
+        for r in pool:
+            if not r[c]:
+                rest.append(r)
+            elif piv is None:
+                piv = r
+            else:
+                # unimodular [[s, t], [-b/g, a/g]] moves the gcd into piv
+                a, b = piv[c], r[c]
+                g, s, t = _xgcd(a, b)
+                piv, r = ([(s * x + t * y) % L for x, y in zip(piv, r)],
+                          [(a // g * y - b // g * x) % L for x, y in zip(piv, r)])
+                if any(r):
+                    rest.append(r)
+        pool = rest
+        if piv is None:
+            continue
+        g = math.gcd(piv[c], L)
+        u = _unit_to(piv[c], g, L)
+        piv = [u * x % L for x in piv]
+        ann = [L // g * x % L for x in piv]
+        if any(ann):
+            pool.append(ann)
+        for _, h in H:
+            q = h[c] // g
+            if q:
+                h[:] = [(x - q * y) % L for x, y in zip(h, piv)]
+        H.append((c, piv))
+    return [(c, [x // s for x, s in zip(h, w)]) for c, h in H]
+
+
+def howell_reduce(H, v, mods):
+    """The lex-least member of v + span(H), H a howell_form: one greedy
+    pass, each pivot coordinate taken to its residue mod the pivot."""
+    v = list(v)
+    for c, h in H:
+        q = v[c] // h[c]
+        if q:
+            v = [(x - q * y) % m for x, y, m in zip(v, h, mods)]
+    return v
+
+
+def howell_card(H, mods):
+    """Size of the span of a howell_form."""
+    return math.prod(mods[c] // h[c] for c, h in H)
+
+
+def howell_span(H, mods):
+    """Every member of the span of a howell_form, once each."""
+    out = []
+    for qs in itertools.product(*[range(mods[c] // h[c]) for c, h in H]):
+        v = [0] * len(mods)
+        for q, (_, h) in zip(qs, H):
+            if q:
+                v = [(x + q * y) % m for x, y, m in zip(v, h, mods)]
+        out.append(v)
+    return out
+
+
+def howell_kernel(images, targets, mods_out, mods_in):
+    """Howell form of {n : sum n_a images[a] in span(targets)}: the rows
+    [images[a] | e_a] and [t | 0] span a group whose members with zero
+    left part are exactly the (0, n) sought, and the Howell property hands
+    them over as the rows pivoting in the right block."""
+    k = len(mods_out)
+    rows = [list(img) + [int(a == b) for b in range(len(mods_in))]
+            for a, img in enumerate(images)]
+    rows += [list(t) + [0] * len(mods_in) for t in targets]
+    return [(c - k, h[k:]) for c, h in howell_form(rows, tuple(mods_out) + tuple(mods_in))
+            if c >= k]
 
 
 def solve_mod(A, b, m):
@@ -423,11 +536,13 @@ def form_rows(X, B, Y, mod):
     return (XB * Y[:, :, None]).sum(axis=1) % mod
 
 
-def k_matrices(V, F, rk):
+def k_matrices(V, F, rk, sort=False):
     """Matrices over K, one per leaf f of F, column t the flat row V[f[t]].
     Equal rows share one tuple, so a leaf costs one tuple, not one per
     entry: a lexsort on the narrowest dtype (a radix sort) numbers the
-    distinct rows, and one tolist reads the leaves."""
+    distinct rows, and one tolist reads the leaves.  Row numbers follow
+    the lex order of the rows, so with sort=True one more lexsort over
+    them returns the list sorted() would."""
     L, n = F.shape
     A = V[F].reshape(L, n, n, rk).transpose(0, 2, 1, 3).reshape(L * n, n * rk)
     A = A.astype(np.min_scalar_type(A.max(initial=0)))
@@ -437,8 +552,35 @@ def k_matrices(V, F, rk):
     new[1:] = (S[1:] != S[:-1]).any(axis=1)
     idx = np.empty(len(S), dtype=np.int64)
     idx[order] = np.cumsum(new) - 1
+    idx = idx.reshape(L, n)
+    if sort and n:
+        idx = idx[np.lexsort(idx.T[::-1])]
     rows = [tuple(zip(*[iter(r)] * rk)) for r in S[new].tolist()]
-    return [tuple(map(rows.__getitem__, m)) for m in idx.reshape(L, n).tolist()]
+    return [tuple(map(rows.__getitem__, m)) for m in idx.tolist()]
+
+
+def k_dets(K, A):
+    """Determinants over K of a stack of square matrices, A an (N, n, n,
+    rank) int array of row-major entries: (N, rank).  The minors on the
+    first k columns, one per row subset, grow to k + 1 columns by
+    expansion along the last one, each product one SlotRing contraction
+    over the whole stack."""
+    ring = SlotRing(K)
+    N, n = A.shape[:2]
+    minors = {0: np.tile(np.array(K.one(), dtype=np.int64), (N, 1))}
+    for k in range(n):
+        grown = {}
+        for mask, d in minors.items():
+            for i in range(n):
+                if mask >> i & 1:
+                    continue
+                a = A[:, i, k]
+                term = ring.contract(lambda s, t: a[:, s] * d[:, t])
+                sign = -1 if (bin(mask & ((1 << i) - 1)).count("1") + k) & 1 else 1
+                key = mask | 1 << i
+                grown[key] = grown.get(key, 0) + sign * term
+        minors = {mask: d % ring.m for mask, d in grown.items()}
+    return minors[(1 << n) - 1]
 
 
 def isometry_search(K, V, B, G, pools):
@@ -452,8 +594,8 @@ def isometry_search(K, V, B, G, pools):
     b(v_s, v_t) and b(v_t, v_s) at once, come from one integer product,
     and every frontier row gathers those masks.  If the K-Gram (G's K
     blocks summed) is invertible, M^T G M = G forces det(M)^2 = 1 and the
-    first 12 leaves are checked; otherwise non-invertible leaves are
-    dropped.
+    first 12 leaves are checked; otherwise the leaves whose determinant
+    (one batched k_dets) is not a unit are dropped.
     """
     n, W = len(G), G.shape[-1]
     rk, D = K.rank, V.shape[1]
@@ -497,5 +639,10 @@ def isometry_search(K, V, B, G, pools):
         for M in k_matrices(V, F[:12], rk):
             assert k_mat_inv(K, M) is not None
         return F
-    return F[np.array([k_mat_inv(K, M) is not None for M in k_matrices(V, F, rk)],
-                      dtype=bool)]
+    # a matrix over a commutative ring is invertible iff its det is a unit;
+    # rows of V[F] are the columns, and the transpose has the same det
+    dets = k_dets(K, V[F].reshape(len(F), n, n, rk))
+    vals, inv = np.unique(dets, axis=0, return_inverse=True)
+    unit = np.array([K.try_invert(tuple(v)) is not None for v in vals.tolist()],
+                    dtype=bool)
+    return F[unit[inv.reshape(-1)]]

@@ -7,15 +7,28 @@ a finite invariant subgroup.  The group law is
     (m1 |+ m0) |+ (m1' |+ m0') = (m1 + m1') |+ (m0 + b(m1, m1') + m0'),
 
 the scalar monoid acts by (m1 |+ m0) . k = (k m1 |+ k^2 m0), and
-tau(m1 |+ m0) = 2 m0 - b(m1, m1) lands in M0.  On top of the group
-structure the module supports scalar extension along a ring map (with the
-quotient pushed forward through the closure of its generator images) and
-descent along a small registry of free quadratic ring extensions, where
-the descended module is the equalizer of the two coordinate maps into the
-tensor square, twisted by a cocycle-checked isomorphism.
+tau(m1 |+ m0) = 2 m0 - b(m1, m1) lands in M0.
+
+A quotient X is kept as spans, not as an element set.  Its projection X1
+to M1 and its part X0 = X cap M0 are subgroups of coordinate modules, in
+Howell form (linalg.howell_form), and X = {(x1, s(x1) + c) : x1 in X1, c
+in X0} for a section s, kept as one lift in X of each X1 Howell row.  The
+lex-least member of a coset is two greedy reductions: over X1, adding
+powers of those lifts so the M0 part follows, then over X0.  |X|,
+equality of quotients and the quotient checks read off the forms; X is
+enumerated only on request (invariant_closure, Nil2Module.X).
+
+On top of the group structure the module supports scalar extension along
+a ring map (with the quotient pushed forward through the closure of its
+generator images) and descent along a small registry of free quadratic
+ring extensions, where the descended module is the equalizer of the two
+coordinate maps into the tensor square, twisted by a cocycle-checked
+isomorphism.  The equalizer is solved, not scanned: a Howell kernel for
+the M1 parts, then one affine solve for the M0 parts over each of them.
 """
 
 import itertools
+import math
 import random
 
 from .coeff_ring import (
@@ -25,11 +38,14 @@ from .coeff_ring import (
     StructureError,
     TensorTower,
     ZMod,
+    _basis,
     hom_from_gen,
     ring_from_json,
     ring_to_json,
 )
-from .linalg import k_mat_inv, k_mat_vec, vadd, vneg, vscale, vsub, vzero
+from .linalg import (ModSolver, howell_card, howell_form, howell_kernel,
+                     howell_reduce, howell_span, k_mat_inv, k_mat_vec, vadd,
+                     vflat, vneg, vscale, vsub, vzero)
 from . import odd_form_param as ofp
 from .form_ring import UnitalEl
 
@@ -58,6 +74,143 @@ class Nil2Elem(tuple):
 
     def __repr__(self):
         return "Nil2Elem(%r, %r)" % (self[0], self[1])
+
+
+def _unflat(K, v):
+    """Coordinate vector of ring elements from concatenated ints."""
+    r = K.rank
+    return tuple(tuple(v[i:i + r]) for i in range(0, len(v), r))
+
+
+def _unit_vec(K, n, a):
+    """The vector of K^n with Z-basis element a % rank at slot a // rank."""
+    e = _basis(K)[a % K.rank]
+    return tuple(e if i == a // K.rank else K.zero() for i in range(n))
+
+
+def _power(M, x, n):
+    """x |+ ... |+ x, n times, for any integer n: (n x1, n x0 + C(n, 2)
+    b(x1, x1)) is additive in n."""
+    K = M.K
+    m0 = vadd(K, vscale(K, K.from_int(n), x.m0),
+              vscale(K, K.from_int(n * (n - 1) // 2), M._bval(x.m1, x.m1)))
+    return Nil2Elem(vscale(K, K.from_int(n), x.m1), m0)
+
+
+def _word(M, xs, ns):
+    """x_0^n_0 |+ x_1^n_1 |+ ... in that order."""
+    acc = M._rzero()
+    for x, n in zip(xs, ns):
+        if n:
+            acc = M._radd(acc, _power(M, x, n))
+    return acc
+
+
+class _Spans:
+    """The subgroup X of M's ambient group generated by S = {g . k : g a
+    generator, k in K}, as the Howell forms of X1 and X0 plus a lift in X
+    of each X1 row.
+
+    X is already generated by the g . e for e in a Z-basis of K together
+    with (0, e tau(g)), since g . (k + l) = g . k |+ (0, kl tau(g)) |+ g . l.
+    Call the first kind T.  X1 is spanned by the M1 parts of T.  X0 is
+    spanned by the (0, e tau(g)), the commutators b(u, v) - b(v, u) of M1
+    parts of T, and t_0^n_0 |+ t_1^n_1 |+ ... for n running over
+    generators of the relations among the M1 parts (in a group whose
+    commutators are central, X0 / [X, X] is the image of the relation
+    lattice).  Those generators are the kernel rows of [T1 | I] mod L =
+    lcm of the slot moduli, and L times each unit vector; the latter give
+    (g . e)^L = (0, -C(L, 2) e^2 tau(g)), already a tau term.  The same
+    Howell form hands each X1 row its coefficients over T, and so its
+    lift.
+    """
+
+    def __init__(self, M, generators):
+        self.K = K = M.K
+        self.mods1 = K.moduli * M.r1
+        self.mods0 = K.moduli * M.r0
+        n1 = len(self.mods1)
+        L = math.lcm(*K.moduli)
+        basis = _basis(K)
+        gens = [Nil2Elem(g[0], g[1]) for g in generators]
+        ts = [M._ract(g, e) for g in gens for e in basis]
+        span0 = [vflat(vscale(K, e, M._rtau(g).m0)) for g in gens for e in basis]
+        span0 += [vflat(vsub(K, M._bval(u.m1, v.m1), M._bval(v.m1, u.m1)))
+                  for u, v in itertools.combinations(ts, 2)]
+        form = howell_form([vflat(t.m1) + [int(i == j) for j in range(len(ts))]
+                            for i, t in enumerate(ts)],
+                           self.mods1 + (L,) * len(ts))
+        lifts = []
+        for c, h in form:
+            w = _word(M, ts, h[n1:])
+            if c < n1:
+                lifts.append((c, h[:n1], w))
+            else:
+                span0.append(vflat(w.m0))
+        self.form1 = [(c, h1) for c, h1, _ in lifts]
+        self.form0 = howell_form(span0, self.mods0)
+        # per X1 row: x1 -> b(x1, h1) on the flat unit vectors, and b(h1, h1)
+        units = [_unit_vec(K, M.r1, a) for a in range(n1)]
+        self.rows1 = [(c, h1, vflat(w.m0),
+                       [vflat(M._bval(u, w.m1)) for u in units],
+                       vflat(M._bval(w.m1, w.m1)))
+                      for c, h1, w in lifts]
+        self.lifts = [w for _, _, w in lifts]
+        self.card = howell_card(self.form1, self.mods1) * howell_card(self.form0, self.mods0)
+        self.key = (tuple((c, tuple(h)) for c, h in self.form1),
+                    tuple((c, tuple(h)) for c, h in self.form0),
+                    tuple(tuple(self.reduce0(r[2])) for r in self.rows1))
+
+    def reduce0(self, v):
+        return howell_reduce(self.form0, v, self.mods0)
+
+    def reduce(self, x):
+        """The lex-least member of x |+ X.  Row by X1 row, in pivot order,
+        add the power of the row's lift that takes the pivot coordinate to
+        its residue mod the pivot (the group law carries M0 along); then
+        reduce M0 over X0."""
+        if not self.rows1 and not self.form0:
+            return x
+        x1, x0 = vflat(x.m1), vflat(x.m0)
+        m1, m0 = self.mods1, self.mods0
+        for c, h1, l0, bx, bhh in self.rows1:
+            q = x1[c] // h1[c]
+            if not q:
+                continue
+            # x |+ lift^-q = (x1 - q h1, x0 - q b(x1, h1) - q l0 + C(-q, 2) b(h1, h1))
+            c2 = q * (q + 1) // 2
+            bxh = [0] * len(m0)
+            for a, v in enumerate(x1):
+                if v:
+                    bxh = [s + v * y for s, y in zip(bxh, bx[a])]
+            x0 = [(v - q * (s + t) + c2 * u) % m
+                  for v, s, t, u, m in zip(x0, bxh, l0, bhh, m0)]
+            x1 = [(v - q * h) % m for v, h, m in zip(x1, h1, m1)]
+        return Nil2Elem(_unflat(self.K, x1), _unflat(self.K, self.reduce0(x0)))
+
+    def elements(self, M):
+        """X, enumerated: each word in the lifts, then each X0 shift."""
+        if self.card > _CLOSURE_CAP:
+            raise CapacityError("invariant closure beyond %d elements"
+                                % _CLOSURE_CAP)
+        K = M.K
+        shifts = [_unflat(K, c) for c in howell_span(self.form0, self.mods0)]
+        out = []
+        for qs in itertools.product(*[range(self.mods1[c] // h[c])
+                                      for c, h in self.form1]):
+            w = _word(M, self.lifts, qs)
+            out.extend(Nil2Elem(w.m1, vadd(K, w.m0, c)) for c in shifts)
+        return frozenset(out)
+
+
+def _reduced_ranges(form, mods):
+    """Coordinate ranges of the vectors a Howell form leaves fixed: below
+    the pivot on a pivot column, free elsewhere.  Their product lists each
+    lex-least coset member once, in lex order."""
+    top = list(mods)
+    for c, h in form:
+        top[c] = h[c]
+    return [range(t) for t in top]
 
 
 class Nil2Module:
@@ -97,16 +250,23 @@ class Nil2Module:
         self.gens = tuple(Nil2Elem(g[0], g[1]) for g in (quotient or ()))
         for g in self.gens:
             self._check_elem_coords(g)
-        if self.gens:
-            self.X = invariant_closure(self, self.gens)
-            if check:
-                self._check_quotient()
-        else:
-            self.X = frozenset((self._rzero(),))
-        self.card = self.ambient_card // len(self.X)
+        self._spans = _Spans(self, self.gens)
+        if self.gens and check:
+            self._check_quotient()
+        self.x_card = self._spans.card
+        self.card = self.ambient_card // self.x_card
+        self._X = None
+        self._kel = None
         self._elems = None
         self._m0_elems = None
         self._corr = {}
+
+    @property
+    def X(self):
+        """The quotient subgroup as a frozenset of ambient elements."""
+        if self._X is None:
+            self._X = self._spans.elements(self)
+        return self._X
 
     # ---- raw (ambient) operations ------------------------------------
 
@@ -150,26 +310,27 @@ class Nil2Module:
         return Nil2Elem(vzero(K, self.r1), m0)
 
     def _check_quotient(self):
-        K = self.K
-        zero1 = vzero(K, self.r1)
-        for a in self.X:
-            for i in range(self.r1):
-                e = tuple(K.one() if t == i else K.zero() for t in range(self.r1))
-                comm = vsub(K, self._bval(e, a.m1), self._bval(a.m1, e))
-                if Nil2Elem(zero1, comm) not in self.X:
+        """Normality and scalar-stability of X0, on generators: the
+        commutator with e_i is additive in the X1 part, and so is scaling
+        in the X0 part."""
+        K, sp = self.K, self._spans
+        basis = [tuple(K.one() if t == i else K.zero() for t in range(self.r1))
+                 for i in range(self.r1)]
+        for _, h1 in sp.form1:
+            a1 = _unflat(K, h1)
+            for e in basis:
+                comm = vsub(K, self._bval(e, a1), self._bval(a1, e))
+                if any(sp.reduce0(vflat(comm))):
                     raise StructureError("quotient subgroup is not normal")
-            if not any(any(c) for c in a.m1):
-                for k in self.K.elements():
-                    if Nil2Elem(zero1, vscale(K, k, a.m0)) not in self.X:
-                        raise StructureError(
-                            "quotient meets M0 in a non-submodule")
+        for _, h0 in sp.form0:
+            for e in _basis(K):
+                if any(sp.reduce0(vflat(vscale(K, e, _unflat(K, h0))))):
+                    raise StructureError("quotient meets M0 in a non-submodule")
 
     # ---- coset normal forms and public operations --------------------
 
     def reduce(self, x):
-        if len(self.X) == 1:
-            return x
-        return min(self._radd(x, a) for a in self.X)
+        return self._spans.reduce(x)
 
     def zero(self):
         return self.reduce(self._rzero())
@@ -208,23 +369,22 @@ class Nil2Module:
                 raise CapacityError(
                     "module enumeration over %d ambient elements"
                     % self.ambient_card)
-            kel = list(self.K.elements())
-            seen = set()
-            for coords in itertools.product(kel, repeat=self.r1 + self.r0):
-                x = Nil2Elem(coords[:self.r1], coords[self.r1:])
-                seen.add(self.reduce(x))
-            self._elems = sorted(seen)
+            sp, K, n1 = self._spans, self.K, self.r1 * self.K.rank
+            ranges = (_reduced_ranges(sp.form1, sp.mods1)
+                      + _reduced_ranges(sp.form0, sp.mods0))
+            self._elems = [Nil2Elem(_unflat(K, v[:n1]), _unflat(K, v[n1:]))
+                           for v in itertools.product(*ranges)]
             if len(self._elems) != self.card:
                 raise StructureError("coset count does not match the index")
         return self._elems
 
     def m0_elements(self):
         if self._m0_elems is None:
-            kel = list(self.K.elements())
-            seen = set()
-            for coords in itertools.product(kel, repeat=self.r0):
-                seen.add(self.reduce(Nil2Elem(vzero(self.K, self.r1), coords)))
-            self._m0_elems = sorted(seen)
+            sp, K = self._spans, self.K
+            zero1 = vzero(K, self.r1)
+            self._m0_elems = [
+                Nil2Elem(zero1, _unflat(K, v))
+                for v in itertools.product(*_reduced_ranges(sp.form0, sp.mods0))]
         return self._m0_elems
 
     def basis_lift(self, i):
@@ -258,17 +418,19 @@ class Nil2Module:
     def same_presentation(self, other):
         return (self.K.name == other.K.name and self.r1 == other.r1
                 and self.r0 == other.r0 and self.b == other.b
-                and self.X == other.X)
+                and self._spans.key == other._spans.key)
 
     def sample(self, rng):
-        kel = list(self.K.elements())
+        if self._kel is None:
+            self._kel = list(self.K.elements())
+        kel = self._kel
         m1 = tuple(rng.choice(kel) for _ in range(self.r1))
         m0 = tuple(rng.choice(kel) for _ in range(self.r0))
         return self.reduce(Nil2Elem(m1, m0))
 
     def __repr__(self):
         return "<nil2 %s r1=%d r0=%d |X|=%d>" % (
-            self.K.name, self.r1, self.r0, len(self.X))
+            self.K.name, self.r1, self.r0, self.x_card)
 
 
 def nil2_add(M, x, y):
@@ -286,27 +448,11 @@ def nil2_tau(M, x):
 def invariant_closure(M, generators):
     """Least subset containing the generators that is closed under |+,
     the group inverse, and the scalar action, as a frozenset of ambient
-    elements: the subgroup generated by S = {g . k : g a generator, k in
-    K}, grown breadth-first from zero by |+ s for s in S.  That subgroup
-    is scalar-stable because the action is additive and (x . k) . l =
-    x . (kl), and a finite set closed under |+ is a subgroup."""
-    steps = {M._ract(Nil2Elem(g[0], g[1]), k)
-             for g in generators for k in M.K.elements()}
-    X = {M._rzero()}
-    frontier = list(X)
-    while frontier:
-        fresh = []
-        for x in frontier:
-            for s in steps:
-                z = M._radd(x, s)
-                if z not in X:
-                    X.add(z)
-                    fresh.append(z)
-                    if len(X) > _CLOSURE_CAP:
-                        raise CapacityError("invariant closure beyond %d elements"
-                                            % _CLOSURE_CAP)
-        frontier = fresh
-    return frozenset(X)
+    elements: the subgroup generated by {g . k : g a generator, k in K}.
+    It is scalar-stable because the action is additive and (x . k) . l =
+    x . (kl).  Built as spans (see _Spans) and enumerated from them, so
+    _CLOSURE_CAP bounds only the enumeration."""
+    return _Spans(M, generators).elements(M)
 
 
 # ---- axioms ----------------------------------------------------------
@@ -458,9 +604,9 @@ def counterexample_sqrt2(m):
         "modulus": m,
         "base_ring": K.name,
         "generator": nil2_elem_to_json(gen),
-        "x_card": len(M.X),
+        "x_card": M.x_card,
         "module_card": M.card,
-        "ext_x_card": len(N.X),
+        "ext_x_card": N.x_card,
         "ext_card": N.card,
         "m0_image": [nil2_elem_to_json(x) for x in image],
         "m0_image_card": len(image),
@@ -650,6 +796,50 @@ class DescentDatum:
                 raise err
 
 
+def _equalizer(D):
+    """The members n of D.N.elements() with psi(i1 n) = i2 n, solved.
+
+    psi is a module map, so the condition holds on whole cosets.  Its M1
+    part, M1 of psi(i1 (m1, 0)) - i2 m1 in X1 of N2, is additive in m1: a
+    Howell kernel, reduced over X1 of N.  psi(m1, m0) = psi(m1, 0) |+ (0,
+    A m0) and i1, i2 act coordinatewise, so over each such m1 the M0 part
+    asks d + A i1 m0 - i2 m0 in X0 of N2, d the M0 part of psi(i1 (m1, 0))
+    - i2 (m1, 0): one affine solve (ModSolver) plus the Howell kernel of
+    m0 -> A i1 m0 - i2 m0, reduced over X0 of N.
+    """
+    tw, N, N1, N2, psi = D.tower, D.N, D.N1, D.N2, D.psi
+    E, EE = N.K, N2.K
+    sp, sp2 = N._spans, N2._spans
+    zero0 = vzero(E, N.r0)
+    units1 = [_unit_vec(E, N.r1, a) for a in range(len(sp.mods1))]
+    lin1 = [vflat(vsub(EE, psi(_map_coords(Nil2Elem(u, zero0), tw.i1)).m1,
+                       tuple(map(tw.i2, u)))) for u in units1]
+    kern1 = howell_kernel(lin1, [h for _, h in sp2.form1], sp2.mods1, sp.mods1)
+    reps1 = {tuple(howell_reduce(sp.form1, z, sp.mods1))
+             for z in howell_span(kern1, sp.mods1)}
+    units0 = [_unit_vec(E, N.r0, a) for a in range(len(sp.mods0))]
+    lin0 = [vflat(vsub(EE, k_mat_vec(EE, psi.m0_matrix, list(map(tw.i1, u))),
+                       tuple(map(tw.i2, u)))) for u in units0]
+    kern0 = howell_kernel(lin0, [h for _, h in sp2.form0], sp2.mods0, sp.mods0)
+    reps0 = {tuple(sp.reduce0(z)) for z in howell_span(kern0, sp.mods0)}
+    cols = lin0 + [h for _, h in sp2.form0]
+    m = EE.uniform_modulus()
+    solver = ModSolver([list(r) for r in zip(*cols)], m, ncols=len(cols))
+    eq = set()
+    for r1 in reps1:
+        n = Nil2Elem(_unflat(E, r1), zero0)
+        d = N2.add(psi(N1.reduce(_map_coords(n, tw.i1))),
+                   N2.neg(N2.reduce(_map_coords(n, tw.i2))))
+        sol = solver.solve([-x % m for x in vflat(d.m0)]) if N2.in_m0(d) else None
+        if sol is None:
+            continue
+        base = sol[:len(units0)]
+        for t in reps0:
+            v = sp.reduce0([(x + y) % q for x, y, q in zip(base, t, sp.mods0)])
+            eq.add(Nil2Elem(n.m1, _unflat(E, v)))
+    return eq
+
+
 def descend(D):
     """Equalizer of psi . i1 and i2 on the datum module, returned as a
     module over the base through coordinate pullback.
@@ -659,14 +849,9 @@ def descend(D):
     pulled-back presentation is reported as an error instead of being
     silently re-coordinatized.
     """
-    tw = D.tower
     E = D.N.K
     K = E.base
-    eq = []
-    for n in D.N.elements():
-        if D.psi(D.N1.reduce(_map_coords(n, tw.i1))) == \
-                D.N2.reduce(_map_coords(n, tw.i2)):
-            eq.append(n)
+    eq = _equalizer(D)
 
     def pull(c):
         v = _const_preimage(E, c)
@@ -682,7 +867,7 @@ def descend(D):
     M = Nil2Module(K, D.N.r1, D.N.r0, b0, quotient=gens0)
     inc = base_inclusion(E)
     image = {D.N.reduce(_map_coords(x, inc)) for x in M.elements()}
-    if image != set(eq):
+    if image != eq:
         raise StructureError("descent equalizer does not match the base form")
     return M
 

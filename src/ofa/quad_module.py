@@ -714,7 +714,7 @@ def enumerate_module_unitary(M, cap=_SCAN_CAP):
         off, qv = blocks[rows]
         pools.append(off + np.nonzero((qv == M.qvals[b]).all(axis=-1))[0])
     V = np.concatenate(V)
-    return sorted(k_matrices(V, isometry_search(K, V, B, G, pools), rk))
+    return k_matrices(V, isometry_search(K, V, B, G, pools), rk, sort=True)
 
 
 # -- adjoint-pair construction ----------------------------------------------

@@ -220,6 +220,7 @@ def _quotiented(K):
 
 
 def test_criterion_07_nilpotent_module_suite():
+    t0 = time.time()
     R4 = PolyQuotient(Z4, [(1,), (1,), (1,)])
     for K, E in ((F2, F4), (Z4, R4)):
         M = _upper(K)
@@ -253,8 +254,10 @@ def test_criterion_07_nilpotent_module_suite():
     assert rep["module_card"] == 32 and rep["ext_card"] == 2
     verdict = "vanishes" if rep["m0_image_zero"] else "DOES NOT vanish"
     assert rep["probe"]["injective"] is False
+    elapsed = time.time() - t0
+    assert elapsed < 10.0, elapsed
     _verdict(7, "extension, descent, cocycle rejection all good; "
-                "modulus-4 image of M0 %s" % verdict)
+                "modulus-4 image of M0 %s in %.1fs" % (verdict, elapsed))
 
 
 def test_criterion_08_clifford_spin():

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
 
+import itertools
+import random
+
 from ofa.linalg import (
-    KSolver, ModSolver, count_solutions_mod, k_det, k_mat_inv, k_matmul,
-    k_matrices, k_identity, k_nullspace, k_solve, mulmat, nullspace_mod, snf_mod,
-    solve_mod,
+    KSolver, ModSolver, count_solutions_mod, howell_card, howell_form,
+    howell_kernel, howell_reduce, howell_span, isometry_search, k_det, k_dets,
+    k_mat_inv, k_matmul, k_matrices, k_identity, k_nullspace, k_solve, mulmat,
+    nullspace_mod, snf_mod, solve_mod, support_pool,
 )
-from ofa.coeff_ring import GaloisField, Product, StructureError, ZMod
+from ofa.coeff_ring import GaloisField, Product, StructureError, ZMod, parse_ring
 
 
 def _matmul_int(A, B, m):
@@ -171,3 +175,99 @@ def test_k_matrices_match_per_leaf_columns():
         assert type(got[0][0][0][0]) is int
     assert k_matrices(V, np.zeros((2, 0), dtype=np.int64), 1) == [(), ()]
     assert k_matrices(V, np.zeros((0, 2), dtype=np.int64), 3) == []
+
+
+def test_k_matrices_sorted_matches_sorted():
+    rng = np.random.default_rng(5)
+    for rk, n in ((1, 3), (2, 2), (3, 1)):
+        V = rng.integers(0, 3, size=(6, n * rk))
+        F = rng.integers(0, 6, size=(300, n))  # duplicate leaves and rows
+        assert k_matrices(V, F, rk, sort=True) == sorted(k_matrices(V, F, rk))
+    assert k_matrices(V, np.zeros((2, 0), dtype=np.int64), 1, sort=True) == [(), ()]
+
+
+def _span_by_closure(rows, mods):
+    span = {tuple([0] * len(mods))}
+    frontier = list(span)
+    while frontier:
+        fresh = []
+        for x in frontier:
+            for r in rows:
+                y = tuple((a + b) % m for a, b, m in zip(x, r, mods))
+                if y not in span:
+                    span.add(y)
+                    fresh.append(y)
+        frontier = fresh
+    return span
+
+
+def test_howell_form_is_canonical_and_reduces_to_the_coset_minimum():
+    rng = random.Random(11)
+    for trial in range(300):
+        n = rng.randint(1, 4)
+        if trial % 2:
+            mods = tuple(rng.choice((2, 3, 4, 6, 8, 9, 12)) for _ in range(n))
+        else:
+            mods = (rng.choice((2, 4, 8, 9, 12)),) * n
+        rows = [[rng.randrange(m) for m in mods] for _ in range(rng.randint(0, 3))]
+        H = howell_form(rows, mods)
+        span = _span_by_closure(rows, mods)
+        members = howell_span(H, mods)
+        assert len(members) == howell_card(H, mods) == len(span)
+        assert set(map(tuple, members)) == span
+        # the same subgroup from any generating set gives the same form
+        assert howell_form([list(x) for x in span], mods) == H
+        for c, h in H:
+            assert not any(h[:c]) and mods[c] % h[c] == 0
+        for _ in range(4):
+            v = [rng.randrange(m) for m in mods]
+            coset = (tuple((a + b) % m for a, b, m in zip(v, x, mods)) for x in span)
+            assert tuple(howell_reduce(H, v, mods)) == min(coset)
+
+
+def test_howell_kernel_is_the_preimage():
+    rng = random.Random(12)
+    for _ in range(100):
+        mods_in = (rng.choice((2, 4, 8)),) * rng.randint(1, 3)
+        mods_out = (mods_in[0],) * rng.randint(1, 3)
+        images = [[rng.randrange(m) for m in mods_out] for _ in mods_in]
+        targets = [[rng.randrange(m) for m in mods_out] for _ in range(rng.randint(0, 2))]
+        T = _span_by_closure(targets, mods_out)
+        want = {n for n in itertools.product(*map(range, mods_in))
+                if tuple(sum(q * img[j] for q, img in zip(n, images)) % mods_out[j]
+                         for j in range(len(mods_out))) in T}
+        got = howell_span(howell_kernel(images, targets, mods_out, mods_in), mods_in)
+        assert set(map(tuple, got)) == want
+
+
+@pytest.mark.parametrize("name", ["zmod:4", "zmod:8", "prod:(zmod:2;zmod:4)",
+                                  "gf:4", "polyquot:zmod:4:1,1,1"])
+def test_k_dets_match_k_det(name):
+    K = parse_ring(name)
+    rng = random.Random(13)
+    els = list(K.elements())
+    for n in range(4):
+        mats = [[[rng.choice(els) for _ in range(n)] for _ in range(n)]
+                for _ in range(40)]
+        dets = k_dets(K, np.array(mats, dtype=np.int64).reshape(40, n, n, K.rank))
+        assert [tuple(d) for d in dets.tolist()] == [k_det(K, M) for M in mats]
+
+
+@pytest.mark.parametrize("name,n,size", [("zmod:4", 3, 8), ("zmod:8", 2, 24),
+                                         ("prod:(zmod:2;zmod:4)", 2, 20)])
+def test_isometry_search_keeps_the_invertible_leaves(name, n, size):
+    """With the zero form every column choice is a leaf and the K-Gram is
+    singular, so the search keeps exactly the leaves k_mat_inv inverts."""
+    K = parse_ring(name)
+    rk = K.rank
+    ktab = np.array(list(K.elements()), dtype=np.int64).reshape(K.card, rk)
+    V = support_pool(ktab, n, range(n))
+    rng = random.Random(14)
+    pools = [sorted(rng.sample(range(len(V)), size)) for _ in range(n)]
+    B = np.zeros((n * rk, n * rk, rk), dtype=np.int64)
+    G = np.zeros((n, n, rk), dtype=np.int64)
+    F = isometry_search(K, V, B, G, pools)
+    leaves = np.array(list(itertools.product(*pools)), dtype=np.int64)
+    keep = [k_mat_inv(K, M) is not None for M in k_matrices(V, leaves, rk)]
+    assert 0 < sum(keep) < len(leaves)
+    assert F.tolist() == leaves[np.array(keep)].tolist()

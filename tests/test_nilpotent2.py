@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -16,7 +18,8 @@ from ofa.nilpotent2 import (DescentDatum, Nil2Elem, Nil2Module, Nil2Morphism,
                             nil2_axioms_check, nil2_elem_from_json,
                             nil2_elem_to_json, nil2_from_json, nil2_tau,
                             nil2_to_json, registered_tower, universality_probe)
-from ofa.nilpotent2 import _CLOSURE_CAP, _map_coords
+from ofa.cli import main as cli_main
+from ofa.nilpotent2 import _CLOSURE_CAP, _equalizer, _map_coords
 
 F2 = ZMod(2)
 F3 = ZMod(3)
@@ -303,3 +306,119 @@ def test_closure_cap_trips_just_below_the_closure_size(monkeypatch):
         invariant_closure(M, gens)
     monkeypatch.setattr(n2, "_CLOSURE_CAP", size)
     assert len(invariant_closure(M, gens)) == size
+
+
+def _ref_equalizer(D):
+    """The descent equalizer by the element loop over D.N."""
+    tw = D.tower
+    return {n for n in D.N.elements()
+            if D.psi(D.N1.reduce(_map_coords(n, tw.i1)))
+            == D.N2.reduce(_map_coords(n, tw.i2))}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(("zmod:2", "zmod:3", "zmod:4", "gf:4")),
+       st.integers(0, 2), st.integers(0, 2), st.integers(0, 2),
+       st.integers(0, 2 ** 32 - 1))
+def test_span_reduce_is_the_coset_minimum(name, r1, r0, ngens, seed):
+    # the spans do not assume normality, so unchecked quotients count too
+    K = parse_ring(name)
+    rng = random.Random(seed)
+    kel = list(K.elements())
+
+    def vec(r):
+        return tuple(rng.choice(kel) for _ in range(r))
+
+    b = [[vec(r0) for _ in range(r1)] for _ in range(r1)]
+    gens = [Nil2Elem(vec(r1), vec(r0)) for _ in range(ngens)]
+    M = Nil2Module(K, r1, r0, b, quotient=gens, check=False)
+    X = _ref_closure(M, gens)
+    assert M.x_card == len(X) and M.X == X
+    elems = M.elements()
+    assert elems == sorted(set(elems)) and len(elems) == M.card
+    for _ in range(8):
+        x = Nil2Elem(vec(r1), vec(r0))
+        r = M.reduce(x)
+        assert r == min(M._radd(x, a) for a in X) and r in elems
+
+
+def _descent_data():
+    z, o = F2.zero(), F2.one()
+    quotiented = Nil2Module(F2, 2, 1, [[(o,), (z,)], [(z,), (z,)]],
+                            quotient=[Nil2Elem((z, o), (z,))])
+    cases = [(M, F4) for M in (heis(F2), upper(F2), f2_quotient_module(),
+                               quotiented, Nil2Module(F2, 0, 0),
+                               Nil2Module(F2, 0, 2))]
+    cases += [(heis(F3), F9), (upper(F3), F9), (heis(Z4), R4), (upper(Z4), R4),
+              (z4_quotient_module(), R4)]
+    return cases
+
+
+@pytest.mark.parametrize("M,E", _descent_data())
+def test_solved_equalizer_matches_element_loop(M, E):
+    D = DescentDatum(boxtimes(M, base_inclusion(E))[0])
+    eq = _equalizer(D)
+    assert eq == _ref_equalizer(D)
+    assert len(eq) == M.card
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(((F2, F4, 3), (F3, F9, 3), (Z4, R4, 2))),
+       st.integers(0, 2), st.integers(0, 1), st.integers(0, 2 ** 32 - 1))
+def test_solved_equalizer_on_random_cocycles(case, r1, ngens, seed):
+    K, E, top = case
+    r0 = min(top - r1, 1) if r1 < top else 0
+    rng = random.Random(seed)
+    kel = list(K.elements())
+
+    def vec(r):
+        return tuple(rng.choice(kel) for _ in range(r))
+
+    b = [[vec(r0) for _ in range(r1)] for _ in range(r1)]
+    try:
+        M = Nil2Module(K, r1, r0, b,
+                       quotient=[Nil2Elem(vec(r1), vec(r0)) for _ in range(ngens)])
+    except StructureError:
+        return  # a closure that is not normal gives no module (about 3%)
+    D = DescentDatum(boxtimes(M, base_inclusion(E))[0])
+    assert _equalizer(D) == _ref_equalizer(D)
+
+
+def _bench_module_json(s):
+    """The seeded split module over Z/3 (r1=3, r0=1) of the bench workload."""
+    rng = random.Random(s)
+    b = [[[[rng.randrange(3)]] for _ in range(3)] for _ in range(3)]
+    return json.dumps({"ring": {"zmod": 3}, "r1": 3, "r0": 1, "b": b,
+                       "quotient_generators": []}, sort_keys=True)
+
+
+NIL2_PINNED = (
+    ("nil2 counterexample --modulus 4",
+     "c8967be7312ede4d7456cde3e46a3ce32e2b1a89538a204b206de37bfe89fb87"),
+    ("nil2 counterexample --modulus 16",
+     "c97a32340fd6dbd4e14089229172b24a62295f71d5653071d81cbeb6288beec8"),
+    ("nil2 extend --module bench.json --ext polyquot:zmod:3:1,0,1",
+     "02e90734c8a134e70215f1d18917a36abde12c462c319ff344e6f979299b7214"),
+    ("nil2 probe --module bench.json --ext polyquot:zmod:3:1,0,1",
+     "7f56da4d97e2b9a9c34c7f8715e9e4644807b2b76e8773b01029a146d12ec3e2"),
+    ("nil2 descend --module bench.json --ext polyquot:zmod:3:1,0,1",
+     "ca98f03faaac88bd05e5636cb2b4059f9482ec09d7775dff60c53dd049e8665c"),
+    ("nil2 extend --module f2q.json --ext polyquot:zmod:2:1,1,1",
+     "4da4b2b6def6190a8bb9685bc3cb739a745f4b29555806d5e0d8fcc24415262d"),
+    ("nil2 probe --module f2q.json --ext polyquot:zmod:2:1,1,1",
+     "ac1a8ae716428fe1a85ade04de42264c900bda263e4d1edb1b2f3ceabcc1e486"),
+    ("nil2 descend --module f2q.json --ext polyquot:zmod:2:1,1,1",
+     "66085ba8debca5ec8877854fce13706db8061a62f3214006d5529a99d8cf6aab"),
+)
+
+
+@pytest.mark.parametrize("argv,digest", NIL2_PINNED)
+def test_nil2_report_bytes_pinned(argv, digest, tmp_path, monkeypatch, capsys):
+    # digests of the reports the element-set quotients gave; the module
+    # path is part of the report, so the files sit in the working directory
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bench.json").write_text(_bench_module_json(3))
+    (tmp_path / "f2q.json").write_text(json.dumps(nil2_to_json(f2_quotient_module())))
+    assert cli_main(argv.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
