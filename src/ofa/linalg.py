@@ -1,10 +1,12 @@
 """Exact linear algebra over the coefficient rings.
 
-Integer matrices are diagonalized mod m by unimodular row and column
-operations, entries reduced after every step so coefficients never grow.
-Systems over a ring spec are expanded to integer systems through the
-multiplication matrices of their entries; product rings split into
-componentwise systems.
+Every linear solve is one elimination: the Howell form of a subgroup of
+Z/m_1 x ... x Z/m_n, one modulus per coordinate (howell_form).  A linear
+map is solved through the Howell form of its graph (GraphForm), which
+gives its kernel, its fibre size, a canonical solution of A x = b and a
+batch consistency test.  Systems over a ring spec are expanded to
+integer systems over the Z-basis of the ring, so a product ring is one
+system with mixed slot moduli.
 
 isometry_search is the one column search for the isometries of a form,
 written as a Z-bilinear tensor on flat integer coordinates; unitary and
@@ -16,164 +18,10 @@ import math
 
 import numpy as np
 
-from .coeff_ring import CapacityError, Product, SlotRing, StructureError, _basis
+from .coeff_ring import CapacityError, SlotRing, StructureError, _basis
 
 _CHUNK = 1 << 16
 _FRONTIER_CAP = 1 << 20
-
-
-def _identity_int(n):
-    return [[int(i == j) for j in range(n)] for i in range(n)]
-
-
-def _swap_col(M, a, b):
-    for row in M:
-        row[a], row[b] = row[b], row[a]
-
-
-def _row_addmul(M, i, t, q, m):
-    Mt = M[t]
-    M[i] = [(x + q * y) % m for x, y in zip(M[i], Mt)]
-
-
-def _col_addmul(M, j, t, q, m):
-    for row in M:
-        row[j] = (row[j] + q * row[t]) % m
-
-
-def snf_mod(A, m):
-    """Diagonalize A mod m: returns (D, U, V) with U A V = D mod m.
-
-    U and V are reductions of integer unimodular matrices, so they stay
-    invertible mod m.  The diagonal is not forced into a divisor chain;
-    solving and counting only need diagonality.
-    """
-    R = len(A)
-    C = len(A[0]) if R else 0
-    D = [[A[i][j] % m for j in range(C)] for i in range(R)]
-    U = _identity_int(R)
-    V = _identity_int(C)
-    t = 0
-    while t < min(R, C):
-        best, br, bc = None, -1, -1
-        for i in range(t, R):
-            row = D[i]
-            for j in range(t, C):
-                v = row[j]
-                if v and (best is None or v < best):
-                    best, br, bc = v, i, j
-        if best is None:
-            break
-        if br != t:
-            D[t], D[br] = D[br], D[t]
-            U[t], U[br] = U[br], U[t]
-        if bc != t:
-            _swap_col(D, t, bc)
-            _swap_col(V, t, bc)
-        while True:
-            p = D[t][t]
-            restart = False
-            for i in range(t + 1, R):
-                v = D[i][t]
-                if v:
-                    q = v // p
-                    _row_addmul(D, i, t, -q, m)
-                    _row_addmul(U, i, t, -q, m)
-                    if D[i][t]:
-                        # leftover remainder becomes the smaller pivot
-                        D[t], D[i] = D[i], D[t]
-                        U[t], U[i] = U[i], U[t]
-                        restart = True
-                        break
-            if restart:
-                continue
-            for j in range(t + 1, C):
-                v = D[t][j]
-                if v:
-                    q = v // p
-                    _col_addmul(D, j, t, -q, m)
-                    _col_addmul(V, j, t, -q, m)
-                    if D[t][j]:
-                        _swap_col(D, t, j)
-                        _swap_col(V, t, j)
-                        restart = True
-                        break
-            if restart:
-                continue
-            break
-        t += 1
-    return D, U, V
-
-
-class ModSolver:
-    """Reusable solver for A x = b mod m with the matrix fixed."""
-
-    def __init__(self, A, m, ncols=None):
-        assert m >= 2
-        self.m = m
-        self.rows = len(A)
-        self.cols = len(A[0]) if self.rows else (ncols or 0)
-        if self.rows:
-            D, U, V = snf_mod(A, m)
-        else:
-            D, U, V = [], [], _identity_int(self.cols)
-        self.U = U
-        self.V = V
-        self.diag = [D[j][j] if j < self.rows else 0 for j in range(self.cols)]
-        self.null_count = 1
-        for d in self.diag:
-            self.null_count *= math.gcd(d, m)
-
-    def _transform(self, b):
-        assert len(b) == self.rows
-        return [sum(u * x for u, x in zip(row, b)) % self.m for row in self.U]
-
-    def _consistent(self, c):
-        for j in range(min(self.rows, self.cols)):
-            if c[j] % math.gcd(self.diag[j], self.m):
-                return False
-        for i in range(self.cols, self.rows):
-            if c[i]:
-                return False
-        return True
-
-    def solve(self, b):
-        m = self.m
-        c = self._transform(b)
-        if not self._consistent(c):
-            return None
-        y = [0] * self.cols
-        for j in range(min(self.rows, self.cols)):
-            d = self.diag[j]
-            if d:
-                g = math.gcd(d, m)
-                y[j] = (c[j] // g) * pow(d // g, -1, m // g) % (m // g)
-        return [sum(row[j] * y[j] for j in range(self.cols)) % m for row in self.V]
-
-    def count(self, b):
-        return self.null_count if self._consistent(self._transform(b)) else 0
-
-    def consistent_rows(self, B):
-        """Row mask of an (N, rows) int array of right-hand sides: which
-        ones the system can meet, the batch form of _consistent."""
-        m = self.m
-        U = np.array(self.U, dtype=np.int64).reshape(self.rows, self.rows)
-        C = np.asarray(B, dtype=np.int64) @ U.T % m
-        k = min(self.rows, self.cols)
-        g = np.array([math.gcd(d, m) for d in self.diag[:k]], dtype=np.int64)
-        return (C[:, :k] % g == 0).all(axis=1) & (C[:, self.cols:] == 0).all(axis=1)
-
-    def nullspace(self):
-        """Vectors generating the solution set of A x = 0 additively."""
-        m = self.m
-        gens = []
-        for j in range(self.cols):
-            g = math.gcd(self.diag[j], m)
-            if g == 1:
-                continue
-            s = m // g
-            gens.append([row[j] * s % m for row in self.V])
-        return gens
 
 
 def _xgcd(a, b):
@@ -265,46 +113,60 @@ def howell_card(H, mods):
 
 
 def howell_span(H, mods):
-    """Every member of the span of a howell_form, once each."""
-    out = []
-    for qs in itertools.product(*[range(mods[c] // h[c]) for c, h in H]):
-        v = [0] * len(mods)
-        for q, (_, h) in zip(qs, H):
-            if q:
-                v = [(x + q * y) % m for x, y, m in zip(v, h, mods)]
-        out.append(v)
+    """Every member of the span of a howell_form, once each: the rows of
+    an int array, the multiplier of the first form row varying slowest."""
+    m = np.array(mods, dtype=np.int64)
+    out = np.zeros((1, len(mods)), dtype=np.int64)
+    for c, h in H:
+        q = np.arange(mods[c] // h[c], dtype=np.int64)[:, None]
+        out = ((out[:, None] + q * np.array(h, dtype=np.int64)) % m).reshape(-1, len(mods))
     return out
 
 
-def howell_kernel(images, targets, mods_out, mods_in):
-    """Howell form of {n : sum n_a images[a] in span(targets)}: the rows
-    [images[a] | e_a] and [t | 0] span a group whose members with zero
-    left part are exactly the (0, n) sought, and the Howell property hands
-    them over as the rows pivoting in the right block."""
-    k = len(mods_out)
-    rows = [list(img) + [int(a == b) for b in range(len(mods_in))]
-            for a, img in enumerate(images)]
-    rows += [list(t) + [0] * len(mods_in) for t in targets]
-    return [(c - k, h[k:]) for c, h in howell_form(rows, tuple(mods_out) + tuple(mods_in))
-            if c >= k]
+class GraphForm:
+    """Howell form of the graph of a Z-linear map between groups of int
+    coordinate rows, images[u] the image of the u-th unit vector (mod
+    mods_out) of the source (mod mods_in), taken modulo span(targets).
 
+    The rows [images[u] | e_u] and [t | 0] span {(A x + t, x)}.  The
+    members with zero left part are the (0, n) with A n in span(targets),
+    and the Howell property hands them over as the rows pivoting in the
+    right block: the kernel.  Reducing [b | 0] gives the lex-least member
+    of its coset, whose left part is zero exactly when b = A x + t for
+    some x; then it is (0, -x), so minus its right part is a solution,
+    the same for every generating set.
+    """
 
-def solve_mod(A, b, m):
-    return ModSolver(A, m).solve(b)
+    def __init__(self, images, mods_out, mods_in, targets=()):
+        self.k = k = len(mods_out)
+        self.mods = tuple(mods_out) + tuple(mods_in)
+        rows = [list(img) + [int(u == v) for v in range(len(mods_in))]
+                for u, img in enumerate(images)]
+        rows += [list(t) + [0] * len(mods_in) for t in targets]
+        self.form = howell_form(rows, self.mods)
+        self.kernel = [(c - k, h[k:]) for c, h in self.form if c >= k]
+        self.null_count = howell_card(self.kernel, mods_in)
 
+    def solve(self, b):
+        """A flat x with A x = b modulo the targets, or None."""
+        k = self.k
+        v = howell_reduce(self.form, list(b) + [0] * (len(self.mods) - k), self.mods)
+        if any(v[:k]):
+            return None
+        return [-x % m for x, m in zip(v[k:], self.mods[k:])]
 
-def nullspace_mod(A, m):
-    return ModSolver(A, m).nullspace()
-
-
-def count_solutions_mod(A, b, m):
-    return ModSolver(A, m).count(b)
-
-
-def mulmat(spec, a):
-    """Integer matrix of y -> a*y on the spec's coordinate basis."""
-    cols = [spec.mul(a, e) for e in _basis(spec)]
-    return [[cols[j][i] for j in range(spec.rank)] for i in range(spec.rank)]
+    def consistent(self, B):
+        """Row mask of an (N, len(mods_out)) int array of right-hand
+        sides: which ones solve can meet.  The left-pivot rows alone
+        decide it, one greedy pass over the whole batch."""
+        k = self.k
+        mods = np.array(self.mods[:k], dtype=np.int64)
+        B = np.asarray(B, dtype=np.int64).reshape(len(B), k) % mods
+        for c, h in self.form:
+            if c >= k:
+                break
+            B = (B - (B[:, c] // h[c])[:, None] * np.array(h[:k], dtype=np.int64)) % mods
+        return ~B.any(axis=1)
 
 
 class KSolver:
@@ -312,8 +174,9 @@ class KSolver:
 
     M is a matrix of ring elements; unknowns and right-hand sides are
     vectors of ring elements.  Expansion over the Z-basis turns the
-    system into an integer one; product specs recurse componentwise.
-    Pass ncols when M has no rows.
+    system into the GraphForm of an int map, one slot modulus per
+    coordinate, so product specs need no splitting.  Pass ncols when M
+    has no rows.
     """
 
     def __init__(self, spec, M, ncols=None):
@@ -325,85 +188,31 @@ class KSolver:
             if ncols is None:
                 raise StructureError("empty system needs an unknown count")
             self.ncols = ncols
-        if isinstance(spec, Product):
-            self.parts = []
-            for idx, sub in enumerate(spec.specs):
-                Mi = [[sub.check_element(spec.split(e)[idx]) for e in row] for row in M]
-                self.parts.append(KSolver(sub, Mi, ncols=self.ncols))
-            self.null_count = math.prod(ks.null_count for ks in self.parts)
-        else:
-            self.parts = None
-            m = spec.uniform_modulus()
-            if m is None:
-                raise StructureError("mixed moduli outside a product spec")
-            self.m = m
-            r = spec.rank
-            big = [[0] * (self.ncols * r) for _ in range(self.nrows * r)]
-            for i, row in enumerate(M):
-                for j, e in enumerate(row):
-                    if spec.is_zero(e):
-                        continue
-                    blk = mulmat(spec, e)
-                    for a in range(r):
-                        out = big[i * r + a]
-                        for b in range(r):
-                            out[j * r + b] = blk[a][b]
-            self.ms = ModSolver(big, m, ncols=self.ncols * r)
-            self.null_count = self.ms.null_count
+        zero = spec.zero()
+        images = [vflat(zero if spec.is_zero(row[j]) else spec.mul(row[j], e) for row in M)
+                  for j in range(self.ncols) for e in _basis(spec)]
+        self.graph = GraphForm(images, spec.moduli * self.nrows, spec.moduli * self.ncols)
+        self.null_count = self.graph.null_count
 
     def _unflat(self, flat):
         r = self.spec.rank
         return [tuple(flat[j * r:(j + 1) * r]) for j in range(self.ncols)]
 
     def solve(self, b):
-        if self.parts is not None:
-            per = []
-            for idx, ks in enumerate(self.parts):
-                bi = [self.spec.split(e)[idx] for e in b]
-                xi = ks.solve(bi)
-                if xi is None:
-                    return None
-                per.append(xi)
-            return [self.spec.join([p[j] for p in per]) for j in range(self.ncols)]
-        return None if (s := self.ms.solve(vflat(b))) is None else self._unflat(s)
+        return None if (s := self.graph.solve(vflat(b))) is None else self._unflat(s)
 
     def count(self, b):
-        if self.parts is not None:
-            total = 1
-            for idx, ks in enumerate(self.parts):
-                total *= ks.count([self.spec.split(e)[idx] for e in b])
-            return total
-        return self.ms.count(vflat(b))
+        return 0 if self.graph.solve(vflat(b)) is None else self.null_count
 
     def consistent(self, B):
         """Row mask of the right-hand sides the system can meet, for B an
         (N, nrows * rank) int array of flat coordinates; a right-hand side
-        that passes has null_count solutions.  Product specs test each
-        part on its slice of every entry."""
-        B = np.asarray(B, dtype=np.int64).reshape(len(B), self.nrows, self.spec.rank)
-        if self.parts is None:
-            return self.ms.consistent_rows(B.reshape(len(B), -1))
-        ok = np.ones(len(B), dtype=bool)
-        off = 0
-        for sub, ks in zip(self.spec.specs, self.parts):
-            ok &= ks.consistent(B[:, :, off:off + sub.rank].reshape(len(B), -1))
-            off += sub.rank
-        return ok
+        that passes has null_count solutions."""
+        return self.graph.consistent(B)
 
     def nullspace(self):
-        if self.parts is not None:
-            gens = []
-            for idx, ks in enumerate(self.parts):
-                zeros = [s.zero() for s in self.spec.specs]
-                for g in ks.nullspace():
-                    vec = []
-                    for e in g:
-                        parts = list(zeros)
-                        parts[idx] = e
-                        vec.append(self.spec.join(parts))
-                    gens.append(vec)
-            return gens
-        return [self._unflat(g) for g in self.ms.nullspace()]
+        """Vectors whose Z-span is the solution set of M x = 0."""
+        return [self._unflat(h) for _, h in self.graph.kernel]
 
 
 def k_solve(spec, M, b):

@@ -43,9 +43,9 @@ from .coeff_ring import (
     ring_from_json,
     ring_to_json,
 )
-from .linalg import (ModSolver, howell_card, howell_form, howell_kernel,
-                     howell_reduce, howell_span, k_mat_inv, k_mat_vec, vadd,
-                     vflat, vneg, vscale, vsub, vzero)
+from .linalg import (GraphForm, howell_card, howell_form, howell_reduce,
+                     howell_span, k_mat_inv, k_mat_vec, vadd, vflat, vneg,
+                     vscale, vsub, vzero)
 from . import odd_form_param as ofp
 from .form_ring import UnitalEl
 
@@ -194,7 +194,7 @@ class _Spans:
             raise CapacityError("invariant closure beyond %d elements"
                                 % _CLOSURE_CAP)
         K = M.K
-        shifts = [_unflat(K, c) for c in howell_span(self.form0, self.mods0)]
+        shifts = [_unflat(K, c) for c in howell_span(self.form0, self.mods0).tolist()]
         out = []
         for qs in itertools.product(*[range(self.mods1[c] // h[c])
                                       for c, h in self.form1]):
@@ -659,10 +659,12 @@ class Nil2Morphism:
         return cod.reduce(acc)
 
     def _validate(self, require_iso):
-        dom, cod = self.dom, self.cod
-        for a in dom.X:
-            if self(Nil2Elem(a[0], a[1])) != cod.zero():
-                raise StructureError("map does not kill the quotient")
+        dom, cod, K = self.dom, self.cod, self.dom.K
+        # killing X is additive: the lifts and the X0 rows generate X
+        zero1, sp = vzero(K, dom.r1), dom._spans
+        gens = sp.lifts + [Nil2Elem(zero1, _unflat(K, h0)) for _, h0 in sp.form0]
+        if any(self(a) != cod.zero() for a in gens):
+            raise StructureError("map does not kill the quotient")
         small = dom.card <= _MOR_EXH_CAP
         kel = list(dom.K.elements())
         if small:
@@ -804,8 +806,9 @@ def _equalizer(D):
     Howell kernel, reduced over X1 of N.  psi(m1, m0) = psi(m1, 0) |+ (0,
     A m0) and i1, i2 act coordinatewise, so over each such m1 the M0 part
     asks d + A i1 m0 - i2 m0 in X0 of N2, d the M0 part of psi(i1 (m1, 0))
-    - i2 (m1, 0): one affine solve (ModSolver) plus the Howell kernel of
-    m0 -> A i1 m0 - i2 m0, reduced over X0 of N.
+    - i2 (m1, 0).  One GraphForm of m0 -> A i1 m0 - i2 m0 against X0 of N2
+    gives both its kernel, reduced over X0 of N, and the affine solve for
+    each class.
     """
     tw, N, N1, N2, psi = D.tower, D.N, D.N1, D.N2, D.psi
     E, EE = N.K, N2.K
@@ -814,26 +817,24 @@ def _equalizer(D):
     units1 = [_unit_vec(E, N.r1, a) for a in range(len(sp.mods1))]
     lin1 = [vflat(vsub(EE, psi(_map_coords(Nil2Elem(u, zero0), tw.i1)).m1,
                        tuple(map(tw.i2, u)))) for u in units1]
-    kern1 = howell_kernel(lin1, [h for _, h in sp2.form1], sp2.mods1, sp.mods1)
+    kern1 = GraphForm(lin1, sp2.mods1, sp.mods1, [h for _, h in sp2.form1]).kernel
     reps1 = {tuple(howell_reduce(sp.form1, z, sp.mods1))
-             for z in howell_span(kern1, sp.mods1)}
+             for z in howell_span(kern1, sp.mods1).tolist()}
     units0 = [_unit_vec(E, N.r0, a) for a in range(len(sp.mods0))]
     lin0 = [vflat(vsub(EE, k_mat_vec(EE, psi.m0_matrix, list(map(tw.i1, u))),
                        tuple(map(tw.i2, u)))) for u in units0]
-    kern0 = howell_kernel(lin0, [h for _, h in sp2.form0], sp2.mods0, sp.mods0)
-    reps0 = {tuple(sp.reduce0(z)) for z in howell_span(kern0, sp.mods0)}
-    cols = lin0 + [h for _, h in sp2.form0]
-    m = EE.uniform_modulus()
-    solver = ModSolver([list(r) for r in zip(*cols)], m, ncols=len(cols))
+    graph0 = GraphForm(lin0, sp2.mods0, sp.mods0, [h for _, h in sp2.form0])
+    reps0 = {tuple(sp.reduce0(z))
+             for z in howell_span(graph0.kernel, sp.mods0).tolist()}
     eq = set()
     for r1 in reps1:
         n = Nil2Elem(_unflat(E, r1), zero0)
         d = N2.add(psi(N1.reduce(_map_coords(n, tw.i1))),
                    N2.neg(N2.reduce(_map_coords(n, tw.i2))))
-        sol = solver.solve([-x % m for x in vflat(d.m0)]) if N2.in_m0(d) else None
-        if sol is None:
+        base = (graph0.solve([-x % q for x, q in zip(vflat(d.m0), sp2.mods0)])
+                if N2.in_m0(d) else None)
+        if base is None:
             continue
-        base = sol[:len(units0)]
         for t in reps0:
             v = sp.reduce0([(x + y) % q for x, y, q in zip(base, t, sp.mods0)])
             eq.add(Nil2Elem(n.m1, _unflat(E, v)))

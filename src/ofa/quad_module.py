@@ -48,8 +48,9 @@ import numpy as np
 
 from .coeff_ring import CapacityError, Product, StructureError, _basis, parse_ring
 from .form_ring import SplitAlgebra, ofalin, ofaorth, ofasymp, unital
-from .linalg import (KSolver, isometry_search, k_identity, k_mat_inv, k_matrices,
-                     k_matmul, support_pool, vadd, vflat)
+from .linalg import (KSolver, howell_card, howell_form, howell_span, isometry_search,
+                     k_identity, k_mat_inv, k_matrices, k_matmul, support_pool, vadd,
+                     vflat)
 from .odd_form_param import DeltaShape, act_unital
 from .odd_form_param import member as delta_member
 
@@ -728,25 +729,16 @@ def _vecs(rows, r):
 
 def _span_rows(mvec, gens, cap):
     """The additive span of int rows mod the slot moduli mvec, as sorted
-    unique rows (the order of sorted() on the tuples).
-
-    The span so far is a subgroup, so its translates by the multiples of
-    the next generator agree from the first multiple inside it on, and
-    the span grows by exactly that index.  Raises CapacityError when the
-    span has more than cap elements.
+    unique rows (the order of sorted() on the tuples): the members of its
+    Howell form, once each, then one lexsort.  Raises CapacityError when
+    the span has more than cap elements.
     """
-    mvec = np.asarray(mvec, dtype=np.int64)
-    rows = np.zeros((1, len(mvec)), dtype=np.int64)
-    for g in gens:
-        g = np.asarray(g, dtype=np.int64) % mvec
-        k, kg = 1, g
-        while not (rows == kg).all(axis=1).any():
-            k, kg = k + 1, (kg + g) % mvec
-        if k > 1 and len(rows) * k > cap:
-            raise CapacityError("span closure past %d" % cap)
-        shifted = (rows[None] + np.arange(k)[:, None, None] * g) % mvec
-        rows = np.unique(shifted.reshape(-1, len(mvec)), axis=0)
-    return rows
+    mods = np.asarray(mvec).tolist()
+    H = howell_form(gens, mods)
+    if howell_card(H, mods) > max(cap, 1):
+        raise CapacityError("span closure past %d" % cap)
+    rows = howell_span(H, mods)
+    return rows[np.lexsort(rows.T[::-1])]
 
 
 class _QuadraticMap:

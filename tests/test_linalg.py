@@ -1,70 +1,37 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import itertools
 import random
 
 from ofa.linalg import (
-    KSolver, ModSolver, count_solutions_mod, howell_card, howell_form,
-    howell_kernel, howell_reduce, howell_span, isometry_search, k_det, k_dets,
-    k_mat_inv, k_matmul, k_matrices, k_identity, k_nullspace, k_solve, mulmat,
-    nullspace_mod, snf_mod, solve_mod, support_pool,
+    GraphForm, KSolver, howell_card, howell_form, howell_reduce, howell_span,
+    isometry_search, k_det, k_dets, k_mat_inv, k_mat_vec, k_matmul, k_matrices,
+    k_identity, k_nullspace, k_solve, support_pool, vflat,
 )
 from ofa.coeff_ring import GaloisField, Product, StructureError, ZMod, parse_ring
 
 
-def _matmul_int(A, B, m):
-    return [[sum(a * b for a, b in zip(row, col)) % m for col in zip(*B)] for row in A]
-
-
-def test_snf_mod_oracle():
-    # [[2,4],[4,4]] mod 8 diagonalizes to diag(2,4): row1 -= 2*row0 then col1 -= 2*col0
-    A = [[2, 4], [4, 4]]
-    D, U, V = snf_mod(A, 8)
-    assert D[0][1] == 0 and D[1][0] == 0
-    assert sorted([D[0][0], D[1][1]]) == [2, 4]
-    assert _matmul_int(_matmul_int(U, A, 8), V, 8) == D
-
-
-def test_snf_random_consistency():
-    import random
-    rng = random.Random(7)
-    for m in (2, 4, 6, 9):
-        for _ in range(25):
-            R = rng.randrange(1, 5)
-            C = rng.randrange(1, 5)
-            A = [[rng.randrange(m) for _ in range(C)] for _ in range(R)]
-            D, U, V = snf_mod(A, m)
-            assert _matmul_int(_matmul_int(U, A, m), V, m) == D
-            for i in range(R):
-                for j in range(C):
-                    if i != j:
-                        assert D[i][j] == 0
-
-
 def test_solve_mod():
-    assert solve_mod([[2]], [4], 8) in ([2], [6])
-    assert solve_mod([[2]], [3], 8) is None
-    assert count_solutions_mod([[2]], [4], 8) == 2
-    assert count_solutions_mod([[2]], [3], 8) == 0
-    assert count_solutions_mod([[1, 1]], [1], 2) == 2
-    gens = nullspace_mod([[2]], 8)
-    reach = {0}
-    for g in gens:
-        reach |= {(x + g[0]) % 8 for x in reach}
-        reach |= {(x + 2 * g[0]) % 8 for x in reach}
-        reach |= {(x + 3 * g[0]) % 8 for x in reach}
-    assert reach == {0, 4}
+    two = KSolver(ZMod(8), [[(2,)]])
+    assert two.solve([(4,)]) in ([(2,)], [(6,)])
+    assert two.solve([(3,)]) is None
+    assert two.count([(4,)]) == 2 and two.count([(3,)]) == 0
+    assert _span_by_closure([vflat(g) for g in two.nullspace()], (8,)) == {(0,), (4,)}
+    assert KSolver(ZMod(2), [[(1,), (1,)]]).count([(1,)]) == 2
 
 
-def test_modsolver_tall_and_wide():
-    ms = ModSolver([[1], [1]], 4)  # x = b0, x = b1
-    assert ms.solve([3, 3]) == [3]
-    assert ms.solve([1, 2]) is None
-    wide = ModSolver([[1, 2, 0]], 4)
-    x = wide.solve([3])
-    assert (x[0] + 2 * x[1]) % 4 == 3
-    assert wide.count([3]) == wide.null_count == 16
+def test_ksolver_tall_and_wide():
+    K = ZMod(4)
+    tall = KSolver(K, [[(1,)], [(1,)]])  # x = b0, x = b1
+    assert tall.solve([(3,), (3,)]) == [(3,)]
+    assert tall.solve([(1,), (2,)]) is None
+    wide = KSolver(K, [[(1,), (2,), (0,)]])
+    x = wide.solve([(3,)])
+    assert (x[0][0] + 2 * x[1][0]) % 4 == 3
+    assert wide.count([(3,)]) == wide.null_count == 16
 
 
 def test_k_solve_gf4():
@@ -83,15 +50,6 @@ def test_k_nullspace_zmod6():
     for _ in range(6):
         reach |= {K.add(a, g[0]) for a in reach for g in gens}
     assert reach == {(0,), (3,)}
-
-
-def test_mulmat():
-    K = GaloisField(3, [1, 0, 1])
-    x = K.gen()
-    M = mulmat(K, x)
-    # x * 1 = x, x * x = 2
-    assert [row[0] for row in M] == [0, 1]
-    assert [row[1] for row in M] == [2, 0]
 
 
 def test_k_det():
@@ -157,6 +115,35 @@ def test_batched_consistency_matches_count():
         assert set(counts) <= {0, ks.null_count}
     empty = KSolver(ZMod(3), [], ncols=2)
     assert empty.consistent(np.zeros((4, 0), dtype=np.int64)).tolist() == [True] * 4
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(["zmod:4", "zmod:6", "gf:4", "prod:(zmod:2;zmod:4)",
+                             "prod:(zmod:2;zmod:3)"]),
+       rows=st.integers(0, 3), cols=st.integers(0, 3), data=st.data())
+def test_ksolver_matches_enumeration(name, rows, cols, data):
+    """Solve, count, consistency, kernel and k_mat_inv against the fibres
+    of x -> M x over all of K^cols."""
+    K = parse_ring(name)
+    kel = list(K.elements())
+    pick = st.sampled_from(kel)
+    M = [[data.draw(pick) for _ in range(cols)] for _ in range(rows)]
+    fibres = {}
+    for x in itertools.product(kel, repeat=cols):
+        fibres.setdefault(k_mat_vec(K, M, x), []).append(tuple(x))
+    ks = KSolver(K, M, ncols=cols)
+    bs = [tuple(data.draw(pick) for _ in range(rows)) for _ in range(4)] + list(fibres)[:4]
+    for b in bs:
+        x = ks.solve(list(b))
+        assert (x is not None) == (b in fibres)
+        assert x is None or k_mat_vec(K, M, x) == b
+        assert ks.count(list(b)) == len(fibres.get(b, []))
+    mask = ks.consistent(np.array([vflat(b) for b in bs], dtype=np.int64))
+    assert mask.tolist() == [ks.count(list(b)) > 0 for b in bs]
+    kernel = _span_by_closure([vflat(g) for g in ks.nullspace()], K.moduli * cols)
+    assert kernel == {tuple(vflat(x)) for x in fibres[(K.zero(),) * rows]}
+    if rows == cols:
+        assert (k_mat_inv(K, M) is not None) == (len(fibres) == len(kel) ** cols)
 
 
 def test_k_matrices_match_per_leaf_columns():
@@ -236,7 +223,7 @@ def test_howell_kernel_is_the_preimage():
         want = {n for n in itertools.product(*map(range, mods_in))
                 if tuple(sum(q * img[j] for q, img in zip(n, images)) % mods_out[j]
                          for j in range(len(mods_out))) in T}
-        got = howell_span(howell_kernel(images, targets, mods_out, mods_in), mods_in)
+        got = howell_span(GraphForm(images, mods_out, mods_in, targets).kernel, mods_in)
         assert set(map(tuple, got)) == want
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -224,6 +225,26 @@ def test_morphism_rejects_non_additive():
         Nil2Morphism(M, M, [M.basis_lift(0)], [[(2,)]])
 
 
+def test_morphism_check_past_the_closure_cap():
+    # the quotient by all of M1 and M0 has 8^5 = 32,768 elements
+    K = ZMod(8)
+    gens = [Nil2Elem(tuple(K.from_int(int(i == j)) for j in range(2)), (K.zero(),) * 3)
+            for i in range(2)]
+    gens += [Nil2Elem((K.zero(),) * 2, tuple(K.from_int(int(i == j)) for j in range(3)))
+             for i in range(3)]
+    M = Nil2Module(K, 2, 3, quotient=gens)
+    assert M.x_card == 8 ** 5 > _CLOSURE_CAP
+    ident = [[K.from_int(int(i == j)) for j in range(3)] for i in range(3)]
+    f = Nil2Morphism(M, M, gens[:2], ident, check=True)  # the identity
+    assert f(M.zero()) == M.zero()
+
+
+def test_morphism_from_a_quotient_to_the_split_module_is_rejected():
+    Q, S = z4_quotient_module(), heis(Z4)
+    with pytest.raises(StructureError, match="map does not kill the quotient"):
+        Nil2Morphism(Q, S, [S.basis_lift(0)], [[Z4.one()]], require_iso=False)
+
+
 def test_delta_bridge_classical_presets():
     cases = ((ofalin(1, F3), 120), (ofasymp(2, F2), 120),
              (ofaorth(2, F3), 120), (ofaorth(3, F2), 120))
@@ -382,6 +403,25 @@ def test_solved_equalizer_on_random_cocycles(case, r1, ngens, seed):
         return  # a closure that is not normal gives no module (about 3%)
     D = DescentDatum(boxtimes(M, base_inclusion(E))[0])
     assert _equalizer(D) == _ref_equalizer(D)
+
+
+def test_solved_equalizer_under_a_unit_twist():
+    """The equalizer of psi . i1 and i2 for psi the action of a unit u of
+    E (x) E, which is a module map N1 -> N2 but not a descent datum; over
+    Z4 -> R4 the quotient has X0 != 0, so the M0 solve must work modulo
+    X0 of N2."""
+    tw = registered_tower(R4)
+    N = boxtimes(z4_quotient_module(), base_inclusion(R4))[0]
+    N1, N2, EE = boxtimes(N, tw.i1)[0], boxtimes(N, tw.i2)[0], tw.EE
+    assert N2._spans.form0
+    for u in EE.elements():
+        if EE.try_invert(u) is None:
+            continue
+        # x -> x . u is a module map: the action respects |+ and commutes
+        psi = Nil2Morphism(N1, N2, [Nil2Elem((u,), (EE.zero(),))], [[EE.mul(u, u)]],
+                           check=False)
+        D = SimpleNamespace(tower=tw, N=N, N1=N1, N2=N2, psi=psi)
+        assert _equalizer(D) == _ref_equalizer(D), u
 
 
 def _bench_module_json(s):

@@ -6,6 +6,7 @@ import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,7 +23,7 @@ from ofa.coeff_ring import (
     parse_ring,
 )
 from ofa.form_ring import ofaorth, ofasymp
-from ofa.linalg import k_det, k_identity, k_mat_inv, k_matmul, vadd
+from ofa.linalg import k_det, k_identity, k_mat_inv, k_matmul, vadd, vflat
 from ofa.odd_form_param import DeltaShape, gen_q, gen_u, gen_v
 from ofa.quad_module import (
     QuadModule,
@@ -36,6 +37,8 @@ from ofa.quad_module import (
     enumerate_module_unitary,
     extend_scalars_qm,
     _hdet_poly,
+    _span_rows,
+    _vecs,
     hdet,
     heis_add,
     heis_act,
@@ -513,6 +516,17 @@ def _bfs_span(K, gens, cap):
                 seen.add(w)
                 queue.append(w)
     return sorted(seen)
+
+
+def test_span_rows_is_the_sorted_span():
+    rng = random.Random(21)
+    for K in (Z4, ZMod(8), Product([Z4, F2]), P23):
+        kel = list(K.elements())
+        for _ in range(25):
+            d = rng.randint(1, 3)
+            gens = [tuple(rng.choice(kel) for _ in range(d)) for _ in range(rng.randint(1, 3))]
+            rows = _span_rows(np.tile(K.moduli, d), [vflat(g) for g in gens], 4096)
+            assert _vecs(rows, K.rank) == _bfs_span(K, gens, 4096), (K.name, gens)
 
 
 def _ref_t_elements(N):
