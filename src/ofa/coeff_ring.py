@@ -24,6 +24,15 @@ class CapacityError(Exception):
 _INV_BRUTE_CAP = 1 << 16
 _IDEM_CAP = 1 << 16
 _FIELD_CHECK_CAP = 1 << 10
+# rings read from outside input; this also bounds every slot modulus, so
+# the int64 products of SlotRing.contract cannot overflow
+RING_CAP = 1 << 20
+
+
+def _check_ring_card(card, name):
+    if card > RING_CAP:
+        raise CapacityError("ring %s has %d elements, over the cap of %d"
+                            % (name, card, RING_CAP))
 
 
 def _is_prime(n):
@@ -503,15 +512,21 @@ def ring_to_json(spec):
 
 def ring_from_json(data):
     if "zmod" in data:
-        return ZMod(int(data["zmod"]))
-    if "gf" in data:
-        return GaloisField(int(data["gf"]["p"]), [int(c) for c in data["gf"]["modulus"]])
-    if "polyquot" in data:
+        spec = ZMod(int(data["zmod"]))
+    elif "gf" in data:
+        p = int(data["gf"]["p"])
+        _check_ring_card(p, "gf:%d" % p)
+        spec = GaloisField(p, [int(c) for c in data["gf"]["modulus"]])
+    elif "polyquot" in data:
         base = ring_from_json(data["polyquot"]["base"])
-        return PolyQuotient(base, [tuple(int(x) for x in c) for c in data["polyquot"]["modulus"]])
-    if "product" in data:
-        return Product([ring_from_json(d) for d in data["product"]])
-    raise StructureError("unknown ring payload keys %r" % sorted(data))
+        spec = PolyQuotient(base, [tuple(int(x) for x in c)
+                                   for c in data["polyquot"]["modulus"]])
+    elif "product" in data:
+        spec = Product([ring_from_json(d) for d in data["product"]])
+    else:
+        raise StructureError("unknown ring payload keys %r" % sorted(data))
+    _check_ring_card(spec.card, spec.name)
+    return spec
 
 
 def parse_ring(s):
@@ -521,11 +536,13 @@ def parse_ring(s):
     gf:p:c0,c1,...,cd (p prime) | polyquot:<ring>:c0,...,cd |
     prod:(r1;r2;...).  Coefficients are listed low to high and must end
     in 1; a polyquot coefficient is an int (that multiple of one) or the
-    base coordinates "(a.b...)", so every ring name parses back.
+    base coordinates "(a.b...)", so every ring name parses back.  A ring
+    of more than RING_CAP elements is refused.
     """
     spec, rest = _parse_prefix(s.strip())
     if rest:
         raise StructureError("trailing input %r in ring description" % rest)
+    _check_ring_card(spec.card, spec.name)
     return spec
 
 
@@ -578,6 +595,7 @@ def _parse_prefix(s):
         return ZMod(m), rest
     if s.startswith("gf:"):
         q, rest = _take_int(s[3:])
+        _check_ring_card(q, "gf:%d" % q)  # before the primality scan
         # a ":c0,..." list follows a prime only; after gf:4 it belongs to
         # an enclosing polyquot
         if _is_prime(q):

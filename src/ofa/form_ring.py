@@ -9,6 +9,11 @@ whenever 2 is not invertible.  Elements are sparse dicts over basis
 pairs (i, j).  The same class, with its contraction and involution tables
 read off a Gram table, serves the tensor square of a quadratic module
 (quad_module.canon_algebra).
+
+ParamTable is an odd form parameter over any such algebra: the one pair
+law and the one coordinate read.  Its two tables are Delta over a preset
+(odd_form_param.DeltaShape) and Theta over a tensor square
+(quad_module.CanonConstruction).
 """
 
 import itertools
@@ -350,6 +355,104 @@ def unital_mul(a, b):
 
 def unital_involution(a):
     return UnitalEl(a.body.alg.conj(a.body), a.scalar)
+
+
+class ParamTable:
+    """An odd form parameter over a SplitAlgebra, in coordinates.
+
+    Elements are pairs (p, r) under Petrov's law (Odd unitary groups,
+    2005):
+
+        (p, r) + (p', r') = (p + p', r - p~ p' + r')
+        -(p, r) = (-p, r~)
+        phi(a) = (0, a - a~)
+        (p, r) . (a + k) = (p a + k p, (a~ + k) r (a + k))
+
+    with ~ the involution and a + k in the unitalization.  The table
+    names an element by a tuple over K: the coefficients of p at
+    ``pi_pos`` (every pair of the algebra), then one coefficient c_k per
+    augmentation coordinate, whose basis element b_k is read at pos_k,
+    where b_k is +-1 and every other b_j is zero.  The element's pair is
+    (p, residue(p) + sum c_k b_k); a subclass gives the residue.  The
+    read takes p's coefficients, s = r - residue(p), c_k = b_k[pos_k]
+    s[pos_k], and the pair is a member exactly when s = sum c_k b_k.
+    """
+
+    def __init__(self, alg, pi_pos, aug):
+        assert sorted(pi_pos) == sorted(alg.pairs)
+        self.alg = alg
+        self.pi_pos = tuple(pi_pos)
+        self.aug = tuple((pos, b.coeff(*pos), b) for pos, b in aug)
+        self.dim = len(self.pi_pos) + len(self.aug)
+
+    def residue(self, p):
+        raise NotImplementedError
+
+    def card(self):
+        return self.alg.K.card ** self.dim
+
+    def elements(self):
+        if self.card() > _ENUM_CAP:
+            raise CapacityError("parameter enumeration over %d elements" % self.card())
+        return itertools.product(self.alg.K.elements(), repeat=self.dim)
+
+    def sample(self, rng):
+        """One randrange per basis slot of each coordinate, in order."""
+        mods = self.alg.K.moduli
+        return tuple(tuple(rng.randrange(m) for m in mods) for _ in range(self.dim))
+
+    def _aug_el(self, cs):
+        """sum c_k b_k."""
+        K = self.alg.K
+        acc = {}
+        for c, (_, _, b) in zip(cs, self.aug):
+            if not K.is_zero(c):
+                for key, v in b.c.items():
+                    acc[key] = K.add(acc.get(key, K.zero()), K.mul(c, v))
+        return El(self.alg, {key: v for key, v in acc.items() if not K.is_zero(v)})
+
+    def to_pair(self, x):
+        """(pi(x), rho(x)) of the coordinates x."""
+        alg = self.alg
+        K = alg.K
+        p = El(alg, {pos: c for pos, c in zip(self.pi_pos, x) if not K.is_zero(c)})
+        return p, alg.add(self.residue(p), self._aug_el(x[len(self.pi_pos):]))
+
+    def read(self, p, r):
+        """Coordinates of the pair (p, r); None if it is not a member."""
+        alg = self.alg
+        K = alg.K
+        s = alg.sub(r, self.residue(p))
+        aug = tuple(K.mul(u, s.coeff(*pos)) for pos, u, _ in self.aug)
+        if self._aug_el(aug) != s:
+            return None
+        return tuple(p.coeff(*pos) for pos in self.pi_pos) + aug
+
+    def _law(self, p, r):
+        out = self.read(p, r)
+        assert out is not None
+        return out
+
+    def add(self, x, y):
+        alg = self.alg
+        (p, r), (p2, r2) = self.to_pair(x), self.to_pair(y)
+        return self._law(alg.add(p, p2), alg.add(alg.sub(r, alg.mul(alg.conj(p), p2)), r2))
+
+    def neg(self, x):
+        p, r = self.to_pair(x)
+        return self._law(self.alg.neg(p), self.alg.conj(r))
+
+    def phi(self, a):
+        alg = self.alg
+        return self._law(alg.zero(), alg.sub(a, alg.conj(a)))
+
+    def act(self, x, a, k):
+        """Right action of a + k from the unitalized algebra."""
+        alg = self.alg
+        p, r = self.to_pair(x)
+        left = alg.add(alg.mul(alg.conj(a), r), alg.kmul(k, r))
+        return self._law(alg.add(alg.mul(p, a), alg.kmul(k, p)),
+                         alg.add(alg.mul(left, a), alg.kmul(k, left)))
 
 
 def rep_odd(alg, a):

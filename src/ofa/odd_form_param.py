@@ -1,13 +1,16 @@
 """Odd form parameters Delta for the split classical presets.
 
-Every element has a unique coordinate word: q-coefficients on the
-admissible matrix slots, u-coefficients on the row-0 orbits of the odd
-orthogonal preset, then coefficients over the augmentation basis.  The
-group law is evaluated in the faithful picture u -> (pi(u), rho(u)):
-words fold left to right through the cocycle rule, and coordinates are
-read back by subtracting the fold residue of the q/u monomials and
-expanding what remains over the augmentation basis.  A pair that fails
-the read is not a member.
+Delta is one table of form_ring.ParamTable, which holds the pair law and
+the coordinate read it shares with the tensor square's Theta
+(quad_module.CanonConstruction): one law, two tables.  An element has
+a unique coordinate word: q-coefficients on the admissible matrix
+slots, u-coefficients on the row-0 orbits of the odd orthogonal preset,
+then coefficients over the augmentation basis.  Its pair is (pi, rho):
+pi carries the q/u coefficients, and rho is the fold residue of the q/u
+monomial word (the word folded left to right through the cocycle rule)
+plus the augmentation part.  A pair that fails the read is not a
+member.  DeltaElem keeps the word as three sparse maps, which witnesses
+and JSON print.
 
 Axiom sweeps (one table of identities) and the specialness check run
 on the numpy batch engine in batch_delta, for every coefficient ring;
@@ -15,21 +18,20 @@ the exact per-element functions here serve single elements and render
 failure witnesses.
 """
 
-import itertools
 import math
 import random
 
 import numpy as np
 
 from .coeff_ring import CapacityError, StructureError
-from .form_ring import UnitalEl, unital
+from .form_ring import ParamTable, UnitalEl, unital
 
 _ENUM_CAP = 1 << 20
 EXH_DELTA_CAP = 1 << 16
 _EXH_TUPLE_CAP = 1 << 16
 
 
-class DeltaShape:
+class DeltaShape(ParamTable):
     """Coordinate layout of Delta over one preset algebra."""
 
     def __init__(self, alg):
@@ -51,16 +53,23 @@ class DeltaShape:
             q_pairs = [(i, j) for (i, j) in alg.pairs if i != 0]
             u_idx = tuple(idx)
             d_keys = [("f", i, j) for (i, j) in alg.pairs if i + j > 0]
-        self.alg = alg
+        # phi(e(i, j)) is read at (i, j), the generator v_i at (-i, i)
+        aug = []
+        for key in d_keys:
+            if key[0] == "f":
+                b = alg.e(key[1], key[2])
+                aug.append((key[1:], alg.sub(b, alg.conj(b))))
+            else:
+                aug.append(((-key[1], key[1]), alg.e(-key[1], key[1])))
+        super().__init__(alg, q_pairs + [(0, i) for i in u_idx], aug)
         self.q_pairs = tuple(q_pairs)
         self.u_idx = tuple(u_idx)
         self.d_keys = tuple(d_keys)
-        self.dim = len(self.q_pairs) + len(self.u_idx) + len(self.d_keys)
         self.dplus = alg.el({(k, k): alg.K.one() for k in idx if k > 0})
         self.tag = "delta:" + alg.tag
 
-    def card(self):
-        return self.alg.K.card ** self.dim
+    def residue(self, p):
+        return _fold_residue(self, p)
 
     def el(self, q=None, u=None, d=None):
         K = self.alg.K
@@ -162,51 +171,15 @@ def _fold_residue(shape, p):
     return base
 
 
-def _aug_span_el(shape, d):
-    alg = shape.alg
-    total = alg.zero()
-    for key, c in d.items():
-        if key[0] == "f":
-            b = alg.e(key[1], key[2], c)
-            total = alg.add(total, alg.sub(b, alg.conj(b)))
-        else:
-            total = alg.add(total, alg.e(-key[1], key[1], c))
-    return total
-
-
 def to_pair(x):
     """(pi(x), rho(x)); the pair determines x (see special_check)."""
-    shape = x.shape
-    alg = shape.alg
-    coeffs = dict(x.q)
-    for i, v in x.u.items():
-        coeffs[(0, i)] = v
-    p = alg.el(coeffs)
-    r = alg.add(_fold_residue(shape, p), _aug_span_el(shape, x.d))
-    return p, r
+    return x.shape.to_pair(coords(x))
 
 
 def member(shape, p, r):
     """Read coordinates off a (pi, rho) pair; None if not in Delta."""
-    alg = shape.alg
-    K = alg.K
-    q, u, d = {}, {}, {}
-    for key in shape.q_pairs:
-        c = p.coeff(*key)
-        if not K.is_zero(c):
-            q[key] = c
-    for i in shape.u_idx:
-        c = p.coeff(0, i)
-        if not K.is_zero(c):
-            u[i] = c
-    s = alg.sub(r, _fold_residue(shape, p))
-    for key in shape.d_keys:
-        c = s.coeff(key[1], key[2]) if key[0] == "f" else s.coeff(-key[1], key[1])
-        if not K.is_zero(c):
-            d[key] = c
-    if _aug_span_el(shape, d) != s:
-        return None
-    return DeltaElem(shape, q, u, d)
+    vec = shape.read(p, r)
+    return None if vec is None else from_coords(shape, vec)
 
 
 def pi(x):
@@ -224,29 +197,15 @@ def delta_zero(shape):
 def delta_add(x, y):
     if x.shape.tag != y.shape.tag:
         raise StructureError("shape mismatch %s / %s" % (x.shape.tag, y.shape.tag))
-    alg = x.shape.alg
-    px, rx = to_pair(x)
-    py, ry = to_pair(y)
-    p = alg.add(px, py)
-    r = alg.add(alg.sub(rx, alg.mul(alg.conj(px), py)), ry)
-    out = member(x.shape, p, r)
-    assert out is not None
-    return out
+    return from_coords(x.shape, x.shape.add(coords(x), coords(y)))
 
 
 def delta_neg(x):
-    alg = x.shape.alg
-    p, r = to_pair(x)
-    out = member(x.shape, alg.neg(p), alg.conj(r))
-    assert out is not None
-    return out
+    return from_coords(x.shape, x.shape.neg(coords(x)))
 
 
 def phi(shape, a):
-    alg = shape.alg
-    out = member(shape, alg.zero(), alg.sub(a, alg.conj(a)))
-    assert out is not None
-    return out
+    return from_coords(shape, shape.phi(a))
 
 
 def tau(x):
@@ -255,21 +214,7 @@ def tau(x):
 
 def act_unital(x, al):
     """Right action of body+scalar in the unitalized algebra."""
-    shape = x.shape
-    alg = shape.alg
-    K = alg.K
-    a, k = al.body, al.scalar
-    p, r = to_pair(x)
-    p2 = alg.add(alg.mul(p, a), alg.kmul(k, p))
-    ab = alg.conj(a)
-    left = alg.mul(ab, r)
-    r2 = alg.add(
-        alg.add(alg.mul(left, a), alg.kmul(k, left)),
-        alg.add(alg.kmul(k, alg.mul(r, a)), alg.kmul(K.mul(k, k), r)),
-    )
-    out = member(shape, p2, r2)
-    assert out is not None
-    return out
+    return from_coords(x.shape, x.shape.act(coords(x), al.body, al.scalar))
 
 
 def act(x, a):
@@ -324,19 +269,18 @@ def central_u(shape, k):
 
 
 def elements(shape):
-    if shape.card() > _ENUM_CAP:
-        raise CapacityError("delta enumeration over %d elements" % shape.card())
-    K = shape.alg.K
-    for vec in itertools.product(K.elements(), repeat=shape.dim):
+    for vec in shape.elements():
         yield from_coords(shape, vec)
 
 
 def from_coords(shape, vec):
-    nq, nu = len(shape.q_pairs), len(shape.u_idx)
-    q = dict(zip(shape.q_pairs, vec[:nq]))
-    u = dict(zip(shape.u_idx, vec[nq:nq + nu]))
-    d = dict(zip(shape.d_keys, vec[nq + nu:]))
-    return shape.el(q=q, u=u, d=d)
+    K = shape.alg.K
+    maps, off = [], 0
+    for keys in (shape.q_pairs, shape.u_idx, shape.d_keys):
+        maps.append({key: v for key, v in zip(keys, vec[off:off + len(keys)])
+                     if not K.is_zero(v)})
+        off += len(keys)
+    return DeltaElem(shape, *maps)
 
 
 def coords(x):
@@ -348,9 +292,7 @@ def coords(x):
 
 
 def sample_elem(shape, rng):
-    K = shape.alg.K
-    vec = [tuple(rng.randrange(m) for m in K.moduli) for _ in range(shape.dim)]
-    return from_coords(shape, vec)
+    return from_coords(shape, shape.sample(rng))
 
 
 def delta_to_json(x):

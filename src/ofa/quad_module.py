@@ -17,7 +17,10 @@ rings with parameter data are built: the adjoint-pair ring T with its
 relation set Xi, and the tensor square S with its parameter group Theta,
 linked by a comparison morphism that is bijective exactly when the
 pairing is regular enough.  Over split tables both reproduce the preset
-algebras of form_ring/odd_form_param coordinate for coordinate.
+algebras of form_ring/odd_form_param coordinate for coordinate.  Theta
+and the presets' Delta are two tables of one form_ring.ParamTable: one
+pair law and one coordinate read, with Theta's own pi positions,
+augmentation basis and residue.
 
 The naive construction counts in batches over flat int coordinates (each
 K element spread over its basis slots, reduced by the per-slot moduli).
@@ -47,7 +50,7 @@ import itertools
 import numpy as np
 
 from .coeff_ring import CapacityError, Product, StructureError, _basis, parse_ring
-from .form_ring import SplitAlgebra, ofalin, ofaorth, ofasymp, unital
+from .form_ring import ParamTable, SplitAlgebra, ofalin, ofaorth, ofasymp, unital
 from .linalg import (KSolver, howell_card, howell_form, howell_span, isometry_search,
                      k_identity, k_mat_inv, k_matrices, k_matmul, support_pool, vadd,
                      vflat)
@@ -1081,54 +1084,41 @@ def canon_algebra(M):
                         "canon:%s" % M.tag)
 
 
-class ThetaElem:
-    """Normal form of a parameter element: one Heisenberg pair per free
-    column slot plus one cross coefficient per slot pair."""
-
-    __slots__ = ("con", "us", "f", "key")
-
-    def __init__(self, con, us, f):
-        self.con = con
-        self.us = us
-        self.f = f
-        self.key = (
-            tuple((t, us[t].key) for t in con.n_labels),
-            tuple(sorted(f.items())),
-        )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ThetaElem)
-            and self.con.tag == other.con.tag
-            and self.key == other.key
-        )
-
-    def __hash__(self):
-        return hash((self.con.tag, self.key))
-
-    def __repr__(self):
-        return "Theta(%r, %r)" % (self.us, self.f)
-
-
-class CanonConstruction:
-    """The tensor square S with its parameter group in coordinates."""
+class CanonConstruction(ParamTable):
+    """The tensor square S with its parameter group Theta, an odd form
+    parameter over S.  Its coordinates are the module coefficients in
+    each free column slot t, then the free l slot of each t and the cross
+    coefficients of each slot pair t < s, with basis elements from
+    f_embed.  The residue of p, with m_t the coefficients in slot t, is
+    sum_t f_embed(t, t, canonical_l(m_t)) - sum_{t<s} conj(col_t) col_s."""
 
     def __init__(self, M):
         self.M = M
-        self.K = M.K
-        self.qtype = M.qtype
-        self.S = canon_algebra(M)
-        self.tag = self.S.tag
-        if self.qtype.kind == "linear":
+        K = self.K = M.K
+        qt = self.qtype = M.qtype
+        S = self.S = canon_algebra(M)
+        self.tag = S.tag
+        if qt.kind == "linear":
             self.n_labels = tuple(a for a in M.labels if a > 0)
         else:
             self.n_labels = M.labels
-        self.l_free = 0 if self.qtype.kind == "orthogonal" else 1
-        self.f_dim = 2 if self.qtype.kind == "linear" else 1
-        npairs = len(self.n_labels) * (len(self.n_labels) - 1) // 2
-        self.dim = (
-            len(self.n_labels) * (len(M.labels) + self.l_free) + npairs * self.f_dim
-        )
+        pi_pos = [(i, self.jslot(i, t)) for t in self.n_labels for i in M.labels]
+        one, zero = K.one(), K.zero()
+        aug = []
+        if qt.kind == "symplectic":
+            aug += [((t, t), self.f_embed(t, t, one)) for t in self.n_labels]
+        elif qt.kind == "linear":
+            l_free = qt.R.join((one, K.neg(one)))
+            aug += [((-t, t), self.f_embed(t, t, l_free)) for t in self.n_labels]
+        units = ([qt.R.join((one, zero)), qt.R.join((zero, one))]
+                 if qt.kind == "linear" else [one])
+        for a, t in enumerate(self.n_labels):
+            for s in self.n_labels[a + 1:]:
+                for u in units:
+                    fe = self.f_embed(t, s, u)
+                    (pos,) = fe.c  # f_embed of a unit has one entry, read there
+                    aug.append((pos, S.sub(fe, S.conj(fe))))
+        super().__init__(S, pi_pos, aug)
 
     def jslot(self, i, t):
         if self.qtype.kind == "linear":
@@ -1158,133 +1148,18 @@ class CanonConstruction:
             return self.K.neg(q)
         return qt.R.join((self.K.zero(), self.K.neg(q)))
 
-    def theta(self, us, f):
-        M = self.M
-        qt = self.qtype
-        full = {}
-        for t in self.n_labels:
-            h = us.get(t, heis_zero(M))
-            if not lparam_member(M, h):
-                raise StructureError("slot %r outside the form parameter" % (t,))
-            full[t] = h
-        fc = {}
-        for (t, s), l in f.items():
-            if t not in self.n_labels or s not in self.n_labels or t >= s:
-                raise StructureError("bad cross slot %r" % ((t, s),))
-            l = qt.R.check_element(l)
-            if not qt.R.is_zero(l):
-                fc[(t, s)] = l
-        return ThetaElem(self, full, fc)
-
-    def theta_zero(self):
-        return self.theta({}, {})
-
-    def to_pair(self, th):
+    def residue(self, p):
         S = self.S
-        p = S.zero()
-        cols = {}
-        for t in self.n_labels:
-            cols[t] = self.col(th.us[t].m, t)
-            p = S.add(p, cols[t])
         r = S.zero()
+        cols = []
         for t in self.n_labels:
-            r = S.add(r, self.f_embed(t, t, th.us[t].l))
-        for i, t in enumerate(self.n_labels):
-            for s in self.n_labels[i + 1:]:
-                r = S.sub(r, S.mul(S.conj(cols[t]), cols[s]))
-        for (t, s), l in th.f.items():
-            fe = self.f_embed(t, s, l)
-            r = S.add(r, S.sub(fe, S.conj(fe)))
-        return p, r
-
-    def theta_member(self, p, r):
-        """Read coordinates off a pair; None if it is not a parameter."""
-        M = self.M
-        qt = self.qtype
-        K = self.K
-        ms = {}
-        for t in self.n_labels:
-            m = {}
-            for i in M.labels:
-                c = p.coeff(i, self.jslot(i, t))
-                if not K.is_zero(c):
-                    m[i] = c
-            ms[t] = m
-        base = {t: HeisElem(M, ms[t], self.canonical_l(ms[t])) for t in self.n_labels}
-        ref, rbase = self.to_pair(ThetaElem(self, base, {}))
-        if ref != p:
-            return None
-        diff = self.S.sub(r, rbase)
-        us = {}
-        for t in self.n_labels:
-            l = base[t].l
-            if qt.kind == "symplectic":
-                d = K.neg(diff.coeff(t, t))
-                l = qt.l_add(l, d)
-            elif qt.kind == "linear":
-                d = diff.coeff(-t, t)
-                l = qt.l_add(l, qt.R.join((d, K.neg(d))))
-            us[t] = HeisElem(M, ms[t], l)
-        f = {}
-        for i, t in enumerate(self.n_labels):
-            for s in self.n_labels[i + 1:]:
-                if qt.kind == "symplectic":
-                    c = K.neg(diff.coeff(t, s))
-                elif qt.kind == "orthogonal":
-                    c = diff.coeff(t, s)
-                else:
-                    c = qt.R.join((diff.coeff(-t, s), diff.coeff(t, -s)))
-                if not qt.R.is_zero(c):
-                    f[(t, s)] = c
-        cand = ThetaElem(self, us, f)
-        if self.to_pair(cand) != (p, r):
-            return None
-        return cand
-
-    # -- group structure ---------------------------------------------------
-    def theta_add(self, a, b):
-        S = self.S
-        pa, ra = self.to_pair(a)
-        pb, rb = self.to_pair(b)
-        p = S.add(pa, pb)
-        r = S.add(S.sub(ra, S.mul(S.conj(pa), pb)), rb)
-        out = self.theta_member(p, r)
-        assert out is not None
-        return out
-
-    def theta_neg(self, a):
-        S = self.S
-        p, r = self.to_pair(a)
-        out = self.theta_member(S.neg(p), S.conj(r))
-        assert out is not None
-        return out
-
-    def theta_phi(self, s):
-        out = self.theta_member(self.S.zero(), self.S.sub(s, self.S.conj(s)))
-        assert out is not None
-        return out
-
-    def theta_act(self, th, body, k):
-        """Right action of body + k from the unitalized tensor square."""
-        S = self.S
-        K = self.K
-        p, r = self.to_pair(th)
-        p2 = S.add(S.mul(p, body), S.kmul(k, p))
-        ab = S.conj(body)
-        left = S.mul(ab, r)
-        r2 = S.add(
-            S.add(S.mul(left, body), S.kmul(k, left)),
-            S.add(S.kmul(k, S.mul(r, body)), S.kmul(K.mul(k, k), r)),
-        )
-        out = self.theta_member(p2, r2)
-        assert out is not None
-        return out
-
-    def theta_scalar(self, th, k):
-        return self.theta_act(th, self.S.zero(), k)
-
-    def aug_member(self, th):
-        return all(not th.us[t].m for t in self.n_labels)
+            m = {i: p.coeff(i, self.jslot(i, t)) for i in self.M.labels}
+            col = self.col(m, t)
+            for c in cols:
+                r = S.sub(r, S.mul(S.conj(c), col))
+            cols.append(col)
+            r = S.add(r, self.f_embed(t, t, self.canonical_l(m)))
+        return r
 
     def box(self, h, n):
         """Image of a form-parameter element under - (x) n for n a free
@@ -1306,99 +1181,7 @@ class CanonConstruction:
         for t, rt in coeffs.items():
             for s, rs in coeffs.items():
                 rho = S.add(rho, self.f_embed(t, s, qt.l_sand(rt, h.l, rs)))
-        out = self.theta_member(p, rho)
-        assert out is not None
-        return out
-
-    def card(self):
-        return self.K.card ** self.dim
-
-    def elements(self, cap=_SCAN_CAP):
-        if self.card() > cap:
-            raise CapacityError("parameter scan over %d" % self.card())
-        M = self.M
-        qt = self.qtype
-        kel = list(self.K.elements())
-        slots = []
-        for t in self.n_labels:
-            slots.append(("m", t))
-            if self.l_free:
-                slots.append(("l", t))
-        for i, t in enumerate(self.n_labels):
-            for s in self.n_labels[i + 1:]:
-                slots.append(("f", t, s))
-
-        def l_with(m, d):
-            base = self.canonical_l(m)
-            if qt.kind == "symplectic":
-                return qt.l_add(base, d)
-            return qt.l_add(base, qt.R.join((d, self.K.neg(d))))
-
-        def build(idx, us, f):
-            if idx == len(slots):
-                yield ThetaElem(self, dict(us), dict(f))
-                return
-            slot = slots[idx]
-            if slot[0] == "m":
-                t = slot[1]
-                for combo in itertools.product(kel, repeat=len(M.labels)):
-                    m = {a: c for a, c in zip(M.labels, combo) if not self.K.is_zero(c)}
-                    us[t] = HeisElem(M, m, self.canonical_l(m))
-                    yield from build(idx + 1, us, f)
-            elif slot[0] == "l":
-                t = slot[1]
-                m = us[t].m
-                for d in kel:
-                    us[t] = HeisElem(M, m, l_with(m, d))
-                    yield from build(idx + 1, us, f)
-            else:
-                t, s = slot[1], slot[2]
-                if qt.kind == "linear":
-                    for c1 in kel:
-                        for c2 in kel:
-                            l = qt.R.join((c1, c2))
-                            if qt.R.is_zero(l):
-                                f.pop((t, s), None)
-                            else:
-                                f[(t, s)] = l
-                            yield from build(idx + 1, us, f)
-                    f.pop((t, s), None)
-                else:
-                    for c in kel:
-                        if self.K.is_zero(c):
-                            f.pop((t, s), None)
-                        else:
-                            f[(t, s)] = c
-                        yield from build(idx + 1, us, f)
-                    f.pop((t, s), None)
-
-        start = {t: heis_zero(M) for t in self.n_labels}
-        return list(build(0, start, {}))
-
-    def sample(self, rng):
-        M = self.M
-        qt = self.qtype
-        kel = list(self.K.elements())
-        us, f = {}, {}
-        for t in self.n_labels:
-            m = M.sample(rng)
-            l = self.canonical_l(m)
-            if self.l_free:
-                d = kel[rng.randrange(len(kel))]
-                extra = d if qt.kind == "symplectic" else qt.R.join((d, self.K.neg(d)))
-                l = qt.l_add(l, extra)
-            us[t] = HeisElem(M, m, l)
-        for i, t in enumerate(self.n_labels):
-            for s in self.n_labels[i + 1:]:
-                if qt.kind == "linear":
-                    l = qt.R.join(
-                        (kel[rng.randrange(len(kel))], kel[rng.randrange(len(kel))])
-                    )
-                else:
-                    l = kel[rng.randrange(len(kel))]
-                if not qt.R.is_zero(l):
-                    f[(t, s)] = l
-        return ThetaElem(self, us, f)
+        return self._law(p, rho)
 
 
 def canonical_construction(M):
@@ -1488,7 +1271,7 @@ def canon_preset_check(M, count=200, seed=0, cap=_SCAN_CAP):
     exhaustive = C.card() <= cap
     report["mode"] = "exhaustive" if exhaustive else "sampled"
     if exhaustive:
-        thetas = C.elements(cap)
+        thetas = C.elements()
     else:
         thetas = [C.sample(rng) for _ in range(count)]
     seen = set()
@@ -1508,34 +1291,31 @@ def canon_preset_check(M, count=200, seed=0, cap=_SCAN_CAP):
         report["bijection"] = ok and report["dim_match"]
 
     from .odd_form_param import delta_add, delta_neg, phi, sample_elem
+    from .odd_form_param import to_pair as delta_pair
 
     kels = list(C.K.elements())
     ok = True
     for _ in range(count):
         a, b = C.sample(rng), C.sample(rng)
-        if iota_theta(C, shape, C.theta_add(a, b)) != delta_add(
+        if iota_theta(C, shape, C.add(a, b)) != delta_add(
             iota_theta(C, shape, a), iota_theta(C, shape, b)
         ):
             ok = False
-        if iota_theta(C, shape, C.theta_neg(a)) != delta_neg(iota_theta(C, shape, a)):
+        if iota_theta(C, shape, C.neg(a)) != delta_neg(iota_theta(C, shape, a)):
             ok = False
         s = S.sample(rng)
-        if iota_theta(C, shape, C.theta_phi(s)) != phi(shape, iota_s(C, alg, s)):
+        if iota_theta(C, shape, C.phi(s)) != phi(shape, iota_s(C, alg, s)):
             ok = False
         k = kels[rng.randrange(len(kels))]
-        if iota_theta(C, shape, C.theta_act(a, s, k)) != act_unital(
+        if iota_theta(C, shape, C.act(a, s, k)) != act_unital(
             iota_theta(C, shape, a), unital(iota_s(C, alg, s), k)
         ):
             ok = False
     report["group_transport"] = ok
     ok = True
     for _ in range(count):
-        d = sample_elem(shape, rng)
-        from .odd_form_param import to_pair as delta_pair
-
-        p, r = delta_pair(d)
-        th = C.theta_member(iota_s_inv(C, alg, p), iota_s_inv(C, alg, r))
-        if th is None:
+        p, r = delta_pair(sample_elem(shape, rng))
+        if C.read(iota_s_inv(C, alg, p), iota_s_inv(C, alg, r)) is None:
             ok = False
             break
     report["from_preset"] = ok
@@ -1582,7 +1362,7 @@ def canon_relations_check(M, count=100, seed=0):
         n = rand_n()
         r = rels[rng.randrange(len(rels))]
         k = kel[rng.randrange(len(kel))]
-        if C.box(heis_add(M_, u, u2), n) != C.theta_add(C.box(u, n), C.box(u2, n)):
+        if C.box(heis_add(M_, u, u2), n) != C.add(C.box(u, n), C.box(u2, n)):
             bad.add("box additive on the left")
         rn = {t: qt.R.mul(r, v) for t, v in n.items()}
         if C.box(heis_act(M_, u, r), n) != C.box(u, rn):
@@ -1594,15 +1374,15 @@ def canon_relations_check(M, count=100, seed=0):
         for t, rt in n.items():
             for s, rs in n.items():
                 x = C.S.add(x, C.f_embed(t, s, qt.l_sand(rt, l, rs)))
-        if C.box(h, n) != C.theta_phi(x):
+        if C.box(h, n) != C.phi(x):
             bad.add("box of a trace-zero pair")
         nk = {t: qt.R.mul(v, qt.k_lift(k)) for t, v in n.items()}
-        if C.theta_scalar(C.box(u, n), k) != C.box(u, nk):
+        if C.act(C.box(u, n), C.S.zero(), k) != C.box(u, nk):
             bad.add("scalar action on a box")
         s = C.S.sample(rng)
-        if C.theta_scalar(C.theta_phi(s), k) != C.theta_phi(C.S.kmul(K.mul(k, k), s)):
+        if C.act(C.phi(s), C.S.zero(), k) != C.phi(C.S.kmul(K.mul(k, k), s)):
             bad.add("scalar action on phi")
-        if not C.aug_member(C.theta_phi(s)):
+        if C.to_pair(C.phi(s))[0]:
             bad.add("phi lands in the augmentation part")
     return sorted(bad)
 
@@ -1700,7 +1480,7 @@ def _theta_hit(F, C, t, s):
     """Whether some preimage pair (p, r) of (t, s) under F is in Theta."""
     ps = F.preimages(t)
     rs = F.preimages(s) if ps else []
-    return any(C.theta_member(p, r) is not None for p in ps for r in rs)
+    return any(C.read(p, r) is not None for p in ps for r in rs)
 
 
 def naive_canon_check(M, seed=0, samples=100, cap=_SCAN_CAP):

@@ -221,3 +221,42 @@ def test_cli_import_needs_only_numpy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.split() == ["numpy", "ofa"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["group", "order", "--family", "symp", "--n", "1",
+     "--ring", "zmod:99999999999999999999"],
+    ["axioms", "--family", "symp", "--n", "1", "--ring", "zmod:2147483647",
+     "--mode", "sampled", "--count", "200", "--seed", "0"],
+    ["hdet", "--n", "1", "--ring", "gf:99999999999999999989"],
+])
+def test_ring_past_the_cap_exits2(argv, capsys):
+    assert main(argv) == 2
+    assert _one_line_error(capsys)
+
+
+def test_module_ring_past_the_cap_exits2(tmp_path, capsys):
+    bad = tmp_path / "big.json"
+    bad.write_text(json.dumps({"ring": {"zmod": 2 ** 31 - 1}, "r1": 1, "r0": 1,
+                               "b": [[[[1]]]], "quotient_generators": []}))
+    assert main(["nil2", "extend", "--module", str(bad),
+                 "--ext", "polyquot:zmod:3:1,0,1"]) == 2
+    assert _one_line_error(capsys)
+
+
+def test_ring_at_a_million_elements_parses(tmp_path):
+    code, doc = run(tmp_path, "algebra", "build", "--family", "symp", "--n",
+                    "1", "--ring", "zmod:1000003")
+    assert code == 0 and doc["report"]["ring"] == "zmod:1000003"
+
+
+@pytest.mark.parametrize("argv,message", [
+    # |Delta| = 3^26 is past the exhaustive cap
+    (["--n", "2", "--ring", "gf:3"], "exhaustive strategy needs |Delta| <= 65536"),
+    # add-assoc has 2187^3 tuples, past the tuple cap, and there is no seed
+    (["--n", "1", "--ring", "gf:3"], "sampled evaluation of add-assoc requires a seed"),
+])
+def test_axioms_exhaustive_refusals(argv, message, capsys):
+    assert main(["axioms", "--family", "symp", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + message) and err.count("\n") == 1

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ofa.form_ring import (
     alg_el_from_json,
@@ -18,7 +20,10 @@ from ofa.form_ring import (
     unital_one,
     x_central,
 )
-from ofa.coeff_ring import CapacityError, GaloisField, StructureError, ZMod
+from ofa.coeff_ring import CapacityError, GaloisField, StructureError, ZMod, parse_ring
+from ofa.odd_form_param import DeltaShape, from_coords, member, to_pair
+from ofa.quad_module import (CanonConstruction, QuadModule, QuadType, module_check,
+                             naive_canon_check, split_module)
 
 
 def _families(K):
@@ -205,3 +210,62 @@ def test_alg_el_json_roundtrip():
     a = A.e(1, -1, K.gen()) + A.e(-1, 1)
     assert alg_el_from_json(A, alg_el_to_json(a)) == a
 
+
+
+# -- the odd form parameter law over both kinds of table -----------------------
+
+def _nonsplit_orthogonal():
+    """Rank 3 over F3 with q(e_0) = 2 and B(e_0, e_0) = 1: not the split
+    table, so Theta's residue is not the preset's."""
+    K = parse_ring("gf:3")
+    one = K.one()
+    return QuadModule(QuadType("orthogonal", K), 3,
+                      {(1, -1): one, (-1, 1): one, (0, 0): one}, {0: K.from_int(2)})
+
+
+def _tables():
+    rings = [parse_ring(r) for r in ("zmod:4", "gf:4", "prod:(zmod:2;zmod:3)")]
+    out = []
+    for K in rings:
+        out += [DeltaShape(alg) for alg in (ofalin(1, K), ofasymp(2, K), ofaorth(2, K),
+                                            ofaorth(3, K))]
+        out += [CanonConstruction(split_module(kind, rank, K))
+                for kind, rank in (("linear", 1), ("linear", 2), ("symplectic", 2),
+                                   ("orthogonal", 2), ("orthogonal", 3))]
+    return out + [CanonConstruction(_nonsplit_orthogonal())]
+
+
+TABLES = _tables()
+
+
+def test_nonsplit_table_is_a_module_with_its_own_residue():
+    M = _nonsplit_orthogonal()
+    assert module_check(M) == []
+    C = CanonConstruction(M)
+    ref = CanonConstruction(split_module("orthogonal", 3, M.K))
+    p = C.S.e(0, 0)
+    assert C.residue(p).key != ref.residue(ref.S.e(0, 0)).key
+    assert naive_canon_check(M, seed=0, samples=20)["pass"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(TABLES), st.integers(0, 2 ** 32 - 1))
+def test_param_table_law(T, seed):
+    rng = random.Random(seed)
+    alg, K = T.alg, T.alg.K
+    x, y, z = T.sample(rng), T.sample(rng), T.sample(rng)
+    assert T.read(*T.to_pair(x)) == x
+    zero = T.read(alg.zero(), alg.zero())
+    assert zero == (K.zero(),) * T.dim
+    assert T.add(T.add(x, y), z) == T.add(x, T.add(y, z))
+    assert T.add(x, zero) == x == T.add(zero, x)
+    assert T.add(x, T.neg(x)) == zero == T.add(T.neg(x), x)
+    # the unital action: 1 acts trivially, and (x.(a+k)).(b+l) = x.((a+k)(b+l))
+    assert T.act(x, alg.zero(), K.one()) == x
+    a, b = alg.sample(rng), alg.sample(rng)
+    k, l = rng.choice(list(K.elements())), rng.choice(list(K.elements()))
+    ab = unital_mul(unital(a, k), unital(b, l))
+    assert T.act(T.act(x, a, k), b, l) == T.act(x, ab.body, ab.scalar)
+    if isinstance(T, DeltaShape):
+        d = from_coords(T, x)
+        assert member(T, *to_pair(d)) == d

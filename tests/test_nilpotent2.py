@@ -20,7 +20,7 @@ from ofa.nilpotent2 import (DescentDatum, Nil2Elem, Nil2Module, Nil2Morphism,
                             nil2_elem_to_json, nil2_from_json, nil2_tau,
                             nil2_to_json, registered_tower, universality_probe)
 from ofa.cli import main as cli_main
-from ofa.nilpotent2 import _CLOSURE_CAP, _equalizer, _map_coords
+from ofa.nilpotent2 import _CLOSURE_CAP, _MOR_SEED, _equalizer, _map_coords, _transport
 
 F2 = ZMod(2)
 F3 = ZMod(3)
@@ -403,6 +403,23 @@ def test_solved_equalizer_on_random_cocycles(case, r1, ngens, seed):
         return  # a closure that is not normal gives no module (about 3%)
     D = DescentDatum(boxtimes(M, base_inclusion(E))[0])
     assert _equalizer(D) == _ref_equalizer(D)
+
+
+@pytest.mark.parametrize("M,E", _descent_data())
+def test_cocycle_holds_on_seeded_samples(M, E):
+    """The descent cocycle is checked on generators only; the transported
+    maps must then agree on 50 seeded samples of the module too."""
+    D = DescentDatum(boxtimes(M, base_inclusion(E))[0])
+    tw = D.tower
+    j1, j2, j3 = tw.face_maps()
+    NJ1, NJ2, NJ3 = (boxtimes(D.N, j)[0] for j in (j1, j2, j3))
+    p12 = _transport(D.psi, tw.i12, NJ1, NJ2)
+    p23 = _transport(D.psi, tw.i23, NJ2, NJ3)
+    p13 = _transport(D.psi, tw.i13, NJ1, NJ3)
+    rng = random.Random(_MOR_SEED)
+    for _ in range(50):
+        x = NJ1.sample(rng)
+        assert p23(p12(x)) == p13(x)
 
 
 def test_solved_equalizer_under_a_unit_twist():

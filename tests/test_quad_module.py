@@ -373,26 +373,48 @@ def test_theta_pair_roundtrip():
     C = canonical_construction(M)
     for th in C.elements():
         p, r = C.to_pair(th)
-        assert C.theta_member(p, r) == th
+        assert C.read(p, r) == th
     rng = random.Random(3)
     for kind, rank, K in (("symplectic", 2, F3), ("linear", 2, F3), ("orthogonal", 3, F3)):
         Cx = canonical_construction(split_module(kind, rank, K))
         for _ in range(40):
             th = Cx.sample(rng)
             p, r = Cx.to_pair(th)
-            assert Cx.theta_member(p, r) == th
+            assert Cx.read(p, r) == th
 
 
 def test_theta_group_laws():
     M = split_module("symplectic", 2, F3)
     C = canonical_construction(M)
     rng = random.Random(4)
-    z = C.theta_zero()
+    z = C.read(C.S.zero(), C.S.zero())
     for _ in range(40):
         a, b, c = C.sample(rng), C.sample(rng), C.sample(rng)
-        assert C.theta_add(C.theta_add(a, b), c) == C.theta_add(a, C.theta_add(b, c))
-        assert C.theta_add(a, C.theta_neg(a)) == z
-        assert C.theta_add(z, a) == a
+        assert C.add(C.add(a, b), c) == C.add(a, C.add(b, c))
+        assert C.add(a, C.neg(a)) == z
+        assert C.add(z, a) == a
+
+
+def test_theta_coordinates_of_an_ordered_sum_of_slot_boxes():
+    """A Theta coordinate vector names the sum, in slot order, of one box
+    per free slot t plus phi of its cross part.  So a sum of boxes
+    u_t (x) e_t with l_t = canonical_l(m_t) reads back with a zero
+    augmentation part: no l slot and no cross coordinate."""
+    rng = random.Random(5)
+    for kind, rank, K in (("symplectic", 2, F3), ("linear", 2, F3),
+                          ("orthogonal", 2, F3), ("orthogonal", 3, F3)):
+        M = split_module(kind, rank, K)
+        C = canonical_construction(M)
+        for _ in range(20):
+            x = C.read(C.S.zero(), C.S.zero())
+            p = C.S.zero()
+            for t in C.n_labels:
+                m = M.sample(rng)
+                x = C.add(x, C.box(heis_elem(M, m, C.canonical_l(m)),
+                                   {t: M.qtype.R.one()}))
+                p = C.S.add(p, C.col(m, t))
+            assert C.to_pair(x)[0] == p
+            assert all(K.is_zero(c) for c in x[len(C.pi_pos):]), kind
 
 
 def test_box_relations():
