@@ -40,16 +40,15 @@ class BatchOps:
         self.ktab = ring.ktab
         self.ttab = np.array(_torsion_list(K), dtype=np.int64).reshape(-1, self.rk)
         self.maskpos = np.array([1 if i > 0 else 0 for i in idx], dtype=np.int64)
-        # (row, col) of each coordinate: q/u slots of pi, then the
-        # augmentation basis slots of rho, with a flag for phi(e(i,j))
-        ppos = [(self.pos[i], self.pos[j]) for (i, j) in shape.q_pairs]
-        ppos += [(self.pos0, self.pos[i]) for i in shape.u_idx]
-        self.ppos = np.array(ppos, dtype=np.int64).reshape(-1, 2)
-        self.dpos = np.array(
-            [(self.pos[k[1]], self.pos[k[2]]) if k[0] == "f"
-             else (self.pos[-k[1]], self.pos[k[1]]) for k in shape.d_keys],
-            dtype=np.int64).reshape(-1, 2)
-        self.dfree = np.array([k[0] == "f" for k in shape.d_keys], dtype=bool)
+        # (row, col) of each coordinate as the table reads it: the pi
+        # positions, then the read position of each augmentation basis
+        # element, flagged when that element is phi(e(i,j)) = e(i,j) -
+        # conj e(i,j) rather than e(i,j) alone
+        self.ppos = np.array([(self.pos[i], self.pos[j]) for (i, j) in shape.pi_pos],
+                             dtype=np.int64).reshape(-1, 2)
+        self.dpos = np.array([(self.pos[i], self.pos[j]) for (i, j), _, _ in shape.aug],
+                             dtype=np.int64).reshape(-1, 2)
+        self.dfree = np.array([b != alg.e(*pos) for pos, _, b in shape.aug], dtype=bool)
         self.uw = np.triu(np.full((self.d, self.d), 2, dtype=np.int64), 1) + np.eye(
             self.d, dtype=np.int64)
         self.hslots = herm_slots(alg)

@@ -30,10 +30,9 @@ import itertools
 
 import numpy as np
 
-from .coeff_ring import CapacityError, SlotRing, StructureError
+from .coeff_ring import CapacityError, SlotRing, StructureError, _mixed_radix
 from .form_ring import ofaorth
 from .linalg import k_nullspace, k_solve
-from .odd_form_param import _mixed_radix
 
 _RANK_CAP = 10
 _SPIN_CAP = 1 << 20

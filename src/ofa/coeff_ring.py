@@ -355,6 +355,19 @@ class SlotRing:
         return out % self.m
 
 
+def _mixed_radix(sizes, stop, start=0):
+    """Digit rows of the indices start..stop-1 over the radices sizes, the
+    first digit most significant: rows of itertools.product order.  With
+    sizes [K.card] * n a row indexes SlotRing.ktab once per coordinate."""
+    idx = np.empty((stop - start, len(sizes)), dtype=np.int64)
+    stride = math.prod(sizes)
+    base = np.arange(start, stop, dtype=np.int64)
+    for t, s in enumerate(sizes):
+        stride //= s
+        idx[:, t] = (base // stride) % s
+    return idx
+
+
 def _fmt_coeffs(base, mcoeffs):
     if base.rank == 1:
         return ",".join(str(c[0]) for c in mcoeffs)

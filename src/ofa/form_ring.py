@@ -391,6 +391,9 @@ class ParamTable:
     def card(self):
         return self.alg.K.card ** self.dim
 
+    def zero(self):
+        return (self.alg.K.zero(),) * self.dim
+
     def elements(self):
         if self.card() > _ENUM_CAP:
             raise CapacityError("parameter enumeration over %d elements" % self.card())

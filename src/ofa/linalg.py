@@ -13,12 +13,11 @@ written as a Z-bilinear tensor on flat integer coordinates; unitary and
 quad_module both call it.
 """
 
-import itertools
 import math
 
 import numpy as np
 
-from .coeff_ring import CapacityError, SlotRing, StructureError, _basis
+from .coeff_ring import CapacityError, SlotRing, StructureError, _basis, _mixed_radix
 
 _CHUNK = 1 << 16
 _FRONTIER_CAP = 1 << 20
@@ -330,8 +329,7 @@ def k_mat_inv(spec, M):
 def support_pool(ktab, n, rows):
     """Every vector of K^n supported on rows, as flat (N, n * rk) rows in
     itertools.product order over the elements listed in ktab."""
-    codes = np.array(list(itertools.product(range(len(ktab)), repeat=len(rows))),
-                     dtype=np.int64).reshape(len(ktab) ** len(rows), len(rows))
+    codes = _mixed_radix([len(ktab)] * len(rows), len(ktab) ** len(rows))
     out = np.zeros((len(codes), n, ktab.shape[1]), dtype=np.int64)
     out[:, list(rows)] = ktab[codes]
     return out.reshape(len(codes), n * ktab.shape[1])

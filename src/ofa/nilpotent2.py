@@ -47,7 +47,6 @@ from .linalg import (GraphForm, howell_card, howell_form, howell_reduce,
                      howell_span, k_mat_inv, k_mat_vec, vadd, vflat, vneg,
                      vscale, vsub, vzero)
 from . import odd_form_param as ofp
-from .form_ring import UnitalEl
 
 _AMBIENT_CAP = 1 << 16
 _CLOSURE_CAP = 1 << 12
@@ -904,43 +903,44 @@ def delta_bridge_check(shape, count=400, seed=0):
     kel = list(K.elements())
 
     def scal(u, k):
-        return ofp.act_unital(u, UnitalEl(alg.zero(), k))
+        return shape.act(u, alg.zero(), k)
 
     def dcomm(u, v):
-        return ofp.delta_add(ofp.delta_add(ofp.delta_add(u, v),
-                                           ofp.delta_neg(u)),
-                             ofp.delta_neg(v))
+        return shape.add(shape.add(shape.add(u, v), shape.neg(u)), shape.neg(v))
+
+    def tau(u):
+        return shape.phi(shape.to_pair(u)[1])
+
+    def kact(k, x):
+        return ofp.act_scalar(shape, k, x)
 
     zero = shape.zero()
     checks = {name: True for name in (
         "comm-in-aug", "aug-central", "comm-act", "act-add-scalar",
         "aug-act-square", "tau-is-neg-act", "tau-double", "tau-add")}
     for _ in range(count):
-        u = ofp.sample_elem(shape, rng)
-        v = ofp.sample_elem(shape, rng)
+        u = shape.sample(rng)
+        v = shape.sample(rng)
         k = rng.choice(kel)
         l = rng.choice(kel)
-        d = ofp.phi(shape, alg.sample(rng))
+        d = shape.phi(alg.sample(rng))
         c = dcomm(u, v)
-        if not ofp.aug_member(c):
+        if not ofp.aug_member(shape, c):
             checks["comm-in-aug"] = False
         if dcomm(u, d) != zero:
             checks["aug-central"] = False
-        if dcomm(scal(u, k), scal(v, l)) != ofp.act_scalar(K.mul(k, l), c):
+        if dcomm(scal(u, k), scal(v, l)) != kact(K.mul(k, l), c):
             checks["comm-act"] = False
-        mid = ofp.act_scalar(K.mul(k, l), ofp.tau(u))
-        rhs = ofp.delta_add(ofp.delta_add(scal(u, k), mid), scal(u, l))
+        rhs = shape.add(shape.add(scal(u, k), kact(K.mul(k, l), tau(u))), scal(u, l))
         if scal(u, K.add(k, l)) != rhs:
             checks["act-add-scalar"] = False
-        if scal(d, k) != ofp.act_scalar(K.mul(k, k), d):
+        if scal(d, k) != kact(K.mul(k, k), d):
             checks["aug-act-square"] = False
-        if ofp.tau(u) != ofp.delta_add(u, scal(u, K.neg(K.one()))):
+        if tau(u) != shape.add(u, scal(u, K.neg(K.one()))):
             checks["tau-is-neg-act"] = False
-        if ofp.tau(d) != ofp.delta_add(d, d):
+        if tau(d) != shape.add(d, d):
             checks["tau-double"] = False
-        lhs = ofp.tau(ofp.delta_add(u, v))
-        if lhs != ofp.delta_add(ofp.delta_add(ofp.tau(u), dcomm(u, v)),
-                                ofp.tau(v)):
+        if tau(shape.add(u, v)) != shape.add(shape.add(tau(u), dcomm(u, v)), tau(v)):
             checks["tau-add"] = False
     checks["pass"] = all(checks.values())
     return checks

@@ -9,8 +9,9 @@ then coefficients over the augmentation basis.  Its pair is (pi, rho):
 pi carries the q/u coefficients, and rho is the fold residue of the q/u
 monomial word (the word folded left to right through the cocycle rule)
 plus the augmentation part.  A pair that fails the read is not a
-member.  DeltaElem keeps the word as three sparse maps, which witnesses
-and JSON print.
+member.  An element is its coordinate tuple over K, as a Theta element
+is, and callers use the table's own law (add, neg, phi, act); render
+and the JSON form name its nonzero slots, q then u then augmentation.
 
 Axiom sweeps (one table of identities) and the specialness check run
 on the numpy batch engine in batch_delta, for every coefficient ring;
@@ -23,8 +24,8 @@ import random
 
 import numpy as np
 
-from .coeff_ring import CapacityError, StructureError
-from .form_ring import ParamTable, UnitalEl, unital
+from .coeff_ring import CapacityError, StructureError, _mixed_radix
+from .form_ring import ParamTable, UnitalEl
 
 _ENUM_CAP = 1 << 20
 EXH_DELTA_CAP = 1 << 16
@@ -62,6 +63,8 @@ class DeltaShape(ParamTable):
             else:
                 aug.append(((-key[1], key[1]), alg.e(-key[1], key[1])))
         super().__init__(alg, q_pairs + [(0, i) for i in u_idx], aug)
+        # the named slots, each section in sorted order: render and the
+        # JSON form walk them as they are
         self.q_pairs = tuple(q_pairs)
         self.u_idx = tuple(u_idx)
         self.d_keys = tuple(d_keys)
@@ -72,81 +75,50 @@ class DeltaShape(ParamTable):
         return _fold_residue(self, p)
 
     def el(self, q=None, u=None, d=None):
+        """The element with the given coefficients on named slots: q
+        pairs, u indices and augmentation keys."""
         K = self.alg.K
-        qc, uc, dc = {}, {}, {}
-        for key, v in (q or {}).items():
-            if key not in self.q_pairs:
-                raise StructureError("no q slot %r in %s" % (key, self.tag))
-            if not K.is_zero(v):
-                qc[key] = K.check_element(v)
-        for i, v in (u or {}).items():
-            if i not in self.u_idx:
-                raise StructureError("no u slot %r in %s" % (i, self.tag))
-            if not K.is_zero(v):
-                uc[i] = K.check_element(v)
-        for key, v in (d or {}).items():
-            if key not in self.d_keys:
-                raise StructureError("no d slot %r in %s" % (key, self.tag))
-            if not K.is_zero(v):
-                dc[key] = K.check_element(v)
-        return DeltaElem(self, qc, uc, dc)
-
-    def zero(self):
-        return DeltaElem(self, {}, {}, {})
+        vec = [K.zero()] * self.dim
+        off = 0
+        for name, keys, given in (("q", self.q_pairs, q), ("u", self.u_idx, u),
+                                  ("d", self.d_keys, d)):
+            for key, v in (given or {}).items():
+                if key not in keys:
+                    raise StructureError("no %s slot %r in %s" % (name, key, self.tag))
+                if not K.is_zero(v):
+                    vec[off + keys.index(key)] = K.check_element(v)
+            off += len(keys)
+        return tuple(vec)
 
     def __repr__(self):
         return "<%s dim=%d>" % (self.tag, self.dim)
 
 
-class DeltaElem:
-    """Normal-form element: coordinate maps over the three supports."""
+def _entries(shape, x):
+    """The nonzero coordinates of x as (section, key, value): q slots,
+    then u slots, then augmentation slots, in slot order."""
+    K = shape.alg.K
+    off = 0
+    for name, keys in (("q", shape.q_pairs), ("u", shape.u_idx), ("d", shape.d_keys)):
+        for key, v in zip(keys, x[off:off + len(keys)]):
+            if not K.is_zero(v):
+                yield name, key, v
+        off += len(keys)
 
-    __slots__ = ("shape", "q", "u", "d", "key")
 
-    def __init__(self, shape, q, u, d):
-        self.shape = shape
-        self.q = q
-        self.u = u
-        self.d = d
-        self.key = (
-            tuple(sorted(q.items())),
-            tuple(sorted(u.items())),
-            tuple(sorted(d.items())),
-        )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, DeltaElem)
-            and self.shape.tag == other.shape.tag
-            and self.key == other.key
-        )
-
-    def __hash__(self):
-        return hash((self.shape.tag, self.key))
-
-    def __bool__(self):
-        return bool(self.q or self.u or self.d)
-
-    def __add__(self, other):
-        return delta_add(self, other)
-
-    def __neg__(self):
-        return delta_neg(self)
-
-    def __repr__(self):
-        if not self:
-            return "0."
-        bits = []
-        for (i, j), v in self.key[0]:
-            bits.append("q%d*%se(%d,%d)" % (i, v, i, j))
-        for i, v in self.key[1]:
-            bits.append("u%d*%s" % (i, v))
-        for key, v in self.key[2]:
-            if key[0] == "f":
-                bits.append("%sphi(e(%d,%d))" % (v, key[1], key[2]))
-            else:
-                bits.append("%sv%d" % (v, key[1]))
-        return " + ".join(bits)
+def render(shape, x):
+    """The element as witnesses print it; "0." for zero."""
+    bits = []
+    for name, key, v in _entries(shape, x):
+        if name == "q":
+            bits.append("q%d*%se(%d,%d)" % (key[0], v, key[0], key[1]))
+        elif name == "u":
+            bits.append("u%d*%s" % (key, v))
+        elif key[0] == "f":
+            bits.append("%sphi(e(%d,%d))" % (v, key[1], key[2]))
+        else:
+            bits.append("%sv%d" % (v, key[1]))
+    return " + ".join(bits) if bits else "0."
 
 
 def _fold_residue(shape, p):
@@ -171,68 +143,33 @@ def _fold_residue(shape, p):
     return base
 
 
-def to_pair(x):
-    """(pi(x), rho(x)); the pair determines x (see special_check)."""
-    return x.shape.to_pair(coords(x))
+# to_pair and member are the table's read under names of the Delta layer,
+# which bench/tracer.py counts (to_pair_calls, member_calls)
+def to_pair(shape, x):
+    """(pi(x), rho(x)) of a Delta element; the pair determines x (see
+    special_check)."""
+    return shape.to_pair(x)
 
 
 def member(shape, p, r):
     """Read coordinates off a (pi, rho) pair; None if not in Delta."""
-    vec = shape.read(p, r)
-    return None if vec is None else from_coords(shape, vec)
+    return shape.read(p, r)
 
 
-def pi(x):
-    return to_pair(x)[0]
+def aug_member(shape, x):
+    """Whether x lies in the augmentation part: no q or u coordinate."""
+    K = shape.alg.K
+    return all(K.is_zero(c) for c in x[:len(shape.pi_pos)])
 
 
-def rho(x):
-    return to_pair(x)[1]
-
-
-def delta_zero(shape):
-    return shape.zero()
-
-
-def delta_add(x, y):
-    if x.shape.tag != y.shape.tag:
-        raise StructureError("shape mismatch %s / %s" % (x.shape.tag, y.shape.tag))
-    return from_coords(x.shape, x.shape.add(coords(x), coords(y)))
-
-
-def delta_neg(x):
-    return from_coords(x.shape, x.shape.neg(coords(x)))
-
-
-def phi(shape, a):
-    return from_coords(shape, shape.phi(a))
-
-
-def tau(x):
-    return phi(x.shape, rho(x))
-
-
-def act_unital(x, al):
-    """Right action of body+scalar in the unitalized algebra."""
-    return from_coords(x.shape, x.shape.act(coords(x), al.body, al.scalar))
-
-
-def act(x, a):
-    return act_unital(x, unital(a))
-
-
-def act_scalar(k, x):
-    """Left K-module action on the augmentation part only."""
-    if x.q or x.u:
+def act_scalar(shape, k, x):
+    """Left K-module action on the augmentation part only: the read is
+    linear in rho there, so k scales the augmentation coordinates."""
+    if not aug_member(shape, x):
         raise StructureError("scalar action is only defined on augmentation elements")
-    alg = x.shape.alg
-    out = member(x.shape, alg.zero(), alg.kmul(k, to_pair(x)[1]))
-    assert out is not None
-    return out
-
-
-def aug_member(x):
-    return not x.q and not x.u
+    K = shape.alg.K
+    npi = len(shape.pi_pos)
+    return x[:npi] + tuple(K.mul(k, c) for c in x[npi:])
 
 
 def gen_q(shape, i):
@@ -261,48 +198,18 @@ def central_u(shape, k):
     two_k = K.smul(2, k)
     for i in alg.indices:
         if i != 0:
-            out = delta_add(out, act_unital(gen_q(shape, i), UnitalEl(alg.zero(), two_k)))
-    out = delta_add(out, act_unital(gen_u(shape, 0), UnitalEl(alg.zero(), k)))
+            out = shape.add(out, shape.act(gen_q(shape, i), alg.zero(), two_k))
+    out = shape.add(out, shape.act(gen_u(shape, 0), alg.zero(), k))
     ksq2 = K.smul(2, K.mul(k, k))
     body = alg.el({(i, i): ksq2 for i in alg.indices if i > 0})
-    return delta_add(out, phi(shape, body))
+    return shape.add(out, shape.phi(body))
 
 
-def elements(shape):
-    for vec in shape.elements():
-        yield from_coords(shape, vec)
-
-
-def from_coords(shape, vec):
-    K = shape.alg.K
-    maps, off = [], 0
-    for keys in (shape.q_pairs, shape.u_idx, shape.d_keys):
-        maps.append({key: v for key, v in zip(keys, vec[off:off + len(keys)])
-                     if not K.is_zero(v)})
-        off += len(keys)
-    return DeltaElem(shape, *maps)
-
-
-def coords(x):
-    K = x.shape.alg.K
-    out = [x.q.get(key, K.zero()) for key in x.shape.q_pairs]
-    out += [x.u.get(i, K.zero()) for i in x.shape.u_idx]
-    out += [x.d.get(key, K.zero()) for key in x.shape.d_keys]
-    return tuple(out)
-
-
-def sample_elem(shape, rng):
-    return from_coords(shape, shape.sample(rng))
-
-
-def delta_to_json(x):
+def delta_to_json(shape, x):
     out = {"q": [], "u": [], "d": []}
-    for (i, j), v in x.key[0]:
-        out["q"].append([i, j, list(v)])
-    for i, v in x.key[1]:
-        out["u"].append([i, list(v)])
-    for key, v in x.key[2]:
-        out["d"].append(list(key) + [list(v)])
+    for name, key, v in _entries(shape, x):
+        key = list(key) if isinstance(key, tuple) else [key]
+        out[name].append(key + [list(v)])
     return out
 
 
@@ -322,7 +229,7 @@ def special_check(shape, cap=EXH_DELTA_CAP, count=10000, seed=0):
     """Verify that (pi, rho) determines the coordinates.
 
     Every element (up to ``cap``) or ``count`` samples drawn as
-    sample_elem draws them is mapped to its pair in one batch and read
+    shape.sample draws them is mapped to its pair in one batch and read
     back; the report is the one an element-by-element loop of
     ``member(shape, *to_pair(x)) == x`` gives, stopping at the first
     failure.
@@ -337,7 +244,7 @@ def special_check(shape, cap=EXH_DELTA_CAP, count=10000, seed=0):
             raise CapacityError("delta enumeration over %d elements" % card)
         idx = _mixed_radix([ops.K.card] * shape.dim, card)
     else:
-        # one randrange per basis slot, in sample_elem's order, then the
+        # one randrange per basis slot, in shape.sample's order, then the
         # element's index in K.elements()
         rng = random.Random(seed)
         mods = ops.K.moduli
@@ -357,10 +264,9 @@ def special_check(shape, cap=EXH_DELTA_CAP, count=10000, seed=0):
         return {"pass": fail is None and distinct == card, "mode": "exhaustive",
                 "checked": card, "distinct": distinct}
     if fail is not None:
-        witness = from_coords(shape, [tuple(int(c) for c in ops.ktab[t])
-                                      for t in idx[fail]])
+        witness = tuple(tuple(int(c) for c in ops.ktab[t]) for t in idx[fail])
         return {"pass": False, "mode": "sampled", "checked": count,
-                "witness": repr(witness)}
+                "witness": render(shape, witness)}
     return {"pass": True, "mode": "sampled", "checked": count, "flagged": True}
 
 
@@ -469,7 +375,7 @@ def slot_sizes(shape, kind):
     if kind == "scalar":
         return [card]
     if kind == "aug":
-        return [card] * len(shape.d_keys)
+        return [card] * len(shape.aug)
     if kind == "herm":
         return [s[3] for s in herm_slots(shape.alg)]
     raise StructureError("unknown factor kind %r" % kind)
@@ -482,7 +388,7 @@ def decode_factor(shape, kind, row):
     K = alg.K
     klist = list(K.elements())
     if kind == "delta":
-        return from_coords(shape, [klist[t] for t in row])
+        return tuple(klist[t] for t in row)
     if kind == "alg":
         return alg.from_coords([klist[t] for t in row])
     if kind == "ualg":
@@ -505,18 +411,6 @@ def decode_factor(shape, kind, row):
                 coeffs[slot] = K.add(coeffs.get(slot, K.zero()), w)
         return alg.el(coeffs)
     raise StructureError("unknown factor kind %r" % kind)
-
-
-def _mixed_radix(sizes, stop, start=0):
-    """Digit rows of the indices start..stop-1 over the radices sizes, the
-    first digit most significant: rows of itertools.product order."""
-    idx = np.empty((stop - start, len(sizes)), dtype=np.int64)
-    stride = math.prod(sizes)
-    base = np.arange(start, stop, dtype=np.int64)
-    for t, s in enumerate(sizes):
-        stride //= s
-        idx[:, t] = (base // stride) % s
-    return idx
 
 
 def axioms_check(shape, strategy="exhaustive", count=10000, seed=None):
@@ -560,8 +454,8 @@ def axioms_check(shape, strategy="exhaustive", count=10000, seed=None):
             witness = []
             for kind in kinds:
                 w = len(slot_sizes(shape, kind))
-                witness.append(repr(decode_factor(
-                    shape, kind, [int(t) for t in row[off:off + w]])))
+                x = decode_factor(shape, kind, [int(t) for t in row[off:off + w]])
+                witness.append(render(shape, x) if kind in ("delta", "aug") else repr(x))
                 off += w
             entry["witness"] = witness
         rows.append(entry)

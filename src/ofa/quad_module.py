@@ -49,13 +49,13 @@ import itertools
 
 import numpy as np
 
-from .coeff_ring import CapacityError, Product, StructureError, _basis, parse_ring
-from .form_ring import ParamTable, SplitAlgebra, ofalin, ofaorth, ofasymp, unital
+from .coeff_ring import (CapacityError, Product, StructureError, _basis, _mixed_radix,
+                         parse_ring)
+from .form_ring import ParamTable, SplitAlgebra, ofalin, ofaorth, ofasymp
 from .linalg import (KSolver, howell_card, howell_form, howell_span, isometry_search,
                      k_identity, k_mat_inv, k_matrices, k_matmul, support_pool, vadd,
                      vflat)
-from .odd_form_param import DeltaShape, act_unital
-from .odd_form_param import member as delta_member
+from .odd_form_param import DeltaShape
 
 _SCAN_CAP = 1 << 16
 
@@ -226,6 +226,10 @@ def quad_type_check(qt, count=200, seed=0):
     return sorted(bad)
 
 
+def _fmt_el(v):
+    return "(%s)" % ",".join(str(c) for c in v)
+
+
 def _std_labels(kind, rank):
     if rank < 1:
         raise StructureError("rank must be positive")
@@ -257,8 +261,21 @@ class QuadModule:
         self.rank = rank
         self.labels = _std_labels(qtype.kind, rank)
         self.pos = {a: i for i, a in enumerate(self.labels)}
-        K = self.K
-        self.gram = {}
+        self.gram, self.qvals = self._tables(gram, qvals)
+        self.split = (self.gram, self.qvals) == self._tables(*_split_tables(qtype, rank))
+        # elements and the tensor square compare by tag: a module off the
+        # split tables names its tables
+        self.tag = "%s:%d:%s" % (qtype.kind, rank, self.K.name)
+        if not self.split:
+            self.tag += "/gram:%s/q:%s" % (
+                ";".join("%d,%d=%s" % (a, b, _fmt_el(l))
+                         for (a, b), l in sorted(self.gram.items())),
+                ";".join("%d=%s" % (a, _fmt_el(v)) for a, v in sorted(self.qvals.items())))
+
+    def _tables(self, gram, qvals):
+        """The checked Gram table (zero entries dropped) and q table."""
+        qtype = self.qtype
+        out = {}
         for (a, b), l in gram.items():
             if a not in self.pos or b not in self.pos:
                 raise StructureError("gram label %r outside the module" % ((a, b),))
@@ -267,9 +284,8 @@ class QuadModule:
             if not self._side_ok(a, b, l):
                 raise StructureError("gram entry %r breaks the side split" % ((a, b),))
             if not qtype.R.is_zero(l):
-                self.gram[(a, b)] = l
-        self.qvals = {a: qtype.a_check(qvals.get(a, K.zero())) for a in self.labels}
-        self.tag = "%s:%d:%s" % (qtype.kind, rank, K.name)
+                out[(a, b)] = l
+        return out, {a: qtype.a_check(qvals.get(a, self.K.zero())) for a in self.labels}
 
     def __repr__(self):
         return "QuadModule(%s)" % self.tag
@@ -445,23 +461,28 @@ def module_check(M, count=100, seed=0):
     return sorted(set(bad))
 
 
-def split_module(kind, rank, K):
+def _split_tables(qt, rank):
     """The standard split tables: paired basis vectors, zero q away from 0."""
-    qt = QuadType(kind, K)
+    K = qt.K
     one = K.one()
     gram, qvals = {}, {}
-    labels = _std_labels(kind, rank)
-    for i in labels:
+    for i in _std_labels(qt.kind, rank):
         if i == 0:
             gram[(0, 0)] = K.smul(2, one)
             qvals[0] = one
-        elif kind == "linear":
+        elif qt.kind == "linear":
             gram[(i, -i)] = qt.R.join((one, K.zero()) if i > 0 else (K.zero(), one))
-        elif kind == "symplectic":
+        elif qt.kind == "symplectic":
             gram[(i, -i)] = one if i > 0 else K.neg(one)
         else:
             gram[(i, -i)] = one
-    return QuadModule(qt, rank, gram, qvals)
+    return gram, qvals
+
+
+def split_module(kind, rank, K):
+    """The module with the standard split tables."""
+    qt = QuadType(kind, K)
+    return QuadModule(qt, rank, *_split_tables(qt, rank))
 
 
 def hyperbolic_space(kind, K, p_rank):
@@ -1191,14 +1212,9 @@ def canonical_construction(M):
 # -- identification with the preset algebras --------------------------------
 
 
-def _is_split(M):
-    ref = split_module(M.qtype.kind, M.rank, M.K)
-    return M.gram == ref.gram and M.qvals == ref.qvals
-
-
 def preset_target(M):
     """The split preset algebra matching a split module's tables."""
-    if not _is_split(M):
+    if not M.split:
         raise StructureError("preset identification needs the split tables")
     if M.qtype.kind == "linear":
         return ofalin(M.rank, M.K)
@@ -1232,7 +1248,7 @@ def iota_s_inv(C, alg, a):
 
 def iota_theta(C, shape, th):
     p, r = C.to_pair(th)
-    out = delta_member(shape, iota_s(C, shape.alg, p), iota_s(C, shape.alg, r))
+    out = shape.read(iota_s(C, shape.alg, p), iota_s(C, shape.alg, r))
     assert out is not None
     return out
 
@@ -1278,7 +1294,7 @@ def canon_preset_check(M, count=200, seed=0, cap=_SCAN_CAP):
     ok = True
     for th in thetas:
         p, r = C.to_pair(th)
-        d = delta_member(shape, iota_s(C, alg, p), iota_s(C, alg, r))
+        d = shape.read(iota_s(C, alg, p), iota_s(C, alg, r))
         if d is None:
             ok = False
             break
@@ -1290,31 +1306,28 @@ def canon_preset_check(M, count=200, seed=0, cap=_SCAN_CAP):
     else:
         report["bijection"] = ok and report["dim_match"]
 
-    from .odd_form_param import delta_add, delta_neg, phi, sample_elem
-    from .odd_form_param import to_pair as delta_pair
-
     kels = list(C.K.elements())
     ok = True
     for _ in range(count):
         a, b = C.sample(rng), C.sample(rng)
-        if iota_theta(C, shape, C.add(a, b)) != delta_add(
+        if iota_theta(C, shape, C.add(a, b)) != shape.add(
             iota_theta(C, shape, a), iota_theta(C, shape, b)
         ):
             ok = False
-        if iota_theta(C, shape, C.neg(a)) != delta_neg(iota_theta(C, shape, a)):
+        if iota_theta(C, shape, C.neg(a)) != shape.neg(iota_theta(C, shape, a)):
             ok = False
         s = S.sample(rng)
-        if iota_theta(C, shape, C.phi(s)) != phi(shape, iota_s(C, alg, s)):
+        if iota_theta(C, shape, C.phi(s)) != shape.phi(iota_s(C, alg, s)):
             ok = False
         k = kels[rng.randrange(len(kels))]
-        if iota_theta(C, shape, C.act(a, s, k)) != act_unital(
-            iota_theta(C, shape, a), unital(iota_s(C, alg, s), k)
+        if iota_theta(C, shape, C.act(a, s, k)) != shape.act(
+            iota_theta(C, shape, a), iota_s(C, alg, s), k
         ):
             ok = False
     report["group_transport"] = ok
     ok = True
     for _ in range(count):
-        p, r = delta_pair(sample_elem(shape, rng))
+        p, r = shape.to_pair(shape.sample(rng))
         if C.read(iota_s_inv(C, alg, p), iota_s_inv(C, alg, r)) is None:
             ok = False
             break
@@ -1454,9 +1467,7 @@ class CanonMorphism:
             vflat(e for mat in self.f_s(S.el({p: u})) for row in mat for e in row)
             for p in S.pairs for u in _basis(K)
         ], dtype=np.int64).reshape(len(S.pairs) * K.rank, 2 * n * n * K.rank)
-        smod = np.tile(K.moduli, len(S.pairs))
-        stride = np.cumprod(np.concatenate(([1], smod[::-1][:-1])))[::-1]
-        coords = np.arange(S.card(), dtype=np.int64)[:, None] // stride % smod
+        coords = _mixed_radix(K.moduli * len(S.pairs), S.card())
         image = coords @ fmat % np.tile(K.moduli, 2 * n * n)
         return len(np.unique(image, axis=0))
 

@@ -5,13 +5,15 @@ gamma in Delta, subject to alpha*bar(alpha) = bar(alpha)*alpha = 1 for
 alpha = beta + 1 in the unitalization, pi(gamma) = beta and
 rho(gamma) = bar(beta).  Over the shapes built here the pair (pi, rho)
 is faithful, so gamma is recovered from beta by a coordinate read and
-elements compare by beta alone.
+elements compare by beta alone.  Gamma is a Delta coordinate tuple, and
+the Delta arithmetic here is the table's own (shape.add, shape.act, ...).
 
 The module covers group arithmetic, the elementary generators
 (transvections and dilations), determinant and Dickson invariants, the
 embedding of the odd orthogonal group into the even one, the outer
 automorphism of the linear preset, hyperbolic pairs and families with
-their parabolic subgroups, the three classical sub-algebra pairs with
+their parabolic subgroups (closed from generating sets of the short and
+ultrashort parameters), the three classical sub-algebra pairs with
 their stabilizer groups, and exhaustive enumeration.
 
 Enumeration has one candidate generator per family and one membership
@@ -27,30 +29,22 @@ and, unless asked not to, verified: distinct keys, bar beta listed for
 every beta, and 144 seeded products.
 """
 
-import itertools
 import random
 
 import numpy as np
 
-from .coeff_ring import CapacityError, Product, StructureError
-from .form_ring import UnitalEl, ofalin, ofaorth, rep_odd, x_central
+from .coeff_ring import CapacityError, Product, StructureError, _basis
+from .form_ring import ofalin, ofaorth, rep_odd, x_central
 from .form_ring import alg_el_from_json, alg_el_to_json
 from .linalg import form_rows, isometry_search, k_det, k_matrices, k_solve, support_pool
 from .odd_form_param import (
     DeltaShape,
     _torsion_list,
-    act,
-    act_unital,
     central_u,
-    delta_add,
     delta_from_json,
-    delta_neg,
     delta_to_json,
     gen_q,
     member,
-    phi,
-    pi,
-    rho,
     to_pair,
 )
 from .batch_delta import BatchOps
@@ -60,7 +54,6 @@ _ENUM_CAP = 1 << 20
 _CHUNK = 1 << 16
 _POOL_CAP = 1 << 12
 _CLOSURE_CAP = 1 << 20
-_DELTA0_CAP = 1 << 12
 
 
 class UnitaryElem:
@@ -77,9 +70,6 @@ class UnitaryElem:
     def gamma(self):
         """Read off (beta, bar beta) on demand."""
         return member(self.shape, self.beta, self.shape.alg.conj(self.beta))
-
-    def alpha(self):
-        return UnitalEl(self.beta, self.shape.alg.K.one())
 
     def __eq__(self, other):
         return (
@@ -110,13 +100,12 @@ def _unitality(alg, beta):
     )
 
 
-def u_is_member(beta, gamma):
+def u_is_member(shape, beta, gamma):
     """The three membership equations for the pair (beta, gamma)."""
-    shape = gamma.shape
     alg = shape.alg
     if not _unitality(alg, beta):
         return False
-    p, r = to_pair(gamma)
+    p, r = to_pair(shape, gamma)
     return p == beta and r == alg.conj(beta)
 
 
@@ -151,13 +140,13 @@ def u_inv(g):
 
 
 def unitary_to_json(g):
-    return {"beta": alg_el_to_json(g.beta), "gamma": delta_to_json(g.gamma)}
+    return {"beta": alg_el_to_json(g.beta), "gamma": delta_to_json(g.shape, g.gamma)}
 
 
 def unitary_from_json(shape, data):
     beta = alg_el_from_json(shape.alg, data["beta"])
     gamma = delta_from_json(shape, data["gamma"])
-    if not u_is_member(beta, gamma):
+    if not u_is_member(shape, beta, gamma):
         raise StructureError("decoded element is not unitary")
     return UnitaryElem(shape, beta)
 
@@ -166,16 +155,22 @@ def unitary_from_json(shape, data):
 
 
 def act_projective(g, target):
-    """g acting by alpha * x * alpha^{-1}; Delta targets use the twisted law."""
+    """g acting on the algebra by alpha * x * alpha^{-1}."""
     alg = g.shape.alg
     if isinstance(target, UnitaryElem):
         raise StructureError("conjugate group elements through u_mul")
-    if hasattr(target, "shape"):
-        al_inv = UnitalEl(alg.conj(g.beta), alg.K.one())
-        return act_unital(delta_add(act(g.gamma, pi(target)), target), al_inv)
     bb = alg.conj(g.beta)
     out = alg.add(target, alg.mul(g.beta, target))
     return alg.add(out, alg.add(alg.mul(target, bb), alg.mul(alg.mul(g.beta, target), bb)))
+
+
+def act_projective_delta(g, x):
+    """g acting on Delta by the twisted law (gamma . pi(x) + x) . alpha^{-1}."""
+    shape = g.shape
+    alg, K = shape.alg, shape.alg.K
+    p = to_pair(shape, x)[0]
+    y = shape.add(shape.act(g.gamma, p, K.zero()), x)
+    return shape.act(y, alg.conj(g.beta), K.one())
 
 
 def conjugate(g, h):
@@ -193,36 +188,39 @@ def transvection_short(shape, i, j, x):
         raise StructureError("parameter not supported in block (%d, %d)" % (i, j))
     xb = alg.conj(x)
     beta = alg.sub(x, xb)
-    gamma = delta_add(
-        delta_add(act(gen_q(shape, i), x), delta_neg(act(gen_q(shape, -j), xb))),
-        delta_neg(phi(shape, x)),
+    zero = alg.K.zero()
+    gamma = shape.add(
+        shape.add(shape.act(gen_q(shape, i), x, zero),
+                  shape.neg(shape.act(gen_q(shape, -j), xb, zero))),
+        shape.neg(shape.phi(x)),
     )
-    if not u_is_member(beta, gamma):
+    if not u_is_member(shape, beta, gamma):
         raise StructureError("transvection parameter fails membership")
     return UnitaryElem(shape, beta)
 
 
-def delta0_member(u):
+def delta0_member(shape, u):
     """Whether pi(u) vanishes on every row except the middle one."""
-    alg = u.shape.alg
+    alg = shape.alg
     s = alg.el({(i, i): alg.K.one() for i in alg.indices if i != 0})
-    return not alg.mul(s, pi(u)).c
+    return not alg.mul(s, to_pair(shape, u)[0]).c
 
 
 def transvection_ultrashort(shape, i, u):
     alg = shape.alg
+    zero = alg.K.zero()
     if i == 0:
         raise StructureError("ultrashort transvection needs i != 0")
-    if not delta0_member(u) or act(u, alg.e(i, i)) != u:
+    if not delta0_member(shape, u) or shape.act(u, alg.e(i, i), zero) != u:
         raise StructureError("parameter is not in Delta0 * e_%d" % i)
-    p, r = to_pair(u)
+    p, r = to_pair(shape, u)
     pb = alg.conj(p)
     beta = alg.add(r, alg.sub(p, pb))
-    gamma = delta_add(
-        delta_add(u, delta_neg(phi(shape, alg.add(r, p)))),
-        act(gen_q(shape, -i), alg.sub(r, pb)),
+    gamma = shape.add(
+        shape.add(u, shape.neg(shape.phi(alg.add(r, p)))),
+        shape.act(gen_q(shape, -i), alg.sub(r, pb), zero),
     )
-    if not u_is_member(beta, gamma):
+    if not u_is_member(shape, beta, gamma):
         raise StructureError("ultrashort parameter fails membership")
     return UnitaryElem(shape, beta)
 
@@ -241,14 +239,15 @@ def dilation(shape, i, a):
     abinv = alg.e(-i, -i, cinv)
     beta = alg.sub(alg.add(a, abinv), alg.add(alg.e(i, i), alg.e(-i, -i)))
     am = alg.sub(a, alg.e(i, i))
-    gamma = delta_add(
-        delta_add(
-            act(gen_q(shape, -i), alg.sub(abinv, alg.e(-i, -i))),
-            act(gen_q(shape, i), am),
+    zero = K.zero()
+    gamma = shape.add(
+        shape.add(
+            shape.act(gen_q(shape, -i), alg.sub(abinv, alg.e(-i, -i)), zero),
+            shape.act(gen_q(shape, i), am, zero),
         ),
-        delta_neg(phi(shape, am)),
+        shape.neg(shape.phi(am)),
     )
-    if not u_is_member(beta, gamma):
+    if not u_is_member(shape, beta, gamma):
         raise StructureError("dilation fails membership")
     return UnitaryElem(shape, beta)
 
@@ -448,7 +447,7 @@ def so_odd_split(shape):
     for k in K.elements():
         if K.is_zero(K.add(K.mul(k, k), k)):
             bx, ux = x_central(alg, k), central_u(shape, k)
-            assert u_is_member(bx, ux)
+            assert u_is_member(shape, bx, ux)
             expected[K.neg(k)] = (bx, ux)
     central_ok = len(central) == len(expected) and all(
         expected.get(dicks[g.key]) == (g.beta, g.gamma) for g in central)
@@ -503,7 +502,7 @@ class SigmaLinear:
         return alg.el({(self.index(i), self.index(j)): v for (i, j), v in a.c.items()})
 
     def on_delta(self, u):
-        p, r = to_pair(u)
+        p, r = to_pair(self.shape, u)
         out = member(self.shape, self.on_alg(p), self.on_alg(r))
         assert out is not None
         return out
@@ -514,8 +513,6 @@ class SigmaLinear:
     def __call__(self, target):
         if isinstance(target, UnitaryElem):
             return self.on_unitary(target)
-        if hasattr(target, "shape"):
-            return self.on_delta(target)
         return self.on_alg(target)
 
 
@@ -527,9 +524,10 @@ def sigma_linear(shape):
 
 
 class HyperbolicPair:
-    __slots__ = ("e_minus", "e_plus", "q_minus", "q_plus")
+    __slots__ = ("shape", "e_minus", "e_plus", "q_minus", "q_plus")
 
-    def __init__(self, e_minus, e_plus, q_minus, q_plus):
+    def __init__(self, shape, e_minus, e_plus, q_minus, q_plus):
+        self.shape = shape
         self.e_minus = e_minus
         self.e_plus = e_plus
         self.q_minus = q_minus
@@ -541,7 +539,8 @@ class HyperbolicPair:
 
 def hyperbolic_pair_check(pair):
     em, ep = pair.e_minus, pair.e_plus
-    alg = em.alg
+    shape = pair.shape
+    alg = shape.alg
     failures = []
     if alg.mul(em, em) != em or alg.mul(ep, ep) != ep:
         failures.append("not idempotent")
@@ -550,18 +549,19 @@ def hyperbolic_pair_check(pair):
     if alg.conj(ep) != em:
         failures.append("bar(e+) != e-")
     for q, e in ((pair.q_minus, em), (pair.q_plus, ep)):
-        if pi(q) != e:
+        p, r = to_pair(shape, q)
+        if p != e:
             failures.append("pi(q) != e")
-        if rho(q).c:
+        if r.c:
             failures.append("rho(q) != 0")
-        if act(q, e) != q:
+        if shape.act(q, e, alg.K.zero()) != q:
             failures.append("q * e != q")
     return failures
 
 
 def hyperbolic_standard(shape, i):
     return HyperbolicPair(
-        shape.alg.e(-i, -i), shape.alg.e(i, i), gen_q(shape, -i), gen_q(shape, i)
+        shape, shape.alg.e(-i, -i), shape.alg.e(i, i), gen_q(shape, -i), gen_q(shape, i)
     )
 
 
@@ -574,11 +574,13 @@ def pair_sum(p1, p2):
     w1, w2 = p1.weight(), p2.weight()
     if alg.mul(w1, w2).c or alg.mul(w2, w1).c:
         raise StructureError("pair_sum needs orthogonal pairs")
+    shape = p1.shape
     out = HyperbolicPair(
+        shape,
         alg.add(p1.e_minus, p2.e_minus),
         alg.add(p1.e_plus, p2.e_plus),
-        delta_add(p1.q_minus, p2.q_minus),
-        delta_add(p1.q_plus, p2.q_plus),
+        shape.add(p1.q_minus, p2.q_minus),
+        shape.add(p1.q_plus, p2.q_plus),
     )
     bad = hyperbolic_pair_check(out)
     if bad:
@@ -701,13 +703,13 @@ class ClassicalPair:
         )
 
     def iota_delta(self, u):
-        p, r = to_pair(u)
+        p, r = to_pair(self.small_shape, u)
         out = member(self.big_shape, self.iota(p), self.iota(r))
         assert out is not None
         return out
 
     def delta_image_member(self, w):
-        p, r = to_pair(w)
+        p, r = to_pair(self.big_shape, w)
         if not self.image_member(p) or not self.image_member(r):
             return False
         return member(self.small_shape, self.iota_inv(p), self.iota_inv(r)) is not None
@@ -717,17 +719,11 @@ def classical_pair(small_shape):
     return ClassicalPair(small_shape)
 
 
-def _delta_slot_generators(shape):
-    K = shape.alg.K
-    bas = [tuple(1 if t == s else 0 for t in range(K.rank)) for s in range(K.rank)]
-    out = []
-    for key in shape.q_pairs:
-        out.extend(shape.el(q={key: b}) for b in bas)
-    for i in shape.u_idx:
-        out.extend(shape.el(u={i: b}) for b in bas)
-    for key in shape.d_keys:
-        out.extend(shape.el(d={key: b}) for b in bas)
-    return out
+def _delta_slot_generators(shape, slots):
+    """The elements with one Z-basis element of K at one of the given
+    coordinate slots and zero elsewhere."""
+    zero = shape.zero()
+    return [zero[:t] + (b,) + zero[t + 1:] for t in slots for b in _basis(shape.alg.K)]
 
 
 def gu_member(g, pair):
@@ -738,8 +734,8 @@ def gu_member(g, pair):
     for (i, j) in pair.small.pairs:
         if not pair.image_member(act_projective(g, pair.iota(pair.small.e(i, j)))):
             return False
-    for gen in _delta_slot_generators(pair.small_shape):
-        if not pair.delta_image_member(act_projective(g, pair.iota_delta(gen))):
+    for gen in _delta_slot_generators(pair.small_shape, range(pair.small_shape.dim)):
+        if not pair.delta_image_member(act_projective_delta(g, pair.iota_delta(gen))):
             return False
     return True
 
@@ -909,19 +905,13 @@ def generate_subgroup(gens, cap=_CLOSURE_CAP):
     return sorted(seen.values(), key=lambda g: g.key)
 
 
-def _delta0_elements(shape):
-    K = shape.alg.K
-    slots = list(shape.u_idx) + list(shape.d_keys)
-    if K.card ** len(slots) > _DELTA0_CAP:
-        raise CapacityError("Delta0 pool of %d elements" % K.card ** len(slots))
-    nu = len(shape.u_idx)
-    for vec in itertools.product(K.elements(), repeat=len(slots)):
-        u = {i: v for i, v in zip(shape.u_idx, vec[:nu]) if not K.is_zero(v)}
-        d = {k: v for k, v in zip(shape.d_keys, vec[nu:]) if not K.is_zero(v)}
-        yield shape.el(u=u, d=d)
-
-
 def parabolic_generators(shape, family=None):
+    """Dilations, middle corners, and the short and ultrashort
+    transvections of the family's block, each taken at generators only:
+    X_ij(x) X_ij(y) = X_ij(x + y) and T_j(u) T_j(v) = T_j(u + v), so the
+    Z-basis of K gives every short parameter, and u = x . e_j for x a
+    slot generator of Delta0 (the u and augmentation slots) every
+    ultrashort one."""
     alg = shape.alg
     K = alg.K
     if family is None:
@@ -945,19 +935,18 @@ def parabolic_generators(shape, family=None):
     for i in span:
         for j in span:
             if i < j and i != -j and (i, j) in alg.pairset:
-                for c in K.elements():
-                    if not K.is_zero(c):
-                        gens.append(transvection_short(shape, i, j, alg.e(i, j, c)))
+                for b in _basis(K):
+                    gens.append(transvection_short(shape, i, j, alg.e(i, j, b)))
     if alg.kind != "lin":
+        delta0 = _delta_slot_generators(shape, range(len(shape.q_pairs), shape.dim))
         for j in ranks:
             ecol = alg.e(j, j)
-            seen = set()
-            for x in _delta0_elements(shape):
-                u = act(x, ecol)
-                if u.key in seen:
-                    continue
-                seen.add(u.key)
-                gens.append(transvection_ultrashort(shape, j, u))
+            seen = {shape.zero()}
+            for x in delta0:
+                u = shape.act(x, ecol, K.zero())
+                if u not in seen:
+                    seen.add(u)
+                    gens.append(transvection_ultrashort(shape, j, u))
     return gens
 
 

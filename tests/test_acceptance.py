@@ -23,9 +23,7 @@ from ofa.nilpotent2 import (DescentDatum, Nil2Elem, Nil2Module, Nil2Morphism,
                             base_inclusion, boxtimes, counterexample_sqrt2,
                             descent_roundtrip, registered_tower,
                             universality_probe)
-from ofa.odd_form_param import (DeltaShape, act, axioms_check, delta_add, pi,
-                                rho, sample_elem, special_check)
-from ofa.odd_form_param import elements as delta_elements
+from ofa.odd_form_param import DeltaShape, axioms_check, special_check, to_pair
 from ofa.quad_module import naive_canon_check, split_module
 from ofa.unitary import (classical_pair, delta0_member, dilation,
                          enumerate_unitary, group_order, gu_member,
@@ -136,8 +134,8 @@ def _short_pairs(alg):
 
 def _ultra_params(shape, i):
     ei = shape.alg.e(i, i)
-    return [u for u in delta_elements(shape)
-            if delta0_member(u) and act(u, ei) == u]
+    return [u for u in shape.elements()
+            if delta0_member(shape, u) and shape.act(u, ei, shape.alg.K.zero()) == u]
 
 
 def test_criterion_06_elementary_generators():
@@ -295,16 +293,18 @@ def test_criterion_09_sigma_and_gu():
             assert sig.on_alg(zp) == zm and sig.on_alg(zm) == zp
             # group-and-action compatibility on the parameter side
             if shape.card() <= 1 << 10:
-                pool = list(delta_elements(shape))
+                pool = list(shape.elements())
             else:
                 rng = random.Random(17)
-                pool = [sample_elem(shape, rng) for _ in range(40)]
+                pool = [shape.sample(rng) for _ in range(40)]
             for u in pool:
-                assert pi(sig.on_delta(u)) == sig.on_alg(pi(u))
-                assert rho(sig.on_delta(u)) == sig.on_alg(rho(u))
+                p, r = to_pair(shape, u)
+                sp, sr = to_pair(shape, sig.on_delta(u))
+                assert sp == sig.on_alg(p)
+                assert sr == sig.on_alg(r)
             for u in pool[:20]:
                 for v in pool[:20]:
-                    assert sig.on_delta(delta_add(u, v)) == delta_add(
+                    assert sig.on_delta(shape.add(u, v)) == shape.add(
                         sig.on_delta(u), sig.on_delta(v))
 
     pair_s = classical_pair(DeltaShape(ofasymp(2, F3)))
@@ -316,13 +316,13 @@ def test_criterion_09_sigma_and_gu():
                for x in pair_s.small.elements())
     sd = DeltaShape(pair_s.small)
     assert all(pair_s.delta_image_member(sig.on_delta(pair_s.iota_delta(u)))
-               for u in delta_elements(sd))
+               for u in sd.elements())
     pair_o = classical_pair(DeltaShape(ofaorth(2, F3)))
     assert all(sig.on_alg(pair_o.iota(x)) == pair_o.iota(x)
                for x in pair_o.small.elements())
     od = DeltaShape(pair_o.small)
     assert all(sig.on_delta(pair_o.iota_delta(u)) == pair_o.iota_delta(u)
-               for u in delta_elements(od))
+               for u in od.elements())
     _verdict(9, "sigma is an order-2 automorphism swapping the idempotent "
                 "halves; |GU| = 48; symp image stable, orth image fixed")
 

@@ -5,6 +5,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ofa.clifford as cf
 import ofa.coeff_ring as cr
@@ -195,6 +197,19 @@ def test_json_roundtrip():
     c = CliffordAlg(3, F3)
     x = c.add(c.word((1, 0, -1)), c.smul(2, c.one()))
     assert clif_from_json(c, clif_to_json(x)) == x
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 4), st.sampled_from(("zmod:3", "zmod:4", "gf:4")),
+       st.integers(0, 2 ** 32 - 1))
+def test_json_roundtrip_property(r, name, seed):
+    import json
+
+    c = CliffordAlg(r, parse_ring(name))
+    rng = random.Random(seed)
+    kel = list(c.K.elements())
+    x = c.from_coords([kel[rng.randrange(len(kel))] for _ in range(c.dim)])
+    assert clif_from_json(c, json.loads(json.dumps(clif_to_json(x)))) == x
 
 
 # ---- the product table and the batched spin scan against reference loops

@@ -16,7 +16,7 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 FORBIDDEN = {
     "quad_module": {"unitary", "batch_delta"},
     "nilpotent2": {"unitary", "batch_delta"},
-    "clifford": {"unitary", "batch_delta"},
+    "clifford": {"unitary", "batch_delta", "odd_form_param"},
     "unitary": {"quad_module", "nilpotent2"},
 }
 

@@ -261,6 +261,33 @@ def test_json_roundtrip():
     assert nil2_elem_from_json(nil2_elem_to_json(x)) == x
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(("zmod:2", "zmod:3", "zmod:4", "gf:4")),
+       st.integers(0, 2), st.integers(0, 2), st.integers(0, 2),
+       st.integers(0, 2 ** 32 - 1))
+def test_json_roundtrip_property(name, r1, r0, ngens, seed):
+    """Random cocycles, and quotients by random generators where those
+    close to a normal subgroup (the others are refused on both sides)."""
+    K = parse_ring(name)
+    rng = random.Random(seed)
+    kel = list(K.elements())
+
+    def vec(r):
+        return tuple(rng.choice(kel) for _ in range(r))
+
+    b = [[vec(r0) for _ in range(r1)] for _ in range(r1)]
+    gens = [Nil2Elem(vec(r1), vec(r0)) for _ in range(ngens)]
+    try:
+        M = Nil2Module(K, r1, r0, b, quotient=gens)
+    except StructureError:
+        with pytest.raises(StructureError):
+            nil2_from_json(json.loads(json.dumps(nil2_to_json(
+                Nil2Module(K, r1, r0, b, quotient=gens, check=False)))))
+        return
+    M2 = nil2_from_json(json.loads(json.dumps(nil2_to_json(M))))
+    assert M2.same_presentation(M) and M2.card == M.card
+
+
 def test_enumeration_cap():
     big = Nil2Module(ZMod(7), 4, 3)
     with pytest.raises(CapacityError):

@@ -800,3 +800,25 @@ def test_module_unitary_frontier_capacity():
     # Sp(4, Z/8) fits the 8^4 pool but not the frontier
     with pytest.raises(CapacityError, match="frontier"):
         enumerate_module_unitary(split_module("symplectic", 4, ZMod(8)))
+
+
+def test_nonsplit_module_has_its_own_tag():
+    """Elements and tensor squares compare by tag, so a module off the
+    split tables must not share the split module's tag."""
+    K = parse_ring("gf:3")
+    one = K.one()
+    M = QuadModule(QuadType("orthogonal", K), 3,
+                   {(1, -1): one, (-1, 1): one, (0, 0): one}, {0: K.from_int(2)})
+    ref = split_module("orthogonal", 3, K)
+    assert ref.split and ref.tag == "orthogonal:3:zmod:3"
+    assert not M.split and M.tag != ref.tag
+    assert M.tag == "orthogonal:3:zmod:3/gram:-1,1=(1);0,0=(1);1,-1=(1)/q:-1=(0);0=(2);1=(0)"
+    assert canon_algebra(M).e(0, 0) != canon_algebra(ref).e(0, 0)
+    assert canon_algebra(M).tag != canon_algebra(ref).tag
+    assert naive_canon_check(M, seed=0, samples=20)["module"] == M.tag
+    # equal tables give equal tags, whatever order the entries come in
+    M2 = QuadModule(QuadType("orthogonal", K), 3,
+                    {(0, 0): one, (-1, 1): one, (1, -1): one}, {0: K.from_int(2), 1: K.zero()})
+    assert M2.tag == M.tag
+    for kind, rank in (("linear", 2), ("symplectic", 2), ("orthogonal", 4)):
+        assert split_module(kind, rank, K).tag == "%s:%d:zmod:3" % (kind, rank)

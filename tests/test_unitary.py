@@ -7,28 +7,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ofa.cli import family_algebra
 from ofa.cli import main as cli_main
 from ofa.coeff_ring import CapacityError, Product, StructureError, ZMod, parse_ring
 from ofa.form_ring import ofalin, ofaorth, ofasymp
 from ofa.linalg import k_det, k_mat_inv, k_matrices
 from ofa.odd_form_param import (
     DeltaShape,
-    act,
     act_scalar,
-    act_unital,
     aug_member,
-    delta_add,
-    delta_neg,
-    delta_zero,
     gen_q,
     gen_u,
     gen_v,
     member,
-    sample_elem,
 )
 from ofa.unitary import (
     HyperbolicPair,
     act_projective,
+    act_projective_delta,
     classical_pair,
     conjugate,
     delta0_member,
@@ -77,7 +73,7 @@ def sh(mk, r, K):
 def test_identity_and_membership():
     s = sh(ofasymp, 2, F3)
     e = u_identity(s)
-    assert u_is_member(e.beta, e.gamma)
+    assert u_is_member(s, e.beta, e.gamma)
     assert u_try(s, s.alg.zero()).key == e.key
 
 
@@ -306,12 +302,13 @@ def test_group_law_on_pairs(s, picks):
     g^-1.gamma = -(g.gamma . g^-1.alpha), and the identity has gamma 0."""
     G = enumerate_unitary(s)
     g, h, k = (G[i % len(G)] for i in picks)
-    assert (g * h).gamma == delta_add(act_unital(g.gamma, h.alpha()), h.gamma)
+    one = s.alg.K.one()
+    assert (g * h).gamma == s.add(s.act(g.gamma, h.beta, one), h.gamma)
     gi = g.inv()
     assert gi.gamma == member(s, s.alg.conj(g.beta), g.beta)
-    assert gi.gamma == delta_neg(act_unital(g.gamma, gi.alpha()))
+    assert gi.gamma == s.neg(s.act(g.gamma, gi.beta, one))
     assert ((g * h) * k).key == (g * (h * k)).key
-    assert u_identity(s).gamma == delta_zero(s)
+    assert u_identity(s).gamma == s.zero()
 
 
 def test_verify_catches_a_missing_inverse(monkeypatch):
@@ -338,7 +335,7 @@ def test_transvection_short():
     alg = s.alg
     assert transvection_short(s, 1, 2, alg.zero()).key == u_identity(s).key
     t = transvection_short(s, 1, 2, alg.e(1, 2))
-    assert u_is_member(t.beta, t.gamma)
+    assert u_is_member(s, t.beta, t.gamma)
     x, y = alg.e(1, 2, (1,)), alg.e(1, 2, (2,))
     lhs = u_mul(transvection_short(s, 1, 2, x), transvection_short(s, 1, 2, y))
     assert lhs.key == transvection_short(s, 1, 2, alg.add(x, y)).key
@@ -359,22 +356,22 @@ def test_transvection_short_inverse_symp4():
 def test_transvection_ultrashort_symp():
     s = sh(ofasymp, 2, F3)
     for k in F3.elements():
-        u = act(gen_v(s, 1), s.alg.e(1, 1, k))
+        u = s.act(gen_v(s, 1), s.alg.e(1, 1, k), F3.zero())
         t = transvection_ultrashort(s, 1, u)
-        assert u_is_member(t.beta, t.gamma)
+        assert u_is_member(s, t.beta, t.gamma)
         assert t.beta.coeff(-1, 1) == F3.mul(k, k)
 
 
 def test_transvection_ultrashort_orthodd():
     s = sh(ofaorth, 3, F2)
     # the middle-index product doubles, so this parameter collapses to 0
-    u = act(gen_u(s, 0), s.alg.e(0, 1))
-    assert delta0_member(u)
+    u = s.act(gen_u(s, 0), s.alg.e(0, 1), F2.zero())
+    assert delta0_member(s, u)
     assert transvection_ultrashort(s, 1, u).key == u_identity(s).key
-    u1 = act(gen_u(s, 1), s.alg.e(1, 1))
+    u1 = s.act(gen_u(s, 1), s.alg.e(1, 1), F2.zero())
     t = transvection_ultrashort(s, 1, u1)
     assert t.beta.c
-    assert u_is_member(t.beta, t.gamma)
+    assert u_is_member(s, t.beta, t.gamma)
     with pytest.raises(StructureError):
         transvection_ultrashort(s, 1, gen_q(s, 1))
 
@@ -550,8 +547,8 @@ def test_act_projective_properties():
     rng = random.Random(5)
     alg = s.alg
     e = u_identity(s)
-    u = sample_elem(s, rng)
-    assert act_projective(e, u) == u
+    u = s.sample(rng)
+    assert act_projective_delta(e, u) == u
     for _ in range(8):
         g, h = rng.choice(G), rng.choice(G)
         a = alg.sample(rng)
@@ -559,15 +556,16 @@ def test_act_projective_properties():
             act_projective(g, a), act_projective(g, a)
         )
         assert act_projective(g, h.beta) == conjugate(g, h).beta
-        assert act_projective(g, h.gamma) == conjugate(g, h).gamma
-        v = sample_elem(s, rng)
-        assert act_projective(g, act_projective(h, v)) == act_projective(u_mul(g, h), v)
+        assert act_projective_delta(g, h.gamma) == conjugate(g, h).gamma
+        v = s.sample(rng)
+        assert act_projective_delta(g, act_projective_delta(h, v)) == act_projective_delta(
+            u_mul(g, h), v)
     # augmentation part is preserved K-linearly
     for g in G[::200]:
         u0 = s.el(d={s.d_keys[1]: (1,)})
-        gu = act_projective(g, u0)
-        assert aug_member(gu)
-        assert act_projective(g, act_scalar((2,), u0)) == act_scalar((2,), gu)
+        gu = act_projective_delta(g, u0)
+        assert aug_member(s, gu)
+        assert act_projective_delta(g, act_scalar(s, (2,), u0)) == act_scalar(s, (2,), gu)
 
 
 def test_hyperbolic_families():
@@ -589,10 +587,11 @@ def test_pair_sum():
 def test_invalid_pair_witness():
     s = sh(ofasymp, 4, F2)
     bad = HyperbolicPair(
+        s,
         s.alg.e(-1, -1),
         s.alg.e(1, 1),
         gen_q(s, -1),
-        delta_add(gen_q(s, 1), s.el(d={("v", 1): (1,)})),
+        s.add(gen_q(s, 1), s.el(d={("v", 1): (1,)})),
     )
     fails = hyperbolic_pair_check(bad)
     assert "rho(q) != 0" in fails
@@ -614,7 +613,7 @@ def test_classical_pair_inner_members():
     for h in inner[::5]:
         g = u_make(pair.big_shape, pair.iota(h.beta))
         assert gu_member(g, pair)
-        assert pair.iota_delta(h.gamma).key == g.gamma.key
+        assert pair.iota_delta(h.gamma) == g.gamma
 
 
 def test_classical_pair_is_morphism():
@@ -629,10 +628,10 @@ def test_classical_pair_is_morphism():
             assert pair.image_member(pair.iota(a))
             assert pair.iota_inv(pair.iota(a)) == a
         for _ in range(10):
-            u, v = sample_elem(small, rng), sample_elem(small, rng)
-            assert pair.iota_delta(delta_add(u, v)).key == delta_add(
+            u, v = small.sample(rng), small.sample(rng)
+            assert pair.iota_delta(small.add(u, v)) == pair.big_shape.add(
                 pair.iota_delta(u), pair.iota_delta(v)
-            ).key
+            )
 
 
 def test_classical_pair_sigma_action():
@@ -685,3 +684,99 @@ def test_json_roundtrip():
     data["beta"] = []
     with pytest.raises(StructureError):
         unitary_from_json(s, data)
+
+
+def _parabolic_generators_reference(shape):
+    """The standard family's generators taken whole: every nonzero short
+    parameter, and T_j(x . e_j) for every x of Delta0 (the u and
+    augmentation slots)."""
+    alg = shape.alg
+    K = alg.K
+    ranks = list(range(1, alg.n + 1))
+    gens = [u_identity(shape)]
+    for i in ranks:
+        for c in K.units():
+            gens.append(dilation(shape, i, alg.e(i, i, c)))
+    if 0 in alg.indices:
+        for c in K.elements():
+            g = u_try(shape, alg.e(0, 0, c))
+            if g is not None:
+                gens.append(g)
+    span = sorted({s for i in ranks for s in (i, -i)})
+    for i in span:
+        for j in span:
+            if i < j and i != -j and (i, j) in alg.pairset:
+                for c in K.elements():
+                    if not K.is_zero(c):
+                        gens.append(transvection_short(shape, i, j, alg.e(i, j, c)))
+    if alg.kind != "lin":
+        nq = len(shape.q_pairs)
+        for j in ranks:
+            seen = set()
+            for vec in itertools.product(K.elements(), repeat=shape.dim - nq):
+                u = shape.act(shape.zero()[:nq] + vec, alg.e(j, j), K.zero())
+                if u not in seen:
+                    seen.add(u)
+                    gens.append(transvection_ultrashort(shape, j, u))
+    return gens
+
+
+PARABOLIC_CASES = (
+    [("symp", 1, r) for r in ("gf:2", "zmod:3", "zmod:4", "gf:4", "prod:(zmod:2;zmod:3)")]
+    + [("symp", 2, "gf:2"), ("orth-even", 2, "gf:2"), ("orth-even", 2, "gf:3"),
+       ("orth-odd", 1, "zmod:2"), ("orth-odd", 1, "zmod:4"), ("orth-odd", 1, "gf:3"),
+       ("lin", 2, "gf:3"),
+       # 1 is the only unit here, so the dilations do not reach (1, 0)
+       ("lin", 2, "prod:(zmod:2;zmod:2)")])
+
+
+@pytest.mark.parametrize("family,n,ring", PARABOLIC_CASES)
+def test_parabolic_closure_matches_whole_parameter_sets(family, n, ring):
+    s = DeltaShape(family_algebra(family, n, parse_ring(ring)))
+    ref = generate_subgroup(_parabolic_generators_reference(s))
+    assert [g.key for g in parabolic_p(s)] == [g.key for g in ref]
+
+
+def test_transvections_are_additive():
+    """X_ij(x) X_ij(y) = X_ij(x + y) and T_j(u) T_j(v) = T_j(u + v), the
+    laws that let the parabolic take its generators at generating sets."""
+    gf4 = parse_ring("gf:4")
+    for s in (sh(ofalin, 2, gf4), sh(ofaorth, 4, gf4)):
+        alg = s.alg
+        for (i, j) in ((1, 2), (-2, -1)):
+            if (i, j) not in alg.pairset:
+                continue
+            X = {c: transvection_short(s, i, j, alg.e(i, j, c)) for c in gf4.elements()}
+            for x in gf4.elements():
+                for y in gf4.elements():
+                    assert u_mul(X[x], X[y]).key == X[gf4.add(x, y)].key
+    for s in (sh(ofasymp, 2, Z4), sh(ofasymp, 2, gf4), sh(ofasymp, 4, F2),
+              sh(ofaorth, 3, F2), sh(ofaorth, 3, Z4), sh(ofaorth, 3, F3)):
+        K, nq = s.alg.K, len(s.q_pairs)
+        for j in range(1, s.alg.n + 1):
+            us = {s.act(s.zero()[:nq] + vec, s.alg.e(j, j), K.zero())
+                  for vec in itertools.product(K.elements(), repeat=s.dim - nq)}
+            T = {u: transvection_ultrashort(s, j, u) for u in us}
+            for u in us:
+                for v in us:
+                    assert u_mul(T[u], T[v]).key == T[s.add(u, v)].key, s.tag
+
+
+def test_parabolic_past_the_old_delta0_pool():
+    """Sp(4, F3) had a Delta0 pool of 3^10 elements; its Borel subgroup
+    has order 3^4 (q - 1)^2 = 324."""
+    assert len(parabolic_p(sh(ofasymp, 4, parse_ring("gf:3")))) == 324
+    assert len(parabolic_p(sh(ofasymp, 4, Z4))) == 1024
+    assert len(parabolic_p(sh(ofaorth, 5, F2))) == 32
+
+
+UNITARY_JSON_SHAPES = LAW_SHAPES + (sh(ofaorth, 1, Z4), sh(ofasymp, 2, Z4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(UNITARY_JSON_SHAPES), st.integers(0, 1 << 20))
+def test_unitary_json_roundtrip_property(s, pick):
+    G = enumerate_unitary(s)
+    g = G[pick % len(G)]
+    data = json.loads(json.dumps(unitary_to_json(g)))
+    assert unitary_from_json(s, data) == g
