@@ -2,12 +2,13 @@
 
 The rank r lattice uses labels -l..l (0 only when r is odd) with
 q(e_i) = [i == 0], B(e_i, e_-i) = 1 for i != 0, B(e_0, e_0) = 2, and
-B zero elsewhere.  Elements are coefficient maps on ordered monomials
-e_S = prod(e_i, i in S ascending), so the monomial basis has 2^r
-members.  The even part, its center, the reversal involution, spin
-membership and its vector representation live here, along with the
-half-trace functional and the degree-two presentation checks used by
-the orthogonal presets.
+B zero elsewhere.  CliffordAlg is a form_ring.SparseAlgebra whose basis
+is the 2^r ordered monomials e_S = prod(e_i, i in S ascending), so its
+elements are form_ring.El over that basis, with the coefficient
+arithmetic of the base.  The even part, its center, the reversal
+involution, spin membership and its vector representation live here,
+along with the half-trace functional and the degree-two presentation
+checks used by the orthogonal presets.
 
 Products read one table.  Rewriting adjacent letters by
 e_a e_b = B(a, b) - e_b e_a and e_a e_a = q(e_a) only uses the integers
@@ -31,7 +32,7 @@ import itertools
 import numpy as np
 
 from .coeff_ring import CapacityError, SlotRing, StructureError, _mixed_radix
-from .form_ring import ofaorth
+from .form_ring import El, SparseAlgebra, ofaorth
 from .linalg import k_nullspace, k_solve
 
 _RANK_CAP = 10
@@ -50,62 +51,20 @@ def split_labels(r):
     return tuple(i for i in range(-half, half + 1) if i != 0)
 
 
-class CliffEl:
-    """Sparse element: dict ascending-label-tuple -> nonzero coefficient."""
+class CliffordAlg(SparseAlgebra):
+    """The Clifford algebra of the split rank r lattice: El over the
+    ordered monomials, graded by length."""
 
-    __slots__ = ("alg", "c", "key")
+    _bad_key = "bad monomial %r in %s"
 
-    def __init__(self, alg, c):
-        self.alg = alg
-        self.c = c
-        self.key = tuple(sorted(c.items()))
-
-    def __eq__(self, other):
-        return isinstance(other, CliffEl) and self.alg.tag == other.alg.tag and self.key == other.key
-
-    def __hash__(self):
-        return hash((self.alg.tag, self.key))
-
-    def __bool__(self):
-        return bool(self.c)
-
-    def __add__(self, other):
-        return self.alg.add(self, other)
-
-    def __sub__(self, other):
-        return self.alg.sub(self, other)
-
-    def __neg__(self):
-        return self.alg.neg(self)
-
-    def __mul__(self, other):
-        return self.alg.mul(self, other)
-
-    def coeff(self, subset):
-        return self.c.get(tuple(subset), self.alg.K.zero())
-
-    def __repr__(self):
-        if not self.c:
-            return "0"
-        bits = []
-        for s, v in self.key:
-            word = "".join("e(%d)" % i for i in s) or "1"
-            bits.append("%s*%s" % (v, word))
-        return " + ".join(bits)
-
-
-class CliffordAlg:
     def __init__(self, r, K):
+        labels = split_labels(r)
+        super().__init__(K, sorted((s for size in range(r + 1)
+                                    for s in itertools.combinations(labels, size)),
+                                   key=lambda s: (len(s), s)),
+                         "clif:%d:%s" % (r, K.name))
         self.r = r
-        self.K = K
-        self.labels = split_labels(r)
-        self.tag = "clif:%d:%s" % (r, K.name)
-        self.basis = tuple(
-            sorted(
-                (s for size in range(r + 1) for s in itertools.combinations(self.labels, size)),
-                key=lambda s: (len(s), s),
-            )
-        )
+        self.labels = labels
         self.dim = len(self.basis)
         self._table = {}
 
@@ -127,59 +86,19 @@ class CliffordAlg:
     def qval(self, a):
         return self.K.from_int(self._q(a))
 
-    def el(self, coeffs):
-        K = self.K
-        c = {}
-        for s, v in coeffs.items():
-            s = tuple(s)
-            if any(i not in self.labels for i in s) or tuple(sorted(s)) != s or len(set(s)) != len(s):
-                raise StructureError("bad monomial %r in %s" % (s, self.tag))
-            if not K.is_zero(v):
-                c[s] = K.check_element(v)
-        return CliffEl(self, c)
-
-    def zero(self):
-        return CliffEl(self, {})
+    def term(self, key):
+        return "".join("e(%d)" % i for i in key) or "1"
 
     def one(self):
-        return CliffEl(self, {(): self.K.one()})
+        return El(self, {(): self.K.one()})
 
     def gen(self, i):
         if i not in self.labels:
             raise StructureError("no generator %d in %s" % (i, self.tag))
-        return CliffEl(self, {(i,): self.K.one()})
+        return El(self, {(i,): self.K.one()})
 
     def scalar(self, k):
-        return CliffEl(self, {} if self.K.is_zero(k) else {(): k})
-
-    def add(self, x, y):
-        K = self.K
-        c = dict(x.c)
-        for s, v in y.c.items():
-            w = K.add(c.get(s, K.zero()), v)
-            if K.is_zero(w):
-                c.pop(s, None)
-            else:
-                c[s] = w
-        return CliffEl(self, c)
-
-    def neg(self, x):
-        return CliffEl(self, {s: self.K.neg(v) for s, v in x.c.items()})
-
-    def sub(self, x, y):
-        return self.add(x, self.neg(y))
-
-    def kmul(self, k, x):
-        K = self.K
-        c = {}
-        for s, v in x.c.items():
-            w = K.mul(k, v)
-            if not K.is_zero(w):
-                c[s] = w
-        return CliffEl(self, c)
-
-    def smul(self, nint, x):
-        return self.kmul(self.K.from_int(nint), x)
+        return El(self, {} if self.K.is_zero(k) else {(): k})
 
     def _reduce_into(self, word, coeff, out):
         """Rewrite one generator word to the ordered basis over the
@@ -224,13 +143,13 @@ class CliffordAlg:
         return cur
 
     def _combine(self, terms):
-        """sum n * c over (u, n, c) terms: a CliffEl with zeros dropped."""
+        """sum n * c over (u, n, c) terms: an El with zeros dropped."""
         K = self.K
         acc = {}
         for u, n, c in terms:
             v = K.smul(n, c)
             acc[u] = K.add(acc[u], v) if u in acc else v
-        return CliffEl(self, {u: v for u, v in acc.items() if not K.is_zero(v)})
+        return El(self, {u: v for u, v in acc.items() if not K.is_zero(v)})
 
     def word(self, letters, coeff=None):
         c = self.K.one() if coeff is None else coeff
@@ -243,12 +162,6 @@ class CliffordAlg:
                 c = self.K.mul(cx, cy)
                 terms.extend((u, n, c) for u, n in self._prod(sx, sy))
         return self._combine(terms)
-
-    def coords(self, x):
-        return tuple(x.c.get(s, self.K.zero()) for s in self.basis)
-
-    def from_coords(self, vec):
-        return CliffEl(self, {s: v for s, v in zip(self.basis, vec) if not self.K.is_zero(v)})
 
     def even_basis(self):
         return tuple(s for s in self.basis if len(s) % 2 == 0)
@@ -408,7 +321,7 @@ def spin_group(r, K):
             ring.ktab[_mixed_radix([K.card] * len(ebasis), min(lo + step, total), lo)])
         rows.extend(U.tolist())
         mats.extend(M.tolist())
-    elems = [CliffEl(alg, {s: tuple(v) for s, v in zip(ebasis, row) if any(v)})
+    elems = [El(alg, {s: tuple(v) for s, v in zip(ebasis, row) if any(v)})
              for row in rows]
     vectors = [tuple(tuple(tuple(c) for c in line) for line in mat) for mat in mats]
     return SpinGroup(elems, vectors)
@@ -511,7 +424,7 @@ def clif0_center(r, K):
     gens = [clif.word((a, b)) for a in clif.labels for b in clif.labels if a < b]
     cols = []
     for s in ebasis:
-        b = CliffEl(clif, {s: K.one()})
+        b = El(clif, {s: K.one()})
         col = []
         for g in gens:
             comm = clif.sub(clif.mul(b, g), clif.mul(g, b))
@@ -521,11 +434,11 @@ def clif0_center(r, K):
         cols.append(col)
     M = [[cols[t][row] for t in range(len(ebasis))] for row in range(len(cols[0]))]
     null = k_nullspace(K, M, len(ebasis))
-    vecs = [CliffEl(clif, {s: v for s, v in zip(ebasis, vec) if not K.is_zero(v)})
+    vecs = [El(clif, {s: v for s, v in zip(ebasis, vec) if not K.is_zero(v)})
             for vec in null]
     one = clif.one()
     for cand in vecs:
-        om = clif.sub(cand, clif.scalar(cand.coeff(())))
+        om = clif.sub(cand, clif.scalar(cand.c.get((), K.zero())))
         if not om:
             continue
         if all(_in_span2(clif, ebasis, one, om, v) for v in vecs):
@@ -560,6 +473,5 @@ def clif_to_json(x):
 
 
 def clif_from_json(alg, data):
-    return alg.el({tuple(int(i) for i in row["subset"]):
-                   alg.K.check_element(tuple(int(t) for t in row["c"]))
+    return alg.el({tuple(int(i) for i in row["subset"]): tuple(int(t) for t in row["c"])
                    for row in data})

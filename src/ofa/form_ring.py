@@ -5,10 +5,15 @@ pair of opposite matrix blocks swapped by the involution; the symplectic
 and even orthogonal presets are full matrix types over signed indices;
 the odd orthogonal preset keeps a middle index 0 whose through-products
 are doubled, e_i0 e_0l = 2 e_il, which makes the ring non-unital
-whenever 2 is not invertible.  Elements are sparse dicts over basis
-pairs (i, j).  The same class, with its contraction and involution tables
-read off a Gram table, serves the tensor square of a quadratic module
-(quad_module.canon_algebra).
+whenever 2 is not invertible.  The same class, with its contraction and
+involution tables read off a Gram table, serves the tensor square of a
+quadratic module (quad_module.canon_algebra).
+
+Every algebra here and in clifford is a SparseAlgebra: a free K-module on
+a basis of keys, pairs (i, j) for SplitAlgebra and ordered monomials for
+clifford.CliffordAlg, whose one element class El is a sparse dict from
+keys to nonzero coefficients.  The base holds the coefficient arithmetic;
+its dict loops also add and scale the module elements of quad_module.
 
 ParamTable is an odd form parameter over any such algebra: the one pair
 law and the one coordinate read.  Its two tables are Delta over a preset
@@ -25,8 +30,34 @@ _ENUM_CAP = 1 << 20
 _N_CAP = 6
 
 
+def _dict_add(K, a, b):
+    """a + b on coefficient dicts, zero sums dropped."""
+    c = dict(a)
+    for key, v in b.items():
+        w = K.add(c.get(key, K.zero()), v)
+        if K.is_zero(w):
+            c.pop(key, None)
+        else:
+            c[key] = w
+    return c
+
+
+def _dict_neg(K, a):
+    return {key: K.neg(v) for key, v in a.items()}
+
+
+def _dict_kmul(K, k, a):
+    """k a on a coefficient dict, zero products dropped."""
+    c = {}
+    for key, v in a.items():
+        w = K.mul(k, v)
+        if not K.is_zero(w):
+            c[key] = w
+    return c
+
+
 class El:
-    """Sparse algebra element: dict (i, j) -> nonzero K coefficient."""
+    """Sparse algebra element: dict basis key -> nonzero K coefficient."""
 
     __slots__ = ("alg", "c", "key")
 
@@ -65,10 +96,65 @@ class El:
     def __repr__(self):
         if not self.c:
             return "0"
-        return " + ".join("%s*e(%d,%d)" % (v, i, j) for (i, j), v in self.key)
+        term = self.alg.term
+        return " + ".join("%s*%s" % (v, term(key)) for key, v in self.key)
 
 
-class SplitAlgebra:
+class SparseAlgebra:
+    """A free K-module on a basis of hashable keys, with El elements.
+
+    The base owns the coefficient arithmetic; a subclass adds its product,
+    its involution or word table, and term(key), the string of one basis
+    element in El.__repr__.  Elements of two algebras are equal only when
+    the algebras share a tag.
+    """
+
+    _bad_key = "key %r not in %s"
+
+    def __init__(self, K, basis, tag):
+        self.K = K
+        self.basis = tuple(basis)
+        self.basis_set = frozenset(self.basis)
+        self.tag = tag
+
+    def el(self, coeffs):
+        K = self.K
+        c = {}
+        for key, v in coeffs.items():
+            if key not in self.basis_set:
+                raise StructureError(self._bad_key % (key, self.tag))
+            v = K.check_element(v)
+            if not K.is_zero(v):
+                c[key] = v
+        return El(self, c)
+
+    def zero(self):
+        return El(self, {})
+
+    def add(self, a, b):
+        return El(self, _dict_add(self.K, a.c, b.c))
+
+    def neg(self, a):
+        return El(self, _dict_neg(self.K, a.c))
+
+    def sub(self, a, b):
+        return self.add(a, self.neg(b))
+
+    def kmul(self, k, a):
+        return El(self, _dict_kmul(self.K, k, a.c))
+
+    def smul(self, nint, a):
+        return self.kmul(self.K.from_int(nint), a)
+
+    def coords(self, a):
+        zero = self.K.zero()
+        return tuple(a.c.get(key, zero) for key in self.basis)
+
+    def from_coords(self, vec):
+        return self.el(dict(zip(self.basis, vec)))
+
+
+class SplitAlgebra(SparseAlgebra):
     """A sparse matrix-type algebra with involution over basis pairs.
 
     Two tables fix the structure.  contract[j] lists (k, f) with
@@ -77,69 +163,28 @@ class SplitAlgebra:
     and ofaorth; quad_module builds the tensor square of a module.
     """
 
+    _bad_key = "pair %r not in %s"
+
     def __init__(self, kind, indices, pairs, K, contract, invol, tag):
+        super().__init__(K, pairs, tag)
         self.kind = kind
         self.indices = tuple(indices)
         self.n = sum(1 for i in self.indices if i > 0)
-        self.pairs = tuple(pairs)
-        self.pairset = frozenset(self.pairs)
-        self.K = K
+        self.pairs = self.basis
         self.rank = len(self.pairs)
         self.contract = contract
         self.invol = invol
-        self.tag = tag
+
+    def term(self, key):
+        return "e(%d,%d)" % key
 
     def eps(self, i):
         if self.kind == "symp":
             return 1 if i > 0 else -1
         return 1
 
-    def el(self, coeffs):
-        K = self.K
-        c = {}
-        for key, v in coeffs.items():
-            if key not in self.pairset:
-                raise StructureError("pair %r not in %s" % (key, self.tag))
-            v = K.check_element(v)
-            if not K.is_zero(v):
-                c[key] = v
-        return El(self, c)
-
     def e(self, i, j, v=None):
         return self.el({(i, j): self.K.one() if v is None else v})
-
-    def zero(self):
-        return El(self, {})
-
-    def add(self, a, b):
-        K = self.K
-        c = dict(a.c)
-        for key, v in b.c.items():
-            w = K.add(c.get(key, K.zero()), v)
-            if K.is_zero(w):
-                c.pop(key, None)
-            else:
-                c[key] = w
-        return El(self, c)
-
-    def neg(self, a):
-        K = self.K
-        return El(self, {key: K.neg(v) for key, v in a.c.items()})
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
-    def kmul(self, k, a):
-        K = self.K
-        c = {}
-        for key, v in a.c.items():
-            w = K.mul(k, v)
-            if not K.is_zero(w):
-                c[key] = w
-        return El(self, c)
-
-    def smul(self, nint, a):
-        return self.kmul(self.K.from_int(nint), a)
 
     def mul(self, a, b):
         K = self.K
@@ -184,12 +229,6 @@ class SplitAlgebra:
                 raise StructureError("no unit: 2 is not invertible in %s" % self.K.name)
             coeffs[(0, 0)] = half
         return self.el(coeffs)
-
-    def coords(self, a):
-        return tuple(a.coeff(i, j) for (i, j) in self.pairs)
-
-    def from_coords(self, vec):
-        return self.el({key: v for key, v in zip(self.pairs, vec)})
 
     def card(self):
         return self.K.card ** self.rank

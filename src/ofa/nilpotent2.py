@@ -20,7 +20,9 @@ enumerated only on request (invariant_closure, Nil2Module.X).
 
 On top of the group structure the module supports scalar extension along
 a ring map (with the quotient pushed forward through the closure of its
-generator images) and descent along a small registry of free quadratic
+generator images; the universality probe reads the kernel of E tensor
+M0 -> M boxtimes E off the X0 Howell form of the extension, without a
+scan) and descent along a small registry of free quadratic
 ring extensions, where the descended module is the equalizer of the two
 coordinate maps into the tensor square, twisted by a cocycle-checked
 isomorphism.  The equalizer is solved, not scanned: a Howell kernel for
@@ -432,18 +434,6 @@ class Nil2Module:
             self.K.name, self.r1, self.r0, self.x_card)
 
 
-def nil2_add(M, x, y):
-    return M.add(x, y)
-
-
-def nil2_act(M, x, k):
-    return M.act(x, k)
-
-
-def nil2_tau(M, x):
-    return M.tau(x)
-
-
 def invariant_closure(M, generators):
     """Least subset containing the generators that is closed under |+,
     the group inverse, and the scalar action, as a frozenset of ambient
@@ -555,23 +545,23 @@ def boxtimes(M, f):
 
 
 def universality_probe(M, f):
-    """Kernel of E tensor M0 -> M boxtimes E on coordinates; a vector is
-    in the kernel when its M0 element dies against the extended quotient."""
+    """Kernel of E tensor M0 -> M boxtimes E on coordinates: the vectors v
+    with (0, v) in the extended quotient, which is X0 of N = M boxtimes E,
+    read off its Howell form.  By the Howell property the nonzero members
+    that vanish before the last pivot column are the multiples of the last
+    row, and every other nonzero member is lex-larger, so the lex-least
+    nonzero member is the least nonzero multiple of that row."""
     N, _ = boxtimes(M, f)
-    E = f.cod
-    if E.card ** M.r0 > _AMBIENT_CAP:
-        raise CapacityError("M0 extension too large to scan")
-    zero1 = vzero(E, M.r1)
-    kernel = []
-    for v in itertools.product(list(E.elements()), repeat=M.r0):
-        if N.reduce(Nil2Elem(zero1, v)) == N.zero():
-            kernel.append(v)
-    kernel.sort()
-    witness = next((v for v in kernel if any(any(c) for c in v)), None)
+    form0, mods0 = N._spans.form0, N._spans.mods0
+    witness = None
+    if form0:
+        c, h = form0[-1]
+        witness = min([(k * x) % q for x, q in zip(h, mods0)]
+                      for k in range(1, mods0[c] // h[c]))
     return {
         "injective": witness is None,
-        "kernel_card": len(kernel),
-        "witness": None if witness is None else [list(c) for c in witness],
+        "kernel_card": howell_card(form0, mods0),
+        "witness": None if witness is None else [list(c) for c in _unflat(f.cod, witness)],
     }
 
 

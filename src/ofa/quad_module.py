@@ -40,9 +40,10 @@ that the presets of unitary share.
 Elements of L and R share one concrete carrier (tuples over K, two of
 them glued for the linear kind); A-values are plain K elements with the
 symplectic kind pinned to zero.  Module elements are sparse dicts
-label -> K; for the linear kind the label sign selects the acting factor
-of K x K (positive labels take the second factor), and Gram tables and
-endomorphisms must respect that split.
+label -> K, added and scaled by the coefficient loops of
+form_ring.SparseAlgebra; for the linear kind the label sign selects the
+acting factor of K x K (positive labels take the second factor), and
+Gram tables and endomorphisms must respect that split.
 """
 
 import itertools
@@ -51,7 +52,8 @@ import numpy as np
 
 from .coeff_ring import (CapacityError, Product, StructureError, _basis, _mixed_radix,
                          parse_ring)
-from .form_ring import ParamTable, SplitAlgebra, ofalin, ofaorth, ofasymp
+from .form_ring import (ParamTable, SplitAlgebra, _dict_add, _dict_kmul, _dict_neg, ofalin,
+                        ofaorth, ofasymp)
 from .linalg import (KSolver, howell_card, howell_form, howell_span, isometry_search,
                      k_identity, k_mat_inv, k_matrices, k_matmul, support_pool, vadd,
                      vflat)
@@ -323,27 +325,13 @@ class QuadModule:
         return self.el({a: self.K.one()})
 
     def madd(self, m, m2):
-        K = self.K
-        out = dict(m)
-        for a, c in m2.items():
-            s = K.add(out.get(a, K.zero()), c)
-            if K.is_zero(s):
-                out.pop(a, None)
-            else:
-                out[a] = s
-        return out
+        return _dict_add(self.K, m, m2)
 
     def mneg(self, m):
-        return {a: self.K.neg(c) for a, c in m.items()}
+        return _dict_neg(self.K, m)
 
     def mscale(self, m, k):
-        K = self.K
-        out = {}
-        for a, c in m.items():
-            v = K.mul(c, k)
-            if not K.is_zero(v):
-                out[a] = v
-        return out
+        return _dict_kmul(self.K, k, m)
 
     def mact(self, m, r):
         """Right R-action; the linear kind acts through the label side."""

@@ -33,7 +33,7 @@ import random
 
 import numpy as np
 
-from .coeff_ring import CapacityError, Product, StructureError, _basis
+from .coeff_ring import CapacityError, Product, StructureError, _basis, _mixed_radix
 from .form_ring import ofalin, ofaorth, rep_odd, x_central
 from .form_ring import alg_el_from_json, alg_el_to_json
 from .linalg import form_rows, isometry_search, k_det, k_matrices, k_solve, support_pool
@@ -342,7 +342,7 @@ def dickson_even(g):
     w = clif.mul(
         clif.sub(gz, z), clif.sub(clif.one(), clif.smul(2, z))
     )
-    d = w.coeff(())
+    d = w.c.get((), K.zero())
     if w != clif.scalar(d) or K.mul(d, d) != d:
         raise StructureError("center action did not produce an idempotent")
     return d
@@ -824,10 +824,8 @@ def _scan_betas(bo):
     total = q ** rank
     if total > _ENUM_CAP:
         raise CapacityError("beta scan over %d candidates" % total)
-    radix = q ** np.arange(rank, dtype=np.int64)
     for lo in range(0, total, _CHUNK):
-        sel = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64)
-        yield bo.materialize("alg", (sel[:, None] // radix) % q)
+        yield bo.materialize("alg", _mixed_radix([q] * rank, min(lo + _CHUNK, total), lo))
 
 
 def _unitary_mask(bo, P):
@@ -934,7 +932,7 @@ def parabolic_generators(shape, family=None):
     span = sorted({s for i in ranks for s in (i, -i)})
     for i in span:
         for j in span:
-            if i < j and i != -j and (i, j) in alg.pairset:
+            if i < j and i != -j and (i, j) in alg.basis_set:
                 for b in _basis(K):
                     gens.append(transvection_short(shape, i, j, alg.e(i, j, b)))
     if alg.kind != "lin":

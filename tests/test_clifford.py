@@ -12,10 +12,9 @@ import ofa.clifford as cf
 import ofa.coeff_ring as cr
 from ofa.cli import main as cli_main
 from ofa.coeff_ring import ZMod, GaloisField, StructureError, parse_ring
-from ofa.form_ring import ofaorth
+from ofa.form_ring import El, ofaorth
 from ofa.linalg import k_det, k_identity
 from ofa.clifford import (
-    CliffEl,
     CliffordAlg,
     center_split_idempotent,
     clif0_center,
@@ -250,14 +249,14 @@ def _ref_mul(x, y):
     for sx, cx in x.c.items():
         for sy, cy in y.c.items():
             _ref_reduce(alg, sx + sy, alg.K.mul(cx, cy), out)
-    return CliffEl(alg, out)
+    return El(alg, out)
 
 
 def _ref_reversal(x):
     out = {}
     for s, c in x.c.items():
         _ref_reduce(x.alg, tuple(reversed(s)), c, out)
-    return CliffEl(x.alg, out)
+    return El(x.alg, out)
 
 
 def _ref_spin_scan(r, K):
@@ -266,7 +265,7 @@ def _ref_spin_scan(r, K):
     ebasis = alg.even_basis()
     out = []
     for vec in itertools.product(K.elements(), repeat=len(ebasis)):
-        u = CliffEl(alg, {s: v for s, v in zip(ebasis, vec) if not K.is_zero(v)})
+        u = El(alg, {s: v for s, v in zip(ebasis, vec) if not K.is_zero(v)})
         if spin_member(u):
             out.append(u)
     return out
@@ -293,7 +292,7 @@ def test_table_products_match_word_rewriting(ring):
                 c = tuple(rng.randrange(m) for m in K.moduli)
                 out = {}
                 _ref_reduce(alg, letters, c, out)
-                assert alg.word(letters, c) == CliffEl(alg, out), (r, letters)
+                assert alg.word(letters, c) == El(alg, out), (r, letters)
 
 
 @pytest.mark.parametrize("ring,r", [(ring, r) for ring in RINGS for r in range(4)]
@@ -320,7 +319,7 @@ def test_degree_one_mask_rejects_norm_one_units():
     z = alg.add(alg.scalar((3,)), vol)
     assert alg.mul(z, reversal(z)) == alg.one() and not spin_member(z)
     cands = [alg.one(), z, alg.smul(-1, alg.one())]
-    U = np.array([[list(u.coeff(s)) for s in alg.even_basis()] for u in cands])
+    U = np.array([[list(u.c.get(s, K.zero())) for s in alg.even_basis()] for u in cands])
     kept, mats = cf._SpinScan(alg, cr.SlotRing(K)).survivors(U)
     assert kept.tolist() == U[[0, 2]].tolist()
     assert mats.tolist() == [[[list(c) for c in row] for row in vector_rep(u)]
@@ -398,3 +397,38 @@ def test_spin_scan_capacity(ring, n, total, monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: even part scan over %d candidates\n" % total
+
+
+def test_clifford_repr_pinned():
+    # a term is v*e(a)e(b)..., the empty monomial prints as 1, terms in
+    # monomial key order
+    K = parse_ring("prod:(zmod:2;zmod:3)")
+    c = CliffordAlg(3, K)
+    assert repr(c.zero()) == "0"
+    assert repr(c.one()) == "(1, 1)*1"
+    x = c.el({(): (1, 1), (-1, 0): (0, 2), (0,): (1, 0), (-1, 0, 1): (1, 1)})
+    assert repr(x) == "(1, 1)*1 + (0, 2)*e(-1)e(0) + (1, 1)*e(-1)e(0)e(1) + (1, 0)*e(0)"
+
+
+def test_el_input_checks():
+    c = CliffordAlg(2, F3)
+    with pytest.raises(StructureError, match=r"bad monomial \(1, -1\) in clif:2:zmod:3"):
+        c.el({(1, -1): F3.one()})
+    with pytest.raises(StructureError, match=r"bad monomial \(0,\) in clif:2:zmod:3"):
+        c.el({(0,): F3.one()})
+    # the coefficient is checked before the zero test
+    with pytest.raises(StructureError, match="bad element"):
+        c.el({(): (0, 0)})
+    assert c.el({(-1, 1): (0,)}) == c.zero()
+
+
+def test_relation_check_labels_pinned(monkeypatch):
+    # the failure and adjustment labels print the preset element's repr
+    monkeypatch.setattr(cf, "htr", lambda x: x.alg.K.zero())
+    rep = clif0_relation_check(2, F3)
+    assert (rep["rel1"]["failed"], rep["rel2"]["failed"]) == (1, 2)
+    assert rep["failed_instances"] == [
+        "rel1:(1,)*e(-1,-1) + (1,)*e(1,1)",
+        "rel2:(1,)*e(-1,-1) + (1,)*e(1,1):y=e(-1,-1)",
+        "rel2:(1,)*e(-1,-1) + (1,)*e(1,1):y=e(1,1)",
+    ]

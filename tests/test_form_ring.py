@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ofa.form_ring import (
+    El,
     alg_el_from_json,
     alg_el_to_json,
     center,
@@ -21,6 +22,7 @@ from ofa.form_ring import (
     x_central,
 )
 from ofa.coeff_ring import CapacityError, GaloisField, StructureError, ZMod, parse_ring
+from ofa.clifford import CliffordAlg
 from ofa.odd_form_param import DeltaShape, member, to_pair
 from ofa.quad_module import (CanonConstruction, QuadModule, QuadType, module_check,
                              naive_canon_check, split_module)
@@ -268,3 +270,58 @@ def test_param_table_law(T, seed):
     assert T.act(T.act(x, a, k), b, l) == T.act(x, ab.body, ab.scalar)
     if isinstance(T, DeltaShape):
         assert member(T, *to_pair(T, x)) == x
+
+
+def test_el_repr_pinned():
+    # El.__repr__ reaches reports through the axioms_check witnesses and
+    # the clif0_relation_check labels: zero is "0", a term is v*e(i,j),
+    # terms in key order
+    K = parse_ring("prod:(zmod:2;zmod:3)")
+    alg = ofasymp(2, K)
+    assert repr(alg.zero()) == "0"
+    x = alg.el({(1, -1): (1, 2), (-1, 1): (0, 1), (1, 1): (1, 0)})
+    assert repr(x) == "(0, 1)*e(-1,1) + (1, 2)*e(1,-1) + (1, 0)*e(1,1)"
+    assert repr(ofaorth(3, ZMod(4)).e(0, -1, (3,))) == "(3,)*e(0,-1)"
+
+
+def _sparse_algebras(K):
+    """Split presets at n = 1, 2 and Clifford algebras of rank up to 4."""
+    return ([f(r, K) for f, r in ((ofalin, 1), (ofalin, 2), (ofasymp, 2), (ofasymp, 4),
+                                  (ofaorth, 2), (ofaorth, 3), (ofaorth, 4), (ofaorth, 5))]
+            + [CliffordAlg(r, K) for r in range(5)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(("zmod:4", "gf:4", "prod:(zmod:2;zmod:3)")),
+       st.integers(0, 12), st.integers(0, 2 ** 32 - 1))
+def test_sparse_arithmetic_property(name, which, seed):
+    K = parse_ring(name)
+    algs = _sparse_algebras(K)
+    A = algs[which]
+    rng = random.Random(seed)
+    kel = list(K.elements())
+
+    def sparse():
+        keys = rng.sample(A.basis, rng.randrange(min(len(A.basis), 6) + 1))
+        return A.el({key: rng.choice(kel) for key in keys})
+
+    x, y, z = sparse(), sparse(), sparse()
+    k, m = rng.choice(kel), rng.choice(kel)
+    zero = A.zero()
+    assert A.add(A.add(x, y), z) == A.add(x, A.add(y, z))
+    assert A.add(x, y) == A.add(y, x)
+    assert A.add(x, zero) == x
+    assert A.add(x, A.neg(x)) == zero and A.sub(x, x) == zero
+    assert A.sub(x, y) == A.add(x, A.neg(y))
+    assert A.kmul(k, A.add(x, y)) == A.add(A.kmul(k, x), A.kmul(k, y))
+    assert A.kmul(K.add(k, m), x) == A.add(A.kmul(k, x), A.kmul(m, x))
+    assert A.kmul(K.zero(), x) == zero
+    assert A.smul(3, x) == A.add(x, A.add(x, x))
+    for w in (A.add(x, y), A.neg(x), A.kmul(k, x)):
+        assert not any(K.is_zero(v) for v in w.c.values())
+    assert A.from_coords(A.coords(x)) == x
+    assert len(A.coords(x)) == len(A.basis)
+    # elements are equal only within one algebra
+    for B in algs:
+        if B is not A:
+            assert El(B, dict(x.c)) != x and B.zero() != zero

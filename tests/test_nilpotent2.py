@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 from types import SimpleNamespace
@@ -15,10 +16,10 @@ from ofa.odd_form_param import DeltaShape
 from ofa.nilpotent2 import (DescentDatum, Nil2Elem, Nil2Module, Nil2Morphism,
                             base_inclusion, boxtimes, counterexample_sqrt2,
                             delta_bridge_check, descend, descent_roundtrip,
-                            invariant_closure, nil2_act, nil2_add,
-                            nil2_axioms_check, nil2_elem_from_json,
-                            nil2_elem_to_json, nil2_from_json, nil2_tau,
-                            nil2_to_json, registered_tower, universality_probe)
+                            invariant_closure, nil2_axioms_check,
+                            nil2_elem_from_json, nil2_elem_to_json,
+                            nil2_from_json, nil2_to_json, registered_tower,
+                            universality_probe)
 from ofa.cli import main as cli_main
 from ofa.nilpotent2 import _CLOSURE_CAP, _MOR_SEED, _equalizer, _map_coords, _transport
 
@@ -73,14 +74,11 @@ def test_module_cards():
 def test_op_wrappers():
     M = heis(F3)
     x = M.elem(((1,),), ((2,),))
-    y = M.elem(((2,),), ((0,),))
-    assert nil2_add(M, x, y) == M.add(x, y)
-    assert nil2_act(M, x, (2,)) == M.act(x, (2,))
-    t = nil2_tau(M, x)
+    t = M.tau(x)
     assert M.in_m0(t)
     # tau on M0 doubles
     d = M.m0_basis(0)
-    assert nil2_tau(M, d) == M.add(d, d)
+    assert M.tau(d) == M.add(d, d)
 
 
 def test_closure_basics():
@@ -145,6 +143,87 @@ def test_universality_probe_split_and_m0_only():
     flat = Nil2Module(F2, 0, 2)
     rep = universality_probe(flat, inc)
     assert rep["injective"] and rep["kernel_card"] == 1
+
+
+def _ref_probe(M, f):
+    """The kernel scan: reduce (0, v) in M boxtimes E for every v in E^r0."""
+    N, _ = boxtimes(M, f)
+    E = f.cod
+    zero1 = tuple(E.zero() for _ in range(M.r1))
+    kernel = sorted(v for v in itertools.product(list(E.elements()), repeat=M.r0)
+                    if N.reduce(Nil2Elem(zero1, v)) == N.zero())
+    witness = next((v for v in kernel if any(any(c) for c in v)), None)
+    return {
+        "injective": witness is None,
+        "kernel_card": len(kernel),
+        "witness": None if witness is None else [list(c) for c in witness],
+    }
+
+
+PROBE_EXTENSIONS = {
+    "zmod:2": ("zmod:2:1,1,1",),
+    "zmod:3": ("zmod:3:1,0,1",),
+    "zmod:4": ("zmod:4:1,1,1", "zmod:4:2,0,1"),
+}
+
+
+@pytest.mark.parametrize("base", sorted(PROBE_EXTENSIONS))
+def test_universality_probe_matches_reference_scan(base):
+    K = parse_ring(base)
+    kel = list(K.elements())
+    rng = random.Random(base)
+    for ext in PROBE_EXTENSIONS[base]:
+        inc = base_inclusion(parse_ring("polyquot:" + ext))
+        seen = 0
+        while seen < 40:
+            r1, r0 = rng.randrange(3), rng.randrange(3)
+
+            def vec(r):
+                return tuple(rng.choice(kel) for _ in range(r))
+
+            b = [[vec(r0) for _ in range(r1)] for _ in range(r1)]
+            gens = [Nil2Elem(vec(r1), vec(r0)) for _ in range(rng.randrange(4))]
+            try:
+                M = Nil2Module(K, r1, r0, b, quotient=gens)
+            except StructureError:
+                continue
+            try:
+                want = _ref_probe(M, inc)
+            except StructureError:
+                # the pushed-forward quotient is refused on both sides
+                with pytest.raises(StructureError):
+                    universality_probe(M, inc)
+                continue
+            seen += 1
+            assert universality_probe(M, inc) == want, (ext, M)
+
+
+@pytest.mark.parametrize("m", [2, 4, 6, 8, 16])
+def test_counterexample_probe_matches_reference_scan(m):
+    from ofa.coeff_ring import RingHom, hom_from_gen
+    base = ZMod(m)
+    K = PolyQuotient(base, [((m - 2) % m,), (0,), (1,)])
+    M = Nil2Module(K, 1, 1, [[(K.one(),)]], quotient=[Nil2Elem((K.gen(),), (K.one(),))])
+    to_f2 = hom_from_gen(K, F2, RingHom(base, F2, [F2.one()]), F2.zero())
+    assert counterexample_sqrt2(m)["probe"] == _ref_probe(M, to_f2)
+
+
+def test_universality_probe_past_the_old_scan():
+    # E^5 over an E of card 16 is 2^20 vectors: four times the old scan cap
+    E = parse_ring("polyquot:zmod:4:1,1,1")
+    inc = base_inclusion(E)
+    z = (0,)
+    M = Nil2Module(Z4, 0, 5, quotient=[Nil2Elem((), ((2,), z, z, z, z)),
+                                       Nil2Elem((), (z, z, z, z, (1,)))])
+    rep = universality_probe(M, inc)
+    # X0 = 2E e_1 + E e_5: 4 * 16 members, the least nonzero one on e_5
+    assert rep == {"injective": False, "kernel_card": 64,
+                   "witness": [[0, 0], [0, 0], [0, 0], [0, 0], [0, 1]]}
+    rep = universality_probe(Nil2Module(Z4, 0, 5, quotient=[Nil2Elem((), ((2,), z, z, z, z))]), inc)
+    assert rep == {"injective": False, "kernel_card": 4,
+                   "witness": [[0, 2], [0, 0], [0, 0], [0, 0], [0, 0]]}
+    assert universality_probe(Nil2Module(Z4, 1, 5), inc) == {
+        "injective": True, "kernel_card": 1, "witness": None}
 
 
 def test_counterexample_sqrt2_m4():

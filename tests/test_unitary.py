@@ -705,7 +705,7 @@ def _parabolic_generators_reference(shape):
     span = sorted({s for i in ranks for s in (i, -i)})
     for i in span:
         for j in span:
-            if i < j and i != -j and (i, j) in alg.pairset:
+            if i < j and i != -j and (i, j) in alg.basis_set:
                 for c in K.elements():
                     if not K.is_zero(c):
                         gens.append(transvection_short(shape, i, j, alg.e(i, j, c)))
@@ -744,7 +744,7 @@ def test_transvections_are_additive():
     for s in (sh(ofalin, 2, gf4), sh(ofaorth, 4, gf4)):
         alg = s.alg
         for (i, j) in ((1, 2), (-2, -1)):
-            if (i, j) not in alg.pairset:
+            if (i, j) not in alg.basis_set:
                 continue
             X = {c: transvection_short(s, i, j, alg.e(i, j, c)) for c in gf4.elements()}
             for x in gf4.elements():
