@@ -500,8 +500,8 @@ class ParamTable:
 def rep_odd(alg, a):
     """Matrix image of the odd orthogonal preset, doubling column 0.
 
-    A ring map into the full matrix ring; its kernel is the set of
-    k*e(0,0) with 2k = 0.
+    A ring map into the full matrix ring; its kernel is the elements
+    supported on column 0 with every entry in K[2] = {k : 2k = 0}.
     """
     assert alg.kind == "orth" and 0 in alg.indices
     K = alg.K
@@ -514,14 +514,13 @@ def rep_odd(alg, a):
 
 
 def rep_odd_kernel(alg):
-    """Spanning set of the kernel of rep_odd: the 2-torsion of K times e(0,0)."""
+    """Spanning set of the kernel of rep_odd: t*e(i, 0) for every index i
+    and every generator t of K[2]."""
     assert alg.kind == "orth" and 0 in alg.indices
     K = alg.K
-    out = []
-    for vec in k_nullspace(K, [[K.from_int(2)]], 1):
-        if not K.is_zero(vec[0]):
-            out.append(alg.e(0, 0, vec[0]))
-    return out
+    gens = [vec[0] for vec in k_nullspace(K, [[K.from_int(2)]], 1)
+            if not K.is_zero(vec[0])]
+    return [alg.e(i, 0, t) for i in sorted(alg.indices) for t in gens]
 
 
 def x_central(alg, k):

@@ -16,17 +16,16 @@ their parabolic subgroups (closed from generating sets of the short and
 ultrashort parameters), the three classical sub-algebra pairs with
 their stabilizer groups, and exhaustive enumeration.
 
-Enumeration has one candidate generator per family and one membership
-pass.  The odd orthogonal preset scans every beta of the algebra.  The
-other presets write the split form on K^d (b, and q for the orthogonal
-preset) as integer tensors, find its isometries M with the one column
-search of linalg (isometry_search, which quad_module shares), and take
-beta = M - 1: the group acts on K^d by such isometries, so no member is
-missed.  Every candidate batch passes one mask, unitality plus the
-Delta read of (beta, bar beta) (the batch form of u_try), and a survivor
-is kept as its beta alone.  The result is sorted by key, cached per shape
-and, unless asked not to, verified: distinct keys, bar beta listed for
-every beta, and 144 seeded products.
+Enumeration has one candidate generator and one membership pass.  The
+split form on K^d (b, and q for the orthogonal presets) is written as
+integer tensors, its isometries M come from the one column search of
+linalg (isometry_search, which quad_module shares), and beta = M - 1, or
+over the odd orthogonal preset every preimage of M - 1 under rep_odd:
+the group acts on K^d by such isometries, so no member is missed.  Every
+candidate batch passes one mask, unitality plus the Delta read of (beta,
+bar beta) (the batch form of u_try), and a survivor is kept as its beta
+alone.  The result is sorted by key, cached per shape and verified:
+distinct keys, bar beta listed for every beta, and 144 seeded products.
 """
 
 import random
@@ -365,30 +364,15 @@ def odd_embed_target(shape):
 
 
 def embed_odd_el(small_alg, big_alg, a):
-    m = small_alg.n + 1
+    """Index 0 of the odd preset goes to both new indices -m and m, every
+    other index to itself.  Distinct source keys land on disjoint target
+    keys, so the image is written in one pass and nothing is summed."""
+    ends = (-(small_alg.n + 1), small_alg.n + 1)
     c = {}
-
-    def put(i, j, v):
-        K = big_alg.K
-        w = K.add(c.get((i, j), K.zero()), v)
-        if K.is_zero(w):
-            c.pop((i, j), None)
-        else:
-            c[(i, j)] = w
-
     for (i, j), v in a.c.items():
-        if i != 0 and j != 0:
-            put(i, j, v)
-        elif i != 0:
-            put(i, -m, v)
-            put(i, m, v)
-        elif j != 0:
-            put(-m, j, v)
-            put(m, j, v)
-        else:
-            for s in (-m, m):
-                for t in (-m, m):
-                    put(s, t, v)
+        for s in ((i,) if i else ends):
+            for t in ((j,) if j else ends):
+                c[(s, t)] = v
     return big_alg.el(c)
 
 
@@ -810,22 +794,42 @@ def _isometries(bo):
 
 
 def _column_betas(bo):
-    """beta = M - 1 for every form isometry M, in _CHUNK slices."""
+    """Candidate betas, in slices of at most _CHUNK rows: beta = M - 1 for
+    every form isometry M, or over the odd orthogonal preset every beta
+    with rep_odd(beta) = M - 1.
+
+    These contain the group: alpha = 1 + beta acts on K^d by rep(alpha) =
+    1 + rep_odd(beta), and B rep(a) = rep(bar a)^T B on basis elements (B
+    the split form, c_0 = 2; both sides read a[-i, j] c_i c_j at (i, j)),
+    so rep(alpha)^T B rep(alpha) = rep(bar alpha alpha)^T B = B; that
+    rep(alpha) keeps q too, the tests check.  rep_odd doubles column 0 and
+    copies the rest, so a preimage halves each column-0 entry and adds an
+    offset in its kernel, K[2]^d on column 0; an entry with no half rules
+    M out.  Past _ENUM_CAP lifted candidates this raises CapacityError.
+    """
     vecs, F = _isometries(bo)
-    eye = _eye(bo)
-    for lo in range(0, len(F), _CHUNK):
-        M = np.swapaxes(vecs[F[lo:lo + _CHUNK]], 1, 2)
-        yield (M - eye) % bo.m
-
-
-def _scan_betas(bo):
-    """Every beta of the algebra, in _CHUNK slices of the mixed-radix index."""
-    q, rank = bo.K.card, bo.alg.rank
-    total = q ** rank
-    if total > _ENUM_CAP:
-        raise CapacityError("beta scan over %d candidates" % total)
-    for lo in range(0, total, _CHUNK):
-        yield bo.materialize("alg", _mixed_radix([q] * rank, min(lo + _CHUNK, total), lo))
+    eye, p0, K = _eye(bo), bo.pos0, bo.K
+    per = 1
+    if p0 is not None:
+        # half[c] is the row in K.elements() of one h with 2h = c, else -1
+        half = np.full(K.card, -1, dtype=np.int64)
+        for t, v in enumerate(K.elements()):
+            half[np.ravel_multi_index(K.smul(2, v), K.moduli)] = t
+        col0 = np.moveaxis((vecs[F[:, p0]] - eye[p0]) % bo.m, -1, 0)
+        half = half[np.ravel_multi_index(col0, K.moduli)]
+        keep = (half >= 0).all(axis=1)
+        F, half, per = F[keep], half[keep], len(bo.ttab) ** bo.d
+        if len(F) * per > _ENUM_CAP:
+            raise CapacityError("rep_odd lift of %d candidates" % (len(F) * per))
+    for lo in range(0, len(F) * per, _CHUNK):
+        hi = min(lo + _CHUNK, len(F) * per)
+        leaf = np.arange(lo, hi) // per
+        P = (np.swapaxes(vecs[F[leaf]], 1, 2) - eye) % bo.m
+        if p0 is not None:
+            # _mixed_radix reads each flat index mod per: the offset digits
+            shift = bo.ttab[_mixed_radix([len(bo.ttab)] * bo.d, hi, lo)]
+            P[:, :, p0] = (bo.ktab[half[leaf]] + shift) % bo.m
+        yield P
 
 
 def _unitary_mask(bo, P):
@@ -850,33 +854,29 @@ def _members(bo, chunks):
     return out
 
 
-def enumerate_unitary(shape, verify=True):
+def enumerate_unitary(shape):
     """Every group element, sorted by the canonical beta encoding."""
-    # entries are (elements, verified); an unverified one serves only
-    # calls that skip the check
     hit = _GROUP_CACHE.get(shape.tag)
-    if hit is not None and (hit[1] or not verify):
-        return list(hit[0])
+    if hit is not None:
+        return list(hit)
     bo = BatchOps(shape)
-    chunks = _scan_betas(bo) if bo.pos0 is not None else _column_betas(bo)
-    out = _members(bo, chunks)
+    out = _members(bo, _column_betas(bo))
     out.sort(key=lambda g: g.key)
-    if verify:
-        alg = shape.alg
-        keys = {g.key for g in out}
-        assert len(keys) == len(out), "repeated beta"
-        for g in out:
-            assert alg.conj(g.beta).key in keys, "no inverse of %r" % g
-        rng = random.Random(0)
-        for _ in range(144):
-            g, h = rng.choice(out), rng.choice(out)
-            assert u_mul(g, h).key in keys, "no product %r * %r" % (g, h)
-    _GROUP_CACHE[shape.tag] = (out, verify)
+    alg = shape.alg
+    keys = {g.key for g in out}
+    assert len(keys) == len(out), "repeated beta"
+    for g in out:
+        assert alg.conj(g.beta).key in keys, "no inverse of %r" % g
+    rng = random.Random(0)
+    for _ in range(144):
+        g, h = rng.choice(out), rng.choice(out)
+        assert u_mul(g, h).key in keys, "no product %r * %r" % (g, h)
+    _GROUP_CACHE[shape.tag] = out
     return list(out)
 
 
-def group_order(shape, **kw):
-    return len(enumerate_unitary(shape, **kw))
+def group_order(shape):
+    return len(enumerate_unitary(shape))
 
 
 # subgroups

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,7 +22,8 @@ from ofa.form_ring import (
     unital_one,
     x_central,
 )
-from ofa.coeff_ring import CapacityError, GaloisField, StructureError, ZMod, parse_ring
+from ofa.coeff_ring import (CapacityError, GaloisField, StructureError, ZMod, _basis, _mixed_radix,
+                            parse_ring)
 from ofa.clifford import CliffordAlg
 from ofa.odd_form_param import DeltaShape, member, to_pair
 from ofa.quad_module import (CanonConstruction, QuadModule, QuadType, module_check,
@@ -200,10 +202,27 @@ def test_unitalization():
 
 
 def test_rep_odd_kernel():
-    K2, K3, K4 = ZMod(2), ZMod(3), ZMod(4)
-    assert [k.c for k in rep_odd_kernel(ofaorth(3, K2))] == [{(0, 0): (1,)}]
-    assert rep_odd_kernel(ofaorth(3, K3)) == []
-    assert [k.c for k in rep_odd_kernel(ofaorth(3, K4))] == [{(0, 0): (2,)}]
+    """The span of rep_odd_kernel is the kernel of rep_odd, found by
+    enumerating ofaorth(3), with |K[2]|^3 elements: the offsets of the
+    rep_odd lift in unitary enumeration.  rep_odd is additive, so its
+    values on the Z-basis give it on every element at once."""
+    for name in ("zmod:2", "zmod:3", "zmod:4", "gf:4"):
+        K = parse_ring(name)
+        B = ofaorth(3, K)
+        gens = [B.e(i, j, b) for (i, j) in B.pairs for b in _basis(K)]
+        R = np.array([np.ravel(rep_odd(B, g)) for g in gens])
+        X = _mixed_radix(list(K.moduli) * B.rank, K.card ** B.rank)
+        zero = ((X @ R) % np.tile(K.moduli, len(R[0]) // K.rank) == 0).all(axis=1)
+        kernel = {sum((B.smul(x, g) for x, g in zip(row, gens)), B.zero())
+                  for row in X[zero].tolist()}
+        offsets = rep_odd_kernel(B)
+        span, fresh = {B.zero()}, {B.zero()}
+        while fresh:
+            fresh = {x + g for x in fresh for g in offsets} - span
+            span |= fresh
+        assert span == kernel, name
+        torsion = [k for k in K.elements() if K.is_zero(K.smul(2, k))]
+        assert len(span) == len(torsion) ** 3, name
 
 
 def test_alg_el_json_roundtrip():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from ofa.cli import family_algebra
 from ofa.cli import main as cli_main
-from ofa.coeff_ring import CapacityError, Product, StructureError, ZMod, parse_ring
+from ofa.coeff_ring import CapacityError, Product, StructureError, ZMod, _mixed_radix, parse_ring
 from ofa.form_ring import ofalin, ofaorth, ofasymp
 from ofa.linalg import k_det, k_mat_inv, k_matrices
 from ofa.odd_form_param import (
@@ -118,6 +118,17 @@ def _loop_keys(shape):
     return sorted(g.key for g in out)
 
 
+def _scan_betas(bo):
+    """Reference: every beta of the algebra, in slices of the mixed-radix
+    index."""
+    import ofa.unitary as un
+
+    q, rank = bo.K.card, bo.alg.rank
+    total = q ** rank
+    for lo in range(0, total, un._CHUNK):
+        yield bo.materialize("alg", _mixed_radix([q] * rank, min(lo + un._CHUNK, total), lo))
+
+
 def _keys(shape, betas):
     import ofa.unitary as un
 
@@ -127,35 +138,85 @@ def _keys(shape, betas):
 
 REF_RINGS = ("zmod:2", "zmod:3", "zmod:4", "zmod:6", "zmod:8", "zmod:9",
              "gf:4", "prod:(zmod:2;zmod:3)")
+ODD_RINGS = ("zmod:2", "zmod:3", "zmod:4", "gf:4")
+ODD_REF = [sh(ofaorth, r, parse_ring(name)) for name in ODD_RINGS for r in (1, 3)]
 
 
 def test_enumeration_strategies_agree():
-    """The column search, the full beta scan and a per-element u_try loop
-    list the same betas."""
+    """The column search (lifted along rep_odd on the odd preset), the
+    full beta scan and a per-element u_try loop list the same betas."""
     import ofa.unitary as un
 
     cases = [(mk, r, parse_ring(name)) for name in REF_RINGS
-             for mk, r in ((ofalin, 1), (ofasymp, 2), (ofaorth, 2))]
+             for mk, r in ((ofalin, 1), (ofasymp, 2), (ofaorth, 2), (ofaorth, 1))]
     cases += [(mk, r, K) for K in (F2, F3)
               for mk, r in ((ofalin, 2), (ofasymp, 4), (ofaorth, 4))]
     cases += [(mk, 0, F3) for mk in (ofalin, ofasymp, ofaorth)]
+    cases += [(ofaorth, 3, parse_ring(name)) for name in ODD_RINGS]
     checked = 0
     for mk, r, K in cases:
         s = sh(mk, r, K)
         if s.alg.card() > un._ENUM_CAP:
             continue
         col = _keys(s, un._column_betas)
-        assert col == _keys(s, un._scan_betas), s.tag
+        assert col == _keys(s, _scan_betas), s.tag
         if s.alg.card() <= 1 << 13:
             assert col == _loop_keys(s), s.tag
-        assert col == [g.key for g in enumerate_unitary(s, verify=False)]
+        un._GROUP_CACHE.pop(s.tag, None)
+        assert col == [g.key for g in enumerate_unitary(s)]
         checked += 1
     # symp 4 and orth 4 over F3 are past the scan cap
     assert checked == len(cases) - 2
-    # the odd orthogonal preset keeps the beta scan
-    odd = [sh(ofaorth, 1, parse_ring(name)) for name in REF_RINGS]
-    for s in odd + [sh(ofaorth, 3, F2)]:
-        assert [g.key for g in enumerate_unitary(s)] == _loop_keys(s), s.tag
+
+
+def test_rep_of_every_element_is_a_listed_isometry():
+    """rep(g) keeps b and q for every g the full scan finds, so the column
+    search lifted along rep_odd misses no member."""
+    import ofa.unitary as un
+
+    for s in ODD_REF:
+        bo = un.BatchOps(s)
+        vecs, F = un._isometries(bo)
+        listed = set(k_matrices(vecs.reshape(len(vecs), -1), F, s.alg.K.rank))
+        members = un._members(bo, _scan_betas(bo))
+        assert members
+        for g in members:
+            assert rep_matrix(g) in listed, (s.tag, g)
+
+
+def _so_odd_order(q, n):
+    """|O(2n + 1, F_q)| = 2 |SO(2n + 1, q)|."""
+    out = 2 * q ** (n * n)
+    for i in range(1, n + 1):
+        out *= q ** (2 * i) - 1
+    return out
+
+
+def test_odd_orders_past_the_beta_scan():
+    """Classical orders out of reach of a scan over every beta: over F_q
+    2 |SO(2n + 1, q)|; over Z/9 the order over F_3 times |3 Z/9|^3 (SO(3)
+    has dimension 3); over Z/2 x Z/3 the product over the factors."""
+    assert group_order(sh(ofaorth, 3, ZMod(5))) == _so_odd_order(5, 1) == 240
+    assert group_order(sh(ofaorth, 3, ZMod(7))) == _so_odd_order(7, 1) == 672
+    assert group_order(sh(ofaorth, 3, parse_ring("gf:9"))) == _so_odd_order(9, 1) == 1440
+    assert group_order(sh(ofaorth, 3, ZMod(9))) == _so_odd_order(3, 1) * 3 ** 3 == 1296
+    assert group_order(sh(ofaorth, 3, parse_ring("prod:(zmod:2;zmod:3)"))) == (
+        _so_odd_order(2, 1) * _so_odd_order(3, 1))
+    assert group_order(sh(ofaorth, 5, F2)) == _so_odd_order(2, 2) == 1440
+
+
+@pytest.mark.parametrize("argv,msg", [
+    ("group order --family orth-odd --n 1 --ring gf:16", "error: rep_odd lift of 16711680"),
+    ("group order --family orth-odd --n 0 --ring zmod:5003", "error: column pool of 5003"),
+])
+def test_odd_enumeration_refusals(argv, msg, capsys):
+    import time
+
+    t = time.perf_counter()
+    assert cli_main(argv.split()) == 2
+    assert time.perf_counter() - t < 10
+    err = capsys.readouterr().err
+    assert err.startswith(msg) and err.count("\n") == 1
 
 
 def _so_direct_3(K):
@@ -243,6 +304,10 @@ PINNED = (
      "dff9b1a4ff98229bf909582f391e7e47c01e6b94057647ca9a52a6826dc273ab"),
     ("group invariants --family orth-odd --n 1 --ring zmod:3",
      "735253a3a623c2a70adca2e79558a4a2f56b0153ec20897f902fe1f074c01e13"),
+    ("group invariants --family orth-odd --n 2 --ring gf:2",
+     "20d46a92b0a703c99f760444685f84a43cbd3b09d91e883e8a4cb0a225794001"),
+    ("parabolic --family orth-odd --n 1 --ring zmod:5",
+     "4b42e5e3586ba3ce21c34791dfeb940ae4a44a40a4dcb994001d72d694919f0d"),
 )
 
 
@@ -266,13 +331,6 @@ def test_group_cache_serves_default_calls(monkeypatch):
     monkeypatch.setattr(un, "_members", lambda *a: runs.append(1) or real(*a))
     assert group_order(s) == group_order(s) == 720
     assert len(runs) == 1
-    # an unverified entry does not serve a verifying call
-    un._GROUP_CACHE.pop(s.tag, None)
-    enumerate_unitary(s, verify=False)
-    enumerate_unitary(s, verify=True)
-    enumerate_unitary(s, verify=True)
-    enumerate_unitary(s, verify=False)
-    assert len(runs) == 3
 
 
 def test_enumeration_reads_no_delta_per_element(monkeypatch):
@@ -316,17 +374,17 @@ def test_verify_catches_a_missing_inverse(monkeypatch):
 
     s = sh(ofasymp, 2, F3)
     un._GROUP_CACHE.pop(s.tag, None)
-    G = enumerate_unitary(s, verify=False)
+    G = enumerate_unitary(s)
     e = u_identity(s)
     victim = next(g for g in G if u_mul(g, g).key != e.key)
     real = un._members
     monkeypatch.setattr(un, "_members", lambda *a: [
         g for g in real(*a) if g.key != victim.key])
-    un._GROUP_CACHE.pop(s.tag, None)
-    assert len(enumerate_unitary(s, verify=False)) == 23
+    bo = un.BatchOps(s)
+    assert len(un._members(bo, un._column_betas(bo))) == 23
     un._GROUP_CACHE.pop(s.tag, None)
     with pytest.raises(AssertionError, match="no inverse"):
-        enumerate_unitary(s, verify=True)
+        enumerate_unitary(s)
     un._GROUP_CACHE.pop(s.tag, None)
 
 
