@@ -1,9 +1,10 @@
 """Vectorized (pi, rho) arithmetic: the one engine for Delta checks.
 
 Ring multiplication is SlotRing.contract, the contraction of K's
-structure tensor reduced by the additive modulus of each basis slot,
-which the Clifford spin scan shares.  A batch of N algebra elements is an int64 array
-(N, d, d, rk); a Delta batch is the pair of its pi and rho arrays.
+structure tensor, which the Clifford spin scan shares.  A sum of
+contractions is taken unreduced and reduced once, by SlotRing.reduce.
+A batch of N algebra elements is an int64 array (N, d, d, rk); a Delta
+batch is the pair of its pi and rho arrays.
 Element equality in Delta is pair equality, which is what the
 coordinate read makes faithful, so every axiom in the shared table
 becomes an array identity, and specialness becomes a batch read-back.
@@ -30,16 +31,27 @@ class BatchOps:
         self.d = len(idx)
         self.pos = {i: t for t, i in enumerate(idx)}
         self.pos0 = self.pos.get(0)
+        self.reduce = ring.reduce
+        # bar X at (p, q) reads X at (d-1-q, d-1-p) times eps(i) eps(j);
+        # only the symplectic preset has a -1 among those signs, and
+        # none survives modulus 2
         E = np.ones((self.d, self.d), dtype=np.int64)
         if alg.kind == "symp":
             for i in idx:
                 for j in idx:
                     if alg.eps(i) * alg.eps(j) < 0:
                         E[self.pos[i], self.pos[j]] = -1
-        self.E = E
+        E = E[::-1, ::-1].T[None, :, :, None]
+        self.E = None if (E == 1).all() or np.all(ring.m == 2) else E
+        # dmul doubles row 0 of its right factor: c_0 = 2 in the product
+        self.w0 = None
+        if self.pos0 is not None:
+            self.w0 = np.ones((1, self.d, 1, 1), dtype=np.int64)
+            self.w0[0, self.pos0] = 2
         self.ktab = ring.ktab
         self.ttab = np.array(_torsion_list(K), dtype=np.int64).reshape(-1, self.rk)
-        self.maskpos = np.array([1 if i > 0 else 0 for i in idx], dtype=np.int64)
+        self.maskpos = np.array([1 if i > 0 else 0 for i in idx],
+                                dtype=np.int64)[None, :, None, None]
         # (row, col) of each coordinate as the table reads it: the pi
         # positions, then the read position of each augmentation basis
         # element, flagged when that element is phi(e(i,j)) = e(i,j) -
@@ -49,103 +61,126 @@ class BatchOps:
         self.dpos = np.array([(self.pos[i], self.pos[j]) for (i, j), _, _ in shape.aug],
                              dtype=np.int64).reshape(-1, 2)
         self.dfree = np.array([b != alg.e(*pos) for pos, _, b in shape.aug], dtype=bool)
-        self.uw = np.triu(np.full((self.d, self.d), 2, dtype=np.int64), 1) + np.eye(
-            self.d, dtype=np.int64)
+        self.apos = np.array([(self.pos[i], self.pos[j]) for (i, j) in alg.pairs],
+                             dtype=np.int64).reshape(-1, 2)
+        # the weights of the row-0 correction of _fold, rows reversed
+        self.uw = (np.triu(np.full((self.d, self.d), 2, dtype=np.int64), 1) + np.eye(
+            self.d, dtype=np.int64))[None, ::-1, :, None]
         self.hslots = herm_slots(alg)
         self.onevec = np.array(K.one(), dtype=np.int64)
 
-    # ring and matrix primitives, each one contraction of K's structure tensor
+    # ring and matrix primitives, each one contraction of K's structure
+    # tensor.  The underscored forms return it unreduced (see RING_CAP),
+    # for sums that reduce once at the end; every factor is reduced, up to
+    # the sign of _bar.  Public methods return reduced arrays.
+    def _kscale(self, k, X):
+        return self.ring.contract_raw(lambda a, b: k[:, a, None, None] * X[..., b])
+
+    def _mul(self, X, Y):
+        if self.w0 is not None:
+            Y = Y * self.w0
+        return self.ring.contract_raw(lambda a, b: np.matmul(X[..., a], Y[..., b]))
+
+    def _bar(self, X):
+        """bar X with entries in (-m, m): a view unless a sign is -1."""
+        V = np.swapaxes(X[:, ::-1, ::-1], 1, 2)
+        return V if self.E is None else V * self.E
+
     def kmul(self, x, y):
         return self.ring.contract(lambda a, b: x[:, a] * y[:, b])
 
     def kscale(self, k, X):
-        return self.ring.contract(lambda a, b: k[:, a, None, None] * X[..., b])
+        return self.reduce(self._kscale(k, X))
 
     def dmul(self, X, Y):
-        if self.pos0 is not None:
-            Y = Y.copy()
-            Y[:, self.pos0] = (2 * Y[:, self.pos0]) % self.m
-        return self.ring.contract(lambda a, b: np.matmul(X[..., a], Y[..., b]))
+        return self.reduce(self._mul(X, Y))
 
     def conj(self, X):
-        Z = (X * self.E[None, :, :, None]) % self.m
-        return np.ascontiguousarray(np.swapaxes(Z[:, ::-1, ::-1, :], 1, 2))
+        return self._bar(X) if self.E is None else self.reduce(self._bar(X))
 
-    def fold_residue(self, P):
-        DP = P * self.maskpos[None, :, None, None]
-        R0 = (-self.dmul(self.conj(P), DP)) % self.m
+    def _fold(self, P):
+        R0 = -self._mul(self._bar(P), P * self.maskpos)
         if self.pos0 is not None:
             kv = P[:, self.pos0]
-            M = self.ring.contract(lambda a, b: kv[:, :, None, a] * kv[:, None, :, b])
-            corr = (M * self.uw[None, :, :, None]) % self.m
-            R0 = (R0 - corr[:, ::-1]) % self.m
+            kr = kv[:, ::-1]
+            M = self.ring.contract_raw(lambda a, b: kr[:, :, None, a] * kv[:, None, :, b])
+            R0 -= M * self.uw
         return R0
+
+    def fold_residue(self, P):
+        return self.reduce(self._fold(P))
+
+    def aug_part(self, P, R):
+        """R minus the fold residue of P: the augmentation part of (P, R)."""
+        return self.reduce(R - self._fold(P))
 
     def _zeros(self, n):
         return np.zeros((n, self.d, self.d, self.rk), dtype=np.int64)
 
+    def _kvals(self, idx):
+        """The K-elements with indices idx, a trailing slot axis added."""
+        return np.take(self.ktab, idx, axis=0)
+
     def _span(self, vals):
-        """Augmentation element with basis coefficients vals (N, nd, rk)."""
+        """Augmentation element with basis coefficients vals (N, nd, rk),
+        unreduced."""
         X, V = self._zeros(vals.shape[0]), self._zeros(vals.shape[0])
         f, v = self.dfree, ~self.dfree
         X[:, self.dpos[f, 0], self.dpos[f, 1]] = vals[:, f]
         V[:, self.dpos[v, 0], self.dpos[v, 1]] = vals[:, v]
-        return (X - self.conj(X) + V) % self.m
+        return X - self._bar(X) + V
 
     def read_aug_ok(self, S):
         """True where S lies in the span of the augmentation basis."""
         vals = S[:, self.dpos[:, 0], self.dpos[:, 1]]
-        return (self._span(vals) == S).all(axis=(1, 2, 3))
+        return (self.reduce(self._span(vals)) == S).all(axis=(1, 2, 3))
 
     def read_back_ok(self, idx, P, R):
         """Rows of a delta batch whose (P, R) reads back to the coordinates
         idx it was materialized from: the batch form of member."""
-        S = (R - self.fold_residue(P)) % self.m
+        S = self.aug_part(P, R)
         got = np.concatenate([P[:, self.ppos[:, 0], self.ppos[:, 1]],
                               S[:, self.dpos[:, 0], self.dpos[:, 1]]], axis=1)
-        return self.read_aug_ok(S) & (got == self.ktab[idx]).all(axis=(1, 2))
+        return self.read_aug_ok(S) & (got == self._kvals(idx)).all(axis=(1, 2))
 
     # factor materializers; idx is (N, nslots)
     def materialize(self, kind, idx):
         N = idx.shape[0]
         if kind == "delta":
-            vals = self.ktab[idx]
+            vals = self._kvals(idx)
             nq = self.ppos.shape[0]
             P = self._zeros(N)
             P[:, self.ppos[:, 0], self.ppos[:, 1]] = vals[:, :nq]
-            return (P, (self.fold_residue(P) + self._span(vals[:, nq:])) % self.m)
+            return (P, self.reduce(self._fold(P) + self._span(vals[:, nq:])))
         if kind == "alg":
             A = self._zeros(N)
-            for col, (i, j) in enumerate(self.alg.pairs):
-                A[:, self.pos[i], self.pos[j]] = self.ktab[idx[:, col]]
+            A[:, self.apos[:, 0], self.apos[:, 1]] = self._kvals(idx)
             return A
         if kind == "ualg":
-            return (self.materialize("alg", idx[:, :-1]), self.ktab[idx[:, -1]])
+            return (self.materialize("alg", idx[:, :-1]), self._kvals(idx[:, -1]))
         if kind == "scalar":
-            return self.ktab[idx[:, 0]]
+            return self._kvals(idx[:, 0])
         if kind == "aug":
-            return (self._zeros(N), self._span(self.ktab[idx]))
+            return (self._zeros(N), self.reduce(self._span(self._kvals(idx))))
         if kind == "herm":
             A = self._zeros(N)
             for col, (stype, i, j, _) in enumerate(self.hslots):
-                val = (self.ttab if stype == "tors" else self.ktab)[idx[:, col]]
-                A[:, self.pos[i], self.pos[j]] = (
-                    A[:, self.pos[i], self.pos[j]] + val) % self.m
+                tab = self.ttab if stype == "tors" else self.ktab
+                val = np.take(tab, idx[:, col], axis=0)
+                A[:, self.pos[i], self.pos[j]] += val
                 if stype == "rep":
                     sgn = 1 if self.alg.eps(i) * self.alg.eps(j) > 0 else -1
-                    a, b = self.pos[-j], self.pos[-i]
-                    A[:, a, b] = (A[:, a, b] + sgn * val) % self.m
-            return A
+                    A[:, self.pos[-j], self.pos[-i]] += sgn * val
+            return self.reduce(A)
         raise StructureError("unknown factor kind %r" % kind)
 
     # delta ops on (P, R) pairs
     def dadd(self, u, v):
-        P = (u[0] + v[0]) % self.m
-        R = (u[1] - self.dmul(self.conj(u[0]), v[0]) + v[1]) % self.m
-        return (P, R)
+        return (self.reduce(u[0] + v[0]),
+                self.reduce(u[1] - self._mul(self._bar(u[0]), v[0]) + v[1]))
 
     def dneg(self, u):
-        return ((-u[0]) % self.m, self.conj(u[1]))
+        return (self.reduce(-u[0]), self.conj(u[1]))
 
     def dzero_like(self, u):
         return (np.zeros_like(u[0]), np.zeros_like(u[1]))
@@ -160,7 +195,7 @@ class BatchOps:
         return (u[0] == 0).all(axis=(1, 2, 3)) & self.read_aug_ok(u[1])
 
     def phi(self, A):
-        return (np.zeros_like(A), (A - self.conj(A)) % self.m)
+        return (np.zeros_like(A), self.reduce(A - self._bar(A)))
 
     def pi(self, u):
         return u[0]
@@ -169,14 +204,8 @@ class BatchOps:
         return u[1]
 
     def act(self, u, al):
-        A, k = al
         P, R = u
-        P2 = (self.dmul(P, A) + self.kscale(k, P)) % self.m
-        left = self.dmul(self.conj(A), R)
-        R2 = (self.dmul(left, A) + self.kscale(k, left)
-              + self.kscale(k, self.dmul(R, A))
-              + self.kscale(self.kmul(k, k), R)) % self.m
-        return (P2, R2)
+        return (self.mul_right_ual(P, al), self.sandwich(al, R))
 
     def kact(self, k, v):
         return (v[0], self.kscale(k, v[1]))
@@ -186,13 +215,13 @@ class BatchOps:
 
     # algebra ops
     def aadd(self, a, b):
-        return (a + b) % self.m
+        return self.reduce(a + b)
 
     def asub(self, a, b):
-        return (a - b) % self.m
+        return self.reduce(a - b)
 
     def aneg(self, a):
-        return (-a) % self.m
+        return self.reduce(-a)
 
     def abar(self, a):
         return self.conj(a)
@@ -211,11 +240,11 @@ class BatchOps:
 
     # unitalized ops
     def ual_add(self, al, be):
-        return ((al[0] + be[0]) % self.m, (al[1] + be[1]) % self.m)
+        return (self.reduce(al[0] + be[0]), self.reduce(al[1] + be[1]))
 
     def ualmul(self, al, be):
-        body = (self.dmul(al[0], be[0]) + self.kscale(be[1], al[0])
-                + self.kscale(al[1], be[0])) % self.m
+        body = self.reduce(self._mul(al[0], be[0]) + self._kscale(be[1], al[0])
+                           + self._kscale(al[1], be[0]))
         return (body, self.kmul(al[1], be[1]))
 
     def scalar_ual(self, k):
@@ -223,7 +252,7 @@ class BatchOps:
 
     def _const_scalar(self, u, vec):
         n = u[0].shape[0]
-        k = np.broadcast_to(np.asarray(vec, dtype=np.int64) % self.m, (n, self.rk))
+        k = np.broadcast_to(self.reduce(np.asarray(vec, dtype=np.int64)), (n, self.rk))
         return (self._zeros(n), np.ascontiguousarray(k))
 
     def ual_one_like(self, u):
@@ -233,21 +262,18 @@ class BatchOps:
         return self._const_scalar(u, np.zeros(self.rk, dtype=np.int64))
 
     def ual_neg_one_like(self, u):
-        return self._const_scalar(u, (-self.onevec) % self.m)
+        return self._const_scalar(u, -self.onevec)
 
     def mul_right_ual(self, x, al):
-        return (self.dmul(x, al[0]) + self.kscale(al[1], x)) % self.m
+        return self.reduce(self._mul(x, al[0]) + self._kscale(al[1], x))
 
     def sandwich(self, al, x):
-        A, k = al
-        left = self.dmul(self.conj(A), x)
-        return (self.dmul(left, A) + self.kscale(k, left)
-                + self.kscale(k, self.dmul(x, A))
-                + self.kscale(self.kmul(k, k), x)) % self.m
+        """bar(alpha) x alpha, as (bar A + k) x, then times A + k."""
+        return self.twosided(al, al, x)
 
     def twosided(self, be, al, x):
-        left = (self.dmul(self.conj(be[0]), x) + self.kscale(be[1], x)) % self.m
-        return (self.dmul(left, al[0]) + self.kscale(al[1], left)) % self.m
+        left = self.reduce(self._mul(self._bar(be[0]), x) + self._kscale(be[1], x))
+        return self.mul_right_ual(left, al)
 
     def evaluate(self, kinds, fn, idxmat):
         facs = []

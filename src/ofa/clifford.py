@@ -287,13 +287,13 @@ class _SpinScan:
         (N, d, d, rk): u ubar = 1, then ubar u = 1, then u e_i ubar of
         degree one for every label i."""
         ring, nl = self.ring, self.nl
-        Ub = np.matmul(self.rev.T, U) % ring.m
+        Ub = ring.reduce(np.matmul(self.rev.T, U))
         keep = (_bilinear(ring, U, Ub, self.tee) == self.one).all(axis=(1, 2))
         U, Ub = U[keep], Ub[keep]
         keep = (_bilinear(ring, Ub, U, self.tee) == self.one).all(axis=(1, 2))
         U, Ub = U[keep], Ub[keep]
         n, no = U.shape[0], self.left.shape[2]
-        V = np.matmul(np.swapaxes(self.left, 1, 2), U[:, None]) % ring.m
+        V = ring.reduce(np.matmul(np.swapaxes(self.left, 1, 2), U[:, None]))
         W = _bilinear(ring, V.reshape(n * nl, no, ring.rk), np.repeat(Ub, nl, axis=0),
                       self.toe).reshape(n, nl, no, ring.rk)
         keep = (W[:, :, self.high] == 0).all(axis=(1, 2, 3))

@@ -24,8 +24,13 @@ class CapacityError(Exception):
 _INV_BRUTE_CAP = 1 << 16
 _IDEM_CAP = 1 << 16
 _FIELD_CHECK_CAP = 1 << 10
-# rings read from outside input; this also bounds every slot modulus, so
-# the int64 products of SlotRing.contract cannot overflow
+# rings read from outside input.  It bounds m^r for each component of a
+# ring (slot modulus m, rank r; products stay inside a component), so
+# m <= 2^20, and m <= 2^10 with r <= 20 when r >= 2 (at r = 1, S = 1).
+# One unreduced SlotRing.contract_raw of reduced factors (|x| < m, one
+# factor's entries at most doubled) over a d-term matrix product is then
+# below 2 r^2 d m^3 <= d 2^41, and the few such contractions that a
+# BatchOps sum adds before its one reduce stay far below 2^63.
 RING_CAP = 1 << 20
 
 
@@ -317,19 +322,22 @@ class SlotRing:
     the basis slots a and b, and ``m`` is the additive modulus: one int
     when the slots share it, else the per-slot moduli for the last axis
     (valid because a product only maps slots into slots of the same
-    component).  ``contract`` is the one coefficient-product kernel of
-    the numpy engines.
+    component).  ``reduce`` is the one reduction and ``contract`` the one
+    coefficient-product kernel of the numpy engines.
     """
 
     def __init__(self, K):
         self.rk = K.rank
         m = K.uniform_modulus()
         self.m = m if m is not None else np.array(K.moduli, dtype=np.int64)
+        # a shared power-of-two modulus (F_2^k, Z/2^k) reduces by a mask;
+        # on two's complement int64 that is the residue of negatives too
+        self._mask = m - 1 if m is not None and m & (m - 1) == 0 else None
         unit = np.eye(self.rk, dtype=np.int64).tolist()
         S = np.array([[K.mul(tuple(ea), tuple(eb)) for eb in unit] for ea in unit],
                      dtype=np.int64).reshape(self.rk, self.rk, self.rk)
-        self.S = S % self.m
-        self.ktab = np.array(list(K.elements()), dtype=np.int64).reshape(K.card, self.rk)
+        self.S = self.reduce(S)
+        self.ktab = _mixed_radix(K.moduli, K.card)  # K.elements(), in order
         # the nonzero (a, b) -> c terms of S; the structure tensor is
         # unrolled into stacked integer products, far faster than int einsum
         self._terms = [(a, b, [(int(c), int(self.S[a, b, c]))
@@ -337,14 +345,21 @@ class SlotRing:
                        for a in range(self.rk) for b in range(self.rk)
                        if self.S[a, b].any()]
 
-    def contract(self, pair):
-        """sum over (a, b) of S[a, b, c] * pair(a, b) on slot c, reduced.
+    def reduce(self, X):
+        """X mod the slot moduli, in [0, m)."""
+        if self._mask is not None:
+            return X & self._mask
+        return X % self.m
+
+    def contract_raw(self, pair):
+        """sum over (a, b) of S[a, b, c] * pair(a, b) on slot c, unreduced.
 
         pair(a, b) is the array of products of slot a of one factor with
-        slot b of the other; the result adds the trailing slot axis.
+        slot b of the other; the result adds the trailing slot axis.  See
+        RING_CAP for how far the sum stays from int64 overflow.
         """
         if self.rk == 1:
-            return pair(0, 0)[..., None] % self.m
+            return pair(0, 0)[..., None]
         out = None
         for a, b, terms in self._terms:
             w = pair(a, b)
@@ -352,7 +367,11 @@ class SlotRing:
                 out = np.zeros(w.shape + (self.rk,), dtype=np.int64)
             for c, s in terms:
                 out[..., c] += s * w
-        return out % self.m
+        return out
+
+    def contract(self, pair):
+        """contract_raw, reduced."""
+        return self.reduce(self.contract_raw(pair))
 
 
 def _mixed_radix(sizes, stop, start=0):

@@ -382,11 +382,11 @@ def k_dets(K, A):
                 if mask >> i & 1:
                     continue
                 a = A[:, i, k]
-                term = ring.contract(lambda s, t: a[:, s] * d[:, t])
+                term = ring.contract_raw(lambda s, t: a[:, s] * d[:, t])
                 sign = -1 if (bin(mask & ((1 << i) - 1)).count("1") + k) & 1 else 1
                 key = mask | 1 << i
                 grown[key] = grown.get(key, 0) + sign * term
-        minors = {mask: d % ring.m for mask, d in grown.items()}
+        minors = {mask: ring.reduce(d) for mask, d in grown.items()}
     return minors[(1 << n) - 1]
 
 

@@ -19,6 +19,7 @@ the exact per-element functions here serve single elements and render
 failure witnesses.
 """
 
+import itertools
 import math
 import random
 
@@ -248,8 +249,12 @@ def special_check(shape, cap=EXH_DELTA_CAP, count=10000, seed=0):
         # element's index in K.elements()
         rng = random.Random(seed)
         mods = ops.K.moduli
-        digits = np.array([rng.randrange(m) for _ in range(count * shape.dim)
-                           for m in mods], dtype=np.int64)
+        m = ops.K.uniform_modulus()
+        if m is not None:
+            digits = _randrange_block(rng, m, count * shape.dim * len(mods))
+        else:
+            digits = np.array([rng.randrange(q) for _ in range(count * shape.dim)
+                               for q in mods], dtype=np.int64)
         strides = np.array([math.prod(mods[a + 1:]) for a in range(len(mods))],
                            dtype=np.int64)
         idx = digits.reshape(count, shape.dim, len(mods)) @ strides
@@ -260,7 +265,7 @@ def special_check(shape, cap=EXH_DELTA_CAP, count=10000, seed=0):
         # distinct pairs among the rows checked, up to the first failure
         n = card if fail is None else fail + 1
         rows = np.concatenate([P[:n].reshape(n, -1), R[:n].reshape(n, -1)], axis=1)
-        distinct = len(np.unique(rows, axis=0))
+        distinct = _count_distinct(rows, int(np.max(ops.m)))
         return {"pass": fail is None and distinct == card, "mode": "exhaustive",
                 "checked": card, "distinct": distinct}
     if fail is not None:
@@ -268,6 +273,43 @@ def special_check(shape, cap=EXH_DELTA_CAP, count=10000, seed=0):
         return {"pass": False, "mode": "sampled", "checked": count,
                 "witness": render(shape, witness)}
     return {"pass": True, "mode": "sampled", "checked": count, "flagged": True}
+
+
+def _randrange_block(rng, m, n):
+    """[rng.randrange(m) for _ in range(n)] for 0 < m < 2^32, in blocks.
+
+    randrange(m) keeps the top m.bit_length() bits of one 32-bit word and
+    draws again while the value is >= m; getrandbits(32 * B) returns B
+    such words, the first least significant.  The accepted values of a
+    block are the loop's draws in order; the words past the last one
+    leave rng in a state the loop would not.
+    """
+    shift = 32 - m.bit_length()
+    parts, have = [], 0
+    while have < n:
+        B = 2 * (n - have) + 64  # at least half the words are accepted
+        words = np.frombuffer(rng.getrandbits(32 * B).to_bytes(4 * B, "little"),
+                              dtype="<u4")
+        r = (words >> shift).astype(np.int64)
+        parts.append(r[r < m][:n - have])
+        have += len(parts[-1])
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+
+
+def _count_distinct(rows, m):
+    """Number of distinct rows of a non-negative int array with entries
+    < m: each row packs into uint64 words, one lexsort orders them, and
+    every neighbour that differs starts a new row."""
+    n, L = rows.shape
+    b = max(1, (m - 1).bit_length())
+    per = 64 // b
+    W = -(-L // per)
+    R = np.zeros((n, W * per), dtype=np.uint64)
+    R[:, :L] = rows
+    R = R.reshape(n, W, per) << (np.arange(per, dtype=np.uint64) * np.uint64(b))
+    words = R.sum(axis=2, dtype=np.uint64)
+    S = words[np.lexsort(words.T)]
+    return min(n, 1) + int((S[1:] != S[:-1]).any(axis=1).sum())
 
 
 def herm_slots(alg):
@@ -292,7 +334,10 @@ def herm_slots(alg):
 
 
 def _torsion_list(K):
-    return [k for k in K.elements() if K.is_zero(K.smul(2, k))]
+    """The k with 2k = 0, in K.elements() order.  Scalar multiples act
+    slot by slot, so each slot is 0 or, for an even modulus m, m / 2."""
+    return list(itertools.product(*[(0, m // 2) if m % 2 == 0 else (0,)
+                                    for m in K.moduli]))
 
 
 # Axiom table.  Each entry: name, factor kinds, check(ops, *factors).

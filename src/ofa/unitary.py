@@ -377,8 +377,11 @@ def embed_odd_el(small_alg, big_alg, a):
 
 
 def embed_odd(g):
+    """g in the even preset of rank 2n + 2.  The image is unitary and
+    reads back into Delta by construction, so it is built directly,
+    without u_make's checks; the tests run u_try on every image."""
     big = odd_embed_target(g.shape)
-    return u_make(big, embed_odd_el(g.shape.alg, big.alg, g.beta))
+    return UnitaryElem(big, embed_odd_el(g.shape.alg, big.alg, g.beta))
 
 
 def dickson_odd(g):
@@ -732,7 +735,7 @@ _GROUP_CACHE = {}
 
 def _eye(bo):
     """The identity matrix as a (d, d, rk) array; row t is e_t."""
-    return (np.eye(bo.d, dtype=np.int64)[:, :, None] * bo.onevec) % bo.m
+    return bo.reduce(np.eye(bo.d, dtype=np.int64)[:, :, None] * bo.onevec)
 
 
 def _split_form(bo):
@@ -749,7 +752,7 @@ def _split_form(bo):
         if i >= 0:
             Q[bo.pos[-i], :, bo.pos[i]] = S
     D = bo.d * rk
-    return B.reshape(D, D, rk) % bo.m, Q.reshape(D, D, rk)
+    return bo.reduce(B.reshape(D, D, rk)), Q.reshape(D, D, rk)
 
 
 def _pool(bo):
@@ -815,7 +818,7 @@ def _column_betas(bo):
         half = np.full(K.card, -1, dtype=np.int64)
         for t, v in enumerate(K.elements()):
             half[np.ravel_multi_index(K.smul(2, v), K.moduli)] = t
-        col0 = np.moveaxis((vecs[F[:, p0]] - eye[p0]) % bo.m, -1, 0)
+        col0 = np.moveaxis(bo.reduce(vecs[F[:, p0]] - eye[p0]), -1, 0)
         half = half[np.ravel_multi_index(col0, K.moduli)]
         keep = (half >= 0).all(axis=1)
         F, half, per = F[keep], half[keep], len(bo.ttab) ** bo.d
@@ -824,11 +827,11 @@ def _column_betas(bo):
     for lo in range(0, len(F) * per, _CHUNK):
         hi = min(lo + _CHUNK, len(F) * per)
         leaf = np.arange(lo, hi) // per
-        P = (np.swapaxes(vecs[F[leaf]], 1, 2) - eye) % bo.m
+        P = bo.reduce(np.swapaxes(vecs[F[leaf]], 1, 2) - eye)
         if p0 is not None:
             # _mixed_radix reads each flat index mod per: the offset digits
             shift = bo.ttab[_mixed_radix([len(bo.ttab)] * bo.d, hi, lo)]
-            P[:, :, p0] = (bo.ktab[half[leaf]] + shift) % bo.m
+            P[:, :, p0] = bo.reduce(bo.ktab[half[leaf]] + shift)
         yield P
 
 
@@ -836,10 +839,10 @@ def _unitary_mask(bo, P):
     """Rows of the beta batch P with alpha bar(alpha) = bar(alpha) alpha = 1
     whose pair (beta, bar beta) reads back into Delta."""
     Pb = bo.conj(P)
-    z1 = (P + Pb + bo.dmul(Pb, P)) % bo.m
-    z2 = (P + Pb + bo.dmul(P, Pb)) % bo.m
-    ok = (z1 == 0).all(axis=(1, 2, 3)) & (z2 == 0).all(axis=(1, 2, 3))
-    return ok & bo.read_aug_ok((Pb - bo.fold_residue(P)) % bo.m)
+    z = bo.reduce(-(P + Pb))
+    ok = (bo.dmul(Pb, P) == z).all(axis=(1, 2, 3))
+    ok &= (bo.dmul(P, Pb) == z).all(axis=(1, 2, 3))
+    return ok & bo.read_aug_ok(bo.aug_part(P, Pb))
 
 
 def _members(bo, chunks):

@@ -1,0 +1,118 @@
+"""The batch engine against the exact element arithmetic where its sums
+are largest: BatchOps adds contractions unreduced and reduces once, so
+every input entry here is m - 1.  The rings cover one modulus just under
+RING_CAP, the mask path (a shared power-of-two modulus: Z/2^20, F_2^10)
+and mixed moduli."""
+
+import random
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ofa.batch_delta import BatchOps
+from ofa.coeff_ring import RING_CAP, PolyQuotient, Product, SlotRing, ZMod
+from ofa.form_ring import UnitalEl, ofalin, ofaorth, ofasymp, unital_involution, unital_mul
+from ofa.odd_form_param import DeltaShape, _fold_residue, to_pair
+from test_coeff_ring import _RINGS
+
+# F_2^10 = F_2[x]/(x^10 + x^3 + 1), built without GaloisField's unit scan
+LIMIT_RINGS = [ZMod(1048573), ZMod(1 << 20),
+               PolyQuotient(ZMod(2), [(c,) for c in (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1)]),
+               Product([ZMod(4), ZMod(3)])]
+PRESETS = [(ofasymp, 2), (ofaorth, 3), (ofaorth, 4)]
+
+
+def _arr(ops, els):
+    M = np.zeros((len(els), ops.d, ops.d, ops.rk), dtype=np.int64)
+    for t, el in enumerate(els):
+        for (i, j), v in el.c.items():
+            M[t, ops.pos[i], ops.pos[j]] = v
+    return M
+
+
+def _pairs(ops, sh, xs):
+    pairs = [to_pair(sh, x) for x in xs]
+    return (_arr(ops, [p for p, _ in pairs]), _arr(ops, [r for _, r in pairs]))
+
+
+def _check_against_exact(alg, rng, n):
+    """Row 0 of every batch has each entry m - 1; n more rows are random."""
+    sh, K = DeltaShape(alg), alg.K
+    ops = BatchOps(sh)
+    top = tuple(m - 1 for m in K.moduli)
+
+    def deltas():
+        return [tuple([top] * sh.dim)] + [sh.sample(rng) for _ in range(n)]
+
+    def algs():
+        return [alg.from_coords([top] * alg.rank)] + [alg.sample(rng) for _ in range(n)]
+
+    def scalars():
+        return [top] + [tuple(rng.randrange(m) for m in K.moduli) for _ in range(n)]
+
+    us, vs, als, bes, ks, ls = deltas(), deltas(), algs(), algs(), scalars(), scalars()
+    U, V = _pairs(ops, sh, us), _pairs(ops, sh, vs)
+    A, B = _arr(ops, als), _arr(ops, bes)
+    kv, lv = np.array(ks, dtype=np.int64), np.array(ls, dtype=np.int64)
+    mods = np.broadcast_to(ops.m, (ops.rk,))
+    slots = np.array([(ops.pos[i], ops.pos[j]) for i, j in alg.pairs])
+    assert (A[0, slots[:, 0], slots[:, 1]] == mods - 1).all()
+    assert (U[0][0, ops.ppos[:, 0], ops.ppos[:, 1]] == mods - 1).all()
+
+    def same(got, want):
+        assert (got == want).all(), alg.tag
+
+    acted = [sh.act(u, a, k) for u, a, k in zip(us, als, ks)]
+    for out, exact in ((ops.dadd(U, V), [sh.add(u, v) for u, v in zip(us, vs)]),
+                       (ops.act(U, (A, kv)), acted),
+                       (ops.dneg(U), [sh.neg(u) for u in us])):
+        want = _pairs(ops, sh, exact)
+        same(out[0], want[0])
+        same(out[1], want[1])
+    folds = [_fold_residue(sh, to_pair(sh, u)[0]) for u in us]
+    same(ops.fold_residue(U[0]), _arr(ops, folds))
+    same(ops.dmul(A, B), _arr(ops, [alg.mul(a, b) for a, b in zip(als, bes)]))
+    same(ops.conj(A), _arr(ops, [alg.conj(a) for a in als]))
+    ual = [UnitalEl(a, k) for a, k in zip(als, ks)]
+    ube = [UnitalEl(b, k) for b, k in zip(bes, ls)]
+    prods = [unital_mul(a, b) for a, b in zip(ual, ube)]
+    body, scal = ops.ualmul((A, kv), (B, lv))
+    same(body, _arr(ops, [p.body for p in prods]))
+    same(scal, np.array([p.scalar for p in prods], dtype=np.int64))
+    xs = [UnitalEl(b, K.zero()) for b in bes]
+    same(ops.sandwich((A, kv), B), _arr(ops, [
+        unital_mul(unital_mul(unital_involution(a), x), a).body for a, x in zip(ual, xs)]))
+    same(ops.twosided((B, lv), (A, kv), B), _arr(ops, [
+        unital_mul(unital_mul(unital_involution(b), x), a).body
+        for a, b, x in zip(ual, ube, xs)]))
+    same(ops.mul_right_ual(B, (A, kv)), _arr(ops, [
+        unital_mul(x, a).body for a, x in zip(ual, xs)]))
+
+
+@pytest.mark.parametrize("K", LIMIT_RINGS, ids=lambda K: K.name)
+@pytest.mark.parametrize("mk, r", PRESETS, ids=lambda v: getattr(v, "__name__", str(v)))
+def test_unreduced_sums_at_the_limit(K, mk, r):
+    assert K.card <= RING_CAP
+    _check_against_exact(mk(r, K), random.Random(5), 3)
+
+
+def test_reduce_takes_the_mask_only_on_one_power_of_two():
+    for K, masked in ((ZMod(1 << 20), True), (LIMIT_RINGS[2], True), (ZMod(8), True),
+                      (ZMod(1048573), False), (ZMod(6), False), (ZMod(12), False),
+                      (Product([ZMod(4), ZMod(2)]), False), (LIMIT_RINGS[3], False)):
+        ring = SlotRing(K)
+        assert (ring._mask is not None) == masked, K.name
+        X = np.arange(-3 * 2 ** 21, 3 * 2 ** 21, 997, dtype=np.int64)
+        X = np.stack([X] * ring.rk, axis=1)
+        assert (ring.reduce(X) == X % np.array(K.moduli, dtype=np.int64)).all(), K.name
+
+
+@settings(max_examples=60, deadline=None)
+@given(_RINGS, st.sampled_from([(ofasymp, 2), (ofaorth, 3), (ofaorth, 2), (ofalin, 1)]),
+       st.integers(0, 2 ** 16))
+def test_unreduced_sums_on_random_rings(K, preset, seed):
+    assert SlotRing(K).ktab.tolist() == [list(k) for k in K.elements()]
+    mk, r = preset
+    _check_against_exact(mk(r, K), random.Random(seed), 2)

@@ -24,6 +24,7 @@ from ofa.odd_form_param import (
     special_check,
     to_pair,
 )
+from ofa.odd_form_param import _count_distinct, _randrange_block
 
 
 def act(sh, x, a):
@@ -212,6 +213,48 @@ def test_special_check_matches_reference_loop():
         assert got == json.dumps(_special_reference(sh, **kw), sort_keys=True), alg.tag
         modes.add(json.loads(got)["mode"])
     assert modes == {"exhaustive", "sampled"}
+
+
+@pytest.mark.parametrize("ring", ["zmod:2", "zmod:3", "zmod:4", "zmod:9", "gf:4",
+                                  "zmod:1048573", "prod:(zmod:2;zmod:3)"])
+def test_sampled_special_check_draws_the_loops_indices(monkeypatch, ring):
+    """The block draws of one modulus (and the loop of mixed moduli) give
+    the K.elements() indices of shape.sample's coordinates, in order."""
+    from ofa.batch_delta import BatchOps
+
+    seen = []
+    real = BatchOps.materialize
+
+    def spy(self, kind, idx):
+        seen.append(idx.copy())
+        return real(self, kind, idx)
+
+    monkeypatch.setattr(BatchOps, "materialize", spy)
+    K = parse_ring(ring)
+    sh = DeltaShape(ofaorth(3, K))
+    for seed in (0, 3, 11):
+        seen.clear()
+        assert special_check(sh, cap=0, count=300, seed=seed)["mode"] == "sampled"
+        rng = random.Random(seed)
+        want = [[np.ravel_multi_index(c, K.moduli) for c in sh.sample(rng)]
+                for _ in range(300)]
+        assert seen[0].tolist() == want, (ring, seed)
+
+
+def test_randrange_block_matches_the_loop():
+    for m in (1, 2, 3, 4, 9, 1 << 20, 1048573):
+        for seed in (0, 3, 11):
+            a, b = random.Random(seed), random.Random(seed)
+            got = _randrange_block(a, m, 20000).tolist()
+            assert got == [b.randrange(m) for _ in range(20000)], (m, seed)
+
+
+def test_count_distinct_matches_unique():
+    rng = np.random.default_rng(2)
+    for m in (2, 3, 16, 1048573):
+        for width in (1, 7, 40):
+            rows = rng.integers(m, size=(300, width))[rng.integers(300, size=500)]
+            assert _count_distinct(rows, m) == len(np.unique(rows, axis=0)), (m, width)
 
 
 @pytest.mark.parametrize("read", ["read_back_ok", "read_aug_ok"])

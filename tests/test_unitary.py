@@ -558,6 +558,19 @@ def test_embed_odd():
     assert fixers == {e.key for e in emb.values()}
 
 
+@pytest.mark.parametrize("r, ring", [(3, "zmod:2"), (3, "zmod:3"), (3, "zmod:4"),
+                                     (3, "gf:4"), (5, "zmod:2")])
+def test_embed_odd_images_are_members(r, ring):
+    """embed_odd builds its image without checks; u_try accepts each one."""
+    s = sh(ofaorth, r, parse_ring(ring))
+    G = enumerate_unitary(s)
+    assert G
+    for g in G:
+        e = embed_odd(g)
+        got = u_try(e.shape, e.beta)
+        assert got is not None and got.key == e.key, (ring, g)
+
+
 def test_so_odd_split_reports():
     expect = {"zmod:2": 12, "zmod:3": 48, "zmod:4": 96}
     for K in (F2, F3, Z4):
