@@ -9,6 +9,7 @@ witnesses), 2 usage or structural error.
 import argparse
 import json
 import sys
+from collections import Counter
 
 from .coeff_ring import (CapacityError, PolyQuotient, StructureError,
                          const_hom, parse_ring)
@@ -125,25 +126,17 @@ def cmd_group(args):
         return _emit(args, "group enumerate", params, report, True)
     group = ug.enumerate_unitary(shape)
     report = {"order": len(group)}
+    # each class is counted under its JSON text, in order of first sight
     if args.family == "lin":
-        dets = {}
-        for g in group:
-            key = json.dumps([list(c) for c in ug.det_linear(g)])
-            dets[key] = dets.get(key, 0) + 1
-        report["det_classes"] = dets
-        report["sl_order"] = sum(1 for g in group if ug.sl_member(g))
+        dets = ug.det_linear(group)
+        report["det_classes"] = dict(Counter(json.dumps([list(c) for c in d]) for d in dets))
+        report["sl_order"] = sum(d == (K.one(), K.one()) for d in dets)
     elif args.family == "orth-even":
-        dick = {}
-        for g in group:
-            key = json.dumps(list(ug.dickson_even(g)))
-            dick[key] = dick.get(key, 0) + 1
-        report["dickson_classes"] = dick
+        report["dickson_classes"] = dict(Counter(json.dumps(list(d))
+                                              for d in ug.dickson_even(group)))
     elif args.family == "orth-odd":
-        dick = {}
-        for g in group:
-            key = json.dumps(list(ug.dickson_odd(g)))
-            dick[key] = dick.get(key, 0) + 1
-        report["dickson_classes"] = dick
+        report["dickson_classes"] = dict(Counter(json.dumps(list(d))
+                                              for d in ug.dickson_odd(group)))
     return _emit(args, "group invariants", params, report, True)
 
 

@@ -436,13 +436,16 @@ def clif0_center(r, K):
     null = k_nullspace(K, M, len(ebasis))
     vecs = [El(clif, {s: v for s, v in zip(ebasis, vec) if not K.is_zero(v)})
             for vec in null]
-    one = clif.one()
+    # the null vectors span the center over Z, one factor of a product
+    # ring at a time; omega sums the non-scalar parts that {1, omega}
+    # does not reach yet
+    one, om = clif.one(), clif.zero()
     for cand in vecs:
-        om = clif.sub(cand, clif.scalar(cand.c.get((), K.zero())))
-        if not om:
-            continue
-        if all(_in_span2(clif, ebasis, one, om, v) for v in vecs):
-            return [one, om]
+        part = clif.sub(cand, clif.scalar(cand.c.get((), K.zero())))
+        if not _in_span2(clif, ebasis, one, om, part):
+            om = clif.add(om, part)
+    if om and all(_in_span2(clif, ebasis, one, om, v) for v in vecs):
+        return [one, om]
     raise StructureError("center of the even part is not free of rank 2")
 
 

@@ -256,8 +256,25 @@ class PolyQuotient(RingSpec):
         return out
 
 
+def _has_factor(p, f):
+    """Whether the monic f over Z/p (ints, low to high) has a monic factor
+    of degree 1 .. deg f // 2, which is when f is reducible: trial
+    division by each such factor."""
+    n = len(f) - 1
+    for k in range(1, n // 2 + 1):
+        for g in itertools.product(range(p), repeat=k):
+            r = [c % p for c in f]
+            for top in range(n, k - 1, -1):
+                # subtract r[top] x^(top - k) (g + x^k)
+                for i, c in enumerate(g):
+                    r[top - k + i] = (r[top - k + i] - r[top] * c) % p
+            if not any(r[:k]):
+                return True
+    return False
+
+
 class GaloisField(PolyQuotient):
-    """F_p[x]/(f) with f checked irreducible by a unit scan."""
+    """F_p[x]/(f) with f checked irreducible by trial division."""
 
     def __init__(self, p, coeff_ints):
         if not _is_prime(p):
@@ -267,10 +284,8 @@ class GaloisField(PolyQuotient):
         self.name = "gf:%d:%s" % (p, ",".join(str(c % p) for c in coeff_ints))
         if self.card > _FIELD_CHECK_CAP:
             raise CapacityError("field check over %d elements" % self.card)
-        zero = self.zero()
-        for a in self.elements():
-            if a != zero and self.try_invert(a) is None:
-                raise StructureError("gf modulus %s is reducible" % self.name)
+        if _has_factor(p, coeff_ints):
+            raise StructureError("gf modulus %s is reducible" % self.name)
 
 
 class Product(RingSpec):

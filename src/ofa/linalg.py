@@ -280,34 +280,6 @@ def vscale(K, c, u):
     return tuple(K.mul(c, a) for a in u)
 
 
-def k_det(spec, M):
-    """Determinant by column expansion with a row-mask memo."""
-    n = len(M)
-    if n == 0:
-        return spec.one()
-    memo = {}
-
-    def go(mask, col):
-        if col == n:
-            return spec.one()
-        hit = memo.get(mask)
-        if hit is not None:
-            return hit
-        acc = spec.zero()
-        sign = 1
-        for i in range(n):
-            if mask & (1 << i):
-                a = M[i][col]
-                if not spec.is_zero(a):
-                    term = spec.mul(a, go(mask & ~(1 << i), col + 1))
-                    acc = spec.add(acc, term) if sign > 0 else spec.sub(acc, term)
-                sign = -sign
-        memo[mask] = acc
-        return acc
-
-    return go((1 << n) - 1, 0)
-
-
 def k_mat_inv(spec, M):
     """Inverse of a square matrix over the spec, or None."""
     n = len(M)

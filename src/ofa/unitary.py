@@ -28,14 +28,15 @@ alone.  The result is sorted by key, cached per shape and verified:
 distinct keys, bar beta listed for every beta, and 144 seeded products.
 """
 
+import itertools
 import random
 
 import numpy as np
 
-from .coeff_ring import CapacityError, Product, StructureError, _basis, _mixed_radix
-from .form_ring import ofalin, ofaorth, rep_odd, x_central
+from .coeff_ring import CapacityError, Product, SlotRing, StructureError, _basis, _mixed_radix
+from .form_ring import ofalin, ofaorth, x_central
 from .form_ring import alg_el_from_json, alg_el_to_json
-from .linalg import form_rows, isometry_search, k_det, k_matrices, k_solve, support_pool
+from .linalg import form_rows, isometry_search, k_dets, k_solve, support_pool
 from .odd_form_param import (
     DeltaShape,
     _torsion_list,
@@ -259,35 +260,46 @@ def dilation0(shape, c):
     return u_make(shape, alg.e(0, 0, c))
 
 
-# determinant over the linear preset, Dickson over the orthogonal ones
+# determinant over the linear preset, Dickson over the orthogonal ones.
+# Each takes a list of group elements of one shape and returns one value
+# per element, in order, read from one array of their betas.
 
 
-def _block_matrix(alg, beta, idlist):
-    K = alg.K
-    return [
-        [
-            K.add(beta.coeff(s, t), K.one() if s == t else K.zero())
-            for t in idlist
-        ]
-        for s in idlist
-    ]
+def _betas(betas):
+    """A list of elements of one preset as an (N, d, d, rk) int array,
+    rows and columns in index order."""
+    alg = betas[0].alg
+    d, rk = len(alg.indices), alg.K.rank
+    pos = {i: t for t, i in enumerate(alg.indices)}
+    at = {(i, j): pos[i] * d + pos[j] for (i, j) in alg.pairs}
+    flat = [n * d * d + at[key] for n, b in enumerate(betas) for key in b.c]
+    vals = itertools.chain.from_iterable(v for b in betas for v in b.c.values())
+    B = np.zeros((len(betas) * d * d, rk), dtype=np.int64)
+    B[flat] = np.fromiter(vals, dtype=np.int64, count=len(flat) * rk).reshape(-1, rk)
+    return B.reshape(len(betas), d, d, rk)
 
 
-def det_linear(g):
-    alg = g.shape.alg
+def _plus_one(K, B):
+    """1 + B over K for a stack of square matrices B (N, d, d, rk)."""
+    one = np.eye(B.shape[1], dtype=np.int64)[:, :, None] * np.array(K.one())
+    return SlotRing(K).reduce(B + one)
+
+
+def det_linear(group):
+    """(det of the negative block, det of the positive block) of 1 + beta
+    for each element of the linear preset."""
+    alg = group[0].shape.alg
     if alg.kind != "lin":
         raise StructureError("det_linear needs the linear preset")
-    neg = [i for i in alg.indices if i < 0]
-    pos = [i for i in alg.indices if i > 0]
-    return (
-        k_det(alg.K, _block_matrix(alg, g.beta, neg)),
-        k_det(alg.K, _block_matrix(alg, g.beta, pos)),
-    )
+    K, n = alg.K, alg.n
+    A = _plus_one(K, _betas([g.beta for g in group]))
+    neg, pos = k_dets(K, A[:, :n, :n]).tolist(), k_dets(K, A[:, n:, n:]).tolist()
+    return [(tuple(a), tuple(b)) for a, b in zip(neg, pos)]
 
 
-def sl_member(g):
-    one = g.shape.alg.K.one()
-    return det_linear(g) == (one, one)
+def sl_member(group):
+    one = group[0].shape.alg.K.one()
+    return [d == (one, one) for d in det_linear(group)]
 
 
 def idem_op(K, d, e):
@@ -307,12 +319,11 @@ def _clif_center_idem(r, K):
     return _CLIF_Z_CACHE[key]
 
 
-def _clif_transport(clif, M, idlist, x):
-    """Image of the even element x under e_a -> sum_s M[s][a] e_s."""
-    pos = {a: s for s, a in enumerate(idlist)}
-    gens = {}
-    for a in idlist:
-        gens[a] = clif.el({(s,): M[pos[s]][pos[a]] for s in idlist})
+def _clif_transport(clif, M, x):
+    """Image of the even element x under e_a -> sum_s M[s][a] e_s, M a
+    nested int list over the labels in order."""
+    gens = {a: clif.el({(s,): tuple(M[p][q]) for p, s in enumerate(clif.labels)})
+            for q, a in enumerate(clif.labels)}
     out = clif.zero()
     for word, v in x.c.items():
         term = clif.scalar(v)
@@ -322,29 +333,33 @@ def _clif_transport(clif, M, idlist, x):
     return out
 
 
-def dickson_even(g):
-    alg = g.shape.alg
-    K = alg.K
-    if alg.kind != "orth" or 0 in alg.indices:
-        raise StructureError("dickson_even needs the even orthogonal preset")
-    idlist = sorted(alg.indices)
-    M = _block_matrix(alg, g.beta, idlist)
+def _dickson(K, A):
+    """The Dickson invariant of each alpha in A (N, d, d, rk), alpha in the
+    even orthogonal preset of rank d."""
     if len(_torsion_list(K)) == 1:
         # 2 regular: d is pinned by det(alpha) = 1 - 2d
-        dt = k_det(K, M)
-        for d in K.idempotents():
-            if K.sub(K.one(), K.smul(2, d)) == dt:
-                return d
-        raise StructureError("no idempotent solves det = 1 - 2d")
-    clif, z = _clif_center_idem(len(idlist), K)
-    gz = _clif_transport(clif, M, idlist, z)
-    w = clif.mul(
-        clif.sub(gz, z), clif.sub(clif.one(), clif.smul(2, z))
-    )
-    d = w.c.get((), K.zero())
-    if w != clif.scalar(d) or K.mul(d, d) != d:
-        raise StructureError("center action did not produce an idempotent")
-    return d
+        of = {K.sub(K.one(), K.smul(2, d)): d for d in K.idempotents()}
+        out = [of.get(tuple(dt)) for dt in k_dets(K, A).tolist()]
+        if None in out:
+            raise StructureError("no idempotent solves det = 1 - 2d")
+        return out
+    clif, z = _clif_center_idem(A.shape[1], K)
+    u = clif.sub(clif.one(), clif.smul(2, z))
+    out = []
+    for M in A.tolist():
+        w = clif.mul(clif.sub(_clif_transport(clif, M, z), z), u)
+        d = w.c.get((), K.zero())
+        if w != clif.scalar(d) or K.mul(d, d) != d:
+            raise StructureError("center action did not produce an idempotent")
+        out.append(d)
+    return out
+
+
+def dickson_even(group):
+    alg = group[0].shape.alg
+    if alg.kind != "orth" or 0 in alg.indices:
+        raise StructureError("dickson_even needs the even orthogonal preset")
+    return _dickson(alg.K, _plus_one(alg.K, _betas([g.beta for g in group])))
 
 
 # odd orthogonal groups through the even ones
@@ -384,50 +399,55 @@ def embed_odd(g):
     return UnitaryElem(big, embed_odd_el(g.shape.alg, big.alg, g.beta))
 
 
-def dickson_odd(g):
-    return dickson_even(embed_odd(g))
+def _embed_betas(B):
+    """embed_odd_el on a stack of odd-preset betas: index 0, the middle
+    row and column, goes to both new ends."""
+    h = B.shape[1] // 2
+    src = [h, *range(h), *range(h + 1, 2 * h + 1), h]
+    return B[:, src][:, :, src]
 
 
-def rep_matrix(g):
-    """1 + rep_odd(beta) as a matrix over the module basis."""
-    alg = g.shape.alg
-    K = alg.K
-    M = [list(row) for row in rep_odd(alg, g.beta)]
-    for s in range(len(M)):
-        M[s][s] = K.add(M[s][s], K.one())
-    return tuple(tuple(row) for row in M)
+def dickson_odd(group):
+    """dickson_even of the embedded elements."""
+    alg = group[0].shape.alg
+    if alg.kind != "orth" or 0 not in alg.indices:
+        raise StructureError("dickson_odd needs the odd orthogonal preset")
+    return _dickson(alg.K, _plus_one(alg.K, _embed_betas(_betas([g.beta for g in group]))))
 
 
 def so_odd_split(shape):
-    """Decomposition report for the odd orthogonal group of rank 3."""
+    """Decomposition report for the odd orthogonal group: U = SO x
+    {idempotents} through the Dickson invariant, every check read from
+    one array of the group's betas."""
     alg = shape.alg
     K = alg.K
-    if alg.kind != "orth" or 0 not in alg.indices or alg.n != 1:
-        raise StructureError("so_odd_split is implemented for rank 3 only")
+    if alg.kind != "orth" or 0 not in alg.indices:
+        raise StructureError("so_odd_split needs the odd orthogonal preset")
     group = enumerate_unitary(shape)
-    dicks = {g.key: dickson_odd(g) for g in group}
-    kernel = [g for g in group if K.is_zero(dicks[g.key])]
-    images = {rep_matrix(g) for g in kernel}
-    # SO(3): the form isometries of determinant 1, which are invertible
-    vecs, F = _isometries(BatchOps(shape))
-    flat = vecs.reshape(len(vecs), -1)
-    so = {M for M in k_matrices(flat, F, K.rank)
-          if k_det(K, [list(r) for r in M]) == K.one()}
+    bo = BatchOps(shape)
+    B = _betas([g.beta for g in group])
+    dicks = _dickson(K, _plus_one(K, _embed_betas(B)))
+    in_kernel = np.array([K.is_zero(d) for d in dicks])
+    # 1 + rep_odd(beta): the beta array with column 0 doubled
+    R = B.copy()
+    R[:, :, bo.pos0] *= 2
+    R = _plus_one(K, R)
+    images = {M.tobytes() for M in R[in_kernel]}
+    # SO: the form isometries of determinant 1, which are invertible;
+    # column t of a leaf is vecs[F[t]]
+    vecs, F = _isometries(bo)
+    S = np.ascontiguousarray(np.swapaxes(vecs[F], 1, 2))
+    so = {M.tobytes() for M in S[(k_dets(K, S) == K.one()).all(axis=1)]}
     idems = K.idempotents()
+    det_ok = bool((k_dets(K, R) == bo.reduce(bo.onevec - 2 * np.array(dicks))).all())
 
-    det_ok = True
-    for g in group:
-        lhs = k_det(K, [list(r) for r in rep_matrix(g)])
-        if lhs != K.sub(K.one(), K.smul(2, dicks[g.key])):
-            det_ok = False
-            break
-
-    basis = [alg.e(i, j) for (i, j) in alg.pairs]
-    central = [
-        g
-        for g in group
-        if all(alg.mul(g.beta, b) == alg.mul(b, g.beta) for b in basis)
-    ]
+    # central: beta commutes with every basis element
+    central = np.arange(len(B))
+    for (i, j) in alg.pairs:
+        E = np.zeros((1, bo.d, bo.d, bo.rk), dtype=np.int64)
+        E[0, bo.pos[i], bo.pos[j]] = bo.onevec
+        C = B[central]
+        central = central[(bo.dmul(C, E) == bo.dmul(E, C)).all(axis=(1, 2, 3))]
     # the center should be exactly {(x(k), u(k)) : k^2 + k = 0}, with
     # Dickson invariant -k; keyed by -k, which each central g must hit
     expected = {}
@@ -437,35 +457,30 @@ def so_odd_split(shape):
             assert u_is_member(shape, bx, ux)
             expected[K.neg(k)] = (bx, ux)
     central_ok = len(central) == len(expected) and all(
-        expected.get(dicks[g.key]) == (g.beta, g.gamma) for g in central)
+        expected.get(dicks[t]) == (group[t].beta, group[t].gamma) for t in central)
 
-    keyset = {g.key for g in group}
-    product_keys = {u_mul(g, UnitaryElem(shape, bx)).key
-                    for g in kernel for bx, _ in expected.values()}
-    decomposition_ok = product_keys == keyset and len(kernel) * len(expected) == len(group)
+    # kernel times center is the group: (1 + beta)(1 + x) = 1 + beta x + beta + x
+    keys = {b.tobytes() for b in B}
+    Bk = B[in_kernel]
+    products = {P.tobytes() for x in _betas([bx for bx, _ in expected.values()])
+                for P in bo.reduce(bo.dmul(Bk, x[None]) + Bk + x)}
+    kernel_order = int(in_kernel.sum())
+    decomposition_ok = products == keys and kernel_order * len(expected) == len(group)
 
     report = {
         "ring": K.name,
         "order": len(group),
         "so_order": len(so),
         "idempotents": len(idems),
-        "kernel_order": len(kernel),
+        "kernel_order": kernel_order,
         "product_law": len(group) == len(so) * len(idems),
-        "kernel_bijection": len(images) == len(kernel) and images == so,
+        "kernel_bijection": len(images) == kernel_order and images == so,
         "det_identity": det_ok,
         "central_match": central_ok,
         "decomposition": decomposition_ok,
     }
-    report["pass"] = all(
-        report[k]
-        for k in (
-            "product_law",
-            "kernel_bijection",
-            "det_identity",
-            "central_match",
-            "decomposition",
-        )
-    )
+    report["pass"] = all(report[k] for k in ("product_law", "kernel_bijection", "det_identity",
+                                             "central_match", "decomposition"))
     return report
 
 

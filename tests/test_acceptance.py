@@ -89,8 +89,7 @@ def test_criterion_03_group_orders():
     for alg, want in table:
         got = group_order(DeltaShape(alg))
         assert got == want, (alg.tag, got, want)
-    sl = sum(1 for g in enumerate_unitary(DeltaShape(ofalin(2, F3)))
-             if sl_member(g))
+    sl = sum(sl_member(enumerate_unitary(DeltaShape(ofalin(2, F3)))))
     assert sl == 24
     elapsed = time.time() - t0
     assert elapsed < 30.0, elapsed

@@ -17,7 +17,7 @@ from ofa.form_ring import UnitalEl, ofalin, ofaorth, ofasymp, unital_involution,
 from ofa.odd_form_param import DeltaShape, _fold_residue, to_pair
 from test_coeff_ring import _RINGS
 
-# F_2^10 = F_2[x]/(x^10 + x^3 + 1), built without GaloisField's unit scan
+# F_2^10 = F_2[x]/(x^10 + x^3 + 1), written as a PolyQuotient
 LIMIT_RINGS = [ZMod(1048573), ZMod(1 << 20),
                PolyQuotient(ZMod(2), [(c,) for c in (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1)]),
                Product([ZMod(4), ZMod(3)])]

@@ -13,7 +13,7 @@ import ofa.coeff_ring as cr
 from ofa.cli import main as cli_main
 from ofa.coeff_ring import ZMod, GaloisField, StructureError, parse_ring
 from ofa.form_ring import El, ofaorth
-from ofa.linalg import k_det, k_identity
+from ofa.linalg import k_identity
 from ofa.clifford import (
     CliffordAlg,
     center_split_idempotent,
@@ -31,6 +31,7 @@ from ofa.clifford import (
     try_invert,
     vector_rep,
 )
+from test_linalg import k_det
 
 F2 = ZMod(2)
 F3 = ZMod(3)
@@ -183,6 +184,26 @@ def test_center_rank_two():
                     assert clif.mul(om, g) == clif.mul(g, om)
             z = center_split_idempotent([one, om])
             assert clif.mul(z, z) == z and z != clif.zero() and z != clif.one()
+
+
+@pytest.mark.parametrize("ring", ["prod:(zmod:2;zmod:3)", "prod:(zmod:4;zmod:3)"])
+def test_center_over_a_product_ring(ring, capsys):
+    """The null vectors of the commutator map come one factor at a time;
+    omega sums their parts, so {1, omega} spans the whole center."""
+    K = parse_ring(ring)
+    for r in (2, 4):
+        one, om = clif0_center(r, K)
+        clif = one.alg
+        for a in clif.labels:
+            for b in clif.labels:
+                g = clif.word((a, b))
+                assert clif.mul(om, g) == clif.mul(g, om)
+        # omega reaches every factor: no nonzero scalar kills it
+        assert all(clif.kmul(k, om) for k in K.elements() if not K.is_zero(k))
+        z = center_split_idempotent([one, om])
+        assert clif.mul(z, z) == z and z != clif.zero() and z != clif.one()
+    assert cli_main(["clifford", "center", "--n", "4", "--ring", ring]) == 0
+    assert '"rank": 2' in capsys.readouterr().out
 
 
 def test_hermitian_basis_shape():

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -68,6 +70,42 @@ def test_gf_rejects_reducible():
         GaloisField(2, [1, 0, 1])  # x^2+1 = (x+1)^2 over F2
     with pytest.raises(StructureError):
         GaloisField(4, [1, 1, 1])
+
+
+def _unit_scan_irreducible(p, coeffs):
+    """Reference: F_p[x]/(f) is a field exactly when every nonzero element
+    is a unit."""
+    R = PolyQuotient(ZMod(p), [(c,) for c in coeffs])
+    return all(R.try_invert(a) is not None for a in R.elements() if a != R.zero())
+
+
+@pytest.mark.parametrize("p,top", [(2, 4), (3, 4), (5, 2)])
+def test_gf_trial_division_matches_the_unit_scan(p, top):
+    checked = 0
+    for deg in range(1, top + 1):
+        for low in itertools.product(range(p), repeat=deg):
+            coeffs = list(low) + [1]
+            try:
+                GaloisField(p, coeffs)
+                field = True
+            except StructureError as e:
+                assert str(e) == "gf modulus gf:%d:%s is reducible" % (
+                    p, ",".join(map(str, coeffs)))
+                field = False
+            assert field == _unit_scan_irreducible(p, coeffs), coeffs
+            checked += 1
+    assert checked == sum(p ** d for d in range(1, top + 1))
+
+
+def test_gf_check_at_the_cap():
+    import time
+
+    t = time.perf_counter()
+    F = GaloisField(2, [1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1])  # x^10 + x^3 + 1
+    assert time.perf_counter() - t < 1
+    assert F.card == 1 << 10
+    with pytest.raises(CapacityError):
+        GaloisField(2, [1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1])
 
 
 def test_polyquot_over_z4():

@@ -8,10 +8,11 @@ import random
 
 from ofa.linalg import (
     GraphForm, KSolver, howell_card, howell_form, howell_reduce, howell_span,
-    isometry_search, k_det, k_dets, k_mat_inv, k_mat_vec, k_matmul, k_matrices,
+    isometry_search, k_dets, k_mat_inv, k_mat_vec, k_matmul, k_matrices,
     k_identity, k_nullspace, k_solve, support_pool, vflat,
 )
 from ofa.coeff_ring import GaloisField, Product, StructureError, ZMod, parse_ring
+from test_coeff_ring import _RINGS
 
 
 def test_solve_mod():
@@ -50,6 +51,33 @@ def test_k_nullspace_zmod6():
     for _ in range(6):
         reach |= {K.add(a, g[0]) for a in reach for g in gens}
     assert reach == {(0,), (3,)}
+
+
+def k_det(spec, M):
+    """Reference determinant: column expansion with a row-mask memo, one
+    matrix of ring elements at a time."""
+    n = len(M)
+    memo = {}
+
+    def go(mask, col):
+        if col == n:
+            return spec.one()
+        hit = memo.get(mask)
+        if hit is not None:
+            return hit
+        acc = spec.zero()
+        sign = 1
+        for i in range(n):
+            if mask & (1 << i):
+                a = M[i][col]
+                if not spec.is_zero(a):
+                    term = spec.mul(a, go(mask & ~(1 << i), col + 1))
+                    acc = spec.add(acc, term) if sign > 0 else spec.sub(acc, term)
+                sign = -sign
+        memo[mask] = acc
+        return acc
+
+    return go((1 << n) - 1, 0)
 
 
 def test_k_det():
@@ -233,11 +261,29 @@ def test_k_dets_match_k_det(name):
     K = parse_ring(name)
     rng = random.Random(13)
     els = list(K.elements())
-    for n in range(4):
+    for n in range(7):
         mats = [[[rng.choice(els) for _ in range(n)] for _ in range(n)]
                 for _ in range(40)]
         dets = k_dets(K, np.array(mats, dtype=np.int64).reshape(40, n, n, K.rank))
         assert [tuple(d) for d in dets.tolist()] == [k_det(K, M) for M in mats]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_RINGS, st.integers(0, 5), st.randoms(use_true_random=False))
+def test_k_dets_multiplicative(K, n, rng):
+    """det(AB) = det(A) det(B) on random stacks over random rings."""
+    def mat():
+        return [[tuple(rng.randrange(m) for m in K.moduli) for _ in range(n)]
+                for _ in range(n)]
+
+    A, B = [mat() for _ in range(6)], [mat() for _ in range(6)]
+    AB = [k_matmul(K, a, b) for a, b in zip(A, B)]
+
+    def dets(mats):
+        stack = np.array(mats, dtype=np.int64).reshape(len(mats), n, n, K.rank)
+        return [tuple(d) for d in k_dets(K, stack).tolist()]
+
+    assert dets(AB) == [K.mul(x, y) for x, y in zip(dets(A), dets(B))]
 
 
 @pytest.mark.parametrize("name,n,size", [("zmod:4", 3, 8), ("zmod:8", 2, 24),

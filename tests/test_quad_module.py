@@ -23,7 +23,7 @@ from ofa.coeff_ring import (
     parse_ring,
 )
 from ofa.form_ring import ofaorth, ofasymp
-from ofa.linalg import k_det, k_identity, k_mat_inv, k_matmul, vadd, vflat
+from ofa.linalg import k_identity, k_mat_inv, k_matmul, vadd, vflat
 from ofa.odd_form_param import DeltaShape, gen_q, gen_u, gen_v
 from ofa.quad_module import (
     QuadModule,
@@ -61,6 +61,7 @@ from ofa.quad_module import (
     unitary_of_module,
 )
 from ofa.unitary import group_order
+from test_linalg import k_det
 
 F2, F3, Z4 = ZMod(2), ZMod(3), ZMod(4)
 F4 = GaloisField(2, [1, 1, 1])

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from ofa.cli import family_algebra
 from ofa.cli import main as cli_main
 from ofa.coeff_ring import CapacityError, Product, StructureError, ZMod, _mixed_radix, parse_ring
-from ofa.form_ring import ofalin, ofaorth, ofasymp
-from ofa.linalg import k_det, k_mat_inv, k_matrices
+from ofa.form_ring import ofalin, ofaorth, ofasymp, rep_odd
+from ofa.linalg import k_mat_inv, k_matrices
 from ofa.odd_form_param import (
     DeltaShape,
     act_scalar,
@@ -45,7 +45,6 @@ from ofa.unitary import (
     odd_embed_target,
     pair_sum,
     parabolic_p,
-    rep_matrix,
     sigma_linear,
     sl_member,
     so_odd_split,
@@ -60,6 +59,7 @@ from ofa.unitary import (
     unitary_from_json,
     unitary_to_json,
 )
+from test_linalg import k_det
 
 F2 = ZMod(2)
 F3 = ZMod(3)
@@ -169,6 +169,15 @@ def test_enumeration_strategies_agree():
     assert checked == len(cases) - 2
 
 
+def rep_matrix(g):
+    """Reference: 1 + rep_odd(beta) as a matrix over the module basis."""
+    K = g.shape.alg.K
+    M = [list(row) for row in rep_odd(g.shape.alg, g.beta)]
+    for s in range(len(M)):
+        M[s][s] = K.add(M[s][s], K.one())
+    return tuple(tuple(row) for row in M)
+
+
 def test_rep_of_every_element_is_a_listed_isometry():
     """rep(g) keeps b and q for every g the full scan finds, so the column
     search lifted along rep_odd misses no member."""
@@ -208,6 +217,7 @@ def test_odd_orders_past_the_beta_scan():
 @pytest.mark.parametrize("argv,msg", [
     ("group order --family orth-odd --n 1 --ring gf:16", "error: rep_odd lift of 16711680"),
     ("group order --family orth-odd --n 0 --ring zmod:5003", "error: column pool of 5003"),
+    ("so-odd-split --n 2 --ring zmod:4", "error: column search frontier past 1048576"),
 ])
 def test_odd_enumeration_refusals(argv, msg, capsys):
     import time
@@ -308,6 +318,12 @@ PINNED = (
      "20d46a92b0a703c99f760444685f84a43cbd3b09d91e883e8a4cb0a225794001"),
     ("parabolic --family orth-odd --n 1 --ring zmod:5",
      "4b42e5e3586ba3ce21c34791dfeb940ae4a44a40a4dcb994001d72d694919f0d"),
+    # so-odd-split past rank 3: O(1, F3) has order 2 and SO(1) = 1; O(5, F2)
+    # has order 1,440 and SO(5, 2) = Sp(4, 2) order 720
+    ("so-odd-split --n 0 --ring gf:3",
+     "82a8cb23be70d04a130672e115551eda79561d41ca36c501679721b269f6fb08"),
+    ("so-odd-split --n 2 --ring gf:2",
+     "22257f8db4b773f4b8a7e719dce5907e3629fcbfebf2faf9d9d01570788209ea"),
 )
 
 
@@ -468,65 +484,56 @@ def test_det_linear_and_sl():
     s = sh(ofalin, 2, F3)
     G = enumerate_unitary(s)
     one = F3.one()
-    assert det_linear(u_identity(s)) == (one, one)
-    assert sum(1 for g in G if sl_member(g)) == 24
+    assert det_linear([u_identity(s)]) == [(one, one)]
+    assert sum(sl_member(G)) == 24
     rng = random.Random(1)
-    for _ in range(25):
-        a, b = rng.choice(G), rng.choice(G)
-        da, db = det_linear(a), det_linear(b)
-        assert det_linear(u_mul(a, b)) == (F3.mul(da[0], db[0]), F3.mul(da[1], db[1]))
+    pairs = [(rng.choice(G), rng.choice(G)) for _ in range(25)]
+    da, db = det_linear([a for a, _ in pairs]), det_linear([b for _, b in pairs])
+    dab = det_linear([u_mul(a, b) for a, b in pairs])
+    for x, y, xy in zip(da, db, dab):
+        assert xy == (F3.mul(x[0], y[0]), F3.mul(x[1], y[1]))
     t = transvection_short(s, 1, 2, s.alg.e(1, 2))
-    assert sl_member(t)
+    assert sl_member([t]) == [True]
 
 
 def test_dickson_even_det_route():
     s = sh(ofaorth, 2, F3)
     G = enumerate_unitary(s)
-    assert dickson_even(u_identity(s)) == F3.zero()
-    assert sorted(dickson_even(g) for g in G) == [(0,), (0,), (1,), (1,)]
+    assert dickson_even([u_identity(s)]) == [F3.zero()]
+    assert sorted(dickson_even(G)) == [(0,), (0,), (1,), (1,)]
     swap = s.alg.el({(1, -1): (1,), (-1, 1): (1,), (1, 1): (2,), (-1, -1): (2,)})
     g = u_make(s, swap)
-    assert dickson_even(g) == F3.one()
+    assert dickson_even([g]) == [F3.one()]
 
 
 def test_dickson_even_char2_kernel_index():
     s = sh(ofaorth, 2, F2)
     G = enumerate_unitary(s)
     assert len(G) == 2
-    ds = sorted(dickson_even(g) for g in G)
-    assert ds == [(0,), (1,)]
+    assert sorted(dickson_even(G)) == [(0,), (1,)]
 
 
 def test_dickson_homomorphism():
-    s = sh(ofaorth, 4, F3)
-    G = enumerate_unitary(s)
     rng = random.Random(2)
-    for _ in range(20):
-        a, b = rng.choice(G), rng.choice(G)
-        assert dickson_even(u_mul(a, b)) == idem_op(
-            F3, dickson_even(a), dickson_even(b)
-        )
-    s2 = sh(ofaorth, 4, F2)
-    G2 = enumerate_unitary(s2)
-    for _ in range(20):
-        a, b = rng.choice(G2), rng.choice(G2)
-        assert dickson_even(u_mul(a, b)) == idem_op(
-            F2, dickson_even(a), dickson_even(b)
-        )
+    for K in (F3, F2):
+        G = enumerate_unitary(sh(ofaorth, 4, K))
+        pairs = [(rng.choice(G), rng.choice(G)) for _ in range(20)]
+        da = dickson_even([a for a, _ in pairs])
+        db = dickson_even([b for _, b in pairs])
+        dab = dickson_even([u_mul(a, b) for a, b in pairs])
+        assert dab == [idem_op(K, x, y) for x, y in zip(da, db)]
 
 
 def test_dickson_routes_agree():
     import ofa.unitary as un
 
     s = sh(ofaorth, 4, F3)
-    G = enumerate_unitary(s)
-    idlist = sorted(s.alg.indices)
+    G = enumerate_unitary(s)[::31]
     clif, z = un._clif_center_idem(4, F3)
-    for g in G[::31]:
-        M = un._block_matrix(s.alg, g.beta, idlist)
-        gz = un._clif_transport(clif, M, idlist, z)
+    for g, M, d in zip(G, un._plus_one(F3, un._betas([g.beta for g in G])).tolist(), dickson_even(G)):
+        gz = un._clif_transport(clif, M, z)
         w = clif.mul(clif.sub(gz, z), clif.sub(clif.one(), clif.smul(2, z)))
-        assert w == clif.scalar(dickson_even(g))
+        assert w == clif.scalar(d)
 
 
 def test_embed_odd():
@@ -572,22 +579,104 @@ def test_embed_odd_images_are_members(r, ring):
 
 
 def test_so_odd_split_reports():
-    expect = {"zmod:2": 12, "zmod:3": 48, "zmod:4": 96}
-    for K in (F2, F3, Z4):
-        rep = so_odd_split(sh(ofaorth, 3, K))
+    expect = {(3, "zmod:2"): 12, (3, "zmod:3"): 48, (3, "zmod:4"): 96,
+              (5, "zmod:2"): _so_odd_order(2, 2)}
+    for (r, name), order in expect.items():
+        rep = so_odd_split(sh(ofaorth, r, parse_ring(name)))
         assert rep["pass"], rep
-        assert rep["order"] == expect[K.name]
+        assert rep["order"] == order
         assert rep["order"] == rep["so_order"] * rep["idempotents"]
+
+
+def test_product_ring_invariants_match_zmod6():
+    """Z/6 = Z/2 x Z/3 by CRT: the product ring gives the same Dickson
+    classes, d over Z/6 read as (d mod 2, d mod 3), and so_odd_split
+    passes on both."""
+    P, Z6 = parse_ring("prod:(zmod:2;zmod:3)"), ZMod(6)
+    for r, dickson in ((2, dickson_even), (3, dickson_odd)):
+        on_p = dickson(enumerate_unitary(sh(ofaorth, r, P)))
+        on_6 = dickson(enumerate_unitary(sh(ofaorth, r, Z6)))
+        crt = sorted((d % 2, d % 3) for (d,) in on_6)
+        assert sorted(on_p) == crt and len(set(crt)) == 4
+    for K in (P, Z6):
+        rep = so_odd_split(sh(ofaorth, 3, K))
+        assert rep["pass"] and rep["idempotents"] == 4, rep
+
+
+def _alpha_matrix(g, idlist):
+    K = g.shape.alg.K
+    return [[K.add(g.beta.coeff(s, t), K.one() if s == t else K.zero()) for t in idlist]
+            for s in idlist]
+
+
+def _dickson_reference(g):
+    """Dickson invariant of one element of an even orthogonal preset, from
+    its own matrix: det(alpha) = 1 - 2d where 2 is regular, else the
+    action on the center of the even Clifford part."""
+    import ofa.unitary as un
+    from ofa.odd_form_param import _torsion_list
+
+    K = g.shape.alg.K
+    idlist = sorted(g.shape.alg.indices)
+    M = _alpha_matrix(g, idlist)
+    if len(_torsion_list(K)) == 1:
+        dt = k_det(K, M)
+        return next(d for d in K.idempotents() if K.sub(K.one(), K.smul(2, d)) == dt)
+    clif, z = un._clif_center_idem(len(idlist), K)
+    w = clif.mul(clif.sub(un._clif_transport(clif, M, z), z),
+                 clif.sub(clif.one(), clif.smul(2, z)))
+    d = w.c.get((), K.zero())
+    assert w == clif.scalar(d)
+    return d
+
+
+def _random_words(shape, count, rng):
+    """Members of the group without enumerating it: products of eight
+    parabolic generators each."""
+    from ofa.unitary import parabolic_generators
+
+    gens = parabolic_generators(shape)
+    out = []
+    for _ in range(count):
+        g = u_identity(shape)
+        for _ in range(8):
+            g = u_mul(g, rng.choice(gens))
+        out.append(g)
+    return out
+
+
+@pytest.mark.parametrize("mk, r, ring", [
+    (ofalin, 2, "gf:3"), (ofaorth, 4, "gf:2"), (ofaorth, 4, "gf:3"), (ofaorth, 4, "zmod:4"),
+    (ofaorth, 3, "gf:2"), (ofaorth, 3, "gf:3"), (ofaorth, 5, "gf:2"), (ofaorth, 5, "gf:3")],
+    ids=lambda v: getattr(v, "__name__", str(v)))
+def test_batched_invariants_match_the_per_element_reference(mk, r, ring):
+    s = sh(mk, r, parse_ring(ring))
+    K = s.alg.K
+    if (r, ring) == (5, "gf:3"):
+        # O(5, F3) has 103,680 elements: a sample of words
+        G = _random_words(s, 300, random.Random(5))
+    else:
+        G = enumerate_unitary(s)
+    if mk is ofalin:
+        neg = [i for i in s.alg.indices if i < 0]
+        pos = [i for i in s.alg.indices if i > 0]
+        ref = [(k_det(K, _alpha_matrix(g, neg)), k_det(K, _alpha_matrix(g, pos))) for g in G]
+        assert det_linear(G) == ref
+        assert sl_member(G) == [d == (K.one(), K.one()) for d in ref]
+    elif r % 2 == 0:
+        assert dickson_even(G) == [_dickson_reference(g) for g in G]
+    else:
+        ds = dickson_odd(G)
+        assert ds == [_dickson_reference(embed_odd(g)) for g in G]
+        assert {K.zero(), K.one()} <= set(ds)
 
 
 def test_dickson_odd_values():
     s = sh(ofaorth, 3, F3)
     G = enumerate_unitary(s)
-    ds = [dickson_odd(g) for g in G]
+    ds = dickson_odd(G)
     assert ds.count(F3.zero()) == 24 and ds.count(F3.one()) == 24
-    for g in G[:6]:
-        det = rep_matrix(g)
-        assert dickson_odd(g) in ((0,), (1,))
+    assert dickson_odd(G[:6]) == ds[:6]
 
 
 def test_sigma_linear():
@@ -738,7 +827,7 @@ def test_parabolic_borel_symp2():
 def test_parabolic_lin2():
     P = parabolic_p(sh(ofalin, 2, F3))
     assert len(P) == 12
-    assert sum(1 for g in P if sl_member(g)) == 6
+    assert sum(sl_member(P)) == 6
 
 
 def test_generate_subgroup_identity():
