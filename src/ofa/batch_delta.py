@@ -135,13 +135,19 @@ class BatchOps:
         vals = S[:, self.dpos[:, 0], self.dpos[:, 1]]
         return (self.reduce(self._span(vals)) == S).all(axis=(1, 2, 3))
 
-    def read_back_ok(self, idx, P, R):
-        """Rows of a delta batch whose (P, R) reads back to the coordinates
-        idx it was materialized from: the batch form of member."""
+    def read(self, P, R):
+        """The coordinates (N, dim, rk) of each pair (P, R), and where the
+        pair lies in Delta: the batch form of member."""
         S = self.aug_part(P, R)
         got = np.concatenate([P[:, self.ppos[:, 0], self.ppos[:, 1]],
                               S[:, self.dpos[:, 0], self.dpos[:, 1]]], axis=1)
-        return self.read_aug_ok(S) & (got == self._kvals(idx)).all(axis=(1, 2))
+        return got, self.read_aug_ok(S)
+
+    def read_back_ok(self, idx, P, R):
+        """Rows of a delta batch whose (P, R) reads back to the coordinates
+        idx it was materialized from."""
+        got, ok = self.read(P, R)
+        return ok & (got == self._kvals(idx)).all(axis=(1, 2))
 
     # factor materializers; idx is (N, nslots)
     def materialize(self, kind, idx):

@@ -121,8 +121,7 @@ def cmd_group(args):
         return _emit(args, "group order", params, {"order": order}, True)
     if args.gcmd == "enumerate":
         group = ug.enumerate_unitary(shape)
-        report = {"order": len(group),
-                  "elements": [ug.unitary_to_json(g) for g in group]}
+        report = {"order": len(group), "elements": ug.group_to_json(group)}
         return _emit(args, "group enumerate", params, report, True)
     group = ug.enumerate_unitary(shape)
     report = {"order": len(group)}

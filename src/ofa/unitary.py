@@ -23,19 +23,23 @@ linalg (isometry_search, which quad_module shares), and beta = M - 1, or
 over the odd orthogonal preset every preimage of M - 1 under rep_odd:
 the group acts on K^d by such isometries, so no member is missed.  Every
 candidate batch passes one mask, unitality plus the Delta read of (beta,
-bar beta) (the batch form of u_try), and a survivor is kept as its beta
-alone.  The result is sorted by key, cached per shape and verified:
-distinct keys, bar beta listed for every beta, and 144 seeded products.
+bar beta) (the batch form of u_try).  The group is the survivors' one
+(N, d, d, rk) beta array, sorted by one lexsort in El.key order, cached
+per shape and verified as array work: distinct rows, bar beta listed for
+every row, and 144 seeded products.  No element object is kept: a
+UnitaryGroup over the array builds one when it is indexed, the
+invariants read the array, and group_to_json reads every gamma in one
+batch.
 """
 
-import itertools
 import random
+from collections.abc import Sequence
 
 import numpy as np
 
 from .coeff_ring import CapacityError, Product, SlotRing, StructureError, _basis, _mixed_radix
-from .form_ring import ofalin, ofaorth, x_central
-from .form_ring import alg_el_from_json, alg_el_to_json
+from .form_ring import El, ofalin, ofaorth, x_central
+from .form_ring import alg_el_from_json
 from .linalg import form_rows, isometry_search, k_dets, k_solve, support_pool
 from .odd_form_param import (
     DeltaShape,
@@ -140,7 +144,7 @@ def u_inv(g):
 
 
 def unitary_to_json(g):
-    return {"beta": alg_el_to_json(g.beta), "gamma": delta_to_json(g.shape, g.gamma)}
+    return group_to_json(UnitaryGroup(g.shape, _betas([g.beta])))[0]
 
 
 def unitary_from_json(shape, data):
@@ -261,22 +265,27 @@ def dilation0(shape, c):
 
 
 # determinant over the linear preset, Dickson over the orthogonal ones.
-# Each takes a list of group elements of one shape and returns one value
-# per element, in order, read from one array of their betas.
+# Each takes an enumerated group, or a list of group elements of one
+# shape, and returns one value per element, in order, read from one array
+# of their betas.
 
 
 def _betas(betas):
     """A list of elements of one preset as an (N, d, d, rk) int array,
     rows and columns in index order."""
-    alg = betas[0].alg
-    d, rk = len(alg.indices), alg.K.rank
-    pos = {i: t for t, i in enumerate(alg.indices)}
-    at = {(i, j): pos[i] * d + pos[j] for (i, j) in alg.pairs}
-    flat = [n * d * d + at[key] for n, b in enumerate(betas) for key in b.c]
-    vals = itertools.chain.from_iterable(v for b in betas for v in b.c.values())
-    B = np.zeros((len(betas) * d * d, rk), dtype=np.int64)
-    B[flat] = np.fromiter(vals, dtype=np.int64, count=len(flat) * rk).reshape(-1, rk)
-    return B.reshape(len(betas), d, d, rk)
+    alg, d = betas[0].alg, len(betas[0].alg.indices)
+    keys, rows, cols = _slots(alg)
+    B = np.zeros((len(betas), d, d, alg.K.rank), dtype=np.int64)
+    B[:, rows, cols] = np.array([[b.c.get(k, alg.K.zero()) for k in keys] for b in betas],
+                                dtype=np.int64).reshape(len(betas), len(keys), alg.K.rank)
+    return B
+
+
+def _beta_array(group):
+    """The beta array of an enumerated group, or _betas of a list."""
+    if isinstance(group, UnitaryGroup):
+        return group.betas
+    return _betas([g.beta for g in group])
 
 
 def _plus_one(K, B):
@@ -292,7 +301,7 @@ def det_linear(group):
     if alg.kind != "lin":
         raise StructureError("det_linear needs the linear preset")
     K, n = alg.K, alg.n
-    A = _plus_one(K, _betas([g.beta for g in group]))
+    A = _plus_one(K, _beta_array(group))
     neg, pos = k_dets(K, A[:, :n, :n]).tolist(), k_dets(K, A[:, n:, n:]).tolist()
     return [(tuple(a), tuple(b)) for a, b in zip(neg, pos)]
 
@@ -359,7 +368,7 @@ def dickson_even(group):
     alg = group[0].shape.alg
     if alg.kind != "orth" or 0 in alg.indices:
         raise StructureError("dickson_even needs the even orthogonal preset")
-    return _dickson(alg.K, _plus_one(alg.K, _betas([g.beta for g in group])))
+    return _dickson(alg.K, _plus_one(alg.K, _beta_array(group)))
 
 
 # odd orthogonal groups through the even ones
@@ -378,33 +387,20 @@ def odd_embed_target(shape):
     return _ODD_TARGET_CACHE[key]
 
 
-def embed_odd_el(small_alg, big_alg, a):
-    """Index 0 of the odd preset goes to both new indices -m and m, every
-    other index to itself.  Distinct source keys land on disjoint target
-    keys, so the image is written in one pass and nothing is summed."""
-    ends = (-(small_alg.n + 1), small_alg.n + 1)
-    c = {}
-    for (i, j), v in a.c.items():
-        for s in ((i,) if i else ends):
-            for t in ((j,) if j else ends):
-                c[(s, t)] = v
-    return big_alg.el(c)
+def _embed_betas(B):
+    """A stack of odd-preset betas in the even preset of rank 2n + 2:
+    index 0, the middle row and column, goes to both new ends -(n + 1)
+    and n + 1, every other index to itself."""
+    h = B.shape[1] // 2
+    src = [h, *range(h), *range(h + 1, 2 * h + 1), h]
+    return B[:, src][:, :, src]
 
 
 def embed_odd(g):
     """g in the even preset of rank 2n + 2.  The image is unitary and
     reads back into Delta by construction, so it is built directly,
     without u_make's checks; the tests run u_try on every image."""
-    big = odd_embed_target(g.shape)
-    return UnitaryElem(big, embed_odd_el(g.shape.alg, big.alg, g.beta))
-
-
-def _embed_betas(B):
-    """embed_odd_el on a stack of odd-preset betas: index 0, the middle
-    row and column, goes to both new ends."""
-    h = B.shape[1] // 2
-    src = [h, *range(h), *range(h + 1, 2 * h + 1), h]
-    return B[:, src][:, :, src]
+    return _elements(odd_embed_target(g.shape), _embed_betas(_betas([g.beta])))[0]
 
 
 def dickson_odd(group):
@@ -412,7 +408,7 @@ def dickson_odd(group):
     alg = group[0].shape.alg
     if alg.kind != "orth" or 0 not in alg.indices:
         raise StructureError("dickson_odd needs the odd orthogonal preset")
-    return _dickson(alg.K, _plus_one(alg.K, _embed_betas(_betas([g.beta for g in group]))))
+    return _dickson(alg.K, _plus_one(alg.K, _embed_betas(_beta_array(group))))
 
 
 def so_odd_split(shape):
@@ -425,7 +421,7 @@ def so_odd_split(shape):
         raise StructureError("so_odd_split needs the odd orthogonal preset")
     group = enumerate_unitary(shape)
     bo = BatchOps(shape)
-    B = _betas([g.beta for g in group])
+    B = group.betas
     dicks = _dickson(K, _plus_one(K, _embed_betas(B)))
     in_kernel = np.array([K.is_zero(d) for d in dicks])
     # 1 + rep_odd(beta): the beta array with column 0 doubled
@@ -860,37 +856,129 @@ def _unitary_mask(bo, P):
     return ok & bo.read_aug_ok(bo.aug_part(P, Pb))
 
 
-def _members(bo, chunks):
-    """The element of every candidate beta that passes the batch mask."""
-    alg = bo.alg
-    slots = [(key, bo.pos[key[0]], bo.pos[key[1]]) for key in alg.pairs]
-    out = []
-    for P in chunks:
-        for row in P[_unitary_mask(bo, P)].tolist():
-            coeffs = {key: tuple(row[a][b]) for key, a, b in slots if any(row[a][b])}
-            out.append(UnitaryElem(bo.shape, alg.el(coeffs)))
-    return out
+def _slots(alg):
+    """The algebra's pairs in sorted order, the order of El.key, with the
+    row and the column of each in a beta array."""
+    pos = {i: t for t, i in enumerate(alg.indices)}
+    keys = sorted(alg.pairs)
+    return keys, [pos[i] for i, _ in keys], [pos[j] for _, j in keys]
+
+
+def _key_words(alg, B):
+    """Int64 words (N, W) whose rows compare as the El.key of the rows of B.
+
+    El.key compares sparse ((i, j), coeff) tuples.  So each pair, in sorted
+    order, gets one digit: 1 + the mixed-radix value of a nonzero entry,
+    K.card + 1 for a zero entry with a nonzero one later, and 0 for a zero
+    entry with none later.  The digits, taken from the last pair back, are
+    packed base K.card + 2, as many to a word as fit, the first most
+    significant."""
+    K = alg.K
+    keys, rows, cols = _slots(alg)
+    base, per = K.card + 2, 1
+    while base ** (per + 1) < 1 << 63:
+        per += 1
+    # the coefficient's first slot most significant, as tuples compare
+    radix = np.cumprod((1,) + K.moduli[:0:-1])[::-1]
+    words = np.zeros((len(B), -(-len(keys) // per) or 1), dtype=np.int64)
+    later = np.zeros(len(B), dtype=bool)
+    for s in range(len(keys) - 1, -1, -1):
+        v = B[:, rows[s], cols[s]] @ radix
+        words[:, s // per] += np.where(v > 0, v + 1, later * (K.card + 1)) * base ** (
+            per - 1 - s % per)
+        later |= v > 0
+    return words
+
+
+def _rows_in(words, Q):
+    """Whether each row of Q (M, W) is a row of words (N, W)."""
+    X = np.concatenate([words, Q])
+    order = np.lexsort(X.T[::-1])
+    Xs = X[order]
+    start = np.flatnonzero(np.r_[True, (Xs[1:] != Xs[:-1]).any(axis=1)])
+    found = np.empty(len(X), dtype=bool)
+    found[order] = np.repeat(np.logical_or.reduceat(order < len(words), start),
+                             np.diff(np.r_[start, len(X)]))
+    return found[len(words):]
+
+
+def _elements(shape, B):
+    """The element of each row of B, its El built directly: the rows are
+    reduced, so alg.el has nothing to check."""
+    alg = shape.alg
+    keys, rows, cols = _slots(alg)
+    return [UnitaryElem(shape, El(alg, {k: tuple(v) for k, v in zip(keys, row) if any(v)}))
+            for row in B[:, rows, cols].tolist()]
+
+
+class UnitaryGroup(Sequence):
+    """An enumerated group: its (N, d, d, rk) beta array in key order.  An
+    element is built only when it is indexed or iterated."""
+
+    def __init__(self, shape, betas):
+        self.shape = shape
+        self.betas = betas
+
+    def __len__(self):
+        return len(self.betas)
+
+    def __getitem__(self, t):
+        if isinstance(t, slice):
+            return UnitaryGroup(self.shape, self.betas[t])
+        return _elements(self.shape, self.betas[t][None])[0]
+
+    def __iter__(self):
+        for lo in range(0, len(self.betas), _CHUNK):
+            yield from _elements(self.shape, self.betas[lo:lo + _CHUNK])
+
+
+def group_to_json(group):
+    """The JSON form of every element: beta from the rows, as
+    alg_el_to_json writes it, and every gamma read in one batch."""
+    shape, B = group.shape, group.betas
+    bo = BatchOps(shape)
+    keys, rows, cols = _slots(shape.alg)
+    gammas = bo.read(B, bo.conj(B))[0].tolist()
+    return [{"beta": [{"i": i, "j": j, "c": v} for (i, j), v in zip(keys, row) if any(v)],
+             "gamma": delta_to_json(shape, tuple(map(tuple, gamma)))}
+            for row, gamma in zip(B[:, rows, cols].tolist(), gammas)]
+
+
+def _survivors(bo, chunks):
+    """Every candidate beta that passes the batch mask, in key order."""
+    B = np.concatenate([P[_unitary_mask(bo, P)] for P in chunks])
+    return B[np.lexsort(_key_words(bo.alg, B).T[::-1])]
+
+
+def _verify(bo, B):
+    """Distinct rows, bar beta listed for every row, and 144 products of
+    pairs drawn by random.Random(0) listed."""
+    N = len(B)
+    if (B[1:] == B[:-1]).all(axis=(1, 2, 3)).any():
+        raise AssertionError("repeated beta")
+    rng = random.Random(0)
+    pairs = np.array([(rng.choice(range(N)), rng.choice(range(N))) for _ in range(144)])
+    G, H = B[pairs[:, 0]], B[pairs[:, 1]]
+    found = _rows_in(_key_words(bo.alg, B), np.concatenate([
+        _key_words(bo.alg, bo.conj(B)), _key_words(bo.alg, bo.reduce(bo.dmul(G, H) + G + H))]))
+    if not found[:N].all():
+        raise AssertionError("no inverse of %r" % tuple(_elements(bo.shape, B[~found[:N]][:1])))
+    if not found[N:].all():
+        raise AssertionError("no product %r * %r" % tuple(
+            _elements(bo.shape, B[pairs[~found[N:]][0]])))
 
 
 def enumerate_unitary(shape):
-    """Every group element, sorted by the canonical beta encoding."""
-    hit = _GROUP_CACHE.get(shape.tag)
-    if hit is not None:
-        return list(hit)
-    bo = BatchOps(shape)
-    out = _members(bo, _column_betas(bo))
-    out.sort(key=lambda g: g.key)
-    alg = shape.alg
-    keys = {g.key for g in out}
-    assert len(keys) == len(out), "repeated beta"
-    for g in out:
-        assert alg.conj(g.beta).key in keys, "no inverse of %r" % g
-    rng = random.Random(0)
-    for _ in range(144):
-        g, h = rng.choice(out), rng.choice(out)
-        assert u_mul(g, h).key in keys, "no product %r * %r" % (g, h)
-    _GROUP_CACHE[shape.tag] = out
-    return list(out)
+    """Every group element, sorted by the canonical beta encoding, as a
+    UnitaryGroup over the cached array."""
+    B = _GROUP_CACHE.get(shape.tag)
+    if B is None:
+        bo = BatchOps(shape)
+        B = _survivors(bo, _column_betas(bo))
+        _verify(bo, B)
+        B.flags.writeable = False
+        _GROUP_CACHE[shape.tag] = B
+    return UnitaryGroup(shape, B)
 
 
 def group_order(shape):

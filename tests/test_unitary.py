@@ -1,8 +1,12 @@
 import hashlib
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,12 +14,13 @@ from hypothesis import strategies as st
 from ofa.cli import family_algebra
 from ofa.cli import main as cli_main
 from ofa.coeff_ring import CapacityError, Product, StructureError, ZMod, _mixed_radix, parse_ring
-from ofa.form_ring import ofalin, ofaorth, ofasymp, rep_odd
+from ofa.form_ring import alg_el_to_json, ofalin, ofaorth, ofasymp, rep_odd
 from ofa.linalg import k_mat_inv, k_matrices
 from ofa.odd_form_param import (
     DeltaShape,
     act_scalar,
     aug_member,
+    delta_to_json,
     gen_q,
     gen_u,
     gen_v,
@@ -59,6 +64,7 @@ from ofa.unitary import (
     unitary_from_json,
     unitary_to_json,
 )
+from test_coeff_ring import _RINGS
 from test_linalg import k_det
 
 F2 = ZMod(2)
@@ -133,7 +139,7 @@ def _keys(shape, betas):
     import ofa.unitary as un
 
     bo = un.BatchOps(shape)
-    return sorted(g.key for g in un._members(bo, betas(bo)))
+    return sorted(g.key for g in un._elements(shape, un._survivors(bo, betas(bo))))
 
 
 REF_RINGS = ("zmod:2", "zmod:3", "zmod:4", "zmod:6", "zmod:8", "zmod:9",
@@ -187,7 +193,7 @@ def test_rep_of_every_element_is_a_listed_isometry():
         bo = un.BatchOps(s)
         vecs, F = un._isometries(bo)
         listed = set(k_matrices(vecs.reshape(len(vecs), -1), F, s.alg.K.rank))
-        members = un._members(bo, _scan_betas(bo))
+        members = un._elements(s, un._survivors(bo, _scan_betas(bo)))
         assert members
         for g in members:
             assert rep_matrix(g) in listed, (s.tag, g)
@@ -324,6 +330,13 @@ PINNED = (
      "82a8cb23be70d04a130672e115551eda79561d41ca36c501679721b269f6fb08"),
     ("so-odd-split --n 2 --ring gf:2",
      "22257f8db4b773f4b8a7e719dce5907e3629fcbfebf2faf9d9d01570788209ea"),
+    # Sp(4, F3): a parabolic of 324 in 51,840; O(5, F3) of order 103,680
+    ("parabolic --family symp --n 2 --ring gf:3",
+     "68da95badcfd6d3b66ffa7e225b0c46b55d99d978dba234e12867fddde6cd157"),
+    ("group order --family orth-odd --n 2 --ring gf:3",
+     "2a0c24a3b9705a18bd2f88dbaefec065117d6dc46e56edcf014569185d44350a"),
+    ("so-odd-split --n 2 --ring gf:3",
+     "24debfb930132a535a1d2a5f3fd3e61dd647db1c2421586a25fa9690c2094a25"),
 )
 
 
@@ -343,8 +356,8 @@ def test_group_cache_serves_default_calls(monkeypatch):
     s = sh(ofasymp, 4, F2)
     un._GROUP_CACHE.pop(s.tag, None)
     runs = []
-    real = un._members
-    monkeypatch.setattr(un, "_members", lambda *a: runs.append(1) or real(*a))
+    real = un._survivors
+    monkeypatch.setattr(un, "_survivors", lambda *a: runs.append(1) or real(*a))
     assert group_order(s) == group_order(s) == 720
     assert len(runs) == 1
 
@@ -393,15 +406,103 @@ def test_verify_catches_a_missing_inverse(monkeypatch):
     G = enumerate_unitary(s)
     e = u_identity(s)
     victim = next(g for g in G if u_mul(g, g).key != e.key)
-    real = un._members
-    monkeypatch.setattr(un, "_members", lambda *a: [
-        g for g in real(*a) if g.key != victim.key])
+    real = un._survivors
+
+    def drop_victim(*a):
+        B = real(*a)
+        return B[[g.key != victim.key for g in un._elements(s, B)]]
+
+    monkeypatch.setattr(un, "_survivors", drop_victim)
     bo = un.BatchOps(s)
-    assert len(un._members(bo, un._column_betas(bo))) == 23
+    assert len(un._survivors(bo, un._column_betas(bo))) == 23
     un._GROUP_CACHE.pop(s.tag, None)
     with pytest.raises(AssertionError, match="no inverse"):
         enumerate_unitary(s)
     un._GROUP_CACHE.pop(s.tag, None)
+
+
+def test_verify_runs_under_python_O():
+    """The verify pass raises by hand: python -O strips assert statements
+    and must still see the dropped inverse."""
+    import ofa.unitary as un
+
+    code = "\n".join([
+        "import ofa.unitary as un",
+        "from ofa.coeff_ring import ZMod",
+        "from ofa.form_ring import ofasymp",
+        "from ofa.odd_form_param import DeltaShape",
+        "s = DeltaShape(ofasymp(2, ZMod(3)))",
+        "e = un.u_identity(s)",
+        "victim = next(g for g in un.enumerate_unitary(s) if (g * g).key != e.key)",
+        "un._GROUP_CACHE.clear()",
+        "real = un._survivors",
+        "un._survivors = lambda *a: (lambda B: B[[g.key != victim.key",
+        "                                         for g in un._elements(s, B)]])(real(*a))",
+        "print(__debug__)",
+        "try:",
+        "    un.enumerate_unitary(s)",
+        "except AssertionError as exc:",
+        "    print(exc)",
+    ])
+    src = os.path.dirname(os.path.dirname(un.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout.splitlines()
+    assert out[0] == "False"
+    assert out[1].startswith("no inverse of <unitary beta=")
+
+
+_ORDER_PRESETS = ((ofalin, 1), (ofalin, 2), (ofasymp, 2), (ofasymp, 4), (ofaorth, 1),
+                  (ofaorth, 2), (ofaorth, 3))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_RINGS, st.sampled_from(_ORDER_PRESETS), st.integers(0, 2 ** 16))
+def test_key_words_order_rows_as_el_key(K, preset, seed):
+    """Sorting rows by their key words is sorted(key=El.key), and _rows_in
+    finds exactly the listed rows, on random sparse elements: a zero entry
+    with a later nonzero one, equal prefixes, repeats and the zero element
+    all occur."""
+    import ofa.unitary as un
+
+    mk, r = preset
+    alg = mk(r, K)
+    rng = random.Random(seed)
+    pairs = sorted(alg.pairs)
+    els = [alg.zero()]
+    for _ in range(rng.randrange(1, 24)):
+        c = dict(rng.choice(els).c) if rng.random() < 0.5 else {}
+        for key in rng.sample(pairs, rng.randrange(min(3, len(pairs)) + 1)):
+            c[key] = tuple(rng.randrange(m) if rng.random() < 0.7 else 0 for m in K.moduli)
+        els.append(alg.el(c))
+    rng.shuffle(els)
+    B = un._betas(els)
+    words = un._key_words(alg, B)
+    assert (B[np.lexsort(words.T[::-1])].tolist()
+            == un._betas(sorted(els, key=lambda e: e.key)).tolist())
+    k = rng.randrange(1, len(els) + 1)
+    listed = {e.key for e in els[:k]}
+    assert un._rows_in(words[:k], words[::-1]).tolist() == [e.key in listed for e in els[::-1]]
+
+
+@pytest.mark.parametrize("s", LAW_SHAPES + (sh(ofaorth, 3, F2), sh(ofaorth, 5, F2)),
+                         ids=lambda s: s.tag)
+def test_batched_gamma_read_is_member(s):
+    """group enumerate reads every gamma in one batch; each equals member
+    on (beta, bar beta), and the JSON is the element's beta and gamma as
+    alg_el_to_json and delta_to_json write them."""
+    import ofa.unitary as un
+
+    G = enumerate_unitary(s)
+    bo = un.BatchOps(s)
+    gammas, ok = bo.read(G.betas, bo.conj(G.betas))
+    assert ok.all()
+    rows = un.group_to_json(G)
+    assert len(rows) == len(G)
+    for g, gamma, row in zip(G, gammas.tolist(), rows):
+        assert tuple(map(tuple, gamma)) == member(s, g.beta, s.alg.conj(g.beta))
+        assert row == {"beta": alg_el_to_json(g.beta), "gamma": delta_to_json(s, g.gamma)}
+        assert row == unitary_to_json(g)
 
 
 def test_transvection_short():
