@@ -7,8 +7,10 @@ is the 2^r ordered monomials e_S = prod(e_i, i in S ascending), so its
 elements are form_ring.El over that basis, with the coefficient
 arithmetic of the base.  The even part, its center, the reversal
 involution, spin membership and its vector representation live here,
-along with the half-trace functional and the degree-two presentation
-checks used by the orthogonal presets.
+along with the half-trace functional, the degree-two presentation
+checks used by the orthogonal presets, and, at even rank, the spinor
+module: the algebra acting on the exterior algebra of e_1..e_n by signed
+gathers, where unitary reads the Dickson invariant.
 
 Products read one table.  Rewriting adjacent letters by
 e_a e_b = B(a, b) - e_b e_a and e_a e_a = q(e_a) only uses the integers
@@ -456,19 +458,22 @@ def _in_span2(clif, ebasis, b1, b2, v):
     return k_solve(K, M, target) is not None
 
 
-def center_split_idempotent(center_basis):
-    """Least idempotent a + b*omega with invertible b."""
-    one, om = center_basis
-    clif = one.alg
-    K = clif.K
-    for a in K.elements():
-        for b in K.elements():
-            if K.try_invert(b) is None:
-                continue
-            z = clif.add(clif.scalar(a), clif.kmul(b, om))
-            if clif.mul(z, z) == z:
-                return z
-    raise StructureError("center has no splitting idempotent")
+def spinor_module(r):
+    """rho(e_a) on the spinor module of the split rank r = 2n lattice, as
+    signed gathers (src, sign), int64 (r, 2^n) in label order:
+    (rho(e_a) v)[S] = sign[a, S] * v[src[a, S]].  The basis of the exterior
+    algebra on <e_1..e_n> is the subsets S of {1..n}, bit i - 1 for i; e_i
+    wedges with e_i and e_-i contracts against it, each with the sign
+    (-1)^|S & {1..i-1}|, so that rho(e_a) rho(e_b) + rho(e_b) rho(e_a) =
+    B(e_a, e_b) and rho(e_a)^2 = 0 = q(e_a) over the integers.
+    """
+    L = np.array(split_labels(r), dtype=np.int64)[:, None]
+    if r % 2:
+        raise StructureError("the spinor module needs an even rank, not %d" % r)
+    S = np.arange(1 << r // 2, dtype=np.int64)
+    bit = 1 << (np.abs(L) - 1)
+    odd = sum((S & (bit - 1)) >> k & 1 for k in range(r // 2)) % 2
+    return S ^ bit, np.where(((S & bit) != 0) == (L > 0), 1 - 2 * odd, 0)
 
 
 def clif_to_json(x):

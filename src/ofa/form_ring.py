@@ -472,7 +472,8 @@ class ParamTable:
 
     def _law(self, p, r):
         out = self.read(p, r)
-        assert out is not None
+        if out is None:
+            raise AssertionError("the pair law left the table: %r" % ((p, r),))
         return out
 
     def add(self, x, y):

@@ -416,7 +416,8 @@ def isometry_search(K, V, B, G, pools):
     kgram = G.reshape(n, n, W // rk, rk).sum(axis=2) % kmod
     if k_mat_inv(K, [[tuple(e) for e in row] for row in kgram.tolist()]) is not None:
         for M in k_matrices(V, F[:12], rk):
-            assert k_mat_inv(K, M) is not None
+            if k_mat_inv(K, M) is None:
+                raise AssertionError("a leaf of an invertible Gram matrix is singular")
         return F
     # a matrix over a commutative ring is invertible iff its det is a unit;
     # rows of V[F] are the columns, and the transpose has the same det

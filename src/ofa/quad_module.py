@@ -635,7 +635,8 @@ def _hdet_poly(n):
     for monom in sorted(poly, reverse=True):
         c = poly[monom]
         if c:
-            assert c % 2 == 0
+            if c % 2:
+                raise AssertionError("odd coefficient %d in the hdet polynomial" % c)
             terms.append((monom, c // 2))
     _HDET_CACHE[n] = terms
     return terms
@@ -1237,7 +1238,8 @@ def iota_s_inv(C, alg, a):
 def iota_theta(C, shape, th):
     p, r = C.to_pair(th)
     out = shape.read(iota_s(C, shape.alg, p), iota_s(C, shape.alg, r))
-    assert out is not None
+    if out is None:
+        raise AssertionError("iota_theta left Delta")
     return out
 
 

@@ -9,7 +9,8 @@ elements compare by beta alone.  Gamma is a Delta coordinate tuple, and
 the Delta arithmetic here is the table's own (shape.add, shape.act, ...).
 
 The module covers group arithmetic, the elementary generators
-(transvections and dilations), determinant and Dickson invariants, the
+(transvections and dilations), determinant and Dickson invariants (the
+latter read over every ring in one batch on the spinor module), the
 embedding of the odd orthogonal group into the even one, the outer
 automorphism of the linear preset, hyperbolic pairs and families with
 their parabolic subgroups (closed from generating sets of the short and
@@ -43,7 +44,6 @@ from .form_ring import alg_el_from_json
 from .linalg import form_rows, isometry_search, k_dets, k_solve, support_pool
 from .odd_form_param import (
     DeltaShape,
-    _torsion_list,
     central_u,
     delta_from_json,
     delta_to_json,
@@ -52,7 +52,7 @@ from .odd_form_param import (
     to_pair,
 )
 from .batch_delta import BatchOps
-from .clifford import center_split_idempotent, clif0_center
+from .clifford import spinor_module
 
 _ENUM_CAP = 1 << 20
 _CHUNK = 1 << 16
@@ -316,52 +316,39 @@ def idem_op(K, d, e):
     return K.sub(K.add(d, e), K.smul(2, K.mul(d, e)))
 
 
-_CLIF_Z_CACHE = {}
-
-
-def _clif_center_idem(r, K):
-    key = (r, K.name)
-    if key not in _CLIF_Z_CACHE:
-        basis = clif0_center(r, K)
-        z = center_split_idempotent(basis)
-        _CLIF_Z_CACHE[key] = (basis[0].alg, z)
-    return _CLIF_Z_CACHE[key]
-
-
-def _clif_transport(clif, M, x):
-    """Image of the even element x under e_a -> sum_s M[s][a] e_s, M a
-    nested int list over the labels in order."""
-    gens = {a: clif.el({(s,): tuple(M[p][q]) for p, s in enumerate(clif.labels)})
-            for q, a in enumerate(clif.labels)}
-    out = clif.zero()
-    for word, v in x.c.items():
-        term = clif.scalar(v)
-        for a in word:
-            term = clif.mul(term, gens[a])
-        out = clif.add(out, term)
-    return out
-
-
 def _dickson(K, A):
-    """The Dickson invariant of each alpha in A (N, d, d, rk), alpha in the
-    even orthogonal preset of rank d."""
-    if len(_torsion_list(K)) == 1:
-        # 2 regular: d is pinned by det(alpha) = 1 - 2d
-        of = {K.sub(K.one(), K.smul(2, d)): d for d in K.idempotents()}
-        out = [of.get(tuple(dt)) for dt in k_dets(K, A).tolist()]
-        if None in out:
-            raise StructureError("no idempotent solves det = 1 - 2d")
-        return out
-    clif, z = _clif_center_idem(A.shape[1], K)
-    u = clif.sub(clif.one(), clif.smul(2, z))
-    out = []
-    for M in A.tolist():
-        w = clif.mul(clif.sub(_clif_transport(clif, M, z), z), u)
-        d = w.c.get((), K.zero())
-        if w != clif.scalar(d) or K.mul(d, d) != d:
-            raise StructureError("center action did not produce an idempotent")
-        out.append(d)
-    return out
+    """The Dickson invariant of each alpha in A (N, r, r, rk), alpha in the
+    even orthogonal preset of rank r = 2n, read on the spinor module.
+
+    Over any commutative K the Clifford algebra of H(W) = W + W* is
+    End(LW), LW the exterior algebra on W (clifford.spinor_module).  The
+    center of its even part is K p_even + K p_odd, the parity projections,
+    and alpha(p_even) = (1 - d) p_even + d p_odd, d the Dickson invariant.
+    p_even = P_n for P_0 = 1, P_i = P_(i-1) - e_i e_-i (2 P_(i-1) - 1), the
+    e_i e_-i being commuting projections, so from v = e_0, the empty wedge,
+    the recurrence v <- v - h_i (2 v - e_0), h_i = alpha(e_i) alpha(e_-i),
+    ends at alpha(p_even) e_0 = (1 - d) e_0.  A row that does not end at
+    an idempotent d raises StructureError.
+    """
+    ring, r = SlotRing(K), A.shape[1]
+    src, sign = spinor_module(r)
+    e0 = np.zeros((len(A), 1 << r // 2, ring.rk), dtype=np.int64)
+    e0[:, 0] = K.one()
+
+    def act(a, v):
+        """alpha(e_a) v = sum_s A[:, s, a] rho(e_s) v, a a label position."""
+        col = np.ascontiguousarray(np.moveaxis(A[:, :, a], 0, -1))
+        return ring.contract(lambda p, q: sum(col[s, p, :, None] * (sign[s] * v[:, src[s], q])
+                                              for s in range(r)))
+
+    v = e0
+    for i in range(1, r // 2 + 1):
+        # e_-i and e_i sit at positions r/2 - i and r/2 + i - 1
+        v = ring.reduce(v - act(r // 2 + i - 1, act(r // 2 - i, ring.reduce(2 * v - e0))))
+    d = ring.reduce(e0[:, 0] - v[:, 0])
+    if v[:, 1:].any() or (ring.contract(lambda p, q: d[:, p] * d[:, q]) != d).any():
+        raise StructureError("center action did not produce an idempotent")
+    return [tuple(x) for x in d.tolist()]
 
 
 def dickson_even(group):
@@ -450,7 +437,8 @@ def so_odd_split(shape):
     for k in K.elements():
         if K.is_zero(K.add(K.mul(k, k), k)):
             bx, ux = x_central(alg, k), central_u(shape, k)
-            assert u_is_member(shape, bx, ux)
+            if not u_is_member(shape, bx, ux):
+                raise AssertionError("central element of k = %r is not unitary" % (k,))
             expected[K.neg(k)] = (bx, ux)
     central_ok = len(central) == len(expected) and all(
         expected.get(dicks[t]) == (group[t].beta, group[t].gamma) for t in central)
@@ -502,7 +490,8 @@ class SigmaLinear:
     def on_delta(self, u):
         p, r = to_pair(self.shape, u)
         out = member(self.shape, self.on_alg(p), self.on_alg(r))
-        assert out is not None
+        if out is None:
+            raise AssertionError("sigma left Delta")
         return out
 
     def on_unitary(self, g):
@@ -703,7 +692,8 @@ class ClassicalPair:
     def iota_delta(self, u):
         p, r = to_pair(self.small_shape, u)
         out = member(self.big_shape, self.iota(p), self.iota(r))
-        assert out is not None
+        if out is None:
+            raise AssertionError("iota_delta left Delta")
         return out
 
     def delta_image_member(self, w):

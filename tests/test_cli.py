@@ -88,6 +88,17 @@ def test_so_odd_split(tmp_path):
     assert doc["report"]["order"] == 12 and doc["report"]["so_order"] == 6
 
 
+@pytest.mark.parametrize("ring", ["zmod:2", "zmod:4", "gf:3", "prod:(zmod:2;zmod:3)"])
+def test_rank0_dickson_class_on_every_ring(tmp_path, ring):
+    """The trivial group has one Dickson class, 0, whether or not 2 is
+    regular in the ring; the product ring prints its zero as [0, 0]."""
+    code, doc = run(tmp_path, "group", "invariants", "--family", "orth-even",
+                    "--n", "0", "--ring", ring)
+    assert code == 0
+    zero = "[0, 0]" if ring.startswith("prod") else "[0]"
+    assert doc["report"]["dickson_classes"] == {zero: 1}
+
+
 def test_construct_compare_pass_and_defect(tmp_path):
     code, doc = run(tmp_path, "construct", "compare", "--family", "symp",
                     "--n", "1", "--ring", "zmod:3", "--seed", "0")

@@ -16,7 +16,6 @@ from ofa.form_ring import El, ofaorth
 from ofa.linalg import k_identity
 from ofa.clifford import (
     CliffordAlg,
-    center_split_idempotent,
     clif0_center,
     clif0_image,
     clif0_relation_check,
@@ -28,6 +27,8 @@ from ofa.clifford import (
     reversal,
     spin_group,
     spin_member,
+    spinor_module,
+    split_labels,
     try_invert,
     vector_rep,
 )
@@ -172,6 +173,22 @@ def test_realization_doubles_middle_zero_products():
     assert prod_image == clif.smul(2, image_prod)
 
 
+def center_split_idempotent(center_basis):
+    """Least idempotent a + b*omega with invertible b: the splitting
+    idempotent of the center, the reference for the Dickson invariant."""
+    one, om = center_basis
+    clif = one.alg
+    K = clif.K
+    for a in K.elements():
+        for b in K.elements():
+            if K.try_invert(b) is None:
+                continue
+            z = clif.add(clif.scalar(a), clif.kmul(b, om))
+            if clif.mul(z, z) == z:
+                return z
+    raise StructureError("center has no splitting idempotent")
+
+
 def test_center_rank_two():
     for K in (F2, F3):
         for r in (2, 4):
@@ -204,6 +221,29 @@ def test_center_over_a_product_ring(ring, capsys):
         assert clif.mul(z, z) == z and z != clif.zero() and z != clif.one()
     assert cli_main(["clifford", "center", "--n", "4", "--ring", ring]) == 0
     assert '"rank": 2' in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("r", [0, 2, 4, 6, 8])
+def test_spinor_module_satisfies_the_clifford_relations(r):
+    """rho(e_a) rho(e_b) + rho(e_b) rho(e_a) = B(e_a, e_b) and
+    rho(e_a)^2 = q(e_a), as integer matrices, for every pair of labels."""
+    src, sign = spinor_module(r)
+    labels = split_labels(r)
+    dim = 1 << (r // 2)
+    assert src.shape == sign.shape == (r, dim)
+    rho = np.zeros((r, dim, dim), dtype=np.int64)
+    for t in range(r):
+        rho[t, np.arange(dim), src[t]] = sign[t]
+    eye = np.eye(dim, dtype=np.int64)
+    for s, a in enumerate(labels):
+        assert (rho[s] @ rho[s] == CliffordAlg._q(a) * eye).all()
+        for t, b in enumerate(labels):
+            assert (rho[s] @ rho[t] + rho[t] @ rho[s] == CliffordAlg._b(a, b) * eye).all()
+
+
+def test_spinor_module_needs_an_even_rank():
+    with pytest.raises(StructureError, match="even rank"):
+        spinor_module(3)
 
 
 def test_hermitian_basis_shape():

@@ -1,11 +1,12 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ofa.coeff_ring import (
-    CapacityError, GaloisField, PolyQuotient, Product, RingHom, StructureError,
+    CapacityError, GaloisField, PolyQuotient, Product, RingHom, SlotRing, StructureError,
     TensorTower, ZMod, hom_compose, identity_hom, parse_ring, ring_to_json,
     tensor_square,
 )
@@ -251,6 +252,27 @@ def test_ring_names_parse_back(K):
     assert back == K and back.name == K.name
     assert ring_to_json(back) == ring_to_json(K)
     assert back.moduli == K.moduli and back.one() == K.one()
+
+
+@settings(max_examples=100, deadline=None)
+@given(_RINGS, st.data())
+def test_ring_axioms(K, data):
+    """mul is associative, commutative and distributes over add, one and
+    neg behave, try_invert returns inverses, and SlotRing.contract, the
+    coefficient kernel of the numpy engines, agrees with K.mul."""
+    elem = st.tuples(*[st.integers(0, m - 1) for m in K.moduli])
+    xs = data.draw(st.lists(st.tuples(elem, elem, elem), min_size=1, max_size=8))
+    one, zero = K.one(), K.zero()
+    for a, b, c in xs:
+        assert K.mul(K.mul(a, b), c) == K.mul(a, K.mul(b, c))
+        assert K.mul(a, b) == K.mul(b, a)
+        assert K.mul(a, K.add(b, c)) == K.add(K.mul(a, b), K.mul(a, c))
+        assert K.mul(one, a) == a and K.add(a, K.neg(a)) == zero
+        inv = K.try_invert(a)
+        assert inv is None or K.mul(a, inv) == one
+    X, Y = (np.array([t[k] for t in xs], dtype=np.int64) for k in (0, 1))
+    got = SlotRing(K).contract(lambda p, q: X[:, p] * Y[:, q]).tolist()
+    assert [tuple(z) for z in got] == [K.mul(a, b) for a, b, _ in xs]
 
 
 def test_capacity_guard():

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from ofa.cli import family_algebra
 from ofa.cli import main as cli_main
+from ofa.clifford import clif0_center
 from ofa.coeff_ring import CapacityError, Product, StructureError, ZMod, _mixed_radix, parse_ring
 from ofa.form_ring import alg_el_to_json, ofalin, ofaorth, ofasymp, rep_odd
 from ofa.linalg import k_mat_inv, k_matrices
@@ -64,6 +65,7 @@ from ofa.unitary import (
     unitary_from_json,
     unitary_to_json,
 )
+from test_clifford import center_split_idempotent
 from test_coeff_ring import _RINGS
 from test_linalg import k_det
 
@@ -337,6 +339,14 @@ PINNED = (
      "2a0c24a3b9705a18bd2f88dbaefec065117d6dc46e56edcf014569185d44350a"),
     ("so-odd-split --n 2 --ring gf:3",
      "24debfb930132a535a1d2a5f3fd3e61dd647db1c2421586a25fa9690c2094a25"),
+    # Dickson invariants where 2 is a nonzero non-unit, at rank 6, and over
+    # a product ring
+    ("group invariants --family orth-even --n 2 --ring zmod:4",
+     "dc374d9614a14a901bf379272eb9cb565505a09b7b5e3323d2c980da716d2c78"),
+    ("group invariants --family orth-even --n 3 --ring gf:2",
+     "fe0b0e7487e5ff0a8586507e57cfed59a03da2980b8260ca0babe6f45d4ba37b"),
+    ("group invariants --family orth-even --n 2 --ring prod:(zmod:2;zmod:3)",
+     "8f41e6ae47ef0c33c8fccb6660b2064370a1b98be524f9b3ba2156831c8d3b8b"),
 )
 
 
@@ -421,12 +431,21 @@ def test_verify_catches_a_missing_inverse(monkeypatch):
     un._GROUP_CACHE.pop(s.tag, None)
 
 
+def _run_under_python_O(lines):
+    """stdout lines of a python -O subprocess running lines, which import
+    ofa from this tree."""
+    import ofa.unitary as un
+
+    src = os.path.dirname(os.path.dirname(un.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-O", "-c", "\n".join(lines)], env=env, check=True,
+                          capture_output=True, text=True).stdout.splitlines()
+
+
 def test_verify_runs_under_python_O():
     """The verify pass raises by hand: python -O strips assert statements
     and must still see the dropped inverse."""
-    import ofa.unitary as un
-
-    code = "\n".join([
+    out = _run_under_python_O([
         "import ofa.unitary as un",
         "from ofa.coeff_ring import ZMod",
         "from ofa.form_ring import ofasymp",
@@ -444,12 +463,26 @@ def test_verify_runs_under_python_O():
         "except AssertionError as exc:",
         "    print(exc)",
     ])
-    src = os.path.dirname(os.path.dirname(un.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-O", "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout.splitlines()
     assert out[0] == "False"
     assert out[1].startswith("no inverse of <unitary beta=")
+
+
+def test_central_check_runs_under_python_O():
+    """so_odd_split checks each expected central element by hand, so a
+    failing u_is_member still raises under python -O."""
+    out = _run_under_python_O([
+        "import ofa.unitary as un",
+        "from ofa.coeff_ring import ZMod",
+        "from ofa.form_ring import ofaorth",
+        "from ofa.odd_form_param import DeltaShape",
+        "un.u_is_member = lambda *a: False",
+        "print(__debug__)",
+        "try:",
+        "    un.so_odd_split(DeltaShape(ofaorth(3, ZMod(2))))",
+        "except AssertionError as exc:",
+        "    print(exc)",
+    ])
+    assert out == ["False", "central element of k = (0,) is not unitary"]
 
 
 _ORDER_PRESETS = ((ofalin, 1), (ofalin, 2), (ofasymp, 2), (ofasymp, 4), (ofaorth, 1),
@@ -625,16 +658,55 @@ def test_dickson_homomorphism():
         assert dab == [idem_op(K, x, y) for x, y in zip(da, db)]
 
 
+# The per-element Clifford-centre route that unitary._dickson replaced, kept
+# as the reference: transport the splitting idempotent z of the centre of
+# the even part along e_a -> sum_s M[s][a] e_s, one chain of products per
+# word of z.
+_CLIF_Z_CACHE = {}
+
+
+def _clif_center_idem(r, K):
+    key = (r, K.name)
+    if key not in _CLIF_Z_CACHE:
+        basis = clif0_center(r, K)
+        _CLIF_Z_CACHE[key] = (basis[0].alg, center_split_idempotent(basis))
+    return _CLIF_Z_CACHE[key]
+
+
+def _clif_transport(clif, M, x):
+    """Image of the even element x under e_a -> sum_s M[s][a] e_s, M a
+    nested int list over the labels in order."""
+    gens = {a: clif.el({(s,): tuple(M[p][q]) for p, s in enumerate(clif.labels)})
+            for q, a in enumerate(clif.labels)}
+    out = clif.zero()
+    for word, v in x.c.items():
+        term = clif.scalar(v)
+        for a in word:
+            term = clif.mul(term, gens[a])
+        out = clif.add(out, term)
+    return out
+
+
 def test_dickson_routes_agree():
     import ofa.unitary as un
 
     s = sh(ofaorth, 4, F3)
     G = enumerate_unitary(s)[::31]
-    clif, z = un._clif_center_idem(4, F3)
+    clif, z = _clif_center_idem(4, F3)
     for g, M, d in zip(G, un._plus_one(F3, un._betas([g.beta for g in G])).tolist(), dickson_even(G)):
-        gz = un._clif_transport(clif, M, z)
+        gz = _clif_transport(clif, M, z)
         w = clif.mul(clif.sub(gz, z), clif.sub(clif.one(), clif.smul(2, z)))
         assert w == clif.scalar(d)
+
+
+def test_dickson_rejects_a_non_isometry():
+    """e_-1 -> e_1, e_1 -> 2 e_-1 doubles B over F3; the spinor read gives
+    d = 2, which is not idempotent."""
+    import ofa.unitary as un
+
+    A = np.array([[[[0], [2]], [[1], [0]]]], dtype=np.int64)
+    with pytest.raises(StructureError, match="idempotent"):
+        un._dickson(F3, A)
 
 
 def test_embed_odd():
@@ -714,7 +786,6 @@ def _dickson_reference(g):
     """Dickson invariant of one element of an even orthogonal preset, from
     its own matrix: det(alpha) = 1 - 2d where 2 is regular, else the
     action on the center of the even Clifford part."""
-    import ofa.unitary as un
     from ofa.odd_form_param import _torsion_list
 
     K = g.shape.alg.K
@@ -723,8 +794,8 @@ def _dickson_reference(g):
     if len(_torsion_list(K)) == 1:
         dt = k_det(K, M)
         return next(d for d in K.idempotents() if K.sub(K.one(), K.smul(2, d)) == dt)
-    clif, z = un._clif_center_idem(len(idlist), K)
-    w = clif.mul(clif.sub(un._clif_transport(clif, M, z), z),
+    clif, z = _clif_center_idem(len(idlist), K)
+    w = clif.mul(clif.sub(_clif_transport(clif, M, z), z),
                  clif.sub(clif.one(), clif.smul(2, z)))
     d = w.c.get((), K.zero())
     assert w == clif.scalar(d)
@@ -746,9 +817,16 @@ def _random_words(shape, count, rng):
     return out
 
 
+# rings where 2 is a nonzero non-unit, a product ring, F4 and rank 6: every
+# 97th element, against the Clifford-centre reference
+_SLICED = {(4, "zmod:8"), (4, "gf:4"), (4, "prod:(zmod:2;zmod:3)"), (6, "gf:2")}
+
+
 @pytest.mark.parametrize("mk, r, ring", [
     (ofalin, 2, "gf:3"), (ofaorth, 4, "gf:2"), (ofaorth, 4, "gf:3"), (ofaorth, 4, "zmod:4"),
-    (ofaorth, 3, "gf:2"), (ofaorth, 3, "gf:3"), (ofaorth, 5, "gf:2"), (ofaorth, 5, "gf:3")],
+    (ofaorth, 3, "gf:2"), (ofaorth, 3, "gf:3"), (ofaorth, 5, "gf:2"), (ofaorth, 5, "gf:3"),
+    (ofaorth, 4, "zmod:8"), (ofaorth, 4, "gf:4"), (ofaorth, 4, "prod:(zmod:2;zmod:3)"),
+    (ofaorth, 6, "gf:2")],
     ids=lambda v: getattr(v, "__name__", str(v)))
 def test_batched_invariants_match_the_per_element_reference(mk, r, ring):
     s = sh(mk, r, parse_ring(ring))
@@ -756,6 +834,8 @@ def test_batched_invariants_match_the_per_element_reference(mk, r, ring):
     if (r, ring) == (5, "gf:3"):
         # O(5, F3) has 103,680 elements: a sample of words
         G = _random_words(s, 300, random.Random(5))
+    elif (r, ring) in _SLICED:
+        G = enumerate_unitary(s)[::97]
     else:
         G = enumerate_unitary(s)
     if mk is ofalin:
