@@ -51,6 +51,7 @@ from .linalg import (GraphForm, howell_card, howell_form, howell_reduce,
 from . import odd_form_param as ofp
 
 _AMBIENT_CAP = 1 << 16
+_RANK_CAP = 1 << 10
 _CLOSURE_CAP = 1 << 12
 _MOR_EXH_CAP = 1 << 7
 _MOR_SAMPLES = 300
@@ -228,6 +229,8 @@ class Nil2Module:
     def __init__(self, K, r1, r0, b=None, quotient=None, check=True):
         if r1 < 0 or r0 < 0:
             raise StructureError("negative rank")
+        if max(r1, r0) > _RANK_CAP:
+            raise CapacityError("module ranks %d, %d over cap %d" % (r1, r0, _RANK_CAP))
         self.K = K
         self.r1 = r1
         self.r0 = r0
@@ -838,6 +841,11 @@ def descend(D):
     """
     E = D.N.K
     K = E.base
+    # the check M.elements() makes below, before the equalizer lists spans
+    # of the same size
+    ambient = K.card ** (D.N.r1 + D.N.r0)
+    if ambient > _AMBIENT_CAP:
+        raise CapacityError("module enumeration over %d ambient elements" % ambient)
     eq = _equalizer(D)
 
     def pull(c):

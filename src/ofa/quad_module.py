@@ -60,6 +60,8 @@ from .linalg import (KSolver, howell_card, howell_form, howell_span, isometry_se
 from .odd_form_param import DeltaShape
 
 _SCAN_CAP = 1 << 16
+# the largest preset rank (form_ring caps ofasymp and ofaorth at 12)
+_RANK_CAP = 12
 
 KINDS = ("linear", "symplectic", "orthogonal")
 
@@ -235,6 +237,8 @@ def _fmt_el(v):
 def _std_labels(kind, rank):
     if rank < 1:
         raise StructureError("rank must be positive")
+    if rank > _RANK_CAP:
+        raise CapacityError("module rank %d over cap %d" % (rank, _RANK_CAP))
     if kind == "linear":
         n = rank
     elif kind == "symplectic":

@@ -838,12 +838,16 @@ def _column_betas(bo):
 
 def _unitary_mask(bo, P):
     """Rows of the beta batch P with alpha bar(alpha) = bar(alpha) alpha = 1
-    whose pair (beta, bar beta) reads back into Delta."""
+    whose pair (beta, bar beta) reads back into Delta.  The second product
+    and the Delta read run on the rows that pass the first product only,
+    gathered when some row fails it."""
     Pb = bo.conj(P)
     z = bo.reduce(-(P + Pb))
     ok = (bo.dmul(Pb, P) == z).all(axis=(1, 2, 3))
-    ok &= (bo.dmul(P, Pb) == z).all(axis=(1, 2, 3))
-    return ok & bo.read_aug_ok(bo.aug_part(P, Pb))
+    live = slice(None) if ok.all() else np.flatnonzero(ok)
+    P, Pb, z = P[live], Pb[live], z[live]
+    ok[live] = (bo.dmul(P, Pb) == z).all(axis=(1, 2, 3)) & bo.read_aug_ok(bo.aug_part(P, Pb))
+    return ok
 
 
 def _slots(alg):

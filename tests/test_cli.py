@@ -1,14 +1,23 @@
+import ast
+import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
+from unittest.mock import patch
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import ofa
 
-from ofa import unitary
-from ofa.cli import main
+from ofa import cli, unitary
+from ofa.cli import FAMILIES, main
+from ofa.coeff_ring import parse_ring
+from ofa.nilpotent2 import nil2_from_json
 
 
 def run(tmp_path, *argv, name="r.json"):
@@ -271,3 +280,194 @@ def test_axioms_exhaustive_refusals(argv, message, capsys):
     assert main(["axioms", "--family", "symp", *argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: " + message) and err.count("\n") == 1
+
+
+# ---- the report writer -------------------------------------------------
+
+# characters that move the writer's string mask, its depth or its breaks
+_HOSTILE = st.sampled_from(['"', "\\", "[", "]", "{", "}", ",", ":", " ", "\n",
+                            "\x00", "\x1f", "\x7f", "é", " ", "\U0001f600"])
+_TEXT = st.text(st.one_of(_HOSTILE, st.characters()), max_size=8)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2 ** 80, 2 ** 80) | st.floats() | _TEXT,
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(_TEXT, kids, max_size=4),
+    max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON, st.sampled_from([cli._BLOCK, 1, 2, 3, 7]))
+def test_dumps_matches_the_indented_encoder(doc, block):
+    # the small blocks carry depth, inside-string, a pending escape and an
+    # open container across almost every boundary
+    with patch.object(cli, "_BLOCK", block):
+        assert cli._dumps(doc) == json.dumps(doc, sort_keys=True, indent=2)
+
+
+def test_dumps_carries_every_state_across_a_block_boundary():
+    doc = {'a\\"[': [{}, [], {"\\\\": '"\\\\"{,', "k": [[-2 ** 70]]}], "": [1.5, None]}
+    want = json.dumps(doc, sort_keys=True, indent=2)
+    for block in range(1, len(want) + 2):
+        with patch.object(cli, "_BLOCK", block):
+            assert cli._dumps(doc) == want
+
+
+ENUM_O4_F3 = ["group", "enumerate", "--family", "orth-even", "--n", "2", "--ring", "gf:3"]
+
+
+def test_out_file_matches_stdout_on_a_report_of_many_blocks(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert main(ENUM_O4_F3) == 0
+    text = capsys.readouterr().out
+    assert main(["--out", str(out)] + ENUM_O4_F3) == 0
+    assert out.read_bytes() == text.encode()
+    compact = json.dumps(json.loads(text), sort_keys=True, separators=(",", ": "))
+    assert len(compact) > 7 * cli._BLOCK
+
+
+def test_dumps_peak_is_below_the_indented_encoder(tmp_path):
+    assert main(["--out", str(tmp_path / "r.json")] + ENUM_O4_F3) == 0
+    doc = json.loads((tmp_path / "r.json").read_text())
+
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            fn(doc)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(cli._dumps) <= peak(lambda d: json.dumps(d, sort_keys=True, indent=2))
+
+
+def test_src_makes_no_indent_call():
+    src = os.path.dirname(cli.__file__)
+    for name in os.listdir(src):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name)) as fh:
+                tree = ast.parse(fh.read())
+            assert not any(kw.arg == "indent" for node in ast.walk(tree)
+                           if isinstance(node, ast.Call) for kw in node.keywords), name
+
+
+# ---- malformed input: exit 2, one error line, no traceback -------------
+
+def _run_malformed(argv):
+    err, out = io.StringIO(), io.StringIO()
+    with redirect_stderr(err), redirect_stdout(out):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    err = err.getvalue()
+    assert code == 2, (argv, code, err)
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), (argv, err)
+
+
+def _refused(fn, *a):
+    """True if fn(*a) raises: the input is malformed."""
+    try:
+        fn(*a)
+    except Exception:
+        return True
+    return False
+
+
+_RING_HEADS = ("", "zmod:", "gf:", "gf:2:", "gf:3:1,", "gf:4:", "polyquot:", "polyquot:zmod:3:",
+               "polyquot:gf:4:", "prod:(", "prod:(zmod:2;", "prod:()", "zmod:0", "zmod:1")
+_RING = st.one_of(
+    st.text(max_size=16),
+    st.builds(str.__add__, st.sampled_from(_RING_HEADS),
+              st.text("0123456789-+:;,.() zmodgfpolyquotr", max_size=12)),
+    st.builds("zmod:{}".format, st.integers(-10, 1) | st.integers(2 ** 21, 2 ** 90)),
+    st.builds("gf:{}".format, st.integers(-10, 1) | st.integers(2 ** 21, 2 ** 90)),
+)
+_N_CMDS = [["algebra", "build", "--family", "F"], ["axioms", "--family", "F"],
+           ["group", "order", "--family", "F"], ["group", "enumerate", "--family", "F"],
+           ["group", "invariants", "--family", "F"], ["so-odd-split"],
+           ["construct", "naive", "--family", "F"], ["construct", "canonical", "--family", "F"],
+           ["construct", "compare", "--family", "F"], ["hdet"], ["clifford", "spin"],
+           ["clifford", "relations"], ["clifford", "center"], ["parabolic", "--family", "F"]]
+_MODULE = {"ring": {"zmod": 2}, "r1": 1, "r0": 1, "b": [[[[1]]]], "quotient_generators": []}
+_JSON_SMALL = st.recursive(st.none() | st.booleans() | st.integers() | st.text(max_size=4),
+                           lambda kids: st.lists(kids, max_size=3)
+                           | st.dictionaries(st.text(max_size=4), kids, max_size=3),
+                           max_leaves=8)
+_BAD_INT = st.integers(max_value=-1) | st.integers(2 ** 31, 2 ** 90)
+_BAD_RING_JSON = st.one_of(
+    _JSON_SMALL,
+    st.fixed_dictionaries({"zmod": _BAD_INT | _JSON_SMALL | st.just(0) | st.just(1)}),
+    st.fixed_dictionaries({"gf": st.fixed_dictionaries({"p": _BAD_INT | st.integers(0, 9),
+                                                        "modulus": _JSON_SMALL})}),
+    st.fixed_dictionaries({"product": _JSON_SMALL}),
+    st.fixed_dictionaries({"polyquot": st.fixed_dictionaries(
+        {"base": st.just({"zmod": 2}) | _JSON_SMALL, "modulus": _JSON_SMALL})}))
+
+
+_DELETE = object()
+
+
+def _mutated_module(key, value):
+    doc = dict(_MODULE)
+    if value is _DELETE:
+        del doc[key]
+    else:
+        doc[key] = value
+    return doc
+
+
+_MODULE_DOC = st.one_of(
+    _JSON_SMALL,
+    st.builds(_mutated_module, st.sampled_from(sorted(_MODULE)),
+              st.just(_DELETE) | _JSON_SMALL),
+    st.builds(_mutated_module, st.sampled_from(["r1", "r0"]), _BAD_INT),
+    # no cocycle table to check the ranks against
+    st.builds(lambda r0: dict(_MODULE, r1=0, b=[], r0=r0), _BAD_INT),
+    st.builds(_mutated_module, st.just("ring"), _BAD_RING_JSON),
+    st.builds(_mutated_module, st.just("b"), st.lists(_JSON_SMALL, max_size=2)),
+    st.builds(_mutated_module, st.just("quotient_generators"),
+              st.lists(st.fixed_dictionaries({"m1": _JSON_SMALL, "m0": _JSON_SMALL}),
+                       min_size=1, max_size=2)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_RING, st.sampled_from([["algebra", "build", "--family", "lin", "--n", "1"],
+                               ["hdet", "--n", "1"], ["clifford", "center", "--n", "1"],
+                               ["group", "order", "--family", "symp", "--n", "1"]]))
+def test_malformed_ring_exits2(ring, cmd):
+    assume(_refused(parse_ring, ring))
+    _run_malformed(cmd + ["--ring", ring])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.text(max_size=12).filter(lambda f: f not in FAMILIES),
+       st.sampled_from([c for c in _N_CMDS if "F" in c]))
+def test_unknown_family_exits2(family, cmd):
+    _run_malformed([family if w == "F" else w for w in cmd] + ["--n", "1", "--ring", "gf:2"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(max_value=-1) | st.integers(10 ** 3, 10 ** 30), st.sampled_from(_N_CMDS),
+       st.sampled_from(FAMILIES))
+def test_negative_or_huge_rank_exits2(n, cmd, family):
+    _run_malformed([family if w == "F" else w for w in cmd] + ["--n", str(n), "--ring", "gf:2"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.binary(max_size=24), _MODULE_DOC.map(lambda d: json.dumps(d).encode())),
+       st.sampled_from(["extend", "probe", "descend"]))
+def test_malformed_module_file_exits2(tmp_path_factory, payload, ncmd):
+    assume(_refused(lambda p: nil2_from_json(json.loads(p)), payload))
+    path = tmp_path_factory.mktemp("fuzz") / "m.json"
+    path.write_bytes(payload)
+    _run_malformed(["nil2", ncmd, "--module", str(path), "--ext", "gf:2:1,1,1"])
+
+
+def test_descend_past_the_enumeration_cap_exits2(tmp_path, capsys):
+    # r0 = 64 over Z/2: the equalizer spans 2^64 rows, which M.elements()
+    # would refuse after them
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(dict(_MODULE, r1=0, b=[], r0=64)))
+    assert main(["nil2", "descend", "--module", str(path), "--ext", "gf:2:1,1,1"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: module enumeration over %d ambient elements\n" % 2 ** 64

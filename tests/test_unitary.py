@@ -347,6 +347,9 @@ PINNED = (
      "fe0b0e7487e5ff0a8586507e57cfed59a03da2980b8260ca0babe6f45d4ba37b"),
     ("group invariants --family orth-even --n 2 --ring prod:(zmod:2;zmod:3)",
      "8f41e6ae47ef0c33c8fccb6660b2064370a1b98be524f9b3ba2156831c8d3b8b"),
+    # 3,155,949 bytes, written from 510,383 compact bytes: eight blocks
+    ("group enumerate --family orth-even --n 2 --ring gf:3",
+     "14fdf048738a94b41ae929a254cc8f018baead24793610ab12004f67fc1753f4"),
 )
 
 
@@ -358,6 +361,27 @@ def test_report_bytes_pinned(argv, digest, capsys):
     assert cli_main(argv.split()) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("mk,r,ring", [(ofaorth, 3, "zmod:4"), (ofasymp, 2, "zmod:4"),
+                                       (ofaorth, 3, "gf:8"), (ofaorth, 4, "zmod:2")])
+def test_unitary_mask_matches_every_check_on_every_row(mk, r, ring):
+    """The mask that runs the second product and the Delta read on the rows
+    passing the first product only, against all three checks on every row:
+    on the whole beta scan, where most rows fail, and on the column search
+    batches."""
+    import ofa.unitary as un
+
+    bo = un.BatchOps(sh(mk, r, parse_ring(ring)))
+    sources = [un._column_betas(bo)]
+    if bo.alg.card() <= un._ENUM_CAP:
+        sources.append(_scan_betas(bo))
+    for P in itertools.chain(*sources):
+        Pb = bo.conj(P)
+        z = bo.reduce(-(P + Pb))
+        want = ((bo.dmul(Pb, P) == z).all(axis=(1, 2, 3))
+                & (bo.dmul(P, Pb) == z).all(axis=(1, 2, 3)) & bo.read_aug_ok(bo.aug_part(P, Pb)))
+        assert (un._unitary_mask(bo, P) == want).all()
 
 
 def test_group_cache_serves_default_calls(monkeypatch):
