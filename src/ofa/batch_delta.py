@@ -3,7 +3,8 @@
 Ring multiplication is SlotRing.contract, the contraction of K's
 structure tensor, which the Clifford spin scan shares.  A sum of
 contractions is taken unreduced and reduced once, by SlotRing.reduce.
-A batch of N algebra elements is an int64 array (N, d, d, rk); a Delta
+A batch of N algebra elements is an array (N, d, d, rk) in the narrowest
+signed dtype that holds those sums (coeff_ring.batch_dtype); a Delta
 batch is the pair of its pi and rho arrays.
 Element equality in Delta is pair equality, which is what the
 coordinate read makes faithful, so every axiom in the shared table
@@ -20,22 +21,25 @@ class BatchOps:
     def __init__(self, shape):
         alg = shape.alg
         K = alg.K
-        ring = SlotRing(K)
+        idx = list(alg.indices)
+        self.d = len(idx)
+        ring = SlotRing(K, self.d)
+        # every array built here is in this dtype, so that no op widens
+        # the batches it takes
+        dt = self.dtype = ring.dtype
         self.shape = shape
         self.alg = alg
         self.K = K
         self.ring = ring
         self.m = ring.m
         self.rk = ring.rk
-        idx = list(alg.indices)
-        self.d = len(idx)
         self.pos = {i: t for t, i in enumerate(idx)}
         self.pos0 = self.pos.get(0)
         self.reduce = ring.reduce
         # bar X at (p, q) reads X at (d-1-q, d-1-p) times eps(i) eps(j);
         # only the symplectic preset has a -1 among those signs, and
         # none survives modulus 2
-        E = np.ones((self.d, self.d), dtype=np.int64)
+        E = np.ones((self.d, self.d), dtype=dt)
         if alg.kind == "symp":
             for i in idx:
                 for j in idx:
@@ -46,12 +50,12 @@ class BatchOps:
         # dmul doubles row 0 of its right factor: c_0 = 2 in the product
         self.w0 = None
         if self.pos0 is not None:
-            self.w0 = np.ones((1, self.d, 1, 1), dtype=np.int64)
+            self.w0 = np.ones((1, self.d, 1, 1), dtype=dt)
             self.w0[0, self.pos0] = 2
         self.ktab = ring.ktab
-        self.ttab = np.array(_torsion_list(K), dtype=np.int64).reshape(-1, self.rk)
+        self.ttab = np.array(_torsion_list(K), dtype=dt).reshape(-1, self.rk)
         self.maskpos = np.array([1 if i > 0 else 0 for i in idx],
-                                dtype=np.int64)[None, :, None, None]
+                                dtype=dt)[None, :, None, None]
         # (row, col) of each coordinate as the table reads it: the pi
         # positions, then the read position of each augmentation basis
         # element, flagged when that element is phi(e(i,j)) = e(i,j) -
@@ -64,13 +68,13 @@ class BatchOps:
         self.apos = np.array([(self.pos[i], self.pos[j]) for (i, j) in alg.pairs],
                              dtype=np.int64).reshape(-1, 2)
         # the weights of the row-0 correction of _fold, rows reversed
-        self.uw = (np.triu(np.full((self.d, self.d), 2, dtype=np.int64), 1) + np.eye(
-            self.d, dtype=np.int64))[None, ::-1, :, None]
+        self.uw = (np.triu(np.full((self.d, self.d), 2, dtype=dt), 1) + np.eye(
+            self.d, dtype=dt))[None, ::-1, :, None]
         self.hslots = herm_slots(alg)
-        self.onevec = np.array(K.one(), dtype=np.int64)
+        self.onevec = np.array(K.one(), dtype=dt)
 
     # ring and matrix primitives, each one contraction of K's structure
-    # tensor.  The underscored forms return it unreduced (see RING_CAP),
+    # tensor.  The underscored forms return it unreduced (see batch_dtype),
     # for sums that reduce once at the end; every factor is reduced, up to
     # the sign of _bar.  Public methods return reduced arrays.
     def _kscale(self, k, X):
@@ -115,7 +119,7 @@ class BatchOps:
         return self.reduce(R - self._fold(P))
 
     def _zeros(self, n):
-        return np.zeros((n, self.d, self.d, self.rk), dtype=np.int64)
+        return np.zeros((n, self.d, self.d, self.rk), dtype=self.dtype)
 
     def _kvals(self, idx):
         """The K-elements with indices idx, a trailing slot axis added."""
@@ -258,14 +262,14 @@ class BatchOps:
 
     def _const_scalar(self, u, vec):
         n = u[0].shape[0]
-        k = np.broadcast_to(self.reduce(np.asarray(vec, dtype=np.int64)), (n, self.rk))
+        k = np.broadcast_to(self.reduce(np.asarray(vec, dtype=self.dtype)), (n, self.rk))
         return (self._zeros(n), np.ascontiguousarray(k))
 
     def ual_one_like(self, u):
         return self._const_scalar(u, self.onevec)
 
     def ual_zero_like(self, u):
-        return self._const_scalar(u, np.zeros(self.rk, dtype=np.int64))
+        return self._const_scalar(u, np.zeros(self.rk, dtype=self.dtype))
 
     def ual_neg_one_like(self, u):
         return self._const_scalar(u, -self.onevec)

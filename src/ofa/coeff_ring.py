@@ -24,14 +24,49 @@ class CapacityError(Exception):
 _INV_BRUTE_CAP = 1 << 16
 _IDEM_CAP = 1 << 16
 _FIELD_CHECK_CAP = 1 << 10
-# rings read from outside input.  It bounds m^r for each component of a
-# ring (slot modulus m, rank r; products stay inside a component), so
-# m <= 2^20, and m <= 2^10 with r <= 20 when r >= 2 (at r = 1, S = 1).
-# One unreduced SlotRing.contract_raw of reduced factors (|x| < m, one
-# factor's entries at most doubled) over a d-term matrix product is then
-# below 2 r^2 d m^3 <= d 2^41, and the few such contractions that a
-# BatchOps sum adds before its one reduce stay far below 2^63.
+# The cap on the elements of rings read from outside input.  It bounds m^r
+# for each component of a ring (slot modulus m, rank r; products stay
+# inside a component), so m <= 2^20, and m <= 2^10 with r <= 20 when
+# r >= 2.  The weight s of batch_dtype is then 1 at r = 1 and at most
+# r^2 (m - 1) otherwise, so s (m - 1)^2 < 2^40 on every ring, and the bound
+# there is below (d + 4) 2^40: int64 holds every batch with d < 2^22.
+# int32 and int16 hold the bound when it is at most 2^31 - 1 and
+# 2^15 - 1, which the tiny rings of the Delta sweeps meet in int16.
 RING_CAP = 1 << 20
+
+
+def batch_dtype(m, s, d):
+    """The narrowest of int16, int32 and int64 that holds every unreduced
+    sum of BatchOps on d x d matrices over a ring whose largest slot
+    modulus is m and whose structure tensor has slot weight s: the
+    largest sum over (a, b) of S[a, b, c] on one slot c (1 at rank 1,
+    where SlotRing.contract_raw is the plain product).
+
+    Proof of the bound.  Reduced entries lie in [0, M], M = m - 1, and a
+    _bar, the only signed factor, in [-M, M].  So one contraction of two
+    entries is at most c = s M^2 in absolute value on each slot, and so is
+    each of its partial sums.  A matrix product (_mul) adds d products,
+    one row of its right factor doubled by w0, so |_mul| <= (d + 1) c, and
+    numpy's matmul partial sums stay inside that.  The sums taken before
+    one reduce are then at most:
+      _kscale, kmul:                              c
+      _fold, _mul + the row-0 term times uw <= 2:  (d + 3) c
+      aug_part, R - _fold:                        (d + 3) c + M
+      materialize("delta"), _fold + X - bar X + V: (d + 3) c + 3 M
+      ualmul, _mul + two _kscale:                 (d + 3) c
+      mul_right_ual, twosided, _mul + _kscale:    (d + 2) c
+      dadd, R - _mul + R:                         (d + 1) c + 2 M
+      phi, herm, the a* ops, and the sums of reduced BatchOps outputs
+      that unitary takes (dmul + B + x, ktab + ttab):  3 M.
+    SlotRing.reduce forms (X // m) * m, within M of X.  Every intermediate
+    is therefore at most (d + 3) c + 4 M in absolute value.
+    """
+    M = m - 1
+    bound = (d + 3) * s * M * M + 4 * M
+    for dt in (np.int16, np.int32, np.int64):
+        if bound <= np.iinfo(dt).max:
+            return np.dtype(dt)
+    raise CapacityError("batch sums up to %d overflow int64" % bound)
 
 
 def _check_ring_card(card, name):
@@ -331,28 +366,33 @@ class Product(RingSpec):
 
 
 class SlotRing:
-    """A ring spec on int64 arrays with a trailing axis of basis slots.
+    """A ring spec on signed int arrays with a trailing axis of basis slots.
 
     ``ktab`` lists K.elements() as rows, ``S[a, b]`` is the product of
     the basis slots a and b, and ``m`` is the additive modulus: one int
     when the slots share it, else the per-slot moduli for the last axis
     (valid because a product only maps slots into slots of the same
     component).  ``reduce`` is the one reduction and ``contract`` the one
-    coefficient-product kernel of the numpy engines.
+    coefficient-product kernel of the numpy engines.  ``ktab`` and a
+    per-slot ``m`` are int64, or with d given the batch_dtype of d x d
+    matrices over K, so that they do not widen the arrays they meet.
     """
 
-    def __init__(self, K):
+    def __init__(self, K, d=None):
         self.rk = K.rank
-        m = K.uniform_modulus()
-        self.m = m if m is not None else np.array(K.moduli, dtype=np.int64)
-        # a shared power-of-two modulus (F_2^k, Z/2^k) reduces by a mask;
-        # on two's complement int64 that is the residue of negatives too
-        self._mask = m - 1 if m is not None and m & (m - 1) == 0 else None
         unit = np.eye(self.rk, dtype=np.int64).tolist()
         S = np.array([[K.mul(tuple(ea), tuple(eb)) for eb in unit] for ea in unit],
                      dtype=np.int64).reshape(self.rk, self.rk, self.rk)
-        self.S = self.reduce(S)
-        self.ktab = _mixed_radix(K.moduli, K.card)  # K.elements(), in order
+        self.S = S % np.array(K.moduli, dtype=np.int64)
+        self.dtype = np.dtype(np.int64) if d is None else batch_dtype(
+            max(K.moduli), int(self.S.sum(axis=(0, 1)).max()), d)
+        m = K.uniform_modulus()
+        self.m = m if m is not None else np.array(K.moduli, dtype=self.dtype)
+        # a shared power-of-two modulus (F_2^k, Z/2^k) reduces by a mask;
+        # on two's complement ints that is the residue of negatives too
+        self._mask = m - 1 if m is not None and m & (m - 1) == 0 else None
+        # K.elements(), in order
+        self.ktab = _mixed_radix(K.moduli, K.card).astype(self.dtype, copy=False)
         # the nonzero (a, b) -> c terms of S; the structure tensor is
         # unrolled into stacked integer products, far faster than int einsum
         self._terms = [(a, b, [(int(c), int(self.S[a, b, c]))
@@ -361,17 +401,25 @@ class SlotRing:
                        if self.S[a, b].any()]
 
     def reduce(self, X):
-        """X mod the slot moduli, in [0, m)."""
+        """The int array X mod the slot moduli, in [0, m) and X's dtype.
+        Floor division rounds down, so X - (X // m) * m is the residue of
+        negative entries too; numpy divides by one int far faster than it
+        takes %, but not by per-slot moduli."""
         if self._mask is not None:
             return X & self._mask
-        return X % self.m
+        if isinstance(self.m, np.ndarray):
+            return X % self.m
+        q = X // self.m
+        q *= self.m
+        return np.subtract(X, q, out=q)
 
     def contract_raw(self, pair):
-        """sum over (a, b) of S[a, b, c] * pair(a, b) on slot c, unreduced.
+        """sum over (a, b) of S[a, b, c] * pair(a, b) on slot c, unreduced,
+        in the dtype of pair's arrays.
 
         pair(a, b) is the array of products of slot a of one factor with
         slot b of the other; the result adds the trailing slot axis.  See
-        RING_CAP for how far the sum stays from int64 overflow.
+        batch_dtype for how large the sums of BatchOps get.
         """
         if self.rk == 1:
             return pair(0, 0)[..., None]
@@ -379,7 +427,7 @@ class SlotRing:
         for a, b, terms in self._terms:
             w = pair(a, b)
             if out is None:
-                out = np.zeros(w.shape + (self.rk,), dtype=np.int64)
+                out = np.zeros(w.shape + (self.rk,), dtype=w.dtype)
             for c, s in terms:
                 out[..., c] += s * w
         return out

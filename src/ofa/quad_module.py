@@ -930,12 +930,14 @@ class NaiveConstruction:
 
     def _batch(self, fn, width):
         """fn, a quadratic map of (x, y) to width ring elements, on every
-        row of T at once."""
+        row of T at once.  T comes first: past the span cap it refuses
+        before the map's table calls fn n (n + 3) / 2 times."""
         def flat_fn(row):
             return vflat(fn(*self.t_pair(row)))
 
+        rows = self.t_rows()
         omod = np.tile(self.M.K.moduli, width)
-        return _QuadraticMap(flat_fn, self._tmod(), omod)(self.t_rows())
+        return _QuadraticMap(flat_fn, self._tmod(), omod)(rows)
 
     # -- the relation set --------------------------------------------------
     def _wnull_vecs(self):

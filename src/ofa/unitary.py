@@ -837,16 +837,19 @@ def _column_betas(bo):
 
 
 def _unitary_mask(bo, P):
-    """Rows of the beta batch P with alpha bar(alpha) = bar(alpha) alpha = 1
-    whose pair (beta, bar beta) reads back into Delta.  The second product
-    and the Delta read run on the rows that pass the first product only,
-    gathered when some row fails it."""
+    """Rows of the beta batch P with bar(alpha) alpha = 1 whose pair
+    (beta, bar beta) reads back into Delta, alpha = 1 + beta.  The Delta
+    read runs on the rows that pass the product only, gathered when some
+    row fails it.
+
+    alpha bar(alpha) = 1 needs no check of its own.  alpha lies in the
+    unitalization of the algebra, a finite ring, where bar(alpha) alpha = 1
+    makes x -> x bar(alpha) injective, hence onto: y bar(alpha) = 1 for
+    some y, and y = y bar(alpha) alpha = alpha."""
     Pb = bo.conj(P)
-    z = bo.reduce(-(P + Pb))
-    ok = (bo.dmul(Pb, P) == z).all(axis=(1, 2, 3))
+    ok = (bo.dmul(Pb, P) == bo.reduce(-(P + Pb))).all(axis=(1, 2, 3))
     live = slice(None) if ok.all() else np.flatnonzero(ok)
-    P, Pb, z = P[live], Pb[live], z[live]
-    ok[live] = (bo.dmul(P, Pb) == z).all(axis=(1, 2, 3)) & bo.read_aug_ok(bo.aug_part(P, Pb))
+    ok[live] = bo.read_aug_ok(bo.aug_part(P[live], Pb[live]))
     return ok
 
 
@@ -872,8 +875,9 @@ def _key_words(alg, B):
     base, per = K.card + 2, 1
     while base ** (per + 1) < 1 << 63:
         per += 1
-    # the coefficient's first slot most significant, as tuples compare
-    radix = np.cumprod((1,) + K.moduli[:0:-1])[::-1]
+    # the coefficient's first slot most significant, as tuples compare;
+    # int64, so that a narrow B is widened before it is weighted
+    radix = np.cumprod((1,) + K.moduli[:0:-1], dtype=np.int64)[::-1]
     words = np.zeros((len(B), -(-len(keys) // per) or 1), dtype=np.int64)
     later = np.zeros(len(B), dtype=bool)
     for s in range(len(keys) - 1, -1, -1):

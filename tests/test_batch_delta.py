@@ -1,8 +1,9 @@
 """The batch engine against the exact element arithmetic where its sums
 are largest: BatchOps adds contractions unreduced and reduces once, so
 every input entry here is m - 1.  The rings cover one modulus just under
-RING_CAP, the mask path (a shared power-of-two modulus: Z/2^20, F_2^10)
-and mixed moduli."""
+RING_CAP, the mask path (a shared power-of-two modulus: Z/2^20, F_2^10),
+mixed moduli, and the moduli on each side of the int16 and int32 bounds
+of batch_dtype."""
 
 import random
 
@@ -12,9 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ofa.batch_delta import BatchOps
-from ofa.coeff_ring import RING_CAP, PolyQuotient, Product, SlotRing, ZMod
+from ofa.coeff_ring import RING_CAP, GaloisField, PolyQuotient, Product, SlotRing, ZMod
 from ofa.form_ring import UnitalEl, ofalin, ofaorth, ofasymp, unital_involution, unital_mul
-from ofa.odd_form_param import DeltaShape, _fold_residue, to_pair
+from ofa.odd_form_param import DeltaShape, _fold_residue, slot_sizes, to_pair
 from test_coeff_ring import _RINGS
 
 # F_2^10 = F_2[x]/(x^10 + x^3 + 1), written as a PolyQuotient
@@ -25,7 +26,7 @@ PRESETS = [(ofasymp, 2), (ofaorth, 3), (ofaorth, 4)]
 
 
 def _arr(ops, els):
-    M = np.zeros((len(els), ops.d, ops.d, ops.rk), dtype=np.int64)
+    M = np.zeros((len(els), ops.d, ops.d, ops.rk), dtype=ops.dtype)
     for t, el in enumerate(els):
         for (i, j), v in el.c.items():
             M[t, ops.pos[i], ops.pos[j]] = v
@@ -55,7 +56,7 @@ def _check_against_exact(alg, rng, n):
     us, vs, als, bes, ks, ls = deltas(), deltas(), algs(), algs(), scalars(), scalars()
     U, V = _pairs(ops, sh, us), _pairs(ops, sh, vs)
     A, B = _arr(ops, als), _arr(ops, bes)
-    kv, lv = np.array(ks, dtype=np.int64), np.array(ls, dtype=np.int64)
+    kv, lv = np.array(ks, dtype=ops.dtype), np.array(ls, dtype=ops.dtype)
     mods = np.broadcast_to(ops.m, (ops.rk,))
     slots = np.array([(ops.pos[i], ops.pos[j]) for i, j in alg.pairs])
     assert (A[0, slots[:, 0], slots[:, 1]] == mods - 1).all()
@@ -116,3 +117,67 @@ def test_unreduced_sums_on_random_rings(K, preset, seed):
     assert SlotRing(K).ktab.tolist() == [list(k) for k in K.elements()]
     mk, r = preset
     _check_against_exact(mk(r, K), random.Random(seed), 2)
+
+
+# orth 3 over Z/m: batch_dtype bounds its sums by 6 (m - 1)^2 + 4 (m - 1),
+# and ualmul on row 0 reaches 6 (m - 1)^2, past the narrower dtype for the
+# second modulus of each pair
+@pytest.mark.parametrize("m, dtype", [(74, np.int16), (75, np.int32),
+                                      (18919, np.int32), (18920, np.int64)])
+def test_batch_dtype_on_each_side_of_a_bound(m, dtype):
+    alg = ofaorth(3, ZMod(m))
+    _check_against_exact(alg, random.Random(3), 3)
+    assert BatchOps(DeltaShape(alg)).dtype == dtype
+
+
+@pytest.mark.parametrize("K", [ZMod(3), GaloisField(2, [1, 1, 1]),
+                               Product([ZMod(2), ZMod(3)])], ids=lambda K: K.name)
+@pytest.mark.parametrize("mk, r", [(ofasymp, 2), (ofaorth, 3)],
+                         ids=lambda v: getattr(v, "__name__", str(v)))
+def test_every_op_returns_the_batch_dtype(K, mk, r):
+    """An int64 modulus or constant would widen every later array."""
+    ops = BatchOps(DeltaShape(mk(r, K)))
+    assert ops.dtype == np.int16
+    rng = np.random.default_rng(1)
+
+    def idx(kind):
+        return np.stack([rng.integers(q, size=5) for q in slot_sizes(ops.shape, kind)], axis=1)
+
+    def fac(kind):
+        return ops.materialize(kind, idx(kind))
+
+    ui = idx("delta")
+    u, v = ops.materialize("delta", ui), fac("delta")
+    a, b, al, be, k = fac("alg"), fac("alg"), fac("ualg"), fac("ualg"), fac("scalar")
+    ints = {
+        "materialize": [fac(kind) for kind in ("delta", "alg", "ualg", "scalar", "aug", "herm")],
+        "kmul": ops.kmul(k, k), "kscale": ops.kscale(k, a), "dmul": ops.dmul(a, b),
+        "conj": ops.conj(a), "fold_residue": ops.fold_residue(u[0]),
+        "aug_part": ops.aug_part(*u), "read": ops.read(*u)[0],
+        "dadd": ops.dadd(u, v), "dneg": ops.dneg(u), "dzero_like": ops.dzero_like(u),
+        "phi": ops.phi(a), "pi": ops.pi(u), "rho": ops.rho(u), "act": ops.act(u, al),
+        "kact": ops.kact(k, u), "aadd": ops.aadd(a, b), "asub": ops.asub(a, b),
+        "aneg": ops.aneg(a), "abar": ops.abar(a), "amul": ops.amul(a, b),
+        "akmul": ops.akmul(k, a), "ual_add": ops.ual_add(al, be),
+        "ualmul": ops.ualmul(al, be), "scalar_ual": ops.scalar_ual(k),
+        "ual_one_like": ops.ual_one_like(u), "ual_zero_like": ops.ual_zero_like(u),
+        "ual_neg_one_like": ops.ual_neg_one_like(u), "mul_right_ual": ops.mul_right_ual(a, al),
+        "sandwich": ops.sandwich(al, a), "twosided": ops.twosided(be, al, a),
+    }
+    bools = {
+        "read_aug_ok": ops.read_aug_ok(u[1]), "read_back_ok": ops.read_back_ok(ui, *u),
+        "deq": ops.deq(u, v), "dis0": ops.dis0(u), "daug": ops.daug(u),
+        "aeq": ops.aeq(a, b), "ais0": ops.ais0(a), "both": ops.both(ops.ais0(a), ops.ais0(b)),
+    }
+    public = {n for n in dir(BatchOps) if not n.startswith("_") and callable(getattr(ops, n))}
+    assert public - {"evaluate"} == set(ints) | set(bools)
+
+    def arrays(x):
+        if isinstance(x, (tuple, list)):
+            return [y for z in x for y in arrays(z)]
+        return [x]
+
+    for name, out in ints.items():
+        assert {x.dtype for x in arrays(out)} == {ops.dtype}, name
+    for name, out in bools.items():
+        assert out.dtype == bool, name

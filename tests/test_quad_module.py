@@ -628,6 +628,21 @@ def test_span_capacity_message_matches_reference():
         naive_construction(M, cap=100).xi_card()
 
 
+@pytest.mark.parametrize("argv", ["--family symp --n 6 --ring gf:2",
+                                  "--family lin --n 12 --ring gf:2"])
+def test_naive_refusal_comes_before_the_quadratic_table(argv, monkeypatch, capsys):
+    """T past the span cap is refused before _batch tabulates fn on it."""
+    import ofa.quad_module as qm
+
+    def refuse(*a):
+        raise AssertionError("quadratic table built for a refused T")
+
+    monkeypatch.setattr(qm._QuadraticMap, "__init__", refuse)
+    assert cli_main(["construct", "naive", *argv.split()]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: span closure past %d\n" % qm._SCAN_CAP
+
+
 def test_xi_draw_is_the_fiber_element_the_rng_picks():
     for kind, rank, K in (("linear", 2, F3), ("orthogonal", 3, F2)):
         N = naive_construction(split_module(kind, rank, K))

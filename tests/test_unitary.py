@@ -366,10 +366,10 @@ def test_report_bytes_pinned(argv, digest, capsys):
 @pytest.mark.parametrize("mk,r,ring", [(ofaorth, 3, "zmod:4"), (ofasymp, 2, "zmod:4"),
                                        (ofaorth, 3, "gf:8"), (ofaorth, 4, "zmod:2")])
 def test_unitary_mask_matches_every_check_on_every_row(mk, r, ring):
-    """The mask that runs the second product and the Delta read on the rows
-    passing the first product only, against all three checks on every row:
-    on the whole beta scan, where most rows fail, and on the column search
-    batches."""
+    """The mask, which runs one product and then the Delta read on the rows
+    that pass it, against all three checks on every row, both products
+    included: on the whole beta scan, where most rows fail, and on the
+    column search batches."""
     import ofa.unitary as un
 
     bo = un.BatchOps(sh(mk, r, parse_ring(ring)))
