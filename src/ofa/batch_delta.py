@@ -3,18 +3,70 @@
 Ring multiplication is SlotRing.contract, the contraction of K's
 structure tensor, which the Clifford spin scan shares.  A sum of
 contractions is taken unreduced and reduced once, by SlotRing.reduce.
-A batch of N algebra elements is an array (N, d, d, rk) in the narrowest
-signed dtype that holds those sums (coeff_ring.batch_dtype); a Delta
-batch is the pair of its pi and rho arrays.
+A batch of N algebra elements is an array (N, d, d, rk) in the algebra's
+layout (SplitAlgebra.to_array) and in the narrowest signed dtype that
+holds those sums (coeff_ring.batch_dtype); a Delta batch is the pair of
+its pi and rho arrays.  Every involution sign is read off alg.invol.
 Element equality in Delta is pair equality, which is what the
 coordinate read makes faithful, so every axiom in the shared table
 becomes an array identity, and specialness becomes a batch read-back.
+
+The factor layouts of the axiom table (slot_sizes, herm_slots) live here,
+beside materialize, which builds factors from rows of slot indices, and
+decode_factor, which reads one row back for a failure witness.
 """
+
+import itertools
 
 import numpy as np
 
 from .coeff_ring import SlotRing, StructureError
-from .odd_form_param import herm_slots, _torsion_list, slot_sizes
+from .form_ring import UnitalEl
+
+
+def herm_slots(alg):
+    """Slot layout for the involution-fixed elements of the algebra.
+
+    Strict representative pairs carry a free coefficient, mirrored with
+    the involution's sign; a self-paired slot is free, unless the
+    involution negates it, where it ranges over the 2-torsion of K.
+    """
+    K = alg.K
+    slots = []
+    for (i, j) in alg.pairs:
+        mir, negate = alg.invol[(i, j)]
+        if (i, j) < mir:
+            slots.append(("rep", i, j, K.card))
+        elif (i, j) == mir:
+            slots.append(("tors", i, j, len(_torsion_list(K))) if negate
+                         else ("free", i, j, K.card))
+    return slots
+
+
+def _torsion_list(K):
+    """The k with 2k = 0, in K.elements() order.  Scalar multiples act
+    slot by slot, so each slot is 0 or, for an even modulus m, m / 2."""
+    return list(itertools.product(*[(0, m // 2) if m % 2 == 0 else (0,)
+                                    for m in K.moduli]))
+
+
+def slot_sizes(shape, kind):
+    """The size of each slot of one factor of the given kind: delta, alg,
+    ualg (body + scalar), scalar, aug or herm."""
+    card = shape.alg.K.card
+    if kind == "delta":
+        return [card] * shape.dim
+    if kind == "alg":
+        return [card] * len(shape.alg.pairs)
+    if kind == "ualg":
+        return [card] * (len(shape.alg.pairs) + 1)
+    if kind == "scalar":
+        return [card]
+    if kind == "aug":
+        return [card] * len(shape.aug)
+    if kind == "herm":
+        return [s[3] for s in herm_slots(shape.alg)]
+    raise StructureError("unknown factor kind %r" % kind)
 
 
 class BatchOps:
@@ -33,18 +85,17 @@ class BatchOps:
         self.ring = ring
         self.m = ring.m
         self.rk = ring.rk
-        self.pos = {i: t for t, i in enumerate(idx)}
+        self.pos = alg.pos
         self.pos0 = self.pos.get(0)
         self.reduce = ring.reduce
-        # bar X at (p, q) reads X at (d-1-q, d-1-p) times eps(i) eps(j);
-        # only the symplectic preset has a -1 among those signs, and
-        # none survives modulus 2
+        # bar X at (p, q) reads X at (d-1-q, d-1-p), as conj e(i, j) is
+        # +-e(-j, -i) and pos[-i] = d-1-pos[i].  E is -1 at each (i, j)
+        # that alg.invol negates, read through X's reversed transpose so
+        # that the product runs in X's memory order; none survives mod 2
         E = np.ones((self.d, self.d), dtype=dt)
-        if alg.kind == "symp":
-            for i in idx:
-                for j in idx:
-                    if alg.eps(i) * alg.eps(j) < 0:
-                        E[self.pos[i], self.pos[j]] = -1
+        for (i, j), (_, negate) in alg.invol.items():
+            if negate:
+                E[self.pos[i], self.pos[j]] = -1
         E = E[::-1, ::-1].T[None, :, :, None]
         self.E = None if (E == 1).all() or np.all(ring.m == 2) else E
         # dmul doubles row 0 of its right factor: c_0 = 2 in the product
@@ -65,8 +116,7 @@ class BatchOps:
         self.dpos = np.array([(self.pos[i], self.pos[j]) for (i, j), _, _ in shape.aug],
                              dtype=np.int64).reshape(-1, 2)
         self.dfree = np.array([b != alg.e(*pos) for pos, _, b in shape.aug], dtype=bool)
-        self.apos = np.array([(self.pos[i], self.pos[j]) for (i, j) in alg.pairs],
-                             dtype=np.int64).reshape(-1, 2)
+        self.apos = alg.apos
         # the weights of the row-0 correction of _fold, rows reversed
         self.uw = (np.triu(np.full((self.d, self.d), 2, dtype=dt), 1) + np.eye(
             self.d, dtype=dt))[None, ::-1, :, None]
@@ -179,8 +229,8 @@ class BatchOps:
                 val = np.take(tab, idx[:, col], axis=0)
                 A[:, self.pos[i], self.pos[j]] += val
                 if stype == "rep":
-                    sgn = 1 if self.alg.eps(i) * self.alg.eps(j) > 0 else -1
-                    A[:, self.pos[-j], self.pos[-i]] += sgn * val
+                    (i2, j2), negate = self.alg.invol[(i, j)]
+                    A[:, self.pos[i2], self.pos[j2]] += -val if negate else val
             return self.reduce(A)
         raise StructureError("unknown factor kind %r" % kind)
 
@@ -298,3 +348,23 @@ class BatchOps:
         if bool(res.all()):
             return True, None
         return False, int(np.argmax(~res))
+
+
+def decode_factor(ops, kind, row):
+    """The exact element behind one factor's row of slot indices,
+    materialized by ops and read back: El for alg and herm, UnitalEl for
+    ualg, and the coordinates for delta, aug and scalar."""
+    idx = np.array([row], dtype=np.int64)
+    if kind in ("alg", "herm"):
+        return ops.alg.from_array(ops.materialize(kind, idx))[0]
+    if kind == "ualg":
+        A, k = ops.materialize(kind, idx)
+        return UnitalEl(ops.alg.from_array(A)[0], tuple(k[0].tolist()))
+    coords = tuple(map(tuple, ops.ktab[idx[0]].tolist()))
+    if kind == "delta":
+        return coords
+    if kind == "scalar":
+        return coords[0]
+    if kind == "aug":
+        return ops.shape.zero()[:len(ops.shape.pi_pos)] + coords
+    raise StructureError("unknown factor kind %r" % kind)

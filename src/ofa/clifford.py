@@ -286,13 +286,15 @@ class _SpinScan:
 
     def survivors(self, U):
         """The spin rows of U in order, and their vector matrices
-        (N, d, d, rk): u ubar = 1, then ubar u = 1, then u e_i ubar of
-        degree one for every label i."""
+        (N, d, d, rk): u ubar = 1, then u e_i ubar of degree one for every
+        label i.
+
+        ubar u = 1 needs no check of its own.  Clif_0 is a finite ring,
+        where u ubar = 1 makes x -> ubar x injective, hence onto: ubar y = 1
+        for some y, and y = u ubar y = u."""
         ring, nl = self.ring, self.nl
         Ub = ring.reduce(np.matmul(self.rev.T, U))
         keep = (_bilinear(ring, U, Ub, self.tee) == self.one).all(axis=(1, 2))
-        U, Ub = U[keep], Ub[keep]
-        keep = (_bilinear(ring, Ub, U, self.tee) == self.one).all(axis=(1, 2))
         U, Ub = U[keep], Ub[keep]
         n, no = U.shape[0], self.left.shape[2]
         V = ring.reduce(np.matmul(np.swapaxes(self.left, 1, 2), U[:, None]))

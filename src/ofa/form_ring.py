@@ -23,6 +23,8 @@ law and the one coordinate read.  Its two tables are Delta over a preset
 
 import itertools
 
+import numpy as np
+
 from .coeff_ring import CapacityError, StructureError
 from .linalg import k_nullspace
 
@@ -159,14 +161,21 @@ class SplitAlgebra(SparseAlgebra):
 
     Two tables fix the structure.  contract[j] lists (k, f) with
     e(i, j) e(k, l) = f e(i, l); invol[(i, j)] is ((i', j'), negate) with
-    conj e(i, j) = +-e(i', j').  The presets are built by ofalin, ofasymp
-    and ofaorth; quad_module builds the tensor square of a module.
+    conj e(i, j) = +-e(i', j'), minus where negate is set.  The presets
+    are built by ofalin, ofasymp and ofaorth; quad_module builds the
+    tensor square of a module.
+
+    The algebra also owns its array layout.  A batch of N elements is an
+    (N, d, d, rk) int array, d the number of indices: e(i, j) sits at
+    row pos[i] and column pos[j], in index order, and apos lists that
+    (row, column) for each basis pair.  The pairs are kept sorted, the
+    order of El.key.  to_array and from_array convert between the two.
     """
 
     _bad_key = "pair %r not in %s"
 
     def __init__(self, kind, indices, pairs, K, contract, invol, tag):
-        super().__init__(K, pairs, tag)
+        super().__init__(K, sorted(pairs), tag)
         self.kind = kind
         self.indices = tuple(indices)
         self.n = sum(1 for i in self.indices if i > 0)
@@ -174,11 +183,31 @@ class SplitAlgebra(SparseAlgebra):
         self.rank = len(self.pairs)
         self.contract = contract
         self.invol = invol
+        self.pos = {i: t for t, i in enumerate(self.indices)}
+        self.apos = np.array([(self.pos[i], self.pos[j]) for i, j in self.pairs],
+                             dtype=np.int64).reshape(-1, 2)
+
+    def to_array(self, els):
+        """The elements as an (N, d, d, rk) int64 array."""
+        K, d = self.K, len(self.indices)
+        A = np.zeros((len(els), d, d, K.rank), dtype=np.int64)
+        zero = K.zero()
+        A[:, self.apos[:, 0], self.apos[:, 1]] = np.array(
+            [[a.c.get(key, zero) for key in self.pairs] for a in els],
+            dtype=np.int64).reshape(len(els), self.rank, K.rank)
+        return A
+
+    def from_array(self, A):
+        """The element of each row of A, an (N, d, d, rk) array of reduced
+        entries, its El built directly: el would have nothing to check."""
+        return [El(self, {key: tuple(v) for key, v in zip(self.pairs, row) if any(v)})
+                for row in A[:, self.apos[:, 0], self.apos[:, 1]].tolist()]
 
     def term(self, key):
         return "e(%d,%d)" % key
 
     def eps(self, i):
+        """The sign of index i in the split form (unitary._split_form)."""
         if self.kind == "symp":
             return 1 if i > 0 else -1
         return 1

@@ -193,12 +193,9 @@ class KSolver:
         self.graph = GraphForm(images, spec.moduli * self.nrows, spec.moduli * self.ncols)
         self.null_count = self.graph.null_count
 
-    def _unflat(self, flat):
-        r = self.spec.rank
-        return [tuple(flat[j * r:(j + 1) * r]) for j in range(self.ncols)]
-
     def solve(self, b):
-        return None if (s := self.graph.solve(vflat(b))) is None else self._unflat(s)
+        s = self.graph.solve(vflat(b))
+        return None if s is None else list(unflat(s, self.spec.rank))
 
     def count(self, b):
         return 0 if self.graph.solve(vflat(b)) is None else self.null_count
@@ -211,7 +208,7 @@ class KSolver:
 
     def nullspace(self):
         """Vectors whose Z-span is the solution set of M x = 0."""
-        return [self._unflat(h) for _, h in self.graph.kernel]
+        return [list(unflat(h, self.spec.rank)) for _, h in self.graph.kernel]
 
 
 def k_solve(spec, M, b):
@@ -258,6 +255,12 @@ def k_mat_vec(spec, A, v):
 def vflat(v):
     """Int coordinates of a vector of ring elements, concatenated."""
     return [x for e in v for x in e]
+
+
+def unflat(v, r):
+    """The vector of rank-r ring elements whose vflat is the int
+    sequence v, as a tuple."""
+    return tuple(tuple(v[i:i + r]) for i in range(0, len(v), r))
 
 
 def vzero(K, n):

@@ -46,8 +46,8 @@ from .coeff_ring import (
     ring_to_json,
 )
 from .linalg import (GraphForm, howell_card, howell_form, howell_reduce,
-                     howell_span, k_mat_inv, k_mat_vec, vadd, vflat, vneg,
-                     vscale, vsub, vzero)
+                     howell_span, k_mat_inv, k_mat_vec, unflat, vadd, vflat,
+                     vneg, vscale, vsub, vzero)
 from . import odd_form_param as ofp
 
 _AMBIENT_CAP = 1 << 16
@@ -76,12 +76,6 @@ class Nil2Elem(tuple):
 
     def __repr__(self):
         return "Nil2Elem(%r, %r)" % (self[0], self[1])
-
-
-def _unflat(K, v):
-    """Coordinate vector of ring elements from concatenated ints."""
-    r = K.rank
-    return tuple(tuple(v[i:i + r]) for i in range(0, len(v), r))
 
 
 def _unit_vec(K, n, a):
@@ -188,7 +182,7 @@ class _Spans:
             x0 = [(v - q * (s + t) + c2 * u) % m
                   for v, s, t, u, m in zip(x0, bxh, l0, bhh, m0)]
             x1 = [(v - q * h) % m for v, h, m in zip(x1, h1, m1)]
-        return Nil2Elem(_unflat(self.K, x1), _unflat(self.K, self.reduce0(x0)))
+        return Nil2Elem(unflat(x1, self.K.rank), unflat(self.reduce0(x0), self.K.rank))
 
     def elements(self, M):
         """X, enumerated: each word in the lifts, then each X0 shift."""
@@ -196,7 +190,7 @@ class _Spans:
             raise CapacityError("invariant closure beyond %d elements"
                                 % _CLOSURE_CAP)
         K = M.K
-        shifts = [_unflat(K, c) for c in howell_span(self.form0, self.mods0).tolist()]
+        shifts = [unflat(c, K.rank) for c in howell_span(self.form0, self.mods0).tolist()]
         out = []
         for qs in itertools.product(*[range(self.mods1[c] // h[c])
                                       for c, h in self.form1]):
@@ -321,14 +315,14 @@ class Nil2Module:
         basis = [tuple(K.one() if t == i else K.zero() for t in range(self.r1))
                  for i in range(self.r1)]
         for _, h1 in sp.form1:
-            a1 = _unflat(K, h1)
+            a1 = unflat(h1, K.rank)
             for e in basis:
                 comm = vsub(K, self._bval(e, a1), self._bval(a1, e))
                 if any(sp.reduce0(vflat(comm))):
                     raise StructureError("quotient subgroup is not normal")
         for _, h0 in sp.form0:
             for e in _basis(K):
-                if any(sp.reduce0(vflat(vscale(K, e, _unflat(K, h0))))):
+                if any(sp.reduce0(vflat(vscale(K, e, unflat(h0, K.rank))))):
                     raise StructureError("quotient meets M0 in a non-submodule")
 
     # ---- coset normal forms and public operations --------------------
@@ -376,7 +370,7 @@ class Nil2Module:
             sp, K, n1 = self._spans, self.K, self.r1 * self.K.rank
             ranges = (_reduced_ranges(sp.form1, sp.mods1)
                       + _reduced_ranges(sp.form0, sp.mods0))
-            self._elems = [Nil2Elem(_unflat(K, v[:n1]), _unflat(K, v[n1:]))
+            self._elems = [Nil2Elem(unflat(v[:n1], K.rank), unflat(v[n1:], K.rank))
                            for v in itertools.product(*ranges)]
             if len(self._elems) != self.card:
                 raise StructureError("coset count does not match the index")
@@ -387,7 +381,7 @@ class Nil2Module:
             sp, K = self._spans, self.K
             zero1 = vzero(K, self.r1)
             self._m0_elems = [
-                Nil2Elem(zero1, _unflat(K, v))
+                Nil2Elem(zero1, unflat(v, K.rank))
                 for v in itertools.product(*_reduced_ranges(sp.form0, sp.mods0))]
         return self._m0_elems
 
@@ -564,7 +558,7 @@ def universality_probe(M, f):
     return {
         "injective": witness is None,
         "kernel_card": howell_card(form0, mods0),
-        "witness": None if witness is None else [list(c) for c in _unflat(f.cod, witness)],
+        "witness": None if witness is None else [list(c) for c in unflat(witness, f.cod.rank)],
     }
 
 
@@ -654,7 +648,7 @@ class Nil2Morphism:
         dom, cod, K = self.dom, self.cod, self.dom.K
         # killing X is additive: the lifts and the X0 rows generate X
         zero1, sp = vzero(K, dom.r1), dom._spans
-        gens = sp.lifts + [Nil2Elem(zero1, _unflat(K, h0)) for _, h0 in sp.form0]
+        gens = sp.lifts + [Nil2Elem(zero1, unflat(h0, K.rank)) for _, h0 in sp.form0]
         if any(self(a) != cod.zero() for a in gens):
             raise StructureError("map does not kill the quotient")
         small = dom.card <= _MOR_EXH_CAP
@@ -817,7 +811,7 @@ def _equalizer(D):
              for z in howell_span(graph0.kernel, sp.mods0).tolist()}
     eq = set()
     for r1 in reps1:
-        n = Nil2Elem(_unflat(E, r1), zero0)
+        n = Nil2Elem(unflat(r1, E.rank), zero0)
         d = N2.add(psi(N1.reduce(_map_coords(n, tw.i1))),
                    N2.neg(N2.reduce(_map_coords(n, tw.i2))))
         base = (graph0.solve([-x % q for x, q in zip(vflat(d.m0), sp2.mods0)])
@@ -826,7 +820,7 @@ def _equalizer(D):
             continue
         for t in reps0:
             v = sp.reduce0([(x + y) % q for x, y, q in zip(base, t, sp.mods0)])
-            eq.add(Nil2Elem(n.m1, _unflat(E, v)))
+            eq.add(Nil2Elem(n.m1, unflat(v, E.rank)))
     return eq
 
 

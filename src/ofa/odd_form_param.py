@@ -19,14 +19,14 @@ the exact per-element functions here serve single elements and render
 failure witnesses.
 """
 
-import itertools
 import math
 import random
 
 import numpy as np
 
+from .batch_delta import BatchOps, decode_factor, slot_sizes
 from .coeff_ring import CapacityError, StructureError, _mixed_radix
-from .form_ring import ParamTable, UnitalEl
+from .form_ring import ParamTable
 
 _ENUM_CAP = 1 << 20
 EXH_DELTA_CAP = 1 << 16
@@ -38,23 +38,14 @@ class DeltaShape(ParamTable):
 
     def __init__(self, alg):
         idx = alg.indices
-        if alg.kind == "lin":
-            q_pairs = list(alg.pairs)
-            u_idx = ()
-            d_keys = [("f", i, j) for i in idx if i > 0 for j in idx if j > 0]
-        elif alg.kind == "symp":
-            q_pairs = list(alg.pairs)
-            u_idx = ()
-            d_keys = [("f", i, j) for (i, j) in alg.pairs if i + j > 0]
-            d_keys += [("v", i) for i in idx]
-        elif 0 not in idx:
-            q_pairs = list(alg.pairs)
-            u_idx = ()
-            d_keys = [("f", i, j) for (i, j) in alg.pairs if i + j > 0]
-        else:
-            q_pairs = [(i, j) for (i, j) in alg.pairs if i != 0]
-            u_idx = tuple(idx)
-            d_keys = [("f", i, j) for (i, j) in alg.pairs if i + j > 0]
+        # the middle index 0 (odd orthogonal) carries u slots, not q slots;
+        # phi(e(i, j)) spans the augmentation on the pairs with i + j > 0,
+        # and where the involution negates e(-i, i), phi(e(-i, i)) =
+        # 2 e(-i, i), so e(-i, i) itself joins it as the generator v_i
+        q_pairs = [(i, j) for (i, j) in alg.pairs if i != 0]
+        u_idx = tuple(idx) if 0 in idx else ()
+        d_keys = [("f", i, j) for (i, j) in alg.pairs if i + j > 0]
+        d_keys += [("v", i) for i in idx if alg.invol.get((-i, i)) == ((-i, i), True)]
         # phi(e(i, j)) is read at (i, j), the generator v_i at (-i, i)
         aug = []
         for key in d_keys:
@@ -235,8 +226,6 @@ def special_check(shape, cap=EXH_DELTA_CAP, count=10000, seed=0):
     ``member(shape, *to_pair(x)) == x`` gives, stopping at the first
     failure.
     """
-    from .batch_delta import BatchOps
-
     ops = BatchOps(shape)
     card = shape.card()
     exhaustive = card <= cap
@@ -312,34 +301,6 @@ def _count_distinct(rows, m):
     return min(n, 1) + int((S[1:] != S[:-1]).any(axis=1).sum())
 
 
-def herm_slots(alg):
-    """Slot layout for the involution-fixed elements of the algebra.
-
-    Strict representative pairs carry a free coefficient mirrored with
-    the conjugation sign; self-paired slots are free except for the
-    symplectic preset, where they range over the 2-torsion of K.
-    """
-    K = alg.K
-    slots = []
-    for (i, j) in alg.pairs:
-        mir = (-j, -i)
-        if (i, j) < mir:
-            slots.append(("rep", i, j, K.card))
-        elif (i, j) == mir:
-            if alg.kind == "symp":
-                slots.append(("tors", i, j, len(_torsion_list(K))))
-            else:
-                slots.append(("free", i, j, K.card))
-    return slots
-
-
-def _torsion_list(K):
-    """The k with 2k = 0, in K.elements() order.  Scalar multiples act
-    slot by slot, so each slot is 0 or, for an even modulus m, m / 2."""
-    return list(itertools.product(*[(0, m // 2) if m % 2 == 0 else (0,)
-                                    for m in K.moduli]))
-
-
 # Axiom table.  Each entry: name, factor kinds, check(ops, *factors).
 # Factor kinds: delta, alg, ualg (body+scalar), scalar, aug, herm.
 
@@ -409,55 +370,6 @@ AXIOMS = (
 )
 
 
-def slot_sizes(shape, kind):
-    card = shape.alg.K.card
-    if kind == "delta":
-        return [card] * shape.dim
-    if kind == "alg":
-        return [card] * len(shape.alg.pairs)
-    if kind == "ualg":
-        return [card] * (len(shape.alg.pairs) + 1)
-    if kind == "scalar":
-        return [card]
-    if kind == "aug":
-        return [card] * len(shape.aug)
-    if kind == "herm":
-        return [s[3] for s in herm_slots(shape.alg)]
-    raise StructureError("unknown factor kind %r" % kind)
-
-
-def decode_factor(shape, kind, row):
-    """The exact element behind one factor's row of slot indices, as the
-    batch materializer builds it; renders failure witnesses."""
-    alg = shape.alg
-    K = alg.K
-    klist = list(K.elements())
-    if kind == "delta":
-        return tuple(klist[t] for t in row)
-    if kind == "alg":
-        return alg.from_coords([klist[t] for t in row])
-    if kind == "ualg":
-        return UnitalEl(alg.from_coords([klist[t] for t in row[:-1]]), klist[row[-1]])
-    if kind == "scalar":
-        return klist[row[0]]
-    if kind == "aug":
-        return shape.el(d=dict(zip(shape.d_keys, (klist[t] for t in row))))
-    if kind == "herm":
-        tors = _torsion_list(K)
-        coeffs = {}
-        for (stype, i, j, _), t in zip(herm_slots(alg), row):
-            v = tors[t] if stype == "tors" else klist[t]
-            if K.is_zero(v):
-                continue
-            coeffs[(i, j)] = K.add(coeffs.get((i, j), K.zero()), v)
-            if stype == "rep":
-                w = v if alg.eps(i) * alg.eps(j) > 0 else K.neg(v)
-                slot = (-j, -i)
-                coeffs[slot] = K.add(coeffs.get(slot, K.zero()), w)
-        return alg.el(coeffs)
-    raise StructureError("unknown factor kind %r" % kind)
-
-
 def axioms_check(shape, strategy="exhaustive", count=10000, seed=None):
     """Run the axiom table; report per-axiom mode, counts, and witnesses."""
     if strategy not in ("exhaustive", "sampled"):
@@ -466,8 +378,6 @@ def axioms_check(shape, strategy="exhaustive", count=10000, seed=None):
         raise CapacityError(
             "exhaustive strategy needs |Delta| <= %d, got %d"
             % (EXH_DELTA_CAP, shape.card()))
-    from .batch_delta import BatchOps
-
     ops = BatchOps(shape)
     rows = []
     allpass = True
@@ -499,7 +409,7 @@ def axioms_check(shape, strategy="exhaustive", count=10000, seed=None):
             witness = []
             for kind in kinds:
                 w = len(slot_sizes(shape, kind))
-                x = decode_factor(shape, kind, [int(t) for t in row[off:off + w]])
+                x = decode_factor(ops, kind, row[off:off + w])
                 witness.append(render(shape, x) if kind in ("delta", "aug") else repr(x))
                 off += w
             entry["witness"] = witness

@@ -28,10 +28,11 @@ T is the span of the nullspace generators of its adjoint system, built
 with numpy as sorted unique rows.  The Xi count, the unit filter on T and
 the image of the comparison map are read off the scalar definitions
 (_w_rhs, k_matmul, f_s) at basis vectors only: the Xi right-hand side and
-t -> (xy, yx) are quadratic over Z in the coordinates of t, so their values
+t -> xy are quadratic over Z in the coordinates of t, so their values
 at e_i, e_i + e_j and 2 e_i give them on every row at once, and f_s is
 K-linear, so its integer matrix maps every S coordinate row in one
-product.  A right-hand side is then tested for all of T at once.
+product.  A right-hand side is then tested for all of T at once, and the
+batch is kept: a fiber of Xi reads its right-hand side by T row.
 
 The automorphisms of a module, which the comparison holds both unitary
 groups against, come from linalg.isometry_search, the one column search
@@ -55,8 +56,8 @@ from .coeff_ring import (CapacityError, Product, StructureError, _basis, _mixed_
 from .form_ring import (ParamTable, SplitAlgebra, _dict_add, _dict_kmul, _dict_neg, ofalin,
                         ofaorth, ofasymp)
 from .linalg import (KSolver, howell_card, howell_form, howell_span, isometry_search,
-                     k_identity, k_mat_inv, k_matrices, k_matmul, support_pool, vadd,
-                     vflat)
+                     k_identity, k_mat_inv, k_matrices, k_matmul, support_pool, unflat,
+                     vadd, vflat)
 from .odd_form_param import DeltaShape
 
 _SCAN_CAP = 1 << 16
@@ -716,7 +717,7 @@ def enumerate_module_unitary(M, cap=_SCAN_CAP):
                   for a in M.labels], dtype=np.int64).reshape(n, n, W)
 
     def q_at(row):
-        return M.q_form(dict(zip(M.labels, _vecs(np.array([row]), rk)[0])))
+        return M.q_form(dict(zip(M.labels, unflat(row, rk))))
 
     q = _QuadraticMap(q_at, np.tile(kmod, n), kmod)
     ktab = np.array(list(K.elements()), dtype=np.int64).reshape(K.card, rk)
@@ -736,12 +737,6 @@ def enumerate_module_unitary(M, cap=_SCAN_CAP):
 
 
 # -- adjoint-pair construction ----------------------------------------------
-
-
-def _vecs(rows, r):
-    """Int rows back to tuples of rank-r ring elements."""
-    return [tuple(tuple(row[i:i + r]) for i in range(0, len(row), r))
-            for row in rows.tolist()]
 
 
 def _span_rows(mvec, gens, cap):
@@ -825,7 +820,6 @@ class NaiveConstruction:
 
         nblk = 2 if qt.kind == "linear" else 1
         rows = []
-        self._pair_rows = []
         for a in M.labels:
             for b in M.labels:
                 for blk in range(nblk):
@@ -836,7 +830,6 @@ class NaiveConstruction:
                         if c == b:
                             row[d + i] = K.add(row[d + i], gblock(a, r, blk))
                     rows.append(row)
-                    self._pair_rows.append((a, b, blk))
         self.tsolver = KSolver(K, rows, ncols=2 * d)
         self._t_rows = None
         self._t_list = None
@@ -875,6 +868,7 @@ class NaiveConstruction:
                     self._wrow_tags.append(("pol", a, b, None))
         self.wsolver = KSolver(K, wrows, ncols=d)
         self._wnull = None
+        self._rhs = None
 
     # -- vector/matrix shuttling -----------------------------------------
     def mat_of(self, half):
@@ -920,12 +914,12 @@ class NaiveConstruction:
 
     def t_pair(self, row):
         """The adjoint pair (x, y) of one flat int row."""
-        return self._pair_of(_vecs(np.reshape(row, (1, -1)), self.M.K.rank)[0])
+        return self._pair_of(unflat(np.ravel(row).tolist(), self.M.K.rank))
 
     def t_elements(self):
         if self._t_list is None:
-            vecs = _vecs(self.t_rows(), self.M.K.rank)
-            self._t_list = [self._pair_of(v) for v in vecs]
+            rk = self.M.K.rank
+            self._t_list = [self._pair_of(unflat(v, rk)) for v in self.t_rows().tolist()]
         return self._t_list
 
     def _batch(self, fn, width):
@@ -945,7 +939,7 @@ class NaiveConstruction:
             K = self.M.K
             gens = [vflat(g) for g in self.wsolver.nullspace()]
             rows = _span_rows(np.tile(K.moduli, len(self.entries)), gens, self.cap)
-            self._wnull = _vecs(rows, K.rank)
+            self._wnull = [unflat(v, K.rank) for v in rows.tolist()]
         return self._wnull
 
     def _w_rhs(self, x, y):
@@ -965,11 +959,18 @@ class NaiveConstruction:
                 rhs.append(qt.a_neg(qt.phi_map(l)))
         return rhs
 
+    def _rhs_rows(self):
+        """_w_rhs of every row of T, flat, in one batch: kept in the
+        narrowest unsigned dtype that holds K's slot values."""
+        if self._rhs is None:
+            rhs = self._batch(self._w_rhs, self.wsolver.nrows)
+            self._rhs = rhs.astype(np.min_scalar_type(max(self.M.K.moduli) - 1))
+        return self._rhs
+
     def xi_card(self):
         """Sum of the fiber sizes over T: every right-hand side of the w
         system in one batch, each consistent one adding null_count."""
-        rhs = self._batch(self._w_rhs, self.wsolver.nrows)
-        return int(self.wsolver.consistent(rhs).sum()) * self.wsolver.null_count
+        return int(self.wsolver.consistent(self._rhs_rows()).sum()) * self.wsolver.null_count
 
     def _xi_completion(self, xy, w0, dw):
         K = self.M.K
@@ -981,29 +982,36 @@ class NaiveConstruction:
         )
         return (z, w)
 
-    def xi_fiber(self, x, y):
-        """All completions (z, w) of an adjoint pair to a Xi element."""
-        w0 = self.wsolver.solve(self._w_rhs(x, y))
-        if w0 is None:
-            return
-        xy = k_matmul(self.M.K, x, y)
-        for dw in self._wnull_vecs():
-            yield self._xi_completion(xy, w0, dw)
-
-    def xi_draw(self, x, y, rng):
-        """The completion that list(xi_fiber(x, y))[rng.randrange(size)]
-        picks, built alone; None, with no draw, for an empty fiber."""
-        w0 = self.wsolver.solve(self._w_rhs(x, y))
+    def _fiber_base(self, t):
+        """(xy, w0) for the adjoint pair (x, y) at row t of T, w0 one
+        solution of its w system; None for an empty fiber."""
+        w0 = self.wsolver.graph.solve(self._rhs_rows()[t].tolist())
         if w0 is None:
             return None
+        x, y = self.t_pair(self.t_rows()[t])
+        return k_matmul(self.M.K, x, y), unflat(w0, self.M.K.rank)
+
+    def xi_fiber(self, t):
+        """All completions (z, w) of the adjoint pair at row t of T to a
+        Xi element."""
+        base = self._fiber_base(t)
+        if base is not None:
+            for dw in self._wnull_vecs():
+                yield self._xi_completion(*base, dw)
+
+    def xi_draw(self, t, rng):
+        """The completion that list(xi_fiber(t))[rng.randrange(size)]
+        picks, built alone; None, with no draw, for an empty fiber."""
+        base = self._fiber_base(t)
+        if base is None:
+            return None
         wnull = self._wnull_vecs()
-        dw = wnull[rng.randrange(len(wnull))]
-        return self._xi_completion(k_matmul(self.M.K, x, y), w0, dw)
+        return self._xi_completion(*base, wnull[rng.randrange(len(wnull))])
 
     def xi_elements(self):
-        for x, y in self.t_elements():
-            for z, w in self.xi_fiber(x, y):
-                yield ((x, y), (z, w))
+        for t, pair in enumerate(self.t_elements()):
+            for s in self.xi_fiber(t):
+                yield (pair, s)
 
     def _q_rows_hold(self, y, w):
         """q(y m) + phi(B(m, w m)) = 0 on the basis, plus its polarization."""
@@ -1041,16 +1049,21 @@ class NaiveConstruction:
         return self._q_rows_hold(y, w)
 
     def unitary_elements(self):
-        """Action matrices y of the unitary elements of (T, Xi)."""
+        """Action matrices y of the unitary elements of (T, Xi).
+
+        x y = 1 is the one product checked.  x and y are square matrices
+        over the finite commutative K, so their ring is finite, where
+        x y = 1 makes v -> y v injective, hence onto: y v = 1 for some v,
+        and v = x y v = x, so y x = 1 as well."""
         K = self.M.K
         n = len(self.M.labels)
         ident = k_identity(K, n)
 
-        def products(x, y):
-            return [e for row in k_matmul(K, x, y) + k_matmul(K, y, x) for e in row]
+        def product(x, y):
+            return [e for row in k_matmul(K, x, y) for e in row]
 
-        both = self._batch(products, 2 * n * n)
-        units = (both == vflat(products(ident, ident))).all(axis=1)
+        xy = self._batch(product, n * n)
+        units = (xy == vflat(product(ident, ident))).all(axis=1)
         out = []
         for row in self.t_rows()[units]:
             x, y = self.t_pair(row)
@@ -1449,7 +1462,7 @@ class CanonMorphism:
             K = self.M.K
             gens = [vflat(g) for g in self._pre.nullspace()]
             rows = _span_rows(np.tile(K.moduli, len(self.C.S.pairs)), gens, self.N.cap)
-            self._ker = _vecs(rows, K.rank)
+            self._ker = [unflat(v, K.rank) for v in rows.tolist()]
         return self._ker
 
     def image_count(self):
@@ -1550,8 +1563,9 @@ def naive_canon_check(M, seed=0, samples=100, cap=_SCAN_CAP):
     else:
         ts = N.t_rows()
         for _ in range(samples):
-            t = N.t_pair(ts[rng.randrange(len(ts))])
-            s = N.xi_draw(*t, rng)
+            row = rng.randrange(len(ts))
+            t = N.t_pair(ts[row])
+            s = N.xi_draw(row, rng)
             if s is not None and not _theta_hit(F, C, t, s):
                 missing = (t, s)
                 break

@@ -39,7 +39,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .coeff_ring import CapacityError, Product, SlotRing, StructureError, _basis, _mixed_radix
-from .form_ring import El, ofalin, ofaorth, x_central
+from .form_ring import ofalin, ofaorth, x_central
 from .form_ring import alg_el_from_json
 from .linalg import form_rows, isometry_search, k_dets, k_solve, support_pool
 from .odd_form_param import (
@@ -144,7 +144,7 @@ def u_inv(g):
 
 
 def unitary_to_json(g):
-    return group_to_json(UnitaryGroup(g.shape, _betas([g.beta])))[0]
+    return group_to_json(UnitaryGroup(g.shape, g.shape.alg.to_array([g.beta])))[0]
 
 
 def unitary_from_json(shape, data):
@@ -270,22 +270,11 @@ def dilation0(shape, c):
 # of their betas.
 
 
-def _betas(betas):
-    """A list of elements of one preset as an (N, d, d, rk) int array,
-    rows and columns in index order."""
-    alg, d = betas[0].alg, len(betas[0].alg.indices)
-    keys, rows, cols = _slots(alg)
-    B = np.zeros((len(betas), d, d, alg.K.rank), dtype=np.int64)
-    B[:, rows, cols] = np.array([[b.c.get(k, alg.K.zero()) for k in keys] for b in betas],
-                                dtype=np.int64).reshape(len(betas), len(keys), alg.K.rank)
-    return B
-
-
 def _beta_array(group):
-    """The beta array of an enumerated group, or _betas of a list."""
+    """The beta array of an enumerated group, or of a list of elements."""
     if isinstance(group, UnitaryGroup):
         return group.betas
-    return _betas([g.beta for g in group])
+    return group[0].shape.alg.to_array([g.beta for g in group])
 
 
 def _plus_one(K, B):
@@ -387,7 +376,7 @@ def embed_odd(g):
     """g in the even preset of rank 2n + 2.  The image is unitary and
     reads back into Delta by construction, so it is built directly,
     without u_make's checks; the tests run u_try on every image."""
-    return _elements(odd_embed_target(g.shape), _embed_betas(_betas([g.beta])))[0]
+    return _elements(odd_embed_target(g.shape), _embed_betas(g.shape.alg.to_array([g.beta])))[0]
 
 
 def dickson_odd(group):
@@ -426,9 +415,8 @@ def so_odd_split(shape):
 
     # central: beta commutes with every basis element
     central = np.arange(len(B))
-    for (i, j) in alg.pairs:
-        E = np.zeros((1, bo.d, bo.d, bo.rk), dtype=np.int64)
-        E[0, bo.pos[i], bo.pos[j]] = bo.onevec
+    basis = alg.to_array([alg.e(i, j) for (i, j) in alg.pairs])
+    for E in basis[:, None]:
         C = B[central]
         central = central[(bo.dmul(C, E) == bo.dmul(E, C)).all(axis=(1, 2, 3))]
     # the center should be exactly {(x(k), u(k)) : k^2 + k = 0}, with
@@ -446,7 +434,7 @@ def so_odd_split(shape):
     # kernel times center is the group: (1 + beta)(1 + x) = 1 + beta x + beta + x
     keys = {b.tobytes() for b in B}
     Bk = B[in_kernel]
-    products = {P.tobytes() for x in _betas([bx for bx, _ in expected.values()])
+    products = {P.tobytes() for x in alg.to_array([bx for bx, _ in expected.values()])
                 for P in bo.reduce(bo.dmul(Bk, x[None]) + Bk + x)}
     kernel_order = int(in_kernel.sum())
     decomposition_ok = products == keys and kernel_order * len(expected) == len(group)
@@ -643,7 +631,8 @@ class ClassicalPair:
         return i if i > 0 else self.width + 1 + i
 
     def _sign(self, i, j):
-        return self.small.eps(i) * self.small.eps(j)
+        """The sign of conj on e(i, j) in the small algebra."""
+        return -1 if self.small.invol[(i, j)][1] else 1
 
     def iota(self, x):
         big = self.big
@@ -853,34 +842,26 @@ def _unitary_mask(bo, P):
     return ok
 
 
-def _slots(alg):
-    """The algebra's pairs in sorted order, the order of El.key, with the
-    row and the column of each in a beta array."""
-    pos = {i: t for t, i in enumerate(alg.indices)}
-    keys = sorted(alg.pairs)
-    return keys, [pos[i] for i, _ in keys], [pos[j] for _, j in keys]
-
-
 def _key_words(alg, B):
     """Int64 words (N, W) whose rows compare as the El.key of the rows of B.
 
-    El.key compares sparse ((i, j), coeff) tuples.  So each pair, in sorted
-    order, gets one digit: 1 + the mixed-radix value of a nonzero entry,
+    El.key compares sparse ((i, j), coeff) tuples.  So each pair, in the
+    algebra's sorted order, gets one digit: 1 + the mixed-radix value of a nonzero entry,
     K.card + 1 for a zero entry with a nonzero one later, and 0 for a zero
     entry with none later.  The digits, taken from the last pair back, are
     packed base K.card + 2, as many to a word as fit, the first most
     significant."""
     K = alg.K
-    keys, rows, cols = _slots(alg)
+    rows, cols = alg.apos.T
     base, per = K.card + 2, 1
     while base ** (per + 1) < 1 << 63:
         per += 1
     # the coefficient's first slot most significant, as tuples compare;
     # int64, so that a narrow B is widened before it is weighted
     radix = np.cumprod((1,) + K.moduli[:0:-1], dtype=np.int64)[::-1]
-    words = np.zeros((len(B), -(-len(keys) // per) or 1), dtype=np.int64)
+    words = np.zeros((len(B), -(-alg.rank // per) or 1), dtype=np.int64)
     later = np.zeros(len(B), dtype=bool)
-    for s in range(len(keys) - 1, -1, -1):
+    for s in range(alg.rank - 1, -1, -1):
         v = B[:, rows[s], cols[s]] @ radix
         words[:, s // per] += np.where(v > 0, v + 1, later * (K.card + 1)) * base ** (
             per - 1 - s % per)
@@ -901,12 +882,8 @@ def _rows_in(words, Q):
 
 
 def _elements(shape, B):
-    """The element of each row of B, its El built directly: the rows are
-    reduced, so alg.el has nothing to check."""
-    alg = shape.alg
-    keys, rows, cols = _slots(alg)
-    return [UnitaryElem(shape, El(alg, {k: tuple(v) for k, v in zip(keys, row) if any(v)}))
-            for row in B[:, rows, cols].tolist()]
+    """The element of each row of B, a reduced beta array."""
+    return [UnitaryElem(shape, beta) for beta in shape.alg.from_array(B)]
 
 
 class UnitaryGroup(Sequence):
@@ -934,12 +911,11 @@ def group_to_json(group):
     """The JSON form of every element: beta from the rows, as
     alg_el_to_json writes it, and every gamma read in one batch."""
     shape, B = group.shape, group.betas
-    bo = BatchOps(shape)
-    keys, rows, cols = _slots(shape.alg)
+    alg, bo = shape.alg, BatchOps(shape)
     gammas = bo.read(B, bo.conj(B))[0].tolist()
-    return [{"beta": [{"i": i, "j": j, "c": v} for (i, j), v in zip(keys, row) if any(v)],
+    return [{"beta": [{"i": i, "j": j, "c": v} for (i, j), v in zip(alg.pairs, row) if any(v)],
              "gamma": delta_to_json(shape, tuple(map(tuple, gamma)))}
-            for row, gamma in zip(B[:, rows, cols].tolist(), gammas)]
+            for row, gamma in zip(B[:, alg.apos[:, 0], alg.apos[:, 1]].tolist(), gammas)]
 
 
 def _survivors(bo, chunks):

@@ -12,10 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ofa.batch_delta import BatchOps
-from ofa.coeff_ring import RING_CAP, GaloisField, PolyQuotient, Product, SlotRing, ZMod
+from ofa.batch_delta import BatchOps, _torsion_list, decode_factor, herm_slots, slot_sizes
+from ofa.coeff_ring import RING_CAP, GaloisField, PolyQuotient, Product, SlotRing, ZMod, parse_ring
 from ofa.form_ring import UnitalEl, ofalin, ofaorth, ofasymp, unital_involution, unital_mul
-from ofa.odd_form_param import DeltaShape, _fold_residue, slot_sizes, to_pair
+from ofa.odd_form_param import DeltaShape, _fold_residue, to_pair
 from test_coeff_ring import _RINGS
 
 # F_2^10 = F_2[x]/(x^10 + x^3 + 1), written as a PolyQuotient
@@ -181,3 +181,106 @@ def test_every_op_returns_the_batch_dtype(K, mk, r):
         assert {x.dtype for x in arrays(out)} == {ops.dtype}, name
     for name, out in bools.items():
         assert out.dtype == bool, name
+
+
+# The involution's signs, the herm layout and the Delta layout are read
+# off the algebra's tables; the references below are the rules by preset
+# kind and eps(i) eps(j) that they replace.
+SIGN_RINGS = ("zmod:2", "zmod:3", "zmod:4", "zmod:9", "gf:4", "prod:(zmod:2;zmod:3)")
+SIGN_PRESETS = ((ofalin, 1), (ofalin, 2), (ofasymp, 2), (ofasymp, 4),
+                (ofaorth, 2), (ofaorth, 3), (ofaorth, 4), (ofaorth, 5))
+
+
+def _eps(alg, i):
+    return -1 if alg.kind == "symp" and i < 0 else 1
+
+
+def _herm_slots_by_kind(alg):
+    K = alg.K
+    slots = []
+    for (i, j) in alg.pairs:
+        mir = (-j, -i)
+        if (i, j) < mir:
+            slots.append(("rep", i, j, K.card))
+        elif (i, j) == mir:
+            if alg.kind == "symp":
+                slots.append(("tors", i, j, len(_torsion_list(K))))
+            else:
+                slots.append(("free", i, j, K.card))
+    return slots
+
+
+def _decode_factor_by_kind(shape, kind, row):
+    """The per-kind decoder of the axiom witnesses, element by element."""
+    alg = shape.alg
+    K = alg.K
+    klist = list(K.elements())
+    if kind == "delta":
+        return tuple(klist[t] for t in row)
+    if kind == "alg":
+        return alg.from_coords([klist[t] for t in row])
+    if kind == "ualg":
+        return UnitalEl(alg.from_coords([klist[t] for t in row[:-1]]), klist[row[-1]])
+    if kind == "scalar":
+        return klist[row[0]]
+    if kind == "aug":
+        return shape.el(d=dict(zip(shape.d_keys, (klist[t] for t in row))))
+    assert kind == "herm"
+    tors = _torsion_list(K)
+    coeffs = {}
+    for (stype, i, j, _), t in zip(_herm_slots_by_kind(alg), row):
+        v = tors[t] if stype == "tors" else klist[t]
+        if K.is_zero(v):
+            continue
+        coeffs[(i, j)] = K.add(coeffs.get((i, j), K.zero()), v)
+        if stype == "rep":
+            w = v if _eps(alg, i) * _eps(alg, j) > 0 else K.neg(v)
+            slot = (-j, -i)
+            coeffs[slot] = K.add(coeffs.get(slot, K.zero()), w)
+    return alg.el(coeffs)
+
+
+@pytest.mark.parametrize("name", SIGN_RINGS)
+def test_signs_from_the_involution_table_match_the_kind_rules(name):
+    """E, the herm layout and the Delta layout on 8 presets over 6 rings."""
+    K = parse_ring(name)
+    for mk, r in SIGN_PRESETS:
+        alg = mk(r, K)
+        sh = DeltaShape(alg)
+        ops = BatchOps(sh)
+        idx, pos = alg.indices, ops.pos
+        E = np.ones((ops.d, ops.d), dtype=np.int64)
+        for i in idx:
+            for j in idx:
+                if _eps(alg, i) * _eps(alg, j) < 0:
+                    E[pos[i], pos[j]] = -1
+        E = E[::-1, ::-1].T
+        if (E == 1).all() or np.all(ops.m == 2):
+            assert ops.E is None, alg.tag
+        else:
+            assert ops.E.dtype == ops.dtype and ops.E.tolist() == E[None, :, :, None].tolist()
+        assert herm_slots(alg) == _herm_slots_by_kind(alg), alg.tag
+        assert sh.q_pairs == tuple(p for p in alg.pairs if p[0] != 0), alg.tag
+        assert sh.u_idx == (idx if 0 in idx else ()), alg.tag
+        pos_block = [("f", i, j) for i in idx if i > 0 for j in idx if j > 0]
+        upper = [("f", i, j) for (i, j) in alg.pairs if i + j > 0]
+        assert sh.d_keys == tuple({"lin": pos_block, "orth": upper}.get(
+            alg.kind, upper + [("v", i) for i in idx])), alg.tag
+
+
+@pytest.mark.parametrize("name", SIGN_RINGS)
+def test_decode_through_materialize_matches_the_per_kind_decoder(name):
+    """Random rows of all six factor kinds on 8 presets over 6 rings; every
+    herm factor is fixed by the involution."""
+    K = parse_ring(name)
+    rng = np.random.default_rng(len(name))
+    for mk, r in SIGN_PRESETS:
+        sh = DeltaShape(mk(r, K))
+        ops = BatchOps(sh)
+        for kind in ("delta", "alg", "ualg", "scalar", "aug", "herm"):
+            for _ in range(4):
+                row = [int(rng.integers(q)) for q in slot_sizes(sh, kind)]
+                got = decode_factor(ops, kind, row)
+                assert got == _decode_factor_by_kind(sh, kind, row), (sh.tag, kind, row)
+                if kind == "herm":
+                    assert sh.alg.conj(got) == got

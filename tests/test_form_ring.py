@@ -26,6 +26,7 @@ from ofa.coeff_ring import (CapacityError, GaloisField, StructureError, ZMod, _b
                             parse_ring)
 from ofa.clifford import CliffordAlg
 from ofa.odd_form_param import DeltaShape, member, to_pair
+from test_coeff_ring import _RINGS
 from ofa.quad_module import (CanonConstruction, QuadModule, QuadType, module_check,
                              naive_canon_check, split_module)
 
@@ -344,3 +345,41 @@ def test_sparse_arithmetic_property(name, which, seed):
     for B in algs:
         if B is not A:
             assert El(B, dict(x.c)) != x and B.zero() != zero
+
+
+def _betas_reference(els):
+    """The array layout as unitary once built it: rows and columns in
+    index order, the pairs walked in sorted order."""
+    alg = els[0].alg
+    d, rk = len(alg.indices), alg.K.rank
+    pos = {i: t for t, i in enumerate(alg.indices)}
+    keys = sorted(alg.pairs)
+    B = np.zeros((len(els), d, d, rk), dtype=np.int64)
+    B[:, [pos[i] for i, _ in keys], [pos[j] for _, j in keys]] = np.array(
+        [[b.c.get(k, alg.K.zero()) for k in keys] for b in els],
+        dtype=np.int64).reshape(len(els), len(keys), rk)
+    return B
+
+
+@settings(max_examples=120, deadline=None)
+@given(_RINGS, st.sampled_from(((ofalin, 1), (ofalin, 2), (ofasymp, 2), (ofasymp, 4),
+                                (ofaorth, 1), (ofaorth, 2), (ofaorth, 3), (ofaorth, 4),
+                                (ofaorth, 5))),
+       st.integers(0, 2 ** 32 - 1))
+def test_array_codec_round_trip(K, preset, seed):
+    """from_array(to_array(els)) == els, and to_array is the layout the
+    unitary groups and the batch engine were built on."""
+    mk, r = preset
+    alg = mk(r, K)
+    rng = random.Random(seed)
+    els = [alg.zero()]
+    for _ in range(rng.randrange(1, 8)):
+        keys = rng.sample(alg.pairs, rng.randrange(len(alg.pairs) + 1))
+        els.append(alg.el({key: tuple(rng.randrange(m) for m in K.moduli) for key in keys}))
+    A = alg.to_array(els)
+    assert A.dtype == np.int64 and A.tolist() == _betas_reference(els).tolist()
+    back = alg.from_array(A)
+    assert back == els
+    assert [e.c for e in back] == [dict(e.key) for e in els]
+    assert list(alg.pairs) == sorted(alg.pairs)
+    assert [alg.pos[i] for i in alg.indices] == list(range(len(alg.indices)))

@@ -23,7 +23,7 @@ from ofa.coeff_ring import (
     parse_ring,
 )
 from ofa.form_ring import ofaorth, ofasymp
-from ofa.linalg import k_identity, k_mat_inv, k_matmul, vadd, vflat
+from ofa.linalg import k_identity, k_mat_inv, k_matmul, unflat, vadd, vflat
 from ofa.odd_form_param import DeltaShape, gen_q, gen_u, gen_v
 from ofa.quad_module import (
     QuadModule,
@@ -38,7 +38,6 @@ from ofa.quad_module import (
     extend_scalars_qm,
     _hdet_poly,
     _span_rows,
-    _vecs,
     hdet,
     heis_add,
     heis_act,
@@ -549,7 +548,8 @@ def test_span_rows_is_the_sorted_span():
             d = rng.randint(1, 3)
             gens = [tuple(rng.choice(kel) for _ in range(d)) for _ in range(rng.randint(1, 3))]
             rows = _span_rows(np.tile(K.moduli, d), [vflat(g) for g in gens], 4096)
-            assert _vecs(rows, K.rank) == _bfs_span(K, gens, 4096), (K.name, gens)
+            vecs = [unflat(v, K.rank) for v in rows.tolist()]
+            assert vecs == _bfs_span(K, gens, 4096), (K.name, gens)
 
 
 def _ref_t_elements(N):
@@ -644,16 +644,24 @@ def test_naive_refusal_comes_before_the_quadratic_table(argv, monkeypatch, capsy
 
 
 def test_xi_draw_is_the_fiber_element_the_rng_picks():
+    """xi_fiber and xi_draw read the kept right-hand side batch by T row:
+    each drawn row of it is _w_rhs of its adjoint pair, and the fiber is
+    the one that solving _w_rhs for that pair alone gives."""
     for kind, rank, K in (("linear", 2, F3), ("orthogonal", 3, F2)):
         N = naive_construction(split_module(kind, rank, K))
         rows = N.t_rows()
         pick = random.Random(9)
         empty = 0
         for s in range(12):
-            x, y = N.t_pair(rows[pick.randrange(len(rows))])
-            fiber = list(N.xi_fiber(x, y))
+            t = pick.randrange(len(rows))
+            x, y = N.t_pair(rows[t])
+            assert N._rhs_rows()[t].tolist() == vflat(N._w_rhs(x, y))
+            w0 = N.wsolver.solve(N._w_rhs(x, y))
+            fiber = list(N.xi_fiber(t))
+            assert fiber == ([] if w0 is None else [
+                N._xi_completion(k_matmul(K, x, y), w0, dw) for dw in N._wnull_vecs()])
             rng, ref = random.Random(s), random.Random(s)
-            got = N.xi_draw(x, y, rng)
+            got = N.xi_draw(t, rng)
             if not fiber:
                 empty += 1
                 assert got is None

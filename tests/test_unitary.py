@@ -509,6 +509,28 @@ def test_central_check_runs_under_python_O():
     assert out == ["False", "central element of k = (0,) is not unitary"]
 
 
+@pytest.mark.parametrize("name", ("zmod:2", "zmod:3", "zmod:4", "zmod:9", "gf:4",
+                                  "prod:(zmod:2;zmod:3)"))
+def test_classical_pair_signs_are_the_involution_signs(name):
+    """ClassicalPair reads its signs off the small algebra's involution
+    table; the reference is eps(i) eps(j), on 8 presets over 6 rings (the
+    odd orthogonal ones have no classical pair)."""
+    K = parse_ring(name)
+    for mk, r in ((ofalin, 1), (ofalin, 2), (ofasymp, 2), (ofasymp, 4),
+                  (ofaorth, 2), (ofaorth, 3), (ofaorth, 4), (ofaorth, 5)):
+        alg = mk(r, K)
+        if 0 in alg.indices:
+            with pytest.raises(StructureError):
+                classical_pair(DeltaShape(alg))
+            continue
+        pair = classical_pair(DeltaShape(alg))
+        for i, j in alg.pairs:
+            assert pair._sign(i, j) == alg.eps(i) * alg.eps(j), (alg.tag, i, j)
+            if pair.mode == "form":
+                x = alg.e(i, j)
+                assert pair.iota_inv(pair.iota(x)) == x
+
+
 _ORDER_PRESETS = ((ofalin, 1), (ofalin, 2), (ofasymp, 2), (ofasymp, 4), (ofaorth, 1),
                   (ofaorth, 2), (ofaorth, 3))
 
@@ -533,10 +555,10 @@ def test_key_words_order_rows_as_el_key(K, preset, seed):
             c[key] = tuple(rng.randrange(m) if rng.random() < 0.7 else 0 for m in K.moduli)
         els.append(alg.el(c))
     rng.shuffle(els)
-    B = un._betas(els)
+    B = alg.to_array(els)
     words = un._key_words(alg, B)
     assert (B[np.lexsort(words.T[::-1])].tolist()
-            == un._betas(sorted(els, key=lambda e: e.key)).tolist())
+            == alg.to_array(sorted(els, key=lambda e: e.key)).tolist())
     k = rng.randrange(1, len(els) + 1)
     listed = {e.key for e in els[:k]}
     assert un._rows_in(words[:k], words[::-1]).tolist() == [e.key in listed for e in els[::-1]]
@@ -717,7 +739,7 @@ def test_dickson_routes_agree():
     s = sh(ofaorth, 4, F3)
     G = enumerate_unitary(s)[::31]
     clif, z = _clif_center_idem(4, F3)
-    for g, M, d in zip(G, un._plus_one(F3, un._betas([g.beta for g in G])).tolist(), dickson_even(G)):
+    for g, M, d in zip(G, un._plus_one(F3, s.alg.to_array([g.beta for g in G])).tolist(), dickson_even(G)):
         gz = _clif_transport(clif, M, z)
         w = clif.mul(clif.sub(gz, z), clif.sub(clif.one(), clif.smul(2, z)))
         assert w == clif.scalar(d)
@@ -810,7 +832,7 @@ def _dickson_reference(g):
     """Dickson invariant of one element of an even orthogonal preset, from
     its own matrix: det(alpha) = 1 - 2d where 2 is regular, else the
     action on the center of the even Clifford part."""
-    from ofa.odd_form_param import _torsion_list
+    from ofa.batch_delta import _torsion_list
 
     K = g.shape.alg.K
     idlist = sorted(g.shape.alg.indices)
