@@ -283,15 +283,6 @@ class BatchOps:
     def aneg(self, a):
         return self.reduce(-a)
 
-    def abar(self, a):
-        return self.conj(a)
-
-    def amul(self, a, b):
-        return self.dmul(a, b)
-
-    def akmul(self, k, a):
-        return self.kscale(k, a)
-
     def aeq(self, a, b):
         return (a == b).all(axis=(1, 2, 3))
 

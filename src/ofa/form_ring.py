@@ -206,12 +206,6 @@ class SplitAlgebra(SparseAlgebra):
     def term(self, key):
         return "e(%d,%d)" % key
 
-    def eps(self, i):
-        """The sign of index i in the split form (unitary._split_form)."""
-        if self.kind == "symp":
-            return 1 if i > 0 else -1
-        return 1
-
     def e(self, i, j, v=None):
         return self.el({(i, j): self.K.one() if v is None else v})
 

@@ -3,10 +3,10 @@
 Every linear solve is one elimination: the Howell form of a subgroup of
 Z/m_1 x ... x Z/m_n, one modulus per coordinate (howell_form).  A linear
 map is solved through the Howell form of its graph (GraphForm), which
-gives its kernel, its fibre size, a canonical solution of A x = b and a
-batch consistency test.  Systems over a ring spec are expanded to
-integer systems over the Z-basis of the ring, so a product ring is one
-system with mixed slot moduli.
+gives its kernel, its fibre size, a canonical solution of A x = b (for
+one right-hand side or a batch) and a batch consistency test.  Systems
+over a ring spec are expanded to integer systems over the Z-basis of the
+ring, so a product ring is one system with mixed slot moduli.
 
 isometry_search is the one column search for the isometries of a form,
 written as a Z-bilinear tensor on flat integer coordinates; unitary and
@@ -139,12 +139,19 @@ class GraphForm:
     def __init__(self, images, mods_out, mods_in, targets=()):
         self.k = k = len(mods_out)
         self.mods = tuple(mods_out) + tuple(mods_in)
+        # the map itself, one row per unit vector of the source
+        self.A = np.array(images, dtype=np.int64).reshape(len(mods_in), k)
         rows = [list(img) + [int(u == v) for v in range(len(mods_in))]
                 for u, img in enumerate(images)]
         rows += [list(t) + [0] * len(mods_in) for t in targets]
         self.form = howell_form(rows, self.mods)
         self.kernel = [(c - k, h[k:]) for c, h in self.form if c >= k]
         self.null_count = howell_card(self.kernel, mods_in)
+
+    def image(self, X):
+        """A x mod mods_out for each row x of an (N, len(mods_in)) int
+        array (the targets are not added)."""
+        return X @ self.A % np.array(self.mods[:self.k], dtype=np.int64)
 
     def solve(self, b):
         """A flat x with A x = b modulo the targets, or None."""
@@ -154,18 +161,37 @@ class GraphForm:
             return None
         return [-x % m for x, m in zip(v[k:], self.mods[k:])]
 
+    def _reduce(self, V):
+        """howell_reduce of every row of an (N, w) int64 array, in place,
+        on its first w columns: one greedy pass over the whole batch.  A
+        form row pivoting at or after column w is zero before it, so the
+        first w columns reduce alone."""
+        w = V.shape[1]
+        mods = np.array(self.mods[:w], dtype=np.int64)
+        V %= mods
+        for c, h in self.form:
+            if c >= w:
+                break
+            V[:, c:] -= (V[:, c] // h[c])[:, None] * np.array(h[c:w], dtype=np.int64)
+            V[:, c:] %= mods[c:]
+        return V
+
     def consistent(self, B):
         """Row mask of an (N, len(mods_out)) int array of right-hand
-        sides: which ones solve can meet.  The left-pivot rows alone
-        decide it, one greedy pass over the whole batch."""
+        sides: which ones solve can meet.  Only the left block is
+        reduced: the left-pivot rows alone decide it."""
+        B = np.array(B, dtype=np.int64).reshape(len(B), self.k)
+        return ~self._reduce(B).any(axis=1)
+
+    def solve_rows(self, B):
+        """solve on every row of an (N, len(mods_out)) int array: the
+        consistent mask, and the (N, len(mods_in)) solutions, which are
+        meaningless on the rows the mask drops."""
         k = self.k
-        mods = np.array(self.mods[:k], dtype=np.int64)
-        B = np.asarray(B, dtype=np.int64).reshape(len(B), k) % mods
-        for c, h in self.form:
-            if c >= k:
-                break
-            B = (B - (B[:, c] // h[c])[:, None] * np.array(h[:k], dtype=np.int64)) % mods
-        return ~B.any(axis=1)
+        V = np.zeros((len(B), len(self.mods)), dtype=np.int64)
+        V[:, :k] = B
+        self._reduce(V)
+        return ~V[:, :k].any(axis=1), -V[:, k:] % np.array(self.mods[k:], dtype=np.int64)
 
 
 class KSolver:

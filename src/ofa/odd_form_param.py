@@ -322,21 +322,21 @@ AXIOMS = (
     ("rho-cocycle", ("delta", "delta"),
      lambda o, u, v: o.aeq(
          o.rho(o.dadd(u, v)),
-         o.aadd(o.asub(o.rho(u), o.amul(o.abar(o.pi(u)), o.pi(v))), o.rho(v)))),
+         o.aadd(o.asub(o.rho(u), o.dmul(o.conj(o.pi(u)), o.pi(v))), o.rho(v)))),
     ("rho-action", ("delta", "ualg"),
      lambda o, u, al: o.aeq(o.rho(o.act(u, al)), o.sandwich(al, o.rho(u)))),
     ("rho-symmetry", ("delta",),
      lambda o, u: o.ais0(o.aadd(
-         o.aadd(o.rho(u), o.abar(o.rho(u))),
-         o.amul(o.abar(o.pi(u)), o.pi(u))))),
+         o.aadd(o.rho(u), o.conj(o.rho(u))),
+         o.dmul(o.conj(o.pi(u)), o.pi(u))))),
     ("pi-phi-zero", ("alg",),
      lambda o, a: o.ais0(o.pi(o.phi(a)))),
     ("rho-phi", ("alg",),
-     lambda o, a: o.aeq(o.rho(o.phi(a)), o.asub(a, o.abar(a)))),
+     lambda o, a: o.aeq(o.rho(o.phi(a)), o.asub(a, o.conj(a)))),
     ("commutator", ("delta", "delta"),
      lambda o, u, v: o.deq(
          o.dadd(o.dadd(o.dadd(u, v), o.dneg(u)), o.dneg(v)),
-         o.phi(o.aneg(o.amul(o.abar(o.pi(u)), o.pi(v)))))),
+         o.phi(o.aneg(o.dmul(o.conj(o.pi(u)), o.pi(v)))))),
     ("phi-hermitian-zero", ("herm",),
      lambda o, h: o.dis0(o.phi(h))),
     ("action-bilinear", ("delta", "ualg", "ualg"),
@@ -356,13 +356,13 @@ AXIOMS = (
     ("aug-phi-member", ("alg",),
      lambda o, a: o.daug(o.phi(a))),
     ("aug-phi-scale", ("scalar", "alg"),
-     lambda o, k, a: o.deq(o.phi(o.akmul(k, a)), o.kact(k, o.phi(a)))),
+     lambda o, k, a: o.deq(o.phi(o.kscale(k, a)), o.kact(k, o.phi(a)))),
     ("aug-pi-zero", ("aug",),
      lambda o, v: o.ais0(o.pi(v))),
     ("aug-scalar-action", ("aug", "scalar"),
      lambda o, v, k: o.deq(o.act(v, o.scalar_ual(k)), o.kact(o.kmul(k, k), v))),
     ("aug-rho-scale", ("scalar", "aug"),
-     lambda o, k, v: o.aeq(o.rho(o.kact(k, v)), o.akmul(k, o.rho(v)))),
+     lambda o, k, v: o.aeq(o.rho(o.kact(k, v)), o.kscale(k, o.rho(v)))),
     ("aug-action-scale", ("scalar", "aug", "ualg"),
      lambda o, k, v, al: o.both(
          o.daug(o.act(v, al)),

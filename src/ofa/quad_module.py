@@ -24,15 +24,19 @@ augmentation basis and residue.
 
 The naive construction counts in batches over flat int coordinates (each
 K element spread over its basis slots, reduced by the per-slot moduli).
-T is the span of the nullspace generators of its adjoint system, built
-with numpy as sorted unique rows.  The Xi count, the unit filter on T and
-the image of the comparison map are read off the scalar definitions
-(_w_rhs, k_matmul, f_s) at basis vectors only: the Xi right-hand side and
-t -> xy are quadratic over Z in the coordinates of t, so their values
-at e_i, e_i + e_j and 2 e_i give them on every row at once, and f_s is
-K-linear, so its integer matrix maps every S coordinate row in one
-product.  A right-hand side is then tested for all of T at once, and the
-batch is kept: a fiber of Xi reads its right-hand side by T row.
+Its equations are stated once, as two linear systems: the adjoint system
+of T and the w system of a Xi fiber.  T is the span of the nullspace
+generators of the first, built with numpy as sorted unique rows.  The
+scalar definitions (_w_rhs, k_matmul, f_s) are read at basis vectors
+only: the Xi right-hand side and t -> xy are quadratic over Z in the
+coordinates of t, so their values at e_i, e_i + e_j and 2 e_i give them
+on every row at once (both maps are kept), and f_s is K-linear, so its
+integer matrix maps every S coordinate row in one product.  One batched
+Xi check on flat rows [x|y|z|w] serves membership and the unit filter.
+The theta check of the comparison is one batched call in both modes:
+Xi rows from one batched solve of the w system, their preimages under
+the comparison map from another, and Theta membership as one span test
+against the residue, a third quadratic map.
 
 The automorphisms of a module, which the comparison holds both unitary
 groups against, come from linalg.isometry_search, the one column search
@@ -55,9 +59,9 @@ from .coeff_ring import (CapacityError, Product, StructureError, _basis, _mixed_
                          parse_ring)
 from .form_ring import (ParamTable, SplitAlgebra, _dict_add, _dict_kmul, _dict_neg, ofalin,
                         ofaorth, ofasymp)
-from .linalg import (KSolver, howell_card, howell_form, howell_span, isometry_search,
-                     k_identity, k_mat_inv, k_matrices, k_matmul, support_pool, unflat,
-                     vadd, vflat)
+from .linalg import (GraphForm, KSolver, howell_card, howell_form, howell_span,
+                     isometry_search, k_identity, k_mat_inv, k_matrices, k_matmul,
+                     support_pool, unflat, vflat)
 from .odd_form_param import DeltaShape
 
 _SCAN_CAP = 1 << 16
@@ -784,6 +788,7 @@ class _QuadraticMap:
         ]
 
     def __call__(self, rows):
+        rows = np.asarray(rows, dtype=np.int64)
         acc = rows @ self.f + (rows * (rows - 1) // 2) @ self.bii
         for i, b in enumerate(self.bij):
             acc += rows[:, i:i + 1] * (rows[:, i + 1:] @ b)
@@ -832,7 +837,7 @@ class NaiveConstruction:
                     rows.append(row)
         self.tsolver = KSolver(K, rows, ncols=2 * d)
         self._t_rows = None
-        self._t_list = None
+        self._maps = None
 
         # fixed system for the second slot of a Xi pair, unknown w
         wrows = []
@@ -886,14 +891,7 @@ class NaiveConstruction:
         return self.vec_of(x) + self.vec_of(y)
 
     def t_member(self, x, y):
-        M = self.M
-        for a in M.labels:
-            for b in M.labels:
-                lhs = M.b_form(M.basis(a), M.mat_col(y, b))
-                rhs = M.b_form(M.mat_col(x, a), M.basis(b))
-                if lhs != rhs:
-                    return False
-        return True
+        return bool(self._t_mask(np.array([vflat(self.pair_vec(x, y))]))[0])
 
     def t_card(self):
         return self.tsolver.null_count
@@ -908,38 +906,55 @@ class NaiveConstruction:
             self._t_rows = _span_rows(self._tmod(), gens, self.cap)
         return self._t_rows
 
-    def _pair_of(self, v):
+    def t_pair(self, row):
+        """The adjoint pair (x, y) of one flat int row."""
+        v = unflat(np.ravel(row).tolist(), self.M.K.rank)
         d = len(self.entries)
         return self.mat_of(v[:d]), self.mat_of(v[d:])
 
-    def t_pair(self, row):
-        """The adjoint pair (x, y) of one flat int row."""
-        return self._pair_of(unflat(np.ravel(row).tolist(), self.M.K.rank))
+    def _quad(self):
+        """The two quadratic maps of a flat row [x|y], kept: xy (over the
+        entries) and _w_rhs(x, y).  T comes first: past the span cap it
+        refuses before a table calls its map n (n + 3) / 2 times."""
+        if self._maps is None:
+            self.t_rows()
+            K = self.M.K
+            tmod = self._tmod()
 
-    def t_elements(self):
-        if self._t_list is None:
-            rk = self.M.K.rank
-            self._t_list = [self._pair_of(unflat(v, rk)) for v in self.t_rows().tolist()]
-        return self._t_list
+            def xy(row):
+                return vflat(self.vec_of(k_matmul(K, *self.t_pair(row))))
 
-    def _batch(self, fn, width):
-        """fn, a quadratic map of (x, y) to width ring elements, on every
-        row of T at once.  T comes first: past the span cap it refuses
-        before the map's table calls fn n (n + 3) / 2 times."""
-        def flat_fn(row):
-            return vflat(fn(*self.t_pair(row)))
+            def rhs(row):
+                return vflat(self._w_rhs(*self.t_pair(row)))
 
-        rows = self.t_rows()
-        omod = np.tile(self.M.K.moduli, width)
-        return _QuadraticMap(flat_fn, self._tmod(), omod)(rows)
+            self._maps = (_QuadraticMap(xy, tmod, tmod[:len(tmod) // 2]),
+                          _QuadraticMap(rhs, tmod, np.tile(K.moduli, self.wsolver.nrows)))
+        return self._maps
 
     # -- the relation set --------------------------------------------------
-    def _wnull_vecs(self):
+    def _t_mask(self, rows):
+        """Which flat rows [x|y] solve the T system."""
+        return ~self.tsolver.graph.image(rows).any(axis=1)
+
+    def _xi_mask(self, rows):
+        """Which flat rows [x|y|z|w] are Xi elements: (x, y) and (z, w)
+        solve the T system, z + xy + w = 0, and the w system's rows at w
+        equal _w_rhs(x, y)."""
+        h = rows.shape[1] // 2
+        t, z, w = rows[:, :h], rows[:, h:3 * h // 2], rows[:, 3 * h // 2:]
+        xy, rhs = (f(t) for f in self._quad())
+        return (self._t_mask(t) & self._t_mask(rows[:, h:])
+                & ((z + xy + w) % self._tmod()[:h // 2] == 0).all(axis=1)
+                & (self.wsolver.graph.image(w) == rhs).all(axis=1))
+
+    def xi_member(self, t, s):
+        return bool(self._xi_mask(np.array([vflat(self.pair_vec(*t) + self.pair_vec(*s))]))[0])
+
+    def _wnull_rows(self):
         if self._wnull is None:
-            K = self.M.K
             gens = [vflat(g) for g in self.wsolver.nullspace()]
-            rows = _span_rows(np.tile(K.moduli, len(self.entries)), gens, self.cap)
-            self._wnull = [unflat(v, K.rank) for v in rows.tolist()]
+            self._wnull = _span_rows(np.tile(self.M.K.moduli, len(self.entries)), gens,
+                                     self.cap)
         return self._wnull
 
     def _w_rhs(self, x, y):
@@ -960,93 +975,55 @@ class NaiveConstruction:
         return rhs
 
     def _rhs_rows(self):
-        """_w_rhs of every row of T, flat, in one batch: kept in the
-        narrowest unsigned dtype that holds K's slot values."""
+        """_w_rhs of every row of T, flat, and the mask of the rows whose
+        w system is consistent (a nonempty Xi fiber).  The batch is kept in
+        the narrowest unsigned dtype that holds K's slot values."""
         if self._rhs is None:
-            rhs = self._batch(self._w_rhs, self.wsolver.nrows)
-            self._rhs = rhs.astype(np.min_scalar_type(max(self.M.K.moduli) - 1))
+            rhs = self._quad()[1](self.t_rows())
+            self._rhs = (rhs.astype(np.min_scalar_type(max(self.M.K.moduli) - 1)),
+                         self.wsolver.consistent(rhs))
         return self._rhs
 
     def xi_card(self):
-        """Sum of the fiber sizes over T: every right-hand side of the w
-        system in one batch, each consistent one adding null_count."""
-        return int(self.wsolver.consistent(self._rhs_rows()).sum()) * self.wsolver.null_count
+        """Sum of the fiber sizes over T: each consistent w system adds
+        null_count."""
+        return int(self._rhs_rows()[1].sum()) * self.wsolver.null_count
 
-    def _xi_completion(self, xy, w0, dw):
-        K = self.M.K
-        n = len(self.M.labels)
-        w = self.mat_of(vadd(K, tuple(w0), dw))
-        z = tuple(
-            tuple(K.neg(K.add(xy[i][j], w[i][j])) for j in range(n))
-            for i in range(n)
-        )
-        return (z, w)
+    def xi_all(self):
+        """(tix, nix) naming every Xi element once for xi_rows: each T row
+        with a nonempty fiber, times each element of the w kernel."""
+        tix = np.flatnonzero(self._rhs_rows()[1])
+        n = self.wsolver.null_count
+        return np.repeat(tix, n), np.tile(np.arange(n), len(tix))
 
-    def _fiber_base(self, t):
-        """(xy, w0) for the adjoint pair (x, y) at row t of T, w0 one
-        solution of its w system; None for an empty fiber."""
-        w0 = self.wsolver.graph.solve(self._rhs_rows()[t].tolist())
-        if w0 is None:
-            return None
-        x, y = self.t_pair(self.t_rows()[t])
-        return k_matmul(self.M.K, x, y), unflat(w0, self.M.K.rank)
+    def xi_sample(self, rng, samples):
+        """(tix, nix) of samples draws: each draws a T row with
+        rng.randrange(|T|) and, only when its fiber is nonempty, an element
+        of the w kernel with rng.randrange(|kernel|)."""
+        full = self._rhs_rows()[1]
+        tix, nix = [], []
+        for _ in range(samples):
+            t = rng.randrange(len(full))
+            if full[t]:
+                tix.append(t)
+                nix.append(rng.randrange(self.wsolver.null_count))
+        return np.array(tix, dtype=np.int64), np.array(nix, dtype=np.int64)
 
-    def xi_fiber(self, t):
-        """All completions (z, w) of the adjoint pair at row t of T to a
-        Xi element."""
-        base = self._fiber_base(t)
-        if base is not None:
-            for dw in self._wnull_vecs():
-                yield self._xi_completion(*base, dw)
-
-    def xi_draw(self, t, rng):
-        """The completion that list(xi_fiber(t))[rng.randrange(size)]
-        picks, built alone; None, with no draw, for an empty fiber."""
-        base = self._fiber_base(t)
-        if base is None:
-            return None
-        wnull = self._wnull_vecs()
-        return self._xi_completion(*base, wnull[rng.randrange(len(wnull))])
-
-    def xi_elements(self):
-        for t, pair in enumerate(self.t_elements()):
-            for s in self.xi_fiber(t):
-                yield (pair, s)
-
-    def _q_rows_hold(self, y, w):
-        """q(y m) + phi(B(m, w m)) = 0 on the basis, plus its polarization."""
-        M = self.M
-        qt = M.qtype
-        if qt.kind == "symplectic":
-            return True
-        for a in M.labels:
-            val = qt.a_add(
-                M.q_form(M.mat_col(y, a)),
-                qt.phi_map(M.b_form(M.basis(a), M.mat_col(w, a))),
-            )
-            if val != qt.a_zero():
-                return False
-        for ai, a in enumerate(M.labels):
-            for b in M.labels[ai + 1:]:
-                l = M.b_form(M.mat_col(y, a), M.mat_col(y, b))
-                l = qt.l_add(l, M.b_form(M.basis(a), M.mat_col(w, b)))
-                l = qt.l_add(l, M.b_form(M.basis(b), M.mat_col(w, a)))
-                if qt.phi_map(l) != qt.a_zero():
-                    return False
-        return True
-
-    def xi_member(self, t, s):
-        (x, y), (z, w) = t, s
-        K = self.M.K
-        if not self.t_member(x, y) or not self.t_member(z, w):
-            return False
-        xy = k_matmul(K, x, y)
-        n = len(self.M.labels)
-        for i in range(n):
-            for j in range(n):
-                if not K.is_zero(K.add(K.add(xy[i][j], z[i][j]), w[i][j])):
-                    return False
-        return self._q_rows_hold(y, w)
+    def xi_rows(self, tix, nix):
+        """Flat Xi rows [x|y|z|w]: the adjoint pair (x, y) at T row tix[i]
+        with w = w0 + kernel[nix[i]] and z = -xy - w, where w0 solves the
+        pair's w system.  One batched solve serves each distinct T row;
+        every fiber named must be nonempty.  The rows take the dtype of
+        the kept right-hand sides."""
+        rhs = self._rhs_rows()[0]
+        u, inv = np.unique(tix, return_inverse=True)
+        t = self.t_rows()[u]
+        ok, w0 = self.wsolver.graph.solve_rows(rhs[u])
+        assert ok.all(), "xi_rows names an empty fiber"
+        kmod = self._tmod()[:w0.shape[1]]
+        w = ((w0[inv] + self._wnull_rows()[nix]) % kmod).astype(rhs.dtype)
+        z = (-(self._quad()[0](t)[inv] + w) % kmod).astype(rhs.dtype)
+        return np.concatenate([t.astype(rhs.dtype)[inv], z, w], axis=1)
 
     def unitary_elements(self):
         """Action matrices y of the unitary elements of (T, Xi).
@@ -1054,28 +1031,23 @@ class NaiveConstruction:
         x y = 1 is the one product checked.  x and y are square matrices
         over the finite commutative K, so their ring is finite, where
         x y = 1 makes v -> y v injective, hence onto: y v = 1 for some v,
-        and v = x y v = x, so y x = 1 as well."""
+        and v = x y v = x, so y x = 1 as well.  The rest is the Xi check
+        on (t - 1, (y - 1, x - 1)): the identity pair is in T, so t - 1
+        is too."""
         K = self.M.K
-        n = len(self.M.labels)
-        ident = k_identity(K, n)
-
-        def product(x, y):
-            return [e for row in k_matmul(K, x, y) for e in row]
-
-        xy = self._batch(product, n * n)
-        units = (xy == vflat(product(ident, ident))).all(axis=1)
-        out = []
-        for row in self.t_rows()[units]:
-            x, y = self.t_pair(row)
-            ym1 = tuple(
-                tuple(K.sub(y[i][j], ident[i][j]) for j in range(n)) for i in range(n)
-            )
-            xm1 = tuple(
-                tuple(K.sub(x[i][j], ident[i][j]) for j in range(n)) for i in range(n)
-            )
-            if self._q_rows_hold(ym1, xm1):
-                out.append(y)
-        return sorted(out)
+        n, rk, d = len(self.M.labels), K.rank, len(self.entries)
+        one = np.array(vflat(self.vec_of(k_identity(K, n))), dtype=np.int64)
+        T = self.t_rows()
+        U = T[(self._quad()[0](T) == one).all(axis=1)]
+        xm1, ym1 = np.split((U - np.tile(one, 2)) % self._tmod(), 2, axis=1)
+        Y = U[self._xi_mask(np.concatenate([xm1, ym1, ym1, xm1], axis=1)), d * rk:]
+        # the full matrices, then their columns as k_matrices takes them
+        pos = self.M.pos
+        full = np.zeros((len(Y), n, n, rk), dtype=np.int64)
+        full[:, [pos[a] for a, _ in self.entries], [pos[b] for _, b in self.entries]] = (
+            Y.reshape(len(Y), d, rk))
+        cols = full.transpose(0, 2, 1, 3).reshape(len(Y) * n, n * rk)
+        return k_matrices(cols, np.arange(len(Y) * n).reshape(len(Y), n), rk, sort=True)
 
 
 def naive_construction(M, cap=_SCAN_CAP):
@@ -1443,6 +1415,7 @@ class CanonMorphism:
         ] if cols else []
         self._pre = KSolver(K, mat, ncols=len(self.C.S.pairs))
         self._ker = None
+        self._theta = None
 
     def f_s(self, s):
         K = self.M.K
@@ -1457,12 +1430,12 @@ class CanonMorphism:
                     y[i][j] = K.add(y[i][j], K.mul(v, yi[i][j]))
         return tuple(tuple(r) for r in x), tuple(tuple(r) for r in y)
 
-    def kernel_vectors(self):
+    def kernel_rows(self):
+        """Ker(F) as sorted rows of flat S coordinates."""
         if self._ker is None:
-            K = self.M.K
             gens = [vflat(g) for g in self._pre.nullspace()]
-            rows = _span_rows(np.tile(K.moduli, len(self.C.S.pairs)), gens, self.N.cap)
-            self._ker = [unflat(v, K.rank) for v in rows.tolist()]
+            self._ker = _span_rows(np.tile(self.M.K.moduli, len(self.C.S.pairs)), gens,
+                                   self.N.cap)
         return self._ker
 
     def image_count(self):
@@ -1480,27 +1453,39 @@ class CanonMorphism:
         image = coords @ fmat % np.tile(K.moduli, 2 * n * n)
         return len(np.unique(image, axis=0))
 
-    def preimages(self, t):
-        """All S elements mapping to the adjoint pair t, as a list."""
-        v0 = self._pre.solve(list(self.N.pair_vec(*t)))
-        if v0 is None:
-            return []
-        out = []
-        for dv in self.kernel_vectors():
-            coords = vadd(self.M.K, tuple(v0), dv)
-            out.append(self.C.S.el(dict(zip(self.C.S.pairs, coords))))
-        return out
+    def theta_hits(self, rows):
+        """Which flat Xi rows [x|y|z|w] have a preimage pair (p, r) under
+        F in Theta.
+
+        F^-1 of each half of the rows is one batched solve, p0 and r0,
+        each up to Ker(F).  (p, r) is in Theta exactly when r - residue(p)
+        lies in the augmentation span, so a row hits exactly when
+        r0 - residue(p) lies in AugSpan + Ker(F) for some p in p0 + Ker(F):
+        one span test over the batch per kernel element.  The residue is
+        quadratic over Z, so one _QuadraticMap evaluates it."""
+        C, K = self.C, self.M.K
+        S = C.S
+        smod = np.tile(K.moduli, len(S.pairs))
+        if self._theta is None:
+            def residue(row):
+                return vflat(S.coords(C.residue(S.from_coords(unflat(row, K.rank)))))
+
+            gens = [vflat(S.coords(S.kmul(e, b))) for _, _, b in C.aug for e in _basis(K)]
+            self._theta = (_QuadraticMap(residue, smod, smod),
+                           GraphForm([], K.moduli * len(S.pairs), [],
+                                     gens + self.kernel_rows().tolist()))
+        residue, span = self._theta
+        h = rows.shape[1] // 2
+        (tok, p0), (sok, r0) = (self._pre.graph.solve_rows(half)
+                                for half in (rows[:, :h], rows[:, h:]))
+        hit = np.zeros(len(rows), dtype=bool)
+        for k in self.kernel_rows():
+            hit |= span.consistent(r0 - residue((p0 + k) % smod))
+        return tok & sok & hit
 
 
 def canonical_morphism(M, cap=_SCAN_CAP):
     return CanonMorphism(M, cap)
-
-
-def _theta_hit(F, C, t, s):
-    """Whether some preimage pair (p, r) of (t, s) under F is in Theta."""
-    ps = F.preimages(t)
-    rs = F.preimages(s) if ps else []
-    return any(C.read(p, r) is not None for p in ps for r in rs)
 
 
 def naive_canon_check(M, seed=0, samples=100, cap=_SCAN_CAP):
@@ -1554,25 +1539,17 @@ def naive_canon_check(M, seed=0, samples=100, cap=_SCAN_CAP):
 
     counts_match = report["theta_card"] == report["xi_card"]
     report["theta_injective"] = report["injective"]
-    missing = None
-    if report["xi_card"] <= cap:
-        missing = next(((t, s) for t, s in N.xi_elements()
-                        if not _theta_hit(F, C, t, s)), None)
-        report["theta_surjective"] = missing is None
+    exhaustive = report["xi_card"] <= cap
+    pick = N.xi_all() if exhaustive else N.xi_sample(rng, samples)
+    missing = not F.theta_hits(N.xi_rows(*pick)).all()
+    if exhaustive:
+        report["theta_surjective"] = not missing
         report["theta_mode"] = "exhaustive"
     else:
-        ts = N.t_rows()
-        for _ in range(samples):
-            row = rng.randrange(len(ts))
-            t = N.t_pair(ts[row])
-            s = N.xi_draw(row, rng)
-            if s is not None and not _theta_hit(F, C, t, s):
-                missing = (t, s)
-                break
-        report["theta_surjective"] = (missing is None and counts_match
+        report["theta_surjective"] = (not missing and counts_match
                                       and report["injective"])
         report["theta_mode"] = "sampled+count"
-    if missing is not None:
+    if missing:
         report["missing_witness"] = True
 
     mu = enumerate_module_unitary(M, cap)

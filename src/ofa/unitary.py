@@ -730,15 +730,21 @@ def _eye(bo):
 
 def _split_form(bo):
     """The preset's split form on K^d as Z-tensors on flat (d * rk)
-    coordinates: b(v, w) = sum_i eps(i) c_i v[i] w[-i], with c_0 = 2 at
-    the middle index and c_i = 1 elsewhere, and the upper-triangular
-    q(v) = sum_{i>=0} v[-i] v[i], which the orthogonal presets keep.
+    coordinates: b(v, w) = sum_i eps(i) v[i] c_i w[-i], and the
+    upper-triangular q(v) = sum_{i>=0} v[-i] v[i], which the orthogonal
+    presets keep.  eps(i) = -1 exactly when the involution negates some
+    e(i, j) with j > 0, and c_i is the weight of the product through
+    index i in alg.contract (2 at the middle index, 1 elsewhere).
     Returns B and Q, each (d * rk, d * rk, rk)."""
     alg, S, rk = bo.alg, bo.ring.S, bo.rk
+    neg = {i for (i, j), (_, flip) in alg.invol.items() if flip and j > 0}
     B = np.zeros((bo.d, rk, bo.d, rk, rk), dtype=np.int64)
     Q = np.zeros_like(B)
     for i in alg.indices:
-        B[bo.pos[i], :, bo.pos[-i]] = alg.eps(i) * (2 if i == 0 else 1) * S
+        c = np.array(dict(alg.contract[i])[i], dtype=np.int64)
+        # the slot products e_a e_b c
+        B[bo.pos[i], :, bo.pos[-i]] = (-1 if i in neg else 1) * np.einsum(
+            "abk,kfc,f->abc", S, S, c)
         if i >= 0:
             Q[bo.pos[-i], :, bo.pos[i]] = S
     D = bo.d * rk

@@ -157,8 +157,7 @@ def test_every_op_returns_the_batch_dtype(K, mk, r):
         "dadd": ops.dadd(u, v), "dneg": ops.dneg(u), "dzero_like": ops.dzero_like(u),
         "phi": ops.phi(a), "pi": ops.pi(u), "rho": ops.rho(u), "act": ops.act(u, al),
         "kact": ops.kact(k, u), "aadd": ops.aadd(a, b), "asub": ops.asub(a, b),
-        "aneg": ops.aneg(a), "abar": ops.abar(a), "amul": ops.amul(a, b),
-        "akmul": ops.akmul(k, a), "ual_add": ops.ual_add(al, be),
+        "aneg": ops.aneg(a), "ual_add": ops.ual_add(al, be),
         "ualmul": ops.ualmul(al, be), "scalar_ual": ops.scalar_ual(k),
         "ual_one_like": ops.ual_one_like(u), "ual_zero_like": ops.ual_zero_like(u),
         "ual_neg_one_like": ops.ual_neg_one_like(u), "mul_right_ual": ops.mul_right_ual(a, al),

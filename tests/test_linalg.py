@@ -174,6 +174,39 @@ def test_ksolver_matches_enumeration(name, rows, cols, data):
         assert (k_mat_inv(K, M) is not None) == (len(fibres) == len(kel) ** cols)
 
 
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(["zmod:4", "zmod:6", "gf:4", "prod:(zmod:2;zmod:4)",
+                             "prod:(zmod:2;zmod:3)"]),
+       rows=st.integers(0, 3), cols=st.integers(0, 3), ntargets=st.integers(0, 2),
+       data=st.data())
+def test_graph_batches_match_solve(name, rows, cols, ntargets, data):
+    """GraphForm.image is x -> M x on flat rows, and solve_rows gives on
+    every row the mask and the solution that solve gives, with and
+    without targets; a form with no source tests span membership."""
+    K = parse_ring(name)
+    kel = list(K.elements())
+    pick = st.sampled_from(kel)
+    M = [[data.draw(pick) for _ in range(cols)] for _ in range(rows)]
+    xs = [tuple(data.draw(pick) for _ in range(cols)) for _ in range(6)]
+    X = np.array([vflat(x) for x in xs], dtype=np.int64).reshape(6, cols * K.rank)
+    graph = KSolver(K, M, ncols=cols).graph
+    assert graph.image(X).tolist() == [vflat(k_mat_vec(K, M, x)) for x in xs]
+    mods = K.moduli * rows
+    targets = [vflat(data.draw(pick) for _ in range(rows)) for _ in range(ntargets)]
+    graph = GraphForm(graph.A.tolist(), mods, K.moduli * cols, targets)
+    bs = [vflat(data.draw(pick) for _ in range(rows)) for _ in range(6)]
+    bs += [vflat(k_mat_vec(K, M, x)) for x in xs[:3]]
+    B = np.array(bs, dtype=np.int64).reshape(len(bs), len(mods))
+    ok, sol = graph.solve_rows(B)
+    want = [graph.solve(b) for b in bs]
+    assert ok.tolist() == [w is not None for w in want]
+    assert [s for s, w in zip(sol.tolist(), want) if w is not None] == [
+        w for w in want if w is not None]
+    span = _span_by_closure(targets, mods) if targets else {tuple([0] * len(mods))}
+    assert GraphForm([], mods, [], targets).consistent(B).tolist() == [
+        tuple(b) in span for b in bs]
+
+
 def test_k_matrices_match_per_leaf_columns():
     """Column t of leaf r is the flat pool row V[F[r, t]], entries as
     rank-length tuples of Python ints, for every coordinate width."""

@@ -310,7 +310,7 @@ def test_module_unitary_orders():
 def test_adjoint_ring_structure():
     M = split_module("symplectic", 2, F3)
     N = naive_construction(M)
-    ts = N.t_elements()
+    ts = _t_elements(N)
     assert len(ts) == N.t_card() == 81
     # over a regular pairing each endomorphism has a unique adjoint
     assert len({y for _, y in ts}) == 81
@@ -331,12 +331,12 @@ def test_xi_counts_and_membership():
     C = canonical_construction(M)
     assert N.xi_card() == C.card() == 2187
     count = 0
-    for t, s in N.xi_elements():
+    for t, s in _xi_elements(N):
         assert N.xi_member(t, s)
         count += 1
         if count >= 50:
             break
-    (x, y), (z, w) = next(N.xi_elements())
+    (x, y), (z, w) = next(_xi_elements(N))
     w2 = list(list(r) for r in w)
     w2[0][0] = F3.add(w2[0][0], F3.one())
     assert not N.xi_member((x, y), (z, tuple(tuple(r) for r in w2)))
@@ -570,9 +570,145 @@ def _ref_unitary(N):
             continue
         ym1 = tuple(tuple(K.sub(y[i][j], ident[i][j]) for j in range(n)) for i in range(n))
         xm1 = tuple(tuple(K.sub(x[i][j], ident[i][j]) for j in range(n)) for i in range(n))
-        if N._q_rows_hold(ym1, xm1):
+        if _q_rows_hold(N, ym1, xm1):
             out.append(y)
     return sorted(out)
+
+
+# The per-element definitions that the batched checks of NaiveConstruction
+# and CanonMorphism replace, kept as references (N a NaiveConstruction, F
+# its CanonMorphism).
+
+
+def _t_elements(N):
+    return [N.t_pair(v) for v in N.t_rows()]
+
+
+def _wnull_vecs(N):
+    return [unflat(v, N.M.K.rank) for v in N._wnull_rows().tolist()]
+
+
+def _kernel_vectors(F):
+    return [unflat(v, F.M.K.rank) for v in F.kernel_rows().tolist()]
+
+
+def _ref_t_member(N, x, y):
+    M = N.M
+    for a in M.labels:
+        for b in M.labels:
+            lhs = M.b_form(M.basis(a), M.mat_col(y, b))
+            rhs = M.b_form(M.mat_col(x, a), M.basis(b))
+            if lhs != rhs:
+                return False
+    return True
+
+
+def _q_rows_hold(N, y, w):
+    """q(y m) + phi(B(m, w m)) = 0 on the basis, plus its polarization."""
+    M = N.M
+    qt = M.qtype
+    if qt.kind == "symplectic":
+        return True
+    for a in M.labels:
+        val = qt.a_add(
+            M.q_form(M.mat_col(y, a)),
+            qt.phi_map(M.b_form(M.basis(a), M.mat_col(w, a))),
+        )
+        if val != qt.a_zero():
+            return False
+    for ai, a in enumerate(M.labels):
+        for b in M.labels[ai + 1:]:
+            l = M.b_form(M.mat_col(y, a), M.mat_col(y, b))
+            l = qt.l_add(l, M.b_form(M.basis(a), M.mat_col(w, b)))
+            l = qt.l_add(l, M.b_form(M.basis(b), M.mat_col(w, a)))
+            if qt.phi_map(l) != qt.a_zero():
+                return False
+    return True
+
+
+def _ref_xi_member(N, t, s):
+    (x, y), (z, w) = t, s
+    K = N.M.K
+    if not _ref_t_member(N, x, y) or not _ref_t_member(N, z, w):
+        return False
+    xy = k_matmul(K, x, y)
+    n = len(N.M.labels)
+    for i in range(n):
+        for j in range(n):
+            if not K.is_zero(K.add(K.add(xy[i][j], z[i][j]), w[i][j])):
+                return False
+    return _q_rows_hold(N, y, w)
+
+
+def _xi_completion(N, xy, w0, dw):
+    K = N.M.K
+    n = len(N.M.labels)
+    w = N.mat_of(vadd(K, tuple(w0), dw))
+    z = tuple(
+        tuple(K.neg(K.add(xy[i][j], w[i][j])) for j in range(n))
+        for i in range(n)
+    )
+    return (z, w)
+
+
+def _fiber_base(N, t):
+    """(xy, w0) for the adjoint pair (x, y) at row t of T, w0 one
+    solution of its w system; None for an empty fiber."""
+    w0 = N.wsolver.graph.solve(N._rhs_rows()[0][t].tolist())
+    if w0 is None:
+        return None
+    x, y = N.t_pair(N.t_rows()[t])
+    return k_matmul(N.M.K, x, y), unflat(w0, N.M.K.rank)
+
+
+def _xi_fiber(N, t):
+    """All completions (z, w) of the adjoint pair at row t of T to a
+    Xi element."""
+    base = _fiber_base(N, t)
+    if base is not None:
+        for dw in _wnull_vecs(N):
+            yield _xi_completion(N, *base, dw)
+
+
+def _xi_draw(N, t, rng):
+    """The completion that list(_xi_fiber(N, t))[rng.randrange(size)]
+    picks, built alone; None, with no draw, for an empty fiber."""
+    base = _fiber_base(N, t)
+    if base is None:
+        return None
+    wnull = _wnull_vecs(N)
+    return _xi_completion(N, *base, wnull[rng.randrange(len(wnull))])
+
+
+def _xi_elements(N):
+    for t, pair in enumerate(_t_elements(N)):
+        for s in _xi_fiber(N, t):
+            yield (pair, s)
+
+
+def _preimages(F, t):
+    """All S elements mapping to the adjoint pair t, as a list."""
+    v0 = F._pre.solve(list(F.N.pair_vec(*t)))
+    if v0 is None:
+        return []
+    out = []
+    for dv in _kernel_vectors(F):
+        coords = vadd(F.M.K, tuple(v0), dv)
+        out.append(F.C.S.el(dict(zip(F.C.S.pairs, coords))))
+    return out
+
+
+def _theta_hit(F, C, t, s):
+    """Whether some preimage pair (p, r) of (t, s) under F is in Theta."""
+    ps = _preimages(F, t)
+    rs = _preimages(F, s) if ps else []
+    return any(C.read(p, r) is not None for p in ps for r in rs)
+
+
+def _pairs_of_rows(N, rows):
+    """The Xi elements ((x, y), (z, w)) of flat rows [x|y|z|w]."""
+    h = rows.shape[1] // 2
+    return [(N.t_pair(r[:h]), N.t_pair(r[h:])) for r in rows]
 
 
 P23 = Product([F2, F3])
@@ -591,24 +727,28 @@ def test_batch_construction_matches_reference_loops():
         M = split_module(kind, rank, K)
         N = naive_construction(M)
         ref_ts = _ref_t_elements(N)
-        assert N.t_elements() == ref_ts, (kind, K.name)
+        assert _t_elements(N) == ref_ts, (kind, K.name)
         assert len(ref_ts) == N.t_card()
         ref_xi = sum(N.wsolver.count(N._w_rhs(x, y)) for x, y in ref_ts)
         assert N.xi_card() == ref_xi, (kind, K.name)
         assert N.unitary_elements() == _ref_unitary(N), (kind, K.name)
         gens = [tuple(g) for g in N.wsolver.nullspace()]
         if gens:
-            assert N._wnull_vecs() == _bfs_span(K, gens, N.cap)
+            assert _wnull_vecs(N) == _bfs_span(K, gens, N.cap)
         F = canonical_morphism(M)
         image = {F.f_s(s) for s in F.C.S.elements()}
         assert F.image_count() == len(image), (kind, K.name)
-        # a cap below the Xi count keeps the theta check on its sampled path
-        rep = naive_canon_check(M, seed=0, samples=10, cap=4096)
-        assert rep["injective"] == (len(image) == F.C.S.card())
-        assert rep["surjective"] == (len(image) == len(ref_ts))
+        # a cap below the Xi count keeps the theta check on its sampled
+        # path; the default cap takes every module here with at most 65536
+        # Xi elements on the exhaustive one
+        for cap in (4096, 1 << 16):
+            rep = naive_canon_check(M, seed=0, samples=10, cap=cap)
+            assert rep["injective"] == (len(image) == F.C.S.card())
+            assert rep["surjective"] == (len(image) == len(ref_ts))
+            assert rep["theta_mode"] == ("exhaustive" if ref_xi <= cap else "sampled+count")
         gens = [tuple(g) for g in F._pre.nullspace()]
         if gens:
-            assert F.kernel_vectors() == _bfs_span(K, gens, N.cap)
+            assert _kernel_vectors(F) == _bfs_span(K, gens, N.cap)
 
 
 def test_span_capacity_message_matches_reference():
@@ -620,7 +760,7 @@ def test_span_capacity_message_matches_reference():
         except CapacityError as exc:
             want = str(exc)
         try:
-            got = len(N.t_elements())
+            got = len(_t_elements(N))
         except CapacityError as exc:
             got = str(exc)
         assert got == want, cap
@@ -644,32 +784,151 @@ def test_naive_refusal_comes_before_the_quadratic_table(argv, monkeypatch, capsy
 
 
 def test_xi_draw_is_the_fiber_element_the_rng_picks():
-    """xi_fiber and xi_draw read the kept right-hand side batch by T row:
-    each drawn row of it is _w_rhs of its adjoint pair, and the fiber is
-    the one that solving _w_rhs for that pair alone gives."""
+    """xi_rows reads the kept right-hand side batch by T row: each drawn
+    row of it is _w_rhs of its adjoint pair, the rows of a whole fiber are
+    the completions that solving _w_rhs for that pair alone gives, and
+    xi_sample makes the rng calls of the per-element draw."""
     for kind, rank, K in (("linear", 2, F3), ("orthogonal", 3, F2)):
         N = naive_construction(split_module(kind, rank, K))
         rows = N.t_rows()
+        n = N.wsolver.null_count
         pick = random.Random(9)
         empty = 0
         for s in range(12):
             t = pick.randrange(len(rows))
             x, y = N.t_pair(rows[t])
-            assert N._rhs_rows()[t].tolist() == vflat(N._w_rhs(x, y))
+            assert N._rhs_rows()[0][t].tolist() == vflat(N._w_rhs(x, y))
             w0 = N.wsolver.solve(N._w_rhs(x, y))
-            fiber = list(N.xi_fiber(t))
+            fiber = list(_xi_fiber(N, t))
             assert fiber == ([] if w0 is None else [
-                N._xi_completion(k_matmul(K, x, y), w0, dw) for dw in N._wnull_vecs()])
-            rng, ref = random.Random(s), random.Random(s)
-            got = N.xi_draw(t, rng)
-            if not fiber:
-                empty += 1
-                assert got is None
+                _xi_completion(N, k_matmul(K, x, y), w0, dw) for dw in _wnull_vecs(N)])
+            assert bool(N._rhs_rows()[1][t]) == bool(fiber)
+            if fiber:
+                got = N.xi_rows(np.full(n, t), np.arange(n))
+                assert _pairs_of_rows(N, got) == [((x, y), f) for f in fiber]
+                assert N._xi_mask(got).all()
             else:
-                assert got == fiber[ref.randrange(len(fiber))]
-                assert N.xi_member((x, y), got)
+                empty += 1
+        for s in range(12):
+            rng, ref = random.Random(s), random.Random(s)
+            got = _pairs_of_rows(N, N.xi_rows(*N.xi_sample(rng, 5)))
+            want = []
+            for _ in range(5):
+                t = ref.randrange(len(rows))
+                draw = _xi_draw(N, t, ref)
+                if draw is not None:
+                    want.append((N.t_pair(rows[t]), draw))
+            assert got == want
             assert rng.getstate() == ref.getstate()
         assert kind == "linear" or empty  # the defect module has empty fibers
+
+
+def test_membership_is_the_per_element_check():
+    """t_member and xi_member, one-row calls of the batched checks, agree
+    with the loops over basis vectors on Xi elements, on each one with one
+    coordinate moved, and on random pairs of T elements."""
+    rng = random.Random(11)
+    for kind, rank, K in BATCH_CASES:
+        N = naive_construction(split_module(kind, rank, K))
+        kel = list(K.elements())
+        ts = _t_elements(N)
+        n = len(N.M.labels)
+        cases = []
+        for tix, nix in zip(*N.xi_sample(random.Random(3), 30)):
+            (t, s), = _pairs_of_rows(N, N.xi_rows([tix], [nix]))
+            assert N.xi_member(t, s)
+            cases.append((t, s))
+            mats = [[list(r) for r in g] for g in t + s]
+            a, b = N.entries[rng.randrange(len(N.entries))]
+            g = mats[rng.randrange(4)]
+            g[N.M.pos[a]][N.M.pos[b]] = K.add(g[N.M.pos[a]][N.M.pos[b]],
+                                              kel[rng.randrange(1, len(kel))])
+            x, y, z, w = (tuple(tuple(r) for r in g) for g in mats)
+            cases.append(((x, y), (z, w)))
+        cases += [(ts[rng.randrange(len(ts))], ts[rng.randrange(len(ts))]) for _ in range(30)]
+        hits = 0
+        for t, s in cases:
+            for pair in (t, s):
+                assert N.t_member(*pair) == _ref_t_member(N, *pair), (kind, K.name)
+            got = N.xi_member(t, s)
+            assert got == _ref_xi_member(N, t, s), (kind, K.name, t, s)
+            hits += got
+        assert 0 < hits < len(cases), (kind, K.name)
+        assert N.t_member(k_identity(K, n), k_identity(K, n))
+
+
+def _ref_theta_walk(N, F, rng, samples):
+    """The sampled theta search of naive_canon_check, one element at a
+    time: whether every drawn Xi element has a preimage in Theta, and the
+    draws up to the first that has none."""
+    ts = N.t_rows()
+    draws = []
+    for _ in range(samples):
+        row = rng.randrange(len(ts))
+        t = N.t_pair(ts[row])
+        s = _xi_draw(N, row, rng)
+        if s is not None:
+            draws.append((t, s))
+            if not _theta_hit(F, F.C, t, s):
+                return False, draws
+    return True, draws
+
+
+def test_theta_check_matches_the_per_element_walk():
+    """The batched theta verdict against the per-element walk on every
+    BATCH_CASES module, in both modes (the default cap, and a cap of 4096
+    that samples all but the smallest): theta_surjective and
+    missing_witness agree, on the exhaustive path the rows are the walk's
+    Xi elements and their verdicts are the walk's, and the batched draws
+    are the walk's draws up to where it stops.  Orthogonal rank 3 over
+    F2, with |Ker(F)| = 2, has Xi elements outside the image of Theta in
+    both modes."""
+    modes = set()
+    for kind, rank, K in BATCH_CASES:
+        M = split_module(kind, rank, K)
+        for cap in (1 << 16, 4096):
+            F = canonical_morphism(M, cap)
+            N = F.N
+            for seed in (0, 1):
+                rep = naive_canon_check(M, seed=seed, samples=40, cap=cap)
+                if N.xi_card() <= cap:
+                    if seed == 0:
+                        rows = N.xi_rows(*N.xi_all())
+                        # every fourth row of the two 16384-row walks, whose
+                        # verdicts COMPARE_PINNED holds from the whole walk
+                        step = 1 if len(rows) <= 8192 else 4
+                        elements = list(_xi_elements(N))[::step]
+                        assert _pairs_of_rows(N, rows[::step]) == elements
+                        ref = [_theta_hit(F, F.C, t, s) for t, s in elements]
+                        assert F.theta_hits(rows[::step]).tolist() == ref, (kind, K.name)
+                        hit = all(ref) if step == 1 else bool(F.theta_hits(rows).all())
+                    assert rep["theta_surjective"] == hit
+                else:
+                    hit, draws = _ref_theta_walk(N, F, random.Random(seed), 40)
+                    rows = N.xi_rows(*N.xi_sample(random.Random(seed), 40))
+                    assert _pairs_of_rows(N, rows)[:len(draws)] == draws, (kind, K.name)
+                    counts = rep["xi_card"] == rep["theta_card"]
+                    assert rep["theta_surjective"] == (hit and counts and rep["injective"])
+                assert rep.get("missing_witness", False) == (not hit), (kind, K.name, cap)
+                modes.add((rep["theta_mode"], hit))
+    assert modes == {("exhaustive", True), ("exhaustive", False),
+                     ("sampled+count", True), ("sampled+count", False)}
+
+
+def test_theta_rows_take_r_up_to_the_kernel():
+    """On two modules off the split tables, some Xi rows reach Theta only
+    through a preimage r0 + k of s with k in Ker(F), not through r0: the
+    span of the theta test must hold Ker(F).  Every row's verdict is the
+    per-element walk's, and both verdicts occur."""
+    one, two = Z4.one(), Z4.from_int(2)
+    for M in (QuadModule(QuadType("orthogonal", Z4), 1, {(0, 0): two}, {0: Z4.neg(one)}),
+              QuadModule(QuadType("orthogonal", F3), 2, {(1, 1): F3.from_int(2)},
+                         {1: F3.one()})):
+        F = canonical_morphism(M)
+        rows = F.N.xi_rows(*F.N.xi_all())
+        got = F.theta_hits(rows).tolist()
+        assert got == [_theta_hit(F, F.C, t, s) for t, s in _pairs_of_rows(F.N, rows)]
+        assert 0 < sum(got) < len(got) and len(F.kernel_rows()) > 1, M.tag
 
 
 def test_compare_report_bytes_pinned():
@@ -693,6 +952,11 @@ COMPARE_PINNED = (
     # sampled theta search with the count check
     ("--family lin --n 2 --ring gf:3 --seed 0", 0,
      "2d370ed4f79e04f52ca34c77bf6e0522bb2c4492a6d9da2f28c9f58bc7641143"),
+    # exhaustive over 16384 Xi elements, on rings where 2 is not a unit
+    ("--family symp --n 1 --ring zmod:4 --seed 0", 0,
+     "0a0f478d2485e276f77d182d226f3bf225fdd9ef55872a77880d6ded51c72e16"),
+    ("--family symp --n 1 --ring gf:4 --seed 0", 0,
+     "3c23a3b5b1739958470bc9b6f7864d5b582486a3d034c479594def5a7f93362e"),
 )
 
 

@@ -65,6 +65,7 @@ from ofa.unitary import (
     unitary_from_json,
     unitary_to_json,
 )
+from test_batch_delta import _eps
 from test_clifford import center_split_idempotent
 from test_coeff_ring import _RINGS
 from test_linalg import k_det
@@ -525,10 +526,32 @@ def test_classical_pair_signs_are_the_involution_signs(name):
             continue
         pair = classical_pair(DeltaShape(alg))
         for i, j in alg.pairs:
-            assert pair._sign(i, j) == alg.eps(i) * alg.eps(j), (alg.tag, i, j)
+            assert pair._sign(i, j) == _eps(alg, i) * _eps(alg, j), (alg.tag, i, j)
             if pair.mode == "form":
                 x = alg.e(i, j)
                 assert pair.iota_inv(pair.iota(x)) == x
+
+
+@pytest.mark.parametrize("name", ("zmod:2", "zmod:3", "zmod:4", "zmod:9", "gf:4",
+                                  "prod:(zmod:2;zmod:3)"))
+def test_split_form_reads_the_involution_and_contract_tables(name):
+    """_split_form takes its signs from the involution table and its
+    middle weight from contract; the reference is the kind rule eps(i)
+    with the integer weight 2 at index 0, on 8 presets over 6 rings."""
+    import ofa.unitary as un
+
+    K = parse_ring(name)
+    for mk, r in ((ofalin, 1), (ofalin, 2), (ofasymp, 2), (ofasymp, 4),
+                  (ofaorth, 2), (ofaorth, 3), (ofaorth, 4), (ofaorth, 5)):
+        alg = mk(r, K)
+        bo = un.BatchOps(DeltaShape(alg))
+        S, rk = bo.ring.S, bo.rk
+        ref = np.zeros((bo.d, rk, bo.d, rk, rk), dtype=np.int64)
+        for i in alg.indices:
+            ref[bo.pos[i], :, bo.pos[-i]] = _eps(alg, i) * (2 if i == 0 else 1) * S
+        D = bo.d * rk
+        B, _ = un._split_form(bo)
+        assert np.array_equal(B, bo.reduce(ref.reshape(D, D, rk))), alg.tag
 
 
 _ORDER_PRESETS = ((ofalin, 1), (ofalin, 2), (ofasymp, 2), (ofasymp, 4), (ofaorth, 1),
