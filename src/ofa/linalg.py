@@ -8,9 +8,9 @@ one right-hand side or a batch) and a batch consistency test.  Systems
 over a ring spec are expanded to integer systems over the Z-basis of the
 ring, so a product ring is one system with mixed slot moduli.
 
-isometry_search is the one column search for the isometries of a form,
-written as a Z-bilinear tensor on flat integer coordinates; unitary and
-quad_module both call it.
+form_isometries is the one column search for the isometries of a form,
+written as a Z-bilinear tensor on flat integer coordinates, with one
+column-pool setup and cap rule; unitary and quad_module state their form.
 """
 
 import math
@@ -344,29 +344,6 @@ def form_rows(X, B, Y, mod):
     return (XB * Y[:, :, None]).sum(axis=1) % mod
 
 
-def k_matrices(V, F, rk, sort=False):
-    """Matrices over K, one per leaf f of F, column t the flat row V[f[t]].
-    Equal rows share one tuple, so a leaf costs one tuple, not one per
-    entry: a lexsort on the narrowest dtype (a radix sort) numbers the
-    distinct rows, and one tolist reads the leaves.  Row numbers follow
-    the lex order of the rows, so with sort=True one more lexsort over
-    them returns the list sorted() would."""
-    L, n = F.shape
-    A = V[F].reshape(L, n, n, rk).transpose(0, 2, 1, 3).reshape(L * n, n * rk)
-    A = A.astype(np.min_scalar_type(A.max(initial=0)))
-    order = np.lexsort(A.T[::-1]) if n else np.arange(0)
-    S = A[order]
-    new = np.ones(len(S), dtype=bool)
-    new[1:] = (S[1:] != S[:-1]).any(axis=1)
-    idx = np.empty(len(S), dtype=np.int64)
-    idx[order] = np.cumsum(new) - 1
-    idx = idx.reshape(L, n)
-    if sort and n:
-        idx = idx[np.lexsort(idx.T[::-1])]
-    rows = [tuple(zip(*[iter(r)] * rk)) for r in S[new].tolist()]
-    return [tuple(map(rows.__getitem__, m)) for m in idx.tolist()]
-
-
 def k_dets(K, A):
     """Determinants over K of a stack of square matrices, A an (N, n, n,
     rank) int array of row-major entries: (N, rank).  The minors on the
@@ -443,15 +420,39 @@ def isometry_search(K, V, B, G, pools):
             parts.append(np.column_stack([F[lo + r], cand[c]]))
         F = np.concatenate(parts)
     kgram = G.reshape(n, n, W // rk, rk).sum(axis=2) % kmod
-    if k_mat_inv(K, [[tuple(e) for e in row] for row in kgram.tolist()]) is not None:
-        for M in k_matrices(V, F[:12], rk):
-            if k_mat_inv(K, M) is None:
-                raise AssertionError("a leaf of an invertible Gram matrix is singular")
-        return F
+    regular = k_mat_inv(K, [[tuple(e) for e in row] for row in kgram.tolist()]) is not None
+    leaves = F[:12] if regular else F
     # a matrix over a commutative ring is invertible iff its det is a unit;
     # rows of V[F] are the columns, and the transpose has the same det
-    dets = k_dets(K, V[F].reshape(len(F), n, n, rk))
+    dets = k_dets(K, V[leaves].reshape(len(leaves), n, n, rk))
     vals, inv = np.unique(dets, axis=0, return_inverse=True)
     unit = np.array([K.try_invert(tuple(v)) is not None for v in vals.tolist()],
-                    dtype=bool)
-    return F[unit[inv.reshape(-1)]]
+                    dtype=bool)[inv.reshape(-1)]
+    if regular and not unit.all():
+        raise AssertionError("a leaf of an invertible Gram matrix is singular")
+    return F if regular else F[unit]
+
+
+def form_isometries(K, B, G, supports, q, cap):
+    """The isometries of a form on K^n, found by isometry_search (B and G
+    as it takes them): (V, F), column t of leaf r the flat row V[F[r, t]].
+
+    Column t is drawn from the vectors supported on the rows supports[t]
+    (a tuple), one support_pool block per distinct support, and, when q
+    maps flat rows to their K values, only from the v with q(v) = q(e_t).
+    A support of more than cap vectors raises CapacityError."""
+    n, rk = len(G), K.rank
+    ktab = SlotRing(K).ktab
+    span, blocks = {}, []
+    for rows in supports:
+        if K.card ** len(rows) > cap:
+            raise CapacityError("column pool of %d vectors" % K.card ** len(rows))
+        if rows not in span:
+            lo = sum(map(len, blocks))
+            blocks.append(support_pool(ktab, n, rows))
+            span[rows] = np.arange(lo, lo + len(blocks[-1]))
+    V = np.concatenate(blocks) if blocks else np.zeros((0, n * rk), dtype=np.int64)
+    ok = np.ones((len(V), n), dtype=bool) if q is None else (
+        q(V)[:, None] == q(np.kron(np.eye(n, dtype=np.int64), K.one()))).all(axis=-1)
+    return V, isometry_search(K, V, B, G, [span[rows][ok[span[rows], t]]
+                                           for t, rows in enumerate(supports)])

@@ -39,8 +39,8 @@ the comparison map from another, and Theta membership as one span test
 against the residue, a third quadratic map.
 
 The automorphisms of a module, which the comparison holds both unitary
-groups against, come from linalg.isometry_search, the one column search
-that the presets of unitary share.
+groups against, come from linalg.form_isometries, the one column search
+that the presets of unitary share; both groups are sorted matrix arrays.
 
 Elements of L and R share one concrete carrier (tuples over K, two of
 them glued for the linear kind); A-values are plain K elements with the
@@ -59,9 +59,8 @@ from .coeff_ring import (CapacityError, Product, StructureError, _basis, _mixed_
                          parse_ring)
 from .form_ring import (ParamTable, SplitAlgebra, _dict_add, _dict_kmul, _dict_neg, ofalin,
                         ofaorth, ofasymp)
-from .linalg import (GraphForm, KSolver, howell_card, howell_form, howell_span,
-                     isometry_search, k_identity, k_mat_inv, k_matrices, k_matmul,
-                     support_pool, unflat, vflat)
+from .linalg import (GraphForm, KSolver, form_isometries, howell_card, howell_form,
+                     howell_span, k_identity, k_mat_inv, k_matmul, unflat, vflat)
 from .odd_form_param import DeltaShape
 
 _SCAN_CAP = 1 << 16
@@ -705,12 +704,19 @@ def unitary_of_module(M, g):
     return g
 
 
+def _lex_sorted(A):
+    """The stack A of int rows or (n, n, rk) matrices, rows first, in
+    lexicographic order of its entries: the order sorted() gives tuples."""
+    return A[np.lexsort(A.reshape(len(A), -1).T[::-1])]
+
+
 def enumerate_module_unitary(M, cap=_SCAN_CAP):
-    """All pairing- and q-preserving automorphisms, sorted: the column
-    search linalg.isometry_search on flat Z-coordinates, label-major.  B
-    is b_form at pairs of Z-basis vectors; q is quadratic over Z, so
-    _QuadraticMap reads it off q_form.  Column b draws from the vectors
-    supported on the rows entry_ok allows there, with q(v) = q(e_b)."""
+    """All pairing- and q-preserving automorphisms, as one sorted (N, n,
+    n, rk) int64 array (see _lex_sorted): linalg.form_isometries on
+    flat Z-coordinates, label-major.  B is b_form at pairs of Z-basis
+    vectors; q is quadratic over Z, so _QuadraticMap reads it off q_form.
+    Column b draws from the vectors supported on the rows entry_ok allows
+    there, each such block of at most cap vectors."""
     K, qt = M.K, M.qtype
     n, rk, W = len(M.labels), K.rank, qt.R.rank
     kmod = np.array(K.moduli, dtype=np.int64)
@@ -724,20 +730,10 @@ def enumerate_module_unitary(M, cap=_SCAN_CAP):
         return M.q_form(dict(zip(M.labels, unflat(row, rk))))
 
     q = _QuadraticMap(q_at, np.tile(kmod, n), kmod)
-    ktab = np.array(list(K.elements()), dtype=np.int64).reshape(K.card, rk)
-    blocks, V, pools = {}, [], []
-    for b in M.labels:
-        rows = tuple(i for i, a in enumerate(M.labels) if M.entry_ok(a, b))
-        if K.card ** len(rows) > cap:
-            raise CapacityError("column pool over %d" % (K.card ** len(rows)))
-        if rows not in blocks:
-            blk = support_pool(ktab, n, rows)
-            blocks[rows] = (sum(map(len, V)), q(blk))
-            V.append(blk)
-        off, qv = blocks[rows]
-        pools.append(off + np.nonzero((qv == M.qvals[b]).all(axis=-1))[0])
-    V = np.concatenate(V)
-    return k_matrices(V, isometry_search(K, V, B, G, pools), rk, sort=True)
+    supports = [tuple(i for i, a in enumerate(M.labels) if M.entry_ok(a, b)) for b in M.labels]
+    V, F = form_isometries(K, B, G, supports, q, cap)
+    # column t of a leaf is V[f[t]]; the matrix takes it as its column
+    return _lex_sorted(V[F].reshape(len(F), n, n, rk).transpose(0, 2, 1, 3))
 
 
 # -- adjoint-pair construction ----------------------------------------------
@@ -753,8 +749,7 @@ def _span_rows(mvec, gens, cap):
     H = howell_form(gens, mods)
     if howell_card(H, mods) > max(cap, 1):
         raise CapacityError("span closure past %d" % cap)
-    rows = howell_span(H, mods)
-    return rows[np.lexsort(rows.T[::-1])]
+    return _lex_sorted(howell_span(H, mods))
 
 
 class _QuadraticMap:
@@ -1026,7 +1021,8 @@ class NaiveConstruction:
         return np.concatenate([t.astype(rhs.dtype)[inv], z, w], axis=1)
 
     def unitary_elements(self):
-        """Action matrices y of the unitary elements of (T, Xi).
+        """Action matrices y of the unitary elements of (T, Xi), as one
+        sorted array, in the form of enumerate_module_unitary.
 
         x y = 1 is the one product checked.  x and y are square matrices
         over the finite commutative K, so their ring is finite, where
@@ -1041,13 +1037,11 @@ class NaiveConstruction:
         U = T[(self._quad()[0](T) == one).all(axis=1)]
         xm1, ym1 = np.split((U - np.tile(one, 2)) % self._tmod(), 2, axis=1)
         Y = U[self._xi_mask(np.concatenate([xm1, ym1, ym1, xm1], axis=1)), d * rk:]
-        # the full matrices, then their columns as k_matrices takes them
         pos = self.M.pos
         full = np.zeros((len(Y), n, n, rk), dtype=np.int64)
         full[:, [pos[a] for a, _ in self.entries], [pos[b] for _, b in self.entries]] = (
             Y.reshape(len(Y), d, rk))
-        cols = full.transpose(0, 2, 1, 3).reshape(len(Y) * n, n * rk)
-        return k_matrices(cols, np.arange(len(Y) * n).reshape(len(Y), n), rk, sort=True)
+        return _lex_sorted(full)
 
 
 def naive_construction(M, cap=_SCAN_CAP):
@@ -1556,7 +1550,7 @@ def naive_canon_check(M, seed=0, samples=100, cap=_SCAN_CAP):
     nu = N.unitary_elements()
     report["unitary_order"] = len(mu)
     report["naive_unitary_order"] = len(nu)
-    report["unitary_match"] = mu == nu
+    report["unitary_match"] = np.array_equal(mu, nu)
 
     report["pass"] = all(
         report[k]

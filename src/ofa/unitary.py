@@ -20,7 +20,7 @@ their stabilizer groups, and exhaustive enumeration.
 Enumeration has one candidate generator and one membership pass.  The
 split form on K^d (b, and q for the orthogonal presets) is written as
 integer tensors, its isometries M come from the one column search of
-linalg (isometry_search, which quad_module shares), and beta = M - 1, or
+linalg (form_isometries, which quad_module shares), and beta = M - 1, or
 over the odd orthogonal preset every preimage of M - 1 under rep_odd:
 the group acts on K^d by such isometries, so no member is missed.  Every
 candidate batch passes one mask, unitality plus the Delta read of (beta,
@@ -30,7 +30,8 @@ per shape and verified as array work: distinct rows, bar beta listed for
 every row, and 144 seeded products.  No element object is kept: a
 UnitaryGroup over the array builds one when it is indexed, the
 invariants read the array, and group_to_json reads every gamma in one
-batch.
+batch.  generate_subgroup closes a subgroup into the same kind of array,
+by batched products one breadth-first level at a time.
 """
 
 import random
@@ -41,7 +42,7 @@ import numpy as np
 from .coeff_ring import CapacityError, Product, SlotRing, StructureError, _basis, _mixed_radix
 from .form_ring import ofalin, ofaorth, x_central
 from .form_ring import alg_el_from_json
-from .linalg import form_rows, isometry_search, k_dets, k_solve, support_pool
+from .linalg import form_isometries, form_rows, k_dets, k_solve
 from .odd_form_param import (
     DeltaShape,
     central_u,
@@ -751,45 +752,25 @@ def _split_form(bo):
     return bo.reduce(B.reshape(D, D, rk)), Q.reshape(D, D, rk)
 
 
-def _pool(bo):
-    """Candidate columns, (Np, d * rk) flat: all of K^d, or for the linear
-    preset the vectors supported on one sign of indices."""
-    q, d = bo.K.card, bo.d
-    lin = bo.alg.kind == "lin"
-    k = d // 2 if lin else d
-    size = 2 * q ** k - 1 if lin else q ** k
-    if size > _POOL_CAP:
-        raise CapacityError("column pool of %d vectors" % size)
-    if not lin:
-        return support_pool(bo.ktab, d, range(d))
-    # negative indices come first; both halves start with the zero vector
-    return np.concatenate([support_pool(bo.ktab, d, range(k)),
-                           support_pool(bo.ktab, d, range(k, d))[1:]])
-
-
 def _isometries(bo):
     """Every M over K with b(M e_s, M e_t) = G[s, t] and, for the
-    orthogonal presets, q(M e_t) = q(e_t), by linalg.isometry_search.
+    orthogonal presets, q(M e_t) = q(e_t), by linalg.form_isometries.  A
+    column of the linear preset keeps to the sign of its index; the other
+    presets draw every column from all of K^d.
 
     Returns (vecs, F): column t of leaf r is vecs[F[r, t]].
     """
-    alg = bo.alg
+    alg, d = bo.alg, bo.d
     B, Q = _split_form(bo)
-    V, E = _pool(bo), _eye(bo).reshape(bo.d, bo.d * bo.rk)
-    vecs = V.reshape(len(V), bo.d, bo.rk)
-    Es, Et = np.repeat(E, bo.d, axis=0), np.tile(E, (bo.d, 1))
-    G = form_rows(Es, B, Et, bo.m).reshape(bo.d, bo.d, bo.rk)
-    qv, qe = form_rows(V, Q, V, bo.m), form_rows(E, Q, E, bo.m)
-    pools = []
-    for t, j in enumerate(alg.indices):
-        ok = np.ones(len(vecs), dtype=bool)
-        if alg.kind == "lin":
-            other = [bo.pos[i] for i in alg.indices if i * j < 0]
-            ok &= (vecs[:, other] == 0).all(axis=(1, 2))
-        if alg.kind == "orth":
-            ok &= (qv == qe[t]).all(axis=-1)
-        pools.append(np.nonzero(ok)[0])
-    return vecs, isometry_search(bo.K, V, B, G, pools)
+    E = _eye(bo).reshape(d, d * bo.rk)
+    G = form_rows(np.repeat(E, d, axis=0), B, np.tile(E, (d, 1)), bo.m).reshape(d, d, bo.rk)
+    if alg.kind == "lin":
+        supports = [tuple(bo.pos[i] for i in alg.indices if i * j > 0) for j in alg.indices]
+    else:
+        supports = [tuple(range(d))] * d
+    q = (lambda X: form_rows(X, Q, X, bo.m)) if alg.kind == "orth" else None
+    V, F = form_isometries(bo.K, B, G, supports, q, _POOL_CAP)
+    return V.reshape(len(V), d, bo.rk), F
 
 
 def _column_betas(bo):
@@ -969,24 +950,39 @@ def group_order(shape):
 
 
 def generate_subgroup(gens, cap=_CLOSURE_CAP):
+    """The subgroup that gens generate, as a UnitaryGroup in key order.
+
+    It is closed one breadth-first level at a time: each new row g and
+    generator s give beta(g s) = g s + g + s, in batches of _CHUNK
+    products, and a product joins the next level when its key words are
+    listed neither before nor earlier in its batch.  Past cap elements
+    this raises CapacityError."""
     if not gens:
         raise StructureError("empty generating set")
     shape = gens[0].shape
-    e = u_identity(shape)
-    seen = {e.key: e}
-    frontier = [e]
-    while frontier:
+    other = {s.shape.tag for s in gens} - {shape.tag}
+    if other:
+        raise StructureError("shape mismatch %s / %s" % (shape.tag, min(other)))
+    alg, bo = shape.alg, BatchOps(shape)
+    S = alg.to_array([s.beta for s in gens])
+    levels = [alg.to_array([alg.zero()])]
+    words = _key_words(alg, levels[0])
+    step = max(1, _CHUNK // len(S))
+    while len(levels[-1]):
         fresh = []
-        for g in frontier:
-            for s in gens:
-                h = u_mul(g, s)
-                if h.key not in seen:
-                    seen[h.key] = h
-                    fresh.append(h)
-                    if len(seen) > cap:
-                        raise CapacityError("closure exceeded %d elements" % cap)
-        frontier = fresh
-    return sorted(seen.values(), key=lambda g: g.key)
+        for lo in range(0, len(levels[-1]), step):
+            G = np.repeat(levels[-1][lo:lo + step], len(S), axis=0)
+            H = np.tile(S, (len(G) // len(S), 1, 1, 1))
+            P = bo.reduce(bo.dmul(G, H) + G + H)
+            Q = _key_words(alg, P)
+            first = np.unique(Q, axis=0, return_index=True)[1]
+            new = first[~_rows_in(words, Q[first])]
+            words = np.concatenate([words, Q[new]])
+            if len(words) > cap:
+                raise CapacityError("closure exceeded %d elements" % cap)
+            fresh.append(P[new])
+        levels.append(np.concatenate(fresh))
+    return UnitaryGroup(shape, np.concatenate(levels)[np.lexsort(words.T[::-1])])
 
 
 def parabolic_generators(shape, family=None):

@@ -3,6 +3,8 @@
 The constructions (quad_module, nilpotent2, clifford) must not reach the
 unitary groups or the Delta batch engine, and unitary must not reach the
 constructions; shared code lives below both, in linalg or coeff_ring.
+Those two bottom layers reach no higher: coeff_ring imports no sibling
+module, and linalg imports coeff_ring alone.
 """
 
 import ast
@@ -18,6 +20,12 @@ FORBIDDEN = {
     "nilpotent2": {"unitary", "batch_delta"},
     "clifford": {"unitary", "batch_delta", "odd_form_param"},
     "unitary": {"quad_module", "nilpotent2"},
+}
+
+# the only siblings a bottom layer may import
+BOTTOM = {
+    "coeff_ring": set(),
+    "linalg": {"coeff_ring"},
 }
 
 
@@ -55,3 +63,8 @@ def test_import_scan_sees_every_form():
 @pytest.mark.parametrize("name", sorted(FORBIDDEN))
 def test_layering(name):
     assert not _imported(name) & FORBIDDEN[name], name
+
+
+@pytest.mark.parametrize("name", sorted(BOTTOM))
+def test_bottom_layers(name):
+    assert _imported(name) <= BOTTOM[name], name

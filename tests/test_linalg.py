@@ -8,10 +8,10 @@ import random
 
 from ofa.linalg import (
     GraphForm, KSolver, howell_card, howell_form, howell_reduce, howell_span,
-    isometry_search, k_dets, k_mat_inv, k_mat_vec, k_matmul, k_matrices,
+    form_isometries, isometry_search, k_dets, k_mat_inv, k_mat_vec, k_matmul,
     k_identity, k_nullspace, k_solve, support_pool, vflat,
 )
-from ofa.coeff_ring import GaloisField, Product, StructureError, ZMod, parse_ring
+from ofa.coeff_ring import CapacityError, GaloisField, Product, StructureError, ZMod, parse_ring
 from test_coeff_ring import _RINGS
 
 
@@ -51,6 +51,35 @@ def test_k_nullspace_zmod6():
     for _ in range(6):
         reach |= {K.add(a, g[0]) for a in reach for g in gens}
     assert reach == {(0,), (3,)}
+
+
+def k_matrices(V, F, rk, sort=False):
+    """Matrices over K as tuples, one per leaf f of F, column t the flat
+    row V[f[t]].  Equal rows share one tuple, so a leaf costs one tuple,
+    not one per entry: a lexsort on the narrowest dtype (a radix sort)
+    numbers the distinct rows, and one tolist reads the leaves.  Row
+    numbers follow the lex order of the rows, so with sort=True one more
+    lexsort over them returns the list sorted() would."""
+    L, n = F.shape
+    A = V[F].reshape(L, n, n, rk).transpose(0, 2, 1, 3).reshape(L * n, n * rk)
+    A = A.astype(np.min_scalar_type(A.max(initial=0)))
+    order = np.lexsort(A.T[::-1]) if n else np.arange(0)
+    S = A[order]
+    new = np.ones(len(S), dtype=bool)
+    new[1:] = (S[1:] != S[:-1]).any(axis=1)
+    idx = np.empty(len(S), dtype=np.int64)
+    idx[order] = np.cumsum(new) - 1
+    idx = idx.reshape(L, n)
+    if sort and n:
+        idx = idx[np.lexsort(idx.T[::-1])]
+    rows = [tuple(zip(*[iter(r)] * rk)) for r in S[new].tolist()]
+    return [tuple(map(rows.__getitem__, m)) for m in idx.tolist()]
+
+
+def mat_tuples(A):
+    """The matrices of an (N, n, n, rk) int array, rows first, as tuples
+    of rows of K elements."""
+    return [tuple(tuple(map(tuple, row)) for row in m) for m in A.tolist()]
 
 
 def k_det(spec, M):
@@ -337,3 +366,27 @@ def test_isometry_search_keeps_the_invertible_leaves(name, n, size):
     keep = [k_mat_inv(K, M) is not None for M in k_matrices(V, leaves, rk)]
     assert 0 < sum(keep) < len(leaves)
     assert F.tolist() == leaves[np.array(keep)].tolist()
+
+
+def test_form_isometries_pools_one_block_per_support():
+    """Columns with one support share its block; q keeps the column-t pool
+    to the v with q(v) = q(e_t); each block alone meets the cap."""
+    K = parse_ring("zmod:3")
+    n = 3
+    B = np.zeros((n, n, 1), dtype=np.int64)
+    G = np.zeros((n, n, 1), dtype=np.int64)
+    supports = [(0, 1), (0, 1), (2,)]
+
+    def q(X):  # x0 x1 + x2^2, with q(e_0) = q(e_1) = 0 and q(e_2) = 1
+        return (X[:, :1] * X[:, 1:2] + X[:, 2:] ** 2) % 3
+
+    V, F = form_isometries(K, B, G, supports, q, cap=9)
+    ktab = np.arange(3)[:, None]
+    assert V.tolist() == np.concatenate([support_pool(ktab, n, (0, 1)),
+                                         support_pool(ktab, n, (2,))]).tolist()
+    qv = q(V)[:, 0]
+    pools = [np.flatnonzero(qv[:9] == 0)] * 2 + [9 + np.flatnonzero(qv[9:] == 1)]
+    assert F.tolist() == isometry_search(K, V, B, G, pools).tolist()
+    assert len(F) and (qv[F] == [0, 0, 1]).all()
+    with pytest.raises(CapacityError, match="^column pool of 9 vectors$"):
+        form_isometries(K, B, G, supports, q, cap=8)

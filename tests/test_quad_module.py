@@ -60,7 +60,7 @@ from ofa.quad_module import (
     unitary_of_module,
 )
 from ofa.unitary import group_order
-from test_linalg import k_det
+from test_linalg import k_det, mat_tuples
 
 F2, F3, Z4 = ZMod(2), ZMod(3), ZMod(4)
 F4 = GaloisField(2, [1, 1, 1])
@@ -350,7 +350,8 @@ def test_naive_unitary_matches_module_scan():
         ("linear", 2, F2),
     ):
         M = split_module(kind, rank, K)
-        assert naive_construction(M).unitary_elements() == enumerate_module_unitary(M)
+        assert mat_tuples(naive_construction(M).unitary_elements()) == mat_tuples(
+            enumerate_module_unitary(M))
 
 
 def test_tensor_square_ring():
@@ -731,7 +732,7 @@ def test_batch_construction_matches_reference_loops():
         assert len(ref_ts) == N.t_card()
         ref_xi = sum(N.wsolver.count(N._w_rhs(x, y)) for x, y in ref_ts)
         assert N.xi_card() == ref_xi, (kind, K.name)
-        assert N.unitary_elements() == _ref_unitary(N), (kind, K.name)
+        assert mat_tuples(N.unitary_elements()) == _ref_unitary(N), (kind, K.name)
         gens = [tuple(g) for g in N.wsolver.nullspace()]
         if gens:
             assert _wnull_vecs(N) == _bfs_span(K, gens, N.cap)
@@ -1039,7 +1040,7 @@ def test_module_unitary_matches_reference_scan():
             got = enumerate_module_unitary(M)
             if len(got) > 800:  # the reference scan takes seconds here
                 continue
-            assert got == _ref_module_unitary(M), (M.tag, name)
+            assert mat_tuples(got) == _ref_module_unitary(M), (M.tag, name)
             compared += 1
     assert compared == 68
 
@@ -1072,16 +1073,25 @@ def test_module_unitary_matches_reference_on_random_tables(name, shape, seed):
     if rank == 3 and K.card > 2:  # K^9 matrices for a zero table
         rank = 2
     M = _random_module(K, kind, rank, random.Random(seed))
-    assert enumerate_module_unitary(M) == _ref_module_unitary(M)
+    assert mat_tuples(enumerate_module_unitary(M)) == _ref_module_unitary(M)
 
 
 def test_module_unitary_singular_gram_keeps_invertible_leaves():
     # B(e0, e0) = 2 = 0 over Z/2: the K-Gram is singular, so leaves that
     # k_mat_inv cannot invert are filtered rather than asserted away
     M = split_module("orthogonal", 3, F2)
-    got = enumerate_module_unitary(M)
+    got = mat_tuples(enumerate_module_unitary(M))
     assert len(got) == 6 and got == _ref_module_unitary(M)
     assert all(k_mat_inv(F2, g) is not None for g in got)
+
+
+def test_module_column_pool_cap_is_per_support_block():
+    """A column of the linear kind keeps to its side: one block of |K|
+    vectors per side, each held to the cap on its own."""
+    got = enumerate_module_unitary(split_module("linear", 1, ZMod(4096)), cap=4096)
+    assert len(got) == 2048
+    with pytest.raises(CapacityError, match="^column pool of 4097 vectors$"):
+        enumerate_module_unitary(split_module("linear", 1, ZMod(4097)), cap=4096)
 
 
 def test_module_unitary_frontier_capacity():

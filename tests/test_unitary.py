@@ -16,7 +16,7 @@ from ofa.cli import main as cli_main
 from ofa.clifford import clif0_center
 from ofa.coeff_ring import CapacityError, Product, StructureError, ZMod, _mixed_radix, parse_ring
 from ofa.form_ring import alg_el_to_json, ofalin, ofaorth, ofasymp, rep_odd
-from ofa.linalg import k_mat_inv, k_matrices
+from ofa.linalg import k_mat_inv
 from ofa.odd_form_param import (
     DeltaShape,
     act_scalar,
@@ -68,7 +68,7 @@ from ofa.unitary import (
 from test_batch_delta import _eps
 from test_clifford import center_split_idempotent
 from test_coeff_ring import _RINGS
-from test_linalg import k_det
+from test_linalg import k_det, k_matrices
 
 F2 = ZMod(2)
 F3 = ZMod(3)
@@ -236,6 +236,15 @@ def test_odd_enumeration_refusals(argv, msg, capsys):
     assert time.perf_counter() - t < 10
     err = capsys.readouterr().err
     assert err.startswith(msg) and err.count("\n") == 1
+
+
+def test_column_pool_cap_is_per_support_block(capsys):
+    """The linear preset draws a column from the vectors on one sign of
+    indices, q^n of them, and holds that block alone to the 4096 cap."""
+    assert cli_main("group order --family lin --n 1 --ring zmod:4096".split()) == 0
+    assert json.loads(capsys.readouterr().out)["report"]["order"] == 2048
+    assert cli_main("group order --family lin --n 1 --ring zmod:4097".split()) == 2
+    assert capsys.readouterr().err == "error: column pool of 4097 vectors\n"
 
 
 def _so_direct_3(K):
@@ -1096,6 +1105,29 @@ def test_json_roundtrip():
         unitary_from_json(s, data)
 
 
+def _closure_reference(gens, cap=1 << 20):
+    """The per-element closure that generate_subgroup batches: right
+    multiplication by each generator, breadth first, keyed by El.key;
+    the elements sorted by key."""
+    if not gens:
+        raise StructureError("empty generating set")
+    e = u_identity(gens[0].shape)
+    seen = {e.key: e}
+    frontier = [e]
+    while frontier:
+        fresh = []
+        for g in frontier:
+            for s in gens:
+                h = u_mul(g, s)
+                if h.key not in seen:
+                    seen[h.key] = h
+                    fresh.append(h)
+                    if len(seen) > cap:
+                        raise CapacityError("closure exceeded %d elements" % cap)
+        frontier = fresh
+    return sorted(seen.values(), key=lambda g: g.key)
+
+
 def _parabolic_generators_reference(shape):
     """The standard family's generators taken whole: every nonzero short
     parameter, and T_j(x . e_j) for every x of Delta0 (the u and
@@ -1143,8 +1175,33 @@ PARABOLIC_CASES = (
 @pytest.mark.parametrize("family,n,ring", PARABOLIC_CASES)
 def test_parabolic_closure_matches_whole_parameter_sets(family, n, ring):
     s = DeltaShape(family_algebra(family, n, parse_ring(ring)))
-    ref = generate_subgroup(_parabolic_generators_reference(s))
+    ref = _closure_reference(_parabolic_generators_reference(s))
     assert [g.key for g in parabolic_p(s)] == [g.key for g in ref]
+
+
+CLOSURE_SHAPES = (sh(ofasymp, 2, F3), sh(ofasymp, 2, Z4), sh(ofaorth, 3, Z4),
+                  sh(ofaorth, 4, F2), sh(ofalin, 2, parse_ring("prod:(zmod:2;zmod:3)")))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(CLOSURE_SHAPES), st.lists(st.integers(0, 1 << 20), min_size=1,
+                                                 max_size=4))
+def test_closure_on_arrays_matches_the_per_element_closure(s, picks):
+    """Random generators of small enumerated groups: the same elements in
+    the same key order; a cap below the closure size refuses."""
+    G = enumerate_unitary(s)
+    gens = [G[p % len(G)] for p in picks]
+    ref = _closure_reference(gens)
+    got = generate_subgroup(gens)
+    assert [g.key for g in got] == [g.key for g in ref]
+    assert len(generate_subgroup(gens, cap=len(ref))) == len(ref)
+    if len(ref) > 1:
+        with pytest.raises(CapacityError, match="^closure exceeded %d elements$" % (len(ref) - 1)):
+            generate_subgroup(gens, cap=len(ref) - 1)
+    other = u_identity(sh(ofaorth, 2, F3))  # a shape of none of the groups
+    for mixed in (gens + [other], [other] + gens):
+        with pytest.raises(StructureError, match="shape mismatch"):
+            generate_subgroup(mixed)
 
 
 def test_transvections_are_additive():
