@@ -317,6 +317,16 @@ def cmd_parabolic(args):
 
 # ---- parser ------------------------------------------------------------
 
+def _at_least(low):
+    """An argparse type: integers >= low."""
+    def integer(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError("%d is not an integer >= %d" % (value, low))
+        return value
+    return integer
+
+
 def _add_family(p, required=True):
     p.add_argument("--family", choices=FAMILIES, required=required)
     p.add_argument("--n", type=int, required=True)
@@ -344,8 +354,8 @@ def build_parser():
     _add_family(p)
     p.add_argument("--mode", choices=("exhaustive", "sampled"),
                    default="exhaustive")
-    p.add_argument("--count", type=int, default=10000)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--count", type=_at_least(1), default=10000)
+    p.add_argument("--seed", type=_at_least(0))
     p.set_defaults(func=cmd_axioms)
 
     grp = sub.add_parser("group").add_subparsers(dest="gcmd", required=True)
@@ -367,8 +377,8 @@ def build_parser():
     for name in ("naive", "canonical", "compare"):
         p = con.add_parser(name)
         _add_family(p)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--samples", type=int, default=100)
+        p.add_argument("--seed", type=_at_least(0))
+        p.add_argument("--samples", type=_at_least(1), default=100)
         p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("hdet")

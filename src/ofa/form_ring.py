@@ -19,13 +19,23 @@ ParamTable is an odd form parameter over any such algebra: the one pair
 law and the one coordinate read.  Its two tables are Delta over a preset
 (odd_form_param.DeltaShape) and Theta over a tensor square
 (quad_module.CanonConstruction).
+
+The same law also runs on batches.  SplitAlgebra multiplies (N, d, d, rk)
+arrays as X C Y, C the d x d matrix of contract weights, and conjugates
+them by one gather plus the signs of invol; ParamTable reads, adds,
+negates, acts and takes phi on (N, dim, rk) coordinate rows, each op
+returning the coordinates and the member mask of its pairs.  A table
+that supplies its residue on arrays (residue_rows) gets the whole batch
+law; K products go through coeff_ring.SlotRing.  Every product meets
+reduced entries and no sum has more than a thousand terms, so on a
+ring inside coeff_ring.RING_CAP (entries below 2^20) int64 holds them all.
 """
 
 import itertools
 
 import numpy as np
 
-from .coeff_ring import CapacityError, StructureError
+from .coeff_ring import CapacityError, SlotRing, StructureError, _basis
 from .linalg import k_nullspace
 
 _ENUM_CAP = 1 << 20
@@ -169,7 +179,9 @@ class SplitAlgebra(SparseAlgebra):
     (N, d, d, rk) int array, d the number of indices: e(i, j) sits at
     row pos[i] and column pos[j], in index order, and apos lists that
     (row, column) for each basis pair.  The pairs are kept sorted, the
-    order of El.key.  to_array and from_array convert between the two.
+    order of El.key.  to_array and from_array convert between the two;
+    mul_rows, conj_rows and kmul_rows are the product, the involution and
+    the K scaling on such batches.
     """
 
     _bad_key = "pair %r not in %s"
@@ -186,6 +198,7 @@ class SplitAlgebra(SparseAlgebra):
         self.pos = {i: t for t, i in enumerate(self.indices)}
         self.apos = np.array([(self.pos[i], self.pos[j]) for i, j in self.pairs],
                              dtype=np.int64).reshape(-1, 2)
+        self._rows = None
 
     def to_array(self, els):
         """The elements as an (N, d, d, rk) int64 array."""
@@ -202,6 +215,41 @@ class SplitAlgebra(SparseAlgebra):
         entries, its El built directly: el would have nothing to check."""
         return [El(self, {key: tuple(v) for key, v in zip(self.pairs, row) if any(v)})
                 for row in A[:, self.apos[:, 0], self.apos[:, 1]].tolist()]
+
+    def row_tables(self):
+        """The tables of the batch ops, built on first use: K's SlotRing,
+        the d x d matrix C of contract weights, and the involution as a
+        gather, the flat (row, column) of each pair, of its image and the
+        image's sign."""
+        if self._rows is None:
+            K, d = self.K, len(self.indices)
+            C = np.zeros((d, d, K.rank), dtype=np.int64)
+            for j, row in self.contract.items():
+                for k, f in row:
+                    C[self.pos[j], self.pos[k]] = f
+            image = [self.invol[key] for key in self.pairs]
+            dst = np.array([self.pos[i] * d + self.pos[j] for (i, j), _ in image], dtype=np.int64)
+            sign = np.array([[-1 if negate else 1] for _, negate in image], dtype=np.int64)
+            self._rows = (SlotRing(K), C, self.apos @ np.array([d, 1]), dst, sign)
+        return self._rows
+
+    def mul_rows(self, X, Y):
+        """The products of two (N, d, d, rk) batches, row by row: X C Y."""
+        ring, C = self.row_tables()[:2]
+        XC = ring.contract(lambda a, b: X[..., a] @ C[..., b])
+        return ring.contract(lambda a, b: XC[..., a] @ Y[..., b])
+
+    def conj_rows(self, X):
+        """The involution of an (N, d, d, rk) batch."""
+        ring, _, src, dst, sign = self.row_tables()
+        flat = X.reshape(len(X), -1, self.K.rank)
+        out = np.zeros_like(flat)
+        out[:, dst] = ring.reduce(flat[:, src] * sign)
+        return out.reshape(X.shape)
+
+    def kmul_rows(self, k, X):
+        """k X for an (N, rk) row of K elements k and an (N, d, d, rk) batch."""
+        return self.row_tables()[0].contract(lambda a, b: k[:, None, None, a] * X[..., b])
 
     def term(self, key):
         return "e(%d,%d)" % key
@@ -438,6 +486,12 @@ class ParamTable:
     (p, residue(p) + sum c_k b_k); a subclass gives the residue.  The
     read takes p's coefficients, s = r - residue(p), c_k = b_k[pos_k]
     s[pos_k], and the pair is a member exactly when s = sum c_k b_k.
+
+    The *_rows methods are the same law on batches: coordinate rows are
+    (N, dim, rk) int arrays, pairs two (N, d, d, rk) arrays in the
+    algebra's layout, and every op returns read_rows of its pairs, the
+    coordinates and the member mask.  They need residue_rows, the residue
+    on a batch.
     """
 
     def __init__(self, alg, pi_pos, aug):
@@ -446,8 +500,12 @@ class ParamTable:
         self.pi_pos = tuple(pi_pos)
         self.aug = tuple((pos, b.coeff(*pos), b) for pos, b in aug)
         self.dim = len(self.pi_pos) + len(self.aug)
+        self._rows = None
 
     def residue(self, p):
+        raise NotImplementedError
+
+    def residue_rows(self, P):
         raise NotImplementedError
 
     def card(self):
@@ -519,6 +577,73 @@ class ParamTable:
         left = alg.add(alg.mul(alg.conj(a), r), alg.kmul(k, r))
         return self._law(alg.add(alg.mul(p, a), alg.kmul(k, p)),
                          alg.add(alg.mul(left, a), alg.kmul(k, left)))
+
+    def row_tables(self):
+        """The flat layout positions of the pi coordinates and of each
+        pos_k, and, over K's Z-basis, the read weights b_k[pos_k] as
+        (slot, slot) blocks and the basis elements b_k as the int matrix
+        of c -> sum c_k b_k."""
+        if self._rows is None:
+            alg, K = self.alg, self.alg.K
+            d, rk, units = len(alg.indices), K.rank, _basis(K)
+
+            def flat(keys):
+                return np.array([alg.pos[i] * d + alg.pos[j] for i, j in keys], dtype=np.int64)
+
+            U = np.array([[K.mul(u, e) for e in units] for _, u, _ in self.aug],
+                         dtype=np.int64).reshape(len(self.aug), rk, rk)
+            B = alg.to_array([alg.kmul(e, b) for _, _, b in self.aug for e in units])
+            self._rows = (flat(self.pi_pos), flat(pos for pos, _, _ in self.aug), U,
+                          B.reshape(len(self.aug) * rk, d * d * rk))
+        return self._rows
+
+    def to_pair_rows(self, X):
+        """The pairs of a batch of coordinate rows."""
+        alg = self.alg
+        ring, d = alg.row_tables()[0], len(alg.indices)
+        pi, _, _, B = self.row_tables()
+        N, rk = len(X), alg.K.rank
+        P = np.zeros((N, d * d, rk), dtype=np.int64)
+        P[:, pi] = X[:, :len(pi)]
+        P = P.reshape(N, d, d, rk)
+        return P, ring.reduce(self.residue_rows(P) + (X[:, len(pi):].reshape(N, -1) @ B)
+                              .reshape(P.shape))
+
+    def read_rows(self, P, R):
+        """Coordinates of a batch of pairs and the mask of its members;
+        the coordinates of a non-member row mean nothing."""
+        ring = self.alg.row_tables()[0]
+        pi, pos, U, B = self.row_tables()
+        N, rk = len(P), self.alg.K.rank
+        s = ring.reduce(R - self.residue_rows(P)).reshape(N, -1, rk)
+        c = ring.reduce((s[:, pos, :, None] * U).sum(axis=2))
+        ok = (ring.reduce((c.reshape(N, -1) @ B).reshape(s.shape)) == s).all(axis=(1, 2))
+        return np.concatenate([P.reshape(N, -1, rk)[:, pi], c], axis=1), ok
+
+    def add_rows(self, X, Y):
+        alg = self.alg
+        ring = alg.row_tables()[0]
+        (P, R), (P2, R2) = self.to_pair_rows(X), self.to_pair_rows(Y)
+        return self.read_rows(ring.reduce(P + P2),
+                              ring.reduce(R - alg.mul_rows(alg.conj_rows(P), P2) + R2))
+
+    def neg_rows(self, X):
+        P, R = self.to_pair_rows(X)
+        return self.read_rows(self.alg.row_tables()[0].reduce(-P), self.alg.conj_rows(R))
+
+    def phi_rows(self, A):
+        ring = self.alg.row_tables()[0]
+        return self.read_rows(np.zeros_like(A), ring.reduce(A - self.alg.conj_rows(A)))
+
+    def act_rows(self, X, A, k):
+        """Right action of A + k, with A an (N, d, d, rk) batch and k an
+        (N, rk) row of K elements."""
+        alg = self.alg
+        ring = alg.row_tables()[0]
+        P, R = self.to_pair_rows(X)
+        left = ring.reduce(alg.mul_rows(alg.conj_rows(A), R) + alg.kmul_rows(k, R))
+        return self.read_rows(ring.reduce(alg.mul_rows(P, A) + alg.kmul_rows(k, P)),
+                              ring.reduce(alg.mul_rows(left, A) + alg.kmul_rows(k, left)))
 
 
 def rep_odd(alg, a):

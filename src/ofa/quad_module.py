@@ -36,7 +36,13 @@ Xi check on flat rows [x|y|z|w] serves membership and the unit filter.
 The theta check of the comparison is one batched call in both modes:
 Xi rows from one batched solve of the w system, their preimages under
 the comparison map from another, and Theta membership as one span test
-against the residue, a third quadratic map.
+against Theta's batch residue.
+
+Theta's sampled laws (canon_relations_check) run on batches too: the
+draws of the per-element loop, in its order, then each law as one array
+pass through form_ring's batch pair law.  The residue on a batch takes
+its diagonal terms from canonical_l, a quadratic map on module
+coordinates, and its cross terms from one batch product conj(P) P.
 
 The automorphisms of a module, which the comparison holds both unitary
 groups against, come from linalg.form_isometries, the one column search
@@ -55,8 +61,8 @@ import itertools
 
 import numpy as np
 
-from .coeff_ring import (CapacityError, Product, StructureError, _basis, _mixed_radix,
-                         parse_ring)
+from .coeff_ring import (CapacityError, Product, SlotRing, StructureError, _basis,
+                         _mixed_radix, parse_ring)
 from .form_ring import (ParamTable, SplitAlgebra, _dict_add, _dict_kmul, _dict_neg, ofalin,
                         ofaorth, ofasymp)
 from .linalg import (GraphForm, KSolver, form_isometries, howell_card, howell_form,
@@ -272,6 +278,7 @@ class QuadModule:
         self.labels = _std_labels(qtype.kind, rank)
         self.pos = {a: i for i, a in enumerate(self.labels)}
         self.gram, self.qvals = self._tables(gram, qvals)
+        self._qmap = None
         self.split = (self.gram, self.qvals) == self._tables(*_split_tables(qtype, rank))
         # elements and the tensor square compare by tag: a module off the
         # split tables names its tables
@@ -382,6 +389,16 @@ class QuadModule:
             acc = qt.a_add(acc, qt.a_act(self.qvals[a], qt.k_lift(c)))
             prefix[a] = c
         return acc
+
+    def q_map(self):
+        """q_form as one _QuadraticMap on flat label-major Z-coordinates
+        (q is quadratic over Z), built on first use."""
+        if self._qmap is None:
+            kmod, rk = self.K.moduli, self.K.rank
+            self._qmap = _QuadraticMap(
+                lambda row: self.q_form(dict(zip(self.labels, unflat(row, rk)))),
+                np.tile(kmod, len(self.labels)), kmod)
+        return self._qmap
 
     def card(self):
         return self.K.card ** len(self.labels)
@@ -714,24 +731,18 @@ def enumerate_module_unitary(M, cap=_SCAN_CAP):
     """All pairing- and q-preserving automorphisms, as one sorted (N, n,
     n, rk) int64 array (see _lex_sorted): linalg.form_isometries on
     flat Z-coordinates, label-major.  B is b_form at pairs of Z-basis
-    vectors; q is quadratic over Z, so _QuadraticMap reads it off q_form.
-    Column b draws from the vectors supported on the rows entry_ok allows
-    there, each such block of at most cap vectors."""
+    vectors and q is M.q_map().  Column b draws from the vectors supported
+    on the rows entry_ok allows there, each such block of at most cap
+    vectors."""
     K, qt = M.K, M.qtype
     n, rk, W = len(M.labels), K.rank, qt.R.rank
-    kmod = np.array(K.moduli, dtype=np.int64)
     units = [M.el({a: e}) for a in M.labels for e in _basis(K)]
     B = np.array([[M.b_form(x, y) for y in units] for x in units],
                  dtype=np.int64).reshape(n * rk, n * rk, W)
     G = np.array([[M.gram.get((a, b), qt.l_zero()) for b in M.labels]
                   for a in M.labels], dtype=np.int64).reshape(n, n, W)
-
-    def q_at(row):
-        return M.q_form(dict(zip(M.labels, unflat(row, rk))))
-
-    q = _QuadraticMap(q_at, np.tile(kmod, n), kmod)
     supports = [tuple(i for i, a in enumerate(M.labels) if M.entry_ok(a, b)) for b in M.labels]
-    V, F = form_isometries(K, B, G, supports, q, cap)
+    V, F = form_isometries(K, B, G, supports, M.q_map(), cap)
     # column t of a leaf is V[f[t]]; the matrix takes it as its column
     return _lex_sorted(V[F].reshape(len(F), n, n, rk).transpose(0, 2, 1, 3))
 
@@ -759,11 +770,16 @@ class _QuadraticMap:
     evaluated on a whole stack of rows at once:
 
         fn(t) = sum t_i f_i + sum_{i<j} t_i t_j b_ij + sum C(t_i, 2) b_ii
+
+    The rows it is called on are reduced.  Its second-degree sums are taken
+    mod the lcm of omod before they meet a second factor, so no int64 sum
+    overflows on a ring inside coeff_ring.RING_CAP.
     """
 
     def __init__(self, fn, dmod, omod):
         dmod = np.asarray(dmod, dtype=np.int64)
         self.omod = np.asarray(omod, dtype=np.int64)
+        self.lcm = np.lcm.reduce(self.omod, initial=1)
         n = len(dmod)
         eye = np.eye(n, dtype=np.int64)
 
@@ -784,9 +800,9 @@ class _QuadraticMap:
 
     def __call__(self, rows):
         rows = np.asarray(rows, dtype=np.int64)
-        acc = rows @ self.f + (rows * (rows - 1) // 2) @ self.bii
+        acc = rows @ self.f + (rows * (rows - 1) // 2 % self.lcm) @ self.bii
         for i, b in enumerate(self.bij):
-            acc += rows[:, i:i + 1] * (rows[:, i + 1:] @ b)
+            acc += rows[:, i:i + 1] * (rows[:, i + 1:] @ b % self.lcm)
         return acc % self.omod
 
 
@@ -1085,10 +1101,12 @@ class CanonConstruction(ParamTable):
     each free column slot t, then the free l slot of each t and the cross
     coefficients of each slot pair t < s, with basis elements from
     f_embed.  The residue of p, with m_t the coefficients in slot t, is
-    sum_t f_embed(t, t, canonical_l(m_t)) - sum_{t<s} conj(col_t) col_s."""
+    sum_t f_embed(t, t, canonical_l(m_t)) - sum_{t<s} conj(col_t) col_s,
+    on batches residue_rows."""
 
     def __init__(self, M):
         self.M = M
+        self._embed = None
         K = self.K = M.K
         qt = self.qtype = M.qtype
         S = self.S = canon_algebra(M)
@@ -1156,6 +1174,60 @@ class CanonConstruction(ParamTable):
             r = S.add(r, self.f_embed(t, t, self.canonical_l(m)))
         return r
 
+    def embed_tables(self):
+        """The tables of the batch residue and box, built on first use:
+        colpos[t, i], the flat layout position of label i in column slot
+        t; fe, f_embed(t, s, l) as the int matrix on rows (t, s, slot of
+        l); upper, the layout mask of the positions where conj(col_t)
+        col_s lands with t before s, row jslot(i, t) and column jslot(k, s)
+        since conj(e(i, j)) = +-e(j, i); and canonical_l as a _QuadraticMap
+        on module coordinates."""
+        if self._embed is None:
+            M, S, K, R = self.M, self.S, self.K, self.qtype.R
+            d, nt = len(S.indices), len(self.n_labels)
+            colpos = np.array([[S.pos[i] * d + S.pos[self.jslot(i, t)] for i in M.labels]
+                               for t in self.n_labels], dtype=np.int64).reshape(nt, -1)
+            fe = S.to_array([self.f_embed(t, s, u) for t in self.n_labels
+                             for s in self.n_labels for u in _basis(R)])
+            slot = np.zeros(d, dtype=np.int64)
+            slot[colpos % d] = np.arange(nt)[:, None]
+            lmap = _QuadraticMap(
+                lambda row: self.canonical_l(dict(zip(M.labels, unflat(row, K.rank)))),
+                np.tile(K.moduli, len(M.labels)), R.moduli)
+            self._embed = (colpos, fe.reshape(nt * nt * R.rank, -1),
+                           slot[:, None] < slot[None, :], lmap)
+        return self._embed
+
+    def residue_rows(self, P):
+        """The residue of each pair of an (N, d, d, rk) batch: the diagonal
+        terms through fe, the cross terms as the upper positions of
+        conj(P) P."""
+        colpos, fe, upper, lmap = self.embed_tables()
+        S, N, nt = self.S, len(P), len(self.n_labels)
+        m = P.reshape(N, -1, self.K.rank)[:, colpos].reshape(N * nt, -1)
+        diag = fe.reshape(nt, nt, self.qtype.R.rank, -1)[np.arange(nt), np.arange(nt)]
+        return S.row_tables()[0].reduce(
+            (lmap(m).reshape(N, -1) @ diag.reshape(-1, fe.shape[1])).reshape(P.shape)
+            - S.mul_rows(S.conj_rows(P), P) * upper[..., None])
+
+    def relations_check(self, count=100, seed=0):
+        """The sampled laws of the box pairing: the sorted names of the laws
+        some sample breaks.  A sample draws, from random.Random(seed), two
+        left factors (m, l) in the form parameter, a combination n of free
+        slots, r in R, k in K, l in L and s in S.  The samples are drawn in
+        chunks of _CHUNK, in the order the per-element loop draws them,
+        and each law is one array pass over a chunk (_BoxRows).  A left
+        factor outside the form parameter raises StructureError and a pair
+        off the table AssertionError, whichever a sample meets first."""
+        import random
+
+        rng = random.Random(seed)
+        rows = _BoxRows(self)
+        bad = set()
+        for start in range(0, count, _CHUNK):
+            bad |= rows.failures(rows.draw(rng, min(_CHUNK, count - start)))
+        return sorted(bad)
+
     def box(self, h, n):
         """Image of a form-parameter element under - (x) n for n a free
         combination of column slots with R coefficients."""
@@ -1181,6 +1253,171 @@ class CanonConstruction(ParamTable):
 
 def canonical_construction(M):
     return CanonConstruction(M)
+
+
+# draws per array pass of relations_check: its memory does not grow with count
+_CHUNK = 1024
+
+
+class _BoxRows:
+    """The box pairing of a CanonConstruction, and the module arithmetic its
+    laws use, on batches.  K elements are int rows over K's slots, L and R
+    elements rows over R's slots, module elements (N, labels, rk) arrays
+    and slot combinations (N, free slots, R slots) arrays, zero on the
+    slots they leave out.  k_lift, phi_map, r_op, l_inv, the action of R
+    on each label and f_embed are additive, so each is an int matrix read
+    off at basis vectors; K products go through SlotRing, on reduced
+    entries as in form_ring.
+    """
+
+    def __init__(self, C):
+        M, qt, K, S = C.M, C.qtype, C.K, C.S
+        self.C, self.ring = C, SlotRing(K)
+        self.ktab = np.array(list(K.elements()), dtype=np.int64).reshape(K.card, K.rank)
+        self.rtab = np.array(list(qt.R.elements()), dtype=np.int64).reshape(qt.R.card, -1)
+        ru, one, zero = _basis(qt.R), K.one(), K.zero()
+
+        def table(fn, units):
+            return np.array([fn(u) for u in units], dtype=np.int64).reshape(len(units), -1)
+
+        self.klift, self.phi = table(qt.k_lift, _basis(K)), table(qt.phi_map, ru)
+        self.rop, self.linv = table(qt.r_op, ru), table(qt.l_inv, ru)
+        # r -> the coefficient of mact(e_a, r) at a, one block per label a
+        self.act = np.array([table(lambda r: M.mact({a: one}, r).get(a, zero), ru)
+                             for a in M.labels])
+        self.gram = np.array([[M.gram.get((a, b), qt.l_zero()) for b in M.labels]
+                              for a in M.labels], dtype=np.int64).reshape(
+                                  len(M.labels), len(M.labels), -1)
+        self.colpos, self.fe = C.embed_tables()[:2]
+
+    def red(self, X):
+        """X reduced: an array of K elements, of R elements or of any run
+        of K elements along its last axis."""
+        return self.ring.reduce(X.reshape(X.shape[:-1] + (-1, self.ring.rk))).reshape(X.shape)
+
+    def kmul(self, X, Y):
+        return self.ring.contract(lambda a, b: X[..., a] * Y[..., b])
+
+    def rmul(self, X, Y):
+        """R products: K products block by block (R is K or K x K)."""
+        rk = self.ring.rk
+        Z = self.kmul(X.reshape(X.shape[:-1] + (-1, rk)), Y.reshape(Y.shape[:-1] + (-1, rk)))
+        return Z.reshape(Z.shape[:-2] + (-1,))
+
+    def sand(self, r, l, r2):
+        """l_sand: r^op l r2."""
+        return self.rmul(self.rmul(self.red(r @ self.rop), l), r2)
+
+    def q(self, m):
+        return self.C.M.q_map()(m.reshape(len(m), -1))
+
+    def member(self, h):
+        """lparam_member: q(m) + phi(l) = 0."""
+        m, l = h
+        return ~self.red(self.q(m) + l @ self.phi).any(axis=1)
+
+    def lpar(self, m, e):
+        """The left factor with module part m whose L part the per-element
+        loop draws: -q(m), the drawn l (symplectic) or (d, -q(m) - d)
+        for the drawn d (linear); e indexes the draw."""
+        kind = self.C.qtype.kind
+        if kind == "symplectic":
+            return m, self.rtab[e]
+        q = self.red(-self.q(m))
+        if kind == "orthogonal":
+            return m, q
+        return m, np.concatenate([self.ktab[e], self.red(q - self.ktab[e])], axis=1)
+
+    def heis_add(self, h, h2):
+        (m, l), (m2, l2) = h, h2
+        w = self.red(self.kmul(m[:, :, None], m2[:, None]) @ self.klift)
+        b = self.rmul(w, self.gram).sum(axis=(1, 2))
+        return self.red(m + m2), self.red(l - b + l2)
+
+    def mact(self, m, r):
+        return self.kmul(m, self.red(np.einsum("...j,ajc->...ac", r, self.act)))
+
+    def rho(self, l, n):
+        """sum over free slots t, s of f_embed(t, s, n_t^op l n_s)."""
+        N, S = len(l), self.C.S
+        x = self.sand(n[:, :, None], l[:, None, None], n[:, None])
+        return self.red(x.reshape(N, -1) @ self.fe).reshape(
+            N, len(S.indices), len(S.indices), -1)
+
+    def box(self, h, n):
+        """box(h, n) on rows: p = sum_t col(m n_t, t) and rho(l, n), then
+        one read; the coordinates and the member mask."""
+        m, l = h
+        N, d = len(m), len(self.C.S.indices)
+        P = np.zeros((N, d * d, m.shape[2]), dtype=np.int64)
+        P[:, self.colpos] = self.mact(m[:, None], n)
+        return self.C.read_rows(P.reshape(N, d, d, -1), self.rho(l, n))
+
+    def draw(self, rng, N):
+        """N samples of int draws, one row each, in the per-element order:
+        two left factors (an index into K per label, then one more for the
+        symplectic l or the linear d), a coin per free slot and an index
+        into R after each 1 (-1 after a 0), then r, k, l and one index into
+        K per pair of S."""
+        C, rr = self.C, rng.randrange
+        nk, nr = len(self.ktab), len(self.rtab)
+        w = len(C.M.labels) + (C.qtype.kind != "orthogonal")
+        rows = []
+        for _ in range(N):
+            row = [rr(nk) for _ in range(2 * w)]
+            row += [rr(nr) if rr(2) else -1 for _ in C.n_labels]
+            row += [rr(nr), rr(nk), rr(nr)]
+            row += [rr(nk) for _ in C.S.pairs]
+            rows.append(row)
+        return np.array(rows, dtype=np.int64)
+
+    def failures(self, D):
+        """The laws some row of the draws D breaks.  Raises as the first
+        sample to leave the form parameter or the table would."""
+        C, S = self.C, self.C.S
+        N, nl, nt = len(D), len(C.M.labels), len(C.n_labels)
+        w = nl + (C.qtype.kind != "orthogonal")
+        u, u2 = (self.lpar(self.ktab[D[:, j:j + nl]], D[:, j + nl] if w > nl else None)
+                 for j in (0, w))
+        o = 2 * w
+        n = self.rtab[np.maximum(D[:, o:o + nt], 0)] * (D[:, o:o + nt, None] >= 0)
+        r, k, l = self.rtab[D[:, o + nt]], self.ktab[D[:, o + nt + 1]], self.rtab[D[:, o + nt + 2]]
+        s = np.zeros((N, len(S.indices), len(S.indices), self.ring.rk), dtype=np.int64)
+        s[:, S.apos[:, 0], S.apos[:, 1]] = self.ktab[D[:, o + nt + 3:]]
+        uu = self.heis_add(u, u2)
+        ur = (self.mact(u[0], r), self.sand(r, u[1], r))
+        h = (np.zeros_like(u[0]), self.red(l - l @ self.linv))
+        (b_uu, ok_uu), (b1, ok1), (b2, ok2) = self.box(uu, n), self.box(u, n), self.box(u2, n)
+        b_sum, ok_sum = C.add_rows(b1, b2)
+        (b_ur, ok_ur), (b_rn, ok_rn) = self.box(ur, n), self.box(u, self.rmul(r[:, None], n))
+        (b_h, ok_h), (phi_x, ok_phx) = self.box(h, n), C.phi_rows(self.rho(l, n))
+        act_b, ok_act = C.act_rows(b1, np.zeros_like(s), k)
+        b_nk, ok_nk = self.box(u, self.rmul(n, self.red(k @ self.klift)[:, None]))
+        phi_s, ok_phs = C.phi_rows(s)
+        act_phi, ok_actphi = C.act_rows(phi_s, np.zeros_like(s), k)
+        phi_ks, ok_phks = C.phi_rows(S.kmul_rows(self.kmul(k, k), s))
+        left = StructureError("left factor outside the form parameter")
+        off = AssertionError("the pair law left the table")
+        events = [(left, self.member(uu)), (off, ok_uu), (left, self.member(u)), (off, ok1),
+                  (left, self.member(u2)), (off, ok2), (off, ok_sum),
+                  (left, self.member(ur)), (off, ok_ur), (off, ok_rn),
+                  (left, self.member(h)), (off, ok_h), (off, ok_phx), (off, ok_act),
+                  (off, ok_nk), (off, ok_phs), (off, ok_actphi), (off, ok_phks)]
+        broken = ~np.array([ok for _, ok in events])
+        if broken.any():
+            raise events[broken[:, broken.any(axis=0).argmax()].argmax()][0]
+
+        def differ(X, Y):
+            return (X != Y).any(axis=(1, 2))
+
+        laws = (("box additive on the left", differ(b_uu, b_sum)),
+                ("box balanced over R", differ(b_ur, b_rn)),
+                ("box of a trace-zero pair", differ(b_h, phi_x)),
+                ("scalar action on a box", differ(act_b, b_nk)),
+                ("scalar action on phi", differ(act_phi, phi_ks)),
+                ("phi lands in the augmentation part",
+                 phi_s[:, :len(C.pi_pos)].any(axis=(1, 2))))
+        return {name for name, fail in laws if fail.any()}
 
 
 # -- identification with the preset algebras --------------------------------
@@ -1316,63 +1553,9 @@ def canon_preset_check(M, count=200, seed=0, cap=_SCAN_CAP):
 
 
 def canon_relations_check(M, count=100, seed=0):
-    """Sampled structural laws of the box pairing; returns failures."""
-    import random
-
-    rng = random.Random(seed)
-    C = canonical_construction(M)
-    M_, qt, K = C.M, C.qtype, C.K
-    rels = list(qt.R.elements())
-    kel = list(K.elements())
-    bad = set()
-
-    def rand_lpar():
-        m = M_.sample(rng)
-        q = M_.q_form(m)
-        if qt.kind == "symplectic":
-            l = rels[rng.randrange(len(rels))]
-        elif qt.kind == "orthogonal":
-            l = K.neg(q)
-        else:
-            d = kel[rng.randrange(len(kel))]
-            l = qt.R.join((d, K.sub(K.neg(q), d)))
-        return HeisElem(M_, m, l)
-
-    def rand_n():
-        return {
-            t: rels[rng.randrange(len(rels))]
-            for t in C.n_labels
-            if rng.randrange(2)
-        }
-
-    for _ in range(count):
-        u, u2 = rand_lpar(), rand_lpar()
-        n = rand_n()
-        r = rels[rng.randrange(len(rels))]
-        k = kel[rng.randrange(len(kel))]
-        if C.box(heis_add(M_, u, u2), n) != C.add(C.box(u, n), C.box(u2, n)):
-            bad.add("box additive on the left")
-        rn = {t: qt.R.mul(r, v) for t, v in n.items()}
-        if C.box(heis_act(M_, u, r), n) != C.box(u, rn):
-            bad.add("box balanced over R")
-        # phi of a sandwich matches the box of a trace-zero pair
-        l = rels[rng.randrange(len(rels))]
-        h = HeisElem(M_, {}, qt.l_sub(l, qt.l_inv(l)))
-        x = C.S.zero()
-        for t, rt in n.items():
-            for s, rs in n.items():
-                x = C.S.add(x, C.f_embed(t, s, qt.l_sand(rt, l, rs)))
-        if C.box(h, n) != C.phi(x):
-            bad.add("box of a trace-zero pair")
-        nk = {t: qt.R.mul(v, qt.k_lift(k)) for t, v in n.items()}
-        if C.act(C.box(u, n), C.S.zero(), k) != C.box(u, nk):
-            bad.add("scalar action on a box")
-        s = C.S.sample(rng)
-        if C.act(C.phi(s), C.S.zero(), k) != C.phi(C.S.kmul(K.mul(k, k), s)):
-            bad.add("scalar action on phi")
-        if C.to_pair(C.phi(s))[0]:
-            bad.add("phi lands in the augmentation part")
-    return sorted(bad)
+    """Sampled structural laws of the box pairing; returns failures.  See
+    CanonConstruction.relations_check."""
+    return canonical_construction(M).relations_check(count, seed)
 
 
 # -- comparison morphism ------------------------------------------------------
@@ -1455,20 +1638,23 @@ class CanonMorphism:
         each up to Ker(F).  (p, r) is in Theta exactly when r - residue(p)
         lies in the augmentation span, so a row hits exactly when
         r0 - residue(p) lies in AugSpan + Ker(F) for some p in p0 + Ker(F):
-        one span test over the batch per kernel element.  The residue is
-        quadratic over Z, so one _QuadraticMap evaluates it."""
+        one span test over the batch per kernel element, with C's
+        residue_rows."""
         C, K = self.C, self.M.K
         S = C.S
         smod = np.tile(K.moduli, len(S.pairs))
         if self._theta is None:
-            def residue(row):
-                return vflat(S.coords(C.residue(S.from_coords(unflat(row, K.rank)))))
-
             gens = [vflat(S.coords(S.kmul(e, b))) for _, _, b in C.aug for e in _basis(K)]
-            self._theta = (_QuadraticMap(residue, smod, smod),
-                           GraphForm([], K.moduli * len(S.pairs), [],
-                                     gens + self.kernel_rows().tolist()))
-        residue, span = self._theta
+            self._theta = GraphForm([], K.moduli * len(S.pairs), [],
+                                    gens + self.kernel_rows().tolist())
+        span, at = self._theta, (slice(None), S.apos[:, 0], S.apos[:, 1])
+
+        def residue(flat):
+            d = len(S.indices)
+            P = np.zeros((len(flat), d, d, K.rank), dtype=np.int64)
+            P[at] = flat.reshape(len(flat), len(S.pairs), K.rank)
+            return C.residue_rows(P)[at].reshape(len(flat), -1)
+
         h = rows.shape[1] // 2
         (tok, p0), (sok, r0) = (self._pre.graph.solve_rows(half)
                                 for half in (rows[:, :h], rows[:, h:]))

@@ -453,6 +453,21 @@ def test_negative_or_huge_rank_exits2(n, cmd, family):
     _run_malformed([family if w == "F" else w for w in cmd] + ["--n", str(n), "--ring", "gf:2"])
 
 
+_SAMPLE_FLAGS = ([(["axioms", "--mode", "sampled"], flag, low)
+                  for flag, low in (("--count", 1), ("--seed", 0))]
+                 + [(["construct", ccmd], flag, low) for ccmd in ("naive", "canonical", "compare")
+                    for flag, low in (("--samples", 1), ("--seed", 0))])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(_SAMPLE_FLAGS), st.integers(1, 10 ** 30), st.sampled_from(FAMILIES))
+def test_count_samples_or_seed_below_the_range_exits2(where, gap, family):
+    """--count and --samples take integers >= 1, --seed integers >= 0:
+    below that the parser refuses, before any work."""
+    cmd, flag, low = where
+    _run_malformed(cmd + ["--family", family, "--n", "1", "--ring", "gf:2", flag, str(low - gap)])
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(st.binary(max_size=24), _MODULE_DOC.map(lambda d: json.dumps(d).encode())),
        st.sampled_from(["extend", "probe", "descend"]))

@@ -27,8 +27,8 @@ from ofa.coeff_ring import (CapacityError, GaloisField, StructureError, ZMod, _b
 from ofa.clifford import CliffordAlg
 from ofa.odd_form_param import DeltaShape, member, to_pair
 from test_coeff_ring import _RINGS
-from ofa.quad_module import (CanonConstruction, QuadModule, QuadType, module_check,
-                             naive_canon_check, split_module)
+from ofa.quad_module import (CanonConstruction, QuadModule, QuadType, canon_algebra,
+                             module_check, naive_canon_check, split_module)
 
 
 def _families(K):
@@ -290,6 +290,78 @@ def test_param_table_law(T, seed):
     assert T.act(T.act(x, a, k), b, l) == T.act(x, ab.body, ab.scalar)
     if isinstance(T, DeltaShape):
         assert member(T, *to_pair(T, x)) == x
+
+
+def _coords(rows):
+    return [tuple(tuple(v) for v in row) for row in rows.tolist()]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([T for T in TABLES if isinstance(T, CanonConstruction)]),
+       st.integers(0, 2 ** 32 - 1))
+def test_param_table_rows_match_the_per_element_law(T, seed):
+    """to_pair, read, add, neg, phi and act on coordinate rows give the
+    per-element results row by row; read's mask is the per-element
+    membership, also on pairs off the table."""
+    rng = random.Random(seed)
+    alg, kel = T.alg, list(T.alg.K.elements())
+    N = rng.randrange(1, 6)
+    xs, ys = [T.sample(rng) for _ in range(N)], [T.sample(rng) for _ in range(N)]
+    els = [alg.sample(rng) for _ in range(N)]
+    ks = [rng.choice(kel) for _ in range(N)]
+    X, Y, A = np.array(xs), np.array(ys), alg.to_array(els)
+    P, R = T.to_pair_rows(X)
+    assert list(zip(alg.from_array(P), alg.from_array(R))) == [T.to_pair(x) for x in xs]
+    for (got, ok), want in (
+            (T.read_rows(P, R), xs),
+            (T.add_rows(X, Y), [T.add(x, y) for x, y in zip(xs, ys)]),
+            (T.neg_rows(X), [T.neg(x) for x in xs]),
+            (T.phi_rows(A), [T.phi(a) for a in els]),
+            (T.act_rows(X, A, np.array(ks)), [T.act(x, a, k) for x, a, k in zip(xs, els, ks)])):
+        assert ok.all() and _coords(got) == want
+    ps, rs = [alg.sample(rng) for _ in range(N)], [alg.sample(rng) for _ in range(N)]
+    got, ok = T.read_rows(alg.to_array(ps), alg.to_array(rs))
+    want = [T.read(p, r) for p, r in zip(ps, rs)]
+    assert ok.tolist() == [w is not None for w in want]
+    assert [g for g, o in zip(_coords(got), ok) if o] == [w for w in want if w is not None]
+
+
+def _row_algebras(K, rng):
+    """The presets and the tensor squares of split and of random tables,
+    whose contraction weights are any elements of K."""
+    out = [ofalin(2, K), ofasymp(2, K), ofaorth(3, K), ofaorth(4, K)]
+    kel = list(K.elements())
+    for kind, rank in (("linear", 2), ("symplectic", 2), ("orthogonal", 3)):
+        qt, labels = QuadType(kind, K), split_module(kind, rank, K).labels
+        gram = {}
+        for a in labels:
+            for b in labels:
+                if kind != "linear":
+                    gram[(a, b)] = rng.choice(kel)
+                elif a * b < 0:
+                    l, z = rng.choice(kel), K.zero()
+                    gram[(a, b)] = qt.R.join((l, z) if a > 0 else (z, l))
+        out += [canon_algebra(split_module(kind, rank, K)),
+                canon_algebra(QuadModule(qt, rank, gram, {}))]
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(_RINGS, st.integers(0, 2 ** 32 - 1))
+def test_batch_product_and_involution_match_the_sparse_ones(K, seed):
+    """mul_rows is X C Y with C the contract weights, conj_rows one gather
+    and the signs of invol, kmul_rows the row-wise K scaling: each agrees
+    with mul, conj and kmul."""
+    rng = random.Random(seed)
+    kel = list(K.elements())
+    for alg in _row_algebras(K, rng):
+        xs, ys = [alg.sample(rng) for _ in range(3)], [alg.sample(rng) for _ in range(3)]
+        ks = [rng.choice(kel) for _ in range(3)]
+        X, Y = alg.to_array(xs), alg.to_array(ys)
+        assert alg.from_array(alg.mul_rows(X, Y)) == [alg.mul(x, y) for x, y in zip(xs, ys)]
+        assert alg.from_array(alg.conj_rows(X)) == [alg.conj(x) for x in xs]
+        assert alg.from_array(alg.kmul_rows(np.array(ks), X)) == [
+            alg.kmul(k, x) for k, x in zip(ks, xs)]
 
 
 def test_el_repr_pinned():

@@ -25,7 +25,10 @@ from ofa.coeff_ring import (
 from ofa.form_ring import ofaorth, ofasymp
 from ofa.linalg import k_identity, k_mat_inv, k_matmul, unflat, vadd, vflat
 from ofa.odd_form_param import DeltaShape, gen_q, gen_u, gen_v
+from ofa import quad_module
 from ofa.quad_module import (
+    CanonConstruction,
+    HeisElem,
     QuadModule,
     QuadType,
     canon_algebra,
@@ -36,6 +39,7 @@ from ofa.quad_module import (
     classical_type,
     enumerate_module_unitary,
     extend_scalars_qm,
+    _QuadraticMap,
     _hdet_poly,
     _span_rows,
     hdet,
@@ -426,6 +430,232 @@ def test_box_relations():
         ("orthogonal", 3, F2),
     ):
         assert canon_relations_check(split_module(kind, rank, K), count=60, seed=0) == []
+
+
+def _relations_reference(C, count, seed):
+    """The per-element loop canon_relations_check ran before its laws
+    became array passes: each sample through El dicts, box and the
+    per-element pair law, drawing from random.Random(seed) as it goes."""
+    rng = random.Random(seed)
+    M_, qt, K = C.M, C.qtype, C.K
+    rels = list(qt.R.elements())
+    kel = list(K.elements())
+    bad = set()
+
+    def rand_lpar():
+        m = M_.sample(rng)
+        q = M_.q_form(m)
+        if qt.kind == "symplectic":
+            l = rels[rng.randrange(len(rels))]
+        elif qt.kind == "orthogonal":
+            l = K.neg(q)
+        else:
+            d = kel[rng.randrange(len(kel))]
+            l = qt.R.join((d, K.sub(K.neg(q), d)))
+        return HeisElem(M_, m, l)
+
+    def rand_n():
+        return {
+            t: rels[rng.randrange(len(rels))]
+            for t in C.n_labels
+            if rng.randrange(2)
+        }
+
+    for _ in range(count):
+        u, u2 = rand_lpar(), rand_lpar()
+        n = rand_n()
+        r = rels[rng.randrange(len(rels))]
+        k = kel[rng.randrange(len(kel))]
+        if C.box(heis_add(M_, u, u2), n) != C.add(C.box(u, n), C.box(u2, n)):
+            bad.add("box additive on the left")
+        rn = {t: qt.R.mul(r, v) for t, v in n.items()}
+        if C.box(heis_act(M_, u, r), n) != C.box(u, rn):
+            bad.add("box balanced over R")
+        # phi of a sandwich matches the box of a trace-zero pair
+        l = rels[rng.randrange(len(rels))]
+        h = HeisElem(M_, {}, qt.l_sub(l, qt.l_inv(l)))
+        x = C.S.zero()
+        for t, rt in n.items():
+            for s, rs in n.items():
+                x = C.S.add(x, C.f_embed(t, s, qt.l_sand(rt, l, rs)))
+        if C.box(h, n) != C.phi(x):
+            bad.add("box of a trace-zero pair")
+        nk = {t: qt.R.mul(v, qt.k_lift(k)) for t, v in n.items()}
+        if C.act(C.box(u, n), C.S.zero(), k) != C.box(u, nk):
+            bad.add("scalar action on a box")
+        s = C.S.sample(rng)
+        if C.act(C.phi(s), C.S.zero(), k) != C.phi(C.S.kmul(K.mul(k, k), s)):
+            bad.add("scalar action on phi")
+        if C.to_pair(C.phi(s))[0]:
+            bad.add("phi lands in the augmentation part")
+    return sorted(bad)
+
+
+def _outcome(check, C, count, seed):
+    """The failure list, or the exception and the text before its first
+    colon: the per-element refusal names the pair, the batch one does not."""
+    try:
+        return check(C, count, seed)
+    except (StructureError, AssertionError) as exc:
+        return type(exc).__name__, str(exc).split(":")[0]
+
+
+def _batched(C, count, seed):
+    return C.relations_check(count, seed)
+
+
+_REL_RINGS = ("zmod:3", "zmod:4", "gf:4", "prod:(zmod:2;zmod:3)", "zmod:9")
+
+
+@pytest.mark.parametrize("kind,rank", [("linear", r) for r in (2, 3, 4, 5)]
+                         + [("symplectic", 2), ("symplectic", 4)]
+                         + [("orthogonal", r) for r in (2, 3, 4, 5)])
+def test_relations_check_matches_the_per_element_loop(kind, rank):
+    for name in _REL_RINGS:
+        C = canonical_construction(split_module(kind, rank, parse_ring(name)))
+        for seed in range(4):
+            count = 2 + seed
+            assert C.relations_check(count, seed) == _relations_reference(C, count, seed) == []
+
+
+def _corrupted(M):
+    """The module's construction with S multiplying through minus its
+    contraction weights: every pair stays on the table, and over the
+    symplectic kind the box stops being additive on the left."""
+    C = canonical_construction(M)
+    C.S.contract = {j: tuple((k, M.K.neg(f)) for k, f in row) for j, row in C.S.contract.items()}
+    return C
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(_REL_RINGS),
+       st.sampled_from((("linear", 1), ("linear", 2), ("symplectic", 2), ("orthogonal", 1),
+                        ("orthogonal", 2), ("orthogonal", 3))),
+       st.sampled_from(("split", "random", "corrupted")),
+       st.integers(0, 2 ** 32 - 1), st.integers(1, 12))
+def test_relations_check_matches_the_loop_on_drawn_seeds(name, shape, table, seed, count):
+    """Equal outcomes on the same draws: the same failures, or the same
+    refusal from the first sample that leaves the form parameter
+    (StructureError) or the table (AssertionError).  Random tables are
+    neither hermitian nor regular, so most refuse; which refusal comes
+    first depends on the draws."""
+    K, (kind, rank) = parse_ring(name), shape
+    M = (_random_module(K, kind, rank, random.Random(seed)) if table == "random"
+         else split_module(kind, rank, K))
+    C = _corrupted(M) if table == "corrupted" else canonical_construction(M)
+    assert _outcome(_batched, C, count, seed) == _outcome(_relations_reference, C, count, seed)
+
+
+def test_relations_check_draws_as_the_loop_across_chunks(monkeypatch):
+    """With chunks of three samples the batched check makes the loop's
+    randrange calls, in the loop's order, and gets the same answers."""
+    tapes = []
+
+    class Tape(random.Random):
+        def __init__(self, seed):
+            super().__init__(seed)
+            self.calls = []
+            tapes.append(self.calls)
+
+        def randrange(self, n):
+            v = super().randrange(n)
+            self.calls.append((n, v))
+            return v
+
+    monkeypatch.setattr(quad_module, "_CHUNK", 3)
+    monkeypatch.setattr(random, "Random", Tape)
+    for kind, rank, name in (("linear", 2, "gf:4"), ("symplectic", 2, "zmod:9"),
+                             ("orthogonal", 3, "prod:(zmod:2;zmod:3)")):
+        C = canonical_construction(split_module(kind, rank, parse_ring(name)))
+        del tapes[:]
+        assert C.relations_check(10, 7) == _relations_reference(C, 10, 7) == []
+        assert len(tapes) == 2 and tapes[0] == tapes[1]
+        assert len(tapes[0]) > 10 * len(C.S.pairs)
+
+
+def test_relations_check_fails_on_a_corrupted_product():
+    """The batched check can fail: S multiplying through -C breaks the
+    left additivity of the box on the symplectic kind, and both paths
+    name that law."""
+    for rank, name in ((2, "zmod:3"), (4, "zmod:3"), (2, "zmod:9"), (2, "gf:3")):
+        C = _corrupted(split_module("symplectic", rank, parse_ring(name)))
+        assert (C.relations_check(30, 0) == _relations_reference(C, 30, 0)
+                == ["box additive on the left"])
+
+
+class _NoCrossResidue(CanonConstruction):
+    """A table whose residue drops -sum_{t<s} conj(col_t) col_s; on rows it
+    runs the per-element residue, so both paths read the same table."""
+
+    def residue(self, p):
+        r = self.S.zero()
+        for t in self.n_labels:
+            m = {i: p.coeff(i, self.jslot(i, t)) for i in self.M.labels}
+            r = self.S.add(r, self.f_embed(t, t, self.canonical_l(m)))
+        return r
+
+    def residue_rows(self, P):
+        return self.S.to_array([self.residue(p) for p in self.S.from_array(P)])
+
+
+class _FlippedAug(CanonConstruction):
+    """A table whose last augmentation basis element is negated while its
+    read weight is kept."""
+
+    def __init__(self, M):
+        super().__init__(M)
+        pos, u, b = self.aug[-1]
+        self.aug = self.aug[:-1] + ((pos, u, self.S.neg(b)),)
+
+
+@pytest.mark.parametrize("table", [_NoCrossResidue, _FlippedAug])
+def test_a_corrupted_table_refuses_alike(table):
+    """Every law is an identity of pairs and the read is one to one, so a
+    corrupted residue or augmentation basis can only make a pair leave
+    the table: both paths raise AssertionError there (or both pass, as
+    the symplectic residue without its cross term does)."""
+    refused = 0
+    for kind, rank, K in (("orthogonal", 2, F3), ("orthogonal", 3, Z4), ("linear", 2, F3),
+                          ("symplectic", 2, F3), ("symplectic", 4, F3)):
+        C = table(split_module(kind, rank, K))
+        got = _outcome(_batched, C, 20, 1)
+        assert got == _outcome(_relations_reference, C, 20, 1), (kind, rank)
+        refused += got == ("AssertionError", "the pair law left the table")
+    assert refused >= 3
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(_REL_RINGS),
+       st.sampled_from((("linear", 2), ("symplectic", 2), ("orthogonal", 2), ("orthogonal", 3))),
+       st.integers(0, 2 ** 32 - 1))
+def test_residue_rows_match_the_residue(name, shape, seed):
+    """The batch residue (diagonal terms through f_embed, cross terms as
+    the upper positions of conj(P) P) is the per-element residue, on
+    split and on random tables."""
+    rng = random.Random(seed)
+    K, (kind, rank) = parse_ring(name), shape
+    for M in (split_module(kind, rank, K), _random_module(K, kind, rank, rng)):
+        C = canonical_construction(M)
+        ps = [C.S.sample(rng) for _ in range(4)]
+        assert C.S.from_array(C.residue_rows(C.S.to_array(ps))) == [C.residue(p) for p in ps]
+
+
+def test_quadratic_map_is_exact_near_the_ring_cap():
+    """A quadratic form in 12 coordinates mod 1048573 = 2^20 - 3: its
+    second-degree sums pass 2^63 unless reduced before the second factor."""
+    m, n = 1048573, 12
+    rng = random.Random(2)
+    c = {(i, j): rng.randrange(m) for i in range(n) for j in range(i, n)}
+
+    def fn(row):
+        return [sum(v * row[i] * row[j] for (i, j), v in c.items()) % m]
+
+    Q = _QuadraticMap(fn, [m] * n, [m])
+    rows = [[m - 1 - rng.randrange(4) for _ in range(n)] for _ in range(5)]
+    assert Q(np.array(rows)).tolist() == [fn(row) for row in rows]
+    C = canonical_construction(split_module("orthogonal", 2, parse_ring("zmod:%d" % m)))
+    ps = [C.S.sample(rng) for _ in range(6)]
+    assert C.S.from_array(C.residue_rows(C.S.to_array(ps))) == [C.residue(p) for p in ps]
 
 
 def test_generator_transport_odd_orthogonal():
