@@ -1,14 +1,12 @@
-"""Vectorized (pi, rho) arithmetic: the one engine for Delta checks.
+"""The axiom table's ops on batches, over the shared array law.
 
-Ring multiplication is SlotRing.contract, the contraction of K's
-structure tensor, which the Clifford spin scan shares.  A sum of
-contractions is taken unreduced and reduced once, by SlotRing.reduce.
-A batch of N algebra elements is an array (N, d, d, rk) in the algebra's
-layout (SplitAlgebra.to_array) and in the narrowest signed dtype that
-holds those sums (coeff_ring.batch_dtype); a Delta batch is the pair of
-its pi and rho arrays.  Every involution sign is read off alg.invol.
-Element equality in Delta is pair equality, which is what the
-coordinate read makes faithful, so every axiom in the shared table
+BatchOps names the ops that odd_form_param.AXIOMS calls, on batches of
+one odd form parameter; each is a call into form_ring: SplitAlgebra's
+product, involution and K scaling, and the table's pair law and read.
+A batch of N algebra elements is an (N, d, d, rk) array in the
+algebra's layout and dtype (coeff_ring.batch_dtype); a parameter batch
+is the pair of its pi and rho arrays.  Element equality is pair
+equality, which the coordinate read makes faithful, so every axiom
 becomes an array identity, and specialness becomes a batch read-back.
 
 The factor layouts of the axiom table (slot_sizes, herm_slots) live here,
@@ -20,7 +18,7 @@ import itertools
 
 import numpy as np
 
-from .coeff_ring import SlotRing, StructureError
+from .coeff_ring import StructureError
 from .form_ring import UnitalEl
 
 
@@ -70,12 +68,14 @@ def slot_sizes(shape, kind):
 
 
 class BatchOps:
+    """The axiom table's ops on batches of one odd form parameter, each a
+    call into the array law of its algebra and table (form_ring)."""
+
     def __init__(self, shape):
         alg = shape.alg
         K = alg.K
-        idx = list(alg.indices)
-        self.d = len(idx)
-        ring = SlotRing(K, self.d)
+        self.d = len(alg.indices)
+        ring = alg.row_tables().ring
         # every array built here is in this dtype, so that no op widens
         # the batches it takes
         dt = self.dtype = ring.dtype
@@ -88,85 +88,22 @@ class BatchOps:
         self.pos = alg.pos
         self.pos0 = self.pos.get(0)
         self.reduce = ring.reduce
-        # bar X at (p, q) reads X at (d-1-q, d-1-p), as conj e(i, j) is
-        # +-e(-j, -i) and pos[-i] = d-1-pos[i].  E is -1 at each (i, j)
-        # that alg.invol negates, read through X's reversed transpose so
-        # that the product runs in X's memory order; none survives mod 2
-        E = np.ones((self.d, self.d), dtype=dt)
-        for (i, j), (_, negate) in alg.invol.items():
-            if negate:
-                E[self.pos[i], self.pos[j]] = -1
-        E = E[::-1, ::-1].T[None, :, :, None]
-        self.E = None if (E == 1).all() or np.all(ring.m == 2) else E
-        # dmul doubles row 0 of its right factor: c_0 = 2 in the product
-        self.w0 = None
-        if self.pos0 is not None:
-            self.w0 = np.ones((1, self.d, 1, 1), dtype=dt)
-            self.w0[0, self.pos0] = 2
         self.ktab = ring.ktab
         self.ttab = np.array(_torsion_list(K), dtype=dt).reshape(-1, self.rk)
-        self.maskpos = np.array([1 if i > 0 else 0 for i in idx],
-                                dtype=dt)[None, :, None, None]
-        # (row, col) of each coordinate as the table reads it: the pi
-        # positions, then the read position of each augmentation basis
-        # element, flagged when that element is phi(e(i,j)) = e(i,j) -
-        # conj e(i,j) rather than e(i,j) alone
-        self.ppos = np.array([(self.pos[i], self.pos[j]) for (i, j) in shape.pi_pos],
-                             dtype=np.int64).reshape(-1, 2)
-        self.dpos = np.array([(self.pos[i], self.pos[j]) for (i, j), _, _ in shape.aug],
-                             dtype=np.int64).reshape(-1, 2)
-        self.dfree = np.array([b != alg.e(*pos) for pos, _, b in shape.aug], dtype=bool)
-        self.apos = alg.apos
-        # the weights of the row-0 correction of _fold, rows reversed
-        self.uw = (np.triu(np.full((self.d, self.d), 2, dtype=dt), 1) + np.eye(
-            self.d, dtype=dt))[None, ::-1, :, None]
         self.hslots = herm_slots(alg)
         self.onevec = np.array(K.one(), dtype=dt)
-
-    # ring and matrix primitives, each one contraction of K's structure
-    # tensor.  The underscored forms return it unreduced (see batch_dtype),
-    # for sums that reduce once at the end; every factor is reduced, up to
-    # the sign of _bar.  Public methods return reduced arrays.
-    def _kscale(self, k, X):
-        return self.ring.contract_raw(lambda a, b: k[:, a, None, None] * X[..., b])
-
-    def _mul(self, X, Y):
-        if self.w0 is not None:
-            Y = Y * self.w0
-        return self.ring.contract_raw(lambda a, b: np.matmul(X[..., a], Y[..., b]))
-
-    def _bar(self, X):
-        """bar X with entries in (-m, m): a view unless a sign is -1."""
-        V = np.swapaxes(X[:, ::-1, ::-1], 1, 2)
-        return V if self.E is None else V * self.E
 
     def kmul(self, x, y):
         return self.ring.contract(lambda a, b: x[:, a] * y[:, b])
 
     def kscale(self, k, X):
-        return self.reduce(self._kscale(k, X))
+        return self.alg.kmul_rows(k, X)
 
     def dmul(self, X, Y):
-        return self.reduce(self._mul(X, Y))
+        return self.alg.mul_rows(X, Y)
 
     def conj(self, X):
-        return self._bar(X) if self.E is None else self.reduce(self._bar(X))
-
-    def _fold(self, P):
-        R0 = -self._mul(self._bar(P), P * self.maskpos)
-        if self.pos0 is not None:
-            kv = P[:, self.pos0]
-            kr = kv[:, ::-1]
-            M = self.ring.contract_raw(lambda a, b: kr[:, :, None, a] * kv[:, None, :, b])
-            R0 -= M * self.uw
-        return R0
-
-    def fold_residue(self, P):
-        return self.reduce(self._fold(P))
-
-    def aug_part(self, P, R):
-        """R minus the fold residue of P: the augmentation part of (P, R)."""
-        return self.reduce(R - self._fold(P))
+        return self.alg.conj_rows(X)
 
     def _zeros(self, n):
         return np.zeros((n, self.d, self.d, self.rk), dtype=self.dtype)
@@ -175,72 +112,47 @@ class BatchOps:
         """The K-elements with indices idx, a trailing slot axis added."""
         return np.take(self.ktab, idx, axis=0)
 
-    def _span(self, vals):
-        """Augmentation element with basis coefficients vals (N, nd, rk),
-        unreduced."""
-        X, V = self._zeros(vals.shape[0]), self._zeros(vals.shape[0])
-        f, v = self.dfree, ~self.dfree
-        X[:, self.dpos[f, 0], self.dpos[f, 1]] = vals[:, f]
-        V[:, self.dpos[v, 0], self.dpos[v, 1]] = vals[:, v]
-        return X - self._bar(X) + V
-
-    def read_aug_ok(self, S):
-        """True where S lies in the span of the augmentation basis."""
-        vals = S[:, self.dpos[:, 0], self.dpos[:, 1]]
-        return (self.reduce(self._span(vals)) == S).all(axis=(1, 2, 3))
-
-    def read(self, P, R):
-        """The coordinates (N, dim, rk) of each pair (P, R), and where the
-        pair lies in Delta: the batch form of member."""
-        S = self.aug_part(P, R)
-        got = np.concatenate([P[:, self.ppos[:, 0], self.ppos[:, 1]],
-                              S[:, self.dpos[:, 0], self.dpos[:, 1]]], axis=1)
-        return got, self.read_aug_ok(S)
+    def dread(self, P, R):
+        """The coordinates and the member mask of each pair: member."""
+        return self.shape.read_rows(P, R)
 
     def read_back_ok(self, idx, P, R):
         """Rows of a delta batch whose (P, R) reads back to the coordinates
         idx it was materialized from."""
-        got, ok = self.read(P, R)
+        got, ok = self.dread(P, R)
         return ok & (got == self._kvals(idx)).all(axis=(1, 2))
 
     # factor materializers; idx is (N, nslots)
     def materialize(self, kind, idx):
         N = idx.shape[0]
         if kind == "delta":
-            vals = self._kvals(idx)
-            nq = self.ppos.shape[0]
-            P = self._zeros(N)
-            P[:, self.ppos[:, 0], self.ppos[:, 1]] = vals[:, :nq]
-            return (P, self.reduce(self._fold(P) + self._span(vals[:, nq:])))
+            return self.shape.to_pair_rows(self._kvals(idx))
         if kind == "alg":
             A = self._zeros(N)
-            A[:, self.apos[:, 0], self.apos[:, 1]] = self._kvals(idx)
+            A[:, self.alg.apos[:, 0], self.alg.apos[:, 1]] = self._kvals(idx)
             return A
         if kind == "ualg":
             return (self.materialize("alg", idx[:, :-1]), self._kvals(idx[:, -1]))
         if kind == "scalar":
             return self._kvals(idx[:, 0])
         if kind == "aug":
-            return (self._zeros(N), self.reduce(self._span(self._kvals(idx))))
+            # the delta factor whose pi coordinates are K.elements()[0] = 0
+            return self.materialize("delta", np.pad(idx, ((0, 0), (len(self.shape.pi_pos), 0))))
         if kind == "herm":
-            A = self._zeros(N)
+            # each rep slot plus its conj, and the self-paired slots
+            A, D = self._zeros(N), self._zeros(N)
             for col, (stype, i, j, _) in enumerate(self.hslots):
-                tab = self.ttab if stype == "tors" else self.ktab
-                val = np.take(tab, idx[:, col], axis=0)
-                A[:, self.pos[i], self.pos[j]] += val
-                if stype == "rep":
-                    (i2, j2), negate = self.alg.invol[(i, j)]
-                    A[:, self.pos[i2], self.pos[j2]] += -val if negate else val
-            return self.reduce(A)
+                (A if stype == "rep" else D)[:, self.pos[i], self.pos[j]] = np.take(
+                    self.ttab if stype == "tors" else self.ktab, idx[:, col], axis=0)
+            return self.reduce(A + self.alg.conj_rows(A, raw=True) + D)
         raise StructureError("unknown factor kind %r" % kind)
 
     # delta ops on (P, R) pairs
     def dadd(self, u, v):
-        return (self.reduce(u[0] + v[0]),
-                self.reduce(u[1] - self._mul(self._bar(u[0]), v[0]) + v[1]))
+        return self.shape.pair_add(u, v)
 
     def dneg(self, u):
-        return (self.reduce(-u[0]), self.conj(u[1]))
+        return self.shape.pair_neg(u)
 
     def dzero_like(self, u):
         return (np.zeros_like(u[0]), np.zeros_like(u[1]))
@@ -252,10 +164,10 @@ class BatchOps:
         return (u[0] == 0).all(axis=(1, 2, 3)) & (u[1] == 0).all(axis=(1, 2, 3))
 
     def daug(self, u):
-        return (u[0] == 0).all(axis=(1, 2, 3)) & self.read_aug_ok(u[1])
+        return self.ais0(u[0]) & self.dread(*u)[1]
 
     def phi(self, A):
-        return (np.zeros_like(A), self.reduce(A - self._bar(A)))
+        return self.shape.pair_phi(A)
 
     def pi(self, u):
         return u[0]
@@ -264,8 +176,7 @@ class BatchOps:
         return u[1]
 
     def act(self, u, al):
-        P, R = u
-        return (self.mul_right_ual(P, al), self.sandwich(al, R))
+        return self.shape.pair_act(u, *al)
 
     def kact(self, k, v):
         return (v[0], self.kscale(k, v[1]))
@@ -294,9 +205,9 @@ class BatchOps:
         return (self.reduce(al[0] + be[0]), self.reduce(al[1] + be[1]))
 
     def ualmul(self, al, be):
-        body = self.reduce(self._mul(al[0], be[0]) + self._kscale(be[1], al[0])
-                           + self._kscale(al[1], be[0]))
-        return (body, self.kmul(al[1], be[1]))
+        """(A + k)(B + l) = A (B + l) + k B, plus kl."""
+        return (self.aadd(self.alg.umul_rows(al[0], *be), self.kscale(al[1], be[0])),
+                self.kmul(al[1], be[1]))
 
     def scalar_ual(self, k):
         return (self._zeros(k.shape[0]), k)
@@ -316,15 +227,14 @@ class BatchOps:
         return self._const_scalar(u, -self.onevec)
 
     def mul_right_ual(self, x, al):
-        return self.reduce(self._mul(x, al[0]) + self._kscale(al[1], x))
+        return self.alg.umul_rows(x, *al)
 
     def sandwich(self, al, x):
-        """bar(alpha) x alpha, as (bar A + k) x, then times A + k."""
+        """bar(alpha) x alpha."""
         return self.twosided(al, al, x)
 
     def twosided(self, be, al, x):
-        left = self.reduce(self._mul(self._bar(be[0]), x) + self._kscale(be[1], x))
-        return self.mul_right_ual(left, al)
+        return self.alg.umul_rows(self.alg.umul_rows(x, *be, bar=True), *al)
 
     def evaluate(self, kinds, fn, idxmat):
         facs = []

@@ -37,29 +37,30 @@ RING_CAP = 1 << 20
 
 def batch_dtype(m, s, d):
     """The narrowest of int16, int32 and int64 that holds every unreduced
-    sum of BatchOps on d x d matrices over a ring whose largest slot
-    modulus is m and whose structure tensor has slot weight s: the
-    largest sum over (a, b) of S[a, b, c] on one slot c (1 at rank 1,
-    where SlotRing.contract_raw is the plain product).
+    sum of the batch law (form_ring) on d x d matrices over a ring whose
+    largest slot modulus is m and whose structure tensor has slot weight
+    s: the largest sum over (a, b) of S[a, b, c] on one slot c (1 at rank
+    1, where SlotRing.contract_raw is the plain product).
 
     Proof of the bound.  Reduced entries lie in [0, M], M = m - 1, and a
-    _bar, the only signed factor, in [-M, M].  So one contraction of two
-    entries is at most c = s M^2 in absolute value on each slot, and so is
-    each of its partial sums.  A matrix product (_mul) adds d products,
-    one row of its right factor doubled by w0, so |_mul| <= (d + 1) c, and
-    numpy's matmul partial sums stay inside that.  The sums taken before
-    one reduce are then at most:
-      _kscale, kmul:                              c
-      _fold, _mul + the row-0 term times uw <= 2:  (d + 3) c
-      aug_part, R - _fold:                        (d + 3) c + M
-      materialize("delta"), _fold + X - bar X + V: (d + 3) c + 3 M
-      ualmul, _mul + two _kscale:                 (d + 3) c
-      mul_right_ual, twosided, _mul + _kscale:    (d + 2) c
-      dadd, R - _mul + R:                         (d + 1) c + 2 M
-      phi, herm, the a* ops, and the sums of reduced BatchOps outputs
-      that unitary takes (dmul + B + x, ktab + ttab):  3 M.
+    raw conj_rows, the only signed factor, in [-M, M].  So one contraction
+    of two entries is at most c = s M^2 in absolute value on each slot,
+    and so is each of its partial sums.  A raw mul_rows adds d products,
+    through integer weights with sum |w_j| <= d + 1 or through a dense C
+    with X C reduced first, so it is at most (d + 1) c, and numpy's
+    matmul partial sums stay inside that.  A span adds c_k b_k, and an
+    entry of a Delta basis element b_k is 0 or +-1 and nonzero in no
+    other b_k, so a span is at most M.  The sums before one reduce are:
+      kmul_rows:                                               c
+      umul_rows, mul_rows + kmul_rows:                         (d + 2) c
+      DeltaShape.residue_rows, mul_rows + 2 (row-0 term):      (d + 3) c
+      read_rows, R - residue; to_pair_rows, residue + span:    (d + 3) c + M
+      pair_add, R - mul_rows + R:                              (d + 1) c + 2 M
+      pair_phi, herm, the a* ops, and the sums of reduced outputs that
+      BatchOps and unitary take (ualmul, dmul + B + x, ktab + ttab):  3 M.
     SlotRing.reduce forms (X // m) * m, within M of X.  Every intermediate
-    is therefore at most (d + 3) c + 4 M in absolute value.
+    is therefore at most (d + 3) c + 4 M in absolute value.  A Theta
+    residue comes from quad_module in int64, which widens its pairs.
     """
     M = m - 1
     bound = (d + 3) * s * M * M + 4 * M
@@ -419,7 +420,7 @@ class SlotRing:
 
         pair(a, b) is the array of products of slot a of one factor with
         slot b of the other; the result adds the trailing slot axis.  See
-        batch_dtype for how large the sums of BatchOps get.
+        batch_dtype for how large the sums of the batch law get.
         """
         if self.rk == 1:
             return pair(0, 0)[..., None]

@@ -20,18 +20,19 @@ law and the one coordinate read.  Its two tables are Delta over a preset
 (odd_form_param.DeltaShape) and Theta over a tensor square
 (quad_module.CanonConstruction).
 
-The same law also runs on batches.  SplitAlgebra multiplies (N, d, d, rk)
-arrays as X C Y, C the d x d matrix of contract weights, and conjugates
-them by one gather plus the signs of invol; ParamTable reads, adds,
-negates, acts and takes phi on (N, dim, rk) coordinate rows, each op
-returning the coordinates and the member mask of its pairs.  A table
-that supplies its residue on arrays (residue_rows) gets the whole batch
-law; K products go through coeff_ring.SlotRing.  Every product meets
-reduced entries and no sum has more than a thousand terms, so on a
-ring inside coeff_ring.RING_CAP (entries below 2^20) int64 holds them all.
+The same law runs on batches, and this is the package's only array law.
+SplitAlgebra multiplies (N, d, d, rk) arrays as X C Y and conjugates
+them as a signed transpose; ParamTable holds the pair law on (P, R)
+batches and the read of (N, dim, rk) coordinate rows.  A table that
+supplies its residue on arrays (residue_rows) gets the whole batch law;
+K products go through coeff_ring.SlotRing.  The tables are in the dtype
+of coeff_ring.batch_dtype, so a narrow batch stays narrow, and a sum of
+products is taken unreduced (raw) and reduced once; batch_dtype bounds
+every such sum.
 """
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -66,6 +67,32 @@ def _dict_kmul(K, k, a):
         if not K.is_zero(w):
             c[key] = w
     return c
+
+
+def _as_slice(perm):
+    """The identity or the reversal as a slice (a view); else perm."""
+    d = len(perm)
+    if (perm == np.arange(d)).all():
+        return slice(None)
+    return slice(None, None, -1) if (perm == np.arange(d)[::-1]).all() else perm
+
+
+class SparseMap:
+    """x -> x A on the last axis, for an int matrix A with at most one
+    nonzero entry per column, as every span of a table or module basis
+    here has: one gather, times the entries (in dtype), and one scatter."""
+
+    def __init__(self, A, dtype):
+        cols, rows = np.nonzero(A.T)
+        if (cols[1:] == cols[:-1]).any():
+            raise StructureError("a sparse map with two entries in one column")
+        self.rows, self.cols, self.vals = rows, cols, A[rows, cols].astype(dtype)
+        self.width = A.shape[1]
+
+    def __call__(self, x):
+        out = np.zeros(x.shape[:-1] + (self.width,), dtype=np.result_type(x, self.vals))
+        out[..., self.cols] = x[..., self.rows] * self.vals
+        return out
 
 
 class El:
@@ -180,8 +207,9 @@ class SplitAlgebra(SparseAlgebra):
     row pos[i] and column pos[j], in index order, and apos lists that
     (row, column) for each basis pair.  The pairs are kept sorted, the
     order of El.key.  to_array and from_array convert between the two;
-    mul_rows, conj_rows and kmul_rows are the product, the involution and
-    the K scaling on such batches.
+    mul_rows, conj_rows, kmul_rows and umul_rows are the product, the
+    involution, the K scaling and the product with a unitalized element
+    on such batches.
     """
 
     _bad_key = "pair %r not in %s"
@@ -217,39 +245,88 @@ class SplitAlgebra(SparseAlgebra):
                 for row in A[:, self.apos[:, 0], self.apos[:, 1]].tolist()]
 
     def row_tables(self):
-        """The tables of the batch ops, built on first use: K's SlotRing,
-        the d x d matrix C of contract weights, and the involution as a
-        gather, the flat (row, column) of each pair, of its image and the
-        image's sign."""
+        """The tables of the batch law, built on first use in the dtype of
+        SlotRing(K, d), so that no op widens a batch.  Where C, the contract
+        weights, has one entry per row j, at column sigma(j), an integer w_j
+        times 1 with sum |w_j| <= d + 1 (every preset and split module), C Y
+        is Y[:, sigma] times w; else C stays dense.  conj X at (p, q) is X
+        at (tau q, tau p) times the sign E, laid out as that view of X so
+        that the product runs in X's memory order; sigma and tau are slices
+        (views) on the presets and tensor squares, E None where no sign
+        survives the slot moduli.
+        """
         if self._rows is None:
-            K, d = self.K, len(self.indices)
-            C = np.zeros((d, d, K.rank), dtype=np.int64)
+            K, d, pos = self.K, len(self.indices), self.pos
+            ring = SlotRing(K, d)
+            dt = ring.dtype
+            C = np.zeros((d, d, K.rank), dtype=dt)
+            # w_j, or d + 2 where the weight is no such integer
+            ints = {K.smul(n, K.one()): n for n in (2, -2, -1, 1)}
+            sigma, w = np.arange(d), np.zeros(d, dtype=dt)
             for j, row in self.contract.items():
                 for k, f in row:
-                    C[self.pos[j], self.pos[k]] = f
-            image = [self.invol[key] for key in self.pairs]
-            dst = np.array([self.pos[i] * d + self.pos[j] for (i, j), _ in image], dtype=np.int64)
-            sign = np.array([[-1 if negate else 1] for _, negate in image], dtype=np.int64)
-            self._rows = (SlotRing(K), C, self.apos @ np.array([d, 1]), dst, sign)
+                    if not K.is_zero(f):
+                        sigma[pos[j]], w[pos[j]], C[pos[j], pos[k]] = pos[k], ints.get(f, d + 2), f
+            if (np.count_nonzero(C.any(axis=2), axis=1) <= 1).all() and np.abs(w).sum() <= d + 1:
+                C = None
+            tau, sign = np.arange(d), np.ones((1, d, d, 1), dtype=dt)
+            for (i, j), ((i2, j2), negate) in self.invol.items():
+                tau[pos[j2]], tau[pos[i2]] = pos[i], pos[j]
+                sign[0, pos[i], pos[j]] = -1 if negate else 1
+            assert all(tau[pos[j2]] == pos[i] and tau[pos[i2]] == pos[j]
+                       for (i, j), ((i2, j2), _) in self.invol.items())
+            tau = _as_slice(tau)
+            E = np.swapaxes(sign[:, tau][:, :, tau], 1, 2)
+            self._rows = SimpleNamespace(
+                ring=ring, dtype=dt, C=C, sigma=_as_slice(sigma), tau=tau,
+                w=None if C is not None or (w == 1).all() else w[None, :, None, None],
+                E=None if (E == 1).all() or np.all(ring.m == 2) else E)
         return self._rows
 
-    def mul_rows(self, X, Y):
+    # With raw set these return their sums unreduced (see
+    # coeff_ring.batch_dtype), for sums that reduce once; every factor is
+    # reduced, up to the signs of a raw conj.
+    def mul_rows(self, X, Y, raw=False):
         """The products of two (N, d, d, rk) batches, row by row: X C Y."""
-        ring, C = self.row_tables()[:2]
-        XC = ring.contract(lambda a, b: X[..., a] @ C[..., b])
-        return ring.contract(lambda a, b: XC[..., a] @ Y[..., b])
+        t = self.row_tables()
+        if t.C is not None:
+            X = t.ring.contract(lambda a, b: X[..., a] @ t.C[..., b])
+        else:
+            Y = Y[:, t.sigma] if t.w is None else Y[:, t.sigma] * t.w
+        XY = t.ring.contract_raw(lambda a, b: X[..., a] @ Y[..., b])
+        return XY if raw else t.ring.reduce(XY)
 
-    def conj_rows(self, X):
-        """The involution of an (N, d, d, rk) batch."""
-        ring, _, src, dst, sign = self.row_tables()
-        flat = X.reshape(len(X), -1, self.K.rank)
-        out = np.zeros_like(flat)
-        out[:, dst] = ring.reduce(flat[:, src] * sign)
-        return out.reshape(X.shape)
+    def conj_rows(self, X, raw=False):
+        """The involution of a batch: a view of X where no sign is -1."""
+        t = self.row_tables()
+        V = np.swapaxes(X[:, t.tau][:, :, t.tau], 1, 2)
+        if t.E is None:
+            return V
+        return V * t.E if raw else t.ring.reduce(V * t.E)
 
-    def kmul_rows(self, k, X):
-        """k X for an (N, rk) row of K elements k and an (N, d, d, rk) batch."""
-        return self.row_tables()[0].contract(lambda a, b: k[:, None, None, a] * X[..., b])
+    def kmul_rows(self, k, X, raw=False):
+        """k X for an (N, rk) row of K elements k."""
+        t = self.row_tables()
+        kX = t.ring.contract_raw(lambda a, b: k[:, None, None, a] * X[..., b])
+        return kX if raw else t.ring.reduce(kX)
+
+    def reduce_rows(self, X):
+        return self.row_tables().ring.reduce(X)
+
+    def umul_rows(self, X, A, k, bar=False):
+        """X (A + k) for A + k in the unitalization, or with bar set
+        (conj A + k) X."""
+        XA = (self.mul_rows(self.conj_rows(A, raw=True), X, raw=True) if bar
+              else self.mul_rows(X, A, raw=True))
+        return self.reduce_rows(XA + self.kmul_rows(k, X, raw=True))
+
+    def span_map(self, els):
+        """The SparseMap of x -> sum_r x_r els[r], from int rows x to flat
+        (d * d * rk) batches, each entry lifted to (-m/2, m/2]."""
+        m = np.array(self.K.moduli, dtype=np.int64)
+        A = self.to_array(els)
+        return SparseMap(np.where(A > m // 2, A - m, A).reshape(len(els), m.size * len(
+            self.indices) ** 2), self.row_tables().dtype)
 
     def term(self, key):
         return "e(%d,%d)" % key
@@ -317,12 +394,6 @@ class SplitAlgebra(SparseAlgebra):
             return self.from_coords([kel[rng.randrange(len(kel))] for _ in self.pairs])
         vec = [tuple(rng.randrange(m) for m in self.K.moduli) for _ in range(self.rank)]
         return self.from_coords(vec)
-
-    def row(self, a, i):
-        return El(self, {key: v for key, v in a.c.items() if key[0] == i})
-
-    def col(self, a, j):
-        return El(self, {key: v for key, v in a.c.items() if key[1] == j})
 
     def __repr__(self):
         return "<alg %s>" % self.tag
@@ -487,11 +558,13 @@ class ParamTable:
     read takes p's coefficients, s = r - residue(p), c_k = b_k[pos_k]
     s[pos_k], and the pair is a member exactly when s = sum c_k b_k.
 
-    The *_rows methods are the same law on batches: coordinate rows are
-    (N, dim, rk) int arrays, pairs two (N, d, d, rk) arrays in the
-    algebra's layout, and every op returns read_rows of its pairs, the
-    coordinates and the member mask.  They need residue_rows, the residue
-    on a batch.
+    On batches, coordinate rows are (N, dim, rk) int arrays and pairs
+    two (N, d, d, rk) arrays in the algebra's layout.  pair_add,
+    pair_neg, pair_phi and pair_act are the law on pairs, to_pair_rows
+    and read_rows (the coordinates and the member mask) go between the
+    two, and add_rows, neg_rows, phi_rows and act_rows compose them.
+    They need residue_rows from the subclass: the residue on a batch, up
+    to reduction, within the bounds of coeff_ring.batch_dtype.
     """
 
     def __init__(self, alg, pi_pos, aug):
@@ -501,12 +574,6 @@ class ParamTable:
         self.aug = tuple((pos, b.coeff(*pos), b) for pos, b in aug)
         self.dim = len(self.pi_pos) + len(self.aug)
         self._rows = None
-
-    def residue(self, p):
-        raise NotImplementedError
-
-    def residue_rows(self, P):
-        raise NotImplementedError
 
     def card(self):
         return self.alg.K.card ** self.dim
@@ -580,70 +647,71 @@ class ParamTable:
 
     def row_tables(self):
         """The flat layout positions of the pi coordinates and of each
-        pos_k, and, over K's Z-basis, the read weights b_k[pos_k] as
-        (slot, slot) blocks and the basis elements b_k as the int matrix
-        of c -> sum c_k b_k."""
+        pos_k, the read signs b_k[pos_k] = +-1 (a KeyError on any other
+        weight), and the span c -> sum c_k b_k as a SparseMap."""
         if self._rows is None:
             alg, K = self.alg, self.alg.K
-            d, rk, units = len(alg.indices), K.rank, _basis(K)
+            d = len(alg.indices)
 
             def flat(keys):
                 return np.array([alg.pos[i] * d + alg.pos[j] for i, j in keys], dtype=np.int64)
 
-            U = np.array([[K.mul(u, e) for e in units] for _, u, _ in self.aug],
-                         dtype=np.int64).reshape(len(self.aug), rk, rk)
-            B = alg.to_array([alg.kmul(e, b) for _, _, b in self.aug for e in units])
-            self._rows = (flat(self.pi_pos), flat(pos for pos, _, _ in self.aug), U,
-                          B.reshape(len(self.aug) * rk, d * d * rk))
+            sign = np.array([{K.neg(K.one()): -1, K.one(): 1}[u] for _, u, _ in self.aug],
+                            dtype=alg.row_tables().dtype)[:, None]
+            span = alg.span_map([alg.kmul(e, b) for _, _, b in self.aug for e in _basis(K)])
+            self._rows = (flat(self.pi_pos), flat(pos for pos, _, _ in self.aug), sign, span)
         return self._rows
 
     def to_pair_rows(self, X):
         """The pairs of a batch of coordinate rows."""
-        alg = self.alg
-        ring, d = alg.row_tables()[0], len(alg.indices)
-        pi, _, _, B = self.row_tables()
-        N, rk = len(X), alg.K.rank
-        P = np.zeros((N, d * d, rk), dtype=np.int64)
+        pi, _, _, span = self.row_tables()
+        N, d, rk = len(X), len(self.alg.indices), self.alg.K.rank
+        P = np.zeros((N, d * d, rk), dtype=X.dtype)
         P[:, pi] = X[:, :len(pi)]
         P = P.reshape(N, d, d, rk)
-        return P, ring.reduce(self.residue_rows(P) + (X[:, len(pi):].reshape(N, -1) @ B)
-                              .reshape(P.shape))
+        S = span(X[:, len(pi):].reshape(N, -1)).reshape(P.shape)
+        return P, self.alg.reduce_rows(self.residue_rows(P) + S)
 
     def read_rows(self, P, R):
         """Coordinates of a batch of pairs and the mask of its members;
         the coordinates of a non-member row mean nothing."""
-        ring = self.alg.row_tables()[0]
-        pi, pos, U, B = self.row_tables()
-        N, rk = len(P), self.alg.K.rank
-        s = ring.reduce(R - self.residue_rows(P)).reshape(N, -1, rk)
-        c = ring.reduce((s[:, pos, :, None] * U).sum(axis=2))
-        ok = (ring.reduce((c.reshape(N, -1) @ B).reshape(s.shape)) == s).all(axis=(1, 2))
+        alg = self.alg
+        pi, pos, sign, span = self.row_tables()
+        N, rk = len(P), alg.K.rank
+        s = alg.reduce_rows(R - self.residue_rows(P)).reshape(N, -1, rk)
+        c = alg.reduce_rows(s[:, pos] * sign)
+        ok = (alg.reduce_rows(span(c.reshape(N, -1)).reshape(s.shape)) == s).all(axis=(1, 2))
         return np.concatenate([P.reshape(N, -1, rk)[:, pi], c], axis=1), ok
 
-    def add_rows(self, X, Y):
+    # the pair law on (P, R) batches, reduced
+    def pair_add(self, u, v):
         alg = self.alg
-        ring = alg.row_tables()[0]
-        (P, R), (P2, R2) = self.to_pair_rows(X), self.to_pair_rows(Y)
-        return self.read_rows(ring.reduce(P + P2),
-                              ring.reduce(R - alg.mul_rows(alg.conj_rows(P), P2) + R2))
+        (P, R), (P2, R2) = u, v
+        return alg.reduce_rows(P + P2), alg.reduce_rows(
+            R - alg.mul_rows(alg.conj_rows(P, raw=True), P2, raw=True) + R2)
+
+    def pair_neg(self, u):
+        return self.alg.reduce_rows(-u[0]), self.alg.conj_rows(u[1])
+
+    def pair_phi(self, A):
+        return np.zeros_like(A), self.alg.reduce_rows(A - self.alg.conj_rows(A, raw=True))
+
+    def pair_act(self, u, A, k):
+        """u . (A + k): A an (N, d, d, rk) batch, k an (N, rk) K row."""
+        alg = self.alg
+        return alg.umul_rows(u[0], A, k), alg.umul_rows(alg.umul_rows(u[1], A, k, bar=True), A, k)
+
+    def add_rows(self, X, Y):
+        return self.read_rows(*self.pair_add(self.to_pair_rows(X), self.to_pair_rows(Y)))
 
     def neg_rows(self, X):
-        P, R = self.to_pair_rows(X)
-        return self.read_rows(self.alg.row_tables()[0].reduce(-P), self.alg.conj_rows(R))
+        return self.read_rows(*self.pair_neg(self.to_pair_rows(X)))
 
     def phi_rows(self, A):
-        ring = self.alg.row_tables()[0]
-        return self.read_rows(np.zeros_like(A), ring.reduce(A - self.alg.conj_rows(A)))
+        return self.read_rows(*self.pair_phi(A))
 
     def act_rows(self, X, A, k):
-        """Right action of A + k, with A an (N, d, d, rk) batch and k an
-        (N, rk) row of K elements."""
-        alg = self.alg
-        ring = alg.row_tables()[0]
-        P, R = self.to_pair_rows(X)
-        left = ring.reduce(alg.mul_rows(alg.conj_rows(A), R) + alg.kmul_rows(k, R))
-        return self.read_rows(ring.reduce(alg.mul_rows(P, A) + alg.kmul_rows(k, P)),
-                              ring.reduce(alg.mul_rows(left, A) + alg.kmul_rows(k, left)))
+        return self.read_rows(*self.pair_act(self.to_pair_rows(X), A, k))
 
 
 def rep_odd(alg, a):

@@ -14,9 +14,9 @@ is, and callers use the table's own law (add, neg, phi, act); render
 and the JSON form name its nonzero slots, q then u then augmentation.
 
 Axiom sweeps (one table of identities) and the specialness check run
-on the numpy batch engine in batch_delta, for every coefficient ring;
-the exact per-element functions here serve single elements and render
-failure witnesses.
+on form_ring's array law through batch_delta; residue_rows, the fold
+residue on a batch, is all that Delta adds to it.  The exact per-element
+functions here serve single elements and render failure witnesses.
 """
 
 import math
@@ -65,6 +65,22 @@ class DeltaShape(ParamTable):
 
     def residue(self, p):
         return _fold_residue(self, p)
+
+    def residue_rows(self, P):
+        """_fold_residue on a batch, unreduced: -conj(P) dplus P, less the
+        row-0 products k_j k_j' at (-j, j'), doubled off the diagonal."""
+        alg, d = self.alg, P.shape[1]
+        plus = (np.arange(d) >= d - alg.n)[:, None, None]  # dplus keeps the last n rows
+        R = -alg.mul_rows(alg.conj_rows(P, raw=True), P * plus, raw=True)
+        if self.u_idx:
+            kv = P[:, alg.pos[0]]
+            kr = kv[:, ::-1]
+            # weight 1 on the diagonal, 2 above it, rows reversed; int8 and
+            # bool never widen a batch
+            uw = np.triu(np.full((d, d), 2, dtype=np.int8), 1) + np.eye(d, dtype=np.int8)
+            R -= alg.row_tables().ring.contract_raw(
+                lambda a, b: kr[:, :, None, a] * kv[:, None, :, b]) * uw[::-1, :, None]
+        return R
 
     def el(self, q=None, u=None, d=None):
         """The element with the given coefficients on named slots: q
@@ -292,7 +308,7 @@ def _count_distinct(rows, m):
     n, L = rows.shape
     b = max(1, (m - 1).bit_length())
     per = 64 // b
-    W = -(-L // per)
+    W = -(-L // per) or 1  # one zero word for rows of width 0
     R = np.zeros((n, W * per), dtype=np.uint64)
     R[:, :L] = rows
     R = R.reshape(n, W, per) << (np.arange(per, dtype=np.uint64) * np.uint64(b))

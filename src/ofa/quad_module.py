@@ -1177,38 +1177,38 @@ class CanonConstruction(ParamTable):
     def embed_tables(self):
         """The tables of the batch residue and box, built on first use:
         colpos[t, i], the flat layout position of label i in column slot
-        t; fe, f_embed(t, s, l) as the int matrix on rows (t, s, slot of
-        l); upper, the layout mask of the positions where conj(col_t)
-        col_s lands with t before s, row jslot(i, t) and column jslot(k, s)
-        since conj(e(i, j)) = +-e(j, i); and canonical_l as a _QuadraticMap
-        on module coordinates."""
+        t; fe and diag, the SparseMaps of sums of f_embed(t, s, l) over
+        rows (t, s, slot of l) and over rows (t, t, slot of l); upper, the
+        layout mask of the positions where conj(col_t) col_s lands with t
+        before s, row jslot(i, t) and column jslot(k, s) since conj(e(i,
+        j)) = +-e(j, i); and canonical_l as a _QuadraticMap on module
+        coordinates."""
         if self._embed is None:
             M, S, K, R = self.M, self.S, self.K, self.qtype.R
             d, nt = len(S.indices), len(self.n_labels)
             colpos = np.array([[S.pos[i] * d + S.pos[self.jslot(i, t)] for i in M.labels]
                                for t in self.n_labels], dtype=np.int64).reshape(nt, -1)
-            fe = S.to_array([self.f_embed(t, s, u) for t in self.n_labels
-                             for s in self.n_labels for u in _basis(R)])
+            fe = [[[self.f_embed(t, s, u) for u in _basis(R)] for s in self.n_labels]
+                  for t in self.n_labels]
             slot = np.zeros(d, dtype=np.int64)
             slot[colpos % d] = np.arange(nt)[:, None]
             lmap = _QuadraticMap(
                 lambda row: self.canonical_l(dict(zip(M.labels, unflat(row, K.rank)))),
                 np.tile(K.moduli, len(M.labels)), R.moduli)
-            self._embed = (colpos, fe.reshape(nt * nt * R.rank, -1),
+            self._embed = (colpos, S.span_map([e for row in fe for els in row for e in els]),
+                           S.span_map([e for t in range(nt) for e in fe[t][t]]),
                            slot[:, None] < slot[None, :], lmap)
         return self._embed
 
     def residue_rows(self, P):
         """The residue of each pair of an (N, d, d, rk) batch: the diagonal
-        terms through fe, the cross terms as the upper positions of
+        terms through diag, the cross terms as the upper positions of
         conj(P) P."""
-        colpos, fe, upper, lmap = self.embed_tables()
+        colpos, _, diag, upper, lmap = self.embed_tables()
         S, N, nt = self.S, len(P), len(self.n_labels)
         m = P.reshape(N, -1, self.K.rank)[:, colpos].reshape(N * nt, -1)
-        diag = fe.reshape(nt, nt, self.qtype.R.rank, -1)[np.arange(nt), np.arange(nt)]
-        return S.row_tables()[0].reduce(
-            (lmap(m).reshape(N, -1) @ diag.reshape(-1, fe.shape[1])).reshape(P.shape)
-            - S.mul_rows(S.conj_rows(P), P) * upper[..., None])
+        cross = S.mul_rows(S.conj_rows(P, raw=True), P, raw=True) * upper[..., None]
+        return S.reduce_rows(diag(lmap(m).reshape(N, -1)).reshape(P.shape) - cross)
 
     def relations_check(self, count=100, seed=0):
         """The sampled laws of the box pairing: the sorted names of the laws
@@ -1341,7 +1341,7 @@ class _BoxRows:
         """sum over free slots t, s of f_embed(t, s, n_t^op l n_s)."""
         N, S = len(l), self.C.S
         x = self.sand(n[:, :, None], l[:, None, None], n[:, None])
-        return self.red(x.reshape(N, -1) @ self.fe).reshape(
+        return self.red(self.fe(x.reshape(N, -1))).reshape(
             N, len(S.indices), len(S.indices), -1)
 
     def box(self, h, n):

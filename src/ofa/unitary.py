@@ -825,7 +825,7 @@ def _unitary_mask(bo, P):
     Pb = bo.conj(P)
     ok = (bo.dmul(Pb, P) == bo.reduce(-(P + Pb))).all(axis=(1, 2, 3))
     live = slice(None) if ok.all() else np.flatnonzero(ok)
-    ok[live] = bo.read_aug_ok(bo.aug_part(P[live], Pb[live]))
+    ok[live] = bo.dread(P[live], Pb[live])[1]
     return ok
 
 
@@ -899,7 +899,7 @@ def group_to_json(group):
     alg_el_to_json writes it, and every gamma read in one batch."""
     shape, B = group.shape, group.betas
     alg, bo = shape.alg, BatchOps(shape)
-    gammas = bo.read(B, bo.conj(B))[0].tolist()
+    gammas = bo.dread(B, bo.conj(B))[0].tolist()
     return [{"beta": [{"i": i, "j": j, "c": v} for (i, j), v in zip(alg.pairs, row) if any(v)],
              "gamma": delta_to_json(shape, tuple(map(tuple, gamma)))}
             for row, gamma in zip(B[:, alg.apos[:, 0], alg.apos[:, 1]].tolist(), gammas)]

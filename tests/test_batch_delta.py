@@ -1,9 +1,11 @@
 """The batch engine against the exact element arithmetic where its sums
-are largest: BatchOps adds contractions unreduced and reduces once, so
-every input entry here is m - 1.  The rings cover one modulus just under
-RING_CAP, the mask path (a shared power-of-two modulus: Z/2^20, F_2^10),
-mixed moduli, and the moduli on each side of the int16 and int32 bounds
-of batch_dtype."""
+are largest: the shared array law adds contractions unreduced and
+reduces once, so every input entry here is m - 1.  The rings cover one
+modulus just under RING_CAP, the mask path (a shared power-of-two
+modulus: Z/2^20, F_2^10), mixed moduli, and the moduli on each side of
+the int16 and int32 bounds of batch_dtype.  The tables are Delta over
+the presets and Theta over tensor squares, of split modules (a C with
+one weight per row) and of random Gram tables (a dense C)."""
 
 import random
 
@@ -14,8 +16,10 @@ from hypothesis import strategies as st
 
 from ofa.batch_delta import BatchOps, _torsion_list, decode_factor, herm_slots, slot_sizes
 from ofa.coeff_ring import RING_CAP, GaloisField, PolyQuotient, Product, SlotRing, ZMod, parse_ring
-from ofa.form_ring import UnitalEl, ofalin, ofaorth, ofasymp, unital_involution, unital_mul
-from ofa.odd_form_param import DeltaShape, _fold_residue, to_pair
+from ofa.form_ring import (ParamTable, UnitalEl, ofalin, ofaorth, ofasymp, unital,
+                           unital_involution, unital_mul)
+from ofa.odd_form_param import DeltaShape
+from ofa.quad_module import CanonConstruction, QuadModule, QuadType, split_module
 from test_coeff_ring import _RINGS
 
 # F_2^10 = F_2[x]/(x^10 + x^3 + 1), written as a PolyQuotient
@@ -23,6 +27,42 @@ LIMIT_RINGS = [ZMod(1048573), ZMod(1 << 20),
                PolyQuotient(ZMod(2), [(c,) for c in (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1)]),
                Product([ZMod(4), ZMod(3)])]
 PRESETS = [(ofasymp, 2), (ofaorth, 3), (ofaorth, 4)]
+
+
+def theta_split(spec, K):
+    """Theta over the split module of spec, "kind:rank"."""
+    kind, rank = spec.split(":")
+    return CanonConstruction(split_module(kind, int(rank), K))
+
+
+def theta_dense(spec, K):
+    """Theta over a module of spec's labels whose Gram entries are drawn
+    at random, every one nonzero: its C is dense."""
+    kind, rank = spec.split(":")
+    qt, rng = QuadType(kind, K), random.Random(spec)
+    labels = split_module(kind, int(rank), K).labels
+
+    def draw():
+        return tuple(rng.randrange(1, m) for m in K.moduli)
+
+    gram = {}
+    for a in labels:
+        for b in labels:
+            if kind != "linear":
+                gram[(a, b)] = draw()
+            elif a * b < 0:
+                l, z = draw(), K.zero()
+                gram[(a, b)] = qt.R.join((l, z) if a > 0 else (z, l))
+    return CanonConstruction(QuadModule(qt, int(rank), gram, {}))
+
+
+THETAS = [(mk, spec) for mk in (theta_split, theta_dense)
+          for spec in ("linear:2", "symplectic:2", "orthogonal:3")]
+
+
+def _table(mk, r, K):
+    T = mk(r, K)
+    return T if isinstance(T, ParamTable) else DeltaShape(T)
 
 
 def _arr(ops, els):
@@ -33,19 +73,21 @@ def _arr(ops, els):
     return M
 
 
-def _pairs(ops, sh, xs):
-    pairs = [to_pair(sh, x) for x in xs]
+def _pair_arrays(ops, pairs):
     return (_arr(ops, [p for p, _ in pairs]), _arr(ops, [r for _, r in pairs]))
 
 
-def _check_against_exact(alg, rng, n):
-    """Row 0 of every batch has each entry m - 1; n more rows are random."""
-    sh, K = DeltaShape(alg), alg.K
-    ops = BatchOps(sh)
+def _check_against_exact(T, rng, n):
+    """Row 0 of every batch has each entry m - 1; n more rows are random.
+    The pair law is checked on pairs, which a table off its module (a
+    random Gram table) need not keep; the read against the per-element
+    read, members or not."""
+    alg, K = T.alg, T.alg.K
+    ops = BatchOps(T)
     top = tuple(m - 1 for m in K.moduli)
 
     def deltas():
-        return [tuple([top] * sh.dim)] + [sh.sample(rng) for _ in range(n)]
+        return [tuple([top] * T.dim)] + [T.sample(rng) for _ in range(n)]
 
     def algs():
         return [alg.from_coords([top] * alg.rank)] + [alg.sample(rng) for _ in range(n)]
@@ -54,30 +96,43 @@ def _check_against_exact(alg, rng, n):
         return [top] + [tuple(rng.randrange(m) for m in K.moduli) for _ in range(n)]
 
     us, vs, als, bes, ks, ls = deltas(), deltas(), algs(), algs(), scalars(), scalars()
-    U, V = _pairs(ops, sh, us), _pairs(ops, sh, vs)
+    up, vp = [T.to_pair(x) for x in us], [T.to_pair(x) for x in vs]
+    U, V = _pair_arrays(ops, up), _pair_arrays(ops, vp)
     A, B = _arr(ops, als), _arr(ops, bes)
     kv, lv = np.array(ks, dtype=ops.dtype), np.array(ls, dtype=ops.dtype)
     mods = np.broadcast_to(ops.m, (ops.rk,))
-    slots = np.array([(ops.pos[i], ops.pos[j]) for i, j in alg.pairs])
-    assert (A[0, slots[:, 0], slots[:, 1]] == mods - 1).all()
-    assert (U[0][0, ops.ppos[:, 0], ops.ppos[:, 1]] == mods - 1).all()
+    assert (A[0, alg.apos[:, 0], alg.apos[:, 1]] == mods - 1).all()
+    assert (U[0][0, alg.apos[:, 0], alg.apos[:, 1]] == mods - 1).all()
 
     def same(got, want):
         assert (got == want).all(), alg.tag
 
-    acted = [sh.act(u, a, k) for u, a, k in zip(us, als, ks)]
-    for out, exact in ((ops.dadd(U, V), [sh.add(u, v) for u, v in zip(us, vs)]),
-                       (ops.act(U, (A, kv)), acted),
-                       (ops.dneg(U), [sh.neg(u) for u in us])):
-        want = _pairs(ops, sh, exact)
-        same(out[0], want[0])
-        same(out[1], want[1])
-    folds = [_fold_residue(sh, to_pair(sh, u)[0]) for u in us]
-    same(ops.fold_residue(U[0]), _arr(ops, folds))
-    same(ops.dmul(A, B), _arr(ops, [alg.mul(a, b) for a, b in zip(als, bes)]))
-    same(ops.conj(A), _arr(ops, [alg.conj(a) for a in als]))
     ual = [UnitalEl(a, k) for a, k in zip(als, ks)]
     ube = [UnitalEl(b, k) for b, k in zip(bes, ls)]
+    # each coordinate of us as its index in K.elements()
+    uidx = np.array([[np.ravel_multi_index(c, K.moduli) for c in x] for x in us],
+                    dtype=np.int64).reshape(len(us), T.dim)
+    for out, exact in (
+            (ops.materialize("delta", uidx), up),
+            (ops.dadd(U, V), [(p + p2, r - p.bar() * p2 + r2)
+                              for (p, r), (p2, r2) in zip(up, vp)]),
+            (ops.act(U, (A, kv)), [
+                (unital_mul(unital(p), al).body,
+                 unital_mul(unital_mul(unital_involution(al), unital(r)), al).body)
+                for (p, r), al in zip(up, ual)]),
+            (ops.dneg(U), [(-p, r.bar()) for p, r in up]),
+            (ops.phi(A), [(alg.zero(), a - a.bar()) for a in als])):
+        want = _pair_arrays(ops, exact)
+        same(out[0], want[0])
+        same(out[1], want[1])
+    same(ops.reduce(T.residue_rows(U[0])), _arr(ops, [T.residue(p) for p, _ in up]))
+    got, ok = ops.dread(*U)
+    want = [T.read(p, r) for p, r in up]
+    assert ok.tolist() == [w is not None for w in want]
+    assert [tuple(map(tuple, g)) for g, o in zip(got.tolist(), ok) if o] == [
+        w for w in want if w is not None]
+    same(ops.dmul(A, B), _arr(ops, [alg.mul(a, b) for a, b in zip(als, bes)]))
+    same(ops.conj(A), _arr(ops, [alg.conj(a) for a in als]))
     prods = [unital_mul(a, b) for a, b in zip(ual, ube)]
     body, scal = ops.ualmul((A, kv), (B, lv))
     same(body, _arr(ops, [p.body for p in prods]))
@@ -93,10 +148,13 @@ def _check_against_exact(alg, rng, n):
 
 
 @pytest.mark.parametrize("K", LIMIT_RINGS, ids=lambda K: K.name)
-@pytest.mark.parametrize("mk, r", PRESETS, ids=lambda v: getattr(v, "__name__", str(v)))
+@pytest.mark.parametrize("mk, r", PRESETS + THETAS,
+                         ids=lambda v: getattr(v, "__name__", str(v)))
 def test_unreduced_sums_at_the_limit(K, mk, r):
     assert K.card <= RING_CAP
-    _check_against_exact(mk(r, K), random.Random(5), 3)
+    T = _table(mk, r, K)
+    assert (T.alg.row_tables().C is None) == (mk is not theta_dense)
+    _check_against_exact(T, random.Random(5), 3)
 
 
 def test_reduce_takes_the_mask_only_on_one_power_of_two():
@@ -111,50 +169,59 @@ def test_reduce_takes_the_mask_only_on_one_power_of_two():
 
 
 @settings(max_examples=60, deadline=None)
-@given(_RINGS, st.sampled_from([(ofasymp, 2), (ofaorth, 3), (ofaorth, 2), (ofalin, 1)]),
+@given(_RINGS, st.sampled_from([(ofasymp, 2), (ofaorth, 3), (ofaorth, 2), (ofalin, 1),
+                                (ofasymp, 0), (ofalin, 0), (theta_split, "linear:1"),
+                                (theta_split, "orthogonal:3"), (theta_dense, "symplectic:2"),
+                                (theta_dense, "orthogonal:2")]),
        st.integers(0, 2 ** 16))
 def test_unreduced_sums_on_random_rings(K, preset, seed):
     assert SlotRing(K).ktab.tolist() == [list(k) for k in K.elements()]
     mk, r = preset
-    _check_against_exact(mk(r, K), random.Random(seed), 2)
+    _check_against_exact(_table(mk, r, K), random.Random(seed), 2)
 
 
-# orth 3 over Z/m: batch_dtype bounds its sums by 6 (m - 1)^2 + 4 (m - 1),
-# and ualmul on row 0 reaches 6 (m - 1)^2, past the narrower dtype for the
-# second modulus of each pair
+# orth 3 over Z/m: batch_dtype bounds its sums by 6 (m - 1)^2 + 4 (m - 1);
+# the largest the law takes is umul_rows's 5 (m - 1)^2 on row 0, the
+# action and ualmul
 @pytest.mark.parametrize("m, dtype", [(74, np.int16), (75, np.int32),
                                       (18919, np.int32), (18920, np.int64)])
 def test_batch_dtype_on_each_side_of_a_bound(m, dtype):
-    alg = ofaorth(3, ZMod(m))
-    _check_against_exact(alg, random.Random(3), 3)
-    assert BatchOps(DeltaShape(alg)).dtype == dtype
+    sh = DeltaShape(ofaorth(3, ZMod(m)))
+    _check_against_exact(sh, random.Random(3), 3)
+    assert BatchOps(sh).dtype == dtype
 
 
 @pytest.mark.parametrize("K", [ZMod(3), GaloisField(2, [1, 1, 1]),
                                Product([ZMod(2), ZMod(3)])], ids=lambda K: K.name)
-@pytest.mark.parametrize("mk, r", [(ofasymp, 2), (ofaorth, 3)],
+@pytest.mark.parametrize("mk, r", [(ofasymp, 2), (ofaorth, 3), (ofasymp, 0), (ofalin, 0)] + THETAS,
                          ids=lambda v: getattr(v, "__name__", str(v)))
 def test_every_op_returns_the_batch_dtype(K, mk, r):
-    """An int64 modulus or constant would widen every later array."""
-    ops = BatchOps(DeltaShape(mk(r, K)))
-    assert ops.dtype == np.int16
+    """An int64 modulus or constant would widen every later array.  On a
+    Theta table the pairs are any two algebra elements, and the ops that
+    meet its residue, which quad_module computes in int64, are left out."""
+    T = _table(mk, r, K)
+    ops, alg = BatchOps(T), T.alg
+    assert ops.dtype == alg.row_tables().dtype == np.int16
     rng = np.random.default_rng(1)
 
     def idx(kind):
-        return np.stack([rng.integers(q, size=5) for q in slot_sizes(ops.shape, kind)], axis=1)
+        sizes = slot_sizes(ops.shape, kind)
+        return np.array([rng.integers(q, size=5) for q in sizes], dtype=np.int64).reshape(
+            len(sizes), 5).T
 
     def fac(kind):
         return ops.materialize(kind, idx(kind))
 
+    delta = isinstance(T, DeltaShape)
     ui = idx("delta")
-    u, v = ops.materialize("delta", ui), fac("delta")
+    u, v = (ops.materialize("delta", ui), fac("delta")) if delta else (
+        (fac("alg"), fac("alg")), (fac("alg"), fac("alg")))
     a, b, al, be, k = fac("alg"), fac("alg"), fac("ualg"), fac("ualg"), fac("scalar")
     ints = {
-        "materialize": [fac(kind) for kind in ("delta", "alg", "ualg", "scalar", "aug", "herm")],
+        "materialize": [fac(kind) for kind in ("alg", "ualg", "scalar", "herm")],
         "kmul": ops.kmul(k, k), "kscale": ops.kscale(k, a), "dmul": ops.dmul(a, b),
-        "conj": ops.conj(a), "fold_residue": ops.fold_residue(u[0]),
-        "aug_part": ops.aug_part(*u), "read": ops.read(*u)[0],
-        "dadd": ops.dadd(u, v), "dneg": ops.dneg(u), "dzero_like": ops.dzero_like(u),
+        "conj": ops.conj(a), "dadd": ops.dadd(u, v), "dneg": ops.dneg(u),
+        "dzero_like": ops.dzero_like(u),
         "phi": ops.phi(a), "pi": ops.pi(u), "rho": ops.rho(u), "act": ops.act(u, al),
         "kact": ops.kact(k, u), "aadd": ops.aadd(a, b), "asub": ops.asub(a, b),
         "aneg": ops.aneg(a), "ual_add": ops.ual_add(al, be),
@@ -164,12 +231,23 @@ def test_every_op_returns_the_batch_dtype(K, mk, r):
         "sandwich": ops.sandwich(al, a), "twosided": ops.twosided(be, al, a),
     }
     bools = {
-        "read_aug_ok": ops.read_aug_ok(u[1]), "read_back_ok": ops.read_back_ok(ui, *u),
-        "deq": ops.deq(u, v), "dis0": ops.dis0(u), "daug": ops.daug(u),
+        "deq": ops.deq(u, v), "dis0": ops.dis0(u),
         "aeq": ops.aeq(a, b), "ais0": ops.ais0(a), "both": ops.both(ops.ais0(a), ops.ais0(b)),
     }
-    public = {n for n in dir(BatchOps) if not n.startswith("_") and callable(getattr(ops, n))}
-    assert public - {"evaluate"} == set(ints) | set(bools)
+    if delta:
+        # batch_dtype bounds a Delta span by M: its weights are +-1
+        assert set(np.abs(T.row_tables()[3].vals).tolist()) <= {1}
+        ints["materialize"] += [fac("delta"), fac("aug")]
+        ints["dread"] = ops.dread(*u)[0]
+        bools.update(dread=ops.dread(*u)[1], read_back_ok=ops.read_back_ok(ui, *u),
+                     daug=ops.daug(u))
+        public = {n for n in dir(BatchOps) if not n.startswith("_") and callable(getattr(ops, n))}
+        assert public - {"evaluate"} == set(ints) | set(bools)
+    # the shared law's raw forms, which the ops above sum
+    ints.update(mul_raw=alg.mul_rows(a, b, raw=True), conj_raw=alg.conj_rows(a, raw=True),
+                kmul_raw=alg.kmul_rows(k, a, raw=True),
+                umul_bar=alg.umul_rows(a, b, k, bar=True), pair_add=T.pair_add(u, v),
+                pair_act=T.pair_act(u, *al))
 
     def arrays(x):
         if isinstance(x, (tuple, list)):
@@ -246,7 +324,7 @@ def test_signs_from_the_involution_table_match_the_kind_rules(name):
     for mk, r in SIGN_PRESETS:
         alg = mk(r, K)
         sh = DeltaShape(alg)
-        ops = BatchOps(sh)
+        ops, t = BatchOps(sh), alg.row_tables()
         idx, pos = alg.indices, ops.pos
         E = np.ones((ops.d, ops.d), dtype=np.int64)
         for i in idx:
@@ -255,9 +333,9 @@ def test_signs_from_the_involution_table_match_the_kind_rules(name):
                     E[pos[i], pos[j]] = -1
         E = E[::-1, ::-1].T
         if (E == 1).all() or np.all(ops.m == 2):
-            assert ops.E is None, alg.tag
+            assert t.E is None, alg.tag
         else:
-            assert ops.E.dtype == ops.dtype and ops.E.tolist() == E[None, :, :, None].tolist()
+            assert t.E.dtype == ops.dtype and t.E.tolist() == E[None, :, :, None].tolist()
         assert herm_slots(alg) == _herm_slots_by_kind(alg), alg.tag
         assert sh.q_pairs == tuple(p for p in alg.pairs if p[0] != 0), alg.tag
         assert sh.u_idx == (idx if 0 in idx else ()), alg.tag

@@ -68,3 +68,16 @@ def test_layering(name):
 @pytest.mark.parametrize("name", sorted(BOTTOM))
 def test_bottom_layers(name):
     assert _imported(name) <= BOTTOM[name], name
+
+
+def test_batch_delta_keeps_no_array_law_of_its_own():
+    """The product, the involution and the unreduced contraction live in
+    form_ring; BatchOps only calls them."""
+    with open(os.path.join(SRC, "batch_delta.py")) as fh:
+        tree = ast.parse(fh.read())
+    law = {"matmul", "swapaxes", "contract_raw"}
+    found = [ast.dump(node) for node in ast.walk(tree)
+             if isinstance(node, ast.MatMult)
+             or isinstance(node, ast.Attribute) and node.attr in law
+             or isinstance(node, ast.Name) and node.id in law]
+    assert not found

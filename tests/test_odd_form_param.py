@@ -206,6 +206,8 @@ def test_special_check_matches_reference_loop():
     cases += [(alg, {"count": 200, "seed": 5})
               for alg in _n1_algebras(GaloisField(2, [1, 1, 1]))]
     cases.append((ofaorth(3, Product([ZMod(2), ZMod(3)])), {"count": 200, "seed": 3}))
+    # rank 0: one element, of zero coordinates
+    cases += [(mk(0, ZMod(3)), {}) for mk in (ofasymp, ofalin)]
     modes = set()
     for alg, kw in cases:
         sh = DeltaShape(alg)
@@ -257,7 +259,7 @@ def test_count_distinct_matches_unique():
             assert _count_distinct(rows, m) == len(np.unique(rows, axis=0)), (m, width)
 
 
-@pytest.mark.parametrize("read", ["read_back_ok", "read_aug_ok"])
+@pytest.mark.parametrize("read", ["read_back_ok", "dread"])
 def test_special_check_reports_first_failure(monkeypatch, read):
     from ofa.batch_delta import BatchOps
 
@@ -265,9 +267,10 @@ def test_special_check_reports_first_failure(monkeypatch, read):
     real = getattr(BatchOps, read)
 
     def fail_from_row_k(self, *args):
-        ok = real(self, *args)
+        out = real(self, *args)
+        ok = out[1] if isinstance(out, tuple) else out
         ok[k:k + 3] = False
-        return ok
+        return out
 
     monkeypatch.setattr(BatchOps, read, fail_from_row_k)
     rep = special_check(DeltaShape(ofaorth(3, ZMod(2))))
