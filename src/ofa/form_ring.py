@@ -20,15 +20,15 @@ law and the one coordinate read.  Its two tables are Delta over a preset
 (odd_form_param.DeltaShape) and Theta over a tensor square
 (quad_module.CanonConstruction).
 
-The same law runs on batches, and this is the package's only array law.
+The law runs on batches, and this is the package's only pair law.
 SplitAlgebra multiplies (N, d, d, rk) arrays as X C Y and conjugates
 them as a signed transpose; ParamTable holds the pair law on (P, R)
-batches and the read of (N, dim, rk) coordinate rows.  A table that
-supplies its residue on arrays (residue_rows) gets the whole batch law;
-K products go through coeff_ring.SlotRing.  The tables are in the dtype
-of coeff_ring.batch_dtype, so a narrow batch stays narrow, and a sum of
-products is taken unreduced (raw) and reduced once; batch_dtype bounds
-every such sum.
+batches and the read of (N, dim, rk) coordinate rows, and takes a single
+element as a one-row batch.  A table supplies only its residue on arrays
+(residue_rows); K products go through coeff_ring.SlotRing.  The tables
+are in the dtype of coeff_ring.batch_dtype, so a narrow batch stays
+narrow, and a sum of products is taken unreduced (raw) and reduced once;
+batch_dtype bounds every such sum.
 """
 
 import itertools
@@ -229,7 +229,11 @@ class SplitAlgebra(SparseAlgebra):
         self._rows = None
 
     def to_array(self, els):
-        """The elements as an (N, d, d, rk) int64 array."""
+        """The elements as an (N, d, d, rk) int64 array; an element of
+        another algebra is a StructureError."""
+        for a in els:
+            if a.alg.tag != self.tag:
+                raise StructureError("element of %s given to %s" % (a.alg.tag, self.tag))
         K, d = self.K, len(self.indices)
         A = np.zeros((len(els), d, d, K.rank), dtype=np.int64)
         zero = K.zero()
@@ -554,17 +558,21 @@ class ParamTable:
     ``pi_pos`` (every pair of the algebra), then one coefficient c_k per
     augmentation coordinate, whose basis element b_k is read at pos_k,
     where b_k is +-1 and every other b_j is zero.  The element's pair is
-    (p, residue(p) + sum c_k b_k); a subclass gives the residue.  The
-    read takes p's coefficients, s = r - residue(p), c_k = b_k[pos_k]
-    s[pos_k], and the pair is a member exactly when s = sum c_k b_k.
+    (p, residue(p) + sum c_k b_k).  The read takes p's coefficients,
+    s = r - residue(p), c_k = b_k[pos_k] s[pos_k], and the pair is a
+    member exactly when s = sum c_k b_k.
 
-    On batches, coordinate rows are (N, dim, rk) int arrays and pairs
-    two (N, d, d, rk) arrays in the algebra's layout.  pair_add,
-    pair_neg, pair_phi and pair_act are the law on pairs, to_pair_rows
-    and read_rows (the coordinates and the member mask) go between the
-    two, and add_rows, neg_rows, phi_rows and act_rows compose them.
-    They need residue_rows from the subclass: the residue on a batch, up
-    to reduction, within the bounds of coeff_ring.batch_dtype.
+    Coordinate rows are (N, dim, rk) int arrays and pairs two
+    (N, d, d, rk) arrays in the algebra's layout.  pair_add, pair_neg,
+    pair_phi and pair_act are the law on pairs, to_pair_rows and
+    read_rows (the coordinates and the member mask) go between the two,
+    and add_rows, neg_rows, phi_rows and act_rows compose them.  The
+    subclass gives the residue in one hook only, residue_rows: the
+    residue on a batch, up to reduction, within the bounds of
+    coeff_ring.batch_dtype.  to_pair, read, add, neg, phi and act take
+    single elements (a coordinate tuple over K, or El pairs for read) as
+    one-row batches of the same law; a law whose pair leaves the table
+    raises AssertionError.
     """
 
     def __init__(self, alg, pi_pos, aug):
@@ -591,59 +599,49 @@ class ParamTable:
         mods = self.alg.K.moduli
         return tuple(tuple(rng.randrange(m) for m in mods) for _ in range(self.dim))
 
-    def _aug_el(self, cs):
-        """sum c_k b_k."""
-        K = self.alg.K
-        acc = {}
-        for c, (_, _, b) in zip(cs, self.aug):
-            if not K.is_zero(c):
-                for key, v in b.c.items():
-                    acc[key] = K.add(acc.get(key, K.zero()), K.mul(c, v))
-        return El(self.alg, {key: v for key, v in acc.items() if not K.is_zero(v)})
+    # single elements are one-row batches of the law below
+    def _row(self, x):
+        """The pair of the coordinates x, as two one-row batches."""
+        return self.to_pair_rows(np.array(x, dtype=np.int64).reshape(1, self.dim, self.alg.K.rank))
+
+    def _pair(self, p, r):
+        """The pair (p, r) of algebra elements as two one-row batches."""
+        A = self.alg.to_array([p, r])
+        return A[:1], A[1:]
+
+    def _read(self, P, R):
+        c, ok = self.read_rows(P, R)
+        return tuple(map(tuple, c[0].tolist())) if ok[0] else None
+
+    def _law(self, u):
+        """The coordinates of the one-row pair u that the law gave."""
+        out = self._read(*u)
+        if out is None:
+            raise AssertionError("the pair law left the table: %r"
+                                 % (tuple(self.alg.from_array(np.concatenate(u))),))
+        return out
 
     def to_pair(self, x):
         """(pi(x), rho(x)) of the coordinates x."""
-        alg = self.alg
-        K = alg.K
-        p = El(alg, {pos: c for pos, c in zip(self.pi_pos, x) if not K.is_zero(c)})
-        return p, alg.add(self.residue(p), self._aug_el(x[len(self.pi_pos):]))
+        return tuple(self.alg.from_array(np.concatenate(self._row(x))))
 
     def read(self, p, r):
         """Coordinates of the pair (p, r); None if it is not a member."""
-        alg = self.alg
-        K = alg.K
-        s = alg.sub(r, self.residue(p))
-        aug = tuple(K.mul(u, s.coeff(*pos)) for pos, u, _ in self.aug)
-        if self._aug_el(aug) != s:
-            return None
-        return tuple(p.coeff(*pos) for pos in self.pi_pos) + aug
-
-    def _law(self, p, r):
-        out = self.read(p, r)
-        if out is None:
-            raise AssertionError("the pair law left the table: %r" % ((p, r),))
-        return out
+        return self._read(*self._pair(p, r))
 
     def add(self, x, y):
-        alg = self.alg
-        (p, r), (p2, r2) = self.to_pair(x), self.to_pair(y)
-        return self._law(alg.add(p, p2), alg.add(alg.sub(r, alg.mul(alg.conj(p), p2)), r2))
+        return self._law(self.pair_add(self._row(x), self._row(y)))
 
     def neg(self, x):
-        p, r = self.to_pair(x)
-        return self._law(self.alg.neg(p), self.alg.conj(r))
+        return self._law(self.pair_neg(self._row(x)))
 
     def phi(self, a):
-        alg = self.alg
-        return self._law(alg.zero(), alg.sub(a, alg.conj(a)))
+        return self._law(self.pair_phi(self.alg.to_array([a])))
 
     def act(self, x, a, k):
         """Right action of a + k from the unitalized algebra."""
-        alg = self.alg
-        p, r = self.to_pair(x)
-        left = alg.add(alg.mul(alg.conj(a), r), alg.kmul(k, r))
-        return self._law(alg.add(alg.mul(p, a), alg.kmul(k, p)),
-                         alg.add(alg.mul(left, a), alg.kmul(k, left)))
+        return self._law(self.pair_act(self._row(x), self.alg.to_array([a]),
+                                       np.array([k], dtype=np.int64)))
 
     def row_tables(self):
         """The flat layout positions of the pi coordinates and of each

@@ -15,8 +15,9 @@ and the JSON form name its nonzero slots, q then u then augmentation.
 
 Axiom sweeps (one table of identities) and the specialness check run
 on form_ring's array law through batch_delta; residue_rows, the fold
-residue on a batch, is all that Delta adds to it.  The exact per-element
-functions here serve single elements and render failure witnesses.
+residue on a batch, is all that Delta adds to it.  A single element is
+a one-row batch of the same law: to_pair and member below, and the
+table's add, neg, phi and act.  render and the JSON form print it.
 """
 
 import math
@@ -60,14 +61,11 @@ class DeltaShape(ParamTable):
         self.q_pairs = tuple(q_pairs)
         self.u_idx = tuple(u_idx)
         self.d_keys = tuple(d_keys)
-        self.dplus = alg.el({(k, k): alg.K.one() for k in idx if k > 0})
         self.tag = "delta:" + alg.tag
 
-    def residue(self, p):
-        return _fold_residue(self, p)
-
     def residue_rows(self, P):
-        """_fold_residue on a batch, unreduced: -conj(P) dplus P, less the
+        """The fold residue of each pair's p on a batch, unreduced:
+        -conj(P) dplus P, dplus the sum of e(k, k) over k > 0, less the
         row-0 products k_j k_j' at (-j, j'), doubled off the diagonal."""
         alg, d = self.alg, P.shape[1]
         plus = (np.arange(d) >= d - alg.n)[:, None, None]  # dplus keeps the last n rows
@@ -127,28 +125,6 @@ def render(shape, x):
         else:
             bits.append("%sv%d" % (v, key[1]))
     return " + ".join(bits) if bits else "0."
-
-
-def _fold_residue(shape, p):
-    """rho of the q/u monomial word of p, folded in coordinate order."""
-    alg = shape.alg
-    base = alg.neg(alg.mul(alg.conj(p), alg.mul(shape.dplus, p)))
-    if shape.u_idx:
-        K = alg.K
-        ks = [(j, p.coeff(0, j)) for j in alg.indices]
-        corr = {}
-        for t, (j, kj) in enumerate(ks):
-            if K.is_zero(kj):
-                continue
-            for jp, kjp in ks[t:]:
-                w = K.mul(kj, kjp)
-                if jp != j:
-                    w = K.smul(2, w)
-                if not K.is_zero(w):
-                    slot = (-j, jp)
-                    corr[slot] = K.add(corr.get(slot, K.zero()), w)
-        base = alg.sub(base, alg.el(corr))
-    return base
 
 
 # to_pair and member are the table's read under names of the Delta layer,

@@ -20,7 +20,7 @@ pairing is regular enough.  Over split tables both reproduce the preset
 algebras of form_ring/odd_form_param coordinate for coordinate.  Theta
 and the presets' Delta are two tables of one form_ring.ParamTable: one
 pair law and one coordinate read, with Theta's own pi positions,
-augmentation basis and residue.
+augmentation basis and residue (on batches, residue_rows).
 
 The naive construction counts in batches over flat int coordinates (each
 K element spread over its basis slots, reduced by the per-slot moduli).
@@ -1102,7 +1102,7 @@ class CanonConstruction(ParamTable):
     coefficients of each slot pair t < s, with basis elements from
     f_embed.  The residue of p, with m_t the coefficients in slot t, is
     sum_t f_embed(t, t, canonical_l(m_t)) - sum_{t<s} conj(col_t) col_s,
-    on batches residue_rows."""
+    given on batches only (residue_rows)."""
 
     def __init__(self, M):
         self.M = M
@@ -1160,19 +1160,6 @@ class CanonConstruction(ParamTable):
         if qt.kind == "orthogonal":
             return self.K.neg(q)
         return qt.R.join((self.K.zero(), self.K.neg(q)))
-
-    def residue(self, p):
-        S = self.S
-        r = S.zero()
-        cols = []
-        for t in self.n_labels:
-            m = {i: p.coeff(i, self.jslot(i, t)) for i in self.M.labels}
-            col = self.col(m, t)
-            for c in cols:
-                r = S.sub(r, S.mul(S.conj(c), col))
-            cols.append(col)
-            r = S.add(r, self.f_embed(t, t, self.canonical_l(m)))
-        return r
 
     def embed_tables(self):
         """The tables of the batch residue and box, built on first use:
@@ -1248,7 +1235,7 @@ class CanonConstruction(ParamTable):
         for t, rt in coeffs.items():
             for s, rs in coeffs.items():
                 rho = S.add(rho, self.f_embed(t, s, qt.l_sand(rt, h.l, rs)))
-        return self._law(p, rho)
+        return self._law(self._pair(p, rho))
 
 
 def canonical_construction(M):
@@ -1649,7 +1636,7 @@ class CanonMorphism:
                                     gens + self.kernel_rows().tolist())
         span, at = self._theta, (slice(None), S.apos[:, 0], S.apos[:, 1])
 
-        def residue(flat):
+        def residue_flat(flat):
             d = len(S.indices)
             P = np.zeros((len(flat), d, d, K.rank), dtype=np.int64)
             P[at] = flat.reshape(len(flat), len(S.pairs), K.rank)
@@ -1660,7 +1647,7 @@ class CanonMorphism:
                                 for half in (rows[:, :h], rows[:, h:]))
         hit = np.zeros(len(rows), dtype=bool)
         for k in self.kernel_rows():
-            hit |= span.consistent(r0 - residue((p0 + k) % smod))
+            hit |= span.consistent(r0 - residue_flat((p0 + k) % smod))
         return tok & sok & hit
 
 

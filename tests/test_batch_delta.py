@@ -21,6 +21,7 @@ from ofa.form_ring import (ParamTable, UnitalEl, ofalin, ofaorth, ofasymp, unita
 from ofa.odd_form_param import DeltaShape
 from ofa.quad_module import CanonConstruction, QuadModule, QuadType, split_module
 from test_coeff_ring import _RINGS
+from dict_law import dict_law
 
 # F_2^10 = F_2[x]/(x^10 + x^3 + 1), written as a PolyQuotient
 LIMIT_RINGS = [ZMod(1048573), ZMod(1 << 20),
@@ -81,8 +82,8 @@ def _check_against_exact(T, rng, n):
     """Row 0 of every batch has each entry m - 1; n more rows are random.
     The pair law is checked on pairs, which a table off its module (a
     random Gram table) need not keep; the read against the per-element
-    read, members or not."""
-    alg, K = T.alg, T.alg.K
+    read of the dict law, members or not."""
+    alg, K, ref = T.alg, T.alg.K, dict_law(T)
     ops = BatchOps(T)
     top = tuple(m - 1 for m in K.moduli)
 
@@ -96,7 +97,7 @@ def _check_against_exact(T, rng, n):
         return [top] + [tuple(rng.randrange(m) for m in K.moduli) for _ in range(n)]
 
     us, vs, als, bes, ks, ls = deltas(), deltas(), algs(), algs(), scalars(), scalars()
-    up, vp = [T.to_pair(x) for x in us], [T.to_pair(x) for x in vs]
+    up, vp = [ref.to_pair(x) for x in us], [ref.to_pair(x) for x in vs]
     U, V = _pair_arrays(ops, up), _pair_arrays(ops, vp)
     A, B = _arr(ops, als), _arr(ops, bes)
     kv, lv = np.array(ks, dtype=ops.dtype), np.array(ls, dtype=ops.dtype)
@@ -125,9 +126,9 @@ def _check_against_exact(T, rng, n):
         want = _pair_arrays(ops, exact)
         same(out[0], want[0])
         same(out[1], want[1])
-    same(ops.reduce(T.residue_rows(U[0])), _arr(ops, [T.residue(p) for p, _ in up]))
+    same(ops.reduce(T.residue_rows(U[0])), _arr(ops, [ref.residue(p) for p, _ in up]))
     got, ok = ops.dread(*U)
-    want = [T.read(p, r) for p, r in up]
+    want = [ref.read(p, r) for p, r in up]
     assert ok.tolist() == [w is not None for w in want]
     assert [tuple(map(tuple, g)) for g, o in zip(got.tolist(), ok) if o] == [
         w for w in want if w is not None]

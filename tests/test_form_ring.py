@@ -25,8 +25,10 @@ from ofa.form_ring import (
 from ofa.coeff_ring import (CapacityError, GaloisField, StructureError, ZMod, _basis, _mixed_radix,
                             parse_ring)
 from ofa.clifford import CliffordAlg
+from dict_law import dict_law
 from ofa.odd_form_param import DeltaShape, member, to_pair
 from test_coeff_ring import _RINGS
+from test_quad_module import _FlippedAug
 from ofa.quad_module import (CanonConstruction, QuadModule, QuadType, canon_algebra,
                              module_check, naive_canon_check, split_module)
 
@@ -266,7 +268,7 @@ def test_nonsplit_table_is_a_module_with_its_own_residue():
     C = CanonConstruction(M)
     ref = CanonConstruction(split_module("orthogonal", 3, M.K))
     p = C.S.e(0, 0)
-    assert C.residue(p).key != ref.residue(ref.S.e(0, 0)).key
+    assert dict_law(C).residue(p).key != dict_law(ref).residue(ref.S.e(0, 0)).key
     assert naive_canon_check(M, seed=0, samples=20)["pass"]
 
 
@@ -292,6 +294,64 @@ def test_param_table_law(T, seed):
         assert member(T, *to_pair(T, x)) == x
 
 
+ONE_ROW_TABLES = TABLES + [
+    DeltaShape(mk(r, parse_ring(name))) for name in ("zmod:4", "gf:4", "prod:(zmod:2;zmod:3)")
+    for mk, r in ((ofasymp, 0), (ofalin, 0), (ofaorth, 1))]
+FLIPPED = [_FlippedAug(split_module(kind, rank, parse_ring(name)))
+           for kind, rank, name in (("orthogonal", 2, "gf:3"), ("orthogonal", 3, "zmod:4"),
+                                    ("linear", 2, "gf:3"), ("symplectic", 2, "gf:4"))]
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except AssertionError as exc:
+        return "AssertionError", str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(ONE_ROW_TABLES + FLIPPED), st.integers(0, 2 ** 32 - 1))
+def test_one_row_calls_match_the_dict_law(T, seed):
+    """to_pair, read, add, neg, phi and act on single elements, which run as
+    one-row batches, give the dict law's answers: read on members and on
+    drawn pairs (most off the table), and on a corrupted table the same
+    AssertionError, naming the same pair."""
+    rng = random.Random(seed)
+    alg, ref = T.alg, dict_law(T)
+    x, y, a = T.sample(rng), T.sample(rng), alg.sample(rng)
+    k = rng.choice(list(alg.K.elements()))
+    assert T.to_pair(x) == ref.to_pair(x)
+    for p, r in (ref.to_pair(x), (alg.sample(rng), alg.sample(rng))):
+        assert T.read(p, r) == ref.read(p, r)
+    for name, args in (("add", (x, y)), ("neg", (x,)), ("phi", (a,)), ("act", (x, a, k))):
+        assert _outcome(getattr(T, name), *args) == _outcome(getattr(ref, name), *args), name
+
+
+def test_one_row_calls_refuse_as_the_dict_law():
+    """The corrupted tables do make the law leave them, on both sides."""
+    rng, refused = random.Random(0), 0
+    for T in FLIPPED:
+        ref = dict_law(T)
+        for _ in range(10):
+            x, y = T.sample(rng), T.sample(rng)
+            got = _outcome(T.add, x, y)
+            assert got == _outcome(ref.add, x, y)
+            refused += got[0] == "AssertionError"
+    assert refused > 0
+
+
+def test_an_element_of_another_algebra_is_refused():
+    """to_array, which every single-element call goes through, names both
+    algebras instead of dropping the keys its algebra lacks."""
+    K = parse_ring("gf:3")
+    small, big, lin = ofasymp(2, K), ofasymp(4, K), ofalin(1, K)
+    with pytest.raises(StructureError, match="%s given to %s" % (big.tag, small.tag)):
+        small.to_array([big.e(2, 2)])
+    with pytest.raises(StructureError, match="%s given to %s" % (small.tag, lin.tag)):
+        DeltaShape(lin).read(small.e(1, 1), small.zero())
+    assert (small.to_array([small.e(1, 1)]) != 0).sum() == 1
+
+
 def _coords(rows):
     return [tuple(tuple(v) for v in row) for row in rows.tolist()]
 
@@ -300,27 +360,27 @@ def _coords(rows):
 @given(st.sampled_from(TABLES), st.integers(0, 2 ** 32 - 1))
 def test_param_table_rows_match_the_per_element_law(T, seed):
     """to_pair, read, add, neg, phi and act on coordinate rows give the
-    per-element results row by row; read's mask is the per-element
+    per-element results of the dict law row by row; read's mask is its
     membership, also on pairs off the table."""
     rng = random.Random(seed)
-    alg, kel = T.alg, list(T.alg.K.elements())
+    alg, kel, ref = T.alg, list(T.alg.K.elements()), dict_law(T)
     N = rng.randrange(1, 6)
     xs, ys = [T.sample(rng) for _ in range(N)], [T.sample(rng) for _ in range(N)]
     els = [alg.sample(rng) for _ in range(N)]
     ks = [rng.choice(kel) for _ in range(N)]
     X, Y, A = np.array(xs), np.array(ys), alg.to_array(els)
     P, R = T.to_pair_rows(X)
-    assert list(zip(alg.from_array(P), alg.from_array(R))) == [T.to_pair(x) for x in xs]
+    assert list(zip(alg.from_array(P), alg.from_array(R))) == [ref.to_pair(x) for x in xs]
     for (got, ok), want in (
             (T.read_rows(P, R), xs),
-            (T.add_rows(X, Y), [T.add(x, y) for x, y in zip(xs, ys)]),
-            (T.neg_rows(X), [T.neg(x) for x in xs]),
-            (T.phi_rows(A), [T.phi(a) for a in els]),
-            (T.act_rows(X, A, np.array(ks)), [T.act(x, a, k) for x, a, k in zip(xs, els, ks)])):
+            (T.add_rows(X, Y), [ref.add(x, y) for x, y in zip(xs, ys)]),
+            (T.neg_rows(X), [ref.neg(x) for x in xs]),
+            (T.phi_rows(A), [ref.phi(a) for a in els]),
+            (T.act_rows(X, A, np.array(ks)), [ref.act(x, a, k) for x, a, k in zip(xs, els, ks)])):
         assert ok.all() and _coords(got) == want
     ps, rs = [alg.sample(rng) for _ in range(N)], [alg.sample(rng) for _ in range(N)]
     got, ok = T.read_rows(alg.to_array(ps), alg.to_array(rs))
-    want = [T.read(p, r) for p, r in zip(ps, rs)]
+    want = [ref.read(p, r) for p, r in zip(ps, rs)]
     assert ok.tolist() == [w is not None for w in want]
     assert [g for g, o in zip(_coords(got), ok) if o] == [w for w in want if w is not None]
 

@@ -81,3 +81,26 @@ def test_batch_delta_keeps_no_array_law_of_its_own():
              or isinstance(node, ast.Attribute) and node.attr in law
              or isinstance(node, ast.Name) and node.id in law]
     assert not found
+
+
+def _tree(name):
+    with open(os.path.join(SRC, name)) as fh:
+        return ast.parse(fh.read())
+
+
+def test_one_pair_law_for_single_elements():
+    """A table gives its residue only on arrays (residue_rows), and
+    ParamTable makes no per-element algebra arithmetic: its single-element
+    calls are one-row batches of the array law."""
+    residues = [(name, cls.name) for name in sorted(os.listdir(SRC)) if name.endswith(".py")
+                for cls in ast.walk(_tree(name)) if isinstance(cls, ast.ClassDef)
+                for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name == "residue"]
+    assert not residues
+    (table,) = [cls for cls in ast.walk(_tree("form_ring.py"))
+                if isinstance(cls, ast.ClassDef) and cls.name == "ParamTable"]
+    found = [ast.unparse(node) for node in ast.walk(table)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr in {"mul", "conj", "add", "sub"}
+             and (isinstance(node.func.value, ast.Name) and node.func.value.id == "alg"
+                  or isinstance(node.func.value, ast.Attribute) and node.func.value.attr == "alg")]
+    assert not found

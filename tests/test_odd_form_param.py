@@ -25,6 +25,7 @@ from ofa.odd_form_param import (
     to_pair,
 )
 from ofa.odd_form_param import _count_distinct, _randrange_block
+from dict_law import dict_law
 
 
 def act(sh, x, a):
@@ -174,15 +175,17 @@ def test_special_check():
 
 
 def _special_reference(shape, cap=1 << 16, count=10000, seed=0):
-    """special_check as an element-by-element loop of member(to_pair(x))."""
+    """special_check as an element-by-element loop of member(to_pair(x)),
+    both read by the dict law."""
+    ref = dict_law(shape)
     card = shape.card()
     if card <= cap:
         seen = set()
         ok = True
         for x in shape.elements():
-            p, r = to_pair(shape, x)
+            p, r = ref.to_pair(x)
             seen.add((p.key, r.key))
-            if member(shape, p, r) != x:
+            if ref.read(p, r) != x:
                 ok = False
                 break
         return {"pass": ok and len(seen) == card, "mode": "exhaustive",
@@ -190,8 +193,8 @@ def _special_reference(shape, cap=1 << 16, count=10000, seed=0):
     rng = random.Random(seed)
     for _ in range(count):
         x = shape.sample(rng)
-        p, r = to_pair(shape, x)
-        if member(shape, p, r) != x:
+        p, r = ref.to_pair(x)
+        if ref.read(p, r) != x:
             return {"pass": False, "mode": "sampled", "checked": count,
                     "witness": render(shape, x)}
     return {"pass": True, "mode": "sampled", "checked": count, "flagged": True}
@@ -356,27 +359,27 @@ def test_batch_matches_exact():
                 ofasymp(2, Product([ZMod(2), ZMod(3)])),
                 ofaorth(3, Product([ZMod(4), ZMod(3)]))]:
         sh = DeltaShape(alg)
-        ops = BatchOps(sh)
+        ops, ref = BatchOps(sh), dict_law(sh)
         rng = random.Random(17)
         us = [sh.sample(rng) for _ in range(40)]
         vs = [sh.sample(rng) for _ in range(40)]
         als = [alg.sample(rng) for _ in range(40)]
         ks = [tuple(rng.randrange(m) for m in alg.K.moduli) for _ in range(40)]
-        pairs = [to_pair(sh, x) for x in us]
+        pairs = [ref.to_pair(x) for x in us]
         U = (_np_els(ops, [p for p, _ in pairs]), _np_els(ops, [r for _, r in pairs]))
-        vpairs = [to_pair(sh, x) for x in vs]
+        vpairs = [ref.to_pair(x) for x in vs]
         V = (_np_els(ops, [p for p, _ in vpairs]), _np_els(ops, [r for _, r in vpairs]))
-        sums = [to_pair(sh, sh.add(u, v)) for u, v in zip(us, vs)]
+        sums = [ref.to_pair(ref.add(u, v)) for u, v in zip(us, vs)]
         S = ops.dadd(U, V)
         assert (S[0] == _np_els(ops, [p for p, _ in sums])).all()
         assert (S[1] == _np_els(ops, [r for _, r in sums])).all()
         A = _np_els(ops, als)
         kv = np.array(ks, dtype=np.int64)
-        acted = [to_pair(sh, sh.act(u, a, k)) for u, a, k in zip(us, als, ks)]
+        acted = [ref.to_pair(ref.act(u, a, k)) for u, a, k in zip(us, als, ks)]
         G = ops.act(U, (A, kv))
         assert (G[0] == _np_els(ops, [p for p, _ in acted])).all()
         assert (G[1] == _np_els(ops, [r for _, r in acted])).all()
-        negs = [to_pair(sh, sh.neg(u)) for u in us]
+        negs = [ref.to_pair(ref.neg(u)) for u in us]
         Ng = ops.dneg(U)
         assert (Ng[0] == _np_els(ops, [p for p, _ in negs])).all()
         assert (Ng[1] == _np_els(ops, [r for _, r in negs])).all()

@@ -63,6 +63,7 @@ from ofa.quad_module import (
     split_module,
     unitary_of_module,
 )
+from dict_law import dict_law
 from ofa.unitary import group_order
 from test_linalg import k_det, mat_tuples
 
@@ -434,8 +435,9 @@ def test_box_relations():
 
 def _relations_reference(C, count, seed):
     """The per-element loop canon_relations_check ran before its laws
-    became array passes: each sample through El dicts, box and the
-    per-element pair law, drawing from random.Random(seed) as it goes."""
+    became array passes: each sample through El dicts, box and the dict
+    law, drawing from random.Random(seed) as it goes."""
+    C = dict_law(C)
     rng = random.Random(seed)
     M_, qt, K = C.M, C.qtype, C.K
     rels = list(qt.R.elements())
@@ -585,7 +587,8 @@ def test_relations_check_fails_on_a_corrupted_product():
 
 class _NoCrossResidue(CanonConstruction):
     """A table whose residue drops -sum_{t<s} conj(col_t) col_s; on rows it
-    runs the per-element residue, so both paths read the same table."""
+    runs this per-element residue, which the dict law reads too, so both
+    paths read the same table."""
 
     def residue(self, p):
         r = self.S.zero()
@@ -637,7 +640,8 @@ def test_residue_rows_match_the_residue(name, shape, seed):
     for M in (split_module(kind, rank, K), _random_module(K, kind, rank, rng)):
         C = canonical_construction(M)
         ps = [C.S.sample(rng) for _ in range(4)]
-        assert C.S.from_array(C.residue_rows(C.S.to_array(ps))) == [C.residue(p) for p in ps]
+        ref = dict_law(C)
+        assert C.S.from_array(C.residue_rows(C.S.to_array(ps))) == [ref.residue(p) for p in ps]
 
 
 def test_quadratic_map_is_exact_near_the_ring_cap():
@@ -655,7 +659,8 @@ def test_quadratic_map_is_exact_near_the_ring_cap():
     assert Q(np.array(rows)).tolist() == [fn(row) for row in rows]
     C = canonical_construction(split_module("orthogonal", 2, parse_ring("zmod:%d" % m)))
     ps = [C.S.sample(rng) for _ in range(6)]
-    assert C.S.from_array(C.residue_rows(C.S.to_array(ps))) == [C.residue(p) for p in ps]
+    ref = dict_law(C)
+    assert C.S.from_array(C.residue_rows(C.S.to_array(ps))) == [ref.residue(p) for p in ps]
 
 
 def test_generator_transport_odd_orthogonal():
@@ -933,7 +938,8 @@ def _theta_hit(F, C, t, s):
     """Whether some preimage pair (p, r) of (t, s) under F is in Theta."""
     ps = _preimages(F, t)
     rs = _preimages(F, s) if ps else []
-    return any(C.read(p, r) is not None for p in ps for r in rs)
+    ref = dict_law(C)
+    return any(ref.read(p, r) is not None for p in ps for r in rs)
 
 
 def _pairs_of_rows(N, rows):

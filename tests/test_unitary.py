@@ -68,6 +68,7 @@ from ofa.unitary import (
 from test_batch_delta import _eps
 from test_clifford import center_split_idempotent
 from test_coeff_ring import _RINGS
+from dict_law import dict_law
 from test_linalg import k_det, k_matrices
 
 F2 = ZMod(2)
@@ -599,19 +600,19 @@ def test_key_words_order_rows_as_el_key(K, preset, seed):
 @pytest.mark.parametrize("s", LAW_SHAPES + (sh(ofaorth, 3, F2), sh(ofaorth, 5, F2)),
                          ids=lambda s: s.tag)
 def test_batched_gamma_read_is_member(s):
-    """group enumerate reads every gamma in one batch; each equals member
-    on (beta, bar beta), and the JSON is the element's beta and gamma as
-    alg_el_to_json and delta_to_json write them."""
+    """group enumerate reads every gamma in one batch; each equals the dict
+    law's read of (beta, bar beta), and the JSON is the element's beta and
+    gamma as alg_el_to_json and delta_to_json write them."""
     import ofa.unitary as un
 
     G = enumerate_unitary(s)
-    bo = un.BatchOps(s)
+    bo, ref = un.BatchOps(s), dict_law(s)
     gammas, ok = bo.dread(G.betas, bo.conj(G.betas))
     assert ok.all()
     rows = un.group_to_json(G)
     assert len(rows) == len(G)
     for g, gamma, row in zip(G, gammas.tolist(), rows):
-        assert tuple(map(tuple, gamma)) == member(s, g.beta, s.alg.conj(g.beta))
+        assert tuple(map(tuple, gamma)) == ref.read(g.beta, s.alg.conj(g.beta))
         assert row == {"beta": alg_el_to_json(g.beta), "gamma": delta_to_json(s, g.gamma)}
         assert row == unitary_to_json(g)
 
