@@ -26,13 +26,13 @@ The naive construction counts in batches over flat int coordinates (each
 K element spread over its basis slots, reduced by the per-slot moduli).
 Its equations are stated once, as two linear systems: the adjoint system
 of T and the w system of a Xi fiber.  T is the span of the nullspace
-generators of the first, built with numpy as sorted unique rows.  The
-scalar definitions (_w_rhs, k_matmul, f_s) are read at basis vectors
-only: the Xi right-hand side and t -> xy are quadratic over Z in the
-coordinates of t, so their values at e_i, e_i + e_j and 2 e_i give them
-on every row at once (both maps are kept), and f_s is K-linear, so its
-integer matrix maps every S coordinate row in one product.  One batched
-Xi check on flat rows [x|y|z|w] serves membership and the unit filter.
+generators of the first, built with numpy as sorted unique rows.  Its two
+quadratic maps, t -> xy and the Xi right-hand side, are K-matrix
+products on a whole batch of rows (N, n, n, rk) through SlotRing, with
+the Gram blocks, phi(G) and the upper triangular q table as their only
+tables; f_s is K-linear, so its integer matrix, read at basis vectors,
+maps every S coordinate row in one product.  One batched Xi check on
+flat rows [x|y|z|w] serves membership and the unit filter.
 The theta check of the comparison is one batched call in both modes:
 Xi rows from one batched solve of the w system, their preimages under
 the comparison map from another, and Theta membership as one span test
@@ -848,7 +848,7 @@ class NaiveConstruction:
                     rows.append(row)
         self.tsolver = KSolver(K, rows, ncols=2 * d)
         self._t_rows = None
-        self._maps = None
+        self._tabs = None
 
         # fixed system for the second slot of a Xi pair, unknown w
         wrows = []
@@ -887,14 +887,6 @@ class NaiveConstruction:
         self._rhs = None
 
     # -- vector/matrix shuttling -----------------------------------------
-    def mat_of(self, half):
-        K = self.M.K
-        n = len(self.M.labels)
-        g = [[K.zero()] * n for _ in range(n)]
-        for (a, b), i in self.eidx.items():
-            g[self.M.pos[a]][self.M.pos[b]] = half[i]
-        return tuple(tuple(row) for row in g)
-
     def vec_of(self, g):
         return tuple(g[self.M.pos[a]][self.M.pos[b]] for (a, b) in self.entries)
 
@@ -917,30 +909,56 @@ class NaiveConstruction:
             self._t_rows = _span_rows(self._tmod(), gens, self.cap)
         return self._t_rows
 
-    def t_pair(self, row):
-        """The adjoint pair (x, y) of one flat int row."""
-        v = unflat(np.ravel(row).tolist(), self.M.K.rank)
-        d = len(self.entries)
-        return self.mat_of(v[:d]), self.mat_of(v[d:])
-
-    def _quad(self):
-        """The two quadratic maps of a flat row [x|y], kept: xy (over the
-        entries) and _w_rhs(x, y).  T comes first: past the span cap it
-        refuses before a table calls its map n (n + 3) / 2 times."""
-        if self._maps is None:
+    def _tables(self):
+        """The K tables of the two quadratic maps of a row [x|y], in the
+        dtype of SlotRing(K, n), built on first use: the Gram blocks
+        (nblk, n, n, rk), phi(G) and Q, upper triangular with Q[r, r] =
+        q(e_r) and Q[r, s] = phi(G[r, s]) for r before s, so that q(m) =
+        m^T Q m as q_form accumulates it.  T comes first: past the span
+        cap it refuses before these are built."""
+        if self._tabs is None:
             self.t_rows()
-            K = self.M.K
-            tmod = self._tmod()
+            M, qt = self.M, self.M.qtype
+            n, pos = len(M.labels), M.pos
+            ring = SlotRing(M.K, n)
+            G = np.zeros((2 if qt.kind == "linear" else 1, n, n, M.K.rank), dtype=ring.dtype)
+            phiG, Q = np.zeros_like(G[0]), np.zeros_like(G[0])
+            for (a, b), l in M.gram.items():
+                G[:, pos[a], pos[b]] = qt.l_blocks(l)
+                phiG[pos[a], pos[b]] = qt.phi_map(l)
+                if pos[a] < pos[b]:
+                    Q[pos[a], pos[b]] = phiG[pos[a], pos[b]]
+            for a, v in M.qvals.items():
+                Q[pos[a], pos[a]] = v
+            at = (slice(None), [pos[a] for a, _ in self.entries],
+                  [pos[b] for _, b in self.entries])
+            self._tabs = ring, at, G, phiG, Q
+        return self._tabs
 
-            def xy(row):
-                return vflat(self.vec_of(k_matmul(K, *self.t_pair(row))))
+    def _quad(self, rows, rhs=True):
+        """The two quadratic maps of flat rows [x|y], as K-matrix products
+        on the batch: xy over the entries, and with rhs set the right-hand
+        side of the w system in _wrow_tags order, negated: (xy)^T G_blk at
+        (a, b), then for a quadratic A the diagonal of y^T Q y and y^T
+        phi(G) y at a before b.  Both in the dtype of SlotRing(K, n)."""
+        ring, at, G, phiG, Q = self._tables()
+        N, n, d, rk = len(rows), len(self.M.labels), len(self.entries), self.M.K.rank
+        X, Y = np.zeros((2, N, n, n, rk), dtype=ring.dtype)
+        X[at], Y[at] = np.moveaxis(rows.reshape(N, 2, d, rk), 1, 0)
 
-            def rhs(row):
-                return vflat(self._w_rhs(*self.t_pair(row)))
+        def mul(A, B):
+            return ring.contract(lambda a, b: A[..., a] @ B[..., b])
 
-            self._maps = (_QuadraticMap(xy, tmod, tmod[:len(tmod) // 2]),
-                          _QuadraticMap(rhs, tmod, np.tile(K.moduli, self.wsolver.nrows)))
-        return self._maps
+        XY = mul(X, Y)
+        xy = XY[at].reshape(N, d * rk)
+        if not rhs:
+            return xy, None
+        XYt, Yt = XY.swapaxes(1, 2), Y.swapaxes(1, 2)
+        parts = [np.stack([mul(XYt, g) for g in G], axis=3).reshape(N, n * n * len(G), rk)]
+        if self.M.qtype.kind != "symplectic":
+            k, (i, j) = np.arange(n), np.triu_indices(n, 1)
+            parts += [mul(mul(Yt, Q), Y)[:, k, k], mul(mul(Yt, phiG), Y)[:, i, j]]
+        return xy, ring.reduce(-np.concatenate(parts, axis=1)).reshape(N, self.wsolver.nrows * rk)
 
     # -- the relation set --------------------------------------------------
     def _t_mask(self, rows):
@@ -950,10 +968,10 @@ class NaiveConstruction:
     def _xi_mask(self, rows):
         """Which flat rows [x|y|z|w] are Xi elements: (x, y) and (z, w)
         solve the T system, z + xy + w = 0, and the w system's rows at w
-        equal _w_rhs(x, y)."""
+        equal the right-hand side at (x, y)."""
         h = rows.shape[1] // 2
         t, z, w = rows[:, :h], rows[:, h:3 * h // 2], rows[:, 3 * h // 2:]
-        xy, rhs = (f(t) for f in self._quad())
+        xy, rhs = self._quad(t)
         return (self._t_mask(t) & self._t_mask(rows[:, h:])
                 & ((z + xy + w) % self._tmod()[:h // 2] == 0).all(axis=1)
                 & (self.wsolver.graph.image(w) == rhs).all(axis=1))
@@ -968,29 +986,13 @@ class NaiveConstruction:
                                      self.cap)
         return self._wnull
 
-    def _w_rhs(self, x, y):
-        M = self.M
-        K = M.K
-        qt = M.qtype
-        xy = k_matmul(K, x, y)
-        rhs = []
-        for tag, a, b, blk in self._wrow_tags:
-            if tag == "adj":
-                l = M.b_form(M.mat_col(xy, a), M.basis(b))
-                rhs.append(K.neg(qt.l_blocks(l)[blk]))
-            elif tag == "q":
-                rhs.append(qt.a_neg(M.q_form(M.mat_col(y, a))))
-            else:
-                l = M.b_form(M.mat_col(y, a), M.mat_col(y, b))
-                rhs.append(qt.a_neg(qt.phi_map(l)))
-        return rhs
-
     def _rhs_rows(self):
-        """_w_rhs of every row of T, flat, and the mask of the rows whose
-        w system is consistent (a nonempty Xi fiber).  The batch is kept in
-        the narrowest unsigned dtype that holds K's slot values."""
+        """The w system's right-hand side at every row of T, flat, and the
+        mask of the rows whose w system is consistent (a nonempty Xi
+        fiber).  The batch is kept in the narrowest unsigned dtype that
+        holds K's slot values."""
         if self._rhs is None:
-            rhs = self._quad()[1](self.t_rows())
+            rhs = self._quad(self.t_rows())[1]
             self._rhs = (rhs.astype(np.min_scalar_type(max(self.M.K.moduli) - 1)),
                          self.wsolver.consistent(rhs))
         return self._rhs
@@ -1033,7 +1035,7 @@ class NaiveConstruction:
         assert ok.all(), "xi_rows names an empty fiber"
         kmod = self._tmod()[:w0.shape[1]]
         w = ((w0[inv] + self._wnull_rows()[nix]) % kmod).astype(rhs.dtype)
-        z = (-(self._quad()[0](t)[inv] + w) % kmod).astype(rhs.dtype)
+        z = (-(self._quad(t, rhs=False)[0][inv] + w) % kmod).astype(rhs.dtype)
         return np.concatenate([t.astype(rhs.dtype)[inv], z, w], axis=1)
 
     def unitary_elements(self):
@@ -1050,7 +1052,7 @@ class NaiveConstruction:
         n, rk, d = len(self.M.labels), K.rank, len(self.entries)
         one = np.array(vflat(self.vec_of(k_identity(K, n))), dtype=np.int64)
         T = self.t_rows()
-        U = T[(self._quad()[0](T) == one).all(axis=1)]
+        U = T[(self._quad(T, rhs=False)[0] == one).all(axis=1)]
         xm1, ym1 = np.split((U - np.tile(one, 2)) % self._tmod(), 2, axis=1)
         Y = U[self._xi_mask(np.concatenate([xm1, ym1, ym1, xm1], axis=1)), d * rk:]
         pos = self.M.pos
@@ -1606,7 +1608,10 @@ class CanonMorphism:
         """Number of distinct f_s images over all of S.  f_s is K-linear,
         so its int matrix is f_s on the basis of S coordinates, and one
         matmul maps every S coordinate row (mixed radix over the slot
-        moduli)."""
+        moduli).  The images, narrowed to the smallest unsigned dtype and
+        lex-sorted, are counted where a row differs from the one before
+        (np.unique on rows would sort them as void bytes and import
+        numpy.ma)."""
         K, S = self.M.K, self.C.S
         n = len(self.M.labels)
         fmat = np.array([
@@ -1614,8 +1619,9 @@ class CanonMorphism:
             for p in S.pairs for u in _basis(K)
         ], dtype=np.int64).reshape(len(S.pairs) * K.rank, 2 * n * n * K.rank)
         coords = _mixed_radix(K.moduli * len(S.pairs), S.card())
-        image = coords @ fmat % np.tile(K.moduli, 2 * n * n)
-        return len(np.unique(image, axis=0))
+        image = _lex_sorted((coords @ fmat % np.tile(K.moduli, 2 * n * n)).astype(
+            np.min_scalar_type(max(K.moduli) - 1)))
+        return 1 + int((image[1:] != image[:-1]).any(axis=1).sum())
 
     def theta_hits(self, rows):
         """Which flat Xi rows [x|y|z|w] have a preimage pair (p, r) under

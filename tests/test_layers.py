@@ -104,3 +104,16 @@ def test_one_pair_law_for_single_elements():
              and (isinstance(node.func.value, ast.Name) and node.func.value.id == "alg"
                   or isinstance(node.func.value, ast.Attribute) and node.func.value.attr == "alg")]
     assert not found
+
+
+def test_naive_construction_probes_no_element():
+    """NaiveConstruction computes xy and the Xi right-hand side on
+    batches: it reads no quadratic map off per-element calls."""
+    (naive,) = [cls for cls in ast.walk(_tree("quad_module.py"))
+                if isinstance(cls, ast.ClassDef) and cls.name == "NaiveConstruction"]
+    probes = {"_QuadraticMap", "_w_rhs"}
+    found = [ast.dump(node) for node in ast.walk(naive)
+             if isinstance(node, ast.Name) and node.id in probes
+             or isinstance(node, ast.Attribute) and node.attr in probes
+             or isinstance(node, ast.FunctionDef) and node.name in probes]
+    assert not found

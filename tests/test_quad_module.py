@@ -3,7 +3,10 @@
 import hashlib
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +19,7 @@ from ofa.coeff_ring import (
     CapacityError,
     GaloisField,
     Product,
+    SlotRing,
     StructureError,
     ZMod,
     const_hom,
@@ -793,7 +797,7 @@ def _ref_t_elements(N):
     K = N.M.K
     gens = [tuple(g) for g in N.tsolver.nullspace()]
     vecs = _bfs_span(K, gens, N.cap) if gens else [tuple(K.zero() for _ in range(2 * d))]
-    return [(N.mat_of(v[:d]), N.mat_of(v[d:])) for v in vecs]
+    return [(_mat_of(N, v[:d]), _mat_of(N, v[d:])) for v in vecs]
 
 
 def _ref_unitary(N):
@@ -816,8 +820,43 @@ def _ref_unitary(N):
 # its CanonMorphism).
 
 
+def _mat_of(N, half):
+    K = N.M.K
+    n = len(N.M.labels)
+    g = [[K.zero()] * n for _ in range(n)]
+    for (a, b), i in N.eidx.items():
+        g[N.M.pos[a]][N.M.pos[b]] = half[i]
+    return tuple(tuple(row) for row in g)
+
+
+def _t_pair(N, row):
+    """The adjoint pair (x, y) of one flat int row."""
+    v = unflat(np.ravel(row).tolist(), N.M.K.rank)
+    d = len(N.entries)
+    return _mat_of(N, v[:d]), _mat_of(N, v[d:])
+
+
+def _w_rhs(N, x, y):
+    """The right-hand side of the w system at the adjoint pair (x, y)."""
+    M = N.M
+    K = M.K
+    qt = M.qtype
+    xy = k_matmul(K, x, y)
+    rhs = []
+    for tag, a, b, blk in N._wrow_tags:
+        if tag == "adj":
+            l = M.b_form(M.mat_col(xy, a), M.basis(b))
+            rhs.append(K.neg(qt.l_blocks(l)[blk]))
+        elif tag == "q":
+            rhs.append(qt.a_neg(M.q_form(M.mat_col(y, a))))
+        else:
+            l = M.b_form(M.mat_col(y, a), M.mat_col(y, b))
+            rhs.append(qt.a_neg(qt.phi_map(l)))
+    return rhs
+
+
 def _t_elements(N):
-    return [N.t_pair(v) for v in N.t_rows()]
+    return [_t_pair(N, v) for v in N.t_rows()]
 
 
 def _wnull_vecs(N):
@@ -879,7 +918,7 @@ def _ref_xi_member(N, t, s):
 def _xi_completion(N, xy, w0, dw):
     K = N.M.K
     n = len(N.M.labels)
-    w = N.mat_of(vadd(K, tuple(w0), dw))
+    w = _mat_of(N, vadd(K, tuple(w0), dw))
     z = tuple(
         tuple(K.neg(K.add(xy[i][j], w[i][j])) for j in range(n))
         for i in range(n)
@@ -893,7 +932,7 @@ def _fiber_base(N, t):
     w0 = N.wsolver.graph.solve(N._rhs_rows()[0][t].tolist())
     if w0 is None:
         return None
-    x, y = N.t_pair(N.t_rows()[t])
+    x, y = _t_pair(N, N.t_rows()[t])
     return k_matmul(N.M.K, x, y), unflat(w0, N.M.K.rank)
 
 
@@ -945,7 +984,7 @@ def _theta_hit(F, C, t, s):
 def _pairs_of_rows(N, rows):
     """The Xi elements ((x, y), (z, w)) of flat rows [x|y|z|w]."""
     h = rows.shape[1] // 2
-    return [(N.t_pair(r[:h]), N.t_pair(r[h:])) for r in rows]
+    return [(_t_pair(N, r[:h]), _t_pair(N, r[h:])) for r in rows]
 
 
 P23 = Product([F2, F3])
@@ -966,7 +1005,7 @@ def test_batch_construction_matches_reference_loops():
         ref_ts = _ref_t_elements(N)
         assert _t_elements(N) == ref_ts, (kind, K.name)
         assert len(ref_ts) == N.t_card()
-        ref_xi = sum(N.wsolver.count(N._w_rhs(x, y)) for x, y in ref_ts)
+        ref_xi = sum(N.wsolver.count(_w_rhs(N, x, y)) for x, y in ref_ts)
         assert N.xi_card() == ref_xi, (kind, K.name)
         assert mat_tuples(N.unitary_elements()) == _ref_unitary(N), (kind, K.name)
         gens = [tuple(g) for g in N.wsolver.nullspace()]
@@ -986,6 +1025,45 @@ def test_batch_construction_matches_reference_loops():
         gens = [tuple(g) for g in F._pre.nullspace()]
         if gens:
             assert _kernel_vectors(F) == _bfs_span(K, gens, N.cap)
+
+
+def _check_quadratic_maps(N):
+    """_quad on all of T, in the dtype of SlotRing(K, n), against
+    k_matmul and _w_rhs at each row's adjoint pair."""
+    K = N.M.K
+    T = N.t_rows()
+    xy, rhs = N._quad(T)
+    assert xy.dtype == rhs.dtype == SlotRing(K, len(N.M.labels)).dtype
+    assert np.array_equal(N._quad(T, rhs=False)[0], xy)
+    assert [a.shape for a in N._quad(T[:0])] == [(0, xy.shape[1]), (0, rhs.shape[1])]
+    for row, got_xy, got_rhs in zip(T, xy.tolist(), rhs.tolist()):
+        x, y = _t_pair(N, row)
+        assert got_xy == vflat(N.vec_of(k_matmul(K, x, y))), N.M.tag
+        assert got_rhs == vflat(_w_rhs(N, x, y)), N.M.tag
+    return xy.dtype
+
+
+def test_quadratic_maps_match_the_per_element_reference():
+    """Every T row, on BATCH_CASES, lin 2 over F3, orth 3 over Z/2 and
+    lin 1 over Z/81 and Z/82, on each side of the int16 bound of
+    SlotRing(K, 2)."""
+    cases = BATCH_CASES + (("linear", 2, F3), ("orthogonal", 3, F2))
+    for kind, rank, K in cases:
+        _check_quadratic_maps(naive_construction(split_module(kind, rank, K)))
+    for m, dt in ((81, np.int16), (82, np.int32)):
+        assert _check_quadratic_maps(naive_construction(split_module("linear", 1, ZMod(m)))) == dt
+
+
+def test_quadratic_maps_match_the_reference_on_random_tables():
+    """Off the split tables Q and phi(G) fill up and G is not hermitian:
+    only these catch a Q read off the lower triangle of phi(G), which
+    the split tables cannot tell from the upper one."""
+    rng = random.Random(5)
+    cases = [(kind, rank, K) for K in (F2, F3, Z4, F4)
+             for kind, rank in (("linear", 1), ("symplectic", 2), ("orthogonal", 1),
+                                ("orthogonal", 2))]
+    for kind, rank, K in cases + [("linear", 2, F2), ("orthogonal", 3, F2)]:
+        _check_quadratic_maps(naive_construction(_random_module(K, kind, rank, rng)))
 
 
 def test_span_capacity_message_matches_reference():
@@ -1008,13 +1086,14 @@ def test_span_capacity_message_matches_reference():
 @pytest.mark.parametrize("argv", ["--family symp --n 6 --ring gf:2",
                                   "--family lin --n 12 --ring gf:2"])
 def test_naive_refusal_comes_before_the_quadratic_table(argv, monkeypatch, capsys):
-    """T past the span cap is refused before _batch tabulates fn on it."""
+    """T past the span cap is refused before the K tables of its two
+    quadratic maps are built."""
     import ofa.quad_module as qm
 
     def refuse(*a):
         raise AssertionError("quadratic table built for a refused T")
 
-    monkeypatch.setattr(qm._QuadraticMap, "__init__", refuse)
+    monkeypatch.setattr(qm.NaiveConstruction, "_tables", refuse)
     assert cli_main(["construct", "naive", *argv.split()]) == 2
     err = capsys.readouterr().err
     assert err == "error: span closure past %d\n" % qm._SCAN_CAP
@@ -1033,9 +1112,9 @@ def test_xi_draw_is_the_fiber_element_the_rng_picks():
         empty = 0
         for s in range(12):
             t = pick.randrange(len(rows))
-            x, y = N.t_pair(rows[t])
-            assert N._rhs_rows()[0][t].tolist() == vflat(N._w_rhs(x, y))
-            w0 = N.wsolver.solve(N._w_rhs(x, y))
+            x, y = _t_pair(N, rows[t])
+            assert N._rhs_rows()[0][t].tolist() == vflat(_w_rhs(N, x, y))
+            w0 = N.wsolver.solve(_w_rhs(N, x, y))
             fiber = list(_xi_fiber(N, t))
             assert fiber == ([] if w0 is None else [
                 _xi_completion(N, k_matmul(K, x, y), w0, dw) for dw in _wnull_vecs(N)])
@@ -1054,7 +1133,7 @@ def test_xi_draw_is_the_fiber_element_the_rng_picks():
                 t = ref.randrange(len(rows))
                 draw = _xi_draw(N, t, ref)
                 if draw is not None:
-                    want.append((N.t_pair(rows[t]), draw))
+                    want.append((_t_pair(N, rows[t]), draw))
             assert got == want
             assert rng.getstate() == ref.getstate()
         assert kind == "linear" or empty  # the defect module has empty fibers
@@ -1102,7 +1181,7 @@ def _ref_theta_walk(N, F, rng, samples):
     draws = []
     for _ in range(samples):
         row = rng.randrange(len(ts))
-        t = N.t_pair(ts[row])
+        t = _t_pair(N, ts[row])
         s = _xi_draw(N, row, rng)
         if s is not None:
             draws.append((t, s))
@@ -1202,6 +1281,21 @@ def test_construct_compare_stdout_pinned(argv, code, digest, capsys):
     assert cli_main(["construct", "compare", *argv.split()]) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_construct_compare_leaves_numpy_ma_unimported():
+    """image_count counts rows without np.unique, whose row mode imports
+    numpy.ma on first use; a fresh interpreter, so other tests' imports
+    do not count."""
+    src = os.path.dirname(os.path.dirname(quad_module.__file__))
+    code = ("import contextlib, io, sys; from ofa.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = main(['construct', 'compare', '--family', 'lin', '--n', '2',"
+            " '--ring', 'gf:3'])\n"
+            "print(code, 'numpy.ma' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         check=True, capture_output=True, text=True).stdout
+    assert out.split() == ["0", "False"]
 
 
 # -- the module isometry search against the recursive column scan -------------
