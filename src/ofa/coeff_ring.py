@@ -33,6 +33,9 @@ _FIELD_CHECK_CAP = 1 << 10
 # int32 and int16 hold the bound when it is at most 2^31 - 1 and
 # 2^15 - 1, which the tiny rings of the Delta sweeps meet in int16.
 RING_CAP = 1 << 20
+# SlotRing.matmul_raw works on blocks of this many rows, which keep its
+# temporaries small; 8192 and 16384 timed the same, smaller blocks slower.
+_MATMUL_BLOCK = 8192
 
 
 def batch_dtype(m, s, d):
@@ -47,8 +50,11 @@ def batch_dtype(m, s, d):
     of two entries is at most c = s M^2 in absolute value on each slot,
     and so is each of its partial sums.  A raw mul_rows adds d products,
     through integer weights with sum |w_j| <= d + 1 or through a dense C
-    with X C reduced first, so it is at most (d + 1) c, and numpy's
-    matmul partial sums stay inside that.  A span adds c_k b_k, and an
+    with X C reduced first, so it is at most (d + 1) c: that bounds the
+    sum of the absolute values of its terms s X[i, k, a] Y[k, j, b] on a
+    slot c.  SlotRing.matmul_raw adds these terms in its own order, the
+    batch axis last, but each of its partial sums is a sum of a subset of
+    them, so it stays within (d + 1) c too.  A span adds c_k b_k, and an
     entry of a Delta basis element b_k is 0 or +-1 and nonzero in no
     other b_k, so a span is at most M.  The sums before one reduce are:
       kmul_rows:                                               c
@@ -373,10 +379,11 @@ class SlotRing:
     the basis slots a and b, and ``m`` is the additive modulus: one int
     when the slots share it, else the per-slot moduli for the last axis
     (valid because a product only maps slots into slots of the same
-    component).  ``reduce`` is the one reduction and ``contract`` the one
-    coefficient-product kernel of the numpy engines.  ``ktab`` and a
-    per-slot ``m`` are int64, or with d given the batch_dtype of d x d
-    matrices over K, so that they do not widen the arrays they meet.
+    component).  ``reduce`` is the one reduction, ``contract`` the one
+    coefficient-product kernel and ``matmul_raw`` the one K-matrix product
+    of the numpy engines.  ``ktab`` and a per-slot ``m`` are int64, or
+    with d given the batch_dtype of d x d matrices over K, so that they
+    do not widen the arrays they meet.
     """
 
     def __init__(self, K, d=None):
@@ -436,6 +443,35 @@ class SlotRing:
     def contract(self, pair):
         """contract_raw, reduced."""
         return self.reduce(self.contract_raw(pair))
+
+    def matmul_raw(self, X, Y):
+        """The K-matrix products of (N, d, e, rk) and (N, e, f, rk)
+        batches, row by row, unreduced, in their dtype; a leading 1 on
+        either side broadcasts.  See batch_dtype for how large the sums
+        get.
+
+        Each block of rows is copied into (d, e, rk, n) order, the batch
+        last, so that each term s X[i, k, a] Y[k, j, b] of slot c is one
+        contiguous multiply-add over the block, where numpy's stacked
+        matmul would run a strided loop over N tiny matrices.
+        """
+        N = len(X) if len(Y) == 1 else len(Y)
+        d, e, f = X.shape[1], X.shape[2], Y.shape[2]
+        dt = np.result_type(X, Y)
+        out = np.empty((N, d, f, self.rk), dtype=dt)
+        for lo in range(0, N, _MATMUL_BLOCK):
+            Xb, Yb = (np.ascontiguousarray(
+                (A[lo:lo + _MATMUL_BLOCK] if len(A) > 1 else A).transpose(1, 2, 3, 0),
+                dtype=dt) for A in (X, Y))
+            n = min(N - lo, _MATMUL_BLOCK)
+            O, w = np.zeros((d, f, self.rk, n), dtype=dt), np.empty((d, f, n), dtype=dt)
+            for a, b, terms in self._terms:
+                for k in range(e):
+                    np.multiply(Xb[:, k, None, a], Yb[k, None, :, b], out=w)
+                    for c, s in terms:
+                        O[:, :, c] += w if s == 1 else s * w
+            out[lo:lo + n] = O.transpose(3, 0, 1, 2)
+        return out
 
 
 def _mixed_radix(sizes, stop, start=0):

@@ -294,10 +294,10 @@ class SplitAlgebra(SparseAlgebra):
         """The products of two (N, d, d, rk) batches, row by row: X C Y."""
         t = self.row_tables()
         if t.C is not None:
-            X = t.ring.contract(lambda a, b: X[..., a] @ t.C[..., b])
+            X = t.ring.reduce(t.ring.matmul_raw(X, t.C[None]))
         else:
             Y = Y[:, t.sigma] if t.w is None else Y[:, t.sigma] * t.w
-        XY = t.ring.contract_raw(lambda a, b: X[..., a] @ Y[..., b])
+        XY = t.ring.matmul_raw(X, Y)
         return XY if raw else t.ring.reduce(XY)
 
     def conj_rows(self, X, raw=False):

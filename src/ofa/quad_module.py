@@ -914,10 +914,11 @@ class NaiveConstruction:
         dtype of SlotRing(K, n), built on first use: the Gram blocks
         (nblk, n, n, rk), phi(G) and Q, upper triangular with Q[r, r] =
         q(e_r) and Q[r, s] = phi(G[r, s]) for r before s, so that q(m) =
-        m^T Q m as q_form accumulates it.  T comes first: past the span
-        cap it refuses before these are built."""
+        m^T Q m as q_form accumulates it.  No T row is read here, so a
+        membership check answers past the span cap; the callers that read
+        T (_rhs_rows, xi_rows, unitary_elements) read it first, so there
+        the cap refuses before these are built."""
         if self._tabs is None:
-            self.t_rows()
             M, qt = self.M, self.M.qtype
             n, pos = len(M.labels), M.pos
             ring = SlotRing(M.K, n)
@@ -947,17 +948,17 @@ class NaiveConstruction:
         X[at], Y[at] = np.moveaxis(rows.reshape(N, 2, d, rk), 1, 0)
 
         def mul(A, B):
-            return ring.contract(lambda a, b: A[..., a] @ B[..., b])
+            return ring.reduce(ring.matmul_raw(A, B))
 
         XY = mul(X, Y)
         xy = XY[at].reshape(N, d * rk)
         if not rhs:
             return xy, None
         XYt, Yt = XY.swapaxes(1, 2), Y.swapaxes(1, 2)
-        parts = [np.stack([mul(XYt, g) for g in G], axis=3).reshape(N, n * n * len(G), rk)]
+        parts = [np.stack([mul(XYt, g[None]) for g in G], axis=3).reshape(N, n * n * len(G), rk)]
         if self.M.qtype.kind != "symplectic":
             k, (i, j) = np.arange(n), np.triu_indices(n, 1)
-            parts += [mul(mul(Yt, Q), Y)[:, k, k], mul(mul(Yt, phiG), Y)[:, i, j]]
+            parts += [mul(mul(Yt, Q[None]), Y)[:, k, k], mul(mul(Yt, phiG[None]), Y)[:, i, j]]
         return xy, ring.reduce(-np.concatenate(parts, axis=1)).reshape(N, self.wsolver.nrows * rk)
 
     # -- the relation set --------------------------------------------------

@@ -1,10 +1,12 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ofa import coeff_ring
 from ofa.coeff_ring import (
     CapacityError, GaloisField, PolyQuotient, Product, RingHom, SlotRing, StructureError,
     TensorTower, ZMod, hom_compose, identity_hom, parse_ring, ring_to_json,
@@ -273,6 +275,60 @@ def test_ring_axioms(K, data):
     X, Y = (np.array([t[k] for t in xs], dtype=np.int64) for k in (0, 1))
     got = SlotRing(K).contract(lambda p, q: X[:, p] * Y[:, q]).tolist()
     assert [tuple(z) for z in got] == [K.mul(a, b) for a, b, _ in xs]
+
+
+def _stacked_reference(S, X, Y):
+    """sum over (a, b) of S[a, b, c] X[..., a] @ Y[..., b], in int64."""
+    X, Y = X.astype(np.int64), Y.astype(np.int64)
+    rk = S.shape[0]
+    out = np.zeros(np.broadcast_shapes(X.shape[:1], Y.shape[:1]) + (X.shape[1], Y.shape[2], rk),
+                   dtype=np.int64)
+    for a, b, c in itertools.product(range(rk), repeat=3):
+        out[..., c] += int(S[a, b, c]) * (X[..., a] @ Y[..., b])
+    return out
+
+
+# rank 1 to 3, products and a modulus whose products have weights 2 and 3
+_MATMUL_RINGS = st.one_of(
+    st.sampled_from([ZMod(3), ZMod(4), GaloisField(2, [1, 1, 1]), GaloisField(2, [1, 1, 0, 1]),
+                     Product([ZMod(2), ZMod(3)]), Product([ZMod(4), ZMod(2), ZMod(3)]),
+                     Product([GaloisField(2, [1, 1, 1]), ZMod(3)]),
+                     PolyQuotient(ZMod(5), [(2,), (3,), (1,)])]),
+    _RINGS.filter(lambda K: K.rank <= 3))
+_BLOCK = coeff_ring._MATMUL_BLOCK
+
+
+@settings(max_examples=120, deadline=None)
+@given(_MATMUL_RINGS, st.sampled_from([np.int16, np.int32, np.int64]),
+       st.tuples(*[st.integers(1, 6)] * 3), st.sampled_from([None] * 4 + [0, 1, 2]),
+       st.sampled_from([0, 1, 2, 7, _BLOCK, _BLOCK + 1]), st.sampled_from([0, 1, 2]),
+       st.booleans(), st.integers(0, 2 ** 16))
+@example(GaloisField(2, [1, 1, 1]), np.int16, (3, 3, 3), None, _BLOCK + 1, 0, True, 0)
+@example(GaloisField(2, [1, 1, 1]), np.int16, (3, 3, 3), None, _BLOCK + 1, 2, True, 0)
+@example(ZMod(3), np.int64, (4, 4, 4), None, 7, 0, False, 1)
+@example(Product([ZMod(2), ZMod(3)]), np.int16, (2, 5, 6), 0, 0, 1, False, 2)
+@example(PolyQuotient(ZMod(5), [(2,), (3,), (1,)]), np.int16, (2, 3, 4), None, 1, 0, True, 0)
+def test_matmul_raw_matches_the_stacked_reference(K, dtype, shape, empty, N, side, top, seed):
+    """SlotRing.matmul_raw against the int64 stacked matmul: N = 0 against
+    a broadcast 1, N = 1, a few rows, one block and one block boundary;
+    d, e, f from 1 to 6, or one of them 0, as in the products of rank-0
+    presets.  Entries reach the largest magnitude M at which every
+    partial sum fits the dtype (with top set, every entry is M)."""
+    ring = SlotRing(K)
+    d, e, f = (0 if t == empty else n for t, n in enumerate(shape))
+    weight = int(ring.S.sum(axis=(0, 1)).max())
+    M = math.isqrt(np.iinfo(dtype).max // (max(e, 1) * weight))
+    rng = np.random.default_rng(seed)
+    # side 1 or 2 gives X or Y one row, which broadcasts
+    nx, ny = (1 if side == 1 else N), (1 if side == 2 else N)
+    if N == 0 and side == 0:
+        nx = 1
+    X, Y = (np.full(sz, M, dtype=dtype) if top else rng.integers(-M, M + 1, sz).astype(dtype)
+            for sz in ((nx, d, e, K.rank), (ny, e, f, K.rank)))
+    want = _stacked_reference(ring.S, X, Y)
+    got = ring.matmul_raw(X, Y)
+    assert got.dtype == dtype and got.shape == want.shape
+    assert (got == want).all()
 
 
 def test_capacity_guard():

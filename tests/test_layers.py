@@ -117,3 +117,33 @@ def test_naive_construction_probes_no_element():
              or isinstance(node, ast.Attribute) and node.attr in probes
              or isinstance(node, ast.FunctionDef) and node.name in probes]
     assert not found
+
+
+def _slot_indexed(node, slots):
+    """Whether node is X[..., a] with a one of the lambda's slot names."""
+    if not isinstance(node, ast.Subscript):
+        return False
+    idx = node.slice.elts[-1] if isinstance(node.slice, ast.Tuple) else node.slice
+    return isinstance(idx, ast.Name) and idx.id in slots
+
+
+def test_k_matrix_products_go_through_matmul_raw():
+    """No lambda handed to SlotRing.contract or contract_raw outside
+    coeff_ring is a K-matrix product, a matmul of two slot-indexed
+    operands (X[..., a] @ Y[..., b]): those are SlotRing.matmul_raw
+    calls.  A matmul by an integer table, as in clifford, is not one."""
+    found = []
+    for name in sorted(os.listdir(SRC)):
+        if not name.endswith(".py") or name == "coeff_ring.py":
+            continue
+        for node in ast.walk(_tree(name)):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in {"contract", "contract_raw"}):
+                continue
+            for lam in (a for a in node.args if isinstance(a, ast.Lambda)):
+                slots = {a.arg for a in lam.args.args}
+                found += [(name, ast.unparse(sub)) for sub in ast.walk(lam)
+                          if isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.MatMult)
+                          and _slot_indexed(sub.left, slots)
+                          and _slot_indexed(sub.right, slots)]
+    assert not found

@@ -1099,6 +1099,22 @@ def test_naive_refusal_comes_before_the_quadratic_table(argv, monkeypatch, capsy
     assert err == "error: span closure past %d\n" % qm._SCAN_CAP
 
 
+def test_xi_member_answers_past_the_span_cap():
+    """xi_member reads no T row, so it answers where T is past the span
+    cap, as t_member does; reading T there still refuses."""
+    M = split_module("symplectic", 6, F2)
+    N = naive_construction(M)
+    one = k_identity(F2, len(M.labels))
+    zero = tuple(tuple((0,) for _ in r) for r in one)
+    assert N.t_member(one, one)
+    # z + xy + w is 3 = 1 on (1, 1), (1, 1); (1, 1), (1, 0) fails the w rows
+    for t, s, member in (((one, one), (one, one), False), ((one, one), (one, zero), False),
+                         ((zero, zero), (zero, zero), True)):
+        assert N.xi_member(t, s) == _ref_xi_member(N, t, s) == member
+    with pytest.raises(CapacityError, match="span closure past"):
+        N.t_rows()
+
+
 def test_xi_draw_is_the_fiber_element_the_rng_picks():
     """xi_rows reads the kept right-hand side batch by T row: each drawn
     row of it is _w_rhs of its adjoint pair, the rows of a whole fiber are
