@@ -8,12 +8,18 @@ starting "error:".
 
 The document is the text of json.dumps(doc, sort_keys=True, indent=2),
 written by _dumps: the C encoder writes it compact, and one numpy pass
-over fixed-size blocks puts the line breaks and indentation back.  The
-indented encoder is pure Python; the report of `group enumerate` runs to
+over fixed-size blocks puts the line breaks and indentation back, looking
+only at the quotes, backslashes and structural bytes.  The indented
+encoder is pure Python; the report of `group enumerate` runs to
 megabytes.
+
+main builds the parser on its first call and reuses it: parse_args keeps
+no state in it, so the calls of one process (the tests, a bench pass) pay
+for build_parser once.
 """
 
 import argparse
+import functools
 import json
 import sys
 from collections import Counter
@@ -59,6 +65,8 @@ def family_module(family, n, K):
 
 
 _BLOCK = 1 << 16
+# the bytes the reindent pass looks at: quotes, backslashes, structure
+_SPECIAL = bytes(int(chr(i) in '"\\[]{},') for i in range(256))
 
 
 def _dumps(doc):
@@ -69,41 +77,67 @@ def _dumps(doc):
     form uses; one pass over _BLOCK-byte blocks then puts back a line
     break, with 2 * depth spaces, after every ',' and before every
     structural bracket except between an opener and its closer.  Quotes
-    with an even run of backslashes before them delimit the strings, and
-    with ensure_ascii every backslash is inside one.  Depth, inside-string,
-    a pending escape and whether the last byte opened a container carry
-    from one block to the next."""
-    raw = np.frombuffer(
-        json.dumps(doc, sort_keys=True, separators=(",", ": ")).encode("ascii"), dtype=np.uint8)
-    depth, in_str, escaped, opened = np.int32(0), False, False, False
+    that no backslash escapes delimit the strings, and with ensure_ascii
+    every backslash is inside one.  One table lookup finds the quotes,
+    backslashes and structural bytes of a block, and depth and string
+    state are taken at those bytes only.  Depth, inside-string, a pending
+    escape and whether the last byte opened a container carry from one
+    block to the next."""
+    text = json.dumps(doc, sort_keys=True, separators=(",", ": ")).encode("ascii")
+    depth, in_str, escaped, opened = 0, False, False, False
     parts = []
-    for lo in range(0, len(raw), _BLOCK):
-        b = raw[lo:lo + _BLOCK]
-        n = len(b)
-        idx = np.arange(n, dtype=np.int32)
-        # the backslash run ending at each byte, and its parity
-        start = np.maximum.accumulate(np.where(b == ord("\\"), np.int32(-1), idx))
-        odd = ((idx - start + np.where(start < 0, escaped, 0)) & 1).astype(bool)
-        quote = (b == ord('"')) & ~np.concatenate(([escaped], odd[:-1]))
-        nq = np.cumsum(quote, dtype=np.int32)
-        outside = ((nq - quote + in_str) & 1) == 0
-        op = ((b == ord("[")) | (b == ord("{"))) & outside
-        cl = ((b == ord("]")) | (b == ord("}"))) & outside
-        comma = (b == ord(",")) & outside
-        after = depth + np.cumsum(op.astype(np.int32) - cl)
-        # a break before byte j, or (j = n) at the end of the block
-        prev = np.concatenate(([opened], op[:-1]))
-        width = np.zeros(n + 1, dtype=np.int32)
-        width[:n] = np.where(prev != cl, 1 + 2 * (after - op), 0)
-        width[1:] += np.where(comma, 1 + 2 * after, 0)
-        shift = np.cumsum(width, dtype=np.int32)
+    for lo in range(0, len(text), _BLOCK):
+        chunk = text[lo:lo + _BLOCK]
+        b, n = np.frombuffer(chunk, dtype=np.uint8), len(chunk)
+        s = np.flatnonzero(np.frombuffer(chunk.translate(_SPECIAL), dtype=bool))
+        c = b[s]
+        # the bytes a backslash escapes: the backslashes at even places of
+        # each run escape the byte after them; -1 stands for one the last
+        # block ended with
+        bsl = s[c == ord("\\")]
+        if escaped:
+            bsl = np.concatenate(([-1], bsl))
+        k = np.arange(len(bsl))
+        head = np.maximum.accumulate(np.where(np.diff(bsl, prepend=-3) != 1, k, 0))
+        esc = bsl[(k - head) % 2 == 0] + 1
+        quote = (c == ord('"')) & ~np.isin(s, esc)
+        # the string state after each such byte; no structural byte is a
+        # quote, so at one it is the state the byte is read in
+        inside = np.logical_xor.accumulate(quote) != in_str
+        op = ((c == ord("[")) | (c == ord("{"))) & ~inside
+        cl = ((c == ord("]")) | (c == ord("}"))) & ~inside
+        after = depth + np.cumsum(op.astype(np.int8) - cl, dtype=np.int32)
+        # whether each such byte directly follows the one before it; the
+        # first looks back into the last block
+        adj = np.diff(s, prepend=-1) == 1
+        # a break after every ',' and every opener whose closer does not
+        # follow, before every closer that does not follow its opener; an
+        # opener that ends the block leaves its break to the next one
+        shut = np.append(adj[1:] & cl[1:], s[-1:] == n - 1)
+        brk = ((c == ord(",")) & ~inside) | (op & ~shut)
+        brk |= cl & ~(adj & np.concatenate(([opened], op[:-1])))
+        # the byte each break follows, -1 for one at the block's start
+        i = np.flatnonzero(brk)
+        at, width = s[i] - cl[i], 1 + 2 * after[i]
+        # a break at the block's start (after an opener that ended the last
+        # block, or before a closer at byte 0) goes out ahead of it
+        if opened and not (len(s) and adj[0] and cl[0]):
+            parts.append(b"\n" + b"  " * int(depth))
+        if len(at) and at[0] < 0:
+            parts.append(b"\n" + b"  " * int(width[0] // 2))
+            at, width = at[1:], width[1:]
+        # each byte moves right by the widths of the breaks before it
+        shift = np.concatenate(([0], np.cumsum(width)))
         out = np.full(n + int(shift[-1]), ord(" "), dtype=np.uint8)
-        out[idx + shift[:n]] = b
-        at = np.flatnonzero(width)
-        out[at + shift[at] - width[at]] = ord("\n")
+        dest = np.repeat(shift.astype(np.int32), np.diff(at + 1, prepend=0, append=n))
+        dest += np.arange(n, dtype=np.int32)
+        out[dest] = b
+        out[at + 1 + shift[:-1]] = ord("\n")
         parts.append(out.tobytes())
-        depth, opened = after[-1], bool(op[-1])
-        in_str, escaped = bool(nq[-1] & 1) ^ in_str, bool(odd[-1])
+        last = len(s) > 0 and s[-1] == n - 1
+        opened, escaped = last and bool(op[-1]), n in esc
+        if len(s):
+            depth, in_str = int(after[-1]), bool(inside[-1])
     return b"".join(parts).decode("ascii")
 
 
@@ -413,9 +447,15 @@ def build_parser():
     return top
 
 
+@functools.cache
+def _parser():
+    """The parser, built on the first call: parse_args leaves no state in
+    it, so one serves every call of main in a process."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (StructureError, CapacityError) as exc:

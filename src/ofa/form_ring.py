@@ -749,8 +749,36 @@ def x_central(alg, k):
     return alg.el(coeffs)
 
 
+def _json_rows(K, V, entry):
+    """For each row of V, an (N, S, rk) array of reduced coordinates, the
+    list of entry(s, c) over the row's nonzero slots s in order, c the
+    slot's element as a coordinate list.  A slot and its element are
+    coded as s * K.card plus the element's index in K.elements() (the
+    mixed radix over K.moduli, the first slot most significant); the entry
+    of each code that occurs is built once, and the rows that hold it
+    share it."""
+    idx = np.ravel_multi_index(np.moveaxis(V, -1, 0), K.moduli)
+    nz = idx != 0
+    codes, inv = np.unique((idx + np.arange(idx.shape[1]) * K.card)[nz], return_inverse=True)
+    slots, els = np.divmod(codes, K.card)
+    coords = np.stack(np.unravel_index(els, K.moduli), axis=-1).tolist()
+    table = [entry(s, c) for s, c in zip(slots.tolist(), coords)]
+    flat = list(map(table.__getitem__, inv.tolist()))
+    ends = np.cumsum(nz.sum(axis=1)).tolist()
+    return [flat[a:b] for a, b in zip([0] + ends, ends)]
+
+
+def alg_rows_to_json(alg, A):
+    """The JSON form of each row of A, an (N, d, d, rk) array of reduced
+    entries: the nonzero coefficients on alg.pairs."""
+    pairs = alg.pairs
+    return _json_rows(alg.K, A[:, alg.apos[:, 0], alg.apos[:, 1]],
+                      lambda s, c: {"i": pairs[s][0], "j": pairs[s][1], "c": c})
+
+
 def alg_el_to_json(a):
-    return [{"i": i, "j": j, "c": list(v)} for (i, j), v in a.key]
+    """The JSON form of one element: a one-row call of alg_rows_to_json."""
+    return alg_rows_to_json(a.alg, a.alg.to_array([a]))[0]
 
 
 def alg_el_from_json(alg, data):

@@ -11,7 +11,8 @@ monomial word (the word folded left to right through the cocycle rule)
 plus the augmentation part.  A pair that fails the read is not a
 member.  An element is its coordinate tuple over K, as a Theta element
 is, and callers use the table's own law (add, neg, phi, act); render
-and the JSON form name its nonzero slots, q then u then augmentation.
+and the JSON form name its nonzero slots from one slot table, q then u
+then augmentation, and the JSON form is written for a batch of rows.
 
 Axiom sweeps (one table of identities) and the specialness check run
 on form_ring's array law through batch_delta; residue_rows, the fold
@@ -27,7 +28,7 @@ import numpy as np
 
 from .batch_delta import BatchOps, decode_factor, slot_sizes
 from .coeff_ring import CapacityError, StructureError, _mixed_radix
-from .form_ring import ParamTable
+from .form_ring import ParamTable, _json_rows
 
 _ENUM_CAP = 1 << 20
 EXH_DELTA_CAP = 1 << 16
@@ -56,11 +57,14 @@ class DeltaShape(ParamTable):
             else:
                 aug.append(((-key[1], key[1]), alg.e(-key[1], key[1])))
         super().__init__(alg, q_pairs + [(0, i) for i in u_idx], aug)
-        # the named slots, each section in sorted order: render and the
-        # JSON form walk them as they are
+        # the named slots, each section in sorted order
         self.q_pairs = tuple(q_pairs)
         self.u_idx = tuple(u_idx)
         self.d_keys = tuple(d_keys)
+        # the slot table render and the JSON form walk: each coordinate
+        # slot's section and key prefix, in coordinate order
+        self.slots = tuple([("q", key) for key in q_pairs] + [("u", (i,)) for i in u_idx]
+                           + [("d", key) for key in d_keys])
         self.tag = "delta:" + alg.tag
 
     def residue_rows(self, P):
@@ -100,26 +104,17 @@ class DeltaShape(ParamTable):
         return "<%s dim=%d>" % (self.tag, self.dim)
 
 
-def _entries(shape, x):
-    """The nonzero coordinates of x as (section, key, value): q slots,
-    then u slots, then augmentation slots, in slot order."""
-    K = shape.alg.K
-    off = 0
-    for name, keys in (("q", shape.q_pairs), ("u", shape.u_idx), ("d", shape.d_keys)):
-        for key, v in zip(keys, x[off:off + len(keys)]):
-            if not K.is_zero(v):
-                yield name, key, v
-        off += len(keys)
-
-
 def render(shape, x):
     """The element as witnesses print it; "0." for zero."""
+    K = shape.alg.K
     bits = []
-    for name, key, v in _entries(shape, x):
+    for (name, key), v in zip(shape.slots, x):
+        if K.is_zero(v):
+            continue
         if name == "q":
             bits.append("q%d*%se(%d,%d)" % (key[0], v, key[0], key[1]))
         elif name == "u":
-            bits.append("u%d*%s" % (key, v))
+            bits.append("u%d*%s" % (key[0], v))
         elif key[0] == "f":
             bits.append("%sphi(e(%d,%d))" % (v, key[1], key[2]))
         else:
@@ -189,12 +184,22 @@ def central_u(shape, k):
     return shape.add(out, shape.phi(body))
 
 
+def delta_rows_to_json(shape, X):
+    """The JSON form of each row of X, an (N, dim, rk) array of reduced
+    coordinates: per section of the slot table, the key prefix and
+    element of each nonzero slot, in order."""
+    lists = []
+    for name in ("q", "u", "d"):
+        cols = [t for t, (sec, _) in enumerate(shape.slots) if sec == name]
+        keys = [list(shape.slots[t][1]) for t in cols]
+        lists.append(_json_rows(shape.alg.K, X[:, cols], lambda s, c, keys=keys: keys[s] + [c]))
+    return [{"q": q, "u": u, "d": d} for q, u, d in zip(*lists)]
+
+
 def delta_to_json(shape, x):
-    out = {"q": [], "u": [], "d": []}
-    for name, key, v in _entries(shape, x):
-        key = list(key) if isinstance(key, tuple) else [key]
-        out[name].append(key + [list(v)])
-    return out
+    """The JSON form of one element: a one-row call of delta_rows_to_json."""
+    X = np.array(x, dtype=np.int64).reshape(1, shape.dim, shape.alg.K.rank)
+    return delta_rows_to_json(shape, X)[0]
 
 
 def delta_from_json(shape, data):

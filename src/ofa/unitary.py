@@ -30,8 +30,11 @@ per shape and verified as array work: distinct rows, bar beta listed for
 every row, and 144 seeded products.  No element object is kept: a
 UnitaryGroup over the array builds one when it is indexed, the
 invariants read the array, and group_to_json reads every gamma in one
-batch.  generate_subgroup closes a subgroup into the same kind of array,
-by batched products one breadth-first level at a time.
+batch and writes beta and gamma with the rows writers of form_ring and
+odd_form_param, which build each (slot, element) entry once per call and
+share it between the elements.  generate_subgroup closes a subgroup into
+the same kind of array, by batched products one breadth-first level at a
+time.
 """
 
 import random
@@ -40,14 +43,13 @@ from collections.abc import Sequence
 import numpy as np
 
 from .coeff_ring import CapacityError, Product, SlotRing, StructureError, _basis, _mixed_radix
-from .form_ring import ofalin, ofaorth, x_central
-from .form_ring import alg_el_from_json
+from .form_ring import alg_el_from_json, alg_rows_to_json, ofalin, ofaorth, x_central
 from .linalg import form_isometries, form_rows, k_dets, k_solve
 from .odd_form_param import (
     DeltaShape,
     central_u,
     delta_from_json,
-    delta_to_json,
+    delta_rows_to_json,
     gen_q,
     member,
     to_pair,
@@ -59,6 +61,8 @@ _ENUM_CAP = 1 << 20
 _CHUNK = 1 << 16
 _POOL_CAP = 1 << 12
 _CLOSURE_CAP = 1 << 20
+# rows per block of _key_words; 1,024 to 4,096 timed alike on 103,680 rows
+_KEY_BLOCK = 2048
 
 
 class UnitaryElem:
@@ -837,22 +841,31 @@ def _key_words(alg, B):
     K.card + 1 for a zero entry with a nonzero one later, and 0 for a zero
     entry with none later.  The digits, taken from the last pair back, are
     packed base K.card + 2, as many to a word as fit, the first most
-    significant."""
+    significant.  The digits of every pair come at once, a block of
+    _KEY_BLOCK rows at a time, held one row per pair: the cumulative OR
+    then runs down whole rows, and the temporaries stay small."""
     K = alg.K
-    rows, cols = alg.apos.T
     base, per = K.card + 2, 1
     while base ** (per + 1) < 1 << 63:
         per += 1
     # the coefficient's first slot most significant, as tuples compare;
     # int64, so that a narrow B is widened before it is weighted
     radix = np.cumprod((1,) + K.moduli[:0:-1], dtype=np.int64)[::-1]
-    words = np.zeros((len(B), -(-alg.rank // per) or 1), dtype=np.int64)
-    later = np.zeros(len(B), dtype=bool)
-    for s in range(alg.rank - 1, -1, -1):
-        v = B[:, rows[s], cols[s]] @ radix
-        words[:, s // per] += np.where(v > 0, v + 1, later * (K.card + 1)) * base ** (
-            per - 1 - s % per)
-        later |= v > 0
+    weights = base ** np.arange(per - 1, -1, -1, dtype=np.int64)
+    W = -(-alg.rank // per) or 1
+    words = np.empty((len(B), W), dtype=np.int64)
+    digits = np.zeros((W * per, min(len(B), _KEY_BLOCK)), dtype=np.int64)
+    for lo in range(0, len(B), _KEY_BLOCK):
+        E = B[lo:lo + _KEY_BLOCK, alg.apos[:, 0], alg.apos[:, 1]]
+        n = len(E)
+        v = digits[:alg.rank, :n]
+        np.einsum("nsa,a->sn", E, radix, out=v)
+        nz = v > 0
+        # a nonzero entry at this pair or a later one
+        later = np.logical_or.accumulate(nz[::-1], axis=0)[::-1]
+        v += nz
+        v[later & ~nz] = K.card + 1
+        words[lo:lo + n] = (weights @ digits[:, :n].reshape(W, per, n)).T
     return words
 
 
@@ -895,14 +908,12 @@ class UnitaryGroup(Sequence):
 
 
 def group_to_json(group):
-    """The JSON form of every element: beta from the rows, as
-    alg_el_to_json writes it, and every gamma read in one batch."""
+    """The JSON form of every element: the rows writers of beta and of
+    gamma, every gamma read in one batch."""
     shape, B = group.shape, group.betas
     alg, bo = shape.alg, BatchOps(shape)
-    gammas = bo.dread(B, bo.conj(B))[0].tolist()
-    return [{"beta": [{"i": i, "j": j, "c": v} for (i, j), v in zip(alg.pairs, row) if any(v)],
-             "gamma": delta_to_json(shape, tuple(map(tuple, gamma)))}
-            for row, gamma in zip(B[:, alg.apos[:, 0], alg.apos[:, 1]].tolist(), gammas)]
+    gammas = delta_rows_to_json(shape, bo.dread(B, bo.conj(B))[0])
+    return [{"beta": beta, "gamma": gamma} for beta, gamma in zip(alg_rows_to_json(alg, B), gammas)]
 
 
 def _survivors(bo, chunks):

@@ -190,6 +190,44 @@ def test_usage_errors():
         main(["bogus"])
 
 
+_OUT = object()
+_SAMPLED = ["axioms", "--family", "symp", "--n", "1", "--ring", "zmod:2",
+            "--mode", "sampled", "--seed", "3"]
+_ROUND = [
+    _SAMPLED,  # a report that echoes the defaults
+    ["--out", _OUT] + _SAMPLED,
+    ["group", "order", "--family", "symp", "--n", "1"],  # a usage error: no --ring
+    _SAMPLED + ["--count", "0"],
+    ["axioms", "--family", "symp", "--n", "2", "--ring", "gf:3"],  # a CapacityError refusal
+    _SAMPLED,
+]
+
+
+def test_reused_parser_carries_nothing_between_calls(tmp_path):
+    """main reuses one parser: two rounds of the same command lines in one
+    process give the same stdout bytes, --out bytes, error lines and exit
+    codes."""
+
+    def one_round(out):
+        seen = []
+        for argv in _ROUND:
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with redirect_stdout(stdout), redirect_stderr(stderr):
+                try:
+                    code = main([str(out) if a is _OUT else a for a in argv])
+                except SystemExit as exc:
+                    code = exc.code
+            errors = [line for line in stderr.getvalue().splitlines() if line.startswith("error:")]
+            seen.append((code, stdout.getvalue(), errors))
+        return seen, out.read_bytes()
+
+    first = one_round(tmp_path / "a.json")
+    assert first == one_round(tmp_path / "b.json")
+    assert [code for code, _, _ in first[0]] == [0, 0, 2, 2, 2, 0]
+    assert first[0][-1] == first[0][0] and first[1] == first[0][0][1].encode()
+    assert all(len(errors) == (code == 2) for code, _, errors in first[0])
+
+
 def _one_line_error(capsys):
     err = capsys.readouterr().err
     return err.startswith("error: ") and err.count("\n") == 1

@@ -597,12 +597,31 @@ def test_key_words_order_rows_as_el_key(K, preset, seed):
     assert un._rows_in(words[:k], words[::-1]).tolist() == [e.key in listed for e in els[::-1]]
 
 
-@pytest.mark.parametrize("s", LAW_SHAPES + (sh(ofaorth, 3, F2), sh(ofaorth, 5, F2)),
+def _element_json(s, g):
+    """The JSON form of one element, written slot by slot from the shape's
+    named slots: the reference for the rows writers."""
+    K = s.alg.K
+    gamma = {"q": [], "u": [], "d": []}
+    keys = [("q", list(k)) for k in s.q_pairs] + [("u", [i]) for i in s.u_idx]
+    keys += [("d", list(k)) for k in s.d_keys]
+    for (name, key), v in zip(keys, g.gamma):
+        if not K.is_zero(v):
+            gamma[name].append(key + [list(v)])
+    return {"beta": [{"i": i, "j": j, "c": list(v)} for (i, j), v in g.beta.key],
+            "gamma": gamma}
+
+
+@pytest.mark.parametrize("s", LAW_SHAPES + (sh(ofaorth, 3, F2), sh(ofaorth, 5, F2),
+                                            sh(ofalin, 2, parse_ring("prod:(zmod:2;zmod:3)")),
+                                            sh(ofaorth, 3, parse_ring("gf:4"))),
                          ids=lambda s: s.tag)
 def test_batched_gamma_read_is_member(s):
     """group enumerate reads every gamma in one batch; each equals the dict
     law's read of (beta, bar beta), and the JSON is the element's beta and
-    gamma as alg_el_to_json and delta_to_json write them."""
+    gamma as alg_el_to_json and delta_to_json write them, and as a slot by
+    slot writer does.  Z/2 x Z/3 has unequal slot moduli and GF(4) two
+    slots and u slots, so the element index is checked where its mixed
+    radix matters."""
     import ofa.unitary as un
 
     G = enumerate_unitary(s)
@@ -611,10 +630,13 @@ def test_batched_gamma_read_is_member(s):
     assert ok.all()
     rows = un.group_to_json(G)
     assert len(rows) == len(G)
+    one = []
     for g, gamma, row in zip(G, gammas.tolist(), rows):
         assert tuple(map(tuple, gamma)) == ref.read(g.beta, s.alg.conj(g.beta))
-        assert row == {"beta": alg_el_to_json(g.beta), "gamma": delta_to_json(s, g.gamma)}
+        one.append({"beta": alg_el_to_json(g.beta), "gamma": delta_to_json(s, g.gamma)})
+        assert row == one[-1] == _element_json(s, g)
         assert row == unitary_to_json(g)
+    assert json.dumps(rows) == json.dumps(one)
 
 
 def test_transvection_short():
