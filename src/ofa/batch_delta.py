@@ -3,9 +3,11 @@
 BatchOps names the ops that odd_form_param.AXIOMS calls, on batches of
 one odd form parameter; each is a call into form_ring: SplitAlgebra's
 product, involution and K scaling, and the table's pair law and read.
-A batch of N algebra elements is an (N, d, d, rk) array in the
-algebra's layout and dtype (coeff_ring.batch_dtype); a parameter batch
-is the pair of its pi and rho arrays.  Element equality is pair
+Every batch has its batch axis last: N algebra elements are a
+(d, d, rk, N) array in the algebra's layout and dtype
+(coeff_ring.batch_dtype), N scalars an (rk, N) K row, a parameter batch
+the pair of its pi and rho arrays, and an axiom's index matrix
+(nslots, N).  Element equality is pair
 equality, which the coordinate read makes faithful, so every axiom
 becomes an array identity, and specialness becomes a batch read-back.
 
@@ -18,7 +20,7 @@ import itertools
 
 import numpy as np
 
-from .coeff_ring import StructureError
+from .coeff_ring import StructureError, _slot_take
 from .form_ring import UnitalEl
 
 
@@ -94,7 +96,7 @@ class BatchOps:
         self.onevec = np.array(K.one(), dtype=dt)
 
     def kmul(self, x, y):
-        return self.ring.contract(lambda a, b: x[:, a] * y[:, b])
+        return self.ring.contract(lambda a, b: x[a] * y[b])
 
     def kscale(self, k, X):
         return self.alg.kmul_rows(k, X)
@@ -106,11 +108,11 @@ class BatchOps:
         return self.alg.conj_rows(X)
 
     def _zeros(self, n):
-        return np.zeros((n, self.d, self.d, self.rk), dtype=self.dtype)
+        return np.zeros((self.d, self.d, self.rk, n), dtype=self.dtype)
 
     def _kvals(self, idx):
-        """The K-elements with indices idx, a trailing slot axis added."""
-        return np.take(self.ktab, idx, axis=0)
+        """The K-elements with indices idx (..., N), as (..., rk, N)."""
+        return _slot_take(self.ktab, idx)
 
     def dread(self, P, R):
         """The coordinates and the member mask of each pair: member."""
@@ -120,30 +122,30 @@ class BatchOps:
         """Rows of a delta batch whose (P, R) reads back to the coordinates
         idx it was materialized from."""
         got, ok = self.dread(P, R)
-        return ok & (got == self._kvals(idx)).all(axis=(1, 2))
+        return ok & (got == self._kvals(idx)).all(axis=(0, 1))
 
-    # factor materializers; idx is (N, nslots)
+    # factor materializers; idx is (nslots, N)
     def materialize(self, kind, idx):
-        N = idx.shape[0]
+        N = idx.shape[-1]
         if kind == "delta":
             return self.shape.to_pair_rows(self._kvals(idx))
         if kind == "alg":
             A = self._zeros(N)
-            A[:, self.alg.apos[:, 0], self.alg.apos[:, 1]] = self._kvals(idx)
+            A[self.alg.apos[:, 0], self.alg.apos[:, 1]] = self._kvals(idx)
             return A
         if kind == "ualg":
-            return (self.materialize("alg", idx[:, :-1]), self._kvals(idx[:, -1]))
+            return (self.materialize("alg", idx[:-1]), self._kvals(idx[-1]))
         if kind == "scalar":
-            return self._kvals(idx[:, 0])
+            return self._kvals(idx[0])
         if kind == "aug":
             # the delta factor whose pi coordinates are K.elements()[0] = 0
-            return self.materialize("delta", np.pad(idx, ((0, 0), (len(self.shape.pi_pos), 0))))
+            return self.materialize("delta", np.pad(idx, ((len(self.shape.pi_pos), 0), (0, 0))))
         if kind == "herm":
             # each rep slot plus its conj, and the self-paired slots
             A, D = self._zeros(N), self._zeros(N)
             for col, (stype, i, j, _) in enumerate(self.hslots):
-                (A if stype == "rep" else D)[:, self.pos[i], self.pos[j]] = np.take(
-                    self.ttab if stype == "tors" else self.ktab, idx[:, col], axis=0)
+                (A if stype == "rep" else D)[self.pos[i], self.pos[j]] = _slot_take(
+                    self.ttab if stype == "tors" else self.ktab, idx[col])
             return self.reduce(A + self.alg.conj_rows(A, raw=True) + D)
         raise StructureError("unknown factor kind %r" % kind)
 
@@ -158,10 +160,10 @@ class BatchOps:
         return (np.zeros_like(u[0]), np.zeros_like(u[1]))
 
     def deq(self, u, v):
-        return (u[0] == v[0]).all(axis=(1, 2, 3)) & (u[1] == v[1]).all(axis=(1, 2, 3))
+        return (u[0] == v[0]).all(axis=(0, 1, 2)) & (u[1] == v[1]).all(axis=(0, 1, 2))
 
     def dis0(self, u):
-        return (u[0] == 0).all(axis=(1, 2, 3)) & (u[1] == 0).all(axis=(1, 2, 3))
+        return (u[0] == 0).all(axis=(0, 1, 2)) & (u[1] == 0).all(axis=(0, 1, 2))
 
     def daug(self, u):
         return self.ais0(u[0]) & self.dread(*u)[1]
@@ -195,10 +197,10 @@ class BatchOps:
         return self.reduce(-a)
 
     def aeq(self, a, b):
-        return (a == b).all(axis=(1, 2, 3))
+        return (a == b).all(axis=(0, 1, 2))
 
     def ais0(self, a):
-        return (a == 0).all(axis=(1, 2, 3))
+        return (a == 0).all(axis=(0, 1, 2))
 
     # unitalized ops
     def ual_add(self, al, be):
@@ -210,11 +212,11 @@ class BatchOps:
                 self.kmul(al[1], be[1]))
 
     def scalar_ual(self, k):
-        return (self._zeros(k.shape[0]), k)
+        return (self._zeros(k.shape[-1]), k)
 
     def _const_scalar(self, u, vec):
-        n = u[0].shape[0]
-        k = np.broadcast_to(self.reduce(np.asarray(vec, dtype=self.dtype)), (n, self.rk))
+        n = u[0].shape[-1]
+        k = np.broadcast_to(self.reduce(np.asarray(vec, dtype=self.dtype)[:, None]), (self.rk, n))
         return (self._zeros(n), np.ascontiguousarray(k))
 
     def ual_one_like(self, u):
@@ -241,11 +243,11 @@ class BatchOps:
         off = 0
         for kind in kinds:
             w = len(slot_sizes(self.shape, kind))
-            facs.append(self.materialize(kind, idxmat[:, off:off + w]))
+            facs.append(self.materialize(kind, idxmat[off:off + w]))
             off += w
         res = np.asarray(fn(self, *facs))
         if res.ndim == 0:
-            res = np.broadcast_to(res, (idxmat.shape[0],))
+            res = np.broadcast_to(res, (idxmat.shape[1],))
         if bool(res.all()):
             return True, None
         return False, int(np.argmax(~res))
@@ -255,13 +257,13 @@ def decode_factor(ops, kind, row):
     """The exact element behind one factor's row of slot indices,
     materialized by ops and read back: El for alg and herm, UnitalEl for
     ualg, and the coordinates for delta, aug and scalar."""
-    idx = np.array([row], dtype=np.int64)
+    idx = np.array(row, dtype=np.int64)[:, None]
     if kind in ("alg", "herm"):
         return ops.alg.from_array(ops.materialize(kind, idx))[0]
     if kind == "ualg":
         A, k = ops.materialize(kind, idx)
-        return UnitalEl(ops.alg.from_array(A)[0], tuple(k[0].tolist()))
-    coords = tuple(map(tuple, ops.ktab[idx[0]].tolist()))
+        return UnitalEl(ops.alg.from_array(A)[0], tuple(k[:, 0].tolist()))
+    coords = tuple(map(tuple, ops.ktab[idx[:, 0]].tolist()))
     if kind == "delta":
         return coords
     if kind == "scalar":

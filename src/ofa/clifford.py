@@ -33,7 +33,7 @@ import itertools
 
 import numpy as np
 
-from .coeff_ring import CapacityError, SlotRing, StructureError, _mixed_radix
+from .coeff_ring import CapacityError, SlotRing, StructureError, _mixed_radix, _slot_take
 from .form_ring import El, SparseAlgebra, ofaorth
 from .linalg import k_nullspace, k_solve
 
@@ -256,16 +256,18 @@ def _table_block(alg, left, right, out):
 
 
 def _bilinear(ring, X, Y, T):
-    """Row-wise products of X (N, p, rk) and Y (N, q, rk) through the
-    table block T (p * q, r): the coefficients (N, r, rk)."""
-    rows = (X.shape[0], X.shape[1] * Y.shape[1])
+    """Products of X (p, rk, N) and Y (q, rk, N), batch entry by batch
+    entry, through the table block T (p * q, r): the coefficients
+    (r, rk, N)."""
+    shape = (X.shape[0] * Y.shape[0], X.shape[-1])
     return ring.contract(
-        lambda a, b: (X[:, :, None, a] * Y[:, None, :, b]).reshape(rows) @ T)
+        lambda a, b: T.T @ (X[:, None, a] * Y[None, :, b]).reshape(shape))
 
 
 class _SpinScan:
     """Dense product-table blocks of one algebra, and the spin masks on
-    chunks of even coefficient rows (N, dim(even), rk)."""
+    chunks of even coefficient rows in the array law's layout,
+    (dim(even), rk, N)."""
 
     def __init__(self, alg, ring):
         self.ring = ring
@@ -279,29 +281,31 @@ class _SpinScan:
         # left[i] maps even coefficients to those of u e_i
         self.left = np.array([_table_block(alg, ebasis, [(i,)], obasis)
                               for i in alg.labels], dtype=np.int64).reshape(self.nl, ne, no)
-        self.one = np.zeros((ne, ring.rk), dtype=np.int64)
-        self.one[0] = alg.K.one()
+        self.one = np.zeros((ne, ring.rk, 1), dtype=np.int64)
+        self.one[0, :, 0] = alg.K.one()
         self.high = [k for k, s in enumerate(obasis) if len(s) > 1]
         self.deg1 = [obasis.index((i,)) for i in alg.labels]
 
     def survivors(self, U):
-        """The spin rows of U in order, and their vector matrices
-        (N, d, d, rk): u ubar = 1, then u e_i ubar of degree one for every
-        label i.
+        """The spin rows of U (dim(even), rk, N) in order, as rows (n,
+        dim(even), rk), and their vector matrices (n, d, d, rk): u ubar =
+        1, then u e_i ubar of degree one for every label i.
 
         ubar u = 1 needs no check of its own.  Clif_0 is a finite ring,
         where u ubar = 1 makes x -> ubar x injective, hence onto: ubar y = 1
         for some y, and y = u ubar y = u."""
         ring, nl = self.ring, self.nl
-        Ub = ring.reduce(np.matmul(self.rev.T, U))
-        keep = (_bilinear(ring, U, Ub, self.tee) == self.one).all(axis=(1, 2))
-        U, Ub = U[keep], Ub[keep]
-        n, no = U.shape[0], self.left.shape[2]
-        V = ring.reduce(np.matmul(np.swapaxes(self.left, 1, 2), U[:, None]))
-        W = _bilinear(ring, V.reshape(n * nl, no, ring.rk), np.repeat(Ub, nl, axis=0),
-                      self.toe).reshape(n, nl, no, ring.rk)
-        keep = (W[:, :, self.high] == 0).all(axis=(1, 2, 3))
-        return U[keep], np.swapaxes(W[keep][:, :, self.deg1], 1, 2)
+        Ub = ring.reduce(np.tensordot(self.rev.T, U, 1))
+        keep = (_bilinear(ring, U, Ub, self.tee) == self.one).all(axis=(0, 1))
+        U, Ub = U[..., keep], Ub[..., keep]
+        n, no = U.shape[-1], self.left.shape[2]
+        # u e_i for every label i, the labels ahead of the batch: batch
+        # entry i * n + t of V is u_t e_i
+        V = ring.reduce(np.tensordot(np.swapaxes(self.left, 1, 2), U, 1))
+        V = np.moveaxis(V, 0, -2).reshape(no, ring.rk, nl * n)
+        W = _bilinear(ring, V, np.tile(Ub, nl), self.toe).reshape(no, ring.rk, nl, n)
+        keep = (W[self.high] == 0).all(axis=(0, 1, 2))
+        return np.moveaxis(U[..., keep], -1, 0), W[self.deg1][..., keep].transpose(3, 0, 2, 1)
 
 
 def spin_group(r, K):
@@ -321,8 +325,8 @@ def spin_group(r, K):
     step = max(1, _SPIN_CELLS // len(ebasis) ** 2)
     rows, mats = [], []
     for lo in range(0, total, step):
-        U, M = scan.survivors(
-            ring.ktab[_mixed_radix([K.card] * len(ebasis), min(lo + step, total), lo)])
+        U, M = scan.survivors(_slot_take(
+            ring.ktab, _mixed_radix([K.card] * len(ebasis), min(lo + step, total), lo).T))
         rows.extend(U.tolist())
         mats.extend(M.tolist())
     elems = [El(alg, {s: tuple(v) for s, v in zip(ebasis, row) if any(v)})

@@ -33,9 +33,6 @@ _FIELD_CHECK_CAP = 1 << 10
 # int32 and int16 hold the bound when it is at most 2^31 - 1 and
 # 2^15 - 1, which the tiny rings of the Delta sweeps meet in int16.
 RING_CAP = 1 << 20
-# SlotRing.matmul_raw works on blocks of this many rows, which keep its
-# temporaries small; 8192 and 16384 timed the same, smaller blocks slower.
-_MATMUL_BLOCK = 8192
 
 
 def batch_dtype(m, s, d):
@@ -52,9 +49,9 @@ def batch_dtype(m, s, d):
     through integer weights with sum |w_j| <= d + 1 or through a dense C
     with X C reduced first, so it is at most (d + 1) c: that bounds the
     sum of the absolute values of its terms s X[i, k, a] Y[k, j, b] on a
-    slot c.  SlotRing.matmul_raw adds these terms in its own order, the
-    batch axis last, but each of its partial sums is a sum of a subset of
-    them, so it stays within (d + 1) c too.  A span adds c_k b_k, and an
+    slot c.  SlotRing.matmul_raw adds these terms one (a, b, k) at a
+    time, but each of its partial sums is a sum of a subset of them, so it
+    stays within (d + 1) c too.  A span adds c_k b_k, and an
     entry of a Delta basis element b_k is 0 or +-1 and nonzero in no
     other b_k, so a span is at most M.  The sums before one reduce are:
       kmul_rows:                                               c
@@ -373,11 +370,12 @@ class Product(RingSpec):
 
 
 class SlotRing:
-    """A ring spec on signed int arrays with a trailing axis of basis slots.
+    """A ring spec on signed int arrays in the layout of the array law,
+    the K-slot axis second to last and the batch axis last: (..., rk, N).
 
     ``ktab`` lists K.elements() as rows, ``S[a, b]`` is the product of
     the basis slots a and b, and ``m`` is the additive modulus: one int
-    when the slots share it, else the per-slot moduli for the last axis
+    when the slots share it, else the per-slot moduli as an (rk, 1) column
     (valid because a product only maps slots into slots of the same
     component).  ``reduce`` is the one reduction, ``contract`` the one
     coefficient-product kernel and ``matmul_raw`` the one K-matrix product
@@ -395,24 +393,24 @@ class SlotRing:
         self.dtype = np.dtype(np.int64) if d is None else batch_dtype(
             max(K.moduli), int(self.S.sum(axis=(0, 1)).max()), d)
         m = K.uniform_modulus()
-        self.m = m if m is not None else np.array(K.moduli, dtype=self.dtype)
+        self.m = m if m is not None else np.array(K.moduli, dtype=self.dtype)[:, None]
         # a shared power-of-two modulus (F_2^k, Z/2^k) reduces by a mask;
         # on two's complement ints that is the residue of negatives too
         self._mask = m - 1 if m is not None and m & (m - 1) == 0 else None
         # K.elements(), in order
         self.ktab = _mixed_radix(K.moduli, K.card).astype(self.dtype, copy=False)
         # the nonzero (a, b) -> c terms of S; the structure tensor is
-        # unrolled into stacked integer products, far faster than int einsum
+        # unrolled into products over whole batches, far faster than einsum
         self._terms = [(a, b, [(int(c), int(self.S[a, b, c]))
                                for c in np.nonzero(self.S[a, b])[0]])
                        for a in range(self.rk) for b in range(self.rk)
                        if self.S[a, b].any()]
 
     def reduce(self, X):
-        """The int array X mod the slot moduli, in [0, m) and X's dtype.
-        Floor division rounds down, so X - (X // m) * m is the residue of
-        negative entries too; numpy divides by one int far faster than it
-        takes %, but not by per-slot moduli."""
+        """The int array X (..., rk, N) mod the slot moduli, in [0, m) and
+        X's dtype.  Floor division rounds down, so X - (X // m) * m is the
+        residue of negative entries too; numpy divides by one int far
+        faster than it takes %, but not by per-slot moduli."""
         if self._mask is not None:
             return X & self._mask
         if isinstance(self.m, np.ndarray):
@@ -425,19 +423,20 @@ class SlotRing:
         """sum over (a, b) of S[a, b, c] * pair(a, b) on slot c, unreduced,
         in the dtype of pair's arrays.
 
-        pair(a, b) is the array of products of slot a of one factor with
-        slot b of the other; the result adds the trailing slot axis.  See
-        batch_dtype for how large the sums of the batch law get.
+        pair(a, b) is the (..., N) array of products of slot a of one
+        factor with slot b of the other; the result puts slot c at
+        [..., c, :].  See batch_dtype for how large the sums of the batch
+        law get.
         """
         if self.rk == 1:
-            return pair(0, 0)[..., None]
+            return pair(0, 0)[..., None, :]
         out = None
         for a, b, terms in self._terms:
             w = pair(a, b)
             if out is None:
-                out = np.zeros(w.shape + (self.rk,), dtype=w.dtype)
+                out = np.zeros(w.shape[:-1] + (self.rk, w.shape[-1]), dtype=w.dtype)
             for c, s in terms:
-                out[..., c] += s * w
+                out[..., c, :] += s * w
         return out
 
     def contract(self, pair):
@@ -445,33 +444,32 @@ class SlotRing:
         return self.reduce(self.contract_raw(pair))
 
     def matmul_raw(self, X, Y):
-        """The K-matrix products of (N, d, e, rk) and (N, e, f, rk)
-        batches, row by row, unreduced, in their dtype; a leading 1 on
-        either side broadcasts.  See batch_dtype for how large the sums
-        get.
-
-        Each block of rows is copied into (d, e, rk, n) order, the batch
-        last, so that each term s X[i, k, a] Y[k, j, b] of slot c is one
-        contiguous multiply-add over the block, where numpy's stacked
-        matmul would run a strided loop over N tiny matrices.
-        """
-        N = len(X) if len(Y) == 1 else len(Y)
-        d, e, f = X.shape[1], X.shape[2], Y.shape[2]
+        """The K-matrix products of (d, e, rk, N) and (e, f, rk, N)
+        batches, unreduced, in their dtype; a trailing 1 on either side
+        broadcasts.  Each term s X[i, k, a] Y[k, j, b] of slot c is one
+        multiply-add over the contiguous batch axis, where a stacked
+        matmul would loop over N tiny matrices.  See batch_dtype for how
+        large the sums get."""
+        N = X.shape[-1] if Y.shape[-1] == 1 else Y.shape[-1]
+        d, e, f = X.shape[0], X.shape[1], Y.shape[1]
         dt = np.result_type(X, Y)
-        out = np.empty((N, d, f, self.rk), dtype=dt)
-        for lo in range(0, N, _MATMUL_BLOCK):
-            Xb, Yb = (np.ascontiguousarray(
-                (A[lo:lo + _MATMUL_BLOCK] if len(A) > 1 else A).transpose(1, 2, 3, 0),
-                dtype=dt) for A in (X, Y))
-            n = min(N - lo, _MATMUL_BLOCK)
-            O, w = np.zeros((d, f, self.rk, n), dtype=dt), np.empty((d, f, n), dtype=dt)
-            for a, b, terms in self._terms:
-                for k in range(e):
-                    np.multiply(Xb[:, k, None, a], Yb[k, None, :, b], out=w)
-                    for c, s in terms:
-                        O[:, :, c] += w if s == 1 else s * w
-            out[lo:lo + n] = O.transpose(3, 0, 1, 2)
+        out = np.zeros((d, f, self.rk, N), dtype=dt)
+        w = np.empty((d, f, N), dtype=dt)
+        for a, b, terms in self._terms:
+            for k in range(e):
+                np.multiply(X[:, k, None, a], Y[k, None, :, b], out=w)
+                for c, s in terms:
+                    out[:, :, c] += w if s == 1 else s * w
         return out
+
+
+def _slot_take(tab, idx):
+    """The rows of tab, a (card, rk) table of K elements, at the indices
+    idx (..., N), in the layout of the array law: (..., rk, N)."""
+    out = np.empty(idx.shape[:-1] + (tab.shape[1], idx.shape[-1]), dtype=tab.dtype)
+    for a in range(tab.shape[1]):
+        out[..., a, :] = tab[:, a][idx]
+    return out
 
 
 def _mixed_radix(sizes, stop, start=0):

@@ -20,15 +20,19 @@ law and the one coordinate read.  Its two tables are Delta over a preset
 (odd_form_param.DeltaShape) and Theta over a tensor square
 (quad_module.CanonConstruction).
 
-The law runs on batches, and this is the package's only pair law.
-SplitAlgebra multiplies (N, d, d, rk) arrays as X C Y and conjugates
-them as a signed transpose; ParamTable holds the pair law on (P, R)
-batches and the read of (N, dim, rk) coordinate rows, and takes a single
-element as a one-row batch.  A table supplies only its residue on arrays
-(residue_rows); K products go through coeff_ring.SlotRing.  The tables
-are in the dtype of coeff_ring.batch_dtype, so a narrow batch stays
-narrow, and a sum of products is taken unreduced (raw) and reduced once;
-batch_dtype bounds every such sum.
+The law runs on batches, and this is the package's only pair law.  Its
+arrays have the K-slot axis second to last and the batch axis last:
+algebra batches (d, d, rk, N), K rows (rk, N) and coordinate rows
+(dim, rk, N), so each op runs over contiguous runs of N entries.
+SplitAlgebra multiplies algebra batches as X C Y and conjugates them as
+a signed transpose; ParamTable holds the pair law on (P, R) batches and
+the read of coordinate rows, and takes a single element as a batch of
+one.  A table supplies only its residue on arrays (residue_rows); K
+products go through coeff_ring.SlotRing.  The tables are in the dtype
+of coeff_ring.batch_dtype, so a narrow batch stays narrow, and a sum of
+products is taken unreduced (raw) and reduced once; batch_dtype bounds
+every such sum.  Rows stored batch first (group arrays, solver rows,
+JSON rows) are converted once at that boundary.
 """
 
 import itertools
@@ -78,9 +82,10 @@ def _as_slice(perm):
 
 
 class SparseMap:
-    """x -> x A on the last axis, for an int matrix A with at most one
-    nonzero entry per column, as every span of a table or module basis
-    here has: one gather, times the entries (in dtype), and one scatter."""
+    """x -> A^T x on the first axis of x (n, N), for an int matrix A
+    (n, width) with at most one nonzero entry per column, as every span of
+    a table or module basis here has: one gather of rows, times the
+    entries (in dtype), and one scatter."""
 
     def __init__(self, A, dtype):
         cols, rows = np.nonzero(A.T)
@@ -90,8 +95,8 @@ class SparseMap:
         self.width = A.shape[1]
 
     def __call__(self, x):
-        out = np.zeros(x.shape[:-1] + (self.width,), dtype=np.result_type(x, self.vals))
-        out[..., self.cols] = x[..., self.rows] * self.vals
+        out = np.zeros((self.width, x.shape[1]), dtype=np.result_type(x, self.vals))
+        out[self.cols] = x[self.rows] * self.vals[:, None]
         return out
 
 
@@ -202,10 +207,11 @@ class SplitAlgebra(SparseAlgebra):
     are built by ofalin, ofasymp and ofaorth; quad_module builds the
     tensor square of a module.
 
-    The algebra also owns its array layout.  A batch of N elements is an
-    (N, d, d, rk) int array, d the number of indices: e(i, j) sits at
-    row pos[i] and column pos[j], in index order, and apos lists that
-    (row, column) for each basis pair.  The pairs are kept sorted, the
+    The algebra also owns its array layout.  A batch of N elements is a
+    (d, d, rk, N) int array, d the number of indices: e(i, j) sits at
+    row pos[i] and column pos[j], in index order, with its K slots and
+    then the batch behind it, and apos lists that (row, column) for each
+    basis pair.  The pairs are kept sorted, the
     order of El.key.  to_array and from_array convert between the two;
     mul_rows, conj_rows, kmul_rows and umul_rows are the product, the
     involution, the K scaling and the product with a unitalized element
@@ -229,24 +235,25 @@ class SplitAlgebra(SparseAlgebra):
         self._rows = None
 
     def to_array(self, els):
-        """The elements as an (N, d, d, rk) int64 array; an element of
+        """The elements as a (d, d, rk, N) int64 batch; an element of
         another algebra is a StructureError."""
         for a in els:
             if a.alg.tag != self.tag:
                 raise StructureError("element of %s given to %s" % (a.alg.tag, self.tag))
         K, d = self.K, len(self.indices)
-        A = np.zeros((len(els), d, d, K.rank), dtype=np.int64)
+        A = np.zeros((d, d, K.rank, len(els)), dtype=np.int64)
         zero = K.zero()
-        A[:, self.apos[:, 0], self.apos[:, 1]] = np.array(
+        A[self.apos[:, 0], self.apos[:, 1]] = np.array(
             [[a.c.get(key, zero) for key in self.pairs] for a in els],
-            dtype=np.int64).reshape(len(els), self.rank, K.rank)
+            dtype=np.int64).reshape(len(els), self.rank, K.rank).transpose(1, 2, 0)
         return A
 
     def from_array(self, A):
-        """The element of each row of A, an (N, d, d, rk) array of reduced
-        entries, its El built directly: el would have nothing to check."""
+        """The element of each batch entry of A, a (d, d, rk, N) array of
+        reduced entries, its El built directly: el would have nothing to
+        check."""
         return [El(self, {key: tuple(v) for key, v in zip(self.pairs, row) if any(v)})
-                for row in A[:, self.apos[:, 0], self.apos[:, 1]].tolist()]
+                for row in np.moveaxis(A[self.apos[:, 0], self.apos[:, 1]], -1, 0).tolist()]
 
     def row_tables(self):
         """The tables of the batch law, built on first use in the dtype of
@@ -257,7 +264,7 @@ class SplitAlgebra(SparseAlgebra):
         at (tau q, tau p) times the sign E, laid out as that view of X so
         that the product runs in X's memory order; sigma and tau are slices
         (views) on the presets and tensor squares, E None where no sign
-        survives the slot moduli.
+        survives the slot moduli.  C, w and E broadcast over a batch.
         """
         if self._rows is None:
             K, d, pos = self.K, len(self.indices), self.pos
@@ -273,17 +280,18 @@ class SplitAlgebra(SparseAlgebra):
                         sigma[pos[j]], w[pos[j]], C[pos[j], pos[k]] = pos[k], ints.get(f, d + 2), f
             if (np.count_nonzero(C.any(axis=2), axis=1) <= 1).all() and np.abs(w).sum() <= d + 1:
                 C = None
-            tau, sign = np.arange(d), np.ones((1, d, d, 1), dtype=dt)
+            tau, sign = np.arange(d), np.ones((d, d, 1, 1), dtype=dt)
             for (i, j), ((i2, j2), negate) in self.invol.items():
                 tau[pos[j2]], tau[pos[i2]] = pos[i], pos[j]
-                sign[0, pos[i], pos[j]] = -1 if negate else 1
+                sign[pos[i], pos[j]] = -1 if negate else 1
             assert all(tau[pos[j2]] == pos[i] and tau[pos[i2]] == pos[j]
                        for (i, j), ((i2, j2), _) in self.invol.items())
             tau = _as_slice(tau)
-            E = np.swapaxes(sign[:, tau][:, :, tau], 1, 2)
+            E = np.swapaxes(sign[tau][:, tau], 0, 1)
             self._rows = SimpleNamespace(
-                ring=ring, dtype=dt, C=C, sigma=_as_slice(sigma), tau=tau,
-                w=None if C is not None or (w == 1).all() else w[None, :, None, None],
+                ring=ring, dtype=dt, C=None if C is None else C[..., None],
+                sigma=_as_slice(sigma), tau=tau,
+                w=None if C is not None or (w == 1).all() else w[:, None, None, None],
                 E=None if (E == 1).all() or np.all(ring.m == 2) else E)
         return self._rows
 
@@ -291,27 +299,27 @@ class SplitAlgebra(SparseAlgebra):
     # coeff_ring.batch_dtype), for sums that reduce once; every factor is
     # reduced, up to the signs of a raw conj.
     def mul_rows(self, X, Y, raw=False):
-        """The products of two (N, d, d, rk) batches, row by row: X C Y."""
+        """The products of two (d, d, rk, N) batches, entry by entry: X C Y."""
         t = self.row_tables()
         if t.C is not None:
-            X = t.ring.reduce(t.ring.matmul_raw(X, t.C[None]))
+            X = t.ring.reduce(t.ring.matmul_raw(X, t.C))
         else:
-            Y = Y[:, t.sigma] if t.w is None else Y[:, t.sigma] * t.w
+            Y = Y[t.sigma] if t.w is None else Y[t.sigma] * t.w
         XY = t.ring.matmul_raw(X, Y)
         return XY if raw else t.ring.reduce(XY)
 
     def conj_rows(self, X, raw=False):
         """The involution of a batch: a view of X where no sign is -1."""
         t = self.row_tables()
-        V = np.swapaxes(X[:, t.tau][:, :, t.tau], 1, 2)
+        V = np.swapaxes(X[t.tau][:, t.tau], 0, 1)
         if t.E is None:
             return V
         return V * t.E if raw else t.ring.reduce(V * t.E)
 
     def kmul_rows(self, k, X, raw=False):
-        """k X for an (N, rk) row of K elements k."""
+        """k X for an (rk, N) row of K elements k."""
         t = self.row_tables()
-        kX = t.ring.contract_raw(lambda a, b: k[:, None, None, a] * X[..., b])
+        kX = t.ring.contract_raw(lambda a, b: k[a] * X[..., b, :])
         return kX if raw else t.ring.reduce(kX)
 
     def reduce_rows(self, X):
@@ -325,12 +333,13 @@ class SplitAlgebra(SparseAlgebra):
         return self.reduce_rows(XA + self.kmul_rows(k, X, raw=True))
 
     def span_map(self, els):
-        """The SparseMap of x -> sum_r x_r els[r], from int rows x to flat
-        (d * d * rk) batches, each entry lifted to (-m/2, m/2]."""
-        m = np.array(self.K.moduli, dtype=np.int64)
+        """The SparseMap of x -> sum_r x_r els[r], from int rows x (len(els),
+        N) to flat (d * d * rk, N) batches, each entry lifted to
+        (-m/2, m/2]."""
+        m = np.array(self.K.moduli, dtype=np.int64)[:, None]
         A = self.to_array(els)
-        return SparseMap(np.where(A > m // 2, A - m, A).reshape(len(els), m.size * len(
-            self.indices) ** 2), self.row_tables().dtype)
+        return SparseMap(np.moveaxis(np.where(A > m // 2, A - m, A), -1, 0).reshape(
+            len(els), m.size * len(self.indices) ** 2), self.row_tables().dtype)
 
     def term(self, key):
         return "e(%d,%d)" % key
@@ -562,8 +571,8 @@ class ParamTable:
     s = r - residue(p), c_k = b_k[pos_k] s[pos_k], and the pair is a
     member exactly when s = sum c_k b_k.
 
-    Coordinate rows are (N, dim, rk) int arrays and pairs two
-    (N, d, d, rk) arrays in the algebra's layout.  pair_add, pair_neg,
+    Coordinate rows are (dim, rk, N) int arrays and pairs two
+    (d, d, rk, N) arrays in the algebra's layout.  pair_add, pair_neg,
     pair_phi and pair_act are the law on pairs, to_pair_rows and
     read_rows (the coordinates and the member mask) go between the two,
     and add_rows, neg_rows, phi_rows and act_rows compose them.  The
@@ -601,29 +610,30 @@ class ParamTable:
 
     # single elements are one-row batches of the law below
     def _row(self, x):
-        """The pair of the coordinates x, as two one-row batches."""
-        return self.to_pair_rows(np.array(x, dtype=np.int64).reshape(1, self.dim, self.alg.K.rank))
+        """The pair of the coordinates x, as two batches of one."""
+        return self.to_pair_rows(
+            np.array(x, dtype=np.int64).reshape(self.dim, self.alg.K.rank, 1))
 
     def _pair(self, p, r):
-        """The pair (p, r) of algebra elements as two one-row batches."""
+        """The pair (p, r) of algebra elements as two batches of one."""
         A = self.alg.to_array([p, r])
-        return A[:1], A[1:]
+        return A[..., :1], A[..., 1:]
 
     def _read(self, P, R):
         c, ok = self.read_rows(P, R)
-        return tuple(map(tuple, c[0].tolist())) if ok[0] else None
+        return tuple(map(tuple, c[..., 0].tolist())) if ok[0] else None
 
     def _law(self, u):
-        """The coordinates of the one-row pair u that the law gave."""
+        """The coordinates of the one-entry pair u that the law gave."""
         out = self._read(*u)
         if out is None:
             raise AssertionError("the pair law left the table: %r"
-                                 % (tuple(self.alg.from_array(np.concatenate(u))),))
+                                 % (tuple(self.alg.from_array(np.concatenate(u, axis=-1))),))
         return out
 
     def to_pair(self, x):
         """(pi(x), rho(x)) of the coordinates x."""
-        return tuple(self.alg.from_array(np.concatenate(self._row(x))))
+        return tuple(self.alg.from_array(np.concatenate(self._row(x), axis=-1)))
 
     def read(self, p, r):
         """Coordinates of the pair (p, r); None if it is not a member."""
@@ -641,7 +651,7 @@ class ParamTable:
     def act(self, x, a, k):
         """Right action of a + k from the unitalized algebra."""
         return self._law(self.pair_act(self._row(x), self.alg.to_array([a]),
-                                       np.array([k], dtype=np.int64)))
+                                       np.array(k, dtype=np.int64)[:, None]))
 
     def row_tables(self):
         """The flat layout positions of the pi coordinates and of each
@@ -655,7 +665,7 @@ class ParamTable:
                 return np.array([alg.pos[i] * d + alg.pos[j] for i, j in keys], dtype=np.int64)
 
             sign = np.array([{K.neg(K.one()): -1, K.one(): 1}[u] for _, u, _ in self.aug],
-                            dtype=alg.row_tables().dtype)[:, None]
+                            dtype=alg.row_tables().dtype)[:, None, None]
             span = alg.span_map([alg.kmul(e, b) for _, _, b in self.aug for e in _basis(K)])
             self._rows = (flat(self.pi_pos), flat(pos for pos, _, _ in self.aug), sign, span)
         return self._rows
@@ -663,11 +673,11 @@ class ParamTable:
     def to_pair_rows(self, X):
         """The pairs of a batch of coordinate rows."""
         pi, _, _, span = self.row_tables()
-        N, d, rk = len(X), len(self.alg.indices), self.alg.K.rank
-        P = np.zeros((N, d * d, rk), dtype=X.dtype)
-        P[:, pi] = X[:, :len(pi)]
-        P = P.reshape(N, d, d, rk)
-        S = span(X[:, len(pi):].reshape(N, -1)).reshape(P.shape)
+        N, d, rk = X.shape[-1], len(self.alg.indices), self.alg.K.rank
+        P = np.zeros((d * d, rk, N), dtype=X.dtype)
+        P[pi] = X[:len(pi)]
+        P = P.reshape(d, d, rk, N)
+        S = span(X[len(pi):].reshape(len(self.aug) * rk, N)).reshape(P.shape)
         return P, self.alg.reduce_rows(self.residue_rows(P) + S)
 
     def read_rows(self, P, R):
@@ -675,11 +685,12 @@ class ParamTable:
         the coordinates of a non-member row mean nothing."""
         alg = self.alg
         pi, pos, sign, span = self.row_tables()
-        N, rk = len(P), alg.K.rank
-        s = alg.reduce_rows(R - self.residue_rows(P)).reshape(N, -1, rk)
-        c = alg.reduce_rows(s[:, pos] * sign)
-        ok = (alg.reduce_rows(span(c.reshape(N, -1)).reshape(s.shape)) == s).all(axis=(1, 2))
-        return np.concatenate([P.reshape(N, -1, rk)[:, pi], c], axis=1), ok
+        N, rk, dd = P.shape[-1], alg.K.rank, len(alg.indices) ** 2
+        s = alg.reduce_rows(R - self.residue_rows(P)).reshape(dd, rk, N)
+        c = alg.reduce_rows(s[pos] * sign)
+        ok = (alg.reduce_rows(span(c.reshape(len(pos) * rk, N)).reshape(s.shape)) == s).all(
+            axis=(0, 1))
+        return np.concatenate([P.reshape(dd, rk, N)[pi], c]), ok
 
     # the pair law on (P, R) batches, reduced
     def pair_add(self, u, v):
@@ -695,7 +706,7 @@ class ParamTable:
         return np.zeros_like(A), self.alg.reduce_rows(A - self.alg.conj_rows(A, raw=True))
 
     def pair_act(self, u, A, k):
-        """u . (A + k): A an (N, d, d, rk) batch, k an (N, rk) K row."""
+        """u . (A + k): A a (d, d, rk, N) batch, k an (rk, N) K row."""
         alg = self.alg
         return alg.umul_rows(u[0], A, k), alg.umul_rows(alg.umul_rows(u[1], A, k, bar=True), A, k)
 
@@ -770,7 +781,8 @@ def _json_rows(K, V, entry):
 
 def alg_rows_to_json(alg, A):
     """The JSON form of each row of A, an (N, d, d, rk) array of reduced
-    entries: the nonzero coefficients on alg.pairs."""
+    entries stored batch first (a group array): the nonzero coefficients
+    on alg.pairs."""
     pairs = alg.pairs
     return _json_rows(alg.K, A[:, alg.apos[:, 0], alg.apos[:, 1]],
                       lambda s, c: {"i": pairs[s][0], "j": pairs[s][1], "c": c})
@@ -778,7 +790,7 @@ def alg_rows_to_json(alg, A):
 
 def alg_el_to_json(a):
     """The JSON form of one element: a one-row call of alg_rows_to_json."""
-    return alg_rows_to_json(a.alg, a.alg.to_array([a]))[0]
+    return alg_rows_to_json(a.alg, np.moveaxis(a.alg.to_array([a]), -1, 0))[0]
 
 
 def alg_el_from_json(alg, data):

@@ -162,36 +162,37 @@ class GraphForm:
         return [-x % m for x, m in zip(v[k:], self.mods[k:])]
 
     def _reduce(self, V):
-        """howell_reduce of every row of an (N, w) int64 array, in place,
-        on its first w columns: one greedy pass over the whole batch.  A
-        form row pivoting at or after column w is zero before it, so the
-        first w columns reduce alone."""
-        w = V.shape[1]
-        mods = np.array(self.mods[:w], dtype=np.int64)
+        """howell_reduce of every column of a (w, N) int64 array, in place,
+        on its first w coordinates: one greedy pass over the whole batch,
+        the batch axis last, so that each step is a run over contiguous
+        rows.  A form row pivoting at or after coordinate w is zero before
+        it, so the first w coordinates reduce alone."""
+        w = V.shape[0]
+        mods = np.array(self.mods[:w], dtype=np.int64)[:, None]
         V %= mods
         for c, h in self.form:
             if c >= w:
                 break
-            V[:, c:] -= (V[:, c] // h[c])[:, None] * np.array(h[c:w], dtype=np.int64)
-            V[:, c:] %= mods[c:]
+            V[c:] -= (V[c] // h[c]) * np.array(h[c:w], dtype=np.int64)[:, None]
+            V[c:] %= mods[c:]
         return V
 
     def consistent(self, B):
         """Row mask of an (N, len(mods_out)) int array of right-hand
         sides: which ones solve can meet.  Only the left block is
         reduced: the left-pivot rows alone decide it."""
-        B = np.array(B, dtype=np.int64).reshape(len(B), self.k)
-        return ~self._reduce(B).any(axis=1)
+        V = np.ascontiguousarray(np.asarray(B, dtype=np.int64).reshape(len(B), self.k).T)
+        return ~self._reduce(V).any(axis=0)
 
     def solve_rows(self, B):
         """solve on every row of an (N, len(mods_out)) int array: the
         consistent mask, and the (N, len(mods_in)) solutions, which are
         meaningless on the rows the mask drops."""
         k = self.k
-        V = np.zeros((len(B), len(self.mods)), dtype=np.int64)
-        V[:, :k] = B
+        V = np.zeros((len(self.mods), len(B)), dtype=np.int64)
+        V[:k] = np.asarray(B).T
         self._reduce(V)
-        return ~V[:, :k].any(axis=1), -V[:, k:] % np.array(self.mods[k:], dtype=np.int64)
+        return ~V[:k].any(axis=0), (-V[k:] % np.array(self.mods[k:], dtype=np.int64)[:, None]).T
 
 
 class KSolver:
@@ -345,22 +346,22 @@ def form_rows(X, B, Y, mod):
 
 
 def k_dets(K, A):
-    """Determinants over K of a stack of square matrices, A an (N, n, n,
-    rank) int array of row-major entries: (N, rank).  The minors on the
-    first k columns, one per row subset, grow to k + 1 columns by
-    expansion along the last one, each product one SlotRing contraction
-    over the whole stack."""
+    """Determinants over K of a batch of square matrices, A an (n, n,
+    rank, N) int array in the layout of coeff_ring.SlotRing: (rank, N).
+    The minors on the first k columns, one per row subset, grow to k + 1
+    columns by expansion along the last one, each product one SlotRing
+    contraction over the whole batch."""
     ring = SlotRing(K)
-    N, n = A.shape[:2]
-    minors = {0: np.tile(np.array(K.one(), dtype=np.int64), (N, 1))}
+    n, N = A.shape[0], A.shape[-1]
+    minors = {0: np.tile(np.array(K.one(), dtype=np.int64)[:, None], (1, N))}
     for k in range(n):
         grown = {}
         for mask, d in minors.items():
             for i in range(n):
                 if mask >> i & 1:
                     continue
-                a = A[:, i, k]
-                term = ring.contract_raw(lambda s, t: a[:, s] * d[:, t])
+                a = A[i, k]
+                term = ring.contract_raw(lambda s, t: a[s] * d[t])
                 sign = -1 if (bin(mask & ((1 << i) - 1)).count("1") + k) & 1 else 1
                 key = mask | 1 << i
                 grown[key] = grown.get(key, 0) + sign * term
@@ -424,7 +425,7 @@ def isometry_search(K, V, B, G, pools):
     leaves = F[:12] if regular else F
     # a matrix over a commutative ring is invertible iff its det is a unit;
     # rows of V[F] are the columns, and the transpose has the same det
-    dets = k_dets(K, V[leaves].reshape(len(leaves), n, n, rk))
+    dets = k_dets(K, np.moveaxis(V[leaves].reshape(len(leaves), n, n, rk), 0, -1)).T
     vals, inv = np.unique(dets, axis=0, return_inverse=True)
     unit = np.array([K.try_invert(tuple(v)) is not None for v in vals.tolist()],
                     dtype=bool)[inv.reshape(-1)]

@@ -71,17 +71,17 @@ class DeltaShape(ParamTable):
         """The fold residue of each pair's p on a batch, unreduced:
         -conj(P) dplus P, dplus the sum of e(k, k) over k > 0, less the
         row-0 products k_j k_j' at (-j, j'), doubled off the diagonal."""
-        alg, d = self.alg, P.shape[1]
-        plus = (np.arange(d) >= d - alg.n)[:, None, None]  # dplus keeps the last n rows
+        alg, d = self.alg, P.shape[0]
+        plus = (np.arange(d) >= d - alg.n)[:, None, None, None]  # dplus keeps the last n rows
         R = -alg.mul_rows(alg.conj_rows(P, raw=True), P * plus, raw=True)
         if self.u_idx:
-            kv = P[:, alg.pos[0]]
-            kr = kv[:, ::-1]
+            kv = P[alg.pos[0]]
+            kr = kv[::-1]
             # weight 1 on the diagonal, 2 above it, rows reversed; int8 and
             # bool never widen a batch
             uw = np.triu(np.full((d, d), 2, dtype=np.int8), 1) + np.eye(d, dtype=np.int8)
             R -= alg.row_tables().ring.contract_raw(
-                lambda a, b: kr[:, :, None, a] * kv[:, None, :, b]) * uw[::-1, :, None]
+                lambda a, b: kr[:, None, a] * kv[None, :, b]) * uw[::-1, :, None, None]
         return R
 
     def el(self, q=None, u=None, d=None):
@@ -186,8 +186,8 @@ def central_u(shape, k):
 
 def delta_rows_to_json(shape, X):
     """The JSON form of each row of X, an (N, dim, rk) array of reduced
-    coordinates: per section of the slot table, the key prefix and
-    element of each nonzero slot, in order."""
+    coordinates stored batch first (JSON rows): per section of the slot
+    table, the key prefix and element of each nonzero slot, in order."""
     lists = []
     for name in ("q", "u", "d"):
         cols = [t for t, (sec, _) in enumerate(shape.slots) if sec == name]
@@ -229,7 +229,7 @@ def special_check(shape, cap=EXH_DELTA_CAP, count=10000, seed=0):
     if exhaustive:
         if card > _ENUM_CAP:
             raise CapacityError("delta enumeration over %d elements" % card)
-        idx = _mixed_radix([ops.K.card] * shape.dim, card)
+        idx = _mixed_radix([ops.K.card] * shape.dim, card).T
     else:
         # one randrange per basis slot, in shape.sample's order, then the
         # element's index in K.elements()
@@ -243,19 +243,19 @@ def special_check(shape, cap=EXH_DELTA_CAP, count=10000, seed=0):
                                for q in mods], dtype=np.int64)
         strides = np.array([math.prod(mods[a + 1:]) for a in range(len(mods))],
                            dtype=np.int64)
-        idx = digits.reshape(count, shape.dim, len(mods)) @ strides
+        idx = (digits.reshape(count, shape.dim, len(mods)) @ strides).T
     P, R = ops.materialize("delta", idx)
     ok = ops.read_back_ok(idx, P, R)
     fail = None if ok.all() else int(np.argmin(ok))
     if exhaustive:
-        # distinct pairs among the rows checked, up to the first failure
+        # distinct pairs among the elements checked, up to the first failure
         n = card if fail is None else fail + 1
-        rows = np.concatenate([P[:n].reshape(n, -1), R[:n].reshape(n, -1)], axis=1)
+        rows = np.concatenate([P[..., :n].reshape(-1, n), R[..., :n].reshape(-1, n)]).T
         distinct = _count_distinct(rows, int(np.max(ops.m)))
         return {"pass": fail is None and distinct == card, "mode": "exhaustive",
                 "checked": card, "distinct": distinct}
     if fail is not None:
-        witness = tuple(tuple(int(c) for c in ops.ktab[t]) for t in idx[fail])
+        witness = tuple(tuple(int(c) for c in ops.ktab[t]) for t in idx[:, fail])
         return {"pass": False, "mode": "sampled", "checked": count,
                 "witness": render(shape, witness)}
     return {"pass": True, "mode": "sampled", "checked": count, "flagged": True}
@@ -385,23 +385,22 @@ def axioms_check(shape, strategy="exhaustive", count=10000, seed=None):
         total = math.prod(sizes) if sizes else 1
         exhaust = strategy == "exhaustive" and total <= _EXH_TUPLE_CAP
         if exhaust:
-            idxmat = _mixed_radix(sizes, total)
+            idxmat = _mixed_radix(sizes, total).T
             mode, n = "exhaustive", total
         else:
             if seed is None:
                 raise StructureError("sampled evaluation of %s requires a seed" % name)
             rng = np.random.default_rng([seed, axnum])
             if sizes:
-                idxmat = np.stack(
-                    [rng.integers(s, size=count) for s in sizes], axis=1)
+                idxmat = np.stack([rng.integers(s, size=count) for s in sizes])
             else:
-                idxmat = np.zeros((1, 0), dtype=np.int64)
-            mode, n = "sampled", idxmat.shape[0]
+                idxmat = np.zeros((0, 1), dtype=np.int64)
+            mode, n = "sampled", idxmat.shape[1]
         ok, failrow = ops.evaluate(kinds, fn, idxmat)
         entry = {"axiom": name, "mode": mode, "tuples": int(n), "pass": bool(ok)}
         if not ok:
             allpass = False
-            row = idxmat[failrow]
+            row = idxmat[:, failrow]
             off = 0
             witness = []
             for kind in kinds:

@@ -28,7 +28,7 @@ Its equations are stated once, as two linear systems: the adjoint system
 of T and the w system of a Xi fiber.  T is the span of the nullspace
 generators of the first, built with numpy as sorted unique rows.  Its two
 quadratic maps, t -> xy and the Xi right-hand side, are K-matrix
-products on a whole batch of rows (N, n, n, rk) through SlotRing, with
+products on a whole batch of rows (n, n, rk, N) through SlotRing, with
 the Gram blocks, phi(G) and the upper triangular q table as their only
 tables; f_s is K-linear, so its integer matrix, read at basis vectors,
 maps every S coordinate row in one product.  One batched Xi check on
@@ -62,7 +62,7 @@ import itertools
 import numpy as np
 
 from .coeff_ring import (CapacityError, Product, SlotRing, StructureError, _basis,
-                         _mixed_radix, parse_ring)
+                         _mixed_radix, _slot_take, parse_ring)
 from .form_ring import (ParamTable, SplitAlgebra, _dict_add, _dict_kmul, _dict_neg, ofalin,
                         ofaorth, ofasymp)
 from .linalg import (GraphForm, KSolver, form_isometries, howell_card, howell_form,
@@ -391,8 +391,8 @@ class QuadModule:
         return acc
 
     def q_map(self):
-        """q_form as one _QuadraticMap on flat label-major Z-coordinates
-        (q is quadratic over Z), built on first use."""
+        """q_form as one _QuadraticMap on flat label-major Z-coordinate
+        columns (q is quadratic over Z), built on first use."""
         if self._qmap is None:
             kmod, rk = self.K.moduli, self.K.rank
             self._qmap = _QuadraticMap(
@@ -742,7 +742,8 @@ def enumerate_module_unitary(M, cap=_SCAN_CAP):
     G = np.array([[M.gram.get((a, b), qt.l_zero()) for b in M.labels]
                   for a in M.labels], dtype=np.int64).reshape(n, n, W)
     supports = [tuple(i for i, a in enumerate(M.labels) if M.entry_ok(a, b)) for b in M.labels]
-    V, F = form_isometries(K, B, G, supports, M.q_map(), cap)
+    qm = M.q_map()
+    V, F = form_isometries(K, B, G, supports, lambda X: qm(X.T).T, cap)
     # column t of a leaf is V[f[t]]; the matrix takes it as its column
     return _lex_sorted(V[F].reshape(len(F), n, n, rk).transpose(0, 2, 1, 3))
 
@@ -767,11 +768,12 @@ class _QuadraticMap:
     """A map fn from int coordinate rows (mod dmod) to int rows (mod omod)
     that is quadratic over Z: fn(0) = 0 and fn(u + v) - fn(u) - fn(v) is
     biadditive.  It is read off fn at e_i, e_i + e_j and 2 e_i and then
-    evaluated on a whole stack of rows at once:
+    evaluated on a whole batch at once, the arguments and values the
+    columns of (..., n, N) and (..., width, N) arrays:
 
         fn(t) = sum t_i f_i + sum_{i<j} t_i t_j b_ij + sum C(t_i, 2) b_ii
 
-    The rows it is called on are reduced.  Its second-degree sums are taken
+    The columns it is called on are reduced.  Its second-degree sums are taken
     mod the lcm of omod before they meet a second factor, so no int64 sum
     overflows on a ring inside coeff_ring.RING_CAP.
     """
@@ -798,12 +800,12 @@ class _QuadraticMap:
             for i in range(n - 1)
         ]
 
-    def __call__(self, rows):
-        rows = np.asarray(rows, dtype=np.int64)
-        acc = rows @ self.f + (rows * (rows - 1) // 2 % self.lcm) @ self.bii
+    def __call__(self, cols):
+        t = np.asarray(cols, dtype=np.int64)
+        acc = self.f.T @ t + self.bii.T @ (t * (t - 1) // 2 % self.lcm)
         for i, b in enumerate(self.bij):
-            acc += rows[:, i:i + 1] * (rows[:, i + 1:] @ b % self.lcm)
-        return acc % self.omod
+            acc += t[..., i:i + 1, :] * (b.T @ t[..., i + 1:, :] % self.lcm)
+        return acc % self.omod[:, None]
 
 
 class NaiveConstruction:
@@ -931,8 +933,7 @@ class NaiveConstruction:
                     Q[pos[a], pos[b]] = phiG[pos[a], pos[b]]
             for a, v in M.qvals.items():
                 Q[pos[a], pos[a]] = v
-            at = (slice(None), [pos[a] for a, _ in self.entries],
-                  [pos[b] for _, b in self.entries])
+            at = ([pos[a] for a, _ in self.entries], [pos[b] for _, b in self.entries])
             self._tabs = ring, at, G, phiG, Q
         return self._tabs
 
@@ -944,22 +945,26 @@ class NaiveConstruction:
         phi(G) y at a before b.  Both in the dtype of SlotRing(K, n)."""
         ring, at, G, phiG, Q = self._tables()
         N, n, d, rk = len(rows), len(self.M.labels), len(self.entries), self.M.K.rank
-        X, Y = np.zeros((2, N, n, n, rk), dtype=ring.dtype)
-        X[at], Y[at] = np.moveaxis(rows.reshape(N, 2, d, rk), 1, 0)
+        X, Y = np.zeros((2, n, n, rk, N), dtype=ring.dtype)
+        X[at], Y[at] = np.moveaxis(rows.reshape(N, 2, d, rk), 0, -1)
 
         def mul(A, B):
             return ring.reduce(ring.matmul_raw(A, B))
 
+        def flat(A):
+            return np.moveaxis(A, -1, 0).reshape(N, int(np.prod(A.shape[:-1])))
+
         XY = mul(X, Y)
-        xy = XY[at].reshape(N, d * rk)
+        xy = flat(XY[at])
         if not rhs:
             return xy, None
-        XYt, Yt = XY.swapaxes(1, 2), Y.swapaxes(1, 2)
-        parts = [np.stack([mul(XYt, g[None]) for g in G], axis=3).reshape(N, n * n * len(G), rk)]
+        XYt, Yt = XY.swapaxes(0, 1), Y.swapaxes(0, 1)
+        XYG = np.stack([mul(XYt, g[..., None]) for g in G], axis=2)
+        parts = [XYG.reshape(n * n * len(G), rk, N)]
         if self.M.qtype.kind != "symplectic":
             k, (i, j) = np.arange(n), np.triu_indices(n, 1)
-            parts += [mul(mul(Yt, Q[None]), Y)[:, k, k], mul(mul(Yt, phiG[None]), Y)[:, i, j]]
-        return xy, ring.reduce(-np.concatenate(parts, axis=1)).reshape(N, self.wsolver.nrows * rk)
+            parts += [mul(mul(Yt, Q[..., None]), Y)[k, k], mul(mul(Yt, phiG[..., None]), Y)[i, j]]
+        return xy, flat(ring.reduce(-np.concatenate(parts)))
 
     # -- the relation set --------------------------------------------------
     def _t_mask(self, rows):
@@ -1191,14 +1196,15 @@ class CanonConstruction(ParamTable):
         return self._embed
 
     def residue_rows(self, P):
-        """The residue of each pair of an (N, d, d, rk) batch: the diagonal
+        """The residue of each pair of a (d, d, rk, N) batch: the diagonal
         terms through diag, the cross terms as the upper positions of
         conj(P) P."""
         colpos, _, diag, upper, lmap = self.embed_tables()
-        S, N, nt = self.S, len(P), len(self.n_labels)
-        m = P.reshape(N, -1, self.K.rank)[:, colpos].reshape(N * nt, -1)
-        cross = S.mul_rows(S.conj_rows(P, raw=True), P, raw=True) * upper[..., None]
-        return S.reduce_rows(diag(lmap(m).reshape(N, -1)).reshape(P.shape) - cross)
+        N, rk, (nt, nl) = P.shape[-1], self.K.rank, colpos.shape
+        m = P.reshape(P.shape[0] * P.shape[1], rk, N)[colpos].reshape(nt, nl * rk, N)
+        cross = self.S.mul_rows(self.S.conj_rows(P, raw=True), P, raw=True) * upper[..., None, None]
+        return self.S.reduce_rows(diag(lmap(m).reshape(nt * self.qtype.R.rank, N)).reshape(
+            P.shape) - cross)
 
     def relations_check(self, count=100, seed=0):
         """The sampled laws of the box pairing: the sorted names of the laws
@@ -1251,13 +1257,14 @@ _CHUNK = 1024
 
 class _BoxRows:
     """The box pairing of a CanonConstruction, and the module arithmetic its
-    laws use, on batches.  K elements are int rows over K's slots, L and R
-    elements rows over R's slots, module elements (N, labels, rk) arrays
-    and slot combinations (N, free slots, R slots) arrays, zero on the
-    slots they leave out.  k_lift, phi_map, r_op, l_inv, the action of R
-    on each label and f_embed are additive, so each is an int matrix read
-    off at basis vectors; K products go through SlotRing, on reduced
-    entries as in form_ring.
+    laws use, on batches in the layout of the array law, the batch axis
+    last.  K elements are (rk, N) rows over K's slots, L and R elements
+    rows over R's slots, module elements (labels, rk, N) arrays and slot
+    combinations (free slots, R slots, N) arrays, zero on the slots they
+    leave out.  k_lift, phi_map, r_op, l_inv, the action of R on each
+    label and f_embed are additive, so each is an int matrix read off at
+    basis vectors and applied from the left; K products go through
+    SlotRing, on reduced entries as in form_ring.
     """
 
     def __init__(self, C):
@@ -1268,7 +1275,7 @@ class _BoxRows:
         ru, one, zero = _basis(qt.R), K.one(), K.zero()
 
         def table(fn, units):
-            return np.array([fn(u) for u in units], dtype=np.int64).reshape(len(units), -1)
+            return np.array([fn(u) for u in units], dtype=np.int64).reshape(len(units), -1).T
 
         self.klift, self.phi = table(qt.k_lift, _basis(K)), table(qt.phi_map, ru)
         self.rop, self.linv = table(qt.r_op, ru), table(qt.l_inv, ru)
@@ -1277,34 +1284,36 @@ class _BoxRows:
                              for a in M.labels])
         self.gram = np.array([[M.gram.get((a, b), qt.l_zero()) for b in M.labels]
                               for a in M.labels], dtype=np.int64).reshape(
-                                  len(M.labels), len(M.labels), -1)
+                                  len(M.labels), len(M.labels), -1, 1)
         self.colpos, self.fe = C.embed_tables()[:2]
 
     def red(self, X):
         """X reduced: an array of K elements, of R elements or of any run
-        of K elements along its last axis."""
-        return self.ring.reduce(X.reshape(X.shape[:-1] + (-1, self.ring.rk))).reshape(X.shape)
+        of K elements along its second to last axis."""
+        rk = self.ring.rk
+        return self.ring.reduce(X.reshape(X.shape[:-2] + (-1, rk, X.shape[-1]))).reshape(X.shape)
 
     def kmul(self, X, Y):
-        return self.ring.contract(lambda a, b: X[..., a] * Y[..., b])
+        return self.ring.contract(lambda a, b: X[..., a, :] * Y[..., b, :])
 
     def rmul(self, X, Y):
         """R products: K products block by block (R is K or K x K)."""
         rk = self.ring.rk
-        Z = self.kmul(X.reshape(X.shape[:-1] + (-1, rk)), Y.reshape(Y.shape[:-1] + (-1, rk)))
-        return Z.reshape(Z.shape[:-2] + (-1,))
+        Z = self.kmul(X.reshape(X.shape[:-2] + (-1, rk, X.shape[-1])),
+                      Y.reshape(Y.shape[:-2] + (-1, rk, Y.shape[-1])))
+        return Z.reshape(Z.shape[:-3] + (-1, Z.shape[-1]))
 
     def sand(self, r, l, r2):
         """l_sand: r^op l r2."""
-        return self.rmul(self.rmul(self.red(r @ self.rop), l), r2)
+        return self.rmul(self.rmul(self.red(self.rop @ r), l), r2)
 
     def q(self, m):
-        return self.C.M.q_map()(m.reshape(len(m), -1))
+        return self.C.M.q_map()(m.reshape(m.shape[0] * m.shape[1], m.shape[2]))
 
     def member(self, h):
         """lparam_member: q(m) + phi(l) = 0."""
         m, l = h
-        return ~self.red(self.q(m) + l @ self.phi).any(axis=1)
+        return ~self.red(self.q(m) + self.phi @ l).any(axis=0)
 
     def lpar(self, m, e):
         """The left factor with module part m whose L part the per-element
@@ -1312,43 +1321,44 @@ class _BoxRows:
         for the drawn d (linear); e indexes the draw."""
         kind = self.C.qtype.kind
         if kind == "symplectic":
-            return m, self.rtab[e]
+            return m, _slot_take(self.rtab, e)
         q = self.red(-self.q(m))
         if kind == "orthogonal":
             return m, q
-        return m, np.concatenate([self.ktab[e], self.red(q - self.ktab[e])], axis=1)
+        k = _slot_take(self.ktab, e)
+        return m, np.concatenate([k, self.red(q - k)])
 
     def heis_add(self, h, h2):
         (m, l), (m2, l2) = h, h2
-        w = self.red(self.kmul(m[:, :, None], m2[:, None]) @ self.klift)
-        b = self.rmul(w, self.gram).sum(axis=(1, 2))
+        w = self.red(self.klift @ self.kmul(m[:, None], m2[None]))
+        b = self.rmul(w, self.gram).sum(axis=(0, 1))
         return self.red(m + m2), self.red(l - b + l2)
 
     def mact(self, m, r):
-        return self.kmul(m, self.red(np.einsum("...j,ajc->...ac", r, self.act)))
+        return self.kmul(m, self.red(np.einsum("acj,...jn->...acn", self.act, r)))
 
     def rho(self, l, n):
         """sum over free slots t, s of f_embed(t, s, n_t^op l n_s)."""
-        N, S = len(l), self.C.S
-        x = self.sand(n[:, :, None], l[:, None, None], n[:, None])
-        return self.red(self.fe(x.reshape(N, -1))).reshape(
-            N, len(S.indices), len(S.indices), -1)
+        N, d = l.shape[-1], len(self.C.S.indices)
+        x = self.sand(n[:, None], l, n[None])
+        return self.red(self.fe(x.reshape(int(np.prod(x.shape[:-1])), N))).reshape(
+            d, d, -1, N)
 
     def box(self, h, n):
-        """box(h, n) on rows: p = sum_t col(m n_t, t) and rho(l, n), then
+        """box(h, n) on batches: p = sum_t col(m n_t, t) and rho(l, n), then
         one read; the coordinates and the member mask."""
         m, l = h
-        N, d = len(m), len(self.C.S.indices)
-        P = np.zeros((N, d * d, m.shape[2]), dtype=np.int64)
-        P[:, self.colpos] = self.mact(m[:, None], n)
-        return self.C.read_rows(P.reshape(N, d, d, -1), self.rho(l, n))
+        N, d = m.shape[-1], len(self.C.S.indices)
+        P = np.zeros((d * d, m.shape[1], N), dtype=np.int64)
+        P[self.colpos] = self.mact(m[None], n)
+        return self.C.read_rows(P.reshape(d, d, -1, N), self.rho(l, n))
 
     def draw(self, rng, N):
-        """N samples of int draws, one row each, in the per-element order:
-        two left factors (an index into K per label, then one more for the
-        symplectic l or the linear d), a coin per free slot and an index
-        into R after each 1 (-1 after a 0), then r, k, l and one index into
-        K per pair of S."""
+        """N samples of int draws, one column each, in the per-element
+        order: two left factors (an index into K per label, then one more
+        for the symplectic l or the linear d), a coin per free slot and an
+        index into R after each 1 (-1 after a 0), then r, k, l and one
+        index into K per pair of S."""
         C, rr = self.C, rng.randrange
         nk, nr = len(self.ktab), len(self.rtab)
         w = len(C.M.labels) + (C.qtype.kind != "orthogonal")
@@ -1359,30 +1369,31 @@ class _BoxRows:
             row += [rr(nr), rr(nk), rr(nr)]
             row += [rr(nk) for _ in C.S.pairs]
             rows.append(row)
-        return np.array(rows, dtype=np.int64)
+        return np.array(rows, dtype=np.int64).T
 
     def failures(self, D):
-        """The laws some row of the draws D breaks.  Raises as the first
+        """The laws some column of the draws D breaks.  Raises as the first
         sample to leave the form parameter or the table would."""
         C, S = self.C, self.C.S
-        N, nl, nt = len(D), len(C.M.labels), len(C.n_labels)
+        N, nl, nt = D.shape[1], len(C.M.labels), len(C.n_labels)
         w = nl + (C.qtype.kind != "orthogonal")
-        u, u2 = (self.lpar(self.ktab[D[:, j:j + nl]], D[:, j + nl] if w > nl else None)
+        u, u2 = (self.lpar(_slot_take(self.ktab, D[j:j + nl]), D[j + nl] if w > nl else None)
                  for j in (0, w))
         o = 2 * w
-        n = self.rtab[np.maximum(D[:, o:o + nt], 0)] * (D[:, o:o + nt, None] >= 0)
-        r, k, l = self.rtab[D[:, o + nt]], self.ktab[D[:, o + nt + 1]], self.rtab[D[:, o + nt + 2]]
-        s = np.zeros((N, len(S.indices), len(S.indices), self.ring.rk), dtype=np.int64)
-        s[:, S.apos[:, 0], S.apos[:, 1]] = self.ktab[D[:, o + nt + 3:]]
+        n = _slot_take(self.rtab, np.maximum(D[o:o + nt], 0)) * (D[o:o + nt, None] >= 0)
+        r, k, l = (_slot_take(tab, D[o + nt + t])
+                   for t, tab in enumerate((self.rtab, self.ktab, self.rtab)))
+        s = np.zeros((len(S.indices), len(S.indices), self.ring.rk, N), dtype=np.int64)
+        s[S.apos[:, 0], S.apos[:, 1]] = _slot_take(self.ktab, D[o + nt + 3:])
         uu = self.heis_add(u, u2)
         ur = (self.mact(u[0], r), self.sand(r, u[1], r))
-        h = (np.zeros_like(u[0]), self.red(l - l @ self.linv))
+        h = (np.zeros_like(u[0]), self.red(l - self.linv @ l))
         (b_uu, ok_uu), (b1, ok1), (b2, ok2) = self.box(uu, n), self.box(u, n), self.box(u2, n)
         b_sum, ok_sum = C.add_rows(b1, b2)
-        (b_ur, ok_ur), (b_rn, ok_rn) = self.box(ur, n), self.box(u, self.rmul(r[:, None], n))
+        (b_ur, ok_ur), (b_rn, ok_rn) = self.box(ur, n), self.box(u, self.rmul(r[None], n))
         (b_h, ok_h), (phi_x, ok_phx) = self.box(h, n), C.phi_rows(self.rho(l, n))
         act_b, ok_act = C.act_rows(b1, np.zeros_like(s), k)
-        b_nk, ok_nk = self.box(u, self.rmul(n, self.red(k @ self.klift)[:, None]))
+        b_nk, ok_nk = self.box(u, self.rmul(n, self.red(self.klift @ k)[None]))
         phi_s, ok_phs = C.phi_rows(s)
         act_phi, ok_actphi = C.act_rows(phi_s, np.zeros_like(s), k)
         phi_ks, ok_phks = C.phi_rows(S.kmul_rows(self.kmul(k, k), s))
@@ -1398,7 +1409,7 @@ class _BoxRows:
             raise events[broken[:, broken.any(axis=0).argmax()].argmax()][0]
 
         def differ(X, Y):
-            return (X != Y).any(axis=(1, 2))
+            return (X != Y).any(axis=(0, 1))
 
         laws = (("box additive on the left", differ(b_uu, b_sum)),
                 ("box balanced over R", differ(b_ur, b_rn)),
@@ -1406,7 +1417,7 @@ class _BoxRows:
                 ("scalar action on a box", differ(act_b, b_nk)),
                 ("scalar action on phi", differ(act_phi, phi_ks)),
                 ("phi lands in the augmentation part",
-                 phi_s[:, :len(C.pi_pos)].any(axis=(1, 2))))
+                 phi_s[:len(C.pi_pos)].any(axis=(0, 1))))
         return {name for name, fail in laws if fail.any()}
 
 
@@ -1641,13 +1652,13 @@ class CanonMorphism:
             gens = [vflat(S.coords(S.kmul(e, b))) for _, _, b in C.aug for e in _basis(K)]
             self._theta = GraphForm([], K.moduli * len(S.pairs), [],
                                     gens + self.kernel_rows().tolist())
-        span, at = self._theta, (slice(None), S.apos[:, 0], S.apos[:, 1])
+        span, at = self._theta, (S.apos[:, 0], S.apos[:, 1])
 
         def residue_flat(flat):
             d = len(S.indices)
-            P = np.zeros((len(flat), d, d, K.rank), dtype=np.int64)
-            P[at] = flat.reshape(len(flat), len(S.pairs), K.rank)
-            return C.residue_rows(P)[at].reshape(len(flat), -1)
+            P = np.zeros((d, d, K.rank, len(flat)), dtype=np.int64)
+            P[at] = np.moveaxis(flat.reshape(len(flat), len(S.pairs), K.rank), 0, -1)
+            return np.moveaxis(C.residue_rows(P)[at], -1, 0).reshape(len(flat), -1)
 
         h = rows.shape[1] // 2
         (tok, p0), (sok, r0) = (self._pre.graph.solve_rows(half)

@@ -23,11 +23,13 @@ integer tensors, its isometries M come from the one column search of
 linalg (form_isometries, which quad_module shares), and beta = M - 1, or
 over the odd orthogonal preset every preimage of M - 1 under rep_odd:
 the group acts on K^d by such isometries, so no member is missed.  Every
-candidate batch passes one mask, unitality plus the Delta read of (beta,
-bar beta) (the batch form of u_try).  The group is the survivors' one
-(N, d, d, rk) beta array, sorted by one lexsort in El.key order, cached
-per shape and verified as array work: distinct rows, bar beta listed for
-every row, and 144 seeded products.  No element object is kept: a
+candidate batch, built in the law's layout and dtype, passes one mask,
+unitality plus the Delta read of (beta, bar beta) (the batch form of
+u_try).  The group is the survivors' one (N, d, d, rk) int64 beta array,
+rows first, sorted by one lexsort in El.key order, cached per shape and
+verified as array work: distinct rows, bar beta listed for every row,
+and 144 seeded products; _law and _rows are the views between the two
+layouts.  No element object is kept: a
 UnitaryGroup over the array builds one when it is indexed, the
 invariants read the array, and group_to_json reads every gamma in one
 batch and writes beta and gamma with the rows writers of form_ring and
@@ -42,7 +44,8 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .coeff_ring import CapacityError, Product, SlotRing, StructureError, _basis, _mixed_radix
+from .coeff_ring import (CapacityError, Product, SlotRing, StructureError, _basis, _mixed_radix,
+                         _slot_take)
 from .form_ring import alg_el_from_json, alg_rows_to_json, ofalin, ofaorth, x_central
 from .linalg import form_isometries, form_rows, k_dets, k_solve
 from .odd_form_param import (
@@ -149,7 +152,7 @@ def u_inv(g):
 
 
 def unitary_to_json(g):
-    return group_to_json(UnitaryGroup(g.shape, g.shape.alg.to_array([g.beta])))[0]
+    return group_to_json(UnitaryGroup(g.shape, _rows(g.shape.alg.to_array([g.beta]))))[0]
 
 
 def unitary_from_json(shape, data):
@@ -276,15 +279,16 @@ def dilation0(shape, c):
 
 
 def _beta_array(group):
-    """The beta array of an enumerated group, or of a list of elements."""
+    """The betas of an enumerated group, or of a list of elements, as a
+    (d, d, rk, N) batch."""
     if isinstance(group, UnitaryGroup):
-        return group.betas
+        return _law(group.betas)
     return group[0].shape.alg.to_array([g.beta for g in group])
 
 
 def _plus_one(K, B):
-    """1 + B over K for a stack of square matrices B (N, d, d, rk)."""
-    one = np.eye(B.shape[1], dtype=np.int64)[:, :, None] * np.array(K.one())
+    """1 + B over K for a batch of square matrices B (d, d, rk, N)."""
+    one = np.eye(B.shape[0], dtype=np.int64)[:, :, None, None] * np.array(K.one())[:, None]
     return SlotRing(K).reduce(B + one)
 
 
@@ -296,7 +300,7 @@ def det_linear(group):
         raise StructureError("det_linear needs the linear preset")
     K, n = alg.K, alg.n
     A = _plus_one(K, _beta_array(group))
-    neg, pos = k_dets(K, A[:, :n, :n]).tolist(), k_dets(K, A[:, n:, n:]).tolist()
+    neg, pos = k_dets(K, A[:n, :n]).T.tolist(), k_dets(K, A[n:, n:]).T.tolist()
     return [(tuple(a), tuple(b)) for a, b in zip(neg, pos)]
 
 
@@ -311,7 +315,7 @@ def idem_op(K, d, e):
 
 
 def _dickson(K, A):
-    """The Dickson invariant of each alpha in A (N, r, r, rk), alpha in the
+    """The Dickson invariant of each alpha in A (r, r, rk, N), alpha in the
     even orthogonal preset of rank r = 2n, read on the spinor module.
 
     Over any commutative K the Clifford algebra of H(W) = W + W* is
@@ -324,25 +328,25 @@ def _dickson(K, A):
     ends at alpha(p_even) e_0 = (1 - d) e_0.  A row that does not end at
     an idempotent d raises StructureError.
     """
-    ring, r = SlotRing(K), A.shape[1]
+    ring, r = SlotRing(K), A.shape[0]
     src, sign = spinor_module(r)
-    e0 = np.zeros((len(A), 1 << r // 2, ring.rk), dtype=np.int64)
-    e0[:, 0] = K.one()
+    e0 = np.zeros((1 << r // 2, ring.rk, A.shape[-1]), dtype=np.int64)
+    e0[0] = np.array(K.one())[:, None]
 
     def act(a, v):
-        """alpha(e_a) v = sum_s A[:, s, a] rho(e_s) v, a a label position."""
-        col = np.ascontiguousarray(np.moveaxis(A[:, :, a], 0, -1))
-        return ring.contract(lambda p, q: sum(col[s, p, :, None] * (sign[s] * v[:, src[s], q])
+        """alpha(e_a) v = sum_s A[s, a] rho(e_s) v, a a label position."""
+        col = A[:, a]
+        return ring.contract(lambda p, q: sum(col[s, p] * (sign[s, :, None] * v[src[s], q])
                                               for s in range(r)))
 
     v = e0
     for i in range(1, r // 2 + 1):
         # e_-i and e_i sit at positions r/2 - i and r/2 + i - 1
         v = ring.reduce(v - act(r // 2 + i - 1, act(r // 2 - i, ring.reduce(2 * v - e0))))
-    d = ring.reduce(e0[:, 0] - v[:, 0])
-    if v[:, 1:].any() or (ring.contract(lambda p, q: d[:, p] * d[:, q]) != d).any():
+    d = ring.reduce(e0[0] - v[0])
+    if v[1:].any() or (ring.contract(lambda p, q: d[p] * d[q]) != d).any():
         raise StructureError("center action did not produce an idempotent")
-    return [tuple(x) for x in d.tolist()]
+    return [tuple(x) for x in d.T.tolist()]
 
 
 def dickson_even(group):
@@ -369,19 +373,20 @@ def odd_embed_target(shape):
 
 
 def _embed_betas(B):
-    """A stack of odd-preset betas in the even preset of rank 2n + 2:
-    index 0, the middle row and column, goes to both new ends -(n + 1)
-    and n + 1, every other index to itself."""
-    h = B.shape[1] // 2
+    """A batch (d, d, rk, N) of odd-preset betas in the even preset of
+    rank 2n + 2: index 0, the middle row and column, goes to both new
+    ends -(n + 1) and n + 1, every other index to itself."""
+    h = B.shape[0] // 2
     src = [h, *range(h), *range(h + 1, 2 * h + 1), h]
-    return B[:, src][:, :, src]
+    return B[src][:, src]
 
 
 def embed_odd(g):
     """g in the even preset of rank 2n + 2.  The image is unitary and
     reads back into Delta by construction, so it is built directly,
     without u_make's checks; the tests run u_try on every image."""
-    return _elements(odd_embed_target(g.shape), _embed_betas(g.shape.alg.to_array([g.beta])))[0]
+    X = _embed_betas(g.shape.alg.to_array([g.beta]))
+    return _elements(odd_embed_target(g.shape), _rows(X))[0]
 
 
 def dickson_odd(group):
@@ -402,28 +407,29 @@ def so_odd_split(shape):
         raise StructureError("so_odd_split needs the odd orthogonal preset")
     group = enumerate_unitary(shape)
     bo = BatchOps(shape)
-    B = group.betas
+    B = _law(group.betas)
+    one = np.array(K.one())[:, None]
     dicks = _dickson(K, _plus_one(K, _embed_betas(B)))
     in_kernel = np.array([K.is_zero(d) for d in dicks])
-    # 1 + rep_odd(beta): the beta array with column 0 doubled
+    # 1 + rep_odd(beta): the beta batch with column 0 doubled
     R = B.copy()
-    R[:, :, bo.pos0] *= 2
+    R[:, bo.pos0] *= 2
     R = _plus_one(K, R)
-    images = {M.tobytes() for M in R[in_kernel]}
+    images = {M.tobytes() for M in _rows(R[..., in_kernel])}
     # SO: the form isometries of determinant 1, which are invertible;
     # column t of a leaf is vecs[F[t]]
     vecs, F = _isometries(bo)
     S = np.ascontiguousarray(np.swapaxes(vecs[F], 1, 2))
-    so = {M.tobytes() for M in S[(k_dets(K, S) == K.one()).all(axis=1)]}
+    so = {M.tobytes() for M in S[(k_dets(K, _law(S)) == one).all(axis=0)]}
     idems = K.idempotents()
-    det_ok = bool((k_dets(K, R) == bo.reduce(bo.onevec - 2 * np.array(dicks))).all())
+    det_ok = bool((k_dets(K, R) == bo.reduce(one - 2 * np.array(dicks).T)).all())
 
     # central: beta commutes with every basis element
-    central = np.arange(len(B))
+    central = np.arange(len(group))
     basis = alg.to_array([alg.e(i, j) for (i, j) in alg.pairs])
-    for E in basis[:, None]:
-        C = B[central]
-        central = central[(bo.dmul(C, E) == bo.dmul(E, C)).all(axis=(1, 2, 3))]
+    for t in range(alg.rank):
+        C, E = B[..., central], basis[..., t:t + 1]
+        central = central[(bo.dmul(C, E) == bo.dmul(E, C)).all(axis=(0, 1, 2))]
     # the center should be exactly {(x(k), u(k)) : k^2 + k = 0}, with
     # Dickson invariant -k; keyed by -k, which each central g must hit
     expected = {}
@@ -437,10 +443,10 @@ def so_odd_split(shape):
         expected.get(dicks[t]) == (group[t].beta, group[t].gamma) for t in central)
 
     # kernel times center is the group: (1 + beta)(1 + x) = 1 + beta x + beta + x
-    keys = {b.tobytes() for b in B}
-    Bk = B[in_kernel]
-    products = {P.tobytes() for x in alg.to_array([bx for bx, _ in expected.values()])
-                for P in bo.reduce(bo.dmul(Bk, x[None]) + Bk + x)}
+    keys = {b.tobytes() for b in group.betas}
+    Bk, X = B[..., in_kernel], alg.to_array([bx for bx, _ in expected.values()])
+    products = {P.tobytes() for x in np.split(X, X.shape[-1], axis=-1)
+                for P in _rows(bo.reduce(bo.dmul(Bk, x) + Bk + x))}
     kernel_order = int(in_kernel.sum())
     decomposition_ok = products == keys and kernel_order * len(expected) == len(group)
 
@@ -729,8 +735,8 @@ _GROUP_CACHE = {}
 
 
 def _eye(bo):
-    """The identity matrix as a (d, d, rk) array; row t is e_t."""
-    return bo.reduce(np.eye(bo.d, dtype=np.int64)[:, :, None] * bo.onevec)
+    """The identity matrix as a batch of one in bo.dtype; row t is e_t."""
+    return bo.reduce(np.eye(bo.d, dtype=bo.dtype)[:, :, None, None] * bo.onevec[:, None])
 
 
 def _split_form(bo):
@@ -753,7 +759,7 @@ def _split_form(bo):
         if i >= 0:
             Q[bo.pos[-i], :, bo.pos[i]] = S
     D = bo.d * rk
-    return bo.reduce(B.reshape(D, D, rk)), Q.reshape(D, D, rk)
+    return B.reshape(D, D, rk) % np.array(bo.K.moduli), Q.reshape(D, D, rk)
 
 
 def _isometries(bo):
@@ -764,23 +770,23 @@ def _isometries(bo):
 
     Returns (vecs, F): column t of leaf r is vecs[F[r, t]].
     """
-    alg, d = bo.alg, bo.d
+    alg, d, mod = bo.alg, bo.d, np.array(bo.K.moduli)
     B, Q = _split_form(bo)
-    E = _eye(bo).reshape(d, d * bo.rk)
-    G = form_rows(np.repeat(E, d, axis=0), B, np.tile(E, (d, 1)), bo.m).reshape(d, d, bo.rk)
+    E = _eye(bo).reshape(d, d * bo.rk).astype(np.int64)
+    G = form_rows(np.repeat(E, d, axis=0), B, np.tile(E, (d, 1)), mod).reshape(d, d, bo.rk)
     if alg.kind == "lin":
         supports = [tuple(bo.pos[i] for i in alg.indices if i * j > 0) for j in alg.indices]
     else:
         supports = [tuple(range(d))] * d
-    q = (lambda X: form_rows(X, Q, X, bo.m)) if alg.kind == "orth" else None
+    q = (lambda X: form_rows(X, Q, X, mod)) if alg.kind == "orth" else None
     V, F = form_isometries(bo.K, B, G, supports, q, _POOL_CAP)
     return V.reshape(len(V), d, bo.rk), F
 
 
 def _column_betas(bo):
-    """Candidate betas, in slices of at most _CHUNK rows: beta = M - 1 for
-    every form isometry M, or over the odd orthogonal preset every beta
-    with rep_odd(beta) = M - 1.
+    """Candidate betas, in (d, d, rk, n) batches of bo.dtype with n at most
+    _CHUNK: beta = M - 1 for every form isometry M, or over the odd
+    orthogonal preset every beta with rep_odd(beta) = M - 1.
 
     These contain the group: alpha = 1 + beta acts on K^d by rep(alpha) =
     1 + rep_odd(beta), and B rep(a) = rep(bar a)^T B on basis elements (B
@@ -792,44 +798,47 @@ def _column_betas(bo):
     M out.  Past _ENUM_CAP lifted candidates this raises CapacityError.
     """
     vecs, F = _isometries(bo)
-    eye, p0, K = _eye(bo), bo.pos0, bo.K
+    eye, p0, K, d = _eye(bo), bo.pos0, bo.K, bo.d
+    # the pool vectors as a batch (d, rk, Nv); F[t] the leaves' column t
+    V, F = np.ascontiguousarray(np.moveaxis(vecs, 0, -1), dtype=bo.dtype), F.T
     per = 1
     if p0 is not None:
         # half[c] is the row in K.elements() of one h with 2h = c, else -1
         half = np.full(K.card, -1, dtype=np.int64)
         for t, v in enumerate(K.elements()):
             half[np.ravel_multi_index(K.smul(2, v), K.moduli)] = t
-        col0 = np.moveaxis(bo.reduce(vecs[F[:, p0]] - eye[p0]), -1, 0)
-        half = half[np.ravel_multi_index(col0, K.moduli)]
-        keep = (half >= 0).all(axis=1)
-        F, half, per = F[keep], half[keep], len(bo.ttab) ** bo.d
-        if len(F) * per > _ENUM_CAP:
-            raise CapacityError("rep_odd lift of %d candidates" % (len(F) * per))
-    for lo in range(0, len(F) * per, _CHUNK):
-        hi = min(lo + _CHUNK, len(F) * per)
+        col0 = bo.reduce(V[..., F[p0]] - eye[:, p0])
+        half = half[np.ravel_multi_index(np.moveaxis(col0, 1, 0), K.moduli)]
+        keep = (half >= 0).all(axis=0)
+        F, half, per = F[:, keep], half[:, keep], len(bo.ttab) ** d
+        if F.shape[1] * per > _ENUM_CAP:
+            raise CapacityError("rep_odd lift of %d candidates" % (F.shape[1] * per))
+    for lo in range(0, F.shape[1] * per, _CHUNK):
+        hi = min(lo + _CHUNK, F.shape[1] * per)
         leaf = np.arange(lo, hi) // per
-        P = bo.reduce(np.swapaxes(vecs[F[leaf]], 1, 2) - eye)
+        # V[..., F[:, leaf]] is (row, slot, column, batch)
+        P = bo.reduce(np.moveaxis(V[..., F[:, leaf]], 2, 1) - eye)
         if p0 is not None:
             # _mixed_radix reads each flat index mod per: the offset digits
-            shift = bo.ttab[_mixed_radix([len(bo.ttab)] * bo.d, hi, lo)]
-            P[:, :, p0] = bo.reduce(bo.ktab[half[leaf]] + shift)
+            shift = _slot_take(bo.ttab, _mixed_radix([len(bo.ttab)] * d, hi, lo).T)
+            P[:, p0] = bo.reduce(_slot_take(bo.ktab, half[:, leaf]) + shift)
         yield P
 
 
 def _unitary_mask(bo, P):
-    """Rows of the beta batch P with bar(alpha) alpha = 1 whose pair
-    (beta, bar beta) reads back into Delta, alpha = 1 + beta.  The Delta
-    read runs on the rows that pass the product only, gathered when some
-    row fails it.
+    """The betas of the batch P (d, d, rk, N) with bar(alpha) alpha = 1
+    whose pair (beta, bar beta) reads back into Delta, alpha = 1 + beta.
+    The Delta read runs on the betas that pass the product only, gathered
+    when some beta fails it.
 
     alpha bar(alpha) = 1 needs no check of its own.  alpha lies in the
     unitalization of the algebra, a finite ring, where bar(alpha) alpha = 1
     makes x -> x bar(alpha) injective, hence onto: y bar(alpha) = 1 for
     some y, and y = y bar(alpha) alpha = alpha."""
     Pb = bo.conj(P)
-    ok = (bo.dmul(Pb, P) == bo.reduce(-(P + Pb))).all(axis=(1, 2, 3))
+    ok = (bo.dmul(Pb, P) == bo.reduce(-(P + Pb))).all(axis=(0, 1, 2))
     live = slice(None) if ok.all() else np.flatnonzero(ok)
-    ok[live] = bo.dread(P[live], Pb[live])[1]
+    ok[live] = bo.dread(P[..., live], Pb[..., live])[1]
     return ok
 
 
@@ -881,9 +890,19 @@ def _rows_in(words, Q):
     return found[len(words):]
 
 
+def _law(B):
+    """Stored rows (N, d, d, rk) as a law batch (d, d, rk, N): a view."""
+    return np.moveaxis(B, 0, -1)
+
+
+def _rows(X):
+    """A law batch (d, d, rk, N) as rows (N, d, d, rk): a view."""
+    return np.moveaxis(X, -1, 0)
+
+
 def _elements(shape, B):
-    """The element of each row of B, a reduced beta array."""
-    return [UnitaryElem(shape, beta) for beta in shape.alg.from_array(B)]
+    """The element of each row of B, reduced (N, d, d, rk) beta rows."""
+    return [UnitaryElem(shape, beta) for beta in shape.alg.from_array(_law(B))]
 
 
 class UnitaryGroup(Sequence):
@@ -911,14 +930,15 @@ def group_to_json(group):
     """The JSON form of every element: the rows writers of beta and of
     gamma, every gamma read in one batch."""
     shape, B = group.shape, group.betas
-    alg, bo = shape.alg, BatchOps(shape)
-    gammas = delta_rows_to_json(shape, bo.dread(B, bo.conj(B))[0])
+    alg, bo, X = shape.alg, BatchOps(shape), _law(group.betas)
+    gammas = delta_rows_to_json(shape, _rows(bo.dread(X, bo.conj(X))[0]))
     return [{"beta": beta, "gamma": gamma} for beta, gamma in zip(alg_rows_to_json(alg, B), gammas)]
 
 
 def _survivors(bo, chunks):
     """Every candidate beta that passes the batch mask, in key order."""
-    B = np.concatenate([P[_unitary_mask(bo, P)] for P in chunks])
+    B = np.concatenate([np.ascontiguousarray(_rows(P[..., _unitary_mask(bo, P)]), dtype=np.int64)
+                        for P in chunks])
     return B[np.lexsort(_key_words(bo.alg, B).T[::-1])]
 
 
@@ -930,9 +950,11 @@ def _verify(bo, B):
         raise AssertionError("repeated beta")
     rng = random.Random(0)
     pairs = np.array([(rng.choice(range(N)), rng.choice(range(N))) for _ in range(144)])
-    G, H = B[pairs[:, 0]], B[pairs[:, 1]]
+    X = _law(B)
+    G, H = X[..., pairs[:, 0]], X[..., pairs[:, 1]]
     found = _rows_in(_key_words(bo.alg, B), np.concatenate([
-        _key_words(bo.alg, bo.conj(B)), _key_words(bo.alg, bo.reduce(bo.dmul(G, H) + G + H))]))
+        _key_words(bo.alg, _rows(bo.conj(X))),
+        _key_words(bo.alg, _rows(bo.reduce(bo.dmul(G, H) + G + H)))]))
     if not found[:N].all():
         raise AssertionError("no inverse of %r" % tuple(_elements(bo.shape, B[~found[:N]][:1])))
     if not found[N:].all():
@@ -976,24 +998,26 @@ def generate_subgroup(gens, cap=_CLOSURE_CAP):
         raise StructureError("shape mismatch %s / %s" % (shape.tag, min(other)))
     alg, bo = shape.alg, BatchOps(shape)
     S = alg.to_array([s.beta for s in gens])
+    ns = S.shape[-1]
     levels = [alg.to_array([alg.zero()])]
-    words = _key_words(alg, levels[0])
-    step = max(1, _CHUNK // len(S))
-    while len(levels[-1]):
+    words = _key_words(alg, _rows(levels[0]))
+    step = max(1, _CHUNK // ns)
+    while levels[-1].shape[-1]:
         fresh = []
-        for lo in range(0, len(levels[-1]), step):
-            G = np.repeat(levels[-1][lo:lo + step], len(S), axis=0)
-            H = np.tile(S, (len(G) // len(S), 1, 1, 1))
+        for lo in range(0, levels[-1].shape[-1], step):
+            G = np.repeat(levels[-1][..., lo:lo + step], ns, axis=-1)
+            H = np.tile(S, G.shape[-1] // ns)
             P = bo.reduce(bo.dmul(G, H) + G + H)
-            Q = _key_words(alg, P)
+            Q = _key_words(alg, _rows(P))
             first = np.unique(Q, axis=0, return_index=True)[1]
             new = first[~_rows_in(words, Q[first])]
             words = np.concatenate([words, Q[new]])
             if len(words) > cap:
                 raise CapacityError("closure exceeded %d elements" % cap)
-            fresh.append(P[new])
-        levels.append(np.concatenate(fresh))
-    return UnitaryGroup(shape, np.concatenate(levels)[np.lexsort(words.T[::-1])])
+            fresh.append(P[..., new])
+        levels.append(np.concatenate(fresh, axis=-1))
+    B = _rows(np.concatenate(levels, axis=-1))
+    return UnitaryGroup(shape, np.ascontiguousarray(B[np.lexsort(words.T[::-1])]))
 
 
 def parabolic_generators(shape, family=None):

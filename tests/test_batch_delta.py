@@ -15,8 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ofa.batch_delta import BatchOps, _torsion_list, decode_factor, herm_slots, slot_sizes
-from ofa.coeff_ring import (_MATMUL_BLOCK, RING_CAP, GaloisField, PolyQuotient, Product,
-                            SlotRing, ZMod, parse_ring)
+from ofa.coeff_ring import (RING_CAP, GaloisField, PolyQuotient, Product, SlotRing, ZMod,
+                            parse_ring)
 from ofa.form_ring import (ParamTable, UnitalEl, ofalin, ofaorth, ofasymp, unital,
                            unital_involution, unital_mul)
 from ofa.odd_form_param import DeltaShape
@@ -68,10 +68,11 @@ def _table(mk, r, K):
 
 
 def _arr(ops, els):
-    M = np.zeros((len(els), ops.d, ops.d, ops.rk), dtype=ops.dtype)
+    """The elements as a (d, d, rk, N) batch, written entry by entry."""
+    M = np.zeros((ops.d, ops.d, ops.rk, len(els)), dtype=ops.dtype)
     for t, el in enumerate(els):
         for (i, j), v in el.c.items():
-            M[t, ops.pos[i], ops.pos[j]] = v
+            M[ops.pos[i], ops.pos[j], :, t] = v
     return M
 
 
@@ -80,13 +81,15 @@ def _pair_arrays(ops, pairs):
 
 
 def _check_against_exact(T, rng, n):
-    """Row 0 of every batch has each entry m - 1; n more rows are random.
-    On an int16 table the 1 + n rows repeat to a batch one row past a
-    block of SlotRing.matmul_raw, so that the narrowest sums cross a block
-    boundary; the exact values are computed once per distinct row.  The
-    pair law is checked on pairs, which a table off its module
-    (a random Gram table) need not keep; the read against the per-element
-    read of the dict law, members or not."""
+    """Entry 0 of every batch has each entry m - 1; n more entries are
+    random.  The 1 + n distinct entries repeat to batches as long as d,
+    rk, dim and d * d, so that an op that reads the batch along a wrong
+    axis keeps its shapes, and to one more batch: on an int16 table 8193
+    long, so that the narrowest sums run over a long batch, else 1 + n.
+    The exact values are computed once per distinct entry.  The pair law
+    is checked on pairs, which a table off its module (a random Gram
+    table) need not keep; the read against the per-element read of the
+    dict law, members or not."""
     alg, K, ref = T.alg, T.alg.K, dict_law(T)
     ops = BatchOps(T)
     top = tuple(m - 1 for m in K.moduli)
@@ -102,58 +105,66 @@ def _check_against_exact(T, rng, n):
 
     us, vs, als, bes, ks, ls = deltas(), deltas(), algs(), algs(), scalars(), scalars()
     up, vp = [ref.to_pair(x) for x in us], [ref.to_pair(x) for x in vs]
-    U, V = _pair_arrays(ops, up), _pair_arrays(ops, vp)
-    A, B = _arr(ops, als), _arr(ops, bes)
-    kv, lv = np.array(ks, dtype=ops.dtype), np.array(ls, dtype=ops.dtype)
-    mods = np.broadcast_to(ops.m, (ops.rk,))
-    assert (A[0, alg.apos[:, 0], alg.apos[:, 1]] == mods - 1).all()
-    assert (U[0][0, alg.apos[:, 0], alg.apos[:, 1]] == mods - 1).all()
-    rows = _MATMUL_BLOCK + 1 if ops.dtype == np.int16 else 1 + n
-    tile = np.arange(rows) % (1 + n)
-    U, V = (tuple(X[tile] for X in P) for P in (U, V))
-    A, B, kv, lv = (X[tile] for X in (A, B, kv, lv))
-
-    def same(got, want):
-        assert got.shape[0] == rows and (got == want[tile]).all(), alg.tag
-
+    mods = np.array(K.moduli)
     ual = [UnitalEl(a, k) for a, k in zip(als, ks)]
     ube = [UnitalEl(b, k) for b, k in zip(bes, ls)]
-    # each coordinate of us as its index in K.elements()
-    uidx = np.array([[np.ravel_multi_index(c, K.moduli) for c in x] for x in us],
-                    dtype=np.int64).reshape(len(us), T.dim)
-    for out, exact in (
-            (ops.materialize("delta", uidx[tile]), up),
-            (ops.dadd(U, V), [(p + p2, r - p.bar() * p2 + r2)
-                              for (p, r), (p2, r2) in zip(up, vp)]),
-            (ops.act(U, (A, kv)), [
-                (unital_mul(unital(p), al).body,
-                 unital_mul(unital_mul(unital_involution(al), unital(r)), al).body)
-                for (p, r), al in zip(up, ual)]),
-            (ops.dneg(U), [(-p, r.bar()) for p, r in up]),
-            (ops.phi(A), [(alg.zero(), a - a.bar()) for a in als])):
-        want = _pair_arrays(ops, exact)
-        same(out[0], want[0])
-        same(out[1], want[1])
-    same(ops.reduce(T.residue_rows(U[0])), _arr(ops, [ref.residue(p) for p, _ in up]))
-    got, ok = ops.dread(*U)
-    want = [ref.read(p, r) for p, r in up]
-    assert ok.tolist() == [want[i] is not None for i in tile]
-    assert [tuple(map(tuple, g)) for g, o in zip(got.tolist(), ok) if o] == [
-        want[i] for i in tile if want[i] is not None]
-    same(ops.dmul(A, B), _arr(ops, [alg.mul(a, b) for a, b in zip(als, bes)]))
-    same(ops.conj(A), _arr(ops, [alg.conj(a) for a in als]))
-    prods = [unital_mul(a, b) for a, b in zip(ual, ube)]
-    body, scal = ops.ualmul((A, kv), (B, lv))
-    same(body, _arr(ops, [p.body for p in prods]))
-    same(scal, np.array([p.scalar for p in prods], dtype=np.int64))
     xs = [UnitalEl(b, K.zero()) for b in bes]
-    same(ops.sandwich((A, kv), B), _arr(ops, [
-        unital_mul(unital_mul(unital_involution(a), x), a).body for a, x in zip(ual, xs)]))
-    same(ops.twosided((B, lv), (A, kv), B), _arr(ops, [
-        unital_mul(unital_mul(unital_involution(b), x), a).body
-        for a, b, x in zip(ual, ube, xs)]))
-    same(ops.mul_right_ual(B, (A, kv)), _arr(ops, [
-        unital_mul(x, a).body for a, x in zip(ual, xs)]))
+    # each coordinate of us as its index in K.elements(), one row per slot
+    uidx = np.array([[np.ravel_multi_index(c, K.moduli) for c in x] for x in us],
+                    dtype=np.int64).reshape(len(us), T.dim).T
+    exact = {
+        "materialize": up,
+        "dadd": [(p + p2, r - p.bar() * p2 + r2) for (p, r), (p2, r2) in zip(up, vp)],
+        "act": [(unital_mul(unital(p), al).body,
+                 unital_mul(unital_mul(unital_involution(al), unital(r)), al).body)
+                for (p, r), al in zip(up, ual)],
+        "dneg": [(-p, r.bar()) for p, r in up],
+        "phi": [(alg.zero(), a - a.bar()) for a in als]}
+    exact = {name: _pair_arrays(ops, pairs) for name, pairs in exact.items()}
+    residue = _arr(ops, [ref.residue(p) for p, _ in up])
+    read = [ref.read(p, r) for p, r in up]
+    prods = [unital_mul(a, b) for a, b in zip(ual, ube)]
+    singles = {
+        "dmul": _arr(ops, [alg.mul(a, b) for a, b in zip(als, bes)]),
+        "conj": _arr(ops, [alg.conj(a) for a in als]),
+        "ualmul body": _arr(ops, [p.body for p in prods]),
+        "ualmul scalar": np.array([p.scalar for p in prods], dtype=np.int64).T,
+        "sandwich": _arr(ops, [unital_mul(unital_mul(unital_involution(a), x), a).body
+                               for a, x in zip(ual, xs)]),
+        "twosided": _arr(ops, [unital_mul(unital_mul(unital_involution(b), x), a).body
+                               for a, b, x in zip(ual, ube, xs)]),
+        "mul_right_ual": _arr(ops, [unital_mul(x, a).body for a, x in zip(ual, xs)])}
+    U0, V0 = _pair_arrays(ops, up), _pair_arrays(ops, vp)
+    A0, B0 = _arr(ops, als), _arr(ops, bes)
+    kv0, lv0 = np.array(ks, dtype=ops.dtype).T, np.array(ls, dtype=ops.dtype).T
+    assert (A0[alg.apos[:, 0], alg.apos[:, 1], :, 0] == mods - 1).all()
+    assert (U0[0][alg.apos[:, 0], alg.apos[:, 1], :, 0] == mods - 1).all()
+    longest = 8193 if ops.dtype == np.int16 else 1 + n
+    for rows in sorted({ops.d, ops.rk, T.dim, ops.d ** 2, longest} - {0}):
+        tile = np.arange(rows) % (1 + n)
+        U, V = (tuple(X[..., tile] for X in P) for P in (U0, V0))
+        A, B, kv, lv = (X[..., tile] for X in (A0, B0, kv0, lv0))
+
+        def same(got, want):
+            assert got.shape[-1] == rows and (got == want[..., tile]).all(), (alg.tag, rows)
+
+        for name, out in (("materialize", ops.materialize("delta", uidx[:, tile])),
+                          ("dadd", ops.dadd(U, V)), ("act", ops.act(U, (A, kv))),
+                          ("dneg", ops.dneg(U)), ("phi", ops.phi(A))):
+            same(out[0], exact[name][0])
+            same(out[1], exact[name][1])
+        same(ops.reduce(T.residue_rows(U[0])), residue)
+        got, ok = ops.dread(*U)
+        assert ok.tolist() == [read[i] is not None for i in tile]
+        assert [tuple(map(tuple, g)) for g, o in zip(np.moveaxis(got, -1, 0).tolist(), ok)
+                if o] == [read[i] for i in tile if read[i] is not None]
+        body, scal = ops.ualmul((A, kv), (B, lv))
+        for name, out in (("dmul", ops.dmul(A, B)), ("conj", ops.conj(A)),
+                          ("ualmul body", body), ("ualmul scalar", scal),
+                          ("sandwich", ops.sandwich((A, kv), B)),
+                          ("twosided", ops.twosided((B, lv), (A, kv), B)),
+                          ("mul_right_ual", ops.mul_right_ual(B, (A, kv)))):
+            same(out, singles[name])
 
 
 @pytest.mark.parametrize("K", LIMIT_RINGS, ids=lambda K: K.name)
@@ -173,8 +184,8 @@ def test_reduce_takes_the_mask_only_on_one_power_of_two():
         ring = SlotRing(K)
         assert (ring._mask is not None) == masked, K.name
         X = np.arange(-3 * 2 ** 21, 3 * 2 ** 21, 997, dtype=np.int64)
-        X = np.stack([X] * ring.rk, axis=1)
-        assert (ring.reduce(X) == X % np.array(K.moduli, dtype=np.int64)).all(), K.name
+        X = np.stack([X] * ring.rk)
+        assert (ring.reduce(X) == X % np.array(K.moduli, dtype=np.int64)[:, None]).all(), K.name
 
 
 @settings(max_examples=60, deadline=None)
@@ -216,7 +227,7 @@ def test_every_op_returns_the_batch_dtype(K, mk, r):
     def idx(kind):
         sizes = slot_sizes(ops.shape, kind)
         return np.array([rng.integers(q, size=5) for q in sizes], dtype=np.int64).reshape(
-            len(sizes), 5).T
+            len(sizes), 5)
 
     def fac(kind):
         return ops.materialize(kind, idx(kind))
@@ -344,7 +355,7 @@ def test_signs_from_the_involution_table_match_the_kind_rules(name):
         if (E == 1).all() or np.all(ops.m == 2):
             assert t.E is None, alg.tag
         else:
-            assert t.E.dtype == ops.dtype and t.E.tolist() == E[None, :, :, None].tolist()
+            assert t.E.dtype == ops.dtype and t.E.tolist() == E[:, :, None, None].tolist()
         assert herm_slots(alg) == _herm_slots_by_kind(alg), alg.tag
         assert sh.q_pairs == tuple(p for p in alg.pairs if p[0] != 0), alg.tag
         assert sh.u_idx == (idx if 0 in idx else ()), alg.tag

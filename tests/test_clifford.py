@@ -381,7 +381,8 @@ def test_degree_one_mask_rejects_norm_one_units():
     assert alg.mul(z, reversal(z)) == alg.one() and not spin_member(z)
     cands = [alg.one(), z, alg.smul(-1, alg.one())]
     U = np.array([[list(u.c.get(s, K.zero())) for s in alg.even_basis()] for u in cands])
-    kept, mats = cf._SpinScan(alg, cr.SlotRing(K)).survivors(U)
+    # the scan takes its chunk in the array law's layout, (dim(even), rk, N)
+    kept, mats = cf._SpinScan(alg, cr.SlotRing(K)).survivors(np.moveaxis(U, 0, -1))
     assert kept.tolist() == U[[0, 2]].tolist()
     assert mats.tolist() == [[[list(c) for c in row] for row in vector_rep(u)]
                              for u in (cands[0], cands[2])]

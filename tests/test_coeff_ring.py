@@ -6,7 +6,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ofa import coeff_ring
 from ofa.coeff_ring import (
     CapacityError, GaloisField, PolyQuotient, Product, RingHom, SlotRing, StructureError,
     TensorTower, ZMod, hom_compose, identity_hom, parse_ring, ring_to_json,
@@ -272,8 +271,9 @@ def test_ring_axioms(K, data):
         assert K.mul(one, a) == a and K.add(a, K.neg(a)) == zero
         inv = K.try_invert(a)
         assert inv is None or K.mul(a, inv) == one
-    X, Y = (np.array([t[k] for t in xs], dtype=np.int64) for k in (0, 1))
-    got = SlotRing(K).contract(lambda p, q: X[:, p] * Y[:, q]).tolist()
+    # K rows (rk, N): the slot axis first, the batch last
+    X, Y = (np.array([t[k] for t in xs], dtype=np.int64).T for k in (0, 1))
+    got = SlotRing(K).contract(lambda p, q: X[p] * Y[q]).T.tolist()
     assert [tuple(z) for z in got] == [K.mul(a, b) for a, b, _ in xs]
 
 
@@ -295,7 +295,8 @@ _MATMUL_RINGS = st.one_of(
                      Product([GaloisField(2, [1, 1, 1]), ZMod(3)]),
                      PolyQuotient(ZMod(5), [(2,), (3,), (1,)])]),
     _RINGS.filter(lambda K: K.rank <= 3))
-_BLOCK = coeff_ring._MATMUL_BLOCK
+# long batches: 8192 and 8193 rows
+_BLOCK = 8192
 
 
 @settings(max_examples=120, deadline=None)
@@ -310,10 +311,12 @@ _BLOCK = coeff_ring._MATMUL_BLOCK
 @example(PolyQuotient(ZMod(5), [(2,), (3,), (1,)]), np.int16, (2, 3, 4), None, 1, 0, True, 0)
 def test_matmul_raw_matches_the_stacked_reference(K, dtype, shape, empty, N, side, top, seed):
     """SlotRing.matmul_raw against the int64 stacked matmul: N = 0 against
-    a broadcast 1, N = 1, a few rows, one block and one block boundary;
-    d, e, f from 1 to 6, or one of them 0, as in the products of rank-0
-    presets.  Entries reach the largest magnitude M at which every
-    partial sum fits the dtype (with top set, every entry is M)."""
+    a broadcast 1, N = 1, a few rows and 8192 and 8193 rows; d, e, f
+    from 1 to 6, or one of them 0, as in the products of rank-0 presets.
+    The operands are drawn batch first, as the reference takes them, and
+    handed over batch last, (d, e, rk, N).  Entries reach the largest
+    magnitude M at which every partial sum fits the dtype (with top set,
+    every entry is M)."""
     ring = SlotRing(K)
     d, e, f = (0 if t == empty else n for t, n in enumerate(shape))
     weight = int(ring.S.sum(axis=(0, 1)).max())
@@ -325,8 +328,8 @@ def test_matmul_raw_matches_the_stacked_reference(K, dtype, shape, empty, N, sid
         nx = 1
     X, Y = (np.full(sz, M, dtype=dtype) if top else rng.integers(-M, M + 1, sz).astype(dtype)
             for sz in ((nx, d, e, K.rank), (ny, e, f, K.rank)))
-    want = _stacked_reference(ring.S, X, Y)
-    got = ring.matmul_raw(X, Y)
+    want = np.moveaxis(_stacked_reference(ring.S, X, Y), 0, -1)
+    got = ring.matmul_raw(*(np.ascontiguousarray(np.moveaxis(A, 0, -1)) for A in (X, Y)))
     assert got.dtype == dtype and got.shape == want.shape
     assert (got == want).all()
 

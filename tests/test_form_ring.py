@@ -353,7 +353,15 @@ def test_an_element_of_another_algebra_is_refused():
 
 
 def _coords(rows):
-    return [tuple(tuple(v) for v in row) for row in rows.tolist()]
+    """Coordinate rows (dim, rk, N) as a list of N coordinate tuples."""
+    return [tuple(tuple(v) for v in row) for row in np.moveaxis(rows, -1, 0).tolist()]
+
+
+def _lengths(rng, *axes):
+    """A batch length: a random one from 1 to 5, or the length of one of
+    the axes beside the batch axis, where an op that reads the batch
+    along a wrong axis keeps its shapes."""
+    return rng.choice(sorted({rng.randrange(1, 6), *axes} - {0}))
 
 
 @settings(max_examples=120, deadline=None)
@@ -364,11 +372,13 @@ def test_param_table_rows_match_the_per_element_law(T, seed):
     membership, also on pairs off the table."""
     rng = random.Random(seed)
     alg, kel, ref = T.alg, list(T.alg.K.elements()), dict_law(T)
-    N = rng.randrange(1, 6)
+    d, rk = len(alg.indices), alg.K.rank
+    N = _lengths(rng, d, rk, T.dim, d * d)
     xs, ys = [T.sample(rng) for _ in range(N)], [T.sample(rng) for _ in range(N)]
     els = [alg.sample(rng) for _ in range(N)]
     ks = [rng.choice(kel) for _ in range(N)]
-    X, Y, A = np.array(xs), np.array(ys), alg.to_array(els)
+    X, Y = (np.moveaxis(np.array(v).reshape(N, T.dim, rk), 0, -1) for v in (xs, ys))
+    A = alg.to_array(els)
     P, R = T.to_pair_rows(X)
     assert list(zip(alg.from_array(P), alg.from_array(R))) == [ref.to_pair(x) for x in xs]
     for (got, ok), want in (
@@ -376,7 +386,8 @@ def test_param_table_rows_match_the_per_element_law(T, seed):
             (T.add_rows(X, Y), [ref.add(x, y) for x, y in zip(xs, ys)]),
             (T.neg_rows(X), [ref.neg(x) for x in xs]),
             (T.phi_rows(A), [ref.phi(a) for a in els]),
-            (T.act_rows(X, A, np.array(ks)), [ref.act(x, a, k) for x, a, k in zip(xs, els, ks)])):
+            (T.act_rows(X, A, np.array(ks).T),
+             [ref.act(x, a, k) for x, a, k in zip(xs, els, ks)])):
         assert ok.all() and _coords(got) == want
     ps, rs = [alg.sample(rng) for _ in range(N)], [alg.sample(rng) for _ in range(N)]
     got, ok = T.read_rows(alg.to_array(ps), alg.to_array(rs))
@@ -414,12 +425,14 @@ def test_batch_product_and_involution_match_the_sparse_ones(K, seed):
     rng = random.Random(seed)
     kel = list(K.elements())
     for alg in _row_algebras(K, rng):
-        xs, ys = [alg.sample(rng) for _ in range(3)], [alg.sample(rng) for _ in range(3)]
-        ks = [rng.choice(kel) for _ in range(3)]
+        d = len(alg.indices)
+        N = _lengths(rng, d, K.rank, d * d)
+        xs, ys = [alg.sample(rng) for _ in range(N)], [alg.sample(rng) for _ in range(N)]
+        ks = [rng.choice(kel) for _ in range(N)]
         X, Y = alg.to_array(xs), alg.to_array(ys)
         assert alg.from_array(alg.mul_rows(X, Y)) == [alg.mul(x, y) for x, y in zip(xs, ys)]
         assert alg.from_array(alg.conj_rows(X)) == [alg.conj(x) for x in xs]
-        assert alg.from_array(alg.kmul_rows(np.array(ks), X)) == [
+        assert alg.from_array(alg.kmul_rows(np.array(ks).T, X)) == [
             alg.kmul(k, x) for k, x in zip(ks, xs)]
 
 
@@ -508,7 +521,8 @@ def test_array_codec_round_trip(K, preset, seed):
         keys = rng.sample(alg.pairs, rng.randrange(len(alg.pairs) + 1))
         els.append(alg.el({key: tuple(rng.randrange(m) for m in K.moduli) for key in keys}))
     A = alg.to_array(els)
-    assert A.dtype == np.int64 and A.tolist() == _betas_reference(els).tolist()
+    # the batch axis last
+    assert A.dtype == np.int64 and np.moveaxis(A, -1, 0).tolist() == _betas_reference(els).tolist()
     back = alg.from_array(A)
     assert back == els
     assert [e.c for e in back] == [dict(e.key) for e in els]

@@ -120,18 +120,23 @@ def test_naive_construction_probes_no_element():
 
 
 def _slot_indexed(node, slots):
-    """Whether node is X[..., a] with a one of the lambda's slot names."""
-    if not isinstance(node, ast.Subscript):
-        return False
-    idx = node.slice.elts[-1] if isinstance(node.slice, ast.Tuple) else node.slice
-    return isinstance(idx, ast.Name) and idx.id in slots
+    """Whether node reads a subscript indexed by one of the lambda's slot
+    names at any position (X[a], X[..., a, :], X[:, None, a]), itself or
+    inside a call or an operation on it."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Subscript):
+            elts = sub.slice.elts if isinstance(sub.slice, ast.Tuple) else [sub.slice]
+            if any(isinstance(e, ast.Name) and e.id in slots for e in elts):
+                return True
+    return False
 
 
 def test_k_matrix_products_go_through_matmul_raw():
     """No lambda handed to SlotRing.contract or contract_raw outside
     coeff_ring is a K-matrix product, a matmul of two slot-indexed
-    operands (X[..., a] @ Y[..., b]): those are SlotRing.matmul_raw
-    calls.  A matmul by an integer table, as in clifford, is not one."""
+    operands (X[..., a, :] @ Y[..., b, :], or a reshape or transpose of
+    such): those are SlotRing.matmul_raw calls.  A matmul by an integer
+    table, as in clifford, is not one."""
     found = []
     for name in sorted(os.listdir(SRC)):
         if not name.endswith(".py") or name == "coeff_ring.py":

@@ -326,8 +326,9 @@ def test_k_dets_match_k_det(name):
     for n in range(7):
         mats = [[[rng.choice(els) for _ in range(n)] for _ in range(n)]
                 for _ in range(40)]
-        dets = k_dets(K, np.array(mats, dtype=np.int64).reshape(40, n, n, K.rank))
-        assert [tuple(d) for d in dets.tolist()] == [k_det(K, M) for M in mats]
+        # a batch of 40 matrices, the batch axis last
+        A = np.moveaxis(np.array(mats, dtype=np.int64).reshape(40, n, n, K.rank), 0, -1)
+        assert [tuple(d) for d in k_dets(K, A).T.tolist()] == [k_det(K, M) for M in mats]
 
 
 @settings(max_examples=60, deadline=None)
@@ -343,7 +344,7 @@ def test_k_dets_multiplicative(K, n, rng):
 
     def dets(mats):
         stack = np.array(mats, dtype=np.int64).reshape(len(mats), n, n, K.rank)
-        return [tuple(d) for d in k_dets(K, stack).tolist()]
+        return [tuple(d) for d in k_dets(K, np.moveaxis(stack, 0, -1)).T.tolist()]
 
     assert dets(AB) == [K.mul(x, y) for x, y in zip(dets(A), dets(B))]
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -6,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ofa.cli import family_algebra
+from ofa.cli import main as cli_main
 from ofa.coeff_ring import CapacityError, GaloisField, Product, StructureError, ZMod, parse_ring
 from ofa.form_ring import ofalin, ofaorth, ofasymp, x_central
 from ofa.odd_form_param import (
@@ -243,7 +246,8 @@ def test_sampled_special_check_draws_the_loops_indices(monkeypatch, ring):
         rng = random.Random(seed)
         want = [[np.ravel_multi_index(c, K.moduli) for c in sh.sample(rng)]
                 for _ in range(300)]
-        assert seen[0].tolist() == want, (ring, seed)
+        # one row of indices per coordinate slot, one column per draw
+        assert seen[0].T.tolist() == want, (ring, seed)
 
 
 def test_randrange_block_matches_the_loop():
@@ -315,7 +319,7 @@ def test_axioms_witness_decodes_failing_row(monkeypatch):
     from ofa.batch_delta import BatchOps
 
     monkeypatch.setattr(BatchOps, "evaluate",
-                        lambda self, kinds, fn, idx: (False, min(3, len(idx) - 1)))
+                        lambda self, kinds, fn, idx: (False, min(3, idx.shape[1] - 1)))
     sh = DeltaShape(ofaorth(2, ZMod(3)))
     rep = axioms_check(sh, seed=1)
     rows = {r["axiom"]: r for r in rep["axioms"]}
@@ -344,10 +348,11 @@ def test_axioms_batch_engine_nonuniform():
 
 
 def _np_els(ops, els):
-    M = np.zeros((len(els), ops.d, ops.d, ops.rk), dtype=np.int64)
+    """The elements as a (d, d, rk, N) batch, written entry by entry."""
+    M = np.zeros((ops.d, ops.d, ops.rk, len(els)), dtype=np.int64)
     for t, el in enumerate(els):
         for (i, j), v in el.c.items():
-            M[t, ops.pos[i], ops.pos[j]] = v
+            M[ops.pos[i], ops.pos[j], :, t] = v
     return M
 
 
@@ -361,28 +366,37 @@ def test_batch_matches_exact():
         sh = DeltaShape(alg)
         ops, ref = BatchOps(sh), dict_law(sh)
         rng = random.Random(17)
-        us = [sh.sample(rng) for _ in range(40)]
-        vs = [sh.sample(rng) for _ in range(40)]
-        als = [alg.sample(rng) for _ in range(40)]
-        ks = [tuple(rng.randrange(m) for m in alg.K.moduli) for _ in range(40)]
-        pairs = [ref.to_pair(x) for x in us]
-        U = (_np_els(ops, [p for p, _ in pairs]), _np_els(ops, [r for _, r in pairs]))
-        vpairs = [ref.to_pair(x) for x in vs]
-        V = (_np_els(ops, [p for p, _ in vpairs]), _np_els(ops, [r for _, r in vpairs]))
-        sums = [ref.to_pair(ref.add(u, v)) for u, v in zip(us, vs)]
-        S = ops.dadd(U, V)
-        assert (S[0] == _np_els(ops, [p for p, _ in sums])).all()
-        assert (S[1] == _np_els(ops, [r for _, r in sums])).all()
-        A = _np_els(ops, als)
-        kv = np.array(ks, dtype=np.int64)
-        acted = [ref.to_pair(ref.act(u, a, k)) for u, a, k in zip(us, als, ks)]
-        G = ops.act(U, (A, kv))
-        assert (G[0] == _np_els(ops, [p for p, _ in acted])).all()
-        assert (G[1] == _np_els(ops, [r for _, r in acted])).all()
-        negs = [ref.to_pair(ref.neg(u)) for u in us]
-        Ng = ops.dneg(U)
-        assert (Ng[0] == _np_els(ops, [p for p, _ in negs])).all()
-        assert (Ng[1] == _np_els(ops, [r for _, r in negs])).all()
+        # batches as long as the axes they sit beside, so that an op that
+        # reads the batch along a wrong axis keeps its shapes; then 40
+        for n in sorted({ops.d, ops.rk, sh.dim, ops.d ** 2, 40}):
+            _check_batch(sh, ops, ref, rng, n)
+
+
+def _check_batch(sh, ops, ref, rng, n):
+    """dadd, act and dneg on a batch of n against the dict law."""
+    alg = sh.alg
+    us = [sh.sample(rng) for _ in range(n)]
+    vs = [sh.sample(rng) for _ in range(n)]
+    als = [alg.sample(rng) for _ in range(n)]
+    ks = [tuple(rng.randrange(m) for m in alg.K.moduli) for _ in range(n)]
+    pairs = [ref.to_pair(x) for x in us]
+    U = (_np_els(ops, [p for p, _ in pairs]), _np_els(ops, [r for _, r in pairs]))
+    vpairs = [ref.to_pair(x) for x in vs]
+    V = (_np_els(ops, [p for p, _ in vpairs]), _np_els(ops, [r for _, r in vpairs]))
+    sums = [ref.to_pair(ref.add(u, v)) for u, v in zip(us, vs)]
+    S = ops.dadd(U, V)
+    assert (S[0] == _np_els(ops, [p for p, _ in sums])).all()
+    assert (S[1] == _np_els(ops, [r for _, r in sums])).all()
+    A = _np_els(ops, als)
+    kv = np.array(ks, dtype=np.int64).T
+    acted = [ref.to_pair(ref.act(u, a, k)) for u, a, k in zip(us, als, ks)]
+    G = ops.act(U, (A, kv))
+    assert (G[0] == _np_els(ops, [p for p, _ in acted])).all()
+    assert (G[1] == _np_els(ops, [r for _, r in acted])).all()
+    negs = [ref.to_pair(ref.neg(u)) for u in us]
+    Ng = ops.dneg(U)
+    assert (Ng[0] == _np_els(ops, [p for p, _ in negs])).all()
+    assert (Ng[1] == _np_els(ops, [r for _, r in negs])).all()
 
 
 def test_json_roundtrip():
@@ -400,7 +414,7 @@ def test_axioms_witness_strings_pinned(monkeypatch):
     from ofa.batch_delta import BatchOps
 
     monkeypatch.setattr(BatchOps, "evaluate",
-                        lambda self, kinds, fn, idx: (False, min(3, len(idx) - 1)))
+                        lambda self, kinds, fn, idx: (False, min(3, idx.shape[1] - 1)))
     rep = axioms_check(DeltaShape(ofasymp(2, ZMod(3))), strategy="sampled",
                        count=50, seed=5)
     rows = {r["axiom"]: r for r in rep["axioms"]}
@@ -484,3 +498,43 @@ def test_delta_json_roundtrip_property(sh, seed):
     x = sh.sample(random.Random(seed))
     data = json.loads(json.dumps(delta_to_json(sh, x)))
     assert delta_from_json(sh, data) == x
+
+
+# sha256 of the report bytes of the benchmark's four axiom sweeps at seed 3
+# (stdout of the CLI) and of its three specialness checks (the sorted-key
+# JSON of special_check).  The pass flags alone do not pin the layout of
+# the array law: a residue that reads a wrong entry can still pass every
+# axiom over F_4 and Z/2, but not these witnesses and counts.
+AXIOM_REPORTS = (
+    ("axioms --family symp --n 1 --ring zmod:4 --seed 3",
+     "5b900a086e0b4ef86e8335d8311c9cacacb823163b58825677ade88cc9ca801c"),
+    ("axioms --family orth-odd --n 1 --ring gf:4 --mode sampled --count 5000 --seed 3",
+     "4322fb9b1bb74237fe4f3702412ff6db3b506ea91927375998bda995d19d60ca"),
+    ("axioms --family symp --n 2 --ring zmod:3 --mode sampled --count 5000 --seed 3",
+     "9c85d0cecbb59cf8fdf0e6dc043e81cd6331582036f70d5b1b5ef7713f8791bd"),
+    ("axioms --family orth-odd --n 1 --ring prod:(zmod:2;zmod:3) --mode sampled "
+     "--count 50 --seed 3",
+     "0bc826c95cffc4366764e05db5975577daacc86fa9da32abc8f97cab846917d7"),
+)
+SPECIAL_REPORTS = (
+    (("orth-odd", 1, "zmod:2", {}),
+     "93c2ce7816e92d4badc60a08d57eb2990b2515c252b613e56a9d664f5c72e6db"),
+    (("symp", 1, "gf:4", {}),
+     "79f39bb12814242fd97aec24ad21c1b9f784a18207dd106fea866f430388196d"),
+    (("orth-odd", 2, "zmod:3", {"count": 2500, "seed": 3}),
+     "d99604440c45715e25fb0711c5b386c3f13154910f154c958e54022212406a61"),
+)
+
+
+@pytest.mark.parametrize("argv,digest", AXIOM_REPORTS)
+def test_axioms_report_bytes_pinned(argv, digest, capsys):
+    assert cli_main(argv.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("call,digest", SPECIAL_REPORTS)
+def test_special_check_report_pinned(call, digest):
+    family, n, ring, kw = call
+    rep = special_check(DeltaShape(family_algebra(family, n, parse_ring(ring))), **kw)
+    assert hashlib.sha256(json.dumps(rep, sort_keys=True).encode()).hexdigest() == digest

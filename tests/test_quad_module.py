@@ -660,7 +660,8 @@ def test_quadratic_map_is_exact_near_the_ring_cap():
 
     Q = _QuadraticMap(fn, [m] * n, [m])
     rows = [[m - 1 - rng.randrange(4) for _ in range(n)] for _ in range(5)]
-    assert Q(np.array(rows)).tolist() == [fn(row) for row in rows]
+    # one argument per column, the batch axis last
+    assert Q(np.array(rows).T).T.tolist() == [fn(row) for row in rows]
     C = canonical_construction(split_module("orthogonal", 2, parse_ring("zmod:%d" % m)))
     ps = [C.S.sample(rng) for _ in range(6)]
     ref = dict_law(C)
