@@ -245,12 +245,8 @@ class BatchOps:
             w = len(slot_sizes(self.shape, kind))
             facs.append(self.materialize(kind, idxmat[off:off + w]))
             off += w
-        res = np.asarray(fn(self, *facs))
-        if res.ndim == 0:
-            res = np.broadcast_to(res, (idxmat.shape[1],))
-        if bool(res.all()):
-            return True, None
-        return False, int(np.argmax(~res))
+        res = np.broadcast_to(fn(self, *facs), (idxmat.shape[1],))
+        return (True, None) if res.all() else (False, int(np.argmax(~res)))
 
 
 def decode_factor(ops, kind, row):

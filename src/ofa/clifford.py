@@ -326,7 +326,7 @@ def spin_group(r, K):
     rows, mats = [], []
     for lo in range(0, total, step):
         U, M = scan.survivors(_slot_take(
-            ring.ktab, _mixed_radix([K.card] * len(ebasis), min(lo + step, total), lo).T))
+            ring.ktab, _mixed_radix([K.card] * len(ebasis), min(lo + step, total), lo)))
         rows.extend(U.tolist())
         mats.extend(M.tolist())
     elems = [El(alg, {s: tuple(v) for s, v in zip(ebasis, row) if any(v)})

@@ -373,7 +373,8 @@ class SlotRing:
     """A ring spec on signed int arrays in the layout of the array law,
     the K-slot axis second to last and the batch axis last: (..., rk, N).
 
-    ``ktab`` lists K.elements() as rows, ``S[a, b]`` is the product of
+    ``ktab`` lists K.elements() as (card, rk) rows, the digit columns of
+    _mixed_radix over K.moduli transposed, ``S[a, b]`` is the product of
     the basis slots a and b, and ``m`` is the additive modulus: one int
     when the slots share it, else the per-slot moduli as an (rk, 1) column
     (valid because a product only maps slots into slots of the same
@@ -398,7 +399,7 @@ class SlotRing:
         # on two's complement ints that is the residue of negatives too
         self._mask = m - 1 if m is not None and m & (m - 1) == 0 else None
         # K.elements(), in order
-        self.ktab = _mixed_radix(K.moduli, K.card).astype(self.dtype, copy=False)
+        self.ktab = _mixed_radix(K.moduli, K.card).T.astype(self.dtype, order="C")
         # the nonzero (a, b) -> c terms of S; the structure tensor is
         # unrolled into products over whole batches, far faster than einsum
         self._terms = [(a, b, [(int(c), int(self.S[a, b, c]))
@@ -465,23 +466,26 @@ class SlotRing:
 
 def _slot_take(tab, idx):
     """The rows of tab, a (card, rk) table of K elements, at the indices
-    idx (..., N), in the layout of the array law: (..., rk, N)."""
+    idx (..., N), in the layout of the array law: (..., rk, N).  take
+    gathers from narrow indices as fast as from intp ones; a fancy index
+    would cast them first."""
     out = np.empty(idx.shape[:-1] + (tab.shape[1], idx.shape[-1]), dtype=tab.dtype)
     for a in range(tab.shape[1]):
-        out[..., a, :] = tab[:, a][idx]
+        out[..., a, :] = tab[:, a].take(idx)
     return out
 
 
 def _mixed_radix(sizes, stop, start=0):
-    """Digit rows of the indices start..stop-1 over the radices sizes, the
-    first digit most significant: rows of itertools.product order.  With
-    sizes [K.card] * n a row indexes SlotRing.ktab once per coordinate."""
-    idx = np.empty((stop - start, len(sizes)), dtype=np.int64)
-    stride = math.prod(sizes)
-    base = np.arange(start, stop, dtype=np.int64)
-    for t, s in enumerate(sizes):
-        stride //= s
-        idx[:, t] = (base // stride) % s
+    """Digit columns of the indices start..stop-1 over the radices sizes,
+    batch last: column t is the t-th tuple of itertools.product order,
+    the first digit most significant, an index past the product read
+    modulo it.  The digits are (len(sizes), stop - start) in the
+    narrowest unsigned dtype that holds max(sizes) - 1; with sizes
+    [K.card] * n a column indexes SlotRing.ktab once per coordinate."""
+    idx = np.empty((len(sizes), stop - start), dtype=np.min_scalar_type(max(sizes, default=1) - 1))
+    q = np.arange(start, stop, dtype=np.int64)
+    for t in reversed(range(len(sizes))):
+        q, idx[t] = np.divmod(q, sizes[t])
     return idx
 
 

@@ -331,9 +331,9 @@ def k_mat_inv(spec, M):
 def support_pool(ktab, n, rows):
     """Every vector of K^n supported on rows, as flat (N, n * rk) rows in
     itertools.product order over the elements listed in ktab."""
-    codes = _mixed_radix([len(ktab)] * len(rows), len(ktab) ** len(rows))
+    codes = _mixed_radix([len(ktab)] * len(rows), len(ktab) ** len(rows)).T
     out = np.zeros((len(codes), n, ktab.shape[1]), dtype=np.int64)
-    out[:, list(rows)] = ktab[codes]
+    out[:, list(rows)] = ktab.take(codes, axis=0)
     return out.reshape(len(codes), n * ktab.shape[1])
 
 

@@ -21,6 +21,7 @@ a one-row batch of the same law: to_pair and member below, and the
 table's add, neg, phi and act.  render and the JSON form print it.
 """
 
+import itertools
 import math
 import random
 
@@ -33,6 +34,7 @@ from .form_ring import ParamTable, _json_rows
 _ENUM_CAP = 1 << 20
 EXH_DELTA_CAP = 1 << 16
 _EXH_TUPLE_CAP = 1 << 16
+_SAMPLE_CAP_BYTES = 1 << 28
 
 
 class DeltaShape(ParamTable):
@@ -229,7 +231,7 @@ def special_check(shape, cap=EXH_DELTA_CAP, count=10000, seed=0):
     if exhaustive:
         if card > _ENUM_CAP:
             raise CapacityError("delta enumeration over %d elements" % card)
-        idx = _mixed_radix([ops.K.card] * shape.dim, card).T
+        idx = _mixed_radix([ops.K.card] * shape.dim, card)
     else:
         # one randrange per basis slot, in shape.sample's order, then the
         # element's index in K.elements()
@@ -250,7 +252,7 @@ def special_check(shape, cap=EXH_DELTA_CAP, count=10000, seed=0):
     if exhaustive:
         # distinct pairs among the elements checked, up to the first failure
         n = card if fail is None else fail + 1
-        rows = np.concatenate([P[..., :n].reshape(-1, n), R[..., :n].reshape(-1, n)]).T
+        rows = np.concatenate([P[..., :n].reshape(-1, n), R[..., :n].reshape(-1, n)])
         distinct = _count_distinct(rows, int(np.max(ops.m)))
         return {"pass": fail is None and distinct == card, "mode": "exhaustive",
                 "checked": card, "distinct": distinct}
@@ -283,19 +285,18 @@ def _randrange_block(rng, m, n):
 
 
 def _count_distinct(rows, m):
-    """Number of distinct rows of a non-negative int array with entries
-    < m: each row packs into uint64 words, one lexsort orders them, and
-    every neighbour that differs starts a new row."""
-    n, L = rows.shape
+    """Number of distinct columns of rows, a non-negative (L, n) int array
+    with entries < m, batch last: the L entries of each column pack into
+    one (W, n) uint64 array, b bits each, one lexsort orders its columns,
+    and every neighbour that differs starts a new column."""
+    L, n = rows.shape
     b = max(1, (m - 1).bit_length())
     per = 64 // b
-    W = -(-L // per) or 1  # one zero word for rows of width 0
-    R = np.zeros((n, W * per), dtype=np.uint64)
-    R[:, :L] = rows
-    R = R.reshape(n, W, per) << (np.arange(per, dtype=np.uint64) * np.uint64(b))
-    words = R.sum(axis=2, dtype=np.uint64)
-    S = words[np.lexsort(words.T)]
-    return min(n, 1) + int((S[1:] != S[:-1]).any(axis=1).sum())
+    words = np.zeros((-(-L // per) or 1, n), dtype=np.uint64)  # one zero word for width 0
+    for t in range(L):
+        words[t // per] |= rows[t].astype(np.uint64) << np.uint64(t % per * b)
+    S = words[:, np.lexsort(words)]
+    return min(n, 1) + int((S[:, 1:] != S[:, :-1]).any(axis=0).sum())
 
 
 # Axiom table.  Each entry: name, factor kinds, check(ops, *factors).
@@ -367,6 +368,16 @@ AXIOMS = (
 )
 
 
+def _draw(rng, sizes, count):
+    """The sampled index matrix (len(sizes), count), int64: one (run,
+    count) draw per run of equal slot sizes, on PCG64 the same numbers as
+    one draw of count per slot; (0, 1) for no slots."""
+    if not sizes:
+        return np.zeros((0, 1), dtype=np.int64)
+    runs = [rng.integers(s, size=(len(list(run)), count)) for s, run in itertools.groupby(sizes)]
+    return runs[0] if len(runs) == 1 else np.concatenate(runs)
+
+
 def axioms_check(shape, strategy="exhaustive", count=10000, seed=None):
     """Run the axiom table; report per-axiom mode, counts, and witnesses."""
     if strategy not in ("exhaustive", "sampled"):
@@ -375,46 +386,30 @@ def axioms_check(shape, strategy="exhaustive", count=10000, seed=None):
         raise CapacityError(
             "exhaustive strategy needs |Delta| <= %d, got %d"
             % (EXH_DELTA_CAP, shape.card()))
+    slots = [[s for kind in kinds for s in slot_sizes(shape, kind)] for _, kinds, _ in AXIOMS]
+    exhaust = [strategy == "exhaustive" and math.prod(sizes) <= _EXH_TUPLE_CAP for sizes in slots]
+    # the sampled index matrices are int64, (nslots, count)
+    need = max([8 * len(sizes) * count for sizes, ex in zip(slots, exhaust) if not ex], default=0)
+    if need > _SAMPLE_CAP_BYTES:
+        raise CapacityError("sampled index matrix of %d bytes for count %d, over %d"
+                            % (need, count, _SAMPLE_CAP_BYTES))
     ops = BatchOps(shape)
     rows = []
-    allpass = True
-    for axnum, (name, kinds, fn) in enumerate(AXIOMS):
-        sizes = []
-        for kind in kinds:
-            sizes.extend(slot_sizes(shape, kind))
-        total = math.prod(sizes) if sizes else 1
-        exhaust = strategy == "exhaustive" and total <= _EXH_TUPLE_CAP
-        if exhaust:
-            idxmat = _mixed_radix(sizes, total).T
-            mode, n = "exhaustive", total
+    for axnum, ((name, kinds, fn), sizes) in enumerate(zip(AXIOMS, slots)):
+        if exhaust[axnum]:
+            idxmat, mode = _mixed_radix(sizes, math.prod(sizes)), "exhaustive"
         else:
             if seed is None:
                 raise StructureError("sampled evaluation of %s requires a seed" % name)
-            rng = np.random.default_rng([seed, axnum])
-            if sizes:
-                idxmat = np.stack([rng.integers(s, size=count) for s in sizes])
-            else:
-                idxmat = np.zeros((0, 1), dtype=np.int64)
-            mode, n = "sampled", idxmat.shape[1]
+            idxmat, mode = _draw(np.random.default_rng([seed, axnum]), sizes, count), "sampled"
         ok, failrow = ops.evaluate(kinds, fn, idxmat)
-        entry = {"axiom": name, "mode": mode, "tuples": int(n), "pass": bool(ok)}
+        entry = {"axiom": name, "mode": mode, "tuples": idxmat.shape[1], "pass": bool(ok)}
         if not ok:
-            allpass = False
-            row = idxmat[:, failrow]
-            off = 0
-            witness = []
-            for kind in kinds:
-                w = len(slot_sizes(shape, kind))
-                x = decode_factor(ops, kind, row[off:off + w])
-                witness.append(render(shape, x) if kind in ("delta", "aug") else repr(x))
-                off += w
-            entry["witness"] = witness
+            cuts = np.cumsum([len(slot_sizes(shape, kind)) for kind in kinds])[:-1]
+            xs = [decode_factor(ops, kind, part)
+                  for kind, part in zip(kinds, np.split(idxmat[:, failrow], cuts))]
+            entry["witness"] = [render(shape, x) if kind in ("delta", "aug") else repr(x)
+                                for kind, x in zip(kinds, xs)]
         rows.append(entry)
-    return {
-        "shape": shape.tag,
-        "strategy": strategy,
-        "dim": shape.dim,
-        "card": shape.card(),
-        "axioms": rows,
-        "pass": allpass,
-    }
+    return {"shape": shape.tag, "strategy": strategy, "dim": shape.dim, "card": shape.card(),
+            "axioms": rows, "pass": all(r["pass"] for r in rows)}

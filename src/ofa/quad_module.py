@@ -1630,7 +1630,7 @@ class CanonMorphism:
             vflat(e for mat in self.f_s(S.el({p: u})) for row in mat for e in row)
             for p in S.pairs for u in _basis(K)
         ], dtype=np.int64).reshape(len(S.pairs) * K.rank, 2 * n * n * K.rank)
-        coords = _mixed_radix(K.moduli * len(S.pairs), S.card())
+        coords = _mixed_radix(K.moduli * len(S.pairs), S.card()).T.astype(np.int64, order="C")
         image = _lex_sorted((coords @ fmat % np.tile(K.moduli, 2 * n * n)).astype(
             np.min_scalar_type(max(K.moduli) - 1)))
         return 1 + int((image[1:] != image[:-1]).any(axis=1).sum())

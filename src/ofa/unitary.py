@@ -820,7 +820,7 @@ def _column_betas(bo):
         P = bo.reduce(np.moveaxis(V[..., F[:, leaf]], 2, 1) - eye)
         if p0 is not None:
             # _mixed_radix reads each flat index mod per: the offset digits
-            shift = _slot_take(bo.ttab, _mixed_radix([len(bo.ttab)] * d, hi, lo).T)
+            shift = _slot_take(bo.ttab, _mixed_radix([len(bo.ttab)] * d, hi, lo))
             P[:, p0] = bo.reduce(_slot_take(bo.ktab, half[:, leaf]) + shift)
         yield P
 
@@ -936,15 +936,19 @@ def group_to_json(group):
 
 
 def _survivors(bo, chunks):
-    """Every candidate beta that passes the batch mask, in key order."""
+    """Every candidate beta that passes the batch mask, in key order, and
+    the key words of those rows."""
     B = np.concatenate([np.ascontiguousarray(_rows(P[..., _unitary_mask(bo, P)]), dtype=np.int64)
                         for P in chunks])
-    return B[np.lexsort(_key_words(bo.alg, B).T[::-1])]
+    words = _key_words(bo.alg, B)
+    order = np.lexsort(words.T[::-1])
+    return B[order], words[order]
 
 
-def _verify(bo, B):
+def _verify(bo, B, words):
     """Distinct rows, bar beta listed for every row, and 144 products of
-    pairs drawn by random.Random(0) listed."""
+    pairs drawn by random.Random(0) listed, looked up in words, the key
+    words of B's rows."""
     N = len(B)
     if (B[1:] == B[:-1]).all(axis=(1, 2, 3)).any():
         raise AssertionError("repeated beta")
@@ -952,7 +956,7 @@ def _verify(bo, B):
     pairs = np.array([(rng.choice(range(N)), rng.choice(range(N))) for _ in range(144)])
     X = _law(B)
     G, H = X[..., pairs[:, 0]], X[..., pairs[:, 1]]
-    found = _rows_in(_key_words(bo.alg, B), np.concatenate([
+    found = _rows_in(words, np.concatenate([
         _key_words(bo.alg, _rows(bo.conj(X))),
         _key_words(bo.alg, _rows(bo.reduce(bo.dmul(G, H) + G + H)))]))
     if not found[:N].all():
@@ -968,8 +972,8 @@ def enumerate_unitary(shape):
     B = _GROUP_CACHE.get(shape.tag)
     if B is None:
         bo = BatchOps(shape)
-        B = _survivors(bo, _column_betas(bo))
-        _verify(bo, B)
+        B, words = _survivors(bo, _column_betas(bo))
+        _verify(bo, B, words)
         B.flags.writeable = False
         _GROUP_CACHE[shape.tag] = B
     return UnitaryGroup(shape, B)

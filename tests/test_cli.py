@@ -233,6 +233,23 @@ def _one_line_error(capsys):
     return err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_a_sample_count_past_the_cap_exits2_before_drawing(capsys):
+    """--count sizes the sampled index matrices before any batch is built
+    or drawn: past the byte cap the sweep exits 2 with the bytes needed."""
+    from ofa import odd_form_param as ofp
+
+    count = 10 ** 15
+    argv = _SAMPLED + ["--count", str(count)]
+    with patch.object(ofp, "BatchOps", side_effect=AssertionError("batch built")), \
+            patch.object(ofp.np.random, "default_rng", side_effect=AssertionError("drawn")):
+        assert main(argv) == 2
+    err = capsys.readouterr().err
+    shape = ofp.DeltaShape(cli.family_algebra("symp", 1, parse_ring("zmod:2")))
+    slots = max(sum(len(ofp.slot_sizes(shape, k)) for k in kinds) for _, kinds, _ in ofp.AXIOMS)
+    assert err == "error: sampled index matrix of %d bytes for count %d, over %d\n" % (
+        8 * slots * count, count, ofp._SAMPLE_CAP_BYTES)
+
+
 def test_malformed_module_json_exits2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from ofa.coeff_ring import (
     CapacityError, GaloisField, PolyQuotient, Product, RingHom, SlotRing, StructureError,
-    TensorTower, ZMod, hom_compose, identity_hom, parse_ring, ring_to_json,
+    TensorTower, ZMod, _mixed_radix, hom_compose, identity_hom, parse_ring, ring_to_json,
     tensor_square,
 )
 
@@ -332,6 +332,33 @@ def test_matmul_raw_matches_the_stacked_reference(K, dtype, shape, empty, N, sid
     got = ring.matmul_raw(*(np.ascontiguousarray(np.moveaxis(A, 0, -1)) for A in (X, Y)))
     assert got.dtype == dtype and got.shape == want.shape
     assert (got == want).all()
+
+
+_RADICES = st.lists(st.sampled_from([1, 2, 3, 5, 256, 257]), max_size=4).filter(
+    lambda sizes: math.prod(sizes) <= 1 << 17)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_RADICES, st.data())
+@example([256], None)
+@example([257, 2], None)
+@example([], None)
+def test_mixed_radix_columns_are_product_tuples(sizes, data):
+    """Column t of _mixed_radix(sizes, stop, start) is the (start + t)-th
+    itertools.product tuple, in the narrowest unsigned dtype that holds
+    max(sizes) - 1: uint8 up to radix 256, uint16 at 257."""
+    total = math.prod(sizes)
+    if data is None:
+        start, stop = max(0, total - 300), total
+    else:
+        start = data.draw(st.integers(0, total))
+        stop = data.draw(st.integers(start, min(total, start + 300)))
+    got = _mixed_radix(sizes, stop, start)
+    want = itertools.islice(itertools.product(*map(range, sizes)), start, stop)
+    assert got.shape == (len(sizes), stop - start)
+    assert got.dtype == (np.uint16 if 257 in sizes else np.uint8)
+    assert got.T.tolist() == [list(w) for w in want]
+    assert _mixed_radix(sizes, start, start).shape == (len(sizes), 0)
 
 
 def test_capacity_guard():

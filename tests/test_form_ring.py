@@ -214,7 +214,7 @@ def test_rep_odd_kernel():
         B = ofaorth(3, K)
         gens = [B.e(i, j, b) for (i, j) in B.pairs for b in _basis(K)]
         R = np.array([np.ravel(rep_odd(B, g)) for g in gens])
-        X = _mixed_radix(list(K.moduli) * B.rank, K.card ** B.rank)
+        X = _mixed_radix(list(K.moduli) * B.rank, K.card ** B.rank).T.astype(np.int64)
         zero = ((X @ R) % np.tile(K.moduli, len(R[0]) // K.rank) == 0).all(axis=1)
         kernel = {sum((B.smul(x, g) for x, g in zip(row, gens)), B.zero())
                   for row in X[zero].tolist()}

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from ofa.cli import main as cli_main
 from ofa.coeff_ring import CapacityError, GaloisField, Product, StructureError, ZMod, parse_ring
 from ofa.form_ring import ofalin, ofaorth, ofasymp, x_central
 from ofa.odd_form_param import (
+    AXIOMS,
     DeltaShape,
     act_scalar,
     aug_member,
@@ -259,11 +261,20 @@ def test_randrange_block_matches_the_loop():
 
 
 def test_count_distinct_matches_unique():
+    """The distinct columns of batch-last (width, n) rows, across the
+    word boundaries of m = 2 (64 entries a word) and for n = 0 and 1."""
     rng = np.random.default_rng(2)
     for m in (2, 3, 16, 1048573):
-        for width in (1, 7, 40):
-            rows = rng.integers(m, size=(300, width))[rng.integers(300, size=500)]
-            assert _count_distinct(rows, m) == len(np.unique(rows, axis=0)), (m, width)
+        for width in (0, 1, 7, 40) + ((63, 64, 65, 128) if m == 2 else ()):
+            for n in (0, 1, 500):
+                rows = rng.integers(m, size=(width, 300))[:, rng.integers(300, size=n)]
+                want = len(set(map(tuple, rows.T.tolist())))
+                assert _count_distinct(rows, m) == want, (m, width, n)
+            # two columns that differ at entry t only
+            for t in range(width):
+                pair = np.zeros((width, 2), dtype=np.int64)
+                pair[t, 1] = m - 1
+                assert _count_distinct(pair, m) == 2, (m, width, t)
 
 
 @pytest.mark.parametrize("read", ["read_back_ok", "dread"])
@@ -538,3 +549,58 @@ def test_special_check_report_pinned(call, digest):
     family, n, ring, kw = call
     rep = special_check(DeltaShape(family_algebra(family, n, parse_ring(ring))), **kw)
     assert hashlib.sha256(json.dumps(rep, sort_keys=True).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("family,n,ring", [("orth-odd", 1, "gf:4"), ("symp", 1, "zmod:4"),
+                                           ("orth-odd", 1, "prod:(zmod:2;zmod:3)")])
+def test_sampled_sweep_draws_one_row_per_slot(monkeypatch, family, n, ring):
+    """The sampled index matrix of every axiom, drawn per run of equal
+    slot sizes, is the stack of one rng.integers(size, count) draw per
+    slot from the same generator: --seed picks the same tuples."""
+    from ofa.batch_delta import BatchOps, slot_sizes
+
+    seen = []
+    real = BatchOps.evaluate
+
+    def spy(self, kinds, fn, idxmat):
+        seen.append(idxmat)
+        return real(self, kinds, fn, idxmat)
+
+    monkeypatch.setattr(BatchOps, "evaluate", spy)
+    sh = DeltaShape(family_algebra(family, n, parse_ring(ring)))
+    count = 257
+    assert axioms_check(sh, strategy="sampled", count=count, seed=7)["pass"]
+    mixed = False
+    for axnum, ((name, kinds, _), got) in enumerate(zip(AXIOMS, seen)):
+        sizes = [s for kind in kinds for s in slot_sizes(sh, kind)]
+        mixed |= len(set(sizes)) > 1
+        rng = np.random.default_rng([7, axnum])
+        want = np.stack([rng.integers(s, size=count) for s in sizes])
+        assert got.dtype == want.dtype and (got == want).all(), (sh.tag, name)
+    assert len(seen) == len(AXIOMS)
+    # symp 1 over Z/4 mixes herm slots of sizes 4 and 2
+    assert mixed == (ring == "zmod:4")
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_special_check_peak_stays_at_the_rows_width():
+    """The distinct-pair count packs the batch-last rows without a word
+    per bit: under 5 MB on symp 1 over F_4 (16,384 elements), against
+    18 MB when each row of 16 one-bit entries took 64 uint64 fields."""
+    sh = DeltaShape(family_algebra("symp", 1, parse_ring("gf:4")))
+    assert _traced_peak(lambda: special_check(sh)) < 5e6
+
+
+def test_exhaustive_sweep_peak_stays_at_the_digits_width():
+    """The exhaustive sweep on symp 1 over Z/4 holds its digits narrow and
+    batch last: under 9 MB, against 10.7 MB with (N, n) int64 digits."""
+    sh = DeltaShape(family_algebra("symp", 1, parse_ring("zmod:4")))
+    assert _traced_peak(lambda: axioms_check(sh, seed=3)) < 9e6

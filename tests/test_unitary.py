@@ -136,14 +136,14 @@ def _scan_betas(bo):
     q, rank = bo.K.card, bo.alg.rank
     total = q ** rank
     for lo in range(0, total, un._CHUNK):
-        yield bo.materialize("alg", _mixed_radix([q] * rank, min(lo + un._CHUNK, total), lo).T)
+        yield bo.materialize("alg", _mixed_radix([q] * rank, min(lo + un._CHUNK, total), lo))
 
 
 def _keys(shape, betas):
     import ofa.unitary as un
 
     bo = un.BatchOps(shape)
-    return sorted(g.key for g in un._elements(shape, un._survivors(bo, betas(bo))))
+    return sorted(g.key for g in un._elements(shape, un._survivors(bo, betas(bo))[0]))
 
 
 REF_RINGS = ("zmod:2", "zmod:3", "zmod:4", "zmod:6", "zmod:8", "zmod:9",
@@ -197,7 +197,7 @@ def test_rep_of_every_element_is_a_listed_isometry():
         bo = un.BatchOps(s)
         vecs, F = un._isometries(bo)
         listed = set(k_matrices(vecs.reshape(len(vecs), -1), F, s.alg.K.rank))
-        members = un._elements(s, un._survivors(bo, _scan_betas(bo)))
+        members = un._elements(s, un._survivors(bo, _scan_betas(bo))[0])
         assert members
         for g in members:
             assert rep_matrix(g) in listed, (s.tag, g)
@@ -407,6 +407,21 @@ def test_group_cache_serves_default_calls(monkeypatch):
     assert len(runs) == 1
 
 
+def test_enumeration_keys_the_group_rows_once(monkeypatch):
+    """_verify looks bar beta up in the key words that _survivors sorted
+    the group by: two whole-group _key_words calls (the rows and their
+    bars), not three."""
+    import ofa.unitary as un
+
+    s = sh(ofasymp, 4, F2)
+    un._GROUP_CACHE.pop(s.tag, None)
+    sizes = []
+    real = un._key_words
+    monkeypatch.setattr(un, "_key_words", lambda alg, B: sizes.append(len(B)) or real(alg, B))
+    assert group_order(s) == 720
+    assert sorted(sizes) == [144, 720, 720]
+
+
 def test_enumeration_reads_no_delta_per_element(monkeypatch):
     """The batch mask is the only membership check: no survivor goes
     through member or u_try again."""
@@ -454,12 +469,13 @@ def test_verify_catches_a_missing_inverse(monkeypatch):
     real = un._survivors
 
     def drop_victim(*a):
-        B = real(*a)
-        return B[[g.key != victim.key for g in un._elements(s, B)]]
+        B, words = real(*a)
+        keep = [g.key != victim.key for g in un._elements(s, B)]
+        return B[keep], words[keep]
 
     monkeypatch.setattr(un, "_survivors", drop_victim)
     bo = un.BatchOps(s)
-    assert len(un._survivors(bo, un._column_betas(bo))) == 23
+    assert len(un._survivors(bo, un._column_betas(bo))[0]) == 23
     un._GROUP_CACHE.pop(s.tag, None)
     with pytest.raises(AssertionError, match="no inverse"):
         enumerate_unitary(s)
@@ -490,8 +506,11 @@ def test_verify_runs_under_python_O():
         "victim = next(g for g in un.enumerate_unitary(s) if (g * g).key != e.key)",
         "un._GROUP_CACHE.clear()",
         "real = un._survivors",
-        "un._survivors = lambda *a: (lambda B: B[[g.key != victim.key",
-        "                                         for g in un._elements(s, B)]])(real(*a))",
+        "def drop_victim(*a):",
+        "    B, words = real(*a)",
+        "    keep = [g.key != victim.key for g in un._elements(s, B)]",
+        "    return B[keep], words[keep]",
+        "un._survivors = drop_victim",
         "print(__debug__)",
         "try:",
         "    un.enumerate_unitary(s)",
