@@ -37,31 +37,26 @@ from .quad_module import (canon_relations_check, canonical_construction, hdet,
 from . import clifford as cf
 from . import nilpotent2 as n2
 
-FAMILIES = ("lin", "symp", "orth-even", "orth-odd")
+# family -> the kind of its split module and the rank a n + b as (a, b)
+_FAMILIES = {"lin": ("linear", 1, 0), "symp": ("symplectic", 2, 0),
+             "orth-even": ("orthogonal", 2, 0), "orth-odd": ("orthogonal", 2, 1)}
+FAMILIES = tuple(_FAMILIES)
+
+
+def _family(family, n):
+    if family not in _FAMILIES:
+        raise StructureError("unknown family %r" % family)
+    kind, a, b = _FAMILIES[family]
+    return kind, a * n + b
 
 
 def family_algebra(family, n, K):
-    if family == "lin":
-        return ofalin(n, K)
-    if family == "symp":
-        return ofasymp(2 * n, K)
-    if family == "orth-even":
-        return ofaorth(2 * n, K)
-    if family == "orth-odd":
-        return ofaorth(2 * n + 1, K)
-    raise StructureError("unknown family %r" % family)
+    kind, r = _family(family, n)
+    return {"linear": ofalin, "symplectic": ofasymp, "orthogonal": ofaorth}[kind](r, K)
 
 
 def family_module(family, n, K):
-    if family == "lin":
-        return split_module("linear", n, K)
-    if family == "symp":
-        return split_module("symplectic", 2 * n, K)
-    if family == "orth-even":
-        return split_module("orthogonal", 2 * n, K)
-    if family == "orth-odd":
-        return split_module("orthogonal", 2 * n + 1, K)
-    raise StructureError("unknown family %r" % family)
+    return split_module(*_family(family, n), K)
 
 
 _BLOCK = 1 << 16
@@ -142,14 +137,8 @@ def _dumps(doc):
 
 
 def _emit(args, command, params, report, ok):
-    doc = {
-        "schema": "ofa-report/1",
-        "command": command,
-        "params": params,
-        "pass": bool(ok),
-        "report": report,
-    }
-    text = _dumps(doc) + "\n"
+    text = _dumps({"schema": "ofa-report/1", "command": command, "params": params,
+                   "pass": bool(ok), "report": report}) + "\n"
     out = getattr(args, "out", None)
     if out:
         try:
@@ -163,12 +152,7 @@ def _emit(args, command, params, report, ok):
 
 
 def _params(args, keys):
-    out = {}
-    for k in keys:
-        v = getattr(args, k, None)
-        if v is not None:
-            out[k] = v
-    return out
+    return {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
 
 
 # ---- subcommand handlers ----------------------------------------------
@@ -177,14 +161,8 @@ def cmd_algebra_build(args):
     K = parse_ring(args.ring)
     alg = family_algebra(args.family, args.n, K)
     shape = DeltaShape(alg)
-    report = {
-        "kind": alg.kind,
-        "ring": K.name,
-        "indices": sorted(alg.indices),
-        "alg_rank": alg.rank,
-        "delta_dim": shape.dim,
-        "delta_card": shape.card(),
-    }
+    report = {"kind": alg.kind, "ring": K.name, "indices": sorted(alg.indices),
+              "alg_rank": alg.rank, "delta_dim": shape.dim, "delta_card": shape.card()}
     return _emit(args, "algebra build",
                  _params(args, ("family", "n", "ring")), report, True)
 
@@ -245,21 +223,15 @@ def cmd_construct(args):
     params = _params(args, ("family", "n", "ring", "seed", "samples"))
     if args.ccmd == "naive":
         F = naive_construction(M)
-        report = {
-            "t_card": F.t_card(),
-            "xi_card": F.xi_card(),
-            "naive_unitary_order": len(F.unitary_elements()),
-        }
+        report = {"t_card": F.t_card(), "xi_card": F.xi_card(),
+                  "naive_unitary_order": len(F.unitary_elements())}
         return _emit(args, "construct naive", params, report, True)
     if args.ccmd == "canonical":
         C = canonical_construction(M)
         failures = canon_relations_check(M, count=args.samples,
                                          seed=args.seed or 0)
-        report = {
-            "s_card": C.S.card(),
-            "theta_card": C.card(),
-            "relation_failures": failures,
-        }
+        report = {"s_card": C.S.card(), "theta_card": C.card(),
+                  "relation_failures": failures}
         return _emit(args, "construct canonical", params, report,
                      not failures)
     rep = naive_canon_check(M, seed=args.seed or 0, samples=args.samples)
@@ -269,12 +241,7 @@ def cmd_construct(args):
 def cmd_hdet(args):
     K = parse_ring(args.ring)
     M = family_module("orth-odd", args.n, K)
-    value = hdet(M)
-    report = {
-        "rank": 2 * args.n + 1,
-        "hdet": list(value),
-        "semiregular": semiregular(M),
-    }
+    report = {"rank": 2 * args.n + 1, "hdet": list(hdet(M)), "semiregular": semiregular(M)}
     return _emit(args, "hdet", _params(args, ("n", "ring")), report, True)
 
 
@@ -324,10 +291,7 @@ def cmd_clifford(args):
     params = _params(args, ("n", "ring"))
     if args.kcmd == "spin":
         group = cf.spin_group(args.n, K)
-        from .linalg import k_identity
-        eye = k_identity(K, args.n)
-        kernel = sum(1 for m in group.vectors if m == eye)
-        report = {"order": len(group), "vector_kernel": kernel}
+        report = {"order": len(group), "vector_kernel": group.vector_kernel()}
         return _emit(args, "clifford spin", params, report, True)
     if args.kcmd == "relations":
         rep = cf.clif0_relation_check(args.n, K)

@@ -15,9 +15,12 @@ gathers, where unitary reads the Dickson invariant.
 Products read one table.  Rewriting adjacent letters by
 e_a e_b = B(a, b) - e_b e_a and e_a e_a = q(e_a) only uses the integers
 -1, 0, 1 and 2, so e_S e_T = sum n_U e_U with integers n_U that hold
-over every K.  Each algebra rewrites a pair (S, T) once, on first use,
-and mul, word, reversal and the degree-two realization combine table
-entries with coefficients in K.
+over every K.  Each algebra rewrites a pair (S, T) and a generator word
+once, on first use, and mul, word, reversal and the degree-two
+realization combine table entries with coefficients in K.  The center
+of the even part is the kernel of one int map read off the table (the
+commutators with the e_a e_b) over the Z-basis of K, one GraphForm, and
+the relation check sums products of integer words times K elements.
 
 spin_group scans the even part on numpy: candidate rows come in chunks
 of itertools.product order, ubar is a linear map read off the reversal
@@ -29,13 +32,14 @@ refuses more than 2^20 candidates before it builds any array, and a
 chunk holds at most 2^18 / dim(even)^2 rows, which bounds its memory.
 """
 
+import functools
 import itertools
 
 import numpy as np
 
 from .coeff_ring import CapacityError, SlotRing, StructureError, _mixed_radix, _slot_take
 from .form_ring import El, SparseAlgebra, ofaorth
-from .linalg import k_nullspace, k_solve
+from .linalg import GraphForm, k_solve, unflat
 
 _RANK_CAP = 10
 _SPIN_CAP = 1 << 20
@@ -68,7 +72,7 @@ class CliffordAlg(SparseAlgebra):
         self.r = r
         self.labels = labels
         self.dim = len(self.basis)
-        self._table = {}
+        self._table, self._words = {}, {}
 
     @staticmethod
     def _b(a, b):
@@ -134,14 +138,19 @@ class CliffordAlg(SparseAlgebra):
         return hit
 
     def _word_ints(self, letters):
-        """Integer coefficients of a generator word, one letter at a time."""
-        cur = {(): 1}
-        for a in letters:
-            nxt = {}
-            for s, n in cur.items():
-                for u, k in self._prod(s, (a,)):
-                    nxt[u] = nxt.get(u, 0) + n * k
-            cur = nxt
+        """Integer coefficients of a generator word, one letter at a time,
+        rewritten on first use."""
+        letters = tuple(letters)
+        cur = self._words.get(letters)
+        if cur is None:
+            cur = {(): 1}
+            for a in letters:
+                nxt = {}
+                for s, n in cur.items():
+                    for u, k in self._prod(s, (a,)):
+                        nxt[u] = nxt.get(u, 0) + n * k
+                cur = nxt
+            self._words[letters] = cur
         return cur
 
     def _combine(self, terms):
@@ -185,38 +194,22 @@ def is_even(x):
 
 def try_invert(x):
     """Two-sided inverse by a linear solve over the monomial basis."""
-    alg = x.alg
-    cols = [alg.coords(alg.mul(x, alg.from_coords(unit)))
-            for unit in _unit_vectors(alg)]
-    M = [tuple(cols[j][i] for j in range(alg.dim)) for i in range(alg.dim)]
-    target = alg.coords(alg.one())
-    sol = k_solve(alg.K, M, target)
-    if sol is None:
-        return None
-    y = alg.from_coords(sol)
-    if alg.mul(x, y) != alg.one() or alg.mul(y, x) != alg.one():
-        return None
-    return y
-
-
-def _unit_vectors(alg):
-    K = alg.K
-    for t in range(alg.dim):
-        yield tuple(K.one() if s == t else K.zero() for s in range(alg.dim))
+    alg, one = x.alg, x.alg.one()
+    cols = [alg.coords(alg.mul(x, alg.el({s: alg.K.one()}))) for s in alg.basis]
+    sol = k_solve(alg.K, list(zip(*cols)), alg.coords(one))
+    y = None if sol is None else alg.from_coords(sol)
+    return y if y is not None and alg.mul(x, y) == one == alg.mul(y, x) else None
 
 
 def spin_member(u):
     """Even unit with reversal inverse whose conjugation keeps degree one."""
-    if not is_even(u):
+    alg, rev = u.alg, reversal(u)
+    if not is_even(u) or alg.mul(u, rev) != alg.one() or alg.mul(rev, u) != alg.one():
         return False
-    alg = u.alg
-    rev = reversal(u)
-    if alg.mul(u, rev) != alg.one() or alg.mul(rev, u) != alg.one():
+    try:
+        vector_rep(u)
+    except StructureError:
         return False
-    for i in alg.labels:
-        w = alg.mul(alg.mul(u, alg.gen(i)), rev)
-        if any(len(s) != 1 for s in w.c):
-            return False
     return True
 
 
@@ -234,12 +227,37 @@ def vector_rep(u):
     return tuple(tuple(cols[j][i] for j in range(d)) for i in range(d))
 
 
-class SpinGroup(list):
-    """Spin elements in scan order; vectors[k] is vector_rep(self[k])."""
+class SpinGroup:
+    """The spin elements in scan order, held as the scan's arrays: rows
+    (n, dim(even), rk) of even coefficients and their vector matrices
+    mats (n, d, d, rk).  group[k] is an El and vectors[k] is
+    vector_rep(group[k]) as nested tuples, both built on first use."""
 
-    def __init__(self, elems, vectors):
-        super().__init__(elems)
-        self.vectors = vectors
+    def __init__(self, alg, rows, mats):
+        self.alg, self.rows, self.mats = alg, rows, mats
+
+    def __len__(self):
+        return len(self.rows)
+
+    def __getitem__(self, k):
+        return self._elems[k]
+
+    @functools.cached_property
+    def _elems(self):
+        ebasis = self.alg.even_basis()
+        return [El(self.alg, {s: tuple(v) for s, v in zip(ebasis, row) if any(v)})
+                for row in self.rows.tolist()]
+
+    @functools.cached_property
+    def vectors(self):
+        return [tuple(tuple(tuple(c) for c in line) for line in mat)
+                for mat in self.mats.tolist()]
+
+    def vector_kernel(self):
+        """How many elements act as the identity on the degree-one
+        module, read off the vector matrices."""
+        eye = np.eye(len(self.alg.labels), dtype=np.int64)[..., None] * self.alg.K.one()
+        return int((self.mats == eye).all(axis=(1, 2, 3)).sum())
 
 
 def _table_block(alg, left, right, out):
@@ -327,12 +345,9 @@ def spin_group(r, K):
     for lo in range(0, total, step):
         U, M = scan.survivors(_slot_take(
             ring.ktab, _mixed_radix([K.card] * len(ebasis), min(lo + step, total), lo)))
-        rows.extend(U.tolist())
-        mats.extend(M.tolist())
-    elems = [El(alg, {s: tuple(v) for s, v in zip(ebasis, row) if any(v)})
-             for row in rows]
-    vectors = [tuple(tuple(tuple(c) for c in line) for line in mat) for mat in mats]
-    return SpinGroup(elems, vectors)
+        rows.append(U)
+        mats.append(M)
+    return SpinGroup(alg, np.concatenate(rows), np.concatenate(mats))
 
 
 def htr(x):
@@ -357,13 +372,8 @@ def clif0_image(clif, x):
 
 
 def hermitian_basis(alg):
-    out = []
-    for (i, j) in alg.pairs:
-        if (i, j) == (-j, -i):
-            out.append(alg.e(i, j))
-        elif (i, j) < (-j, -i):
-            out.append(alg.add(alg.e(i, j), alg.e(-j, -i)))
-    return out
+    return [alg.e(i, j) if (i, j) == (-j, -i) else alg.add(alg.e(i, j), alg.e(-j, -i))
+            for (i, j) in alg.pairs if (i, j) <= (-j, -i)]
 
 
 def _scale_verdict(alg, lhs, rhs):
@@ -394,31 +404,29 @@ def clif0_relation_check(r, K):
            "rel2": {"total": 0, "ok": 0, "adjusted": 0, "failed": 0},
            "adjusted_instances": [], "failed_instances": []}
 
-    def note(block, verdict, label):
+    def note(block, verdict, label, *args):
+        kind = {"ok": "ok", "fail": "failed"}.get(verdict, "adjusted")
         rep[block]["total"] += 1
-        if verdict == "ok":
-            rep[block]["ok"] += 1
-        elif verdict == "fail":
-            rep[block]["failed"] += 1
-            if len(rep["failed_instances"]) < 20:
-                rep["failed_instances"].append(label)
-        else:
-            rep[block]["adjusted"] += 1
-            if len(rep["adjusted_instances"]) < 40:
-                rep["adjusted_instances"].append(label)
+        rep[block][kind] += 1
+        kept, cap = (("failed_instances", 20) if kind == "failed"
+                     else ("adjusted_instances", 40))
+        if kind != "ok" and len(rep[kept]) < cap:
+            rep[kept].append(label % args)
 
-    for x in herm:
-        lhs = clif0_image(clif, x)
-        rhs = clif.scalar(htr(x))
-        note("rel1", _scale_verdict(clif, lhs, rhs), "rel1:%r" % (x,))
-    for x in herm:
+    # htr once per x; the left side of relation two sums products
+    # (e_k e_a)(e_-b e_-l) of two-letter integer words
+    hs = [htr(x) for x in herm]
+    for x, h in zip(herm, hs):
+        note("rel1", _scale_verdict(clif, clif0_image(clif, x), clif.scalar(h)),
+             "rel1:%r", x)
+    for x, h in zip(herm, hs):
         for (k, l) in alg.pairs:
-            lhs = clif.zero()
-            for (a, b), c in x.c.items():
-                lhs = clif.add(lhs, clif.word((k, a, -b, -l), c))
-            rhs = clif.word((k, -l), htr(x))
-            note("rel2", _scale_verdict(clif, lhs, rhs),
-                 "rel2:%r:y=e(%d,%d)" % (x, k, l))
+            lhs = clif._combine((u, n1 * n2 * n, c) for (a, b), c in x.c.items()
+                                for s, n1 in clif._word_ints((k, a)).items()
+                                for t, n2 in clif._word_ints((-b, -l)).items()
+                                for u, n in clif._prod(s, t))
+            note("rel2", _scale_verdict(clif, lhs, clif.word((k, -l), h)),
+                 "rel2:%r:y=e(%d,%d)", x, k, l)
     rep["pass"] = (rep["rel1"]["failed"] == 0 and rep["rel2"]["failed"] == 0
                    and (r % 2 == 1 or
                         (rep["rel1"]["adjusted"] == 0 and rep["rel2"]["adjusted"] == 0)))
@@ -426,24 +434,36 @@ def clif0_relation_check(r, K):
 
 
 def clif0_center(r, K):
-    """Basis {1, omega} of the center of the even part."""
+    """Basis {1, omega} of the center of the even part.
+
+    The center is the kernel of u -> ([u, e_a e_b])_{a < b}, whose entries
+    on the even monomials are integers (CliffordAlg._prod).  Over the
+    Z-basis of K it is one int map: the coefficient n of e_w in [e_s, e_a
+    e_b] maps coordinate (s, t) to n mod m_t at (a, b, w, t).  Output
+    coordinates that are zero in every row, or repeat an earlier one, are
+    dropped; the kernel, a Howell form, is the same without them.
+    """
     clif = CliffordAlg(r, K)
     ebasis = clif.even_basis()
-    gens = [clif.word((a, b)) for a in clif.labels for b in clif.labels if a < b]
-    cols = []
-    for s in ebasis:
-        b = El(clif, {s: K.one()})
-        col = []
-        for g in gens:
-            comm = clif.sub(clif.mul(b, g), clif.mul(g, b))
-            if any(len(w) % 2 for w in comm.c):
-                raise StructureError("even part is not closed")
-            col.extend(comm.c.get(w, K.zero()) for w in ebasis)
-        cols.append(col)
-    M = [[cols[t][row] for t in range(len(ebasis))] for row in range(len(cols[0]))]
-    null = k_nullspace(K, M, len(ebasis))
-    vecs = [El(clif, {s: v for s, v in zip(ebasis, vec) if not K.is_zero(v)})
-            for vec in null]
+    pos = {s: k for k, s in enumerate(ebasis)}
+    cols = {}
+    for g in itertools.combinations(clif.labels, 2):
+        for i, s in enumerate(ebasis):
+            for sign, terms in ((1, clif._prod(s, g)), (-1, clif._prod(g, s))):
+                for u, n in terms:
+                    col = cols.setdefault((g, pos[u]), {})
+                    col[i] = col.get(i, 0) + sign * n
+    out = [key for key in dict.fromkeys(
+        (t, m, tuple((i, n % m) for i, n in col.items() if n % m))
+        for col in cols.values() for t, m in enumerate(K.moduli)) if key[2]]
+    A = np.zeros((len(ebasis), K.rank, len(out)), dtype=np.int64)
+    for o, (t, _, key) in enumerate(out):
+        for i, n in key:
+            A[i, t, o] = n
+    graph = GraphForm(A.reshape(len(ebasis) * K.rank, len(out)).tolist(),
+                      [m for _, m, _ in out], K.moduli * len(ebasis))
+    vecs = [El(clif, {s: v for s, v in zip(ebasis, unflat(h, K.rank)) if any(v)})
+            for _, h in graph.kernel]
     # the null vectors span the center over Z, one factor of a product
     # ring at a time; omega sums the non-scalar parts that {1, omega}
     # does not reach yet

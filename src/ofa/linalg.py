@@ -4,9 +4,11 @@ Every linear solve is one elimination: the Howell form of a subgroup of
 Z/m_1 x ... x Z/m_n, one modulus per coordinate (howell_form).  A linear
 map is solved through the Howell form of its graph (GraphForm), which
 gives its kernel, its fibre size, a canonical solution of A x = b (for
-one right-hand side or a batch) and a batch consistency test.  Systems
-over a ring spec are expanded to integer systems over the Z-basis of the
-ring, so a product ring is one system with mixed slot moduli.
+one right-hand side or a batch) and a batch consistency test.  A batch
+is reduced one form row at a time, over the coordinates where that row
+is nonzero only.  Systems over a ring spec are expanded to integer
+systems over the Z-basis of the ring, so a product ring is one system
+with mixed slot moduli.
 
 form_isometries is the one column search for the isometries of a form,
 written as a Z-bilinear tensor on flat integer coordinates, with one
@@ -122,6 +124,17 @@ def howell_span(H, mods):
     return out
 
 
+def _rem(X, m):
+    """X %= m in place, X a (k, N) int64 array and m > 0 an int: numpy
+    floor-divides by a scalar several times faster than it takes %, and
+    blocks of rows of about _CHUNK entries bound the quotient's size."""
+    step = max(1, _CHUNK // max(1, X.shape[1]))
+    for lo in range(0, len(X), step):
+        Y = X[lo:lo + step]
+        Y -= Y // m * m
+    return X
+
+
 class GraphForm:
     """Howell form of the graph of a Z-linear map between groups of int
     coordinate rows, images[u] the image of the u-th unit vector (mod
@@ -147,6 +160,7 @@ class GraphForm:
         self.form = howell_form(rows, self.mods)
         self.kernel = [(c - k, h[k:]) for c, h in self.form if c >= k]
         self.null_count = howell_card(self.kernel, mods_in)
+        self._plans = {}
 
     def image(self, X):
         """A x mod mods_out for each row x of an (N, len(mods_in)) int
@@ -161,27 +175,45 @@ class GraphForm:
             return None
         return [-x % m for x, m in zip(v[k:], self.mods[k:])]
 
+    def _plan(self, w):
+        """How _reduce runs on the first w coordinates, built once per w:
+        those coordinates as runs (lo, hi, m) of one modulus, and each form
+        row h pivoting before w as (c, [(j, h[j], mods[j])]), over the j
+        after c and below w where h is nonzero, then c itself."""
+        plan = self._plans.get(w)
+        if plan is None:
+            mods = self.mods[:w]
+            lo = [j for j in range(w) if j == 0 or mods[j] != mods[j - 1]]
+            plan = self._plans[w] = (
+                [(a, b, mods[a]) for a, b in zip(lo, lo[1:] + [w])],
+                [(c, [(j, h[j], mods[j]) for j in range(c + 1, w) if h[j]] + [(c, h[c], mods[c])])
+                 for c, h in self.form if c < w])
+        return plan
+
     def _reduce(self, V):
         """howell_reduce of every column of a (w, N) int64 array, in place,
         on its first w coordinates: one greedy pass over the whole batch,
-        the batch axis last, so that each step is a run over contiguous
-        rows.  A form row pivoting at or after coordinate w is zero before
-        it, so the first w coordinates reduce alone."""
-        w = V.shape[0]
-        mods = np.array(self.mods[:w], dtype=np.int64)[:, None]
-        V %= mods
-        for c, h in self.form:
-            if c >= w:
-                break
-            V[c:] -= (V[c] // h[c]) * np.array(h[c:w], dtype=np.int64)[:, None]
-            V[c:] %= mods[c:]
+        the batch axis last.  A form row pivoting at or after coordinate w
+        is zero before it, so the first w coordinates reduce alone.  Once
+        every coordinate is in range, a step touches only those where its
+        row is nonzero, the pivot last; a unit pivot needs no division."""
+        runs, steps = self._plan(V.shape[0])
+        for lo, hi, m in runs:
+            _rem(V[lo:hi], m)
+        for c, support in steps:
+            p = support[-1][1]
+            q = V[c] if p == 1 else V[c] // p
+            for j, v, m in support:
+                V[j] -= q * v
+                _rem(V[j:j + 1], m)
         return V
 
     def consistent(self, B):
         """Row mask of an (N, len(mods_out)) int array of right-hand
         sides: which ones solve can meet.  Only the left block is
-        reduced: the left-pivot rows alone decide it."""
-        V = np.ascontiguousarray(np.asarray(B, dtype=np.int64).reshape(len(B), self.k).T)
+        reduced: the left-pivot rows alone decide it.  B is not changed:
+        one pass casts it to an int64 copy, batch axis last."""
+        V = np.asarray(B).reshape(len(B), self.k).T.astype(np.int64, order="C")
         return ~self._reduce(V).any(axis=0)
 
     def solve_rows(self, B):
@@ -206,14 +238,9 @@ class KSolver:
     """
 
     def __init__(self, spec, M, ncols=None):
-        self.spec = spec
-        self.nrows = len(M)
-        if self.nrows:
-            self.ncols = len(M[0])
-        else:
-            if ncols is None:
-                raise StructureError("empty system needs an unknown count")
-            self.ncols = ncols
+        if not M and ncols is None:
+            raise StructureError("empty system needs an unknown count")
+        self.spec, self.nrows, self.ncols = spec, len(M), len(M[0]) if M else ncols
         zero = spec.zero()
         images = [vflat(zero if spec.is_zero(row[j]) else spec.mul(row[j], e) for row in M)
                   for j in range(self.ncols) for e in _basis(spec)]
@@ -251,32 +278,21 @@ def k_identity(spec, n):
     return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
 
 
+def _k_dot(spec, xs, ys):
+    acc = spec.zero()
+    for a, b in zip(xs, ys):
+        if not spec.is_zero(a):
+            acc = spec.add(acc, spec.mul(a, b))
+    return acc
+
+
 def k_matmul(spec, A, B):
-    n, k = len(A), len(B)
-    p = len(B[0]) if k else 0
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(p):
-            acc = spec.zero()
-            for t in range(k):
-                a = A[i][t]
-                if not spec.is_zero(a):
-                    acc = spec.add(acc, spec.mul(a, B[t][j]))
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
+    cols = list(zip(*B))
+    return tuple(tuple(_k_dot(spec, row, col) for col in cols) for row in A)
 
 
 def k_mat_vec(spec, A, v):
-    out = []
-    for row in A:
-        acc = spec.zero()
-        for a, x in zip(row, v):
-            if not spec.is_zero(a):
-                acc = spec.add(acc, spec.mul(a, x))
-        out.append(acc)
-    return tuple(out)
+    return tuple(_k_dot(spec, row, v) for row in A)
 
 
 def vflat(v):
@@ -312,20 +328,13 @@ def vscale(K, c, u):
 
 def k_mat_inv(spec, M):
     """Inverse of a square matrix over the spec, or None."""
-    n = len(M)
-    ks = KSolver(spec, M, ncols=n)
-    cols = []
-    for j in range(n):
-        e = [spec.one() if i == j else spec.zero() for i in range(n)]
-        x = ks.solve(e)
-        if x is None:
+    ks, cols, ident = KSolver(spec, M, ncols=len(M)), [], k_identity(spec, len(M))
+    for e in ident:
+        cols.append(ks.solve(e))
+        if cols[-1] is None:
             return None
-        cols.append(x)
-    X = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-    ident = k_identity(spec, n)
-    if k_matmul(spec, M, X) != ident or k_matmul(spec, X, M) != ident:
-        return None
-    return X
+    X = tuple(zip(*cols))
+    return X if k_matmul(spec, M, X) == ident == k_matmul(spec, X, M) else None
 
 
 def support_pool(ktab, n, rows):

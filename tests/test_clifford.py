@@ -1,5 +1,7 @@
+import collections
 import hashlib
 import itertools
+import json
 import random
 import time
 
@@ -427,6 +429,19 @@ def test_spin5_f2_injective_and_fast():
     assert elapsed < 5, elapsed
 
 
+
+def test_spin_report_reads_the_scan_arrays(monkeypatch, capsys):
+    """vector_kernel counts the identity matrices among vectors, and
+    clifford spin reads it off the scan's arrays without building an El."""
+    for ring, r in (("gf:3", 3), ("zmod:4", 3), ("prod:(zmod:2;zmod:3)", 2), ("gf:2", 0)):
+        group = spin_group(r, parse_ring(ring))
+        eye = k_identity(group.alg.K, r)
+        assert group.vector_kernel() == sum(m == eye for m in group.vectors) > 0
+    monkeypatch.setattr(cf, "El", None)
+    assert cli_main(["clifford", "spin", "--n", "4", "--ring", "gf:3"]) == 0
+    assert '"vector_kernel": 2' in capsys.readouterr().out
+
+
 CLIFFORD_PINNED = (
     ("clifford spin --n 2 --ring gf:3",
      "9d8216a554e659bb4c4ba50d3f6a20683266e938af540360356ed3b1e714efd5"),
@@ -440,6 +455,22 @@ CLIFFORD_PINNED = (
      "1a023f31f523d3feb459a182ec611f2b3d6ba190d791d44b9c2a1f4270b5a5cb"),
     ("clifford center --n 6 --ring zmod:3",
      "9816c785e3422611791bc5776b5b8237c524a304f4109ac13c0a2b5a48e40677"),
+    ("clifford relations --n 3 --ring zmod:3",
+     "589107f08b87683da7ab966774245f16b4443f325e3a56cf1c55016ebafdd776"),
+    ("clifford relations --n 5 --ring zmod:3",
+     "648f209b84ac1fe2ae9fc036652316e607946a3f7eb568f3e4f61b5187427de6"),
+    ("clifford relations --n 4 --ring gf:4",
+     "893bd9be8ff661fdfb5f0ef8cb49c663fad994f6b9eeaa680686c42c252dd3e3"),
+    ("clifford relations --n 4 --ring prod:(zmod:2;zmod:3)",
+     "5f8955ef2ff0c7a1003e0be02f4f06963a270107b78d543be7aee847851729b7"),
+    # the centre over two Z/2 slots (F4) and over mixed moduli whose Z/4
+    # slot gives non-unit Howell pivots
+    ("clifford center --n 4 --ring gf:4",
+     "ae65584f6f15b46bd35eb3d6c31452d574ca9313a035ac1877aec817cac8fe36"),
+    ("clifford center --n 4 --ring prod:(zmod:4;zmod:3)",
+     "5f8357345c2ae20eb21472697ea6cb64a968872127e35b8bbae8c7950f1d3d39"),
+    ("clifford center --n 8 --ring zmod:3",
+     "e55df9172938aa4f2d3937120d16402c3ee88ce6cfa388cf4b0e308c008ca507"),
 )
 
 
@@ -494,3 +525,56 @@ def test_relation_check_labels_pinned(monkeypatch):
         "rel2:(1,)*e(-1,-1) + (1,)*e(1,1):y=e(-1,-1)",
         "rel2:(1,)*e(-1,-1) + (1,)*e(1,1):y=e(1,1)",
     ]
+
+
+def _scaled_htr_check(monkeypatch, r, K, scale):
+    """clif0_relation_check with htr scaled by the integer scale, and the
+    verdicts _scale_verdict returned, counted."""
+    real_htr, real_verdict = cf.htr, cf._scale_verdict
+    seen = collections.Counter()
+
+    def spy(alg, lhs, rhs):
+        seen[real_verdict(alg, lhs, rhs)] += 1
+        return real_verdict(alg, lhs, rhs)
+
+    monkeypatch.setattr(cf, "htr", lambda x: K.smul(scale, real_htr(x)))
+    monkeypatch.setattr(cf, "_scale_verdict", spy)
+    return clif0_relation_check(r, K), seen
+
+
+@pytest.mark.parametrize("scale,verdict", [(3, "left-doubled"), (2, "right-doubled"),
+                                           (0, "fail")])
+@pytest.mark.parametrize("r,off", [(2, 3), (3, 16)])
+def test_relation_check_reaches_every_verdict(r, off, scale, verdict, monkeypatch):
+    """Over Z/5 the true relations all hold; with htr scaled by 3 = 1/2,
+    by 2 or by 0, each instance whose right side is nonzero turns
+    left-doubled, right-doubled or failed.  Adjusted instances pass at odd
+    rank only, failed ones never."""
+    K = ZMod(5)
+    rep, seen = _scaled_htr_check(monkeypatch, r, K, scale)
+    assert seen == {"ok": rep["rel1"]["total"] + rep["rel2"]["total"] - off, verdict: off}
+    key, kept = (("failed", "failed_instances") if verdict == "fail"
+                 else ("adjusted", "adjusted_instances"))
+    assert rep["rel1"][key] + rep["rel2"][key] == off == len(rep[kept])
+    assert rep["rel1"]["ok"] + rep["rel2"]["ok"] == seen["ok"]
+    assert rep["pass"] == (verdict != "fail" and r % 2 == 1)
+    if r == 2:
+        x = "(1,)*e(-1,-1) + (1,)*e(1,1)"
+        assert rep[kept] == ["rel1:" + x, "rel2:%s:y=e(-1,-1)" % x, "rel2:%s:y=e(1,1)" % x]
+
+
+@pytest.mark.parametrize("scale,kept,cap,digest", [
+    (2, "adjusted_instances", 40,
+     "2007e6f48394f51547331d551c98faff3fbd39a87782092336d2f23788c79dd9"),
+    (0, "failed_instances", 20,
+     "1b04c5af61cd0630d16565cf1ec2f8e4203e492518d9f579b4fe7c02e19a7f4e"),
+])
+def test_relation_check_instance_lists_are_capped(scale, kept, cap, digest, monkeypatch):
+    """At rank 6, 93 instances go wrong; the report keeps the first 40
+    adjusted or 20 failed labels in check order, rel1 first."""
+    K = ZMod(5)
+    rep, seen = _scaled_htr_check(monkeypatch, 6, K, scale)
+    assert sum(n for v, n in seen.items() if v != "ok") == 93
+    assert len(rep[kept]) == cap and rep[kept][0].startswith("rel1:")
+    assert not rep["pass"]
+    assert hashlib.sha256(json.dumps(rep, sort_keys=True).encode()).hexdigest() == digest

@@ -236,6 +236,51 @@ def test_graph_batches_match_solve(name, rows, cols, ntargets, data):
         tuple(b) in span for b in bs]
 
 
+def _reduce_reference(graph, b):
+    """One right-hand side reduced as solve reduces it: every coordinate
+    into range, then howell_reduce on [b | 0]."""
+    v = list(b) + [0] * (len(graph.mods) - graph.k)
+    return howell_reduce(graph.form, [x % m for x, m in zip(v, graph.mods)], graph.mods)
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(["zmod:4", "zmod:9", "gf:4", "prod:(zmod:2;zmod:4)"]),
+       rows=st.integers(0, 20), cols=st.integers(0, 20), ntargets=st.integers(0, 3),
+       n=st.sampled_from([0, 1, 4099]), seed=st.integers(0, 2 ** 32 - 1))
+def test_batched_reduction_matches_howell_reduce(name, rows, cols, ntargets, n, seed):
+    """consistent and solve_rows against howell_reduce, column by column,
+    on forms up to 40 coordinates wide whose rows are mostly zero, with
+    right-hand sides off range and negative (theta_hits hands over r0 -
+    residue); a batch of 4099 columns repeats 16 distinct ones.  Neither
+    call may change B."""
+    K = parse_ring(name)
+    cols = min(cols, 40 // K.rank)
+    rows = min(rows, 40 // K.rank - cols)
+    rng = np.random.default_rng(seed)
+    mods_out, mods_in = K.moduli * rows, K.moduli * cols
+    mo = np.array(mods_out, dtype=np.int64)
+
+    def sparse(count):
+        return np.where(rng.random((count, len(mo))) < 0.7, 0,
+                        rng.integers(0, 1 << 20, size=(count, len(mo))) % mo)
+
+    graph = GraphForm(sparse(len(mods_in)).tolist(), mods_out, mods_in,
+                      sparse(ntargets).tolist())
+    X = rng.integers(0, 9, size=(8, len(mods_in)))
+    pool = np.concatenate([sparse(8), graph.image(X)]) + mo * rng.integers(-3, 4, size=(16, len(mo)))
+    ref = [_reduce_reference(graph, b) for b in pool.tolist()]
+    pick = rng.integers(0, 16, size=n) if n > 1 else np.arange(n)
+    B = pool[pick]
+    want_ok = [not any(ref[i][:graph.k]) for i in pick]
+    assert graph.consistent(B).tolist() == want_ok
+    assert (B == pool[pick]).all(), "consistent changed its argument"
+    ok, sol = graph.solve_rows(B)
+    assert ok.tolist() == want_ok
+    assert sol.shape == (n, len(mods_in)) and (B == pool[pick]).all()
+    assert [s for s, i, w in zip(sol.tolist(), pick, want_ok) if w] == [
+        [-x % m for x, m in zip(ref[i][graph.k:], mods_in)] for i, w in zip(pick, want_ok) if w]
+
+
 def test_k_matrices_match_per_leaf_columns():
     """Column t of leaf r is the flat pool row V[F[r, t]], entries as
     rank-length tuples of Python ints, for every coordinate width."""
