@@ -6,12 +6,12 @@ key order, so identical flags give byte-identical output.  Exit codes:
 witnesses), 2 usage or structural error, reported as one stderr line
 starting "error:".
 
-The document is the text of json.dumps(doc, sort_keys=True, indent=2),
-written by _dumps: the C encoder writes it compact, and one numpy pass
-over fixed-size blocks puts the line breaks and indentation back, looking
-only at the quotes, backslashes and structural bytes.  The indented
-encoder is pure Python; the report of `group enumerate` runs to
-megabytes.
+The document is the text of json.dumps(doc, sort_keys=True, indent=2):
+the C encoder writes it compact, and one numpy pass over fixed-size
+blocks puts the breaks and indentation back (form_ring._json_text).  The
+element list of `group enumerate`, megabytes of it, never meets the
+encoder: it is spliced in as text joined from one encoded table of its
+distinct entries, and _emit writes the report part by part.
 
 main builds the parser on its first call and reuses it: parse_args keeps
 no state in it, so the calls of one process (the tests, a bench pass) pay
@@ -20,15 +20,14 @@ for build_parser once.
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 from collections import Counter
 
-import numpy as np
-
 from .coeff_ring import (CapacityError, PolyQuotient, StructureError,
                          const_hom, parse_ring)
-from .form_ring import ofalin, ofaorth, ofasymp
+from .form_ring import _BLOCK, _json_text, ofalin, ofaorth, ofasymp
 from .odd_form_param import DeltaShape, axioms_check
 from . import unitary as ug
 from .quad_module import (canon_relations_check, canonical_construction, hdet,
@@ -59,95 +58,46 @@ def family_module(family, n, K):
     return split_module(*_family(family, n), K)
 
 
-_BLOCK = 1 << 16
-# the bytes the reindent pass looks at: quotes, backslashes, structure
-_SPECIAL = bytes(int(chr(i) in '"\\[]{},') for i in range(256))
-
-
 def _dumps(doc):
     """The text json.dumps(doc, sort_keys=True, indent=2) gives, at C
-    speed.
+    speed, each spliced value in it resolved: the parts of _parts, joined."""
+    return "".join(_parts(doc))
 
-    The C encoder writes the compact text with the separators the indented
-    form uses; one pass over _BLOCK-byte blocks then puts back a line
-    break, with 2 * depth spaces, after every ',' and before every
-    structural bracket except between an opener and its closer.  Quotes
-    that no backslash escapes delimit the strings, and with ensure_ascii
-    every backslash is inside one.  One table lookup finds the quotes,
-    backslashes and structural bytes of a block, and depth and string
-    state are taken at those bytes only.  Depth, inside-string, a pending
-    escape and whether the last byte opened a container carry from one
-    block to the next."""
-    text = json.dumps(doc, sort_keys=True, separators=(",", ": ")).encode("ascii")
-    depth, in_str, escaped, opened = 0, False, False, False
-    parts = []
-    for lo in range(0, len(text), _BLOCK):
-        chunk = text[lo:lo + _BLOCK]
-        b, n = np.frombuffer(chunk, dtype=np.uint8), len(chunk)
-        s = np.flatnonzero(np.frombuffer(chunk.translate(_SPECIAL), dtype=bool))
-        c = b[s]
-        # the bytes a backslash escapes: the backslashes at even places of
-        # each run escape the byte after them; -1 stands for one the last
-        # block ended with
-        bsl = s[c == ord("\\")]
-        if escaped:
-            bsl = np.concatenate(([-1], bsl))
-        k = np.arange(len(bsl))
-        head = np.maximum.accumulate(np.where(np.diff(bsl, prepend=-3) != 1, k, 0))
-        esc = bsl[(k - head) % 2 == 0] + 1
-        quote = (c == ord('"')) & ~np.isin(s, esc)
-        # the string state after each such byte; no structural byte is a
-        # quote, so at one it is the state the byte is read in
-        inside = np.logical_xor.accumulate(quote) != in_str
-        op = ((c == ord("[")) | (c == ord("{"))) & ~inside
-        cl = ((c == ord("]")) | (c == ord("}"))) & ~inside
-        after = depth + np.cumsum(op.astype(np.int8) - cl, dtype=np.int32)
-        # whether each such byte directly follows the one before it; the
-        # first looks back into the last block
-        adj = np.diff(s, prepend=-1) == 1
-        # a break after every ',' and every opener whose closer does not
-        # follow, before every closer that does not follow its opener; an
-        # opener that ends the block leaves its break to the next one
-        shut = np.append(adj[1:] & cl[1:], s[-1:] == n - 1)
-        brk = ((c == ord(",")) & ~inside) | (op & ~shut)
-        brk |= cl & ~(adj & np.concatenate(([opened], op[:-1])))
-        # the byte each break follows, -1 for one at the block's start
-        i = np.flatnonzero(brk)
-        at, width = s[i] - cl[i], 1 + 2 * after[i]
-        # a break at the block's start (after an opener that ended the last
-        # block, or before a closer at byte 0) goes out ahead of it
-        if opened and not (len(s) and adj[0] and cl[0]):
-            parts.append(b"\n" + b"  " * int(depth))
-        if len(at) and at[0] < 0:
-            parts.append(b"\n" + b"  " * int(width[0] // 2))
-            at, width = at[1:], width[1:]
-        # each byte moves right by the widths of the breaks before it
-        shift = np.concatenate(([0], np.cumsum(width)))
-        out = np.full(n + int(shift[-1]), ord(" "), dtype=np.uint8)
-        dest = np.repeat(shift.astype(np.int32), np.diff(at + 1, prepend=0, append=n))
-        dest += np.arange(n, dtype=np.int32)
-        out[dest] = b
-        out[at + 1 + shift[:-1]] = ord("\n")
-        parts.append(out.tobytes())
-        last = len(s) > 0 and s[-1] == n - 1
-        opened, escaped = last and bool(op[-1]), n in esc
-        if len(s):
-            depth, in_str = int(after[-1]), bool(inside[-1])
-    return b"".join(parts).decode("ascii")
+
+def _parts(doc):
+    """The text of doc, as an iterator of parts.  The envelope is written
+    by form_ring._json_text in _BLOCK-byte blocks.  A value with a
+    parts(depth) method is spliced: the default hook writes a marker
+    string for it, and its parts at the depth of the marker's line replace
+    the marker.  A doc whose strings hold the marker is encoded again
+    under the next one.  Iterating the result only joins strings."""
+    spliced = []
+    for mark in map("ofa-splice-%d".__mod__, itertools.count()):
+        spliced.clear()
+        text = _json_text(doc, _BLOCK, lambda value: spliced.append(value) or mark)
+        if text.count(mark) == len(spliced):
+            break
+    pieces = text.split('"%s"' % mark)
+    out = [pieces[:1]]
+    for value, head, piece in zip(spliced, pieces, pieces[1:]):
+        line = head[head.rfind("\n") + 1:]
+        out += [value.parts((len(line) - len(line.lstrip(" "))) // 2), [piece]]
+    return itertools.chain.from_iterable(out)
 
 
 def _emit(args, command, params, report, ok):
-    text = _dumps({"schema": "ofa-report/1", "command": command, "params": params,
-                   "pass": bool(ok), "report": report}) + "\n"
+    """Write the report to --out or stdout part by part, never whole."""
+    parts = itertools.chain(_parts({"schema": "ofa-report/1", "command": command,
+                                    "params": params, "pass": bool(ok), "report": report}), "\n")
     out = getattr(args, "out", None)
     if out:
         try:
             with open(out, "w") as fh:
-                fh.write(text)
+                fh.writelines(parts)
         except OSError as exc:
             raise StructureError("cannot write %s: %s" % (out, exc.strerror or exc))
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
     return 0 if ok else 1
 
 
@@ -189,23 +139,19 @@ def cmd_group(args):
     if args.gcmd == "order":
         order = ug.group_order(shape)
         return _emit(args, "group order", params, {"order": order}, True)
-    if args.gcmd == "enumerate":
-        group = ug.enumerate_unitary(shape)
-        report = {"order": len(group), "elements": ug.group_to_json(group)}
-        return _emit(args, "group enumerate", params, report, True)
     group = ug.enumerate_unitary(shape)
     report = {"order": len(group)}
+    if args.gcmd == "enumerate":
+        report["elements"] = ug.group_to_json(group)
+        return _emit(args, "group enumerate", params, report, True)
     # each class is counted under its JSON text, in order of first sight
     if args.family == "lin":
         dets = ug.det_linear(group)
         report["det_classes"] = dict(Counter(json.dumps([list(c) for c in d]) for d in dets))
         report["sl_order"] = sum(d == (K.one(), K.one()) for d in dets)
-    elif args.family == "orth-even":
-        report["dickson_classes"] = dict(Counter(json.dumps(list(d))
-                                              for d in ug.dickson_even(group)))
-    elif args.family == "orth-odd":
-        report["dickson_classes"] = dict(Counter(json.dumps(list(d))
-                                              for d in ug.dickson_odd(group)))
+    elif args.family in ("orth-even", "orth-odd"):
+        dickson = ug.dickson_even if args.family == "orth-even" else ug.dickson_odd
+        report["dickson_classes"] = dict(Counter(json.dumps(list(d)) for d in dickson(group)))
     return _emit(args, "group invariants", params, report, True)
 
 
@@ -213,8 +159,7 @@ def cmd_so_odd_split(args):
     K = parse_ring(args.ring)
     shape = DeltaShape(ofaorth(2 * args.n + 1, K))
     rep = ug.so_odd_split(shape)
-    return _emit(args, "so-odd-split", _params(args, ("n", "ring")),
-                 rep, rep["pass"])
+    return _emit(args, "so-odd-split", _params(args, ("n", "ring")), rep, rep["pass"])
 
 
 def cmd_construct(args):
@@ -228,12 +173,9 @@ def cmd_construct(args):
         return _emit(args, "construct naive", params, report, True)
     if args.ccmd == "canonical":
         C = canonical_construction(M)
-        failures = canon_relations_check(M, count=args.samples,
-                                         seed=args.seed or 0)
-        report = {"s_card": C.S.card(), "theta_card": C.card(),
-                  "relation_failures": failures}
-        return _emit(args, "construct canonical", params, report,
-                     not failures)
+        failures = canon_relations_check(M, count=args.samples, seed=args.seed or 0)
+        report = {"s_card": C.S.card(), "theta_card": C.card(), "relation_failures": failures}
+        return _emit(args, "construct canonical", params, report, not failures)
     rep = naive_canon_check(M, seed=args.seed or 0, samples=args.samples)
     return _emit(args, "construct compare", params, rep, rep["pass"])
 
@@ -259,16 +201,14 @@ def _load_nil2(path):
 def _ext_hom(M, ext):
     E = parse_ring(ext)
     if not isinstance(E, PolyQuotient) or E.base != M.K:
-        raise StructureError(
-            "--ext must be a quotient ring over the module base")
+        raise StructureError("--ext must be a quotient ring over the module base")
     return const_hom(E)
 
 
 def cmd_nil2(args):
     if args.ncmd == "counterexample":
         rep = n2.counterexample_sqrt2(args.modulus)
-        return _emit(args, "nil2 counterexample",
-                     _params(args, ("modulus",)), rep, True)
+        return _emit(args, "nil2 counterexample", _params(args, ("modulus",)), rep, True)
     M = _load_nil2(args.module)
     params = _params(args, ("module", "ext"))
     if args.ncmd == "extend":
@@ -297,8 +237,7 @@ def cmd_clifford(args):
         rep = cf.clif0_relation_check(args.n, K)
         return _emit(args, "clifford relations", params, rep, rep["pass"])
     basis = cf.clif0_center(args.n, K)
-    report = {"rank": len(basis),
-              "basis": [cf.clif_to_json(b) for b in basis]}
+    report = {"rank": len(basis), "basis": [cf.clif_to_json(b) for b in basis]}
     return _emit(args, "clifford center", params, report, True)
 
 
@@ -325,8 +264,9 @@ def _at_least(low):
     return integer
 
 
-def _add_family(p, required=True):
-    p.add_argument("--family", choices=FAMILIES, required=required)
+def _add_family(p, family=True):
+    if family:
+        p.add_argument("--family", choices=FAMILIES, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--ring", required=True)
 
@@ -366,8 +306,7 @@ def build_parser():
         p.set_defaults(func=cmd_group)
 
     p = sub.add_parser("so-odd-split")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--ring", required=True)
+    _add_family(p, family=False)
     p.set_defaults(func=cmd_so_odd_split)
 
     con = sub.add_parser("construct").add_subparsers(dest="ccmd",
@@ -380,8 +319,7 @@ def build_parser():
         p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("hdet")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--ring", required=True)
+    _add_family(p, family=False)
     p.set_defaults(func=cmd_hdet)
 
     nil = sub.add_parser("nil2").add_subparsers(dest="ncmd", required=True)
@@ -400,8 +338,7 @@ def build_parser():
                                                     required=True)
     for name in ("spin", "relations", "center"):
         p = klf.add_parser(name)
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--ring", required=True)
+        _add_family(p, family=False)
         p.set_defaults(func=cmd_clifford)
 
     p = sub.add_parser("parabolic")

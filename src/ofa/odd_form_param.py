@@ -29,7 +29,7 @@ import numpy as np
 
 from .batch_delta import BatchOps, decode_factor, slot_sizes
 from .coeff_ring import CapacityError, StructureError, _mixed_radix
-from .form_ring import ParamTable, _json_rows
+from .form_ring import JsonDicts, JsonRows, ParamTable
 
 _ENUM_CAP = 1 << 20
 EXH_DELTA_CAP = 1 << 16
@@ -188,20 +188,21 @@ def central_u(shape, k):
 
 def delta_rows_to_json(shape, X):
     """The JSON form of each row of X, an (N, dim, rk) array of reduced
-    coordinates stored batch first (JSON rows): per section of the slot
-    table, the key prefix and element of each nonzero slot, in order."""
-    lists = []
+    coordinates stored batch first (JSON rows), as a form_ring.JsonDicts:
+    per section of the slot table, the key prefix and element of each
+    nonzero slot, in order."""
+    fields = {}
     for name in ("q", "u", "d"):
         cols = [t for t, (sec, _) in enumerate(shape.slots) if sec == name]
         keys = [list(shape.slots[t][1]) for t in cols]
-        lists.append(_json_rows(shape.alg.K, X[:, cols], lambda s, c, keys=keys: keys[s] + [c]))
-    return [{"q": q, "u": u, "d": d} for q, u, d in zip(*lists)]
+        fields[name] = JsonRows(shape.alg.K, X[:, cols], lambda s, c, keys=keys: keys[s] + [c])
+    return JsonDicts(fields)
 
 
 def delta_to_json(shape, x):
     """The JSON form of one element: a one-row call of delta_rows_to_json."""
     X = np.array(x, dtype=np.int64).reshape(1, shape.dim, shape.alg.K.rank)
-    return delta_rows_to_json(shape, X)[0]
+    return delta_rows_to_json(shape, X).objects()[0]
 
 
 def delta_from_json(shape, data):

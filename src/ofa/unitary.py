@@ -29,12 +29,11 @@ u_try).  The group is the survivors' one (N, d, d, rk) int64 beta array,
 rows first, sorted by one lexsort in El.key order, cached per shape and
 verified as array work: distinct rows, bar beta listed for every row,
 and 144 seeded products; _law and _rows are the views between the two
-layouts.  No element object is kept: a
-UnitaryGroup over the array builds one when it is indexed, the
-invariants read the array, and group_to_json reads every gamma in one
-batch and writes beta and gamma with the rows writers of form_ring and
-odd_form_param, which build each (slot, element) entry once per call and
-share it between the elements.  generate_subgroup closes a subgroup into
+layouts.  No element object is kept: a UnitaryGroup over the array
+builds one when it is indexed, the invariants read the array, and
+group_to_json reads every gamma in one batch and gives the elements as
+one form_ring.JsonDicts, each (slot, element) entry built and encoded
+once per call.  generate_subgroup closes a subgroup into
 the same kind of array, by batched products one breadth-first level at a
 time.
 """
@@ -46,7 +45,8 @@ import numpy as np
 
 from .coeff_ring import (CapacityError, Product, SlotRing, StructureError, _basis, _mixed_radix,
                          _slot_take)
-from .form_ring import alg_el_from_json, alg_rows_to_json, ofalin, ofaorth, x_central
+from .form_ring import (JsonDicts, alg_el_from_json, alg_rows_to_json, ofalin, ofaorth,
+                        x_central)
 from .linalg import form_isometries, form_rows, k_dets, k_solve
 from .odd_form_param import (
     DeltaShape,
@@ -152,7 +152,7 @@ def u_inv(g):
 
 
 def unitary_to_json(g):
-    return group_to_json(UnitaryGroup(g.shape, _rows(g.shape.alg.to_array([g.beta]))))[0]
+    return group_to_json(UnitaryGroup(g.shape, _rows(g.shape.alg.to_array([g.beta])))).objects()[0]
 
 
 def unitary_from_json(shape, data):
@@ -927,12 +927,12 @@ class UnitaryGroup(Sequence):
 
 
 def group_to_json(group):
-    """The JSON form of every element: the rows writers of beta and of
-    gamma, every gamma read in one batch."""
+    """The JSON form of every element, as a form_ring.JsonDicts of beta
+    and gamma from the rows writers, every gamma read in one batch."""
     shape, B = group.shape, group.betas
-    alg, bo, X = shape.alg, BatchOps(shape), _law(group.betas)
+    bo, X = BatchOps(shape), _law(B)
     gammas = delta_rows_to_json(shape, _rows(bo.dread(X, bo.conj(X))[0]))
-    return [{"beta": beta, "gamma": gamma} for beta, gamma in zip(alg_rows_to_json(alg, B), gammas)]
+    return JsonDicts({"beta": alg_rows_to_json(shape.alg, B), "gamma": gammas})
 
 
 def _survivors(bo, chunks):

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import io
 import json
 import os
@@ -9,14 +10,15 @@ from contextlib import redirect_stderr, redirect_stdout
 from unittest.mock import patch
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import ofa
 
 from ofa import cli, unitary
 from ofa.cli import FAMILIES, main
-from ofa.coeff_ring import parse_ring
+from ofa.batch_delta import BatchOps
+from ofa.coeff_ring import StructureError, parse_ring
 from ofa.nilpotent2 import nil2_from_json
 
 
@@ -379,6 +381,45 @@ def test_out_file_matches_stdout_on_a_report_of_many_blocks(tmp_path, capsys):
     assert len(compact) > 7 * cli._BLOCK
 
 
+# sha256 of `group enumerate` stdout, computed before the element writer
+# streamed its rows: the identity group (empty lists), a rank-2 K, mixed
+# moduli, u slots and "v" entries in d, the benchmark's O(4, F3), and the
+# 174,573,905-byte Sp(4, F3) report, which is written with --out
+ENUMERATE_PINNED = (
+    ("lin 1 gf:2", "f09633598439657b20d6818faa0b5857cee2775479b86a017e72a38830a47cd0"),
+    ("symp 1 gf:4", "527a56861b35aa949f45a2900bd91d33f363845b4d5d622ee5fe681c9518c6c3"),
+    ("lin 2 prod:(zmod:2;zmod:3)",
+     "b7f1584931650000f44fc8d4f3235dc90ca256c2b580e6018563233fed160c8d"),
+    ("orth-odd 1 zmod:4", "ca7d249f035703022205bf6927401d2eddd120026aaddcc6305fb6dd6c13a1ab"),
+    ("orth-even 2 gf:3", "14fdf048738a94b41ae929a254cc8f018baead24793610ab12004f67fc1753f4"),
+    ("symp 2 gf:3", "0b93708a829e9f4cede10b40a4987d59da443f5e3d18210513d9314913be3c70"),
+)
+
+
+def _enumerate_argv(case):
+    family, n, ring = case.split()
+    return ["group", "enumerate", "--family", family, "--n", n, "--ring", ring]
+
+
+def _file_sha256(path):
+    h = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            h.update(block)
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("case,digest", ENUMERATE_PINNED)
+def test_enumerate_report_bytes_pinned(case, digest, tmp_path, capsys):
+    if case == "symp 2 gf:3":
+        out = tmp_path / "r.json"
+        assert main(["--out", str(out)] + _enumerate_argv(case)) == 0
+        assert capsys.readouterr().out == "" and _file_sha256(out) == digest
+    else:
+        assert main(_enumerate_argv(case)) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def test_dumps_peak_is_below_the_indented_encoder(tmp_path):
     assert main(["--out", str(tmp_path / "r.json")] + ENUM_O4_F3) == 0
     doc = json.loads((tmp_path / "r.json").read_text())
@@ -392,6 +433,89 @@ def test_dumps_peak_is_below_the_indented_encoder(tmp_path):
             tracemalloc.stop()
 
     assert peak(cli._dumps) <= peak(lambda d: json.dumps(d, sort_keys=True, indent=2))
+
+
+class _Spliced:
+    """A value _dumps splices in: the indented text of value at the depth
+    it is asked for, cut into parts of cut characters."""
+
+    def __init__(self, value, cut):
+        self.value, self.cut = value, cut
+
+    def parts(self, depth):
+        text = json.dumps(self.value, sort_keys=True, indent=2).replace("\n", "\n" + "  " * depth)
+        return (text[i:i + self.cut] for i in range(0, len(text), self.cut))
+
+
+def _resolved(doc):
+    if isinstance(doc, _Spliced):
+        return doc.value
+    if isinstance(doc, dict):
+        return {k: _resolved(v) for k, v in doc.items()}
+    return [_resolved(v) for v in doc] if isinstance(doc, list) else doc
+
+
+# strings equal to the markers the writer would put in first; a writer
+# that takes the first lookalike for a spliced value puts it in the wrong
+# place
+_LOOKALIKE = st.sampled_from(["ofa-splice-0", "ofa-splice-1", '"ofa-splice-0"', "ofa-splice-"])
+_SPLICE_TEXT = _TEXT | _LOOKALIKE
+_SPLICE_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2 ** 80, 2 ** 80) | st.floats() | _SPLICE_TEXT
+    | st.builds(_Spliced, _JSON, st.integers(1, 9)),
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(_SPLICE_TEXT, kids, max_size=4),
+    max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SPLICE_JSON, st.sampled_from([cli._BLOCK, 1, 2, 3, 7]))
+@example({"a": "ofa-splice-0", "b": [{"c": _Spliced({"x": [1, "ofa-splice-0"]}, 2)}]}, 3)
+@example(_Spliced([[], {"k": None}], 1), 1)
+def test_dumps_splices_each_value_at_its_depth(doc, block):
+    # spliced values sit at every depth, the doc itself at depth 0, inside
+    # dicts and lists, beside the hostile strings and the marker lookalikes
+    with patch.object(cli, "_BLOCK", block):
+        text = "".join(cli._parts(doc))
+    assert text == cli._dumps(doc) == json.dumps(_resolved(doc), sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("cached", [False, True])
+def test_a_failing_gamma_read_writes_no_report(cached, tmp_path, capsys):
+    # with the group cached, the gamma read of the element list is the
+    # first call to fail; without, the enumeration's mask is
+    argv = _enumerate_argv("symp 1 gf:4")
+    unitary._GROUP_CACHE.clear()
+    if cached:
+        assert main(argv) == 0
+    capsys.readouterr()
+    old, new = tmp_path / "old.json", tmp_path / "new.json"
+    old.write_text("kept")
+
+    def fail(*args):
+        raise StructureError("no gamma")
+
+    with patch.object(BatchOps, "dread", fail):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: no gamma\n")
+        assert main(["--out", str(old)] + argv) == 2
+        assert main(["--out", str(new)] + argv) == 2
+    assert old.read_text() == "kept" and not new.exists()
+
+
+def test_enumerate_report_peak_stays_below_the_report(tmp_path):
+    # the first run fills the group cache; the second writes the 3.2 MB
+    # report of O(4, F3) without holding it (12.0 MB before streaming)
+    out = tmp_path / "r.json"
+    assert main(["--out", str(out)] + ENUM_O4_F3) == 0
+    out.unlink()
+    tracemalloc.start()
+    try:
+        assert main(["--out", str(out)] + ENUM_O4_F3) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+    assert _file_sha256(out) == dict(ENUMERATE_PINNED)["orth-even 2 gf:3"]
 
 
 def test_src_makes_no_indent_call():

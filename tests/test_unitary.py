@@ -648,7 +648,7 @@ def test_batched_gamma_read_is_member(s):
     X = un._law(G.betas)
     gammas, ok = bo.dread(X, bo.conj(X))
     assert ok.all()
-    rows = un.group_to_json(G)
+    rows = un.group_to_json(G).objects()
     assert len(rows) == len(G)
     one = []
     for g, gamma, row in zip(G, un._rows(gammas).tolist(), rows):
