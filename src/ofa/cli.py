@@ -244,8 +244,10 @@ def cmd_clifford(args):
 def cmd_parabolic(args):
     K = parse_ring(args.ring)
     shape = DeltaShape(family_algebra(args.family, args.n, K))
-    P = ug.parabolic_p(shape)
+    # the order first: where either side is refused, U's refusal is the
+    # cheaper one
     order = ug.group_order(shape)
+    P = ug.parabolic_p(shape)
     report = {"parabolic_order": len(P), "group_order": order,
               "proper": len(P) < order}
     return _emit(args, "parabolic", _params(args, ("family", "n", "ring")),

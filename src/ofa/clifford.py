@@ -12,15 +12,18 @@ checks used by the orthogonal presets, and, at even rank, the spinor
 module: the algebra acting on the exterior algebra of e_1..e_n by signed
 gathers, where unitary reads the Dickson invariant.
 
-Products read one table.  Rewriting adjacent letters by
-e_a e_b = B(a, b) - e_b e_a and e_a e_a = q(e_a) only uses the integers
--1, 0, 1 and 2, so e_S e_T = sum n_U e_U with integers n_U that hold
-over every K.  Each algebra rewrites a pair (S, T) and a generator word
-once, on first use, and mul, word, reversal and the degree-two
-realization combine table entries with coefficients in K.  The center
-of the even part is the kernel of one int map read off the table (the
-commutators with the e_a e_b) over the Z-basis of K, one GraphForm, and
-the relation check sums products of integer words times K elements.
+Products have one closed form.  A monomial is a bit word over the
+labels in ascending order, and e_a e_w is (-1)^|w below a| e_(w + a)
+when a is not in w, with e_a e_a = q(e_a) = [a == 0] when it is; for
+a > 0 with -a in w, passing e_-a leaves the contraction
+(-1)^|w below -a| e_(w - (-a)).  So e_S e_T = sum n_U e_U with
+integers n_U that hold over every K.  CliffordAlg._apply takes the
+letters of a word right to left onto e_T, once per (letters, T), and
+mul, word, reversal and the degree-two realization combine its integers
+with coefficients in K.  The center of the even part is the kernel of
+one int map read off those products (the commutators with the e_a e_b)
+over the Z-basis of K, one GraphForm, and the relation check sums
+integer words times K elements.
 
 spin_group scans the even part on numpy: candidate rows come in chunks
 of itertools.product order, ubar is a linear map read off the reversal
@@ -72,25 +75,14 @@ class CliffordAlg(SparseAlgebra):
         self.r = r
         self.labels = labels
         self.dim = len(self.basis)
-        self._table, self._words = {}, {}
-
-    @staticmethod
-    def _b(a, b):
-        """B(e_a, e_b) as an integer."""
-        if a == b:
-            return 2 if a == 0 else 0
-        return 1 if a == -b else 0
-
-    @staticmethod
-    def _q(a):
-        """q(e_a) as an integer."""
-        return 1 if a == 0 else 0
+        self._bit = {a: 1 << k for k, a in enumerate(labels)}
+        self._memo = {}
 
     def bform(self, a, b):
-        return self.K.from_int(self._b(a, b))
+        return self.K.from_int(2 if a == b == 0 else int(a == -b))
 
     def qval(self, a):
-        return self.K.from_int(self._q(a))
+        return self.K.from_int(int(a == 0))
 
     def term(self, key):
         return "".join("e(%d)" % i for i in key) or "1"
@@ -106,52 +98,31 @@ class CliffordAlg(SparseAlgebra):
     def scalar(self, k):
         return El(self, {} if self.K.is_zero(k) else {(): k})
 
-    def _reduce_into(self, word, coeff, out):
-        """Rewrite one generator word to the ordered basis over the
-        integers, accumulating into out: e_a e_a = q(e_a), and for a > b,
-        e_a e_b = B(a, b) - e_b e_a."""
-        stack = [(tuple(word), coeff)]
-        while stack:
-            w, c = stack.pop()
-            if not c:
-                continue
-            spot = next((t for t in range(len(w) - 1) if w[t] >= w[t + 1]), None)
-            if spot is None:
-                out[w] = out.get(w, 0) + c
-                continue
-            a, b = w[spot], w[spot + 1]
-            rest = w[:spot] + w[spot + 2:]
-            if a == b:
-                stack.append((rest, c * self._q(a)))
-            else:
-                stack.append((w[:spot] + (b, a) + w[spot + 2:], -c))
-                stack.append((rest, c * self._b(a, b)))
-
-    def _prod(self, s, t):
-        """The table entry e_s e_t = sum n_u e_u as ((u, n), ...), n != 0,
-        rewritten on first use."""
-        hit = self._table.get((s, t))
+    def _apply(self, letters, T):
+        """e_(l1) ... e_(lk) e_T = sum n_U e_U as ((U, n), ...), n != 0
+        over the integers, on first use: the letters act right to left on
+        bit words, the labels in ascending bit order."""
+        key = (tuple(letters), T)
+        hit = self._memo.get(key)
         if hit is None:
-            out = {}
-            self._reduce_into(s + t, 1, out)
-            hit = self._table[(s, t)] = tuple((u, n) for u, n in out.items() if n)
-        return hit
-
-    def _word_ints(self, letters):
-        """Integer coefficients of a generator word, one letter at a time,
-        rewritten on first use."""
-        letters = tuple(letters)
-        cur = self._words.get(letters)
-        if cur is None:
-            cur = {(): 1}
-            for a in letters:
+            bit = self._bit
+            cur = {sum(bit[t] for t in T): 1}
+            for a in reversed(key[0]):
+                # e_a lands unless a is in w and a != 0 (e_a e_a = q(e_a) =
+                # [a == 0]); for a > 0 the pass over e_-a in w leaves
+                # B(e_a, e_-a) = 1 behind.  Each term takes one sign per
+                # letter of w below the bit it flips.
+                ba, bn = bit[a], bit[-a] if a > 0 else 0
                 nxt = {}
-                for s, n in cur.items():
-                    for u, k in self._prod(s, (a,)):
-                        nxt[u] = nxt.get(u, 0) + n * k
+                for w, n in cur.items():
+                    for h in (0 if w & ba and a else ba, w & bn):
+                        if h:
+                            sign = -1 if (w & (h - 1)).bit_count() & 1 else 1
+                            nxt[w ^ h] = nxt.get(w ^ h, 0) + sign * n
                 cur = nxt
-            self._words[letters] = cur
-        return cur
+            hit = self._memo[key] = tuple((tuple(a for a in self.labels if u & bit[a]), n)
+                                          for u, n in cur.items() if n)
+        return hit
 
     def _combine(self, terms):
         """sum n * c over (u, n, c) terms: an El with zeros dropped."""
@@ -164,14 +135,14 @@ class CliffordAlg(SparseAlgebra):
 
     def word(self, letters, coeff=None):
         c = self.K.one() if coeff is None else coeff
-        return self._combine((u, n, c) for u, n in self._word_ints(letters).items())
+        return self._combine((u, n, c) for u, n in self._apply(letters, ()))
 
     def mul(self, x, y):
         terms = []
         for sx, cx in x.c.items():
             for sy, cy in y.c.items():
                 c = self.K.mul(cx, cy)
-                terms.extend((u, n, c) for u, n in self._prod(sx, sy))
+                terms.extend((u, n, c) for u, n in self._apply(sx, sy))
         return self._combine(terms)
 
     def even_basis(self):
@@ -185,7 +156,7 @@ def reversal(x):
     """Anti-automorphism reversing generator words."""
     alg = x.alg
     return alg._combine((u, n, c) for s, c in x.c.items()
-                        for u, n in alg._word_ints(reversed(s)).items())
+                        for u, n in alg._apply(reversed(s), ()))
 
 
 def is_even(x):
@@ -268,7 +239,7 @@ def _table_block(alg, left, right, out):
     T = np.zeros((len(left) * len(right), len(out)), dtype=np.int64)
     for a, s in enumerate(left):
         for b, t in enumerate(right):
-            for u, n in alg._prod(s, t):
+            for u, n in alg._apply(s, t):
                 T[a * len(right) + b, pos[u]] = n
     return T
 
@@ -292,7 +263,7 @@ class _SpinScan:
         ebasis = alg.even_basis()
         obasis = tuple(s for s in alg.basis if len(s) % 2)
         ne, no, self.nl = len(ebasis), len(obasis), len(alg.labels)
-        self.rev = np.array([[alg._word_ints(reversed(s)).get(u, 0) for u in ebasis]
+        self.rev = np.array([[dict(alg._apply(reversed(s), ())).get(u, 0) for u in ebasis]
                              for s in ebasis], dtype=np.int64).reshape(ne, ne)
         self.tee = _table_block(alg, ebasis, ebasis, ebasis)
         self.toe = _table_block(alg, obasis, ebasis, obasis)
@@ -368,7 +339,7 @@ def htr(x):
 def clif0_image(clif, x):
     """The degree-two realization e(i,j) -> e_i e_-j."""
     return clif._combine((u, n, c) for (i, j), c in x.c.items()
-                         for u, n in clif._prod((i,), (-j,)))
+                         for u, n in clif._apply((i,), (-j,)))
 
 
 def hermitian_basis(alg):
@@ -413,18 +384,16 @@ def clif0_relation_check(r, K):
         if kind != "ok" and len(rep[kept]) < cap:
             rep[kept].append(label % args)
 
-    # htr once per x; the left side of relation two sums products
-    # (e_k e_a)(e_-b e_-l) of two-letter integer words
+    # htr once per x; the left side of relation two sums the integer
+    # words e_k e_a e_-b e_-l
     hs = [htr(x) for x in herm]
     for x, h in zip(herm, hs):
         note("rel1", _scale_verdict(clif, clif0_image(clif, x), clif.scalar(h)),
              "rel1:%r", x)
     for x, h in zip(herm, hs):
         for (k, l) in alg.pairs:
-            lhs = clif._combine((u, n1 * n2 * n, c) for (a, b), c in x.c.items()
-                                for s, n1 in clif._word_ints((k, a)).items()
-                                for t, n2 in clif._word_ints((-b, -l)).items()
-                                for u, n in clif._prod(s, t))
+            lhs = clif._combine((u, n, c) for (a, b), c in x.c.items()
+                                for u, n in clif._apply((k, a, -b, -l), ()))
             note("rel2", _scale_verdict(clif, lhs, clif.word((k, -l), h)),
                  "rel2:%r:y=e(%d,%d)", x, k, l)
     rep["pass"] = (rep["rel1"]["failed"] == 0 and rep["rel2"]["failed"] == 0
@@ -437,7 +406,7 @@ def clif0_center(r, K):
     """Basis {1, omega} of the center of the even part.
 
     The center is the kernel of u -> ([u, e_a e_b])_{a < b}, whose entries
-    on the even monomials are integers (CliffordAlg._prod).  Over the
+    on the even monomials are integers (CliffordAlg._apply).  Over the
     Z-basis of K it is one int map: the coefficient n of e_w in [e_s, e_a
     e_b] maps coordinate (s, t) to n mod m_t at (a, b, w, t).  Output
     coordinates that are zero in every row, or repeat an earlier one, are
@@ -449,7 +418,7 @@ def clif0_center(r, K):
     cols = {}
     for g in itertools.combinations(clif.labels, 2):
         for i, s in enumerate(ebasis):
-            for sign, terms in ((1, clif._prod(s, g)), (-1, clif._prod(g, s))):
+            for sign, terms in ((1, clif._apply(s, g)), (-1, clif._apply(g, s))):
                 for u, n in terms:
                     col = cols.setdefault((g, pos[u]), {})
                     col[i] = col.get(i, 0) + sign * n

@@ -20,13 +20,14 @@ enumerated only on request (invariant_closure, Nil2Module.X).
 
 On top of the group structure the module supports scalar extension along
 a ring map (with the quotient pushed forward through the closure of its
-generator images; the universality probe reads the kernel of E tensor
-M0 -> M boxtimes E off the X0 Howell form of the extension, without a
-scan) and descent along a small registry of free quadratic
-ring extensions, where the descended module is the equalizer of the two
-coordinate maps into the tensor square, twisted by a cocycle-checked
-isomorphism.  The equalizer is solved, not scanned: a Howell kernel for
-the M1 parts, then one affine solve for the M0 parts over each of them.
+generator images and the E-span of the image of X0; the universality
+probe reads the kernel of E tensor M0 -> M boxtimes E off the X0 Howell
+form of the extension, without a scan) and descent along a small
+registry of free quadratic ring extensions, where the descended module
+is the equalizer of the two coordinate maps into the tensor square,
+twisted by a cocycle-checked isomorphism.  The equalizer is solved, not
+scanned: a Howell kernel for the M1 parts, then one affine solve for the
+M0 parts over each of them.
 """
 
 import itertools
@@ -525,7 +526,11 @@ def boxtimes(M, f):
 
     The split part keeps the ranks and pushes the cocycle table through
     f; the quotient part is the closure of the images of the quotient
-    generators.  Returns (N, embed) where embed sends x to x boxtimes 1.
+    generators and of the E-span of the image of X0.  The images'
+    closure is stable under the k^2 action on M0 only, so the multiples
+    (0, e f(h0)) it misses, for h0 an X0 Howell row of M and e in the
+    Z-basis of E, join the generators.  Returns (N, embed) where embed
+    sends x to x boxtimes 1.
     """
     if f.dom != M.K:
         raise StructureError("scalar extension needs a map out of the base")
@@ -533,7 +538,15 @@ def boxtimes(M, f):
     b2 = [[tuple(f(c) for c in M.b[i][j]) for j in range(M.r1)]
           for i in range(M.r1)]
     gens2 = [_map_coords(g, f) for g in M.gens]
-    N = Nil2Module(E, M.r1, M.r0, b2, quotient=gens2)
+    N = Nil2Module(E, M.r1, M.r0, b2, quotient=gens2, check=False)
+    images = [tuple(f(c) for c in unflat(h0, M.K.rank)) for _, h0 in M._spans.form0]
+    extra = [Nil2Elem(vzero(E, M.r1), v) for v in
+             (vscale(E, e, h) for h in images for e in _basis(E))
+             if any(N._spans.reduce0(vflat(v)))]
+    if extra:
+        N = Nil2Module(E, M.r1, M.r0, b2, quotient=gens2 + extra, check=False)
+    if N.gens:
+        N._check_quotient()
 
     def embed(x):
         return N.reduce(_map_coords(x, f))

@@ -186,6 +186,19 @@ def test_parabolic(tmp_path):
     assert rep["proper"] and rep["parabolic_order"] == 2
 
 
+def test_parabolic_asks_for_the_group_order_first(capsys):
+    """U(Sp(6, F3)) is refused at the column frontier; parabolic exits 2 on
+    that refusal without closing B."""
+    def closure(shape):
+        raise AssertionError("parabolic closed B before asking for the order")
+
+    with patch.object(unitary, "parabolic_p", closure):
+        code = main(["parabolic", "--family", "symp", "--n", "3", "--ring", "gf:3"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err == "error: column search frontier past 1048576 rows\n"
+
+
 def test_usage_errors():
     assert main(["hdet", "--n", "1", "--ring", "zmod:banana"]) == 2
     with pytest.raises(SystemExit):

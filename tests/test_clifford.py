@@ -237,10 +237,12 @@ def test_spinor_module_satisfies_the_clifford_relations(r):
     for t in range(r):
         rho[t, np.arange(dim), src[t]] = sign[t]
     eye = np.eye(dim, dtype=np.int64)
+    # at even rank B and q take the values 0 and 1 only
+    alg = CliffordAlg(r, F3)
     for s, a in enumerate(labels):
-        assert (rho[s] @ rho[s] == CliffordAlg._q(a) * eye).all()
+        assert (rho[s] @ rho[s] == alg.qval(a)[0] * eye).all()
         for t, b in enumerate(labels):
-            assert (rho[s] @ rho[t] + rho[t] @ rho[s] == CliffordAlg._b(a, b) * eye).all()
+            assert (rho[s] @ rho[t] + rho[t] @ rho[s] == alg.bform(a, b)[0] * eye).all()
 
 
 def test_spinor_module_needs_an_even_rank():
@@ -274,14 +276,14 @@ def test_json_roundtrip_property(r, name, seed):
     assert clif_from_json(c, json.loads(json.dumps(clif_to_json(x)))) == x
 
 
-# ---- the product table and the batched spin scan against reference loops
+# ---- the closed-form product and the batched spin scan against reference loops
 
 RINGS = ("zmod:2", "zmod:3", "zmod:4", "gf:4", "prod:(zmod:2;zmod:3)")
 
 
 def _ref_reduce(alg, word, coeff, out):
     """Word rewriting in K, one generator word at a time: the reference
-    for the integer product table."""
+    for the closed-form product CliffordAlg._apply."""
     K = alg.K
     stack = [(tuple(word), coeff)]
     while stack:
@@ -305,6 +307,39 @@ def _ref_reduce(alg, word, coeff, out):
             # B(e_a, e_b) = [a == -b] off the diagonal
             stack.append((w[:spot] + (b, a) + w[spot + 2:], K.neg(c)))
             stack.append((rest, c if a == -b else K.zero()))
+
+
+# a modulus above every integer coefficient of a word of at most 16
+# letters, so that the reference's coefficients in K read as integers
+_Z = ZMod(1 << 20)
+
+
+def _closed_form_matches(alg, letters, T):
+    out = {}
+    _ref_reduce(alg, tuple(letters) + T, _Z.one(), out)
+    got = alg._apply(letters, T)
+    assert {u: _Z.from_int(n) for u, n in got} == out, (alg.r, letters, T)
+    assert len(dict(got)) == len(got) and all(n and u in alg.basis_set for u, n in got)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_closed_form_matches_word_rewriting_on_words(data):
+    """The closed-form left action against the stack rewriter: random
+    words of 0-8 letters, repeats and e_0 included, times a random
+    monomial, at ranks 0-8."""
+    alg = CliffordAlg(data.draw(st.integers(0, 8)), _Z)
+    letters = (data.draw(st.lists(st.sampled_from(alg.labels), max_size=8))
+               if alg.labels else [])
+    _closed_form_matches(alg, letters, data.draw(st.sampled_from(alg.basis)))
+
+
+@pytest.mark.parametrize("r", range(6))
+def test_closed_form_matches_word_rewriting_on_monomial_pairs(r):
+    alg = CliffordAlg(r, _Z)
+    for s in alg.basis:
+        for t in alg.basis:
+            _closed_form_matches(alg, s, t)
 
 
 def _ref_mul(x, y):
@@ -471,6 +506,16 @@ CLIFFORD_PINNED = (
      "5f8357345c2ae20eb21472697ea6cb64a968872127e35b8bbae8c7950f1d3d39"),
     ("clifford center --n 8 --ring zmod:3",
      "e55df9172938aa4f2d3937120d16402c3ee88ce6cfa388cf4b0e308c008ca507"),
+    # the largest centre; relations where 2 is not a unit, and at odd rank
+    # (e_0 present) over a rank-2 K; the largest spin scan
+    ("clifford center --n 10 --ring gf:2",
+     "3334f3d57395aa3cf5060cde5f320db9fa8ff126691d735070f6ed9c379c0870"),
+    ("clifford relations --n 6 --ring zmod:4",
+     "60160aa57559179ed786cd264c2f67e3c1f065c1be54f61888deef4e75345bb9"),
+    ("clifford relations --n 5 --ring gf:4",
+     "87991a04babf92273d2520ca62bf5cf974f3629e9bfd0d29100c130c9a811d66"),
+    ("clifford spin --n 5 --ring gf:2",
+     "8ef5a177166f35e3085d5cb4a226d4976a2f6d859b227a9a841e8917d7bd84eb"),
 )
 
 

@@ -12,6 +12,7 @@ from ofa.coeff_ring import (CapacityError, GaloisField, PolyQuotient, Product,
                             StructureError, ZMod, hom_compose, identity_hom,
                             parse_ring)
 from ofa.form_ring import ofalin, ofaorth, ofasymp
+from ofa.linalg import unflat
 from ofa.odd_form_param import DeltaShape
 from ofa.nilpotent2 import (DescentDatum, Nil2Elem, Nil2Module, Nil2Morphism,
                             base_inclusion, boxtimes, counterexample_sqrt2,
@@ -206,6 +207,37 @@ def test_counterexample_probe_matches_reference_scan(m):
     M = Nil2Module(K, 1, 1, [[(K.one(),)]], quotient=[Nil2Elem((K.gen(),), (K.one(),))])
     to_f2 = hom_from_gen(K, F2, RingHom(base, F2, [F2.one()]), F2.zero())
     assert counterexample_sqrt2(m)["probe"] == _ref_probe(M, to_f2)
+
+
+def test_boxtimes_extends_every_seeded_z4_module():
+    """Over E = Z/4[x]/(x^2 + 2) the sums of squares are Z/4 + 2x Z/4, so
+    the closure of the generator images alone misses E-multiples of X0.
+    None of 100 seeded modules over Z/4 may be refused, and the extended
+    X0 is an E-submodule holding the image of X0."""
+    E = parse_ring("polyquot:zmod:4:2,0,1")
+    inc = base_inclusion(E)
+    kel = list(Z4.elements())
+    rng = random.Random(0)
+    seen = 0
+    while seen < 100:
+        r1, r0 = rng.randrange(3), rng.randrange(3)
+
+        def vec(r):
+            return tuple(rng.choice(kel) for _ in range(r))
+
+        b = [[vec(r0) for _ in range(r1)] for _ in range(r1)]
+        gens = [Nil2Elem(vec(r1), vec(r0)) for _ in range(rng.randrange(4))]
+        try:
+            M = Nil2Module(Z4, r1, r0, b, quotient=gens)
+        except StructureError:
+            continue
+        seen += 1
+        N = boxtimes(M, inc)[0]
+        zero1 = tuple(E.zero() for _ in range(r1))
+        for _, h0 in M._spans.form0:
+            for e in E.elements():
+                v = tuple(E.mul(e, inc(c)) for c in unflat(h0, 1))
+                assert N.reduce(Nil2Elem(zero1, v)) == N.zero(), (M, e)
 
 
 def test_universality_probe_past_the_old_scan():
@@ -572,6 +604,13 @@ NIL2_PINNED = (
      "ac1a8ae716428fe1a85ade04de42264c900bda263e4d1edb1b2f3ceabcc1e486"),
     ("nil2 descend --module f2q.json --ext polyquot:zmod:2:1,1,1",
      "66085ba8debca5ec8877854fce13706db8061a62f3214006d5529a99d8cf6aab"),
+    # a quotient with X0 != 0 over Z/4, extended to two rings of card 16
+    ("nil2 extend --module z4q.json --ext polyquot:zmod:4:1,1,1",
+     "e67a323d06eaeda6c75a7652215fb408703ef189725ae95de3f6210341a93ecd"),
+    ("nil2 extend --module z4q.json --ext polyquot:zmod:4:2,0,1",
+     "0f385f343841434863c76789b2466e68eace65e186f321c1c1d06d0f684d6f78"),
+    ("nil2 probe --module z4q.json --ext polyquot:zmod:4:2,0,1",
+     "5eaf578c41e436fb93bb5cd5dac366059ac3d35f7e2421f28fa708ff7b9f7cd4"),
 )
 
 
@@ -582,6 +621,7 @@ def test_nil2_report_bytes_pinned(argv, digest, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "bench.json").write_text(_bench_module_json(3))
     (tmp_path / "f2q.json").write_text(json.dumps(nil2_to_json(f2_quotient_module())))
+    (tmp_path / "z4q.json").write_text(json.dumps(nil2_to_json(z4_quotient_module())))
     assert cli_main(argv.split()) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
