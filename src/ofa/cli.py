@@ -6,12 +6,11 @@ key order, so identical flags give byte-identical output.  Exit codes:
 witnesses), 2 usage or structural error, reported as one stderr line
 starting "error:".
 
-The document is the text of json.dumps(doc, sort_keys=True, indent=2):
-the C encoder writes it compact, and one numpy pass over fixed-size
-blocks puts the breaks and indentation back (form_ring._json_text).  The
-element list of `group enumerate`, megabytes of it, never meets the
-encoder: it is spliced in as text joined from one encoded table of its
-distinct entries, and _emit writes the report part by part.
+The document is the text of json.dumps(doc, sort_keys=True, indent=2),
+and that call writes it.  The element list of `group enumerate`,
+megabytes of it, never meets the encoder: it is spliced in as text
+joined from its distinct entries, each encoded once, and _emit writes the
+report part by part.
 
 main builds the parser on its first call and reuses it: parse_args keeps
 no state in it, so the calls of one process (the tests, a bench pass) pay
@@ -27,7 +26,7 @@ from collections import Counter
 
 from .coeff_ring import (CapacityError, PolyQuotient, StructureError,
                          const_hom, parse_ring)
-from .form_ring import _BLOCK, _json_text, ofalin, ofaorth, ofasymp
+from .form_ring import ofalin, ofaorth, ofasymp
 from .odd_form_param import DeltaShape, axioms_check
 from . import unitary as ug
 from .quad_module import (canon_relations_check, canonical_construction, hdet,
@@ -58,23 +57,19 @@ def family_module(family, n, K):
     return split_module(*_family(family, n), K)
 
 
-def _dumps(doc):
-    """The text json.dumps(doc, sort_keys=True, indent=2) gives, at C
-    speed, each spliced value in it resolved: the parts of _parts, joined."""
-    return "".join(_parts(doc))
-
-
 def _parts(doc):
-    """The text of doc, as an iterator of parts.  The envelope is written
-    by form_ring._json_text in _BLOCK-byte blocks.  A value with a
-    parts(depth) method is spliced: the default hook writes a marker
-    string for it, and its parts at the depth of the marker's line replace
-    the marker.  A doc whose strings hold the marker is encoded again
-    under the next one.  Iterating the result only joins strings."""
+    """The text json.dumps(doc, sort_keys=True, indent=2) gives, each
+    spliced value in it resolved, as an iterator of parts.  That call
+    writes the envelope.  A value with a parts(depth) method is spliced:
+    the default hook writes a marker string for it, and its parts at the
+    depth of the marker's line replace the marker.  A doc whose strings
+    hold the marker is encoded again under the next one.  Iterating the
+    result only joins strings."""
     spliced = []
     for mark in map("ofa-splice-%d".__mod__, itertools.count()):
         spliced.clear()
-        text = _json_text(doc, _BLOCK, lambda value: spliced.append(value) or mark)
+        text = json.dumps(doc, sort_keys=True, indent=2,
+                          default=lambda value: spliced.append(value) or mark)
         if text.count(mark) == len(spliced):
             break
     pieces = text.split('"%s"' % mark)

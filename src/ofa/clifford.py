@@ -384,16 +384,17 @@ def clif0_relation_check(r, K):
         if kind != "ok" and len(rep[kept]) < cap:
             rep[kept].append(label % args)
 
-    # htr once per x; the left side of relation two sums the integer
-    # words e_k e_a e_-b e_-l
+    # htr once per x; the left side of relation two sums the integer words
+    # e_k e_a applied to each term of e_-b e_-l, so both halves hit the memo
     hs = [htr(x) for x in herm]
     for x, h in zip(herm, hs):
         note("rel1", _scale_verdict(clif, clif0_image(clif, x), clif.scalar(h)),
              "rel1:%r", x)
     for x, h in zip(herm, hs):
         for (k, l) in alg.pairs:
-            lhs = clif._combine((u, n, c) for (a, b), c in x.c.items()
-                                for u, n in clif._apply((k, a, -b, -l), ()))
+            lhs = clif._combine((v, n * m, c) for (a, b), c in x.c.items()
+                                for u, n in clif._apply((-b, -l), ())
+                                for v, m in clif._apply((k, a), u))
             note("rel2", _scale_verdict(clif, lhs, clif.word((k, -l), h)),
                  "rel2:%r:y=e(%d,%d)", x, k, l)
     rep["pass"] = (rep["rel1"]["failed"] == 0 and rep["rel2"]["failed"] == 0

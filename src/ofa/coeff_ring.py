@@ -644,21 +644,32 @@ def ring_to_json(spec):
     raise StructureError("no JSON form for %s" % spec.name)
 
 
+def _int_lists(x, depth):
+    """True if x is lists nested ``depth`` deep with ints at the bottom."""
+    if depth == 0:
+        return isinstance(x, int) and not isinstance(x, bool)
+    return isinstance(x, list) and all(_int_lists(y, depth - 1) for y in x)
+
+
 def ring_from_json(data):
-    if "zmod" in data:
-        spec = ZMod(int(data["zmod"]))
-    elif "gf" in data:
-        p = int(data["gf"]["p"])
-        _check_ring_card(p, "gf:%d" % p)
-        spec = GaloisField(p, [int(c) for c in data["gf"]["modulus"]])
-    elif "polyquot" in data:
-        base = ring_from_json(data["polyquot"]["base"])
-        spec = PolyQuotient(base, [tuple(int(x) for x in c)
-                                   for c in data["polyquot"]["modulus"]])
-    elif "product" in data:
-        spec = Product([ring_from_json(d) for d in data["product"]])
+    """The ring of a payload as ring_to_json writes it: one known key,
+    ints that are not bools, lists where lists go.  Any other payload (a
+    float, a string, a second key) is refused, not read as a ring."""
+    items = list(data.items()) if isinstance(data, dict) else []
+    key, val = items[0] if len(items) == 1 else (None, None)
+    if key == "zmod" and _int_lists(val, 0):
+        spec = ZMod(val)
+    elif (key == "gf" and isinstance(val, dict) and sorted(val) == ["modulus", "p"]
+          and _int_lists(val["p"], 0) and _int_lists(val["modulus"], 1)):
+        _check_ring_card(val["p"], "gf:%d" % val["p"])
+        spec = GaloisField(val["p"], val["modulus"])
+    elif (key == "polyquot" and isinstance(val, dict) and sorted(val) == ["base", "modulus"]
+          and _int_lists(val["modulus"], 2)):
+        spec = PolyQuotient(ring_from_json(val["base"]), [tuple(c) for c in val["modulus"]])
+    elif key == "product" and isinstance(val, list):
+        spec = Product([ring_from_json(d) for d in val])
     else:
-        raise StructureError("unknown ring payload keys %r" % sorted(data))
+        raise StructureError("not a ring payload: %.60r" % (data,))
     _check_ring_card(spec.card, spec.name)
     return spec
 
@@ -682,7 +693,7 @@ def parse_ring(s):
 
 def _take_int(s):
     i = 0
-    while i < len(s) and s[i].isdigit():
+    while i < len(s) and "0" <= s[i] <= "9":
         i += 1
     if i == 0:
         raise StructureError("expected an integer at %r" % s)

@@ -37,7 +37,6 @@ JSON rows) are converted once at that boundary.
 
 import itertools
 import json
-import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -762,88 +761,15 @@ def x_central(alg, k):
     return alg.el(coeffs)
 
 
-_BLOCK = 1 << 16
-# the bytes the reindent pass looks at: quotes, backslashes, structure
-_SPECIAL = bytes(int(chr(i) in '"\\[]{},') for i in range(256))
-
-
-def _json_text(doc, block=_BLOCK, default=None):
-    """The text json.dumps(doc, sort_keys=True, indent=2, default=default)
-    gives, at C speed: the C encoder writes it compact, and one pass over
-    block-byte blocks puts back a line break and 2 * depth spaces after
-    every ',' and opener and before every closer, except between an opener
-    and its closer.  Quotes that no backslash escapes delimit the strings
-    (with ensure_ascii every backslash is inside one).  One table lookup
-    finds the quotes, backslashes and structural bytes of a block, and
-    depth and string state are taken at those bytes only.  Depth, inside-
-    string, a pending escape and whether the last byte opened a container
-    carry from one block to the next."""
-    text = json.dumps(doc, sort_keys=True, separators=(",", ": "), default=default).encode("ascii")
-    depth, in_str, escaped, opened = 0, False, False, False
-    parts = []
-    for lo in range(0, len(text), block):
-        chunk = text[lo:lo + block]
-        b, n = np.frombuffer(chunk, dtype=np.uint8), len(chunk)
-        s = np.flatnonzero(np.frombuffer(chunk.translate(_SPECIAL), dtype=bool))
-        c = b[s]
-        # the bytes a backslash escapes: the backslashes at even places of
-        # each run escape the byte after them; -1 stands for one the last
-        # block ended with
-        bsl = s[c == ord("\\")]
-        if escaped:
-            bsl = np.concatenate(([-1], bsl))
-        k = np.arange(len(bsl))
-        head = np.maximum.accumulate(np.where(np.diff(bsl, prepend=-3) != 1, k, 0))
-        esc = bsl[(k - head) % 2 == 0] + 1
-        quote = (c == ord('"')) & ~np.isin(s, esc)
-        # the string state after each such byte; no structural byte is a
-        # quote, so at one it is the state the byte is read in
-        inside = np.logical_xor.accumulate(quote) != in_str
-        op = ((c == ord("[")) | (c == ord("{"))) & ~inside
-        cl = ((c == ord("]")) | (c == ord("}"))) & ~inside
-        after = depth + np.cumsum(op.astype(np.int8) - cl, dtype=np.int32)
-        # whether each such byte directly follows the one before it; the
-        # first looks back into the last block
-        adj = np.diff(s, prepend=-1) == 1
-        # a break after every ',' and every opener whose closer does not
-        # follow, before every closer that does not follow its opener; an
-        # opener that ends the block leaves its break to the next one
-        shut = np.append(adj[1:] & cl[1:], s[-1:] == n - 1)
-        brk = ((c == ord(",")) & ~inside) | (op & ~shut)
-        brk |= cl & ~(adj & np.concatenate(([opened], op[:-1])))
-        # the byte each break follows, -1 for one at the block's start
-        i = np.flatnonzero(brk)
-        at, width = s[i] - cl[i], 1 + 2 * after[i]
-        # a break at the block's start (after an opener that ended the last
-        # block, or before a closer at byte 0) goes out ahead of it
-        if opened and not (len(s) and adj[0] and cl[0]):
-            parts.append(b"\n" + b"  " * int(depth))
-        if len(at) and at[0] < 0:
-            parts.append(b"\n" + b"  " * int(width[0] // 2))
-            at, width = at[1:], width[1:]
-        # each byte moves right by the widths of the breaks before it
-        shift = np.concatenate(([0], np.cumsum(width)))
-        out = np.full(n + int(shift[-1]), ord(" "), dtype=np.uint8)
-        dest = np.repeat(shift.astype(np.int32), np.diff(at + 1, prepend=0, append=n))
-        dest += np.arange(n, dtype=np.int32)
-        out[dest] = b
-        out[at + 1 + shift[:-1]] = ord("\n")
-        parts.append(out.tobytes())
-        last = len(s) > 0 and s[-1] == n - 1
-        opened, escaped = last and bool(op[-1]), n in esc
-        if len(s):
-            depth, in_str = int(after[-1]), bool(inside[-1])
-    return b"".join(parts).decode("ascii")
-
-
 class JsonRows:
     """The JSON list of each row of V, an (N, S, rk) array of reduced
     coordinates: entry(s, c) over the row's nonzero slots s, c the slot's
     element as a coordinate list.  Each (slot, element) pair that occurs,
     coded as s * K.card plus the element's index in K.elements(), has its
-    entry built once, into one table that one _json_text call encodes.
-    objects() gives the rows as lists that share the table's entries, and
-    texts(depth) as text, each entry indented once for the depth."""
+    entry built and encoded by json.dumps(entry, sort_keys=True, indent=2)
+    once.  objects() gives the rows as lists that share the table's
+    entries, and texts(depth) as text, each entry indented once for its
+    place in a list at the depth."""
 
     def __init__(self, K, V, entry):
         idx = np.ravel_multi_index(np.moveaxis(V, -1, 0), K.moduli)
@@ -852,8 +778,7 @@ class JsonRows:
         slots, els = np.divmod(codes, K.card)
         coords = np.stack(np.unravel_index(els, K.moduli), axis=-1).tolist()
         self.table = [entry(s, c) for s, c in zip(slots.tolist(), coords)]
-        # "[\n  item,\n  item\n]": items part at a "," before a line indented by 2 spaces
-        self.items = re.split(r",\n  (?! )", _json_text(self.table)[4:-2]) if self.table else []
+        self.items = [json.dumps(e, sort_keys=True, indent=2) for e in self.table]
         ends = np.cumsum(nz.sum(axis=1)).tolist()
         self.flat, self.spans = inv.tolist(), ([0] + ends, ends)
 
@@ -862,10 +787,10 @@ class JsonRows:
         return [flat[a:b] for a, b in zip(*self.spans)]
 
     def texts(self, depth):
-        pad, flat = "\n" + "  " * depth, self.flat
-        items, sep = [item.replace("\n", pad) for item in self.items], "," + pad + "  "
-        return ("[" + sep[1:] + sep.join(map(items.__getitem__, flat[a:b])) + pad + "]" if b > a
-                else "[]" for a, b in zip(*self.spans))
+        pad, flat = "\n" + "  " * (depth + 1), self.flat
+        items = [item.replace("\n", pad) for item in self.items]
+        return ("[" + pad + ("," + pad).join(map(items.__getitem__, flat[a:b])) + pad[:-2] + "]"
+                if b > a else "[]" for a, b in zip(*self.spans))
 
 
 class JsonDicts:

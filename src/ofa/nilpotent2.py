@@ -42,6 +42,7 @@ from .coeff_ring import (
     TensorTower,
     ZMod,
     _basis,
+    _int_lists,
     hom_from_gen,
     ring_from_json,
     ring_to_json,
@@ -971,13 +972,6 @@ def nil2_to_json(M):
               for i in range(M.r1)],
         "quotient_generators": [nil2_elem_to_json(g) for g in M.gens],
     }
-
-
-def _int_lists(x, depth):
-    """True if x is lists nested ``depth`` deep with ints at the bottom."""
-    if depth == 0:
-        return isinstance(x, int) and not isinstance(x, bool)
-    return isinstance(x, list) and all(_int_lists(y, depth - 1) for y in x)
 
 
 def nil2_from_json(data):

@@ -1,4 +1,3 @@
-import ast
 import hashlib
 import io
 import json
@@ -364,23 +363,6 @@ _JSON = st.recursive(
     max_leaves=30)
 
 
-@settings(max_examples=300, deadline=None)
-@given(_JSON, st.sampled_from([cli._BLOCK, 1, 2, 3, 7]))
-def test_dumps_matches_the_indented_encoder(doc, block):
-    # the small blocks carry depth, inside-string, a pending escape and an
-    # open container across almost every boundary
-    with patch.object(cli, "_BLOCK", block):
-        assert cli._dumps(doc) == json.dumps(doc, sort_keys=True, indent=2)
-
-
-def test_dumps_carries_every_state_across_a_block_boundary():
-    doc = {'a\\"[': [{}, [], {"\\\\": '"\\\\"{,', "k": [[-2 ** 70]]}], "": [1.5, None]}
-    want = json.dumps(doc, sort_keys=True, indent=2)
-    for block in range(1, len(want) + 2):
-        with patch.object(cli, "_BLOCK", block):
-            assert cli._dumps(doc) == want
-
-
 ENUM_O4_F3 = ["group", "enumerate", "--family", "orth-even", "--n", "2", "--ring", "gf:3"]
 
 
@@ -391,7 +373,7 @@ def test_out_file_matches_stdout_on_a_report_of_many_blocks(tmp_path, capsys):
     assert main(["--out", str(out)] + ENUM_O4_F3) == 0
     assert out.read_bytes() == text.encode()
     compact = json.dumps(json.loads(text), sort_keys=True, separators=(",", ": "))
-    assert len(compact) > 7 * cli._BLOCK
+    assert len(compact) > 7 * 65536
 
 
 # sha256 of `group enumerate` stdout, computed before the element writer
@@ -433,23 +415,8 @@ def test_enumerate_report_bytes_pinned(case, digest, tmp_path, capsys):
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
-def test_dumps_peak_is_below_the_indented_encoder(tmp_path):
-    assert main(["--out", str(tmp_path / "r.json")] + ENUM_O4_F3) == 0
-    doc = json.loads((tmp_path / "r.json").read_text())
-
-    def peak(fn):
-        tracemalloc.start()
-        try:
-            fn(doc)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    assert peak(cli._dumps) <= peak(lambda d: json.dumps(d, sort_keys=True, indent=2))
-
-
 class _Spliced:
-    """A value _dumps splices in: the indented text of value at the depth
+    """A value _parts splices in: the indented text of value at the depth
     it is asked for, cut into parts of cut characters."""
 
     def __init__(self, value, cut):
@@ -481,15 +448,14 @@ _SPLICE_JSON = st.recursive(
 
 
 @settings(max_examples=300, deadline=None)
-@given(_SPLICE_JSON, st.sampled_from([cli._BLOCK, 1, 2, 3, 7]))
-@example({"a": "ofa-splice-0", "b": [{"c": _Spliced({"x": [1, "ofa-splice-0"]}, 2)}]}, 3)
-@example(_Spliced([[], {"k": None}], 1), 1)
-def test_dumps_splices_each_value_at_its_depth(doc, block):
+@given(_SPLICE_JSON)
+@example({"a": "ofa-splice-0", "b": [{"c": _Spliced({"x": [1, "ofa-splice-0"]}, 2)}]})
+@example(_Spliced([[], {"k": None}], 1))
+def test_dumps_splices_each_value_at_its_depth(doc):
     # spliced values sit at every depth, the doc itself at depth 0, inside
     # dicts and lists, beside the hostile strings and the marker lookalikes
-    with patch.object(cli, "_BLOCK", block):
-        text = "".join(cli._parts(doc))
-    assert text == cli._dumps(doc) == json.dumps(_resolved(doc), sort_keys=True, indent=2)
+    text = "".join(cli._parts(doc))
+    assert text == json.dumps(_resolved(doc), sort_keys=True, indent=2)
 
 
 @pytest.mark.parametrize("cached", [False, True])
@@ -531,14 +497,41 @@ def test_enumerate_report_peak_stays_below_the_report(tmp_path):
     assert _file_sha256(out) == dict(ENUMERATE_PINNED)["orth-even 2 gf:3"]
 
 
-def test_src_makes_no_indent_call():
-    src = os.path.dirname(cli.__file__)
-    for name in os.listdir(src):
-        if name.endswith(".py"):
-            with open(os.path.join(src, name)) as fh:
-                tree = ast.parse(fh.read())
-            assert not any(kw.arg == "indent" for node in ast.walk(tree)
-                           if isinstance(node, ast.Call) for kw in node.keywords), name
+def test_dumps_peak_is_below_the_indented_encoder(tmp_path):
+    # writing the O(4, F3) report holds less than the indented encoder
+    # needs for the same document (about 20 MB), since the element list is
+    # spliced in as text and streamed
+    out = tmp_path / "r.json"
+    assert main(["--out", str(out)] + ENUM_O4_F3) == 0
+    doc = json.loads(out.read_text())
+
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    written = peak(lambda: main(["--out", str(out)] + ENUM_O4_F3))
+    assert written <= peak(lambda: json.dumps(doc, sort_keys=True, indent=2))
+
+
+def test_src_makes_no_indent_call(tmp_path):
+    # ... on the element list: in the 3,155,949-byte O(4, F3) report the
+    # encoder writes the envelope and each distinct entry, never the
+    # element list, so no encode is more than a few KiB
+    sizes, dumps = [], json.dumps
+
+    def recorded(*args, **kwargs):
+        text = dumps(*args, **kwargs)
+        sizes.append(len(text))
+        return text
+
+    out = tmp_path / "r.json"
+    with patch.object(json, "dumps", recorded):
+        assert main(["--out", str(out)] + ENUM_O4_F3) == 0
+    assert out.stat().st_size == 3155949 and sizes and max(sizes) <= 4096
 
 
 # ---- malformed input: exit 2, one error line, no traceback -------------
@@ -569,7 +562,7 @@ _RING_HEADS = ("", "zmod:", "gf:", "gf:2:", "gf:3:1,", "gf:4:", "polyquot:", "po
 _RING = st.one_of(
     st.text(max_size=16),
     st.builds(str.__add__, st.sampled_from(_RING_HEADS),
-              st.text("0123456789-+:;,.() zmodgfpolyquotr", max_size=12)),
+              st.text("0123456789-+:;,.() zmodgfpolyquotr²٣", max_size=12)),
     st.builds("zmod:{}".format, st.integers(-10, 1) | st.integers(2 ** 21, 2 ** 90)),
     st.builds("gf:{}".format, st.integers(-10, 1) | st.integers(2 ** 21, 2 ** 90)),
 )
@@ -631,6 +624,15 @@ def test_malformed_ring_exits2(ring, cmd):
     _run_malformed(cmd + ["--ring", ring])
 
 
+# digits outside ASCII 0-9: str.isdigit holds for the superscripts and
+# int() reads the Arabic-Indic three as 3
+@pytest.mark.parametrize("ring", ["zmod:²", "gf:³", "zmod:1²", "polyquot:zmod:3:1,0,¹", "zmod:٣"])
+def test_ring_with_non_ascii_digits_exits2(ring, capsys):
+    assert main(["algebra", "build", "--family", "lin", "--n", "1", "--ring", ring]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.text(max_size=12).filter(lambda f: f not in FAMILIES),
        st.sampled_from([c for c in _N_CMDS if "F" in c]))
@@ -658,6 +660,27 @@ def test_count_samples_or_seed_below_the_range_exits2(where, gap, family):
     below that the parser refuses, before any work."""
     cmd, flag, low = where
     _run_malformed(cmd + ["--family", family, "--n", "1", "--ring", "gf:2", flag, str(low - gap)])
+
+
+# ring payloads ring_to_json never writes, each with the ring that reading
+# it through int() would give: over that ring the command succeeds, so
+# only the reader's own check can refuse it
+@pytest.mark.parametrize("ring,read_as", [
+    ({"zmod": 2.9}, "zmod:2"),
+    ({"gf": {"p": 2.5, "modulus": [1, 1, 1]}}, "gf:2:1,1,1"),
+    ({"gf": {"p": 2, "modulus": [1, True, 1]}}, "gf:2:1,1,1"),
+    ({"polyquot": {"base": {"zmod": 3}, "modulus": [[1], [0], [1.5]]}}, "polyquot:zmod:3:1,0,1"),
+    ({"product": [{"zmod": 2}, {"zmod": 3.5}]}, "prod:(zmod:2;zmod:3)"),
+    ({"zmod": "3"}, "zmod:3"),
+    ({"zmod": 3, "gf": 5}, "zmod:3"),
+])
+@pytest.mark.parametrize("ncmd", ["extend", "probe"])
+def test_module_ring_payload_is_read_exactly(ring, read_as, ncmd, tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(dict(_MODULE, ring=ring, r1=0, b=[])))
+    assert main(["nil2", ncmd, "--module", str(path), "--ext", "polyquot:%s:1,0,1" % read_as]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -8,8 +9,8 @@ from hypothesis import strategies as st
 
 from ofa.coeff_ring import (
     CapacityError, GaloisField, PolyQuotient, Product, RingHom, SlotRing, StructureError,
-    TensorTower, ZMod, _mixed_radix, hom_compose, identity_hom, parse_ring, ring_to_json,
-    tensor_square,
+    TensorTower, ZMod, _mixed_radix, hom_compose, identity_hom, parse_ring, ring_from_json,
+    ring_to_json, tensor_square,
 )
 
 
@@ -252,6 +253,7 @@ def test_ring_names_parse_back(K):
     back = parse_ring(K.name)
     assert back == K and back.name == K.name
     assert ring_to_json(back) == ring_to_json(K)
+    assert ring_from_json(json.loads(json.dumps(ring_to_json(K)))) == K
     assert back.moduli == K.moduli and back.one() == K.one()
 
 
