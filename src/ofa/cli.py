@@ -21,6 +21,7 @@ import argparse
 import functools
 import itertools
 import json
+import re
 import sys
 from collections import Counter
 
@@ -251,20 +252,22 @@ def cmd_parabolic(args):
 
 # ---- parser ------------------------------------------------------------
 
-def _at_least(low):
-    """An argparse type: integers >= low."""
+def _integer(low=None):
+    """An argparse type: integers >= low, an optional "-" and then ASCII
+    digits only, as coeff_ring._take_int reads them."""
+    want = "an integer" if low is None else "an integer >= %d" % low
+
     def integer(text):
-        value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError("%d is not an integer >= %d" % (value, low))
-        return value
+        if not re.fullmatch("-?[0-9]+", text) or low is not None and int(text) < low:
+            raise argparse.ArgumentTypeError("%r is not %s" % (text, want))
+        return int(text)
     return integer
 
 
 def _add_family(p, family=True):
     if family:
         p.add_argument("--family", choices=FAMILIES, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_integer(), required=True)
     p.add_argument("--ring", required=True)
 
 
@@ -289,15 +292,15 @@ def build_parser():
     _add_family(p)
     p.add_argument("--mode", choices=("exhaustive", "sampled"),
                    default="exhaustive")
-    p.add_argument("--count", type=_at_least(1), default=10000)
-    p.add_argument("--seed", type=_at_least(0))
+    p.add_argument("--count", type=_integer(1), default=10000)
+    p.add_argument("--seed", type=_integer(0))
     p.set_defaults(func=cmd_axioms)
 
     grp = sub.add_parser("group").add_subparsers(dest="gcmd", required=True)
     for name in ("enumerate", "order", "invariants"):
         p = grp.add_parser(name)
         _add_family(p)
-        p.add_argument("--jobs", type=int, default=1,
+        p.add_argument("--jobs", type=_integer(), default=1,
                        help="accepted and ignored: the enumeration is "
                             "single-process, the report does not change")
         p.set_defaults(func=cmd_group)
@@ -311,8 +314,8 @@ def build_parser():
     for name in ("naive", "canonical", "compare"):
         p = con.add_parser(name)
         _add_family(p)
-        p.add_argument("--seed", type=_at_least(0))
-        p.add_argument("--samples", type=_at_least(1), default=100)
+        p.add_argument("--seed", type=_integer(0))
+        p.add_argument("--samples", type=_integer(1), default=100)
         p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("hdet")
@@ -328,7 +331,7 @@ def build_parser():
                        help="extension ring (quotient over the module base)")
         p.set_defaults(func=cmd_nil2)
     p = nil.add_parser("counterexample")
-    p.add_argument("--modulus", type=int, required=True)
+    p.add_argument("--modulus", type=_integer(), required=True)
     p.set_defaults(func=cmd_nil2)
 
     klf = sub.add_parser("clifford").add_subparsers(dest="kcmd",

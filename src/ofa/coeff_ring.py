@@ -489,6 +489,45 @@ def _mixed_radix(sizes, stop, start=0):
     return idx
 
 
+# The row-word codec, the inverse of _mixed_radix: every set of rows is sorted here.
+
+def _pack_words(digits, base):
+    """The (N, W) int64 words of digits, an (L, N) int array, batch last,
+    of entries 0 <= d < base: the rows of the words compare as the digit
+    columns do as tuples.  As many digits go to a word as base ** per <
+    2**63 allows, the first most significant; L = 0 gives one zero word."""
+    per = next(p for p in range(1, 63) if base ** (p + 1) >= 1 << 63)
+    words = np.zeros((-(-len(digits) // per) or 1, digits.shape[1]), dtype=np.int64)
+    for t, d in enumerate(digits):
+        words[t // per] *= base
+        words[t // per] += d
+    return words.T
+
+
+def _word_order(words):
+    """The stable order that sorts the rows of words (N, W): tuple order."""
+    return np.lexsort(words.T[::-1])
+
+
+def _distinct_rows(words):
+    """np.unique(words, axis=0, return_index=True, return_inverse=True)[1:]
+    of words (N, W): the first row of each distinct run, in word order,
+    and the run of each row."""
+    order = _word_order(words)
+    S = words[order]
+    new = (S != np.roll(S, 1, axis=0)).any(axis=1)
+    new[:1] = True
+    inv = np.empty_like(order)
+    inv[order] = np.cumsum(new) - 1
+    return order[new], inv
+
+
+def _rows_in(words, Q):
+    """Whether each row of Q (M, W) is a row of words (N, W)."""
+    inv = _distinct_rows(np.concatenate([words, Q]))[1]
+    return np.isin(inv[len(words):], inv[:len(words)])
+
+
 def _fmt_coeffs(base, mcoeffs):
     if base.rank == 1:
         return ",".join(str(c[0]) for c in mcoeffs)

@@ -19,7 +19,8 @@ import math
 
 import numpy as np
 
-from .coeff_ring import CapacityError, SlotRing, StructureError, _basis, _mixed_radix
+from .coeff_ring import (CapacityError, SlotRing, StructureError, _basis, _distinct_rows,
+                         _mixed_radix, _pack_words)
 
 _CHUNK = 1 << 16
 _FRONTIER_CAP = 1 << 20
@@ -434,10 +435,9 @@ def isometry_search(K, V, B, G, pools):
     leaves = F[:12] if regular else F
     # a matrix over a commutative ring is invertible iff its det is a unit;
     # rows of V[F] are the columns, and the transpose has the same det
-    dets = k_dets(K, np.moveaxis(V[leaves].reshape(len(leaves), n, n, rk), 0, -1)).T
-    vals, inv = np.unique(dets, axis=0, return_inverse=True)
-    unit = np.array([K.try_invert(tuple(v)) is not None for v in vals.tolist()],
-                    dtype=bool)[inv.reshape(-1)]
+    dets = k_dets(K, np.moveaxis(V[leaves].reshape(len(leaves), n, n, rk), 0, -1))
+    first, inv = _distinct_rows(_pack_words(dets, max(K.moduli)))
+    unit = np.array([K.try_invert(tuple(v)) is not None for v in dets.T[first].tolist()], bool)[inv]
     if regular and not unit.all():
         raise AssertionError("a leaf of an invertible Gram matrix is singular")
     return F if regular else F[unit]

@@ -28,7 +28,7 @@ import random
 import numpy as np
 
 from .batch_delta import BatchOps, decode_factor, slot_sizes
-from .coeff_ring import CapacityError, StructureError, _mixed_radix
+from .coeff_ring import CapacityError, StructureError, _distinct_rows, _mixed_radix, _pack_words
 from .form_ring import JsonDicts, JsonRows, ParamTable
 
 _ENUM_CAP = 1 << 20
@@ -224,7 +224,7 @@ def special_check(shape, cap=EXH_DELTA_CAP, count=10000, seed=0):
     shape.sample draws them is mapped to its pair in one batch and read
     back; the report is the one an element-by-element loop of
     ``member(shape, *to_pair(x)) == x`` gives, stopping at the first
-    failure.
+    failure; exhaustively, distinct pairs are counted on coeff_ring's words.
     """
     ops = BatchOps(shape)
     card = shape.card()
@@ -244,9 +244,7 @@ def special_check(shape, cap=EXH_DELTA_CAP, count=10000, seed=0):
         else:
             digits = np.array([rng.randrange(q) for _ in range(count * shape.dim)
                                for q in mods], dtype=np.int64)
-        strides = np.array([math.prod(mods[a + 1:]) for a in range(len(mods))],
-                           dtype=np.int64)
-        idx = (digits.reshape(count, shape.dim, len(mods)) @ strides).T
+        idx = np.ravel_multi_index(digits.reshape(count, shape.dim, len(mods)).T, mods)
     P, R = ops.materialize("delta", idx)
     ok = ops.read_back_ok(idx, P, R)
     fail = None if ok.all() else int(np.argmin(ok))
@@ -254,7 +252,7 @@ def special_check(shape, cap=EXH_DELTA_CAP, count=10000, seed=0):
         # distinct pairs among the elements checked, up to the first failure
         n = card if fail is None else fail + 1
         rows = np.concatenate([P[..., :n].reshape(-1, n), R[..., :n].reshape(-1, n)])
-        distinct = _count_distinct(rows, int(np.max(ops.m)))
+        distinct = len(_distinct_rows(_pack_words(rows, int(np.max(ops.m))))[0])
         return {"pass": fail is None and distinct == card, "mode": "exhaustive",
                 "checked": card, "distinct": distinct}
     if fail is not None:
@@ -283,21 +281,6 @@ def _randrange_block(rng, m, n):
         parts.append(r[r < m][:n - have])
         have += len(parts[-1])
     return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
-
-
-def _count_distinct(rows, m):
-    """Number of distinct columns of rows, a non-negative (L, n) int array
-    with entries < m, batch last: the L entries of each column pack into
-    one (W, n) uint64 array, b bits each, one lexsort orders its columns,
-    and every neighbour that differs starts a new column."""
-    L, n = rows.shape
-    b = max(1, (m - 1).bit_length())
-    per = 64 // b
-    words = np.zeros((-(-L // per) or 1, n), dtype=np.uint64)  # one zero word for width 0
-    for t in range(L):
-        words[t // per] |= rows[t].astype(np.uint64) << np.uint64(t % per * b)
-    S = words[:, np.lexsort(words)]
-    return min(n, 1) + int((S[:, 1:] != S[:, :-1]).any(axis=0).sum())
 
 
 # Axiom table.  Each entry: name, factor kinds, check(ops, *factors).

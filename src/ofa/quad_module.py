@@ -26,7 +26,7 @@ The naive construction counts in batches over flat int coordinates (each
 K element spread over its basis slots, reduced by the per-slot moduli).
 Its equations are stated once, as two linear systems: the adjoint system
 of T and the w system of a Xi fiber.  T is the span of the nullspace
-generators of the first, built with numpy as sorted unique rows.  Its two
+generators of the first, sorted on coeff_ring's row words.  Its two
 quadratic maps, t -> xy and the Xi right-hand side, are K-matrix
 products on a whole batch of rows (n, n, rk, N) through SlotRing, with
 the Gram blocks, phi(G) and the upper triangular q table as their only
@@ -61,8 +61,8 @@ import itertools
 
 import numpy as np
 
-from .coeff_ring import (CapacityError, Product, SlotRing, StructureError, _basis,
-                         _mixed_radix, _slot_take, parse_ring)
+from .coeff_ring import (CapacityError, Product, SlotRing, StructureError, _basis, _distinct_rows,
+                         _mixed_radix, _pack_words, _slot_take, _word_order, parse_ring)
 from .form_ring import (ParamTable, SplitAlgebra, _dict_add, _dict_kmul, _dict_neg, ofalin,
                         ofaorth, ofasymp)
 from .linalg import (GraphForm, KSolver, form_isometries, howell_card, howell_form,
@@ -721,15 +721,9 @@ def unitary_of_module(M, g):
     return g
 
 
-def _lex_sorted(A):
-    """The stack A of int rows or (n, n, rk) matrices, rows first, in
-    lexicographic order of its entries: the order sorted() gives tuples."""
-    return A[np.lexsort(A.reshape(len(A), -1).T[::-1])]
-
-
 def enumerate_module_unitary(M, cap=_SCAN_CAP):
-    """All pairing- and q-preserving automorphisms, as one sorted (N, n,
-    n, rk) int64 array (see _lex_sorted): linalg.form_isometries on
+    """All pairing- and q-preserving automorphisms, as one (N, n, n, rk)
+    int64 array in the order of their entry tuples: linalg.form_isometries on
     flat Z-coordinates, label-major.  B is b_form at pairs of Z-basis
     vectors and q is M.q_map().  Column b draws from the vectors supported
     on the rows entry_ok allows there, each such block of at most cap
@@ -745,7 +739,8 @@ def enumerate_module_unitary(M, cap=_SCAN_CAP):
     qm = M.q_map()
     V, F = form_isometries(K, B, G, supports, lambda X: qm(X.T).T, cap)
     # column t of a leaf is V[f[t]]; the matrix takes it as its column
-    return _lex_sorted(V[F].reshape(len(F), n, n, rk).transpose(0, 2, 1, 3))
+    A = V[F].reshape(len(F), n, n, rk).transpose(0, 2, 1, 3).reshape(len(F), -1)
+    return A[_word_order(_pack_words(A.T, max(K.moduli)))].reshape(len(F), n, n, rk)
 
 
 # -- adjoint-pair construction ----------------------------------------------
@@ -754,14 +749,15 @@ def enumerate_module_unitary(M, cap=_SCAN_CAP):
 def _span_rows(mvec, gens, cap):
     """The additive span of int rows mod the slot moduli mvec, as sorted
     unique rows (the order of sorted() on the tuples): the members of its
-    Howell form, once each, then one lexsort.  Raises CapacityError when
+    Howell form, once each, sorted by their row words.  Raises CapacityError when
     the span has more than cap elements.
     """
     mods = np.asarray(mvec).tolist()
     H = howell_form(gens, mods)
     if howell_card(H, mods) > max(cap, 1):
         raise CapacityError("span closure past %d" % cap)
-    return _lex_sorted(howell_span(H, mods))
+    span = howell_span(H, mods)
+    return span[_word_order(_pack_words(span.T, max(mods, default=2)))]
 
 
 class _QuadraticMap:
@@ -1065,7 +1061,7 @@ class NaiveConstruction:
         full = np.zeros((len(Y), n, n, rk), dtype=np.int64)
         full[:, [pos[a] for a, _ in self.entries], [pos[b] for _, b in self.entries]] = (
             Y.reshape(len(Y), d, rk))
-        return _lex_sorted(full)
+        return full[_word_order(_pack_words(full.reshape(len(Y), -1).T, max(K.moduli)))]
 
 
 def naive_construction(M, cap=_SCAN_CAP):
@@ -1620,10 +1616,7 @@ class CanonMorphism:
         """Number of distinct f_s images over all of S.  f_s is K-linear,
         so its int matrix is f_s on the basis of S coordinates, and one
         matmul maps every S coordinate row (mixed radix over the slot
-        moduli).  The images, narrowed to the smallest unsigned dtype and
-        lex-sorted, are counted where a row differs from the one before
-        (np.unique on rows would sort them as void bytes and import
-        numpy.ma)."""
+        moduli), and the images are counted on coeff_ring's row words."""
         K, S = self.M.K, self.C.S
         n = len(self.M.labels)
         fmat = np.array([
@@ -1631,9 +1624,8 @@ class CanonMorphism:
             for p in S.pairs for u in _basis(K)
         ], dtype=np.int64).reshape(len(S.pairs) * K.rank, 2 * n * n * K.rank)
         coords = _mixed_radix(K.moduli * len(S.pairs), S.card()).T.astype(np.int64, order="C")
-        image = _lex_sorted((coords @ fmat % np.tile(K.moduli, 2 * n * n)).astype(
-            np.min_scalar_type(max(K.moduli) - 1)))
-        return 1 + int((image[1:] != image[:-1]).any(axis=1).sum())
+        image = coords @ fmat % np.tile(K.moduli, 2 * n * n)
+        return len(_distinct_rows(_pack_words(image.T, max(K.moduli)))[0])
 
     def theta_hits(self, rows):
         """Which flat Xi rows [x|y|z|w] have a preimage pair (p, r) under

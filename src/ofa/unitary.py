@@ -26,16 +26,15 @@ the group acts on K^d by such isometries, so no member is missed.  Every
 candidate batch, built in the law's layout and dtype, passes one mask,
 unitality plus the Delta read of (beta, bar beta) (the batch form of
 u_try).  The group is the survivors' one (N, d, d, rk) int64 beta array,
-rows first, sorted by one lexsort in El.key order, cached per shape and
-verified as array work: distinct rows, bar beta listed for every row,
-and 144 seeded products; _law and _rows are the views between the two
-layouts.  No element object is kept: a UnitaryGroup over the array
-builds one when it is indexed, the invariants read the array, and
+rows first, sorted in El.key order on coeff_ring's row words, cached per
+shape and verified as array work: distinct rows, bar beta listed for
+every row, and 144 seeded products; _law and _rows are the views between
+the two layouts.  No element object is kept: a UnitaryGroup over the
+array builds one when it is indexed, the invariants read the array, and
 group_to_json reads every gamma in one batch and gives the elements as
 one form_ring.JsonDicts, each (slot, element) entry built and encoded
-once per call.  generate_subgroup closes a subgroup into
-the same kind of array, by batched products one breadth-first level at a
-time.
+once per call.  generate_subgroup closes a subgroup into the same kind
+of array, by batched products one breadth-first level at a time.
 """
 
 import random
@@ -43,8 +42,8 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .coeff_ring import (CapacityError, Product, SlotRing, StructureError, _basis, _mixed_radix,
-                         _slot_take)
+from .coeff_ring import (CapacityError, Product, SlotRing, StructureError, _basis, _distinct_rows,
+                         _mixed_radix, _pack_words, _rows_in, _slot_take, _word_order)
 from .form_ring import (JsonDicts, alg_el_from_json, alg_rows_to_json, ofalin, ofaorth,
                         x_central)
 from .linalg import form_isometries, form_rows, k_dets, k_solve
@@ -409,18 +408,23 @@ def so_odd_split(shape):
     bo = BatchOps(shape)
     B = _law(group.betas)
     one = np.array(K.one())[:, None]
+
+    def distinct(rows):  # reduced (N, d, d, rk) rows as sorted distinct words
+        words = _pack_words(rows.reshape(len(rows), -1).T, max(K.moduli))
+        return words[_distinct_rows(words)[0]]
+
     dicks = _dickson(K, _plus_one(K, _embed_betas(B)))
     in_kernel = np.array([K.is_zero(d) for d in dicks])
     # 1 + rep_odd(beta): the beta batch with column 0 doubled
     R = B.copy()
     R[:, bo.pos0] *= 2
     R = _plus_one(K, R)
-    images = {M.tobytes() for M in _rows(R[..., in_kernel])}
+    images = distinct(_rows(R[..., in_kernel]))
     # SO: the form isometries of determinant 1, which are invertible;
     # column t of a leaf is vecs[F[t]]
     vecs, F = _isometries(bo)
     S = np.ascontiguousarray(np.swapaxes(vecs[F], 1, 2))
-    so = {M.tobytes() for M in S[(k_dets(K, _law(S)) == one).all(axis=0)]}
+    so = distinct(S[(k_dets(K, _law(S)) == one).all(axis=0)])
     idems = K.idempotents()
     det_ok = bool((k_dets(K, R) == bo.reduce(one - 2 * np.array(dicks).T)).all())
 
@@ -443,12 +447,12 @@ def so_odd_split(shape):
         expected.get(dicks[t]) == (group[t].beta, group[t].gamma) for t in central)
 
     # kernel times center is the group: (1 + beta)(1 + x) = 1 + beta x + beta + x
-    keys = {b.tobytes() for b in group.betas}
     Bk, X = B[..., in_kernel], alg.to_array([bx for bx, _ in expected.values()])
-    products = {P.tobytes() for x in np.split(X, X.shape[-1], axis=-1)
-                for P in _rows(bo.reduce(bo.dmul(Bk, x) + Bk + x))}
+    products = distinct(np.concatenate([_rows(bo.reduce(bo.dmul(Bk, x) + Bk + x))
+                                        for x in np.split(X, X.shape[-1], axis=-1)]))
     kernel_order = int(in_kernel.sum())
-    decomposition_ok = products == keys and kernel_order * len(expected) == len(group)
+    decomposition_ok = (np.array_equal(products, distinct(group.betas))
+                        and kernel_order * len(expected) == len(group))
 
     report = {
         "ring": K.name,
@@ -457,7 +461,7 @@ def so_odd_split(shape):
         "idempotents": len(idems),
         "kernel_order": kernel_order,
         "product_law": len(group) == len(so) * len(idems),
-        "kernel_bijection": len(images) == kernel_order and images == so,
+        "kernel_bijection": len(images) == kernel_order and np.array_equal(images, so),
         "det_identity": det_ok,
         "central_match": central_ok,
         "decomposition": decomposition_ok,
@@ -848,46 +852,24 @@ def _key_words(alg, B):
     El.key compares sparse ((i, j), coeff) tuples.  So each pair, in the
     algebra's sorted order, gets one digit: 1 + the mixed-radix value of a nonzero entry,
     K.card + 1 for a zero entry with a nonzero one later, and 0 for a zero
-    entry with none later.  The digits, taken from the last pair back, are
-    packed base K.card + 2, as many to a word as fit, the first most
-    significant.  The digits of every pair come at once, a block of
+    entry with none later; coeff_ring._pack_words packs the digits base
+    K.card + 2.  The digits of every pair come at once, a block of
     _KEY_BLOCK rows at a time, held one row per pair: the cumulative OR
     then runs down whole rows, and the temporaries stay small."""
     K = alg.K
-    base, per = K.card + 2, 1
-    while base ** (per + 1) < 1 << 63:
-        per += 1
     # the coefficient's first slot most significant, as tuples compare;
     # int64, so that a narrow B is widened before it is weighted
     radix = np.cumprod((1,) + K.moduli[:0:-1], dtype=np.int64)[::-1]
-    weights = base ** np.arange(per - 1, -1, -1, dtype=np.int64)
-    W = -(-alg.rank // per) or 1
-    words = np.empty((len(B), W), dtype=np.int64)
-    digits = np.zeros((W * per, min(len(B), _KEY_BLOCK)), dtype=np.int64)
-    for lo in range(0, len(B), _KEY_BLOCK):
-        E = B[lo:lo + _KEY_BLOCK, alg.apos[:, 0], alg.apos[:, 1]]
-        n = len(E)
-        v = digits[:alg.rank, :n]
-        np.einsum("nsa,a->sn", E, radix, out=v)
+    words = []
+    for lo in range(0, len(B) or 1, _KEY_BLOCK):
+        v = np.einsum("nsa,a->sn", B[lo:lo + _KEY_BLOCK, alg.apos[:, 0], alg.apos[:, 1]], radix)
         nz = v > 0
         # a nonzero entry at this pair or a later one
         later = np.logical_or.accumulate(nz[::-1], axis=0)[::-1]
         v += nz
         v[later & ~nz] = K.card + 1
-        words[lo:lo + n] = (weights @ digits[:, :n].reshape(W, per, n)).T
-    return words
-
-
-def _rows_in(words, Q):
-    """Whether each row of Q (M, W) is a row of words (N, W)."""
-    X = np.concatenate([words, Q])
-    order = np.lexsort(X.T[::-1])
-    Xs = X[order]
-    start = np.flatnonzero(np.r_[True, (Xs[1:] != Xs[:-1]).any(axis=1)])
-    found = np.empty(len(X), dtype=bool)
-    found[order] = np.repeat(np.logical_or.reduceat(order < len(words), start),
-                             np.diff(np.r_[start, len(X)]))
-    return found[len(words):]
+        words.append(_pack_words(v, K.card + 2))
+    return np.concatenate(words)
 
 
 def _law(B):
@@ -941,16 +923,16 @@ def _survivors(bo, chunks):
     B = np.concatenate([np.ascontiguousarray(_rows(P[..., _unitary_mask(bo, P)]), dtype=np.int64)
                         for P in chunks])
     words = _key_words(bo.alg, B)
-    order = np.lexsort(words.T[::-1])
+    order = _word_order(words)
     return B[order], words[order]
 
 
 def _verify(bo, B, words):
     """Distinct rows, bar beta listed for every row, and 144 products of
-    pairs drawn by random.Random(0) listed, looked up in words, the key
-    words of B's rows."""
+    pairs drawn by random.Random(0) listed, looked up in words, the sorted
+    key words of B's rows."""
     N = len(B)
-    if (B[1:] == B[:-1]).all(axis=(1, 2, 3)).any():
+    if (words[1:] == words[:-1]).all(axis=1).any():
         raise AssertionError("repeated beta")
     rng = random.Random(0)
     pairs = np.array([(rng.choice(range(N)), rng.choice(range(N))) for _ in range(144)])
@@ -1013,15 +995,15 @@ def generate_subgroup(gens, cap=_CLOSURE_CAP):
             H = np.tile(S, G.shape[-1] // ns)
             P = bo.reduce(bo.dmul(G, H) + G + H)
             Q = _key_words(alg, _rows(P))
-            first = np.unique(Q, axis=0, return_index=True)[1]
-            new = first[~_rows_in(words, Q[first])]
+            new = _distinct_rows(np.concatenate([words, Q]))[0] - len(words)
+            new = new[new >= 0]
             words = np.concatenate([words, Q[new]])
             if len(words) > cap:
                 raise CapacityError("closure exceeded %d elements" % cap)
             fresh.append(P[..., new])
         levels.append(np.concatenate(fresh, axis=-1))
     B = _rows(np.concatenate(levels, axis=-1))
-    return UnitaryGroup(shape, np.ascontiguousarray(B[np.lexsort(words.T[::-1])]))
+    return UnitaryGroup(shape, np.ascontiguousarray(B[_word_order(words)]))
 
 
 def parabolic_generators(shape, family=None):

@@ -633,6 +633,42 @@ def test_ring_with_non_ascii_digits_exits2(ring, capsys):
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
+# int() reads other scripts' digits, underscores, surrounding spaces and a
+# "+", so each of these ran as the integer it spells; the parser refuses them
+@pytest.mark.parametrize("argv", [
+    ["algebra", "build", "--family", "lin", "--n", "١", "--ring", "zmod:3"],
+    ["nil2", "counterexample", "--modulus", "１６"],
+    ["algebra", "build", "--family", "lin", "--n", " 1_0 ", "--ring", "zmod:3"],
+    ["algebra", "build", "--family", "lin", "--n", "+1", "--ring", "zmod:3"],
+    ["group", "order", "--family", "lin", "--n", "1", "--ring", "zmod:3", "--jobs", "٢"],
+    ["axioms", "--family", "lin", "--n", "1", "--ring", "zmod:3", "--mode", "sampled",
+     "--count", "5_000"],
+    ["axioms", "--family", "lin", "--n", "1", "--ring", "zmod:3", "--mode", "sampled",
+     "--seed", " 3"],
+    ["construct", "naive", "--family", "lin", "--n", "1", "--ring", "zmod:3", "--samples", "+1"],
+])
+def test_integer_option_with_non_ascii_digits_exits2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_integer_options_take_ascii_values(capsys):
+    """The values the bench passes, and a negative --n, which the family
+    refuses after the parser."""
+    for argv, code in ((["group", "order", "--family", "lin", "--n", "1", "--ring", "zmod:3",
+                         "--jobs", "2"], 0),
+                       (["axioms", "--family", "lin", "--n", "1", "--ring", "zmod:3",
+                         "--mode", "sampled", "--count", "5000", "--seed", "7"], 0),
+                       (["nil2", "counterexample", "--modulus", "16"], 0),
+                       (["algebra", "build", "--family", "lin", "--n", "-1", "--ring", "zmod:3"],
+                        2)):
+        assert main(argv) == code, argv
+    assert "error: ofalin needs n >= 0" in capsys.readouterr().err
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.text(max_size=12).filter(lambda f: f not in FAMILIES),
        st.sampled_from([c for c in _N_CMDS if "F" in c]))

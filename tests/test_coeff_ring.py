@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from ofa.coeff_ring import (
     CapacityError, GaloisField, PolyQuotient, Product, RingHom, SlotRing, StructureError,
-    TensorTower, ZMod, _mixed_radix, hom_compose, identity_hom, parse_ring, ring_from_json,
-    ring_to_json, tensor_square,
+    TensorTower, ZMod, _distinct_rows, _mixed_radix, _pack_words, _rows_in, _word_order,
+    hom_compose, identity_hom, parse_ring, ring_from_json, ring_to_json, tensor_square,
 )
 
 
@@ -361,6 +361,46 @@ def test_mixed_radix_columns_are_product_tuples(sizes, data):
     assert got.dtype == (np.uint16 if 257 in sizes else np.uint8)
     assert got.T.tolist() == [list(w) for w in want]
     assert _mixed_radix(sizes, start, start).shape == (len(sizes), 0)
+
+
+# digits to a word of the row-word codec: the largest per with
+# base ** per < 2 ** 63; base 6 is the key digit base over gf:4
+_PER = {2: 62, 3: 39, 6: 24, 1048573: 3}
+
+
+@st.composite
+def _digit_rows(draw):
+    """(base, per, rows): tuples of one width below base, the width near a
+    word boundary, with repeats and the extreme digits favoured."""
+    base = draw(st.sampled_from(sorted(_PER)))
+    per = _PER[base]
+    width = draw(st.sampled_from([0, 1, per - 1, per, per + 1, 2 * per + 1]))
+    digit = st.sampled_from([0, base - 1]) | st.integers(0, base - 1)
+    pool = draw(st.lists(st.tuples(*[digit] * width), min_size=1, max_size=6))
+    rows = draw(st.lists(st.sampled_from(pool), max_size=12))
+    return base, per, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(_digit_rows(), st.data())
+def test_row_words_sort_count_and_find_as_tuples(case, data):
+    """The row-word codec against Python on the tuples: the word order is
+    sorted(), the distinct rows are set() with np.unique's first index of
+    each, and _rows_in is the in operator, at widths across the word
+    boundary, width 0 and no rows included."""
+    base, per, rows = case
+    width = len(rows[0]) if rows else data.draw(st.sampled_from([0, per, per + 1]))
+    digits = np.array(rows, dtype=np.int64).reshape(len(rows), width).T
+    words = _pack_words(digits, base)
+    assert words.shape == (len(rows), -(-width // per) or 1) and words.dtype == np.int64
+    assert [rows[i] for i in _word_order(words)] == sorted(rows)
+    first, inv = _distinct_rows(words)
+    distinct = sorted(set(rows))
+    assert first.tolist() == [rows.index(r) for r in distinct]
+    assert [distinct[j] for j in inv] == rows
+    k = data.draw(st.integers(0, len(rows)))
+    assert _rows_in(words[:k], words).tolist() == [r in rows[:k] for r in rows]
+    assert _rows_in(words, words[:0]).shape == (0,)
 
 
 def test_capacity_guard():

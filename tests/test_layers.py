@@ -152,3 +152,35 @@ def test_k_matrix_products_go_through_matmul_raw():
                           and _slot_indexed(sub.left, slots)
                           and _slot_indexed(sub.right, slots)]
     assert not found
+
+
+# the row-word codec of coeff_ring, the one place that sorts rows
+CODEC = {"_pack_words", "_word_order", "_distinct_rows", "_rows_in"}
+
+
+def _row_sorts(name):
+    """(function, call) for each np.lexsort, np.unique with an axis= and
+    .tobytes() call in a module, the function the top-level one that
+    holds it (None at module level)."""
+    found = []
+    for top in _tree(name).body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(top):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+                continue
+            attr = node.func.attr
+            if (attr in {"lexsort", "tobytes"}
+                    or attr == "unique" and any(k.arg == "axis" for k in node.keywords)):
+                found.append((owner, ast.unparse(node)))
+    return found
+
+
+def test_rows_become_sort_keys_in_the_codec_alone():
+    """Rows are sorted, counted and looked up as the words of one codec:
+    no module but coeff_ring, and no function of coeff_ring outside the
+    codec, lexsorts, takes np.unique over rows or compares row bytes."""
+    assert {owner for owner, _ in _row_sorts("coeff_ring.py")} == {"_word_order"}
+    found = [(name, owner, call) for name in sorted(os.listdir(SRC)) if name.endswith(".py")
+             for owner, call in _row_sorts(name)
+             if name != "coeff_ring.py" or owner not in CODEC]
+    assert not found

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from ofa.cli import family_algebra
 from ofa.cli import main as cli_main
-from ofa.coeff_ring import CapacityError, GaloisField, Product, StructureError, ZMod, parse_ring
+from ofa.coeff_ring import (CapacityError, GaloisField, Product, StructureError, ZMod,
+                            _distinct_rows, _pack_words, parse_ring)
 from ofa.form_ring import ofalin, ofaorth, ofasymp, x_central
 from ofa.odd_form_param import (
     AXIOMS,
@@ -29,7 +30,7 @@ from ofa.odd_form_param import (
     special_check,
     to_pair,
 )
-from ofa.odd_form_param import _count_distinct, _randrange_block
+from ofa.odd_form_param import _randrange_block
 from dict_law import dict_law
 
 
@@ -261,20 +262,24 @@ def test_randrange_block_matches_the_loop():
 
 
 def test_count_distinct_matches_unique():
-    """The distinct columns of batch-last (width, n) rows, across the
-    word boundaries of m = 2 (64 entries a word) and for n = 0 and 1."""
+    """The distinct count special_check takes from the row words of
+    coeff_ring, on batch-last (width, n) rows, across the word boundaries
+    of m = 2 (62 entries a word) and for n = 0 and 1."""
+    def distinct(rows, m):
+        return len(_distinct_rows(_pack_words(rows, m))[0])
+
     rng = np.random.default_rng(2)
     for m in (2, 3, 16, 1048573):
-        for width in (0, 1, 7, 40) + ((63, 64, 65, 128) if m == 2 else ()):
+        for width in (0, 1, 7, 40) + ((61, 62, 63, 64, 65, 124, 128) if m == 2 else ()):
             for n in (0, 1, 500):
                 rows = rng.integers(m, size=(width, 300))[:, rng.integers(300, size=n)]
                 want = len(set(map(tuple, rows.T.tolist())))
-                assert _count_distinct(rows, m) == want, (m, width, n)
+                assert distinct(rows, m) == want, (m, width, n)
             # two columns that differ at entry t only
             for t in range(width):
                 pair = np.zeros((width, 2), dtype=np.int64)
                 pair[t, 1] = m - 1
-                assert _count_distinct(pair, m) == 2, (m, width, t)
+                assert distinct(pair, m) == 2, (m, width, t)
 
 
 @pytest.mark.parametrize("read", ["read_back_ok", "dread"])

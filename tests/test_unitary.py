@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from ofa.cli import family_algebra
 from ofa.cli import main as cli_main
 from ofa.clifford import clif0_center
-from ofa.coeff_ring import CapacityError, Product, StructureError, ZMod, _mixed_radix, parse_ring
+from ofa.coeff_ring import (CapacityError, Product, StructureError, ZMod, _mixed_radix, _rows_in,
+                            _word_order, parse_ring)
 from ofa.form_ring import alg_el_to_json, ofalin, ofaorth, ofasymp, rep_odd
 from ofa.linalg import k_mat_inv
 from ofa.odd_form_param import (
@@ -358,6 +359,11 @@ PINNED = (
      "fe0b0e7487e5ff0a8586507e57cfed59a03da2980b8260ca0babe6f45d4ba37b"),
     ("group invariants --family orth-even --n 2 --ring prod:(zmod:2;zmod:3)",
      "8f41e6ae47ef0c33c8fccb6660b2064370a1b98be524f9b3ba2156831c8d3b8b"),
+    # so-odd-split where 2 is a nonzero non-unit, and over a product ring
+    ("so-odd-split --n 1 --ring zmod:4",
+     "76195b161a3f7ec1a0eb0cee3b39744a564033153cb82db765e1e8b34031dc46"),
+    ("so-odd-split --n 1 --ring prod:(zmod:2;zmod:3)",
+     "b5558d0c863c3dd1d0164deb25000d6246626285f9b41f51636924ddfdd7cae0"),
     # 3,155,949 bytes, written from 510,383 compact bytes: eight blocks
     ("group enumerate --family orth-even --n 2 --ring gf:3",
      "14fdf048738a94b41ae929a254cc8f018baead24793610ab12004f67fc1753f4"),
@@ -590,10 +596,10 @@ _ORDER_PRESETS = ((ofalin, 1), (ofalin, 2), (ofasymp, 2), (ofasymp, 4), (ofaorth
 @settings(max_examples=80, deadline=None)
 @given(_RINGS, st.sampled_from(_ORDER_PRESETS), st.integers(0, 2 ** 16))
 def test_key_words_order_rows_as_el_key(K, preset, seed):
-    """Sorting rows by their key words is sorted(key=El.key), and _rows_in
-    finds exactly the listed rows, on random sparse elements: a zero entry
-    with a later nonzero one, equal prefixes, repeats and the zero element
-    all occur."""
+    """Sorting rows by their key words with the row-word codec of
+    coeff_ring is sorted(key=El.key), and its _rows_in finds exactly the
+    listed rows, on random sparse elements: a zero entry with a later
+    nonzero one, equal prefixes, repeats and the zero element all occur."""
     import ofa.unitary as un
 
     mk, r = preset
@@ -609,11 +615,11 @@ def test_key_words_order_rows_as_el_key(K, preset, seed):
     rng.shuffle(els)
     B = un._rows(alg.to_array(els))
     words = un._key_words(alg, B)
-    assert (B[np.lexsort(words.T[::-1])].tolist()
+    assert (B[_word_order(words)].tolist()
             == un._rows(alg.to_array(sorted(els, key=lambda e: e.key))).tolist())
     k = rng.randrange(1, len(els) + 1)
     listed = {e.key for e in els[:k]}
-    assert un._rows_in(words[:k], words[::-1]).tolist() == [e.key in listed for e in els[::-1]]
+    assert _rows_in(words[:k], words[::-1]).tolist() == [e.key in listed for e in els[::-1]]
 
 
 def _element_json(s, g):
