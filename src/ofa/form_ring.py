@@ -41,7 +41,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .coeff_ring import CapacityError, SlotRing, StructureError, _basis
+from .coeff_ring import CapacityError, SlotRing, StructureError, _basis, _int_lists
 from .linalg import k_nullspace
 
 _ENUM_CAP = 1 << 20
@@ -612,6 +612,8 @@ class ParamTable:
     # single elements are one-row batches of the law below
     def _row(self, x):
         """The pair of the coordinates x, as two batches of one."""
+        if len(x) != self.dim:
+            raise StructureError("%d coordinates for a table of dimension %d" % (len(x), self.dim))
         return self.to_pair_rows(
             np.array(x, dtype=np.int64).reshape(self.dim, self.alg.K.rank, 1))
 
@@ -833,6 +835,14 @@ def alg_el_to_json(a):
 
 
 def alg_el_from_json(alg, data):
-    return alg.el({(int(d["i"]), int(d["j"])): tuple(int(x) for x in d["c"])
-                   for d in data})
+    """The element of a payload as alg_el_to_json writes it: a list of
+    {"i", "j", "c"} objects, int indices, an int list c, no pair twice."""
+    if not (isinstance(data, list) and all(
+            isinstance(d, dict) and sorted(d) == ["c", "i", "j"] and _int_lists(d["i"], 0)
+            and _int_lists(d["j"], 0) and _int_lists(d["c"], 1) for d in data)):
+        raise StructureError("not an algebra element payload: %.60r" % (data,))
+    c = {(d["i"], d["j"]): tuple(d["c"]) for d in data}
+    if len(c) != len(data):
+        raise StructureError("a pair given twice in %.60r" % (data,))
+    return alg.el(c)
 

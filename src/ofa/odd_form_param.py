@@ -28,7 +28,8 @@ import random
 import numpy as np
 
 from .batch_delta import BatchOps, decode_factor, slot_sizes
-from .coeff_ring import CapacityError, StructureError, _distinct_rows, _mixed_radix, _pack_words
+from .coeff_ring import (CapacityError, StructureError, _distinct_rows, _int_lists, _mixed_radix,
+                         _pack_words)
 from .form_ring import JsonDicts, JsonRows, ParamTable
 
 _ENUM_CAP = 1 << 20
@@ -206,15 +207,23 @@ def delta_to_json(shape, x):
 
 
 def delta_from_json(shape, data):
-    q = {(int(i), int(j)): tuple(int(x) for x in c) for i, j, c in data.get("q", [])}
-    u = {int(i): tuple(int(x) for x in c) for i, c in data.get("u", [])}
-    d = {}
-    for entry in data.get("d", []):
-        if entry[0] == "f":
-            d[("f", int(entry[1]), int(entry[2]))] = tuple(int(x) for x in entry[3])
-        else:
-            d[("v", int(entry[1]))] = tuple(int(x) for x in entry[2])
-    return shape.el(q=q, u=u, d=d)
+    """The element of a payload as delta_to_json writes it: the keys q, u
+    and d, each a list of entries [*key prefix, c] on the slot table, the
+    prefix ints (and "f" or "v" in d), c an int list; no slot twice."""
+    if not isinstance(data, dict) or sorted(data) != ["d", "q", "u"]:
+        raise StructureError("not a Delta payload: %.60r" % (data,))
+    slot, vec = {s: t for t, s in enumerate(shape.slots)}, list(shape.zero())
+    seen = set()
+    for name in ("q", "u", "d"):
+        for e in data[name] if isinstance(data[name], list) else [data[name]]:
+            ok = (isinstance(e, list) and e and _int_lists(e[-1], 1)
+                  and all(isinstance(k, str) or _int_lists(k, 0) for k in e[:-1]))
+            t = slot.get((name, tuple(e[:-1]))) if ok else None
+            if t is None or t in seen:
+                raise StructureError("bad Delta entry %.60r in %s" % (e, name))
+            seen.add(t)
+            vec[t] = shape.alg.K.check_element(tuple(e[-1]))
+    return tuple(vec)
 
 
 def special_check(shape, cap=EXH_DELTA_CAP, count=10000, seed=0):

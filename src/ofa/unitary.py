@@ -5,17 +5,19 @@ gamma in Delta, subject to alpha*bar(alpha) = bar(alpha)*alpha = 1 for
 alpha = beta + 1 in the unitalization, pi(gamma) = beta and
 rho(gamma) = bar(beta).  Over the shapes built here the pair (pi, rho)
 is faithful, so gamma is recovered from beta by a coordinate read and
-elements compare by beta alone.  Gamma is a Delta coordinate tuple, and
-the Delta arithmetic here is the table's own (shape.add, shape.act, ...).
+elements compare by beta alone.  An element is written down one way:
+u_try (or u_make) admits its beta by unitality and the Delta read, and
+the elementary generators, transvections and dilations, check their
+parameters and admit their beta; no gamma is built by hand.
 
-The module covers group arithmetic, the elementary generators
-(transvections and dilations), determinant and Dickson invariants (the
-latter read over every ring in one batch on the spinor module), the
-embedding of the odd orthogonal group into the even one, the outer
-automorphism of the linear preset, hyperbolic pairs and families with
-their parabolic subgroups (closed from generating sets of the short and
-ultrashort parameters), the three classical sub-algebra pairs with
-their stabilizer groups, and exhaustive enumeration.
+The module covers group arithmetic, the elementary generators,
+determinant and Dickson invariants (the latter read over every ring in
+one batch on the spinor module), the embedding of the odd orthogonal
+group into the even one, the outer automorphism of the linear preset,
+hyperbolic pairs and families with their parabolic subgroups (closed
+from generating sets of the short and ultrashort parameters), the three
+classical sub-algebra pairs with their stabilizer groups, and exhaustive
+enumeration.
 
 Enumeration has one candidate generator and one membership pass.  The
 split form on K^d (b, and q for the orthogonal presets) is written as
@@ -111,15 +113,6 @@ def _unitality(alg, beta):
     )
 
 
-def u_is_member(shape, beta, gamma):
-    """The three membership equations for the pair (beta, gamma)."""
-    alg = shape.alg
-    if not _unitality(alg, beta):
-        return False
-    p, r = to_pair(shape, gamma)
-    return p == beta and r == alg.conj(beta)
-
-
 def u_try(shape, beta):
     """Member with the given beta, or None."""
     alg = shape.alg
@@ -155,11 +148,14 @@ def unitary_to_json(g):
 
 
 def unitary_from_json(shape, data):
-    beta = alg_el_from_json(shape.alg, data["beta"])
-    gamma = delta_from_json(shape, data["gamma"])
-    if not u_is_member(shape, beta, gamma):
+    """The element of a payload as unitary_to_json writes it: beta is
+    admitted by u_try, and the gamma it reads must be the decoded one."""
+    if not isinstance(data, dict) or sorted(data) != ["beta", "gamma"]:
+        raise StructureError("unitary JSON must be an object with keys beta, gamma")
+    g = u_try(shape, alg_el_from_json(shape.alg, data["beta"]))
+    if g is None or g.gamma != delta_from_json(shape, data["gamma"]):
         raise StructureError("decoded element is not unitary")
-    return UnitaryElem(shape, beta)
+    return g
 
 
 # conjugation action on the whole odd form algebra
@@ -170,6 +166,8 @@ def act_projective(g, target):
     alg = g.shape.alg
     if isinstance(target, UnitaryElem):
         raise StructureError("conjugate group elements through u_mul")
+    if getattr(getattr(target, "alg", None), "tag", None) != alg.tag:
+        raise StructureError("target lives outside %s" % alg.tag)
     bb = alg.conj(g.beta)
     out = alg.add(target, alg.mul(g.beta, target))
     return alg.add(out, alg.add(alg.mul(target, bb), alg.mul(alg.mul(g.beta, target), bb)))
@@ -197,70 +195,37 @@ def transvection_short(shape, i, j, x):
         raise StructureError("short transvection needs i != 0, j != 0, i != +-j")
     if alg.mul(alg.e(i, i), alg.mul(x, alg.e(j, j))) != x:
         raise StructureError("parameter not supported in block (%d, %d)" % (i, j))
-    xb = alg.conj(x)
-    beta = alg.sub(x, xb)
-    zero = alg.K.zero()
-    gamma = shape.add(
-        shape.add(shape.act(gen_q(shape, i), x, zero),
-                  shape.neg(shape.act(gen_q(shape, -j), xb, zero))),
-        shape.neg(shape.phi(x)),
-    )
-    if not u_is_member(shape, beta, gamma):
-        raise StructureError("transvection parameter fails membership")
-    return UnitaryElem(shape, beta)
+    return u_make(shape, alg.sub(x, alg.conj(x)))
 
 
 def delta0_member(shape, u):
     """Whether pi(u) vanishes on every row except the middle one."""
-    alg = shape.alg
-    s = alg.el({(i, i): alg.K.one() for i in alg.indices if i != 0})
-    return not alg.mul(s, to_pair(shape, u)[0]).c
+    return all(i == 0 for i, _ in to_pair(shape, u)[0].c)
 
 
 def transvection_ultrashort(shape, i, u):
+    """T_i(u) for u in Delta0 . e_i: as (p, r) determines u and u . e_i has
+    the pair (p e_i, e_-i r e_i), p lives on (0, i) and r on (-i, i)."""
     alg = shape.alg
-    zero = alg.K.zero()
     if i == 0:
         raise StructureError("ultrashort transvection needs i != 0")
-    if not delta0_member(shape, u) or shape.act(u, alg.e(i, i), zero) != u:
-        raise StructureError("parameter is not in Delta0 * e_%d" % i)
     p, r = to_pair(shape, u)
-    pb = alg.conj(p)
-    beta = alg.add(r, alg.sub(p, pb))
-    gamma = shape.add(
-        shape.add(u, shape.neg(shape.phi(alg.add(r, p)))),
-        shape.act(gen_q(shape, -i), alg.sub(r, pb), zero),
-    )
-    if not u_is_member(shape, beta, gamma):
-        raise StructureError("ultrashort parameter fails membership")
-    return UnitaryElem(shape, beta)
+    if set(p.c) - {(0, i)} or set(r.c) - {(-i, i)}:
+        raise StructureError("parameter is not in Delta0 * e_%d" % i)
+    return u_make(shape, alg.add(r, alg.sub(p, alg.conj(p))))
 
 
 def dilation(shape, i, a):
     alg = shape.alg
-    K = alg.K
     if i == 0:
         raise StructureError("use dilation0 for the middle index")
     if alg.mul(alg.e(i, i), alg.mul(a, alg.e(i, i))) != a:
         raise StructureError("parameter not supported in corner (%d, %d)" % (i, i))
-    c = a.coeff(i, i)
-    cinv = K.try_invert(c)
+    cinv = alg.K.try_invert(a.coeff(i, i))
     if cinv is None:
         raise StructureError("dilation parameter is not a corner unit")
-    abinv = alg.e(-i, -i, cinv)
-    beta = alg.sub(alg.add(a, abinv), alg.add(alg.e(i, i), alg.e(-i, -i)))
-    am = alg.sub(a, alg.e(i, i))
-    zero = K.zero()
-    gamma = shape.add(
-        shape.add(
-            shape.act(gen_q(shape, -i), alg.sub(abinv, alg.e(-i, -i)), zero),
-            shape.act(gen_q(shape, i), am, zero),
-        ),
-        shape.neg(shape.phi(am)),
-    )
-    if not u_is_member(shape, beta, gamma):
-        raise StructureError("dilation fails membership")
-    return UnitaryElem(shape, beta)
+    return u_make(shape, alg.sub(alg.add(a, alg.e(-i, -i, cinv)),
+                                 alg.add(alg.e(i, i), alg.e(-i, -i))))
 
 
 def dilation0(shape, c):
@@ -439,15 +404,15 @@ def so_odd_split(shape):
     expected = {}
     for k in K.elements():
         if K.is_zero(K.add(K.mul(k, k), k)):
-            bx, ux = x_central(alg, k), central_u(shape, k)
-            if not u_is_member(shape, bx, ux):
+            g = u_try(shape, x_central(alg, k))
+            if g is None or g.gamma != central_u(shape, k):
                 raise AssertionError("central element of k = %r is not unitary" % (k,))
-            expected[K.neg(k)] = (bx, ux)
+            expected[K.neg(k)] = g.beta
     central_ok = len(central) == len(expected) and all(
-        expected.get(dicks[t]) == (group[t].beta, group[t].gamma) for t in central)
+        expected.get(dicks[t]) == group[t].beta for t in central)
 
     # kernel times center is the group: (1 + beta)(1 + x) = 1 + beta x + beta + x
-    Bk, X = B[..., in_kernel], alg.to_array([bx for bx, _ in expected.values()])
+    Bk, X = B[..., in_kernel], alg.to_array(list(expected.values()))
     products = distinct(np.concatenate([_rows(bo.reduce(bo.dmul(Bk, x) + Bk + x))
                                         for x in np.split(X, X.shape[-1], axis=-1)]))
     kernel_order = int(in_kernel.sum())

@@ -184,3 +184,21 @@ def test_rows_become_sort_keys_in_the_codec_alone():
              for owner, call in _row_sorts(name)
              if name != "coeff_ring.py" or owner not in CODEC]
     assert not found
+
+
+# the functions of unitary that may write an element of U down: the
+# admission and the group operations on admitted elements
+ADMISSIONS = {"u_try", "u_identity", "u_mul", "u_inv", "_elements"}
+
+
+def test_group_elements_come_through_one_admission():
+    """No function outside ADMISSIONS calls UnitaryElem(...): a generator
+    or a decoder builds its beta and admits it through u_try (or
+    u_make), so membership is read one way."""
+    found = [(name, top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None)
+             for name in sorted(os.listdir(SRC)) if name.endswith(".py")
+             for top in _tree(name).body for node in ast.walk(top)
+             if isinstance(node, ast.Call) and "UnitaryElem" in {
+                 getattr(node.func, "id", None), getattr(node.func, "attr", None)}]
+    assert ("unitary.py", "u_try") in found
+    assert not [f for f in found if f[1] not in ADMISSIONS]

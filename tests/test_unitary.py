@@ -14,19 +14,21 @@ from hypothesis import strategies as st
 from ofa.cli import family_algebra
 from ofa.cli import main as cli_main
 from ofa.clifford import clif0_center
-from ofa.coeff_ring import (CapacityError, Product, StructureError, ZMod, _mixed_radix, _rows_in,
-                            _word_order, parse_ring)
-from ofa.form_ring import alg_el_to_json, ofalin, ofaorth, ofasymp, rep_odd
+from ofa.coeff_ring import (CapacityError, Product, StructureError, ZMod, _basis, _mixed_radix,
+                            _rows_in, _word_order, parse_ring)
+from ofa.form_ring import alg_el_from_json, alg_el_to_json, ofalin, ofaorth, ofasymp, rep_odd
 from ofa.linalg import k_mat_inv
 from ofa.odd_form_param import (
     DeltaShape,
     act_scalar,
     aug_member,
+    delta_from_json,
     delta_to_json,
     gen_q,
     gen_u,
     gen_v,
     member,
+    to_pair,
 )
 from ofa.unitary import (
     HyperbolicPair,
@@ -51,6 +53,7 @@ from ofa.unitary import (
     idem_op,
     odd_embed_target,
     pair_sum,
+    parabolic_generators,
     parabolic_p,
     sigma_linear,
     sl_member,
@@ -59,7 +62,6 @@ from ofa.unitary import (
     transvection_ultrashort,
     u_identity,
     u_inv,
-    u_is_member,
     u_make,
     u_mul,
     u_try,
@@ -84,7 +86,7 @@ def sh(mk, r, K):
 def test_identity_and_membership():
     s = sh(ofasymp, 2, F3)
     e = u_identity(s)
-    assert u_is_member(s, e.beta, e.gamma)
+    assert u_try(s, e.beta) == e
     assert u_try(s, s.alg.zero()).key == e.key
 
 
@@ -529,13 +531,13 @@ def test_verify_runs_under_python_O():
 
 def test_central_check_runs_under_python_O():
     """so_odd_split checks each expected central element by hand, so a
-    failing u_is_member still raises under python -O."""
+    refusing u_try still raises under python -O."""
     out = _run_under_python_O([
         "import ofa.unitary as un",
         "from ofa.coeff_ring import ZMod",
         "from ofa.form_ring import ofaorth",
         "from ofa.odd_form_param import DeltaShape",
-        "un.u_is_member = lambda *a: False",
+        "un.u_try = lambda *a: None",
         "print(__debug__)",
         "try:",
         "    un.so_odd_split(DeltaShape(ofaorth(3, ZMod(2))))",
@@ -670,7 +672,7 @@ def test_transvection_short():
     alg = s.alg
     assert transvection_short(s, 1, 2, alg.zero()).key == u_identity(s).key
     t = transvection_short(s, 1, 2, alg.e(1, 2))
-    assert u_is_member(s, t.beta, t.gamma)
+    assert u_try(s, t.beta) == t
     x, y = alg.e(1, 2, (1,)), alg.e(1, 2, (2,))
     lhs = u_mul(transvection_short(s, 1, 2, x), transvection_short(s, 1, 2, y))
     assert lhs.key == transvection_short(s, 1, 2, alg.add(x, y)).key
@@ -693,7 +695,7 @@ def test_transvection_ultrashort_symp():
     for k in F3.elements():
         u = s.act(gen_v(s, 1), s.alg.e(1, 1, k), F3.zero())
         t = transvection_ultrashort(s, 1, u)
-        assert u_is_member(s, t.beta, t.gamma)
+        assert u_try(s, t.beta) == t
         assert t.beta.coeff(-1, 1) == F3.mul(k, k)
 
 
@@ -706,7 +708,7 @@ def test_transvection_ultrashort_orthodd():
     u1 = s.act(gen_u(s, 1), s.alg.e(1, 1), F2.zero())
     t = transvection_ultrashort(s, 1, u1)
     assert t.beta.c
-    assert u_is_member(s, t.beta, t.gamma)
+    assert u_try(s, t.beta) == t
     with pytest.raises(StructureError):
         transvection_ultrashort(s, 1, gen_q(s, 1))
 
@@ -1037,6 +1039,20 @@ def test_act_projective_properties():
         assert act_projective_delta(g, act_scalar(s, (2,), u0)) == act_scalar(s, (2,), gu)
 
 
+def test_actions_refuse_targets_of_another_shape():
+    """A target from another algebra, or a coordinate tuple of the wrong
+    length, is refused as a shape mismatch is, not multiplied or read."""
+    s = sh(ofalin, 2, F3)
+    g = enumerate_unitary(s)[5]
+    with pytest.raises(StructureError, match="outside"):
+        act_projective(g, ofasymp(2, F3).e(1, 1))
+    for u in (s.zero()[1:], s.zero() + (F3.zero(),)):
+        with pytest.raises(StructureError, match="coordinates"):
+            act_projective_delta(g, u)
+        with pytest.raises(StructureError, match="coordinates"):
+            sigma_linear(s).on_delta(u)
+
+
 def test_hyperbolic_families():
     for shape in (sh(ofaorth, 4, F3), sh(ofasymp, 4, F2), sh(ofalin, 2, F3),
                   sh(ofaorth, 3, F2)):
@@ -1155,6 +1171,44 @@ def test_json_roundtrip():
         unitary_from_json(s, data)
 
 
+def test_json_readers_take_only_what_the_writers_write():
+    """A float, a bool or a string where an int goes, an unknown key, a
+    missing key, a list for an object and a short entry are each refused
+    with StructureError, by every reader that meets them."""
+    s = sh(ofaorth, 3, F3)
+    g = enumerate_unitary(s)[17]
+    data = json.loads(json.dumps(unitary_to_json(g)))
+    beta, gamma = data["beta"], data["gamma"]
+    assert beta and gamma["q"]
+    readers = (lambda b, c: alg_el_from_json(s.alg, b), lambda b, c: delta_from_json(s, c),
+               lambda b, c: unitary_from_json(s, {"beta": b, "gamma": c}))
+    for v in (1.9, True, "1"):
+        for field in ("i", "c"):
+            bad = json.loads(json.dumps(beta))
+            bad[0][field] = [v] if field == "c" else v
+            for read in (readers[0], readers[2]):
+                with pytest.raises(StructureError):
+                    read(bad, gamma)
+        for at in (0, -1):
+            bad = json.loads(json.dumps(gamma))
+            bad["q"][0][at] = [v] if at == -1 else v
+            for read in readers[1:]:
+                with pytest.raises(StructureError):
+                    read(beta, bad)
+    for payload in ({"x": 1}, {}, [1], {"q": [[1, 1]]}):
+        for read in (lambda p: alg_el_from_json(s.alg, p), lambda p: delta_from_json(s, p),
+                     lambda p: unitary_from_json(s, p)):
+            with pytest.raises(StructureError):
+                read(payload)
+    with pytest.raises(StructureError):
+        alg_el_from_json(s.alg, beta + beta[:1])
+    with pytest.raises(StructureError):
+        delta_from_json(s, dict(gamma, q=gamma["q"] + gamma["q"][:1]))
+    other = json.loads(json.dumps(unitary_to_json(enumerate_unitary(s)[18])))["gamma"]
+    with pytest.raises(StructureError, match="not unitary"):
+        unitary_from_json(s, {"beta": beta, "gamma": other})
+
+
 def _closure_reference(gens, cap=1 << 20):
     """The per-element closure that generate_subgroup batches: right
     multiplication by each generator, breadth first, keyed by El.key;
@@ -1254,29 +1308,106 @@ def test_closure_on_arrays_matches_the_per_element_closure(s, picks):
             generate_subgroup(mixed)
 
 
+# short transvections on the first two, ultrashort ones on the rest
+ADDITIVE_SHAPES = (sh(ofalin, 2, parse_ring("gf:4")), sh(ofaorth, 4, parse_ring("gf:4")),
+                   sh(ofasymp, 2, Z4), sh(ofasymp, 2, parse_ring("gf:4")), sh(ofasymp, 4, F2),
+                   sh(ofaorth, 3, F2), sh(ofaorth, 3, Z4), sh(ofaorth, 3, F3))
+
+
 def test_transvections_are_additive():
     """X_ij(x) X_ij(y) = X_ij(x + y) and T_j(u) T_j(v) = T_j(u + v), the
     laws that let the parabolic take its generators at generating sets."""
     gf4 = parse_ring("gf:4")
-    for s in (sh(ofalin, 2, gf4), sh(ofaorth, 4, gf4)):
+    for s in ADDITIVE_SHAPES[:2]:
         alg = s.alg
         for (i, j) in ((1, 2), (-2, -1)):
             if (i, j) not in alg.basis_set:
                 continue
             X = {c: transvection_short(s, i, j, alg.e(i, j, c)) for c in gf4.elements()}
+            assert all(X[c].gamma == _short_gamma(s, i, j, alg.e(i, j, c)) for c in X)
             for x in gf4.elements():
                 for y in gf4.elements():
                     assert u_mul(X[x], X[y]).key == X[gf4.add(x, y)].key
-    for s in (sh(ofasymp, 2, Z4), sh(ofasymp, 2, gf4), sh(ofasymp, 4, F2),
-              sh(ofaorth, 3, F2), sh(ofaorth, 3, Z4), sh(ofaorth, 3, F3)):
+    for s in ADDITIVE_SHAPES[2:]:
         K, nq = s.alg.K, len(s.q_pairs)
         for j in range(1, s.alg.n + 1):
             us = {s.act(s.zero()[:nq] + vec, s.alg.e(j, j), K.zero())
                   for vec in itertools.product(K.elements(), repeat=s.dim - nq)}
             T = {u: transvection_ultrashort(s, j, u) for u in us}
+            assert all(T[u].gamma == _ultrashort_gamma(s, j, u) for u in us)
             for u in us:
                 for v in us:
                     assert u_mul(T[u], T[v]).key == T[s.add(u, v)].key, s.tag
+
+
+def _short_gamma(shape, i, j, x):
+    """Reference gamma of X_ij(x): q_i . x - q_-j . bar(x) - phi(x)."""
+    alg, zero = shape.alg, shape.alg.K.zero()
+    return shape.add(shape.add(shape.act(gen_q(shape, i), x, zero),
+                               shape.neg(shape.act(gen_q(shape, -j), alg.conj(x), zero))),
+                     shape.neg(shape.phi(x)))
+
+
+def _ultrashort_gamma(shape, i, u):
+    """Reference gamma of T_i(u), (p, r) the pair of u:
+    u - phi(r + p) + q_-i . (r - bar(p))."""
+    alg = shape.alg
+    p, r = to_pair(shape, u)
+    return shape.add(shape.add(u, shape.neg(shape.phi(alg.add(r, p)))),
+                     shape.act(gen_q(shape, -i), alg.sub(r, alg.conj(p)), alg.K.zero()))
+
+
+def _dilation_gamma(shape, i, a):
+    """Reference gamma of the dilation by the corner unit a = c e_ii:
+    q_-i . (c^-1 - 1) e_-i-i + q_i . (a - e_ii) - phi(a - e_ii)."""
+    alg, K = shape.alg, shape.alg.K
+    am = alg.sub(a, alg.e(i, i))
+    cinv = alg.e(-i, -i, K.try_invert(a.coeff(i, i)))
+    return shape.add(shape.add(shape.act(gen_q(shape, -i), alg.sub(cinv, alg.e(-i, -i)), K.zero()),
+                               shape.act(gen_q(shape, i), am, K.zero())),
+                     shape.neg(shape.phi(am)))
+
+
+def _generator_walk(shape):
+    """(generator, reference gamma or None) in parabolic_generators'
+    order over the standard family: the identity and the middle corners
+    carry no reference."""
+    import ofa.unitary as un
+
+    alg, K = shape.alg, shape.alg.K
+    ranks = range(1, alg.n + 1)
+    walk = [(u_identity(shape), None)]
+    walk += [(dilation(shape, i, alg.e(i, i, c)), _dilation_gamma(shape, i, alg.e(i, i, c)))
+             for i in ranks for c in K.units()]
+    if 0 in alg.indices:
+        walk += [(g, None) for g in (u_try(shape, alg.e(0, 0, c)) for c in K.elements()) if g]
+    span = sorted({s for i in ranks for s in (i, -i)})
+    walk += [(transvection_short(shape, i, j, alg.e(i, j, b)),
+              _short_gamma(shape, i, j, alg.e(i, j, b)))
+             for i in span for j in span if i < j and i != -j and (i, j) in alg.basis_set
+             for b in _basis(K)]
+    if alg.kind != "lin":
+        for j in ranks:
+            seen = {shape.zero()}
+            for x in un._delta_slot_generators(shape, range(len(shape.q_pairs), shape.dim)):
+                u = shape.act(x, alg.e(j, j), K.zero())
+                if u not in seen:
+                    seen.add(u)
+                    walk.append((transvection_ultrashort(shape, j, u),
+                                 _ultrashort_gamma(shape, j, u)))
+    return walk
+
+
+@pytest.mark.parametrize("s", [DeltaShape(family_algebra(f, n, parse_ring(r)))
+                               for f, n, r in PARABOLIC_CASES] + list(ADDITIVE_SHAPES),
+                         ids=lambda s: s.tag)
+def test_generators_from_beta_carry_the_reference_gamma(s):
+    """The generators are admitted from their beta alone; the gamma each
+    reads back is the one the hand-built formulas give."""
+    gens, walk = parabolic_generators(s), _generator_walk(s)
+    assert [g.key for g in gens] == [g.key for g, _ in walk]
+    for g, (_, ref) in zip(gens, walk):
+        assert ref is None or g.gamma == ref
 
 
 def test_parabolic_past_the_old_delta0_pool():
