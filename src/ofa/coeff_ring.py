@@ -489,6 +489,19 @@ def _mixed_radix(sizes, stop, start=0):
     return idx
 
 
+def _draw(seed, sizes, count):
+    """The sampled counterpart of _mixed_radix: count columns of digits
+    over the radices sizes, int64 (len(sizes), count), drawn from
+    np.random.default_rng(seed), one (run, count) draw per run of equal
+    sizes (on PCG64 the same numbers as one draw of count per digit);
+    (0, 1) for no sizes."""
+    if not sizes:
+        return np.zeros((0, 1), dtype=np.int64)
+    rng = np.random.default_rng(seed)
+    runs = [rng.integers(s, size=(len(list(run)), count)) for s, run in itertools.groupby(sizes)]
+    return runs[0] if len(runs) == 1 else np.concatenate(runs)
+
+
 # The row-word codec, the inverse of _mixed_radix: every set of rows is sorted here.
 
 def _pack_words(digits, base):

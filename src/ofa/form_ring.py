@@ -611,11 +611,14 @@ class ParamTable:
 
     # single elements are one-row batches of the law below
     def _row(self, x):
-        """The pair of the coordinates x, as two batches of one."""
+        """The pair of the coordinates x, dim elements of K, as two
+        batches of one."""
+        K = self.alg.K
         if len(x) != self.dim:
             raise StructureError("%d coordinates for a table of dimension %d" % (len(x), self.dim))
-        return self.to_pair_rows(
-            np.array(x, dtype=np.int64).reshape(self.dim, self.alg.K.rank, 1))
+        for c in x:
+            K.check_element(c)
+        return self.to_pair_rows(np.array(x, dtype=np.int64).reshape(self.dim, K.rank, 1))
 
     def _pair(self, p, r):
         """The pair (p, r) of algebra elements as two batches of one."""

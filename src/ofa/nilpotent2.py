@@ -56,6 +56,8 @@ _AMBIENT_CAP = 1 << 16
 _RANK_CAP = 1 << 10
 _CLOSURE_CAP = 1 << 12
 _MOR_EXH_CAP = 1 << 7
+# nil2_axioms_check runs an axiom exhaustively while its argument grid fits
+_AXIOM_EXH_CAP = 1 << 12
 _MOR_SAMPLES = 300
 _MOR_SEED = 1721
 
@@ -487,9 +489,9 @@ NIL2_AXIOMS = (
 )
 
 
-def nil2_axioms_check(M, count=2000, seed=0, exh_cap=4096):
+def nil2_axioms_check(M, count=2000, seed=0):
     """Verify the defining identities; exhaustive per axiom while the
-    argument grid fits under exh_cap, seeded sampling beyond."""
+    argument grid fits under _AXIOM_EXH_CAP, seeded sampling beyond."""
     pools = {"e": M.elements(), "m": M.m0_elements(),
              "k": list(M.K.elements())}
     rng = random.Random(seed)
@@ -500,7 +502,7 @@ def nil2_axioms_check(M, count=2000, seed=0, exh_cap=4096):
         for g in grids:
             total *= len(g)
         ok = True
-        if total <= exh_cap:
+        if total <= _AXIOM_EXH_CAP:
             for args in itertools.product(*grids):
                 if not pred(M, *args):
                     ok = False

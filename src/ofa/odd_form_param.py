@@ -21,18 +21,15 @@ a one-row batch of the same law: to_pair and member below, and the
 table's add, neg, phi and act.  render and the JSON form print it.
 """
 
-import itertools
 import math
-import random
 
 import numpy as np
 
 from .batch_delta import BatchOps, decode_factor, slot_sizes
-from .coeff_ring import (CapacityError, StructureError, _distinct_rows, _int_lists, _mixed_radix,
-                         _pack_words)
+from .coeff_ring import (CapacityError, StructureError, _distinct_rows, _draw, _int_lists,
+                         _mixed_radix, _pack_words)
 from .form_ring import JsonDicts, JsonRows, ParamTable
 
-_ENUM_CAP = 1 << 20
 EXH_DELTA_CAP = 1 << 16
 _EXH_TUPLE_CAP = 1 << 16
 _SAMPLE_CAP_BYTES = 1 << 28
@@ -226,34 +223,24 @@ def delta_from_json(shape, data):
     return tuple(vec)
 
 
-def special_check(shape, cap=EXH_DELTA_CAP, count=10000, seed=0):
+def special_check(shape, count=10000, seed=0):
     """Verify that (pi, rho) determines the coordinates.
 
-    Every element (up to ``cap``) or ``count`` samples drawn as
-    shape.sample draws them is mapped to its pair in one batch and read
-    back; the report is the one an element-by-element loop of
-    ``member(shape, *to_pair(x)) == x`` gives, stopping at the first
-    failure; exhaustively, distinct pairs are counted on coeff_ring's words.
+    Every element (up to EXH_DELTA_CAP) or ``count`` samples, each
+    column of coeff_ring._draw(seed, ...) an index into K.elements() per
+    coordinate, is mapped to its pair in one batch and read back; the
+    report is the one an element-by-element loop of
+    ``member(shape, *to_pair(x)) == x`` over those elements gives,
+    stopping at the first failure; exhaustively, distinct pairs are
+    counted on coeff_ring's words.
     """
     ops = BatchOps(shape)
     card = shape.card()
-    exhaustive = card <= cap
+    exhaustive = card <= EXH_DELTA_CAP
     if exhaustive:
-        if card > _ENUM_CAP:
-            raise CapacityError("delta enumeration over %d elements" % card)
         idx = _mixed_radix([ops.K.card] * shape.dim, card)
     else:
-        # one randrange per basis slot, in shape.sample's order, then the
-        # element's index in K.elements()
-        rng = random.Random(seed)
-        mods = ops.K.moduli
-        m = ops.K.uniform_modulus()
-        if m is not None:
-            digits = _randrange_block(rng, m, count * shape.dim * len(mods))
-        else:
-            digits = np.array([rng.randrange(q) for _ in range(count * shape.dim)
-                               for q in mods], dtype=np.int64)
-        idx = np.ravel_multi_index(digits.reshape(count, shape.dim, len(mods)).T, mods)
+        idx = _draw(seed, [ops.K.card] * shape.dim, count)
     P, R = ops.materialize("delta", idx)
     ok = ops.read_back_ok(idx, P, R)
     fail = None if ok.all() else int(np.argmin(ok))
@@ -269,27 +256,6 @@ def special_check(shape, cap=EXH_DELTA_CAP, count=10000, seed=0):
         return {"pass": False, "mode": "sampled", "checked": count,
                 "witness": render(shape, witness)}
     return {"pass": True, "mode": "sampled", "checked": count, "flagged": True}
-
-
-def _randrange_block(rng, m, n):
-    """[rng.randrange(m) for _ in range(n)] for 0 < m < 2^32, in blocks.
-
-    randrange(m) keeps the top m.bit_length() bits of one 32-bit word and
-    draws again while the value is >= m; getrandbits(32 * B) returns B
-    such words, the first least significant.  The accepted values of a
-    block are the loop's draws in order; the words past the last one
-    leave rng in a state the loop would not.
-    """
-    shift = 32 - m.bit_length()
-    parts, have = [], 0
-    while have < n:
-        B = 2 * (n - have) + 64  # at least half the words are accepted
-        words = np.frombuffer(rng.getrandbits(32 * B).to_bytes(4 * B, "little"),
-                              dtype="<u4")
-        r = (words >> shift).astype(np.int64)
-        parts.append(r[r < m][:n - have])
-        have += len(parts[-1])
-    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
 
 
 # Axiom table.  Each entry: name, factor kinds, check(ops, *factors).
@@ -361,16 +327,6 @@ AXIOMS = (
 )
 
 
-def _draw(rng, sizes, count):
-    """The sampled index matrix (len(sizes), count), int64: one (run,
-    count) draw per run of equal slot sizes, on PCG64 the same numbers as
-    one draw of count per slot; (0, 1) for no slots."""
-    if not sizes:
-        return np.zeros((0, 1), dtype=np.int64)
-    runs = [rng.integers(s, size=(len(list(run)), count)) for s, run in itertools.groupby(sizes)]
-    return runs[0] if len(runs) == 1 else np.concatenate(runs)
-
-
 def axioms_check(shape, strategy="exhaustive", count=10000, seed=None):
     """Run the axiom table; report per-axiom mode, counts, and witnesses."""
     if strategy not in ("exhaustive", "sampled"):
@@ -394,7 +350,7 @@ def axioms_check(shape, strategy="exhaustive", count=10000, seed=None):
         else:
             if seed is None:
                 raise StructureError("sampled evaluation of %s requires a seed" % name)
-            idxmat, mode = _draw(np.random.default_rng([seed, axnum]), sizes, count), "sampled"
+            idxmat, mode = _draw([seed, axnum], sizes, count), "sampled"
         ok, failrow = ops.evaluate(kinds, fn, idxmat)
         entry = {"axiom": name, "mode": mode, "tuples": idxmat.shape[1], "pass": bool(ok)}
         if not ok:

@@ -38,9 +38,9 @@ Xi rows from one batched solve of the w system, their preimages under
 the comparison map from another, and Theta membership as one span test
 against Theta's batch residue.
 
-Theta's sampled laws (canon_relations_check) run on batches too: the
-draws of the per-element loop, in its order, then each law as one array
-pass through form_ring's batch pair law.  The residue on a batch takes
+Theta's sampled laws (canon_relations_check) run on batches too: a
+seeded index matrix per chunk from coeff_ring._draw, then each law as
+one array pass through form_ring's batch pair law.  The residue on a batch takes
 its diagonal terms from canonical_l, a quadratic map on module
 coordinates, and its cross terms from one batch product conj(P) P.
 
@@ -61,8 +61,8 @@ import itertools
 
 import numpy as np
 
-from .coeff_ring import (CapacityError, Product, SlotRing, StructureError, _basis, _distinct_rows,
-                         _mixed_radix, _pack_words, _slot_take, _word_order, parse_ring)
+from .coeff_ring import (CapacityError, Product, SlotRing, StructureError, _basis, _draw,
+                         _pack_words, _slot_take, _word_order, parse_ring)
 from .form_ring import (ParamTable, SplitAlgebra, _dict_add, _dict_kmul, _dict_neg, ofalin,
                         ofaorth, ofasymp)
 from .linalg import (GraphForm, KSolver, form_isometries, howell_card, howell_form,
@@ -403,8 +403,8 @@ class QuadModule:
     def card(self):
         return self.K.card ** len(self.labels)
 
-    def elements(self, cap=_SCAN_CAP):
-        if self.card() > cap:
+    def elements(self):
+        if self.card() > _SCAN_CAP:
             raise CapacityError("module scan over %d elements" % self.card())
         kel = list(self.K.elements())
         out = []
@@ -603,11 +603,11 @@ def heis_act(M, h, r):
     return HeisElem(M, M.mact(h.m, r), M.qtype.l_sand(r, h.l, r))
 
 
-def heis_elements(M, cap=_SCAN_CAP):
-    if M.card() * M.qtype.R.card > cap:
+def heis_elements(M):
+    if M.card() * M.qtype.R.card > _SCAN_CAP:
         raise CapacityError("heisenberg scan over %d" % (M.card() * M.qtype.R.card))
     lels = list(M.qtype.R.elements())
-    return [HeisElem(M, m, l) for m in M.elements(cap) for l in lels]
+    return [HeisElem(M, m, l) for m in M.elements() for l in lels]
 
 
 def lparam_member(M, h):
@@ -721,13 +721,13 @@ def unitary_of_module(M, g):
     return g
 
 
-def enumerate_module_unitary(M, cap=_SCAN_CAP):
+def enumerate_module_unitary(M):
     """All pairing- and q-preserving automorphisms, as one (N, n, n, rk)
     int64 array in the order of their entry tuples: linalg.form_isometries on
     flat Z-coordinates, label-major.  B is b_form at pairs of Z-basis
     vectors and q is M.q_map().  Column b draws from the vectors supported
-    on the rows entry_ok allows there, each such block of at most cap
-    vectors."""
+    on the rows entry_ok allows there, each such block of at most
+    _SCAN_CAP vectors."""
     K, qt = M.K, M.qtype
     n, rk, W = len(M.labels), K.rank, qt.R.rank
     units = [M.el({a: e}) for a in M.labels for e in _basis(K)]
@@ -737,7 +737,7 @@ def enumerate_module_unitary(M, cap=_SCAN_CAP):
                   for a in M.labels], dtype=np.int64).reshape(n, n, W)
     supports = [tuple(i for i, a in enumerate(M.labels) if M.entry_ok(a, b)) for b in M.labels]
     qm = M.q_map()
-    V, F = form_isometries(K, B, G, supports, lambda X: qm(X.T).T, cap)
+    V, F = form_isometries(K, B, G, supports, lambda X: qm(X.T).T, _SCAN_CAP)
     # column t of a leaf is V[f[t]]; the matrix takes it as its column
     A = V[F].reshape(len(F), n, n, rk).transpose(0, 2, 1, 3).reshape(len(F), -1)
     return A[_word_order(_pack_words(A.T, max(K.moduli)))].reshape(len(F), n, n, rk)
@@ -746,16 +746,16 @@ def enumerate_module_unitary(M, cap=_SCAN_CAP):
 # -- adjoint-pair construction ----------------------------------------------
 
 
-def _span_rows(mvec, gens, cap):
+def _span_rows(mvec, gens):
     """The additive span of int rows mod the slot moduli mvec, as sorted
     unique rows (the order of sorted() on the tuples): the members of its
     Howell form, once each, sorted by their row words.  Raises CapacityError when
-    the span has more than cap elements.
+    the span has more than _SCAN_CAP elements (the zero span always fits).
     """
     mods = np.asarray(mvec).tolist()
     H = howell_form(gens, mods)
-    if howell_card(H, mods) > max(cap, 1):
-        raise CapacityError("span closure past %d" % cap)
+    if howell_card(H, mods) > max(_SCAN_CAP, 1):
+        raise CapacityError("span closure past %d" % _SCAN_CAP)
     span = howell_span(H, mods)
     return span[_word_order(_pack_words(span.T, max(mods, default=2)))]
 
@@ -816,9 +816,8 @@ class NaiveConstruction:
     subtracting the identity.
     """
 
-    def __init__(self, M, cap=_SCAN_CAP):
+    def __init__(self, M):
         self.M = M
-        self.cap = cap
         K = M.K
         qt = M.qtype
         self.entries = [
@@ -904,7 +903,7 @@ class NaiveConstruction:
         """T as sorted rows of flat int coordinates (x entries, then y)."""
         if self._t_rows is None:
             gens = [vflat(g) for g in self.tsolver.nullspace()]
-            self._t_rows = _span_rows(self._tmod(), gens, self.cap)
+            self._t_rows = _span_rows(self._tmod(), gens)
         return self._t_rows
 
     def _tables(self):
@@ -984,8 +983,7 @@ class NaiveConstruction:
     def _wnull_rows(self):
         if self._wnull is None:
             gens = [vflat(g) for g in self.wsolver.nullspace()]
-            self._wnull = _span_rows(np.tile(self.M.K.moduli, len(self.entries)), gens,
-                                     self.cap)
+            self._wnull = _span_rows(np.tile(self.M.K.moduli, len(self.entries)), gens)
         return self._wnull
 
     def _rhs_rows(self):
@@ -1011,18 +1009,14 @@ class NaiveConstruction:
         n = self.wsolver.null_count
         return np.repeat(tix, n), np.tile(np.arange(n), len(tix))
 
-    def xi_sample(self, rng, samples):
-        """(tix, nix) of samples draws: each draws a T row with
-        rng.randrange(|T|) and, only when its fiber is nonempty, an element
-        of the w kernel with rng.randrange(|kernel|)."""
+    def xi_sample(self, seed, samples):
+        """(tix, nix) of samples draws: the columns of
+        coeff_ring._draw(seed, [|T|, |kernel|], samples), a T row and an
+        element of the w kernel each, whose T row has a nonempty fiber."""
         full = self._rhs_rows()[1]
-        tix, nix = [], []
-        for _ in range(samples):
-            t = rng.randrange(len(full))
-            if full[t]:
-                tix.append(t)
-                nix.append(rng.randrange(self.wsolver.null_count))
-        return np.array(tix, dtype=np.int64), np.array(nix, dtype=np.int64)
+        tix, nix = _draw(seed, [len(full), self.wsolver.null_count], samples)
+        keep = full[tix]
+        return tix[keep], nix[keep]
 
     def xi_rows(self, tix, nix):
         """Flat Xi rows [x|y|z|w]: the adjoint pair (x, y) at T row tix[i]
@@ -1064,8 +1058,8 @@ class NaiveConstruction:
         return full[_word_order(_pack_words(full.reshape(len(Y), -1).T, max(K.moduli)))]
 
 
-def naive_construction(M, cap=_SCAN_CAP):
-    return NaiveConstruction(M, cap)
+def naive_construction(M):
+    return NaiveConstruction(M)
 
 
 # -- tensor-square construction ---------------------------------------------
@@ -1204,20 +1198,17 @@ class CanonConstruction(ParamTable):
 
     def relations_check(self, count=100, seed=0):
         """The sampled laws of the box pairing: the sorted names of the laws
-        some sample breaks.  A sample draws, from random.Random(seed), two
-        left factors (m, l) in the form parameter, a combination n of free
-        slots, r in R, k in K, l in L and s in S.  The samples are drawn in
-        chunks of _CHUNK, in the order the per-element loop draws them,
-        and each law is one array pass over a chunk (_BoxRows).  A left
-        factor outside the form parameter raises StructureError and a pair
-        off the table AssertionError, whichever a sample meets first."""
-        import random
-
-        rng = random.Random(seed)
+        some sample breaks.  A sample is two left factors (m, l) in the
+        form parameter, a combination n of free slots, r in R, k in K, l
+        in L and s in S.  The samples come in chunks of _CHUNK, the chunk
+        from sample start on the columns of _BoxRows.draw([seed, start],
+        ...), and each law is one array pass over a chunk.  A left factor
+        outside the form parameter raises StructureError and a pair off
+        the table AssertionError, whichever a sample meets first."""
         rows = _BoxRows(self)
         bad = set()
         for start in range(0, count, _CHUNK):
-            bad |= rows.failures(rows.draw(rng, min(_CHUNK, count - start)))
+            bad |= rows.failures(rows.draw([seed, start], min(_CHUNK, count - start)))
         return sorted(bad)
 
     def box(self, h, n):
@@ -1247,7 +1238,8 @@ def canonical_construction(M):
     return CanonConstruction(M)
 
 
-# draws per array pass of relations_check: its memory does not grow with count
+# samples per draw and array pass of relations_check: its memory does not
+# grow with count
 _CHUNK = 1024
 
 
@@ -1312,9 +1304,9 @@ class _BoxRows:
         return ~self.red(self.q(m) + self.phi @ l).any(axis=0)
 
     def lpar(self, m, e):
-        """The left factor with module part m whose L part the per-element
-        loop draws: -q(m), the drawn l (symplectic) or (d, -q(m) - d)
-        for the drawn d (linear); e indexes the draw."""
+        """The left factor with module part m whose L part a sample
+        names: -q(m), the drawn l (symplectic) or (d, -q(m) - d) for the
+        drawn d (linear); e indexes the draw."""
         kind = self.C.qtype.kind
         if kind == "symplectic":
             return m, _slot_take(self.rtab, e)
@@ -1349,23 +1341,17 @@ class _BoxRows:
         P[self.colpos] = self.mact(m[None], n)
         return self.C.read_rows(P.reshape(d, d, -1, N), self.rho(l, n))
 
-    def draw(self, rng, N):
-        """N samples of int draws, one column each, in the per-element
-        order: two left factors (an index into K per label, then one more
-        for the symplectic l or the linear d), a coin per free slot and an
-        index into R after each 1 (-1 after a 0), then r, k, l and one
-        index into K per pair of S."""
-        C, rr = self.C, rng.randrange
-        nk, nr = len(self.ktab), len(self.rtab)
+    def draw(self, seed, N):
+        """N samples, the columns of coeff_ring._draw(seed, ...) on the
+        rows: two left factors (an index into K per label, then one more
+        for the symplectic l or the linear d), a coin per free slot, an
+        index into R per free slot (n takes it where the coin is 1), then
+        r, k, l and one index into K per pair of S."""
+        C = self.C
+        nk, nr, nt = len(self.ktab), len(self.rtab), len(C.n_labels)
         w = len(C.M.labels) + (C.qtype.kind != "orthogonal")
-        rows = []
-        for _ in range(N):
-            row = [rr(nk) for _ in range(2 * w)]
-            row += [rr(nr) if rr(2) else -1 for _ in C.n_labels]
-            row += [rr(nr), rr(nk), rr(nr)]
-            row += [rr(nk) for _ in C.S.pairs]
-            rows.append(row)
-        return np.array(rows, dtype=np.int64).T
+        return _draw(seed, [nk] * 2 * w + [2] * nt + [nr] * nt + [nr, nk, nr]
+                     + [nk] * len(C.S.pairs), N)
 
     def failures(self, D):
         """The laws some column of the draws D breaks.  Raises as the first
@@ -1375,12 +1361,12 @@ class _BoxRows:
         w = nl + (C.qtype.kind != "orthogonal")
         u, u2 = (self.lpar(_slot_take(self.ktab, D[j:j + nl]), D[j + nl] if w > nl else None)
                  for j in (0, w))
-        o = 2 * w
-        n = _slot_take(self.rtab, np.maximum(D[o:o + nt], 0)) * (D[o:o + nt, None] >= 0)
-        r, k, l = (_slot_take(tab, D[o + nt + t])
+        o = 2 * w + 2 * nt
+        n = _slot_take(self.rtab, D[o - nt:o]) * D[o - 2 * nt:o - nt, None]
+        r, k, l = (_slot_take(tab, D[o + t])
                    for t, tab in enumerate((self.rtab, self.ktab, self.rtab)))
         s = np.zeros((len(S.indices), len(S.indices), self.ring.rk, N), dtype=np.int64)
-        s[S.apos[:, 0], S.apos[:, 1]] = _slot_take(self.ktab, D[o + nt + 3:])
+        s[S.apos[:, 0], S.apos[:, 1]] = _slot_take(self.ktab, D[o + 3:])
         uu = self.heis_add(u, u2)
         ur = (self.mact(u[0], r), self.sand(r, u[1], r))
         h = (np.zeros_like(u[0]), self.red(l - self.linv @ l))
@@ -1462,7 +1448,7 @@ def iota_theta(C, shape, th):
     return out
 
 
-def canon_preset_check(M, count=200, seed=0, cap=_SCAN_CAP):
+def canon_preset_check(M, count=200, seed=0):
     """Transport report between the tensor-square data of a split module
     and the matching preset: ring/involution on S, parameter bijection,
     and compatibility of the group structure."""
@@ -1493,7 +1479,7 @@ def canon_preset_check(M, count=200, seed=0, cap=_SCAN_CAP):
     report["involution"] = ok
     report["dim_match"] = C.dim == shape.dim
 
-    exhaustive = C.card() <= cap
+    exhaustive = C.card() <= _SCAN_CAP
     report["mode"] = "exhaustive" if exhaustive else "sampled"
     if exhaustive:
         thetas = C.elements()
@@ -1562,10 +1548,10 @@ class CanonMorphism:
     """S -> T on basis tensors: (i, j) acts as m -> e_i B(e_j, m) with the
     adjoint slot filled by the mirrored tensor."""
 
-    def __init__(self, M, cap=_SCAN_CAP):
+    def __init__(self, M):
         self.M = M
         self.C = canonical_construction(M)
-        self.N = naive_construction(M, cap)
+        self.N = naive_construction(M)
         K = M.K
         n = len(M.labels)
         sgn = -1 if M.qtype.kind == "symplectic" else 1
@@ -1608,24 +1594,13 @@ class CanonMorphism:
         """Ker(F) as sorted rows of flat S coordinates."""
         if self._ker is None:
             gens = [vflat(g) for g in self._pre.nullspace()]
-            self._ker = _span_rows(np.tile(self.M.K.moduli, len(self.C.S.pairs)), gens,
-                                   self.N.cap)
+            self._ker = _span_rows(np.tile(self.M.K.moduli, len(self.C.S.pairs)), gens)
         return self._ker
 
     def image_count(self):
-        """Number of distinct f_s images over all of S.  f_s is K-linear,
-        so its int matrix is f_s on the basis of S coordinates, and one
-        matmul maps every S coordinate row (mixed radix over the slot
-        moduli), and the images are counted on coeff_ring's row words."""
-        K, S = self.M.K, self.C.S
-        n = len(self.M.labels)
-        fmat = np.array([
-            vflat(e for mat in self.f_s(S.el({p: u})) for row in mat for e in row)
-            for p in S.pairs for u in _basis(K)
-        ], dtype=np.int64).reshape(len(S.pairs) * K.rank, 2 * n * n * K.rank)
-        coords = _mixed_radix(K.moduli * len(S.pairs), S.card()).T.astype(np.int64, order="C")
-        image = coords @ fmat % np.tile(K.moduli, 2 * n * n)
-        return len(_distinct_rows(_pack_words(image.T, max(K.moduli)))[0])
+        """Number of distinct f_s images over all of S: f_s is K-linear,
+        so |S| / |Ker(F)|, the kernel that the preimage solver counts."""
+        return self.C.S.card() // self._pre.null_count
 
     def theta_hits(self, rows):
         """Which flat Xi rows [x|y|z|w] have a preimage pair (p, r) under
@@ -1661,22 +1636,22 @@ class CanonMorphism:
         return tok & sok & hit
 
 
-def canonical_morphism(M, cap=_SCAN_CAP):
-    return CanonMorphism(M, cap)
+def canonical_morphism(M):
+    return CanonMorphism(M)
 
 
-def naive_canon_check(M, seed=0, samples=100, cap=_SCAN_CAP):
+def naive_canon_check(M, seed=0, samples=100):
     """Compare the two constructions over one module.
 
     Reports ring/involution compatibility of the comparison map, its
     injectivity and surjectivity on both the ring and the parameter
     level (exact counting plus witnesses), and whether both unitary
-    groups agree with the automorphism scan of the module.
+    groups agree with the automorphism scan of the module.  The theta
+    check reads every Xi element while there are at most _SCAN_CAP, and
+    beyond that the ones N.xi_sample(seed, samples) draws, with the
+    counts and the injectivity of F.
     """
-    import random
-
-    rng = random.Random(seed)
-    F = canonical_morphism(M, cap)
+    F = canonical_morphism(M)
     C, N = F.C, F.N
     S = C.S
     K = M.K
@@ -1708,16 +1683,14 @@ def naive_canon_check(M, seed=0, samples=100, cap=_SCAN_CAP):
     report["ring_hom"] = ok_hom
     report["involution"] = ok_inv
 
-    if s_card > cap:
-        raise CapacityError("image scan over %d" % s_card)
     image_count = F.image_count()
     report["injective"] = image_count == s_card
     report["surjective"] = image_count == report["t_card"]
 
     counts_match = report["theta_card"] == report["xi_card"]
     report["theta_injective"] = report["injective"]
-    exhaustive = report["xi_card"] <= cap
-    pick = N.xi_all() if exhaustive else N.xi_sample(rng, samples)
+    exhaustive = report["xi_card"] <= _SCAN_CAP
+    pick = N.xi_all() if exhaustive else N.xi_sample(seed, samples)
     missing = not F.theta_hits(N.xi_rows(*pick)).all()
     if exhaustive:
         report["theta_surjective"] = not missing
@@ -1729,7 +1702,7 @@ def naive_canon_check(M, seed=0, samples=100, cap=_SCAN_CAP):
     if missing:
         report["missing_witness"] = True
 
-    mu = enumerate_module_unitary(M, cap)
+    mu = enumerate_module_unitary(M)
     nu = N.unitary_elements()
     report["unitary_order"] = len(mu)
     report["naive_unitary_order"] = len(nu)

@@ -39,13 +39,12 @@ once per call.  generate_subgroup closes a subgroup into the same kind
 of array, by batched products one breadth-first level at a time.
 """
 
-import random
 from collections.abc import Sequence
 
 import numpy as np
 
 from .coeff_ring import (CapacityError, Product, SlotRing, StructureError, _basis, _distinct_rows,
-                         _mixed_radix, _pack_words, _rows_in, _slot_take, _word_order)
+                         _draw, _mixed_radix, _pack_words, _rows_in, _slot_take, _word_order)
 from .form_ring import (JsonDicts, alg_el_from_json, alg_rows_to_json, ofalin, ofaorth,
                         x_central)
 from .linalg import form_isometries, form_rows, k_dets, k_solve
@@ -894,13 +893,12 @@ def _survivors(bo, chunks):
 
 def _verify(bo, B, words):
     """Distinct rows, bar beta listed for every row, and 144 products of
-    pairs drawn by random.Random(0) listed, looked up in words, the sorted
-    key words of B's rows."""
+    pairs of rows drawn by coeff_ring._draw(0, ...) listed, looked up in
+    words, the sorted key words of B's rows."""
     N = len(B)
     if (words[1:] == words[:-1]).all(axis=1).any():
         raise AssertionError("repeated beta")
-    rng = random.Random(0)
-    pairs = np.array([(rng.choice(range(N)), rng.choice(range(N))) for _ in range(144)])
+    pairs = _draw(0, [N, N], 144).T
     X = _law(B)
     G, H = X[..., pairs[:, 0]], X[..., pairs[:, 1]]
     found = _rows_in(words, np.concatenate([
@@ -933,14 +931,14 @@ def group_order(shape):
 # subgroups
 
 
-def generate_subgroup(gens, cap=_CLOSURE_CAP):
+def generate_subgroup(gens):
     """The subgroup that gens generate, as a UnitaryGroup in key order.
 
     It is closed one breadth-first level at a time: each new row g and
     generator s give beta(g s) = g s + g + s, in batches of _CHUNK
     products, and a product joins the next level when its key words are
-    listed neither before nor earlier in its batch.  Past cap elements
-    this raises CapacityError."""
+    listed neither before nor earlier in its batch.  Past _CLOSURE_CAP
+    elements this raises CapacityError."""
     if not gens:
         raise StructureError("empty generating set")
     shape = gens[0].shape
@@ -963,8 +961,8 @@ def generate_subgroup(gens, cap=_CLOSURE_CAP):
             new = _distinct_rows(np.concatenate([words, Q]))[0] - len(words)
             new = new[new >= 0]
             words = np.concatenate([words, Q[new]])
-            if len(words) > cap:
-                raise CapacityError("closure exceeded %d elements" % cap)
+            if len(words) > _CLOSURE_CAP:
+                raise CapacityError("closure exceeded %d elements" % _CLOSURE_CAP)
             fresh.append(P[..., new])
         levels.append(np.concatenate(fresh, axis=-1))
     B = _rows(np.concatenate(levels, axis=-1))
@@ -1016,5 +1014,5 @@ def parabolic_generators(shape, family=None):
     return gens
 
 
-def parabolic_p(shape, family=None, cap=_CLOSURE_CAP):
-    return generate_subgroup(parabolic_generators(shape, family), cap=cap)
+def parabolic_p(shape, family=None):
+    return generate_subgroup(parabolic_generators(shape, family))

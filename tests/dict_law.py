@@ -8,11 +8,14 @@ on coordinate tuples, with Delta's fold residue and Theta's residue.
 
 dict_law(T) is a copy of the table T whose methods run this law; the
 table's other methods (CanonConstruction.box) then read through it too.
+walk reads a seeded index matrix one sample at a time, so that a
+per-element reference visits the elements a batched check draws.
 """
 
 import copy
 import functools
 
+from ofa.coeff_ring import _draw
 from ofa.form_ring import El
 from ofa.odd_form_param import DeltaShape
 
@@ -135,3 +138,9 @@ def dict_law(T):
     ref = copy.copy(T)
     ref.__class__ = _dict_class(type(T))
     return ref
+
+
+def walk(seed, sizes, count):
+    """The columns of coeff_ring._draw(seed, sizes, count), one list of
+    indices per sample, in order: the samples a batched check draws."""
+    return _draw(seed, sizes, count).T.tolist()

@@ -202,3 +202,45 @@ def test_group_elements_come_through_one_admission():
                  getattr(node.func, "id", None), getattr(node.func, "attr", None)}]
     assert ("unitary.py", "u_try") in found
     assert not [f for f in found if f[1] not in ADMISSIONS]
+
+
+# the one def that keeps a cap parameter: its two callers pass different caps
+CAP_PARAMS = {("linalg.py", "form_isometries")}
+# the batched sampled checks, by module and path of class and def: their
+# samples are the columns of coeff_ring._draw
+SAMPLED = (("odd_form_param.py", ()), ("unitary.py", ()), ("quad_module.py", ("_BoxRows",)),
+           ("quad_module.py", ("CanonConstruction", "relations_check")),
+           ("quad_module.py", ("NaiveConstruction", "xi_sample")))
+RANDOM = {"random", "randrange", "getrandbits"}
+
+
+def _named(node):
+    """The names, attributes and imported modules that node mentions."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.alias):
+            yield from sub.name.split(".")
+
+
+def test_caps_are_constants_and_samples_come_from_one_generator():
+    """No def takes a parameter named cap or ending in _cap but those of
+    CAP_PARAMS: a capacity limit is a module constant, read where the
+    refusal happens.  No batched sampled check names random, randrange
+    or getrandbits."""
+    caps = [(name, fn.name, a.arg) for name in sorted(os.listdir(SRC)) if name.endswith(".py")
+            for fn in ast.walk(_tree(name))
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+            for a in ast.walk(fn.args) if isinstance(a, ast.arg)
+            and (a.arg == "cap" or a.arg.endswith("_cap"))]
+    assert {(name, fn) for name, fn, _ in caps} == CAP_PARAMS
+    found = []
+    for name, path in SAMPLED:
+        node = _tree(name)
+        for part in path:
+            (node,) = [n for n in node.body if isinstance(n, (ast.ClassDef, ast.FunctionDef))
+                       and n.name == part]
+        found += [(name, path, word) for word in _named(node) if word in RANDOM]
+    assert not found

@@ -30,8 +30,8 @@ from ofa.odd_form_param import (
     special_check,
     to_pair,
 )
-from ofa.odd_form_param import _randrange_block
-from dict_law import dict_law
+from ofa import odd_form_param as ofp
+from dict_law import dict_law, walk
 
 
 def act(sh, x, a):
@@ -180,12 +180,13 @@ def test_special_check():
     assert big["pass"] and big["mode"] == "sampled"
 
 
-def _special_reference(shape, cap=1 << 16, count=10000, seed=0):
+def _special_reference(shape, count=10000, seed=0):
     """special_check as an element-by-element loop of member(to_pair(x)),
-    both read by the dict law."""
+    both read by the dict law, over every element or over the samples of
+    walk."""
     ref = dict_law(shape)
     card = shape.card()
-    if card <= cap:
+    if card <= ofp.EXH_DELTA_CAP:
         seen = set()
         ok = True
         for x in shape.elements():
@@ -196,9 +197,9 @@ def _special_reference(shape, cap=1 << 16, count=10000, seed=0):
                 break
         return {"pass": ok and len(seen) == card, "mode": "exhaustive",
                 "checked": card, "distinct": len(seen)}
-    rng = random.Random(seed)
-    for _ in range(count):
-        x = shape.sample(rng)
+    kel = list(shape.alg.K.elements())
+    for col in walk(seed, [len(kel)] * shape.dim, count):
+        x = tuple(kel[i] for i in col)
         p, r = ref.to_pair(x)
         if ref.read(p, r) != x:
             return {"pass": False, "mode": "sampled", "checked": count,
@@ -229,8 +230,9 @@ def test_special_check_matches_reference_loop():
 @pytest.mark.parametrize("ring", ["zmod:2", "zmod:3", "zmod:4", "zmod:9", "gf:4",
                                   "zmod:1048573", "prod:(zmod:2;zmod:3)"])
 def test_sampled_special_check_draws_the_loops_indices(monkeypatch, ring):
-    """The block draws of one modulus (and the loop of mixed moduli) give
-    the K.elements() indices of shape.sample's coordinates, in order."""
+    """The sampled batch is walk's samples, one column each, per
+    coordinate an index into K.elements(): over one modulus and mixed
+    ones, small and large."""
     from ofa.batch_delta import BatchOps
 
     seen = []
@@ -241,24 +243,15 @@ def test_sampled_special_check_draws_the_loops_indices(monkeypatch, ring):
         return real(self, kind, idx)
 
     monkeypatch.setattr(BatchOps, "materialize", spy)
+    monkeypatch.setattr(ofp, "EXH_DELTA_CAP", 0)
     K = parse_ring(ring)
     sh = DeltaShape(ofaorth(3, K))
     for seed in (0, 3, 11):
         seen.clear()
-        assert special_check(sh, cap=0, count=300, seed=seed)["mode"] == "sampled"
-        rng = random.Random(seed)
-        want = [[np.ravel_multi_index(c, K.moduli) for c in sh.sample(rng)]
-                for _ in range(300)]
+        assert special_check(sh, count=300, seed=seed)["mode"] == "sampled"
+        want = walk(seed, [K.card] * sh.dim, 300)
         # one row of indices per coordinate slot, one column per draw
         assert seen[0].T.tolist() == want, (ring, seed)
-
-
-def test_randrange_block_matches_the_loop():
-    for m in (1, 2, 3, 4, 9, 1 << 20, 1048573):
-        for seed in (0, 3, 11):
-            a, b = random.Random(seed), random.Random(seed)
-            got = _randrange_block(a, m, 20000).tolist()
-            assert got == [b.randrange(m) for _ in range(20000)], (m, seed)
 
 
 def test_count_distinct_matches_unique():
@@ -300,8 +293,8 @@ def test_special_check_reports_first_failure(monkeypatch, read):
     assert rep == {"pass": False, "mode": "exhaustive", "checked": 4096,
                    "distinct": k + 1}
     sh = DeltaShape(ofaorth(3, ZMod(4)))
-    rng = random.Random(4)
-    samples = [sh.sample(rng) for _ in range(k + 1)]
+    kel = list(sh.alg.K.elements())
+    samples = [tuple(kel[i] for i in col) for col in walk(4, [len(kel)] * sh.dim, 50)]
     rep = special_check(sh, count=50, seed=4)
     assert rep == {"pass": False, "mode": "sampled", "checked": 50,
                    "witness": render(sh, samples[k])}
@@ -466,9 +459,10 @@ def test_special_check_witness_string_pinned(monkeypatch):
     rep = special_check(DeltaShape(ofaorth(3, ZMod(4))), count=50, seed=4)
     assert rep == {
         "pass": False, "mode": "sampled", "checked": 50,
-        "witness": "q-1*(3,)e(-1,-1) + q-1*(1,)e(-1,0) + q-1*(3,)e(-1,1)"
-                   " + q1*(2,)e(1,-1) + q1*(1,)e(1,0) + q1*(2,)e(1,1) + u-1*(3,)"
-                   " + u0*(2,) + u1*(1,) + (2,)phi(e(0,1))"}
+        "witness": "q-1*(3,)e(-1,-1) + q-1*(3,)e(-1,0) + q-1*(3,)e(-1,1)"
+                   " + q1*(2,)e(1,-1) + q1*(2,)e(1,0) + q1*(2,)e(1,1) + u-1*(3,)"
+                   " + u0*(2,) + u1*(3,) + (2,)phi(e(0,1)) + (1,)phi(e(1,0))"
+                   " + (3,)phi(e(1,1))"}
 
 
 def test_slot_layout_is_sorted():

@@ -67,7 +67,7 @@ from ofa.quad_module import (
     split_module,
     unitary_of_module,
 )
-from dict_law import dict_law
+from dict_law import dict_law, walk
 from ofa.unitary import group_order
 from test_linalg import k_det, mat_tuples
 
@@ -439,57 +439,62 @@ def test_box_relations():
 
 def _relations_reference(C, count, seed):
     """The per-element loop canon_relations_check ran before its laws
-    became array passes: each sample through El dicts, box and the dict
-    law, drawing from random.Random(seed) as it goes."""
+    became array passes: each of walk's samples, chunk by chunk as
+    relations_check draws them, through El dicts, box and the dict law.
+    A sample's indices are, in order: per left factor one into K per
+    label and, off the orthogonal kind, one more (into R for the
+    symplectic l, into K for the linear d); a coin per free slot and an
+    index into R per free slot (n keeps it where the coin is 1); r, k and
+    l; one index into K per pair of S."""
     C = dict_law(C)
-    rng = random.Random(seed)
     M_, qt, K = C.M, C.qtype, C.K
     rels = list(qt.R.elements())
     kel = list(K.elements())
+    nl, nt, nr = len(M_.labels), len(C.n_labels), len(rels)
+    w = nl + (qt.kind != "orthogonal")
+    sizes = ([len(kel)] * 2 * w + [2] * nt + [nr] * nt + [nr, len(kel), nr]
+             + [len(kel)] * len(C.S.pairs))
+    chunk = quad_module._CHUNK
+    cols = [col for start in range(0, count, chunk)
+            for col in walk([seed, start], sizes, min(chunk, count - start))]
     bad = set()
+    for col in cols:
+        nxt = iter(col).__next__
 
-    def rand_lpar():
-        m = M_.sample(rng)
-        q = M_.q_form(m)
-        if qt.kind == "symplectic":
-            l = rels[rng.randrange(len(rels))]
-        elif qt.kind == "orthogonal":
-            l = K.neg(q)
-        else:
-            d = kel[rng.randrange(len(kel))]
-            l = qt.R.join((d, K.sub(K.neg(q), d)))
-        return HeisElem(M_, m, l)
+        def lpar():
+            m = M_.el({a: kel[nxt()] for a in M_.labels})
+            q = M_.q_form(m)
+            if qt.kind == "symplectic":
+                l = rels[nxt()]
+            elif qt.kind == "orthogonal":
+                l = K.neg(q)
+            else:
+                d = kel[nxt()]
+                l = qt.R.join((d, K.sub(K.neg(q), d)))
+            return HeisElem(M_, m, l)
 
-    def rand_n():
-        return {
-            t: rels[rng.randrange(len(rels))]
-            for t in C.n_labels
-            if rng.randrange(2)
-        }
-
-    for _ in range(count):
-        u, u2 = rand_lpar(), rand_lpar()
-        n = rand_n()
-        r = rels[rng.randrange(len(rels))]
-        k = kel[rng.randrange(len(kel))]
+        u, u2 = lpar(), lpar()
+        coins = [nxt() for _ in C.n_labels]
+        n = {t: rels[nxt()] for t in C.n_labels}
+        n = {t: v for (t, v), coin in zip(n.items(), coins) if coin}
+        r, k, l = rels[nxt()], kel[nxt()], rels[nxt()]
+        s = C.S.from_coords([kel[nxt()] for _ in C.S.pairs])
         if C.box(heis_add(M_, u, u2), n) != C.add(C.box(u, n), C.box(u2, n)):
             bad.add("box additive on the left")
         rn = {t: qt.R.mul(r, v) for t, v in n.items()}
         if C.box(heis_act(M_, u, r), n) != C.box(u, rn):
             bad.add("box balanced over R")
         # phi of a sandwich matches the box of a trace-zero pair
-        l = rels[rng.randrange(len(rels))]
         h = HeisElem(M_, {}, qt.l_sub(l, qt.l_inv(l)))
         x = C.S.zero()
         for t, rt in n.items():
-            for s, rs in n.items():
-                x = C.S.add(x, C.f_embed(t, s, qt.l_sand(rt, l, rs)))
+            for s2, rs in n.items():
+                x = C.S.add(x, C.f_embed(t, s2, qt.l_sand(rt, l, rs)))
         if C.box(h, n) != C.phi(x):
             bad.add("box of a trace-zero pair")
         nk = {t: qt.R.mul(v, qt.k_lift(k)) for t, v in n.items()}
         if C.act(C.box(u, n), C.S.zero(), k) != C.box(u, nk):
             bad.add("scalar action on a box")
-        s = C.S.sample(rng)
         if C.act(C.phi(s), C.S.zero(), k) != C.phi(C.S.kmul(K.mul(k, k), s)):
             bad.add("scalar action on phi")
         if C.to_pair(C.phi(s))[0]:
@@ -553,30 +558,24 @@ def test_relations_check_matches_the_loop_on_drawn_seeds(name, shape, table, see
 
 
 def test_relations_check_draws_as_the_loop_across_chunks(monkeypatch):
-    """With chunks of three samples the batched check makes the loop's
-    randrange calls, in the loop's order, and gets the same answers."""
-    tapes = []
+    """With chunks of three samples the batched check draws and passes
+    over each chunk in turn and gets the answers of the loop, which walks
+    the same chunks."""
+    chunks = []
+    real = quad_module._BoxRows.failures
 
-    class Tape(random.Random):
-        def __init__(self, seed):
-            super().__init__(seed)
-            self.calls = []
-            tapes.append(self.calls)
-
-        def randrange(self, n):
-            v = super().randrange(n)
-            self.calls.append((n, v))
-            return v
+    def spy(self, D):
+        chunks.append(D.T.tolist())
+        return real(self, D)
 
     monkeypatch.setattr(quad_module, "_CHUNK", 3)
-    monkeypatch.setattr(random, "Random", Tape)
+    monkeypatch.setattr(quad_module._BoxRows, "failures", spy)
     for kind, rank, name in (("linear", 2, "gf:4"), ("symplectic", 2, "zmod:9"),
                              ("orthogonal", 3, "prod:(zmod:2;zmod:3)")):
         C = canonical_construction(split_module(kind, rank, parse_ring(name)))
-        del tapes[:]
+        del chunks[:]
         assert C.relations_check(10, 7) == _relations_reference(C, 10, 7) == []
-        assert len(tapes) == 2 and tapes[0] == tapes[1]
-        assert len(tapes[0]) > 10 * len(C.S.pairs)
+        assert [len(c) for c in chunks] == [3, 3, 3, 1]
 
 
 def test_relations_check_fails_on_a_corrupted_product():
@@ -754,11 +753,12 @@ def test_comparison_regular_odd_orthogonal_mod3():
     assert group_order(DeltaShape(ofaorth(3, F3))) == 48
 
 
-def test_capacity_guards():
+def test_capacity_guards(monkeypatch):
+    monkeypatch.setattr(quad_module, "_SCAN_CAP", 10)
     with pytest.raises(CapacityError):
-        enumerate_module_unitary(split_module("orthogonal", 4, F3), cap=10)
+        enumerate_module_unitary(split_module("orthogonal", 4, F3))
     with pytest.raises(CapacityError):
-        split_module("orthogonal", 4, F3).elements(cap=10)
+        split_module("orthogonal", 4, F3).elements()
 
 
 # -- per-element reference loops for the batch construction -------------------
@@ -788,7 +788,7 @@ def test_span_rows_is_the_sorted_span():
         for _ in range(25):
             d = rng.randint(1, 3)
             gens = [tuple(rng.choice(kel) for _ in range(d)) for _ in range(rng.randint(1, 3))]
-            rows = _span_rows(np.tile(K.moduli, d), [vflat(g) for g in gens], 4096)
+            rows = _span_rows(np.tile(K.moduli, d), [vflat(g) for g in gens])
             vecs = [unflat(v, K.rank) for v in rows.tolist()]
             assert vecs == _bfs_span(K, gens, 4096), (K.name, gens)
 
@@ -797,7 +797,7 @@ def _ref_t_elements(N):
     d = len(N.entries)
     K = N.M.K
     gens = [tuple(g) for g in N.tsolver.nullspace()]
-    vecs = _bfs_span(K, gens, N.cap) if gens else [tuple(K.zero() for _ in range(2 * d))]
+    vecs = _bfs_span(K, gens, quad_module._SCAN_CAP) if gens else [tuple(K.zero() for _ in range(2 * d))]
     return [(_mat_of(N, v[:d]), _mat_of(N, v[d:])) for v in vecs]
 
 
@@ -946,14 +946,13 @@ def _xi_fiber(N, t):
             yield _xi_completion(N, *base, dw)
 
 
-def _xi_draw(N, t, rng):
-    """The completion that list(_xi_fiber(N, t))[rng.randrange(size)]
-    picks, built alone; None, with no draw, for an empty fiber."""
+def _xi_draw(N, t, j):
+    """The completion list(_xi_fiber(N, t))[j], built alone; None for an
+    empty fiber."""
     base = _fiber_base(N, t)
     if base is None:
         return None
-    wnull = _wnull_vecs(N)
-    return _xi_completion(N, *base, wnull[rng.randrange(len(wnull))])
+    return _xi_completion(N, *base, _wnull_vecs(N)[j])
 
 
 def _xi_elements(N):
@@ -999,7 +998,7 @@ BATCH_CASES = (
 )
 
 
-def test_batch_construction_matches_reference_loops():
+def test_batch_construction_matches_reference_loops(monkeypatch):
     for kind, rank, K in BATCH_CASES:
         M = split_module(kind, rank, K)
         N = naive_construction(M)
@@ -1011,7 +1010,7 @@ def test_batch_construction_matches_reference_loops():
         assert mat_tuples(N.unitary_elements()) == _ref_unitary(N), (kind, K.name)
         gens = [tuple(g) for g in N.wsolver.nullspace()]
         if gens:
-            assert _wnull_vecs(N) == _bfs_span(K, gens, N.cap)
+            assert _wnull_vecs(N) == _bfs_span(K, gens, quad_module._SCAN_CAP)
         F = canonical_morphism(M)
         image = {F.f_s(s) for s in F.C.S.elements()}
         assert F.image_count() == len(image), (kind, K.name)
@@ -1019,13 +1018,15 @@ def test_batch_construction_matches_reference_loops():
         # path; the default cap takes every module here with at most 65536
         # Xi elements on the exhaustive one
         for cap in (4096, 1 << 16):
-            rep = naive_canon_check(M, seed=0, samples=10, cap=cap)
+            with monkeypatch.context() as mp:
+                mp.setattr(quad_module, "_SCAN_CAP", cap)
+                rep = naive_canon_check(M, seed=0, samples=10)
             assert rep["injective"] == (len(image) == F.C.S.card())
             assert rep["surjective"] == (len(image) == len(ref_ts))
             assert rep["theta_mode"] == ("exhaustive" if ref_xi <= cap else "sampled+count")
         gens = [tuple(g) for g in F._pre.nullspace()]
         if gens:
-            assert _kernel_vectors(F) == _bfs_span(K, gens, N.cap)
+            assert _kernel_vectors(F) == _bfs_span(K, gens, quad_module._SCAN_CAP)
 
 
 def _check_quadratic_maps(N):
@@ -1067,10 +1068,11 @@ def test_quadratic_maps_match_the_reference_on_random_tables():
         _check_quadratic_maps(naive_construction(_random_module(K, kind, rank, rng)))
 
 
-def test_span_capacity_message_matches_reference():
+def test_span_capacity_message_matches_reference(monkeypatch):
     M = split_module("symplectic", 2, Z4)  # T has 256 elements
     for cap in (0, 1, 2, 15, 16, 17, 255, 256):
-        N = naive_construction(M, cap=cap)
+        monkeypatch.setattr(quad_module, "_SCAN_CAP", cap)
+        N = naive_construction(M)
         try:
             want = len(_ref_t_elements(N))
         except CapacityError as exc:
@@ -1080,8 +1082,9 @@ def test_span_capacity_message_matches_reference():
         except CapacityError as exc:
             got = str(exc)
         assert got == want, cap
+    monkeypatch.setattr(quad_module, "_SCAN_CAP", 100)
     with pytest.raises(CapacityError, match="span closure past 100"):
-        naive_construction(M, cap=100).xi_card()
+        naive_construction(M).xi_card()
 
 
 @pytest.mark.parametrize("argv", ["--family symp --n 6 --ring gf:2",
@@ -1120,7 +1123,7 @@ def test_xi_draw_is_the_fiber_element_the_rng_picks():
     """xi_rows reads the kept right-hand side batch by T row: each drawn
     row of it is _w_rhs of its adjoint pair, the rows of a whole fiber are
     the completions that solving _w_rhs for that pair alone gives, and
-    xi_sample makes the rng calls of the per-element draw."""
+    xi_sample keeps the samples of walk whose fiber is nonempty."""
     for kind, rank, K in (("linear", 2, F3), ("orthogonal", 3, F2)):
         N = naive_construction(split_module(kind, rank, K))
         rows = N.t_rows()
@@ -1143,16 +1146,13 @@ def test_xi_draw_is_the_fiber_element_the_rng_picks():
             else:
                 empty += 1
         for s in range(12):
-            rng, ref = random.Random(s), random.Random(s)
-            got = _pairs_of_rows(N, N.xi_rows(*N.xi_sample(rng, 5)))
+            got = _pairs_of_rows(N, N.xi_rows(*N.xi_sample(s, 5)))
             want = []
-            for _ in range(5):
-                t = ref.randrange(len(rows))
-                draw = _xi_draw(N, t, ref)
+            for t, j in walk(s, [len(rows), n], 5):
+                draw = _xi_draw(N, t, j)
                 if draw is not None:
                     want.append((_t_pair(N, rows[t]), draw))
             assert got == want
-            assert rng.getstate() == ref.getstate()
         assert kind == "linear" or empty  # the defect module has empty fibers
 
 
@@ -1167,7 +1167,7 @@ def test_membership_is_the_per_element_check():
         ts = _t_elements(N)
         n = len(N.M.labels)
         cases = []
-        for tix, nix in zip(*N.xi_sample(random.Random(3), 30)):
+        for tix, nix in zip(*N.xi_sample(3, 30)):
             (t, s), = _pairs_of_rows(N, N.xi_rows([tix], [nix]))
             assert N.xi_member(t, s)
             cases.append((t, s))
@@ -1190,16 +1190,15 @@ def test_membership_is_the_per_element_check():
         assert N.t_member(k_identity(K, n), k_identity(K, n))
 
 
-def _ref_theta_walk(N, F, rng, samples):
-    """The sampled theta search of naive_canon_check, one element at a
-    time: whether every drawn Xi element has a preimage in Theta, and the
-    draws up to the first that has none."""
+def _ref_theta_walk(N, F, seed, samples):
+    """The sampled theta search of naive_canon_check, one element of
+    walk's samples at a time: whether every drawn Xi element has a
+    preimage in Theta, and the draws up to the first that has none."""
     ts = N.t_rows()
     draws = []
-    for _ in range(samples):
-        row = rng.randrange(len(ts))
+    for row, j in walk(seed, [len(ts), N.wsolver.null_count], samples):
         t = _t_pair(N, ts[row])
-        s = _xi_draw(N, row, rng)
+        s = _xi_draw(N, row, j)
         if s is not None:
             draws.append((t, s))
             if not _theta_hit(F, F.C, t, s):
@@ -1207,7 +1206,7 @@ def _ref_theta_walk(N, F, rng, samples):
     return True, draws
 
 
-def test_theta_check_matches_the_per_element_walk():
+def test_theta_check_matches_the_per_element_walk(monkeypatch):
     """The batched theta verdict against the per-element walk on every
     BATCH_CASES module, in both modes (the default cap, and a cap of 4096
     that samples all but the smallest): theta_surjective and
@@ -1220,10 +1219,11 @@ def test_theta_check_matches_the_per_element_walk():
     for kind, rank, K in BATCH_CASES:
         M = split_module(kind, rank, K)
         for cap in (1 << 16, 4096):
-            F = canonical_morphism(M, cap)
+            monkeypatch.setattr(quad_module, "_SCAN_CAP", cap)
+            F = canonical_morphism(M)
             N = F.N
             for seed in (0, 1):
-                rep = naive_canon_check(M, seed=seed, samples=40, cap=cap)
+                rep = naive_canon_check(M, seed=seed, samples=40)
                 if N.xi_card() <= cap:
                     if seed == 0:
                         rows = N.xi_rows(*N.xi_all())
@@ -1237,8 +1237,8 @@ def test_theta_check_matches_the_per_element_walk():
                         hit = all(ref) if step == 1 else bool(F.theta_hits(rows).all())
                     assert rep["theta_surjective"] == hit
                 else:
-                    hit, draws = _ref_theta_walk(N, F, random.Random(seed), 40)
-                    rows = N.xi_rows(*N.xi_sample(random.Random(seed), 40))
+                    hit, draws = _ref_theta_walk(N, F, seed, 40)
+                    rows = N.xi_rows(*N.xi_sample(seed, 40))
                     assert _pairs_of_rows(N, rows)[:len(draws)] == draws, (kind, K.name)
                     counts = rep["xi_card"] == rep["theta_card"]
                     assert rep["theta_surjective"] == (hit and counts and rep["injective"])
@@ -1246,6 +1246,21 @@ def test_theta_check_matches_the_per_element_walk():
                 modes.add((rep["theta_mode"], hit))
     assert modes == {("exhaustive", True), ("exhaustive", False),
                      ("sampled+count", True), ("sampled+count", False)}
+
+
+def test_sampled_theta_verdict_needs_the_counts(monkeypatch):
+    """lin 2 over F3 takes the sampled theta check (COMPARE_PINNED) and F
+    is injective, so with a Xi count one past the true one every sampled
+    Xi element still has its preimage and only the count comparison can
+    make theta_surjective false."""
+    M = split_module("linear", 2, F3)
+    real = quad_module.NaiveConstruction.xi_card
+    monkeypatch.setattr(quad_module.NaiveConstruction, "xi_card", lambda self: real(self) + 1)
+    for seed in (0, 1):
+        rep = naive_canon_check(M, seed=seed)
+        assert rep["theta_mode"] == "sampled+count" and rep["injective"]
+        assert rep["xi_card"] == rep["theta_card"] + 1 and "missing_witness" not in rep
+        assert not rep["theta_surjective"] and not rep["pass"]
 
 
 def test_theta_rows_take_r_up_to_the_kernel():
@@ -1301,9 +1316,9 @@ def test_construct_compare_stdout_pinned(argv, code, digest, capsys):
 
 
 def test_construct_compare_leaves_numpy_ma_unimported():
-    """image_count counts rows without np.unique, whose row mode imports
-    numpy.ma on first use; a fresh interpreter, so other tests' imports
-    do not count."""
+    """construct compare sorts and counts rows without np.unique, whose
+    row mode imports numpy.ma on first use; a fresh interpreter, so other
+    tests' imports do not count."""
     src = os.path.dirname(os.path.dirname(quad_module.__file__))
     code = ("import contextlib, io, sys; from ofa.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
@@ -1432,13 +1447,14 @@ def test_module_unitary_singular_gram_keeps_invertible_leaves():
     assert all(k_mat_inv(F2, g) is not None for g in got)
 
 
-def test_module_column_pool_cap_is_per_support_block():
+def test_module_column_pool_cap_is_per_support_block(monkeypatch):
     """A column of the linear kind keeps to its side: one block of |K|
     vectors per side, each held to the cap on its own."""
-    got = enumerate_module_unitary(split_module("linear", 1, ZMod(4096)), cap=4096)
+    monkeypatch.setattr(quad_module, "_SCAN_CAP", 4096)
+    got = enumerate_module_unitary(split_module("linear", 1, ZMod(4096)))
     assert len(got) == 2048
     with pytest.raises(CapacityError, match="^column pool of 4097 vectors$"):
-        enumerate_module_unitary(split_module("linear", 1, ZMod(4097)), cap=4096)
+        enumerate_module_unitary(split_module("linear", 1, ZMod(4097)))
 
 
 def test_module_unitary_frontier_capacity():

@@ -1053,6 +1053,22 @@ def test_actions_refuse_targets_of_another_shape():
             sigma_linear(s).on_delta(u)
 
 
+def test_coordinate_reads_refuse_entries_off_the_ring():
+    """A coordinate entry of the wrong width or out of range is refused by
+    every one-row read of the pair law, as a tuple of the wrong length
+    is: not reshaped into numpy's ValueError, nor read modulo its slot."""
+    for s, bad in ((sh(ofalin, 2, F3), ((1, 2), (5,), (3,), (-1,))),
+                   (sh(ofalin, 1, parse_ring("prod:(zmod:2;zmod:3)")), ((1,), (1, 3), (2, 0)))):
+        g, zero, a, one = enumerate_unitary(s)[-1], s.zero(), s.alg.e(1, 1), s.alg.K.one()
+        for c in bad:
+            for u in ((c,) * s.dim, (c,) + zero[1:], zero[:-1] + (c,)):
+                for call in (lambda: to_pair(s, u), lambda: s.add(u, zero),
+                             lambda: s.add(zero, u), lambda: s.neg(u),
+                             lambda: s.act(u, a, one), lambda: act_projective_delta(g, u)):
+                    with pytest.raises(StructureError, match="bad element"):
+                        call()
+
+
 def test_hyperbolic_families():
     for shape in (sh(ofaorth, 4, F3), sh(ofasymp, 4, F2), sh(ofalin, 2, F3),
                   sh(ofaorth, 3, F2)):
@@ -1298,10 +1314,16 @@ def test_closure_on_arrays_matches_the_per_element_closure(s, picks):
     ref = _closure_reference(gens)
     got = generate_subgroup(gens)
     assert [g.key for g in got] == [g.key for g in ref]
-    assert len(generate_subgroup(gens, cap=len(ref))) == len(ref)
-    if len(ref) > 1:
-        with pytest.raises(CapacityError, match="^closure exceeded %d elements$" % (len(ref) - 1)):
-            generate_subgroup(gens, cap=len(ref) - 1)
+    import ofa.unitary as un
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(un, "_CLOSURE_CAP", len(ref))
+        assert len(generate_subgroup(gens)) == len(ref)
+        if len(ref) > 1:
+            mp.setattr(un, "_CLOSURE_CAP", len(ref) - 1)
+            with pytest.raises(CapacityError,
+                               match="^closure exceeded %d elements$" % (len(ref) - 1)):
+                generate_subgroup(gens)
     other = u_identity(sh(ofaorth, 2, F3))  # a shape of none of the groups
     for mixed in (gens + [other], [other] + gens):
         with pytest.raises(StructureError, match="shape mismatch"):
