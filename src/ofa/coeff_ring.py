@@ -489,17 +489,98 @@ def _mixed_radix(sizes, stop, start=0):
     return idx
 
 
+# SplitMix64: the golden-ratio counter step and the two multipliers of its mix
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX = (0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
+
+
+def _splitmix(z):
+    """SplitMix64's output mix of the uint64 array z, in place."""
+    z ^= z >> 30
+    z *= _MIX[0]
+    z ^= z >> 27
+    z *= _MIX[1]
+    z ^= z >> 31
+    return z
+
+
+def _seed_key(seed):
+    """One 64-bit key for a seed, an int or a list of ints >= 0: each
+    64-bit word of each int, low word first, is folded in as
+    key = mix(key + gamma + word), from key 0."""
+    key = np.zeros(1, dtype=np.uint64)
+    for s in seed if isinstance(seed, list) else [seed]:
+        if s < 0:
+            raise StructureError("negative seed %d" % s)
+        while True:
+            key = _splitmix(key + _GAMMA + (s & (1 << 64) - 1))
+            s >>= 64
+            if not s:
+                break
+    return key[0]
+
+
+def _fill(out, key, c, s):
+    """Fill the flat array out with digits in [0, s), read from the lanes
+    of counters c, c + 1, ... in order (_draw); return the counter after
+    the last one read."""
+    w = 8 if s * s <= 1 << 8 else 16 if s * s <= 1 << 16 else 32
+    lane, wide = np.dtype("<u%d" % (w // 8)), np.dtype("<u%d" % (w // 4))
+    per, t = 64 // w, (1 << w) % s
+    done = 0
+    while done < out.size:
+        need = out.size - done
+        # words for the lanes left and their expected rejections, and a margin
+        lanes = need + need * t // ((1 << w) - t)
+        words = (lanes + lanes // 64) // per + 8
+        z = np.arange(c, c + words, dtype=np.uint64)
+        z *= _GAMMA
+        z += key
+        # x * s in the wide dtype: its low half decides, its high half is the digit
+        m = np.multiply(_splitmix(z).astype("<u8", copy=False).view(lane), s, dtype=wide)
+        rej = np.flatnonzero(m.astype(lane) < t) if t else np.zeros(0, dtype=np.intp)
+        # the rejected lanes before the need-th accepted one
+        r = int(np.searchsorted(rej - np.arange(len(rej)), need))
+        end = min(need + r, m.size)
+        got = m[:end] >> w
+        if r:
+            got = np.delete(got, rej[:r])
+        out[done:done + len(got)] = got
+        done += len(got)
+        c += (end - 1) // per + 1
+    return c
+
+
 def _draw(seed, sizes, count):
     """The sampled counterpart of _mixed_radix: count columns of digits
-    over the radices sizes, int64 (len(sizes), count), drawn from
-    np.random.default_rng(seed), one (run, count) draw per run of equal
-    sizes (on PCG64 the same numbers as one draw of count per digit);
-    (0, 1) for no sizes."""
+    over the radices sizes, (len(sizes), count) in _mixed_radix's dtype;
+    (0, 1) for no sizes.  A size is 1 .. 2**32 - 1.
+
+    A counter-based SplitMix64 stream: counter c gives the 64-bit word
+    mix(key + c * gamma), key folded from seed (_seed_key).  Each run of
+    equal sizes s is filled row by row from the counters after those of
+    the run before.  A word splits into little-endian lanes of w bits,
+    the narrowest of 8 and 16 with s * s <= 2**w, else 32, and a lane x
+    gives the digit (x * s) >> w unless (x * s) mod 2**w < 2**w mod s
+    (Lemire's multiply-shift).  Each digit is then hit by exactly
+    floor(2**w / s) accepted lanes, so the digits are uniform whenever
+    the lanes are; a rejected lane is skipped and the run reads on, and
+    the lanes left in the word that completes a run are dropped.  The
+    lane rule keeps the rejected share below 1 / s."""
+    bad = [s for s in sizes if not 1 <= s < 1 << 32]
+    if bad:
+        raise StructureError("cannot draw a digit below %d: sizes run from 1 to 2**32 - 1"
+                             % bad[0])
+    dtype = np.min_scalar_type(max(sizes, default=1) - 1)
     if not sizes:
-        return np.zeros((0, 1), dtype=np.int64)
-    rng = np.random.default_rng(seed)
-    runs = [rng.integers(s, size=(len(list(run)), count)) for s, run in itertools.groupby(sizes)]
-    return runs[0] if len(runs) == 1 else np.concatenate(runs)
+        return np.zeros((0, 1), dtype=dtype)
+    out = np.empty((len(sizes), count), dtype=dtype)
+    key, c, row = _seed_key(seed), 0, 0
+    for s, run in itertools.groupby(sizes):
+        k = len(list(run))
+        c = _fill(out[row:row + k].reshape(-1), key, c, s)
+        row += k
+    return out
 
 
 # The row-word codec, the inverse of _mixed_radix: every set of rows is sorted here.

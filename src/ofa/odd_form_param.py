@@ -223,6 +223,16 @@ def delta_from_json(shape, data):
     return tuple(vec)
 
 
+def _check_sample_bytes(nslots, count):
+    """Refuse a sampled check whose (nslots, count) index matrix, counted
+    at 8 bytes a digit, passes _SAMPLE_CAP_BYTES: called before any batch
+    is built or drawn."""
+    need = 8 * nslots * count
+    if need > _SAMPLE_CAP_BYTES:
+        raise CapacityError("sampled index matrix of %d bytes for count %d, over %d"
+                            % (need, count, _SAMPLE_CAP_BYTES))
+
+
 def special_check(shape, count=10000, seed=0):
     """Verify that (pi, rho) determines the coordinates.
 
@@ -232,11 +242,14 @@ def special_check(shape, count=10000, seed=0):
     report is the one an element-by-element loop of
     ``member(shape, *to_pair(x)) == x`` over those elements gives,
     stopping at the first failure; exhaustively, distinct pairs are
-    counted on coeff_ring's words.
+    counted on coeff_ring's words.  A sampled count whose index matrix
+    would pass _SAMPLE_CAP_BYTES is refused before any batch or draw.
     """
-    ops = BatchOps(shape)
     card = shape.card()
     exhaustive = card <= EXH_DELTA_CAP
+    if not exhaustive:
+        _check_sample_bytes(shape.dim, count)
+    ops = BatchOps(shape)
     if exhaustive:
         idx = _mixed_radix([ops.K.card] * shape.dim, card)
     else:
@@ -337,11 +350,8 @@ def axioms_check(shape, strategy="exhaustive", count=10000, seed=None):
             % (EXH_DELTA_CAP, shape.card()))
     slots = [[s for kind in kinds for s in slot_sizes(shape, kind)] for _, kinds, _ in AXIOMS]
     exhaust = [strategy == "exhaustive" and math.prod(sizes) <= _EXH_TUPLE_CAP for sizes in slots]
-    # the sampled index matrices are int64, (nslots, count)
-    need = max([8 * len(sizes) * count for sizes, ex in zip(slots, exhaust) if not ex], default=0)
-    if need > _SAMPLE_CAP_BYTES:
-        raise CapacityError("sampled index matrix of %d bytes for count %d, over %d"
-                            % (need, count, _SAMPLE_CAP_BYTES))
+    _check_sample_bytes(max([len(sizes) for sizes, ex in zip(slots, exhaust) if not ex], default=0),
+                        count)
     ops = BatchOps(shape)
     rows = []
     for axnum, ((name, kinds, fn), sizes) in enumerate(zip(AXIOMS, slots)):

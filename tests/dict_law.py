@@ -9,11 +9,14 @@ on coordinate tuples, with Delta's fold residue and Theta's residue.
 dict_law(T) is a copy of the table T whose methods run this law; the
 table's other methods (CanonConstruction.box) then read through it too.
 walk reads a seeded index matrix one sample at a time, so that a
-per-element reference visits the elements a batched check draws.
+per-element reference visits the elements a batched check draws, and
+draw_reference is coeff_ring._draw's kernel on Python ints, one lane at
+a time.
 """
 
 import copy
 import functools
+import itertools
 
 from ofa.coeff_ring import _draw
 from ofa.form_ring import El
@@ -144,3 +147,49 @@ def walk(seed, sizes, count):
     """The columns of coeff_ring._draw(seed, sizes, count), one list of
     indices per sample, in order: the samples a batched check draws."""
     return _draw(seed, sizes, count).T.tolist()
+
+
+_M64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+
+
+def splitmix(z):
+    """SplitMix64's output mix of a 64-bit int."""
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & _M64
+    z = (z ^ z >> 27) * 0x94D049BB133111EB & _M64
+    return z ^ z >> 31
+
+
+def draw_reference(seed, sizes, count):
+    """The rows coeff_ring._draw(seed, sizes, count) lists, and the number
+    of lanes rejected on the way.  The key folds each 64-bit word of each
+    seed int, low word first; counter c gives splitmix(key + c gamma); a
+    run of equal sizes s reads lanes of w bits, low lane first, from the
+    counters after the run before, a lane x giving (x s) >> w unless
+    (x s) mod 2**w < 2**w mod s; the lanes left in the word that completes
+    a run are dropped."""
+    key = 0
+    for s in seed if isinstance(seed, list) else [seed]:
+        while True:
+            key = splitmix((key + _GAMMA + (s & _M64)) & _M64)
+            s >>= 64
+            if not s:
+                break
+    rows, c, rejected = [], 0, 0
+    for s, run in itertools.groupby(sizes):
+        k = len(list(run))
+        w = 8 if s * s <= 1 << 8 else 16 if s * s <= 1 << 16 else 32
+        digits = []
+        while len(digits) < k * count:
+            word = splitmix((key + c * _GAMMA) & _M64)
+            c += 1
+            for j in range(64 // w):
+                if len(digits) == k * count:
+                    break
+                m = (word >> j * w & (1 << w) - 1) * s
+                if m & (1 << w) - 1 < (1 << w) % s:
+                    rejected += 1
+                else:
+                    digits.append(m >> w)
+        rows += [digits[i * count:(i + 1) * count] for i in range(k)]
+    return rows, rejected

@@ -255,13 +255,33 @@ def test_a_sample_count_past_the_cap_exits2_before_drawing(capsys):
     count = 10 ** 15
     argv = _SAMPLED + ["--count", str(count)]
     with patch.object(ofp, "BatchOps", side_effect=AssertionError("batch built")), \
-            patch.object(ofp.np.random, "default_rng", side_effect=AssertionError("drawn")):
+            patch.object(ofp, "_draw", side_effect=AssertionError("drawn")):
         assert main(argv) == 2
     err = capsys.readouterr().err
     shape = ofp.DeltaShape(cli.family_algebra("symp", 1, parse_ring("zmod:2")))
     slots = max(sum(len(ofp.slot_sizes(shape, k)) for k in kinds) for _, kinds, _ in ofp.AXIOMS)
     assert err == "error: sampled index matrix of %d bytes for count %d, over %d\n" % (
         8 * slots * count, count, ofp._SAMPLE_CAP_BYTES)
+
+
+def test_commands_leave_numpy_random_unimported():
+    """Sampled checks draw from coeff_ring's own counter kernel: a group
+    order (unitary._verify draws its pairs), the sampled theta verdict,
+    the Theta relation check and a sampled axiom sweep leave numpy.random
+    unimported, in a fresh interpreter, so other tests' imports do not
+    count."""
+    src = os.path.dirname(os.path.dirname(ofa.__file__))
+    runs = [["group", "order", "--family", "symp", "--n", "2", "--ring", "gf:2"],
+            ["construct", "compare", "--family", "lin", "--n", "2", "--ring", "gf:3"],
+            ["construct", "canonical", "--family", "orth-even", "--n", "2", "--ring", "zmod:3"],
+            _SAMPLED + ["--count", "50"]]
+    code = ("import contextlib, io, sys; from ofa.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [main(argv) for argv in %r]\n"
+            "print(codes, 'numpy.random' in sys.modules)" % (runs,))
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         check=True, capture_output=True, text=True).stdout
+    assert out.split() == ["[0,", "0,", "0,", "0]", "False"]
 
 
 def test_malformed_module_json_exits2(tmp_path, capsys):

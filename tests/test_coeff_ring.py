@@ -7,9 +7,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dict_law import draw_reference
 from ofa.coeff_ring import (
     CapacityError, GaloisField, PolyQuotient, Product, RingHom, SlotRing, StructureError,
-    TensorTower, ZMod, _distinct_rows, _mixed_radix, _pack_words, _rows_in, _word_order,
+    TensorTower, ZMod, _distinct_rows, _draw, _mixed_radix, _pack_words, _rows_in, _word_order,
     hom_compose, identity_hom, parse_ring, ring_from_json, ring_to_json, tensor_square,
 )
 
@@ -361,6 +362,69 @@ def test_mixed_radix_columns_are_product_tuples(sizes, data):
     assert got.dtype == (np.uint16 if 257 in sizes else np.uint8)
     assert got.T.tolist() == [list(w) for w in want]
     assert _mixed_radix(sizes, start, start).shape == (len(sizes), 0)
+
+
+# each lane width and the sizes on both sides of each lane rule, 737280
+# the order of O(4, F_3) that unitary._verify draws pairs from; 2**31 + 1
+# rejects about half its lanes
+_DRAW_SIZES = [1, 2, 3, 15, 16, 17, 255, 256, 257, 6561, 65535, 65536, 65537, 737280,
+               2 ** 31 + 1, 2 ** 32 - 1]
+_SEEDS = st.one_of(st.integers(0, 1 << 70), st.lists(st.integers(0, 1 << 70), max_size=3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_SEEDS, st.lists(st.sampled_from(_DRAW_SIZES), max_size=4),
+       st.sampled_from([0, 1, 7, 33, 257]))
+@example([3, 0], [4, 4, 2, 2, 4], 257)
+@example(0, [], 3)
+def test_draw_matches_the_reference_kernel(seed, sizes, count):
+    """_draw is its pure-Python reference bit for bit, int and list seeds,
+    runs of equal sizes and mixed lane widths, in _mixed_radix's dtype;
+    (0, 1) for no sizes."""
+    got = _draw(seed, sizes, count)
+    assert got.dtype == _mixed_radix(sizes, 0).dtype
+    if not sizes:
+        assert got.shape == (0, 1)
+        return
+    want, _ = draw_reference(seed, sizes, count)
+    assert got.shape == (len(sizes), count) and got.tolist() == want
+
+
+def test_draw_redraws_rejected_lanes():
+    """A rejected lane is skipped: 5000 digits mod 3 reject some of their
+    byte lanes, and 7 below 2**31 + 1 at seed 715 reject 25 lanes, more
+    than _draw's first block of words spares (6 of its 28 lanes pass)."""
+    for seed, sizes, count, rejected in ((5, [3], 5000, 24), (715, [2 ** 31 + 1], 7, 25)):
+        want, rej = draw_reference(seed, sizes, count)
+        assert rej == rejected
+        assert _draw(seed, sizes, count).tolist() == want
+
+
+def test_draw_columns_pinned():
+    """Literal columns, so that a change of constant, key fold, lane width
+    or lane order fails here and in the reference alike."""
+    sizes = [3, 3, 256, 65537, 2 ** 32 - 1]
+    cols = [[2, 2, 126, 62530, 2254702853], [2, 0, 77, 45955, 2819275403],
+            [0, 1, 221, 64428, 1721299130]]
+    assert _draw(0, sizes, 3).T.tolist() == cols
+    assert [list(c) for c in zip(*draw_reference(0, sizes, 3)[0])] == cols
+    assert _draw([7, 2], [6, 2, 2], 2).T.tolist() == [[3, 0, 1], [3, 1, 1]]
+
+
+@pytest.mark.parametrize("sizes", [[0], [3, 0], [1 << 32], [2, -1]])
+def test_draw_refuses_a_size_out_of_range(sizes):
+    """A size is 1 .. 2**32 - 1, the most a 32-bit lane draws below: any
+    other is refused with StructureError before a draw."""
+    with pytest.raises(StructureError, match="sizes run from 1 to 2\\*\\*32 - 1"):
+        _draw(0, sizes, 5)
+
+
+def test_draw_refuses_a_negative_seed():
+    """A negative int has no 64-bit words to fold: refused, where numpy's
+    generator raised ValueError."""
+    for seed in (-1, [3, -2]):
+        with pytest.raises(StructureError, match="negative seed"):
+            _draw(seed, [3], 5)
 
 
 # digits to a word of the row-word codec: the largest per with

@@ -244,3 +244,32 @@ def test_caps_are_constants_and_samples_come_from_one_generator():
                        and n.name == part]
         found += [(name, path, word) for word in _named(node) if word in RANDOM]
     assert not found
+
+
+def _numpy_random(node):
+    """The mentions of numpy's random module in node: np.random and
+    numpy.random, an import of numpy.random or of random from numpy, and
+    any name or attribute default_rng."""
+    for sub in ast.walk(node):
+        if (isinstance(sub, ast.Name) and sub.id == "default_rng"
+                or isinstance(sub, ast.Attribute) and (
+                    sub.attr == "default_rng"
+                    or sub.attr == "random" and getattr(sub.value, "id", None) in {"np", "numpy"})):
+            yield ast.unparse(sub)
+        elif isinstance(sub, ast.Import):
+            yield from (a.name for a in sub.names if a.name.startswith("numpy.random"))
+        elif isinstance(sub, ast.ImportFrom) and (sub.module or "").startswith("numpy"):
+            if sub.module.startswith("numpy.random") or any(a.name == "random" for a in sub.names):
+                yield ast.unparse(sub)
+
+
+def test_no_numpy_random_in_src():
+    """Seeded samples come from coeff_ring._draw's SplitMix64 kernel: no
+    module of src names np.random, numpy.random or default_rng, so no
+    process imports numpy.random (about 10 ms and 2 MB)."""
+    probe = ast.parse("import numpy.random\nfrom numpy import random\n"
+                      "g = np.random.default_rng(0)\nh = default_rng")
+    assert len(list(_numpy_random(probe))) == 5
+    found = [(name, hit) for name in sorted(os.listdir(SRC)) if name.endswith(".py")
+             for hit in _numpy_random(_tree(name))]
+    assert not found

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from ofa.cli import family_algebra
 from ofa.cli import main as cli_main
 from ofa.coeff_ring import (CapacityError, GaloisField, Product, StructureError, ZMod,
-                            _distinct_rows, _pack_words, parse_ring)
+                            _distinct_rows, _mixed_radix, _pack_words, parse_ring)
 from ofa.form_ring import ofalin, ofaorth, ofasymp, x_central
 from ofa.odd_form_param import (
     AXIOMS,
@@ -31,7 +31,7 @@ from ofa.odd_form_param import (
     to_pair,
 )
 from ofa import odd_form_param as ofp
-from dict_law import dict_law, walk
+from dict_law import dict_law, draw_reference, walk
 
 
 def act(sh, x, a):
@@ -417,32 +417,47 @@ def test_json_roundtrip():
         assert delta_from_json(sh, delta_to_json(sh, x)) == x
 
 
+def _walked_deltas(sh, seed, name, count, col):
+    """The Delta factors of column col of an axiom's sampled draw, element
+    by element from walk: each coordinate an index into K.elements()."""
+    from ofa.batch_delta import slot_sizes
+
+    axnum, kinds = next((t, kinds) for t, (n, kinds, _) in enumerate(AXIOMS) if n == name)
+    sizes = [s for kind in kinds for s in slot_sizes(sh, kind)]
+    klist, row = list(sh.alg.K.elements()), walk([seed, axnum], sizes, count)[col]
+    assert set(kinds) == {"delta"}
+    return [render(sh, tuple(klist[t] for t in row[k * sh.dim:(k + 1) * sh.dim]))
+            for k in range(len(kinds))]
+
+
 def test_axioms_witness_strings_pinned(monkeypatch):
     """A failing row renders its Delta factors as sorted q, u, then d
-    entries; the strings are pinned as the reports print them."""
+    entries; the strings are pinned as the reports print them, and the
+    Delta witnesses are the walked elements of the failing column."""
     from ofa.batch_delta import BatchOps
 
     monkeypatch.setattr(BatchOps, "evaluate",
                         lambda self, kinds, fn, idx: (False, min(3, idx.shape[1] - 1)))
-    rep = axioms_check(DeltaShape(ofasymp(2, ZMod(3))), strategy="sampled",
-                       count=50, seed=5)
+    sh = DeltaShape(ofasymp(2, ZMod(3)))
+    rep = axioms_check(sh, strategy="sampled", count=50, seed=5)
     rows = {r["axiom"]: r for r in rep["axioms"]}
     assert rows["commutator"]["witness"] == [
-        "q-1*(2,)e(-1,-1) + (2,)phi(e(1,1)) + (1,)v-1 + (1,)v1",
-        "q-1*(2,)e(-1,-1) + q-1*(2,)e(-1,1) + q1*(1,)e(1,-1) + q1*(2,)e(1,1)"
-        " + (1,)phi(e(1,1))"]
-    rep = axioms_check(DeltaShape(ofaorth(3, ZMod(3))), strategy="sampled",
-                       count=50, seed=5)
+        "q-1*(1,)e(-1,1) + q1*(2,)e(1,1) + (1,)phi(e(1,1)) + (1,)v-1 + (2,)v1",
+        "q-1*(2,)e(-1,-1) + q1*(2,)e(1,-1) + q1*(1,)e(1,1) + (2,)v1"]
+    assert rows["commutator"]["witness"] == _walked_deltas(sh, 5, "commutator", 50, 3)
+    sh = DeltaShape(ofaorth(3, ZMod(3)))
+    rep = axioms_check(sh, strategy="sampled", count=50, seed=5)
     rows = {r["axiom"]: r for r in rep["axioms"]}
     assert rows["commutator"]["witness"] == [
-        "q-1*(2,)e(-1,-1) + q1*(2,)e(1,0) + q1*(1,)e(1,1) + u-1*(1,) + u0*(2,)"
-        " + u1*(2,) + (1,)phi(e(0,1)) + (2,)phi(e(1,0)) + (1,)phi(e(1,1))",
-        "q-1*(1,)e(-1,1) + q1*(1,)e(1,-1) + q1*(2,)e(1,0) + u1*(2,)"
-        " + (2,)phi(e(0,1)) + (1,)phi(e(1,1))"]
+        "q-1*(1,)e(-1,0) + q1*(2,)e(1,-1) + q1*(1,)e(1,0) + q1*(1,)e(1,1) + u-1*(2,)"
+        " + u0*(2,) + (2,)phi(e(0,1)) + (1,)phi(e(1,0))",
+        "q-1*(2,)e(-1,0) + q1*(2,)e(1,-1) + q1*(1,)e(1,0) + u-1*(2,) + u0*(1,) + u1*(2,)"
+        " + (1,)phi(e(0,1)) + (1,)phi(e(1,0))"]
+    assert rows["commutator"]["witness"] == _walked_deltas(sh, 5, "commutator", 50, 3)
     assert rows["aug-action-scale"]["witness"] == [
-        "(2,)", "(1,)phi(e(1,1))",
-        "((2,)*e(-1,-1) + (2,)*e(-1,0) + (2,)*e(0,0) + (1,)*e(1,-1)"
-        " + (2,)*e(1,0) + (2,)*e(1,1)) + (0,)"]
+        "(0,)", "(1,)phi(e(0,1)) + (1,)phi(e(1,0)) + (2,)phi(e(1,1))",
+        "((2,)*e(-1,-1) + (1,)*e(-1,0) + (1,)*e(-1,1) + (1,)*e(0,0)"
+        " + (2,)*e(1,0)) + (2,)"]
 
 
 def test_special_check_witness_string_pinned(monkeypatch):
@@ -456,13 +471,32 @@ def test_special_check_witness_string_pinned(monkeypatch):
         return ok
 
     monkeypatch.setattr(BatchOps, "read_back_ok", fail_from_row_5)
-    rep = special_check(DeltaShape(ofaorth(3, ZMod(4))), count=50, seed=4)
+    sh = DeltaShape(ofaorth(3, ZMod(4)))
+    rep = special_check(sh, count=50, seed=4)
     assert rep == {
         "pass": False, "mode": "sampled", "checked": 50,
-        "witness": "q-1*(3,)e(-1,-1) + q-1*(3,)e(-1,0) + q-1*(3,)e(-1,1)"
-                   " + q1*(2,)e(1,-1) + q1*(2,)e(1,0) + q1*(2,)e(1,1) + u-1*(3,)"
-                   " + u0*(2,) + u1*(3,) + (2,)phi(e(0,1)) + (1,)phi(e(1,0))"
-                   " + (3,)phi(e(1,1))"}
+        "witness": "q-1*(3,)e(-1,-1) + q-1*(3,)e(-1,0) + q1*(1,)e(1,-1) + q1*(2,)e(1,1)"
+                   " + u-1*(3,) + u0*(1,) + u1*(2,) + (3,)phi(e(0,1)) + (2,)phi(e(1,0))"}
+    # the walked element of the failing column, coordinate by coordinate
+    klist = list(sh.alg.K.elements())
+    assert rep["witness"] == render(sh, tuple(klist[t] for t in walk(4, [4] * sh.dim, 50)[5]))
+
+
+def test_special_check_refuses_a_count_past_the_byte_cap(monkeypatch):
+    """The sampled batch is sized before BatchOps is built or a digit is
+    drawn: past _SAMPLE_CAP_BYTES, special_check refuses with the bytes
+    its index matrix would take, as axioms_check does."""
+    def fail(*args):
+        raise AssertionError("built or drawn")
+
+    monkeypatch.setattr(ofp, "_draw", fail)
+    monkeypatch.setattr(ofp, "BatchOps", fail)
+    sh = DeltaShape(ofaorth(3, ZMod(4)))
+    count = 10 ** 15
+    with pytest.raises(CapacityError) as info:
+        special_check(sh, count=count, seed=0)
+    assert str(info.value) == "sampled index matrix of %d bytes for count %d, over %d" % (
+        8 * sh.dim * count, count, ofp._SAMPLE_CAP_BYTES)
 
 
 def test_slot_layout_is_sorted():
@@ -553,9 +587,9 @@ def test_special_check_report_pinned(call, digest):
 @pytest.mark.parametrize("family,n,ring", [("orth-odd", 1, "gf:4"), ("symp", 1, "zmod:4"),
                                            ("orth-odd", 1, "prod:(zmod:2;zmod:3)")])
 def test_sampled_sweep_draws_one_row_per_slot(monkeypatch, family, n, ring):
-    """The sampled index matrix of every axiom, drawn per run of equal
-    slot sizes, is the stack of one rng.integers(size, count) draw per
-    slot from the same generator: --seed picks the same tuples."""
+    """The sampled index matrix of every axiom is the reference kernel's
+    draw at [seed, axiom number], one row per slot, in _mixed_radix's
+    dtype: --seed picks the same tuples."""
     from ofa.batch_delta import BatchOps, slot_sizes
 
     seen = []
@@ -573,9 +607,8 @@ def test_sampled_sweep_draws_one_row_per_slot(monkeypatch, family, n, ring):
     for axnum, ((name, kinds, _), got) in enumerate(zip(AXIOMS, seen)):
         sizes = [s for kind in kinds for s in slot_sizes(sh, kind)]
         mixed |= len(set(sizes)) > 1
-        rng = np.random.default_rng([7, axnum])
-        want = np.stack([rng.integers(s, size=count) for s in sizes])
-        assert got.dtype == want.dtype and (got == want).all(), (sh.tag, name)
+        want, _ = draw_reference([7, axnum], sizes, count)
+        assert got.dtype == _mixed_radix(sizes, 0).dtype and got.tolist() == want, (sh.tag, name)
     assert len(seen) == len(AXIOMS)
     # symp 1 over Z/4 mixes herm slots of sizes 4 and 2
     assert mixed == (ring == "zmod:4")

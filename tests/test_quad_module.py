@@ -624,8 +624,8 @@ def test_a_corrupted_table_refuses_alike(table):
     for kind, rank, K in (("orthogonal", 2, F3), ("orthogonal", 3, Z4), ("linear", 2, F3),
                           ("symplectic", 2, F3), ("symplectic", 4, F3)):
         C = table(split_module(kind, rank, K))
-        got = _outcome(_batched, C, 20, 1)
-        assert got == _outcome(_relations_reference, C, 20, 1), (kind, rank)
+        got = _outcome(_batched, C, 50, 1)
+        assert got == _outcome(_relations_reference, C, 50, 1), (kind, rank)
         refused += got == ("AssertionError", "the pair law left the table")
     assert refused >= 3
 
